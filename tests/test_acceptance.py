@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,10 @@ GOLDENS = [
     "twisted_action_synthetic",
     "double_nonabelian",
 ]
+
+# reports of the builtin manifests at their own settings, stored so that
+# byte-stability holds across versions and not only within one process
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def load(name):
@@ -296,5 +301,7 @@ def test_criterion_12_determinism():
         second = run_manifest(load(name))
         assert first.to_text() == second.to_text(), name
         assert first.to_json() == second.to_json(), name
+        assert first.to_text() == (GOLDEN_DIR / f"{name}.txt").read_text(), name
+        assert first.to_json() == (GOLDEN_DIR / f"{name}.json").read_text(), name
         assert first.ok, f"{name} must pass for the determinism comparison"
     announce(12, "byte-identical reports", t0)
