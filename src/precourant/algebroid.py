@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence
 
 from .bundle import (
@@ -22,6 +23,7 @@ from .bundle import (
     anchor_apply,
     dee,
     format_section,
+    format_sections,
     pairing,
     validate_bundle,
 )
@@ -126,10 +128,6 @@ def skew_bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
     return out
 
 
-def _fmt_sections(*sections: Section) -> str:
-    return " | ".join("(" + format_section(s) + ")" for s in sections)
-
-
 def verify_axioms(
     p: PreCourantAlgebroid, trials: int = 16, seed: int = 0, max_degree: int = 2
 ) -> VerifyReport:
@@ -153,82 +151,60 @@ def verify_axioms(
         if lhs != rhs:
             return (
                 f"{name}: rho(e1)<e2,e3> = {format_poly(lhs)} but RHS = "
-                f"{format_poly(rhs)} at {_fmt_sections(e1, e2, e3)}"
+                f"{format_poly(rhs)} at {format_sections(e1, e2, e3)}"
             )
         return None
 
     # axiom (i) on frames: rho(table[i][j]) = [rho(u_i), rho(u_j)]
-    witness = ""
-    ok = True
-    for i in range(r):
-        for j in range(r):
-            lhs = anchor_apply(p.table[i][j])
-            rhs = vf_bracket(rho_frames[i], rho_frames[j])
-            if lhs != rhs:
-                ok = False
-                witness = f"frames ({i + 1},{j + 1})"
-                break
-        if not ok:
+    chk = report.check("axiom-i-frames")
+    for i, j in product(range(r), repeat=2):
+        if anchor_apply(p.table[i][j]) != vf_bracket(rho_frames[i], rho_frames[j]):
+            chk.fail(f"frames ({i + 1},{j + 1})")
             break
-    report.add("axiom-i-frames", ok, witness)
 
     # axiom (ii) via the symmetrized form on frames
-    ok, witness = True, ""
-    for i in range(r):
-        for j in range(r):
-            lhs = p.table[i][j] + p.table[j][i]
-            rhs = dee(b, pairing(frames[i], frames[j]))
-            if lhs != rhs:
-                ok = False
-                witness = (
-                    f"frames ({i + 1},{j + 1}): t[i][j]+t[j][i] = "
-                    f"({format_section(lhs)}) but D<u_i,u_j> = ({format_section(rhs)})"
-                )
-                break
-        if not ok:
+    chk = report.check("axiom-ii-frames")
+    for i, j in product(range(r), repeat=2):
+        lhs = p.table[i][j] + p.table[j][i]
+        rhs = dee(b, pairing(frames[i], frames[j]))
+        if lhs != rhs:
+            chk.fail(
+                f"frames ({i + 1},{j + 1}): t[i][j]+t[j][i] = "
+                f"({format_section(lhs)}) but D<u_i,u_j> = ({format_section(rhs)})"
+            )
             break
-    report.add("axiom-ii-frames", ok, witness)
 
     # axiom (iii) on frame triples
-    ok, witness = True, ""
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                w = check_triple(f"frames ({i + 1},{j + 1},{k + 1})", frames[i], frames[j], frames[k])
-                if w:
-                    ok, witness = False, w
-                    break
-            if not ok:
-                break
-        if not ok:
+    chk = report.check("axiom-iii-frames")
+    for i, j, k in product(range(r), repeat=3):
+        w = check_triple(f"frames ({i + 1},{j + 1},{k + 1})", frames[i], frames[j], frames[k])
+        if w:
+            chk.fail(w)
             break
-    report.add("axiom-iii-frames", ok, witness)
 
     # the random layer guards the extension rules themselves
     rng = random.Random(seed)
-    ok_i = ok_ii = ok_iii = True
-    wit_i = wit_ii = wit_iii = ""
+    chk_i, chk_ii, chk_iii = (
+        report.check(f"axiom-{n}-random") for n in ("i", "ii", "iii")
+    )
     for _ in range(trials):
         e1 = random_section(rng, b, max_degree)
         e2 = random_section(rng, b, max_degree)
         e3 = random_section(rng, b, max_degree)
-        if ok_i:
+        if chk_i.ok:
             lhs = anchor_apply(bracket(p, e1, e2))
             rhs = vf_bracket(anchor_apply(e1), anchor_apply(e2))
             if lhs != rhs:
-                ok_i, wit_i = False, f"sections {_fmt_sections(e1, e2)}"
-        if ok_ii:
+                chk_i.fail(f"sections {format_sections(e1, e2)}")
+        if chk_ii.ok:
             lhs = bracket(p, e1, e2) + bracket(p, e2, e1)
             rhs = dee(b, pairing(e1, e2))
             if lhs != rhs:
-                ok_ii, wit_ii = False, f"sections {_fmt_sections(e1, e2)}"
-        if ok_iii:
+                chk_ii.fail(f"sections {format_sections(e1, e2)}")
+        if chk_iii.ok:
             w = check_triple("sections", e1, e2, e3)
             if w:
-                ok_iii, wit_iii = False, w
-    report.add("axiom-i-random", ok_i, wit_i)
-    report.add("axiom-ii-random", ok_ii, wit_ii)
-    report.add("axiom-iii-random", ok_iii, wit_iii)
+                chk_iii.fail(w)
     return report
 
 
@@ -243,20 +219,17 @@ def verify_derived_identities(
     functions = [Poly.var(b.chart, m) for m in range(b.chart.dim)]
     functions += [random_poly(rng, b.chart, max_degree) for _ in range(4)]
 
-    names = [
-        "right-function-rule",
-        "left-function-rule",
-        "derivative-left-zero",
-        "derivative-right-chain",
-        "anchor-kills-derivative",
-        "symmetrization",
-    ]
-    status = {n: (True, "") for n in names}
-
-    def fail(name: str, witness: str) -> None:
-        if status[name][0]:
-            status[name] = (False, witness)
-
+    chk = {
+        n: report.check(n)
+        for n in (
+            "right-function-rule",
+            "left-function-rule",
+            "derivative-left-zero",
+            "derivative-right-chain",
+            "anchor-kills-derivative",
+            "symmetrization",
+        )
+    }
     for t in range(trials):
         e1 = random_section(rng, b, max_degree)
         e2 = random_section(rng, b, max_degree)
@@ -266,7 +239,7 @@ def verify_derived_identities(
         lhs = bracket(p, e1, e2.scale(f))
         rhs = bracket(p, e1, e2).scale(f) + e2.scale(vf_apply(anchor_apply(e1), f))
         if lhs != rhs:
-            fail("right-function-rule", f"f = {format_poly(f)}, {_fmt_sections(e1, e2)}")
+            chk["right-function-rule"].fail(f"f = {format_poly(f)}, {format_sections(e1, e2)}")
         # first-slot functions pick up a derivative and a pairing term
         lhs = bracket(p, e1.scale(f), e2)
         rhs = (
@@ -275,26 +248,24 @@ def verify_derived_identities(
             + df.scale(pairing(e1, e2))
         )
         if lhs != rhs:
-            fail("left-function-rule", f"f = {format_poly(f)}, {_fmt_sections(e1, e2)}")
+            chk["left-function-rule"].fail(f"f = {format_poly(f)}, {format_sections(e1, e2)}")
         # derivative sections annihilate from the left
         lhs = bracket(p, df, e1)
         if not lhs.is_zero():
-            fail("derivative-left-zero", f"f = {format_poly(f)}, e = ({format_section(e1)})")
+            chk["derivative-left-zero"].fail(f"f = {format_poly(f)}, e = ({format_section(e1)})")
         # bracketing into a derivative section chains through the anchor
         lhs = bracket(p, e1, df)
         rhs = dee(b, vf_apply(anchor_apply(e1), f))
         if lhs != rhs:
-            fail("derivative-right-chain", f"f = {format_poly(f)}, e = ({format_section(e1)})")
+            chk["derivative-right-chain"].fail(
+                f"f = {format_poly(f)}, e = ({format_section(e1)})"
+            )
         # the anchor kills every derivative section
         if not anchor_apply(df).is_zero():
-            fail("anchor-kills-derivative", f"f = {format_poly(f)}")
+            chk["anchor-kills-derivative"].fail(f"f = {format_poly(f)}")
         # symmetrization identity on random sections
         lhs = bracket(p, e1, e2) + bracket(p, e2, e1)
         rhs = dee(b, pairing(e1, e2))
         if lhs != rhs:
-            fail("symmetrization", _fmt_sections(e1, e2))
-
-    for n in names:
-        ok, wit = status[n]
-        report.add(n, ok, wit)
+            chk["symmetrization"].fail(format_sections(e1, e2))
     return report

@@ -99,6 +99,20 @@ class CourantBundle:
             self._metric_inv = linalg.invert(self.metric)
         return self._metric_inv
 
+    def raise_covector(self, covector: Sequence[Poly]) -> "Section":
+        """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
+        g_inv = self.metric_inv
+        return Section(
+            self,
+            [
+                sum(
+                    (covector[j] * g_inv[i][j] for j in range(self.rank) if g_inv[i][j] != 0),
+                    Poly.zero(self.chart),
+                )
+                for i in range(self.rank)
+            ],
+        )
+
     # --- constructors ---------------------------------------------------
 
     def zero_section(self) -> Section:
@@ -227,17 +241,7 @@ def rho_star(b: CourantBundle, xi: KForm) -> Section:
             if not coeff.is_zero() and not b.anchor[i][m].is_zero():
                 c = c + b.anchor[i][m] * coeff
         a_xi.append(c)
-    g_inv = b.metric_inv
-    return Section(
-        b,
-        [
-            sum(
-                (a_xi[j] * g_inv[i][j] for j in range(b.rank) if g_inv[i][j] != 0),
-                Poly.zero(b.chart),
-            )
-            for i in range(b.rank)
-        ],
-    )
+    return b.raise_covector(a_xi)
 
 
 def dee(b: CourantBundle, f: Poly) -> Section:
@@ -295,3 +299,8 @@ def kernel_coisotropy_check(
 
 def format_section(e: Section) -> str:
     return ", ".join(format_poly(c) for c in e.coeffs)
+
+
+def format_sections(*sections: Section) -> str:
+    """Sections in a witness: each parenthesized, separated by bars."""
+    return " | ".join("(" + format_section(s) + ")" for s in sections)

@@ -14,8 +14,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from .errors import ParseError, PrecourantError
-from .manifest import KNOWN_TASKS, parse_manifest
+from .manifest import META_MINIMUM, parse_manifest
 from .runner import run_manifest
+from .tasks import TASKS
 
 
 def builtin_manifest_dir() -> Path:
@@ -38,6 +39,23 @@ def resolve_manifest(name_or_path: str) -> Path:
     )
 
 
+def _int_at_least(key: str):
+    """An argparse type for an override held to the manifest grammar's minimum."""
+    minimum = META_MINIMUM[key]
+
+    def parse(text: str) -> int:
+        error = argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        try:
+            value = int(text)
+        except ValueError:
+            raise error from None
+        if value < minimum:
+            raise error
+        return value
+
+    return parse
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="precourant",
@@ -56,12 +74,14 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="task to run (repeatable; default: the manifest's task list); "
-        f"known tasks: {', '.join(KNOWN_TASKS)}",
+        f"known tasks: {', '.join(TASKS)}",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override the manifest seed")
-    parser.add_argument("--trials", type=int, default=None, help="override the trial count")
+    parser.add_argument("--seed", type=_int_at_least("seed"), help="override the manifest seed")
     parser.add_argument(
-        "--max-degree", type=int, default=None, help="override the sampling degree bound"
+        "--trials", type=_int_at_least("trials"), help="override the trial count"
+    )
+    parser.add_argument(
+        "--max-degree", type=_int_at_least("max_degree"), help="override the sampling degree bound"
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     parser.add_argument("--quiet", action="store_true", help="suppress stderr timing")
@@ -87,23 +107,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        manifest.seed = args.seed
-    if args.trials is not None:
-        manifest.trials = args.trials
-    if args.max_degree is not None:
-        manifest.max_degree = args.max_degree
-
-    tasks = args.task
-    if tasks:
-        unknown = [t for t in tasks if t not in KNOWN_TASKS]
-        if unknown:
-            print(f"error: unknown task names: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+    for key in META_MINIMUM:
+        if getattr(args, key) is not None:
+            setattr(manifest, key, getattr(args, key))
 
     timings: List = []
     try:
-        report = run_manifest(manifest, tasks=tasks, timings=timings)
+        report = run_manifest(manifest, tasks=args.task, timings=timings)
     except PrecourantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

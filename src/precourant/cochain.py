@@ -16,10 +16,10 @@ cross-check between independent code paths.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Dict, List, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, jacobiator
+from .algebroid import PreCourantAlgebroid, bracket, jacobiator, verify_axioms
 from .bundle import CourantBundle, Section, anchor_apply, dee, format_section, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, evaluate, vf_apply
@@ -105,8 +105,6 @@ class Cochain:
         if self.degree == 0:
             return self.values.get((), Poly.zero(self.bundle.chart))
         out = Poly.zero(self.bundle.chart)
-        from itertools import permutations
-
         for idx, base in self.values.items():
             for perm in permutations(range(self.degree)):
                 # sections[t] takes frame index idx[perm[t]]
@@ -177,40 +175,25 @@ class KerCochain:
     def zero(bundle: CourantBundle, degree: int) -> "KerCochain":
         return KerCochain(Cochain.zero(bundle, degree + 1))
 
-    def _raise(self, covector: List[Poly]) -> Section:
-        """Solve <s, u_j> = covector_j with the inverse metric."""
-        b = self.bundle
-        g_inv = b.metric_inv
-        return Section(
-            b,
-            [
-                sum(
-                    (covector[j] * g_inv[i][j] for j in range(b.rank) if g_inv[i][j] != 0),
-                    Poly.zero(b.chart),
-                )
-                for i in range(b.rank)
-            ],
-        )
-
     def value_at(self, indices: Sequence[int]) -> Section:
         """Section value on a frame tuple."""
         b = self.bundle
         covector = [self.flat.value_at((*indices, j)) for j in range(b.rank)]
-        return self._raise(covector)
+        return b.raise_covector(covector)
 
     def eval_section_first(self, s: Section, rest: Sequence[int]) -> Section:
         b = self.bundle
         covector = [
             self.flat.eval_section_first(s, (*rest, j)) for j in range(b.rank)
         ]
-        return self._raise(covector)
+        return b.raise_covector(covector)
 
     def evaluate(self, sections: Sequence[Section]) -> Section:
         b = self.bundle
         covector = [
             self.flat.evaluate(list(sections) + [b.frame(j)]) for j in range(b.rank)
         ]
-        return self._raise(covector)
+        return b.raise_covector(covector)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KerCochain) and self.flat == other.flat
@@ -428,10 +411,6 @@ def jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
     return Cochain(b, 4, values)
 
 
-def jacobiator_kercochain(p: PreCourantAlgebroid) -> KerCochain:
-    return KerCochain(jacobiator_flat(p))
-
-
 def verify_jacobiator_theorem(
     p: PreCourantAlgebroid,
     trials: int = 16,
@@ -441,8 +420,6 @@ def verify_jacobiator_theorem(
 ) -> VerifyReport:
     """The full Jacobiator theorem: skewness, tensoriality, kernel values,
     total alternation of the flat, D-annihilation, and partial J = 0."""
-    from .algebroid import verify_axioms
-
     report = VerifyReport("jacobiator theorem suite")
     if precheck:
         axioms = verify_axioms(p, trials=min(trials, 4), seed=seed, max_degree=1)
@@ -469,82 +446,68 @@ def verify_jacobiator_theorem(
         return jcache[key]
 
     # (1) skew-symmetry on frame triples (adjacent swaps + repeated arguments)
-    ok, witness = True, ""
+    chk = report.check("skew-symmetric")
     for i, j, k in combinations(range(r), 3):
         base = jval(i, j, k)
-        if (jval(j, i, k) + base).is_zero() and (jval(i, k, j) + base).is_zero():
-            continue
-        ok, witness = False, f"frames ({i + 1},{j + 1},{k + 1})"
-        break
-    if ok:
-        for i in range(r):
-            for j in range(r):
-                if not (
-                    jval(i, i, j).is_zero()
-                    and jval(i, j, j).is_zero()
-                    and jval(i, j, i).is_zero()
-                ):
-                    ok, witness = False, f"repeated frames ({i + 1},{j + 1})"
-                    break
-            if not ok:
+        if not ((jval(j, i, k) + base).is_zero() and (jval(i, k, j) + base).is_zero()):
+            chk.fail(f"frames ({i + 1},{j + 1},{k + 1})")
+            break
+    if chk.ok:
+        for i, j in product(range(r), repeat=2):
+            if not (
+                jval(i, i, j).is_zero()
+                and jval(i, j, j).is_zero()
+                and jval(i, j, i).is_zero()
+            ):
+                chk.fail(f"repeated frames ({i + 1},{j + 1})")
                 break
-    report.add("skew-symmetric", ok, witness)
 
     # (2) tensoriality under function multiplication in the first slot
     rng = random.Random(seed)
-    ok, witness = True, ""
+    chk = report.check("tensorial")
     for _ in range(trials):
         f = random_poly(rng, b.chart, max_degree)
         e1 = random_section(rng, b, max_degree)
         e2 = random_section(rng, b, max_degree)
         e3 = random_section(rng, b, max_degree)
-        lhs = jacobiator(p, e1.scale(f), e2, e3)
-        rhs = jacobiator(p, e1, e2, e3).scale(f)
-        if lhs != rhs:
-            ok = False
-            witness = f"f = {format_poly(f)}"
+        if jacobiator(p, e1.scale(f), e2, e3) != jacobiator(p, e1, e2, e3).scale(f):
+            chk.fail(f"f = {format_poly(f)}")
             break
-    report.add("tensorial", ok, witness)
 
     # (3) values in the kernel of the anchor
-    ok, witness = True, ""
+    chk = report.check("kernel-valued")
     for i, j, k in combinations(range(r), 3):
         if not anchor_apply(jval(i, j, k)).is_zero():
-            ok, witness = False, f"frames ({i + 1},{j + 1},{k + 1})"
+            chk.fail(f"frames ({i + 1},{j + 1},{k + 1})")
             break
-    report.add("kernel-valued", ok, witness)
 
     # (4) total alternation of <J(.,.,.), .> on frame quadruples
-    ok, witness = True, ""
+    chk = report.check("flat-alternating")
     for i, j, k, l in combinations(range(r), 4):
         a = pairing(jval(i, j, k), frames[l])
         bb = pairing(jval(i, j, l), frames[k])
         if not (a + bb).is_zero():
-            ok, witness = False, f"frames ({i + 1},{j + 1},{k + 1},{l + 1})"
+            chk.fail(f"frames ({i + 1},{j + 1},{k + 1},{l + 1})")
             break
-    if ok:
+    if chk.ok:
         for i, j, k in combinations(range(r), 3):
             jv = jval(i, j, k)
             if not all(pairing(jv, frames[x]).is_zero() for x in (i, j, k)):
-                ok, witness = False, f"frames ({i + 1},{j + 1},{k + 1}) self-pairing"
+                chk.fail(f"frames ({i + 1},{j + 1},{k + 1}) self-pairing")
                 break
-    report.add("flat-alternating", ok, witness)
 
     # (5) J(D x_m, ., .) = 0
-    ok, witness = True, ""
+    chk = report.check("derivative-slot-vanishes")
     for m in range(b.chart.dim):
         km = dee(b, Poly.var(b.chart, m))
-        for i in range(r):
-            for j in range(i, r):
-                if not jacobiator(p, km, frames[i], frames[j]).is_zero():
-                    ok = False
-                    witness = f"D{b.chart.var_names[m]}, frames ({i + 1},{j + 1})"
-                    break
-            if not ok:
-                break
-        if not ok:
+        bad = next(
+            ((i, j) for i in range(r) for j in range(i, r)
+             if not jacobiator(p, km, frames[i], frames[j]).is_zero()),
+            None,
+        )
+        if bad:
+            chk.fail(f"D{b.chart.var_names[m]}, frames ({bad[0] + 1},{bad[1] + 1})")
             break
-    report.add("derivative-slot-vanishes", ok, witness)
 
     if not report.ok:
         report.notes.append("flat checks skipped: prerequisites failed")
@@ -560,28 +523,24 @@ def verify_jacobiator_theorem(
     # (6) partial J = 0 on frame quadruples
     jker = KerCochain(jflat)
     values = partial_section_values(p, jker)
-    ok, witness = True, ""
+    chk = report.check("partial-j-zero")
     for idx, section in sorted(values.items()):
         if not section.is_zero():
-            ok = False
-            witness = (
+            chk.fail(
                 f"frames {tuple(i + 1 for i in idx)}: partial J = "
                 f"({format_section(section)})"
             )
             break
-    report.add("partial-j-zero", ok, witness)
 
     # equivalent flat statement D(J-flat) = 0
     dflat = cobound_d(p, jflat)
-    ok, witness = True, ""
+    chk = report.check("d-jflat-zero")
     if not dflat.is_zero():
         idx = sorted(dflat.values)[0]
-        ok = False
-        witness = (
+        chk.fail(
             f"frames {tuple(i + 1 for i in idx)}: D(J-flat) = "
             f"{format_poly(dflat.values[idx])}"
         )
-    report.add("d-jflat-zero", ok, witness)
     return report
 
 

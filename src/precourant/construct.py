@@ -17,12 +17,11 @@ task runner and the test-suite always do).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import random
 
 from . import linalg
 from .algebroid import PreCourantAlgebroid, jacobiator
@@ -31,11 +30,13 @@ from .bundle import (
     Section,
     anchor_apply,
     format_section,
+    format_sections,
     kernel_coisotropy_check,
     pairing,
     rho_star,
     validate_bundle,
 )
+from .cochain import _sort_sign, jacobiator_flat, pullback_form
 from .errors import ConstructionError
 from .exterior import KForm, VectorField, ext_d, evaluate, vf_apply, vf_bracket
 from .poly import Chart, Poly, format_poly
@@ -230,38 +231,27 @@ def validate_quadratic_lie(g: QuadraticLieAlgebra) -> VerifyReport:
     m = g.dim
     basis = [[Fraction(1 if i == j else 0) for i in range(m)] for j in range(m)]
 
-    ok, wit = True, ""
-    for i in range(m):
-        for j in range(m):
-            s = [a + b for a, b in zip(g.bracket_table[i][j], g.bracket_table[j][i])]
-            if any(x != 0 for x in s):
-                ok, wit = False, f"basis ({i + 1},{j + 1})"
-                break
-        if not ok:
+    chk = report.check("antisymmetric")
+    for i, j in product(range(m), repeat=2):
+        s = [a + b for a, b in zip(g.bracket_table[i][j], g.bracket_table[j][i])]
+        if any(x != 0 for x in s):
+            chk.fail(f"basis ({i + 1},{j + 1})")
             break
-    report.add("antisymmetric", ok, wit)
 
-    ok, wit = True, ""
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                jac = g.bracket_vec(basis[i], g.bracket_vec(basis[j], basis[k]))
-                jac = [
-                    a - b - c
-                    for a, b, c in zip(
-                        jac,
-                        g.bracket_vec(g.bracket_vec(basis[i], basis[j]), basis[k]),
-                        g.bracket_vec(basis[j], g.bracket_vec(basis[i], basis[k])),
-                    )
-                ]
-                if any(x != 0 for x in jac):
-                    ok, wit = False, f"basis triple ({i + 1},{j + 1},{k + 1})"
-                    break
-            if not ok:
-                break
-        if not ok:
+    chk = report.check("jacobi")
+    for i, j, k in product(range(m), repeat=3):
+        jac = g.bracket_vec(basis[i], g.bracket_vec(basis[j], basis[k]))
+        jac = [
+            a - b - c
+            for a, b, c in zip(
+                jac,
+                g.bracket_vec(g.bracket_vec(basis[i], basis[j]), basis[k]),
+                g.bracket_vec(basis[j], g.bracket_vec(basis[i], basis[k])),
+            )
+        ]
+        if any(x != 0 for x in jac):
+            chk.fail(f"basis triple ({i + 1},{j + 1},{k + 1})")
             break
-    report.add("jacobi", ok, wit)
 
     if g.pairing is None:
         report.add("pairing-present", False, "no pairing supplied")
@@ -273,21 +263,14 @@ def validate_quadratic_lie(g: QuadraticLieAlgebra) -> VerifyReport:
     except linalg.SingularMetricError:
         report.add("pairing-invertible", False, "pairing matrix is singular")
 
-    ok, wit = True, ""
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                v = g.pair_vec(g.bracket_vec(basis[i], basis[j]), basis[k]) + g.pair_vec(
-                    basis[j], g.bracket_vec(basis[i], basis[k])
-                )
-                if v != 0:
-                    ok, wit = False, f"basis triple ({i + 1},{j + 1},{k + 1})"
-                    break
-            if not ok:
-                break
-        if not ok:
+    chk = report.check("pairing-invariant")
+    for i, j, k in product(range(m), repeat=3):
+        v = g.pair_vec(g.bracket_vec(basis[i], basis[j]), basis[k]) + g.pair_vec(
+            basis[j], g.bracket_vec(basis[i], basis[k])
+        )
+        if v != 0:
+            chk.fail(f"basis triple ({i + 1},{j + 1},{k + 1})")
             break
-    report.add("pairing-invariant", ok, wit)
     return report
 
 
@@ -410,49 +393,36 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
     bundle = action_bundle(ta.algebra, ta.chart, ta.rho_matrix)
     m = ta.algebra.dim
 
-    ok, wit = True, ""
-    for i in range(m):
-        for j in range(m):
-            if not (ta.k_table[i][j] + ta.k_table[j][i]).is_zero():
-                ok, wit = False, f"basis ({i + 1},{j + 1})"
-                break
-        if not ok:
+    chk = report.check("defect-antisymmetric")
+    for i, j in product(range(m), repeat=2):
+        if not (ta.k_table[i][j] + ta.k_table[j][i]).is_zero():
+            chk.fail(f"basis ({i + 1},{j + 1})")
             break
-    report.add("defect-antisymmetric", ok, wit)
 
     # k(e, .) = 0 for pointwise kernel vectors at the sample points
-    ok, wit = True, ""
+    chk = report.check("defect-kills-kernel")
     for pt in ta.sample_points:
         a_t = [
             [ta.rho_matrix[a][mm].eval(pt) for a in range(m)]
             for mm in range(ta.chart.dim)
         ]
-        kernel = linalg.kernel_basis(a_t, m)
-        for v in kernel:
-            for j in range(m):
-                val = [Fraction(0)] * m
-                for a in range(m):
-                    if v[a] == 0:
-                        continue
-                    entry = ta.k_table[a][j]
-                    for k in range(m):
-                        val[k] += v[a] * entry.coeffs[k].eval(pt)
-                if any(x != 0 for x in val):
-                    ok = False
-                    wit = (
-                        f"point {tuple(map(str, pt))}: k(kernel vector, "
-                        f"basis {j + 1}) != 0"
-                    )
-                    break
-            if not ok:
+        for v, j in product(linalg.kernel_basis(a_t, m), range(m)):
+            val = [Fraction(0)] * m
+            for a in range(m):
+                if v[a] == 0:
+                    continue
+                entry = ta.k_table[a][j]
+                for k in range(m):
+                    val[k] += v[a] * entry.coeffs[k].eval(pt)
+            if any(x != 0 for x in val):
+                chk.fail(f"point {tuple(map(str, pt))}: k(kernel vector, basis {j + 1}) != 0")
                 break
-        if not ok:
+        if not chk.ok:
             break
-    report.add("defect-kills-kernel", ok, wit)
 
     # anchor-defect equation on basis pairs and on seeded multiples
     rng = random.Random(0)
-    ok, wit = True, ""
+    chk = report.check("anchor-defect-equation")
     frames = bundle.frames()
     tests = [(frames[i], frames[j]) for i in range(m) for j in range(m)]
     for _ in range(8):
@@ -466,9 +436,8 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
         k_val = _k_apply(ta, bundle, e1, e2)
         rhs = vf_bracket(anchor_apply(e1), anchor_apply(e2)) - anchor_apply(k_val)
         if lhs != rhs:
-            ok, wit = False, f"({format_section(e1)}) | ({format_section(e2)})"
+            chk.fail(format_sections(e1, e2))
             break
-    report.add("anchor-defect-equation", ok, wit)
 
     coiso = kernel_coisotropy_check(bundle, ta.sample_points)
     report.add(
@@ -515,21 +484,10 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
         raise ConstructionError("invalid-bundle", "; ".join(bundle_report.failures))
     m = ta.algebra.dim
     frames = bundle.frames()
-    g_inv = bundle.metric_inv
 
     def adjust(ea: Section, kb_row: int) -> Section:
         # the section <ea, k(u_row, .)>: covector c -> <ea, k(u_row, u_c)>
-        covector = [pairing(ea, ta.k_table[kb_row][c]) for c in range(m)]
-        return Section(
-            bundle,
-            [
-                sum(
-                    (covector[j] * g_inv[i][j] for j in range(m) if g_inv[i][j] != 0),
-                    Poly.zero(ta.chart),
-                )
-                for i in range(m)
-            ],
-        )
+        return bundle.raise_covector([pairing(ea, ta.k_table[kb_row][c]) for c in range(m)])
 
     table = []
     for a in range(m):
@@ -762,7 +720,7 @@ def dissection_jacobiator_check(
             total = [x + y for x, y in zip(total, term)]
         return total
 
-    ok, witness = True, ""
+    chk = report.check("components-match")
     for idx in combinations(range(b.rank), 3):
         actual = jacobiator(p, b.frame(idx[0]), b.frame(idx[1]), b.frame(idx[2]))
         blocks = tuple(
@@ -830,13 +788,11 @@ def dissection_jacobiator_check(
                 cot.append(-v)
             expected = _dissection_section(b, n, g, aux=aux, cotangent=cot)
         if actual != expected:
-            ok = False
-            witness = (
+            chk.fail(
                 f"frames {tuple(i + 1 for i in idx)} [{'/'.join(blocks)}]: computed "
                 f"({format_section(actual)}) vs closed form ({format_section(expected)})"
             )
             break
-    report.add("components-match", ok, witness)
     return report
 
 
@@ -899,8 +855,6 @@ class _CurvatureSquare:
         self.chart = chart
 
     def coefficient_at(self, i, j, k, l) -> Poly:
-        from .cochain import _sort_sign
-
         key, sign = _sort_sign((i, j, k, l))
         if key is None:
             return Poly.zero(self.chart)
@@ -973,34 +927,25 @@ def dissection_flatness_conditions(dd: DissectionData) -> VerifyReport:
     )
     report.add("connection-derivation", ok)
 
-    ok = True
-    for idx in combinations(range(n), 3):
-        i, j, k = idx
+    chk = report.check("curvature-bianchi")
+    for i, j, k in combinations(range(n), 3):
         total = [zero] * g
         for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
             term = _nabla_aux(dd, a, dd.curvature_value(bb, c))
             total = [x + y for x, y in zip(total, term)]
         if not all(x.is_zero() for x in total):
-            ok = False
+            chk.fail()
             break
-    report.add("curvature-bianchi", ok)
 
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            for a in range(g):
-                first = _nabla_aux(dd, i, _nabla_aux(dd, j, basis[a]))
-                second = _nabla_aux(dd, j, _nabla_aux(dd, i, basis[a]))
-                adj = _fiber_bracket_vec(dd, dd.curvature_value(i, j), basis[a])
-                defect = [x - y - z for x, y, z in zip(first, second, adj)]
-                if not all(x.is_zero() for x in defect):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    chk = report.check("connection-curvature-matches")
+    for i, j, a in product(range(n), range(n), range(g)):
+        first = _nabla_aux(dd, i, _nabla_aux(dd, j, basis[a]))
+        second = _nabla_aux(dd, j, _nabla_aux(dd, i, basis[a]))
+        adj = _fiber_bracket_vec(dd, dd.curvature_value(i, j), basis[a])
+        defect = [x - y - z for x, y, z in zip(first, second, adj)]
+        if not all(x.is_zero() for x in defect):
+            chk.fail()
             break
-    report.add("connection-curvature-matches", ok)
     return report
 
 
@@ -1021,22 +966,18 @@ def dissection_pontryagin(
     flat = dissection_flatness_conditions(dd)
     report.merge(flat, prefix="flatness/")
     if flat.ok:
-        from .cochain import jacobiator_flat, pullback_form
-
         jflat = jacobiator_flat(p)
         target = pullback_form(p.bundle, ext_d(dd.psi) - half_square)
-        ok, witness = True, ""
+        chk = report.check("jflat-matches-sign-corrected-form")
         for idx in combinations(range(p.bundle.rank), 4):
             lhs = jflat.value_at(idx)
             rhs = target.value_at(idx)
             if lhs != rhs:
-                ok = False
-                witness = (
+                chk.fail(
                     f"frames {tuple(t + 1 for t in idx)}: J-flat = "
                     f"{format_poly(lhs)} vs {format_poly(rhs)}"
                 )
                 break
-        report.add("jflat-matches-sign-corrected-form", ok, witness)
         closed = ext_d(h_form).is_zero()
         report.add("d-h-zero", closed)
     else:

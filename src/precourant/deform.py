@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import PreCourantAlgebroid, bracket, jacobiator, skew_bracket
@@ -22,12 +22,14 @@ from .bundle import (
     Section,
     anchor_apply,
     format_section,
+    format_sections,
     pairing,
 )
 from .cochain import (
     Cochain,
     KerCochain,
     cobound_d,
+    cobound_partial,
     cochain_sharp,
     is_in_ckd,
     jacobiator_flat,
@@ -38,7 +40,7 @@ from .errors import ConstructionError, DegreeError
 from .exterior import KForm, VectorField, ext_d, format_kform
 from .poly import Poly, format_poly
 from .reports import VerifyReport
-from .sampling import random_section
+from .sampling import random_poly, random_section, zero_anchor_frames
 
 FrameTuple = Tuple[int, ...]
 
@@ -60,20 +62,18 @@ def validate_deformation(p: PreCourantAlgebroid, omega: KerCochain) -> VerifyRep
         report.add("degree-2", False, f"degree is {omega.degree}")
         return report
     report.add("degree-2", True)
-    ok, witness = True, ""
+    chk = report.check("kernel-valued")
     for i, j in combinations(range(b.rank), 2):
         if not anchor_apply(omega.value_at((i, j))).is_zero():
-            ok, witness = False, f"omega(u{i + 1}, u{j + 1}) leaves the kernel"
+            chk.fail(f"omega(u{i + 1}, u{j + 1}) leaves the kernel")
             break
-    report.add("kernel-valued", ok, witness)
     # total alternation is structural for the stored flat; verify the
     # diagonal, which flat storage alone does not force on evaluation
-    ok, witness = True, ""
+    chk = report.check("alternating")
     for i in range(b.rank):
         if not omega.value_at((i, i)).is_zero():
-            ok, witness = False, f"omega(u{i + 1}, u{i + 1}) nonzero"
+            chk.fail(f"omega(u{i + 1}, u{i + 1}) nonzero")
             break
-    report.add("alternating", ok, witness)
     member = is_in_ckd(omega.flat)
     report.add(
         "contraction-membership",
@@ -151,7 +151,7 @@ def verify_deformation_identity(
     b = p.bundle
     partial_omega = partial_section_values(p, omega)
 
-    ok, witness = True, ""
+    chk = report.check("identity-on-frames")
     omega_sq_all_zero = True
     for idx in combinations(range(b.rank), 3):
         e = [b.frame(i) for i in idx]
@@ -161,13 +161,11 @@ def verify_deformation_identity(
             omega_sq_all_zero = False
         rhs = jacobiator(p, *e) + partial_omega[idx] + sq.scale(Fraction(1, 2))
         if lhs != rhs:
-            ok = False
-            witness = (
+            chk.fail(
                 f"frames {tuple(i + 1 for i in idx)}: deformed J = "
                 f"({format_section(lhs)}) vs ({format_section(rhs)})"
             )
             break
-    report.add("identity-on-frames", ok, witness)
     report.notes.append(
         "omega-square vanishes on all frame triples"
         if omega_sq_all_zero
@@ -175,9 +173,7 @@ def verify_deformation_identity(
     )
 
     rng = random.Random(seed)
-    ok, witness = True, ""
-    from .cochain import cobound_partial
-
+    chk = report.check("identity-on-sections")
     # partial(omega) packaged once; evaluated on general sections via its flat
     pom = cobound_partial(p, omega)
     for _ in range(trials):
@@ -189,9 +185,8 @@ def verify_deformation_identity(
             + omega_square(p, omega, *es).scale(Fraction(1, 2))
         )
         if lhs != rhs:
-            ok, witness = False, "seeded sections"
+            chk.fail("seeded sections")
             break
-    report.add("identity-on-sections", ok, witness)
     return report
 
 
@@ -211,17 +206,8 @@ class BField:
     def raise_map(self, e: Section) -> Section:
         """B-sharp: the section with <B#(e), e'> = B(e, e')."""
         b = self.bundle
-        covector = [self.cochain.eval_section_first(e, (j,)) for j in range(b.rank)]
-        g_inv = b.metric_inv
-        return Section(
-            b,
-            [
-                sum(
-                    (covector[j] * g_inv[i][j] for j in range(b.rank) if g_inv[i][j] != 0),
-                    Poly.zero(b.chart),
-                )
-                for i in range(b.rank)
-            ],
+        return b.raise_covector(
+            [self.cochain.eval_section_first(e, (j,)) for j in range(b.rank)]
         )
 
     def transform(self, e: Section) -> Section:
@@ -258,47 +244,40 @@ def bfield_verify(
     sections += [random_section(rng, b, max_degree) for _ in range(trials)]
 
     # (1) conjugation property on frames and seeded sections
-    ok, witness = True, ""
-    for i, e1 in enumerate(sections):
-        for e2 in sections[: len(sections) if i < b.rank else b.rank]:
-            lhs = bracket(deformed, e1, e2)
-            rhs = field.inverse_transform(
-                bracket(p, field.transform(e1), field.transform(e2))
-            )
-            if lhs != rhs:
-                ok, witness = False, _pair_witness(e1, e2)
-                break
-        if not ok:
+    chk = report.check("conjugation")
+    pairs = (
+        (e1, e2)
+        for i, e1 in enumerate(sections)
+        for e2 in sections[: len(sections) if i < b.rank else b.rank]
+    )
+    for e1, e2 in pairs:
+        lhs = bracket(deformed, e1, e2)
+        rhs = field.inverse_transform(bracket(p, field.transform(e1), field.transform(e2)))
+        if lhs != rhs:
+            chk.fail(format_sections(e1, e2))
             break
-    report.add("conjugation", ok, witness)
 
     # (2) metric preserved
-    ok, witness = True, ""
-    for i, e1 in enumerate(sections):
-        for e2 in sections:
-            if pairing(field.transform(e1), field.transform(e2)) != pairing(e1, e2):
-                ok, witness = False, _pair_witness(e1, e2)
-                break
-        if not ok:
+    chk = report.check("metric-preserved")
+    for e1, e2 in product(sections, repeat=2):
+        if pairing(field.transform(e1), field.transform(e2)) != pairing(e1, e2):
+            chk.fail(format_sections(e1, e2))
             break
-    report.add("metric-preserved", ok, witness)
 
     # (3) anchor preserved
-    ok, witness = True, ""
+    chk = report.check("anchor-preserved")
     for e in sections:
         if anchor_apply(field.transform(e)) != anchor_apply(e):
-            ok, witness = False, f"({format_section(e)})"
+            chk.fail(f"({format_section(e)})")
             break
-    report.add("anchor-preserved", ok, witness)
 
     # (4) Jacobiator invariant on frame triples
-    ok, witness = True, ""
+    chk = report.check("jacobiator-invariant")
     for idx in combinations(range(b.rank), 3):
         e = [b.frame(i) for i in idx]
         if jacobiator(deformed, *e) != jacobiator(p, *e):
-            ok, witness = False, f"frames {tuple(i + 1 for i in idx)}"
+            chk.fail(f"frames {tuple(i + 1 for i in idx)}")
             break
-    report.add("jacobiator-invariant", ok, witness)
 
     # (5) closed 2-form leaves the bracket table unchanged
     if ext_d(beta).is_zero():
@@ -312,10 +291,6 @@ def bfield_verify(
     else:
         report.notes.append("d beta != 0: bracket deformed by the pullback of d beta")
     return report
-
-
-def _pair_witness(e1: Section, e2: Section) -> str:
-    return f"({format_section(e1)}) | ({format_section(e2)})"
 
 
 # --- Pontryagin-type forms ----------------------------------------------
@@ -370,18 +345,18 @@ def pontryagin_representative(
         return None, report
 
     kappas = kernel_generators_from_lift(p, lift)
-    ok, witness = True, ""
-    for a, kappa in enumerate(kappas):
-        if kappa.is_zero():
-            continue
-        for i, j in combinations(range(b.rank), 2):
-            if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero():
-                ok = False
-                witness = f"J(kappa_{a + 1}, u{i + 1}, u{j + 1}) != 0"
-                break
-        if not ok:
+    chk = report.check("kernel-slots-vanish")
+    slots = (
+        (a, kappa, i, j)
+        for a, kappa in enumerate(kappas)
+        if not kappa.is_zero()
+        for i, j in combinations(range(b.rank), 2)
+    )
+    for a, kappa, i, j in slots:
+        if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero():
+            chk.fail(f"J(kappa_{a + 1}, u{i + 1}, u{j + 1}) != 0")
             break
-    if not report.require("kernel-slots-vanish", ok, witness):
+    if not chk.ok:
         report.skipped = True
         return None, report
 
@@ -412,32 +387,29 @@ def pontryagin_vanishing_check(
     b = p.bundle
     jflat = jacobiator_flat(p)
     target = pullback_form(b, ext_d(h))
-    ok, witness = True, ""
+    chk = report.check("jflat-equals-pullback-dh")
     for idx in combinations(range(b.rank), 4):
         lhs = jflat.value_at(idx)
         rhs = target.value_at(idx)
         if lhs != rhs:
-            ok = False
-            witness = (
+            chk.fail(
                 f"frames {tuple(i + 1 for i in idx)}: J-flat = {format_poly(lhs)}"
                 f" but rho*(dh) = {format_poly(rhs)}"
             )
             break
-    if not report.require("jflat-equals-pullback-dh", ok, witness):
+    if not chk.ok:
         return report
 
     # untwist and confirm the Jacobiator dies
     minus_twist = KerCochain(-pullback_form(b, h))
     deformed = apply_deformation(p, minus_twist, validate=False)
-    ok, witness = True, ""
+    chk = report.check("untwisted-jacobiator-zero")
     for idx in combinations(range(b.rank), 3):
         e = [b.frame(i) for i in idx]
         j = jacobiator(deformed, *e)
         if not j.is_zero():
-            ok = False
-            witness = f"frames {tuple(i + 1 for i in idx)}: J = ({format_section(j)})"
+            chk.fail(f"frames {tuple(i + 1 for i in idx)}: J = ({format_section(j)})")
             break
-    report.add("untwisted-jacobiator-zero", ok, witness)
     return report
 
 
@@ -472,9 +444,15 @@ def default_kernel_generators(
     b = p.bundle
     if lift is not None:
         return [k for k in kernel_generators_from_lift(p, lift) if not k.is_zero()]
-    from .sampling import zero_anchor_frames
-
     return [b.frame(i) for i in zero_anchor_frames(b)]
+
+
+def _check_zero(report: VerifyReport, name: str, label: str, c: Cochain) -> None:
+    """Declare that c vanishes; the witness is its first nonzero frame value."""
+    chk = report.check(name)
+    if not c.is_zero():
+        idx = sorted(c.values)[0]
+        chk.fail(f"{label} at frames {tuple(i + 1 for i in idx)} = {format_poly(c.values[idx])}")
 
 
 def naive_cohomology_check(
@@ -498,28 +476,9 @@ def naive_cohomology_check(
         ):
             continue
         dd = cobound_d(p, cobound_d(p, psi))
-        ok = dd.is_zero()
-        wit = ""
-        if not ok:
-            idx = sorted(dd.values)[0]
-            wit = (
-                f"D^2 at frames {tuple(i + 1 for i in idx)} = "
-                f"{format_poly(dd.values[idx])}"
-            )
-        report.add(f"sample-{n + 1}-d-squared", ok, wit)
-        from .cochain import cobound_partial
-
-        phi = cochain_sharp(psi)
-        pp = cobound_partial(p, cobound_partial(p, phi))
-        ok = pp.flat.is_zero()
-        wit = ""
-        if not ok:
-            idx = sorted(pp.flat.values)[0]
-            wit = (
-                f"partial^2 at frames {tuple(i + 1 for i in idx)} = "
-                f"{format_poly(pp.flat.values[idx])}"
-            )
-        report.add(f"sample-{n + 1}-partial-squared", ok, wit)
+        _check_zero(report, f"sample-{n + 1}-d-squared", "D^2", dd)
+        pp = cobound_partial(p, cobound_partial(p, cochain_sharp(psi)))
+        _check_zero(report, f"sample-{n + 1}-partial-squared", "partial^2", pp.flat)
     if not cond:
         report.notes.append(
             "precondition fails; any nonzero square above is the counterexample"
@@ -561,26 +520,20 @@ def quotient_jacobi_check(
         for _ in range(3):
             e = b.zero_section()
             for c in complement:
-                from .sampling import random_poly
-
                 e = e + c.scale(random_poly(rng, b.chart, max_degree))
             picks.append(e)
         tuples.append(tuple(picks))
 
-    ok, witness = True, ""
+    chk = report.check("jacobi-mod-orthogonal")
     for e1, e2, e3 in tuples:
         defect = (
             skew_bracket(p, e1, skew_bracket(p, e2, e3))
             + skew_bracket(p, e2, skew_bracket(p, e3, e1))
             + skew_bracket(p, e3, skew_bracket(p, e1, e2))
         )
-        for kappa in kappas:
-            v = pairing(defect, kappa)
-            if not v.is_zero():
-                ok = False
-                witness = f"defect pairs with a kernel generator: {format_poly(v)}"
-                break
-        if not ok:
+        values = (pairing(defect, kappa) for kappa in kappas)
+        v = next((v for v in values if not v.is_zero()), None)
+        if v is not None:
+            chk.fail(f"defect pairs with a kernel generator: {format_poly(v)}")
             break
-    report.add("jacobi-mod-orthogonal", ok, witness)
     return report

@@ -38,6 +38,17 @@ class ConstructionError(PrecourantError):
         super().__init__(msg)
 
 
+class TaskError(PrecourantError):
+    """A task name is unknown, or the manifest lacks a block the task needs."""
+
+    def __init__(self, task: str, missing: str = ""):
+        self.task = task
+        self.missing = missing
+        super().__init__(
+            f"task {task!r} needs {missing}" if missing else f"unknown task {task!r}"
+        )
+
+
 class ParseError(PrecourantError):
     """Positioned syntax error for the literal grammars and the manifest."""
 

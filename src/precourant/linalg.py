@@ -24,15 +24,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -85,13 +76,6 @@ def rref(a: Matrix):
     return m, pivots
 
 
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    _, pivots = rref(a)
-    return len(pivots)
-
-
 def kernel_basis(a: Matrix, n_cols: int) -> List[Vector]:
     """Basis of the right null space {v : a v = 0}."""
     if not a:
@@ -110,12 +94,3 @@ def kernel_basis(a: Matrix, n_cols: int) -> List[Vector]:
         basis.append(v)
     return basis
 
-
-def in_span(vectors: Sequence[Vector], target: Vector) -> bool:
-    """Whether target lies in the rational span of the given vectors."""
-    if all(x == 0 for x in target):
-        return True
-    if not vectors:
-        return False
-    base = [list(v) for v in vectors]
-    return rank(transpose(base)) == rank(transpose(base + [list(target)]))

@@ -17,31 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError
+from .errors import ParseError, TaskError
 from .exterior import KForm
 from .parsing import parse_form, parse_poly, parse_scalar
 from .poly import Chart, Poly
+from .tasks import TASKS, check_tasks
 
-KNOWN_TASKS = (
-    "validate-bundle",
-    "coisotropy",
-    "verify-axioms",
-    "verify-identities",
-    "jacobiator-theorem",
-    "comm-lemma",
-    "leibniz2",
-    "lie2",
-    "deform",
-    "bfield",
-    "pontryagin",
-    "pontryagin-vanishing",
-    "naive-cohomology",
-    "quotient-jacobi",
-    "validate-algebra",
-    "validate-action",
-    "dissection-jacobiator",
-    "dissection-pontryagin",
-)
+# the smallest value of each integer setting, in [meta] and as a CLI override
+META_MINIMUM = {"seed": 0, "trials": 1, "max_degree": 0}
 
 BUILDER_KINDS = (
     "standard",
@@ -261,27 +244,19 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
 
     # meta
     meta = section("meta")
-    seed, trials, max_degree = 0, 16, 2
+    settings: Dict[str, int] = {}
     tasks: List[str] = []
+    tasks_entry = None
     for e in meta:
-        if e.key == "seed":
-            seed = _parse_int(e)
-        elif e.key == "trials":
-            trials = _parse_int(e, 1)
-        elif e.key == "max_degree":
-            max_degree = _parse_int(e)
+        if e.key in META_MINIMUM:
+            settings[e.key] = _parse_int(e, META_MINIMUM[e.key])
         elif e.key == "tasks":
             tasks = [t.strip() for t in e.value.split(",") if t.strip()]
-            for t in tasks:
-                if t not in KNOWN_TASKS:
-                    raise ParseError(
-                        e.line, e.value_col, f"task among {', '.join(KNOWN_TASKS)}", t
-                    )
+            tasks_entry = e
         else:
             raise ParseError(e.line, 1, "seed, trials, max_degree or tasks", e.key)
 
-    m = Manifest(name=name, chart=chart, tasks=tasks, seed=seed, trials=trials,
-                 max_degree=max_degree)
+    m = Manifest(name=name, chart=chart, tasks=tasks, **settings)
 
     has_bracket = "bracket" in sections
     has_builder = "builder" in sections
@@ -507,7 +482,13 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
             raise ParseError(e.line, e.value_col, f"a {degree}-form literal")
         setattr(m, attr, form)
 
-    _check_task_requirements(m)
+    try:
+        check_tasks(m, m.tasks)
+    except TaskError as exc:
+        expected = (
+            f"{exc.missing} for task" if exc.missing else f"task among {', '.join(TASKS)}"
+        )
+        raise ParseError(tasks_entry.line, tasks_entry.value_col, expected, exc.task) from None
     return m
 
 
@@ -522,29 +503,3 @@ def _expected_rank(m: Manifest) -> int:
     if m.builder_kind == "dissection" and m.aux_rank is not None:
         return 2 * m.chart.dim + m.aux_rank
     raise ParseError(1, 1, "enough data to determine the bundle rank")
-
-
-_TASK_NEEDS = {
-    "deform": "deform_h",
-    "bfield": "bfield_beta",
-    "pontryagin-vanishing": "pontryagin_h",
-    "pontryagin": "lift",
-    "quotient-jacobi": "complement",
-}
-
-
-def _check_task_requirements(m: Manifest) -> None:
-    for task in m.tasks:
-        attr = _TASK_NEEDS.get(task)
-        if attr and getattr(m, attr) is None:
-            raise ParseError(1, 1, f"a block required by task {task!r} ({attr})")
-        if task == "quotient-jacobi" and m.lift is None:
-            raise ParseError(1, 1, "a [lift] block required by task 'quotient-jacobi'")
-        if task == "coisotropy" and not m.points:
-            raise ParseError(1, 1, "a [points] block required by task 'coisotropy'")
-        if task in ("validate-algebra",) and m.algebra_dim is None:
-            raise ParseError(1, 1, "an [algebra] block required by task 'validate-algebra'")
-        if task in ("validate-action",) and m.action_rho is None:
-            raise ParseError(1, 1, "an [action] block required by task 'validate-action'")
-        if task.startswith("dissection-") and m.builder_kind != "dissection":
-            raise ParseError(1, 1, f"a dissection builder for task {task!r}")

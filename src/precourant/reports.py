@@ -2,7 +2,9 @@
 
 Each verification produces a VerifyReport made of named checks.  A failed
 check carries a witness string: the offending inputs plus both side values,
-serialized canonically so reports are reproducible.
+serialized canonically so reports are reproducible.  A check that scans
+many cases is declared up front with `VerifyReport.check` and keeps only
+the first counterexample passed to `Check.fail`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ class Check:
     name: str
     ok: bool
     witness: str = ""
+
+    def fail(self, witness: str = "") -> None:
+        """Record a counterexample; only the first one is kept."""
+        if self.ok:
+            self.ok, self.witness = False, witness
 
 
 @dataclass
@@ -31,6 +38,12 @@ class VerifyReport:
 
     def add(self, name: str, ok: bool, witness: str = "") -> None:
         self.checks.append(Check(name, ok, witness))
+
+    def check(self, name: str) -> Check:
+        """Declare a check, in report order, that passes until it fails."""
+        c = Check(name, True)
+        self.checks.append(c)
+        return c
 
     def require(self, name: str, ok: bool, witness: str = "") -> bool:
         """Record a check; returns ok so callers can gate early."""

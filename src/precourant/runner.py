@@ -1,95 +1,39 @@
 """Task orchestration over a parsed manifest, with deterministic reports.
 
-Tasks run in the requested order.  A failed bundle validation or axiom
-check closes the gate: every later mathematical task is reported as
-skipped-precondition rather than executed against a structure that is not
-a pre-Courant algebroid.  Reports never embed wall-clock data; timing goes
+Tasks run in the requested order.  A failed bundle validation, axiom check
+or builder validation closes the gate (see `tasks.TASKS`): every later
+mathematical task is reported as skipped-precondition rather than executed
+against a structure that is not a pre-Courant algebroid.  Reports never embed wall-clock data; timing goes
 to stderr so that two runs with one seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import random
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .algebroid import (
-    PreCourantAlgebroid,
-    verify_axioms,
-    verify_derived_identities,
-    zero_table,
-)
-from .bundle import (
-    CourantBundle,
-    Section,
-    kernel_coisotropy_check,
-    standard_bundle,
-    validate_bundle,
-)
-from .cochain import pullback_form, verify_comm_lemma, verify_jacobiator_theorem
+from .algebroid import PreCourantAlgebroid, zero_table
+from .bundle import CourantBundle, standard_bundle
 from .construct import (
     DissectionData,
     QuadraticLieAlgebra,
-    TwistedAction,
-    dissection_jacobiator_check,
-    dissection_pontryagin,
     double,
     from_connection_beta,
     from_dissection,
     from_twisted_action,
     make_twisted_action,
     quadratic_lie_algebra,
-    validate_lie,
-    validate_quadratic_lie,
-    validate_twisted_action,
 )
-from .deform import (
-    apply_deformation,
-    bfield_verify,
-    default_kernel_generators,
-    naive_cohomology_check,
-    pontryagin_representative,
-    pontryagin_vanishing_check,
-    quotient_jacobi_check,
-    twist_deformation,
-    validate_deformation,
-    verify_deformation_identity,
-)
+from .deform import apply_deformation, twist_deformation
 from .errors import ConstructionError, PrecourantError
-from .exterior import format_kform
+from .exterior import KForm
 from .manifest import Manifest
 from .poly import Poly
 from .reports import VerifyReport
-from .sampling import random_form
-from .twoterm import (
-    build_leibniz2,
-    build_lie2,
-    deformation_morphism,
-    verify_leibniz2,
-    verify_lie2,
-    verify_morphism,
-)
-
-GATED_TASKS = {
-    "verify-axioms",
-    "verify-identities",
-    "jacobiator-theorem",
-    "comm-lemma",
-    "leibniz2",
-    "lie2",
-    "deform",
-    "bfield",
-    "pontryagin",
-    "pontryagin-vanishing",
-    "naive-cohomology",
-    "quotient-jacobi",
-    "dissection-jacobiator",
-    "dissection-pontryagin",
-}
-
-GATE_SETTERS = {"validate-bundle", "verify-axioms", "validate-algebra", "validate-action"}
+from .tasks import TASKS, BuildContext, check_tasks
 
 
 @dataclass
@@ -155,20 +99,9 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass
-class BuildContext:
-    manifest: Manifest
-    bundle: CourantBundle
-    algebroid: PreCourantAlgebroid
-    algebra: Optional[QuadraticLieAlgebra] = None
-    base_algebra: Optional[QuadraticLieAlgebra] = None
-    action: Optional[TwistedAction] = None
-    dissection: Optional[DissectionData] = None
-    lift: Optional[List[Section]] = None
-    complement: Optional[List[Section]] = None
-
-
-def _algebra_from_manifest(m: Manifest) -> Tuple[QuadraticLieAlgebra, Optional[QuadraticLieAlgebra]]:
+def _algebra_from_manifest(
+    m: Manifest,
+) -> Tuple[QuadraticLieAlgebra, Optional[QuadraticLieAlgebra]]:
     base = quadratic_lie_algebra(m.algebra_dim, m.algebra_brackets, m.algebra_pairing)
     if m.algebra_double:
         return double(base), base
@@ -236,8 +169,6 @@ def build_context(m: Manifest) -> BuildContext:
                     "fiber-key-order", f"use increasing indices, got ({i + 1},{j + 1})"
                 )
             fiber[(i, j)] = list(coeffs)
-        from .exterior import KForm
-
         dissection = DissectionData(
             chart=chart,
             aux_rank=g,
@@ -281,153 +212,37 @@ def _result_from_report(name: str, report: VerifyReport) -> TaskResult:
     return TaskResult(name, status, failures, list(report.notes))
 
 
-def _run_task(name: str, ctx: BuildContext) -> TaskResult:
-    m = ctx.manifest
-    p = ctx.algebroid
-    b = ctx.bundle
-    seed, trials, deg = m.seed, m.trials, m.max_degree
-
-    if name == "validate-bundle":
-        rep = validate_bundle(b)
-        result = TaskResult(name, "pass" if rep.ok else "fail", list(rep.failures))
-        return result
-
-    if name == "coisotropy":
-        rep = kernel_coisotropy_check(b, m.points)
-        failures = [
-            f"point {tuple(map(str, r.point))}: {r.witness}"
-            for r in rep.points
-            if not r.ok
-        ]
-        notes = [
-            f"point {tuple(map(str, r.point))}: anchor rank {r.anchor_rank}"
-            for r in rep.points
-        ]
-        return TaskResult(name, "pass" if rep.ok else "fail", failures, notes)
-
-    if name == "verify-axioms":
-        return _result_from_report(name, verify_axioms(p, trials, seed, deg))
-
-    if name == "verify-identities":
-        return _result_from_report(name, verify_derived_identities(p, trials, seed, deg))
-
-    if name == "jacobiator-theorem":
-        return _result_from_report(
-            name, verify_jacobiator_theorem(p, trials, seed, deg)
-        )
-
-    if name == "comm-lemma":
-        rng = random.Random(seed)
-        samples = [pullback_form(b, random_form(rng, b.chart, 2)) for _ in range(min(trials, 8))]
-        return _result_from_report(name, verify_comm_lemma(p, samples))
-
-    if name == "leibniz2":
-        alg = build_leibniz2(p)
-        return _result_from_report(name, verify_leibniz2(alg, trials, seed, deg))
-
-    if name == "lie2":
-        alg = build_lie2(p)
-        return _result_from_report(
-            name, verify_lie2(alg, trials, seed, deg, quad_trials=min(trials, 8))
-        )
-
-    if name == "deform":
-        omega = twist_deformation(b, m.deform_h)
-        rep = validate_deformation(p, omega)
-        combined = VerifyReport("deform")
-        combined.merge(rep, prefix="valid/")
-        if rep.ok:
-            combined.merge(
-                verify_deformation_identity(p, omega, trials, seed, deg), prefix="identity/"
-            )
-            deformed = apply_deformation(p, omega, validate=False)
-            morph = deformation_morphism(
-                build_leibniz2(p), build_leibniz2(deformed), omega
-            )
-            combined.merge(verify_morphism(morph, trials, seed, deg), prefix="morphism/")
-        return _result_from_report(name, combined)
-
-    if name == "bfield":
-        return _result_from_report(name, bfield_verify(p, m.bfield_beta, trials, seed, deg))
-
-    if name == "pontryagin":
-        form, rep = pontryagin_representative(p, ctx.lift)
-        result = _result_from_report(name, rep)
-        if form is not None:
-            result.notes.append(f"H = {format_kform(form)}")
-        return result
-
-    if name == "pontryagin-vanishing":
-        return _result_from_report(name, pontryagin_vanishing_check(p, m.pontryagin_h))
-
-    if name == "naive-cohomology":
-        rng = random.Random(seed)
-        count = min(trials, 8)
-        samples = [
-            pullback_form(b, random_form(rng, b.chart, 2 if i % 2 == 0 else 1))
-            for i in range(count)
-        ]
-        generators = default_kernel_generators(p, ctx.lift)
-        return _result_from_report(name, naive_cohomology_check(p, samples, generators))
-
-    if name == "quotient-jacobi":
-        return _result_from_report(
-            name, quotient_jacobi_check(p, ctx.complement, ctx.lift, trials, seed, deg)
-        )
-
-    if name == "validate-algebra":
-        combined = VerifyReport("algebra")
-        if ctx.base_algebra is not None:
-            combined.merge(validate_lie(ctx.base_algebra), prefix="base/")
-            combined.merge(validate_quadratic_lie(ctx.algebra), prefix="double/")
-        elif ctx.algebra is not None:
-            combined.merge(validate_quadratic_lie(ctx.algebra))
-        else:
-            combined.add("algebra-present", False, "manifest has no algebra block")
-        return _result_from_report(name, combined)
-
-    if name == "validate-action":
-        return _result_from_report(name, validate_twisted_action(ctx.action))
-
-    if name == "dissection-jacobiator":
-        return _result_from_report(name, dissection_jacobiator_check(p, ctx.dissection))
-
-    if name == "dissection-pontryagin":
-        form, rep = dissection_pontryagin(p, ctx.dissection)
-        result = _result_from_report(name, rep)
-        result.notes.append(f"H = {format_kform(form)}")
-        return result
-
-    return TaskResult(name, "fail", [f"unknown task {name!r}"])
-
-
 def run_manifest(
     m: Manifest,
     tasks: Optional[List[str]] = None,
     timings: Optional[List[Tuple[str, float]]] = None,
 ) -> RunReport:
-    """Execute the manifest's tasks (or the given override list)."""
-    import time
+    """Execute the manifest's tasks (or the given override list).
 
+    Raises TaskError, before anything is built, when a task is unknown or
+    the manifest lacks a block that the task needs.
+    """
     todo = list(tasks) if tasks is not None else list(m.tasks)
+    check_tasks(m, todo)
     report = RunReport(m.name, m.seed, m.trials, m.max_degree)
     try:
         ctx = build_context(m)
-    except (ConstructionError, PrecourantError) as exc:
+    except PrecourantError as exc:
         report.build_error = str(exc)
         report.tasks = [TaskResult(t, "skipped-precondition") for t in todo]
         return report
 
     gate_open = True
-    for t in todo:
-        if not gate_open and t in GATED_TASKS:
-            report.tasks.append(TaskResult(t, "skipped-precondition"))
+    for name in todo:
+        task = TASKS[name]
+        if not gate_open and task.gated:
+            report.tasks.append(TaskResult(name, "skipped-precondition"))
             continue
         t0 = time.monotonic()
-        result = _run_task(t, ctx)
+        result = _result_from_report(name, task.run(ctx))
         if timings is not None:
-            timings.append((t, time.monotonic() - t0))
+            timings.append((name, time.monotonic() - t0))
         report.tasks.append(result)
-        if result.status != "pass" and t in GATE_SETTERS:
+        if result.status != "pass" and task.sets_gate:
             gate_open = False
     return report

@@ -1,0 +1,231 @@
+"""The task table: every task that a manifest or ``--task`` can name.
+
+Each entry holds the function that runs the task on a built context, the
+manifest blocks the task needs, whether a closed gate skips it, and whether
+its failure closes the gate.  The manifest parser and the runner both check
+a task list against the table before anything is built, so a missing block
+is a usage error and never a crash inside a task.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+from .algebroid import PreCourantAlgebroid, verify_axioms, verify_derived_identities
+from .bundle import CourantBundle, Section, kernel_coisotropy_check, validate_bundle
+from .cochain import pullback_form, verify_comm_lemma, verify_jacobiator_theorem
+from .construct import (
+    DissectionData,
+    QuadraticLieAlgebra,
+    TwistedAction,
+    dissection_jacobiator_check,
+    dissection_pontryagin,
+    validate_lie,
+    validate_quadratic_lie,
+    validate_twisted_action,
+)
+from .deform import (
+    apply_deformation,
+    bfield_verify,
+    default_kernel_generators,
+    naive_cohomology_check,
+    pontryagin_representative,
+    pontryagin_vanishing_check,
+    quotient_jacobi_check,
+    twist_deformation,
+    validate_deformation,
+    verify_deformation_identity,
+)
+from .errors import TaskError
+from .exterior import format_kform
+from .reports import VerifyReport
+from .sampling import random_form
+from .twoterm import (
+    build_leibniz2,
+    build_lie2,
+    deformation_morphism,
+    verify_leibniz2,
+    verify_lie2,
+    verify_morphism,
+)
+
+if TYPE_CHECKING:
+    from .manifest import Manifest
+
+
+@dataclass
+class BuildContext:
+    """The structure a manifest describes, built once and shared by its tasks."""
+
+    manifest: Manifest
+    bundle: CourantBundle
+    algebroid: PreCourantAlgebroid
+    algebra: Optional[QuadraticLieAlgebra] = None
+    base_algebra: Optional[QuadraticLieAlgebra] = None
+    action: Optional[TwistedAction] = None
+    dissection: Optional[DissectionData] = None
+    lift: Optional[List[Section]] = None
+    complement: Optional[List[Section]] = None
+
+
+@dataclass(frozen=True)
+class Task:
+    run: Callable[[BuildContext], VerifyReport]
+    needs: Tuple[str, ...] = ()
+    gated: bool = True  # skipped once the gate is closed
+    sets_gate: bool = False  # a failure closes the gate
+
+
+# need -> (what the manifest must contain, the test on a parsed manifest)
+NEEDS: Dict[str, Tuple[str, Callable[[Manifest], bool]]] = {
+    "points": ("a [points] block", lambda m: bool(m.points)),
+    "deform": ("a [deform] block", lambda m: m.deform_h is not None),
+    "bfield": ("a [bfield] block", lambda m: m.bfield_beta is not None),
+    "pontryagin": ("a [pontryagin] block", lambda m: m.pontryagin_h is not None),
+    "lift": ("a [lift] block", lambda m: m.lift is not None),
+    "complement": ("a [complement] block", lambda m: m.complement is not None),
+    "twisted_action": (
+        "a [builder] of kind twisted_action",
+        lambda m: m.builder_kind == "twisted_action",
+    ),
+    "dissection": ("a [builder] of kind dissection", lambda m: m.builder_kind == "dissection"),
+}
+
+
+def _sampling(c: BuildContext) -> Tuple[int, int, int]:
+    """The random layer's (trials, seed, max_degree) arguments."""
+    m = c.manifest
+    return m.trials, m.seed, m.max_degree
+
+
+def _validate_bundle(c: BuildContext) -> VerifyReport:
+    report = VerifyReport("bundle")
+    for failure in validate_bundle(c.bundle).failures:
+        report.add(failure, False)
+    return report
+
+
+def _coisotropy(c: BuildContext) -> VerifyReport:
+    report = VerifyReport("kernel coisotropy")
+    for r in kernel_coisotropy_check(c.bundle, c.manifest.points).points:
+        point = f"point {tuple(map(str, r.point))}"
+        report.add(point, r.ok, r.witness)
+        report.notes.append(f"{point}: anchor rank {r.anchor_rank}")
+    return report
+
+
+def _comm_lemma(c: BuildContext) -> VerifyReport:
+    trials, seed, _ = _sampling(c)
+    rng = random.Random(seed)
+    samples = [
+        pullback_form(c.bundle, random_form(rng, c.bundle.chart, 2))
+        for _ in range(min(trials, 8))
+    ]
+    return verify_comm_lemma(c.algebroid, samples)
+
+
+def _lie2(c: BuildContext) -> VerifyReport:
+    trials, seed, deg = _sampling(c)
+    return verify_lie2(build_lie2(c.algebroid), trials, seed, deg, quad_trials=min(trials, 8))
+
+
+def _deform(c: BuildContext) -> VerifyReport:
+    p = c.algebroid
+    omega = twist_deformation(c.bundle, c.manifest.deform_h)
+    valid = validate_deformation(p, omega)
+    combined = VerifyReport("deform")
+    combined.merge(valid, prefix="valid/")
+    if valid.ok:
+        combined.merge(verify_deformation_identity(p, omega, *_sampling(c)), prefix="identity/")
+        deformed = apply_deformation(p, omega, validate=False)
+        morph = deformation_morphism(build_leibniz2(p), build_leibniz2(deformed), omega)
+        combined.merge(verify_morphism(morph, *_sampling(c)), prefix="morphism/")
+    return combined
+
+
+def _pontryagin(c: BuildContext) -> VerifyReport:
+    form, report = pontryagin_representative(c.algebroid, c.lift)
+    if form is not None:
+        report.notes.append(f"H = {format_kform(form)}")
+    return report
+
+
+def _naive_cohomology(c: BuildContext) -> VerifyReport:
+    trials, seed, _ = _sampling(c)
+    rng = random.Random(seed)
+    samples = [
+        pullback_form(c.bundle, random_form(rng, c.bundle.chart, 2 if i % 2 == 0 else 1))
+        for i in range(min(trials, 8))
+    ]
+    generators = default_kernel_generators(c.algebroid, c.lift)
+    return naive_cohomology_check(c.algebroid, samples, generators)
+
+
+def _validate_algebra(c: BuildContext) -> VerifyReport:
+    if c.base_algebra is None:
+        return validate_quadratic_lie(c.algebra)
+    combined = VerifyReport("algebra")
+    combined.merge(validate_lie(c.base_algebra), prefix="base/")
+    combined.merge(validate_quadratic_lie(c.algebra), prefix="double/")
+    return combined
+
+
+def _dissection_pontryagin(c: BuildContext) -> VerifyReport:
+    form, report = dissection_pontryagin(c.algebroid, c.dissection)
+    report.notes.append(f"H = {format_kform(form)}")
+    return report
+
+
+TASKS: Dict[str, Task] = {
+    "validate-bundle": Task(_validate_bundle, gated=False, sets_gate=True),
+    "coisotropy": Task(_coisotropy, needs=("points",), gated=False),
+    "verify-axioms": Task(
+        lambda c: verify_axioms(c.algebroid, *_sampling(c)), sets_gate=True
+    ),
+    "verify-identities": Task(lambda c: verify_derived_identities(c.algebroid, *_sampling(c))),
+    "jacobiator-theorem": Task(lambda c: verify_jacobiator_theorem(c.algebroid, *_sampling(c))),
+    "comm-lemma": Task(_comm_lemma),
+    "leibniz2": Task(lambda c: verify_leibniz2(build_leibniz2(c.algebroid), *_sampling(c))),
+    "lie2": Task(_lie2),
+    "deform": Task(_deform, needs=("deform",)),
+    "bfield": Task(
+        lambda c: bfield_verify(c.algebroid, c.manifest.bfield_beta, *_sampling(c)),
+        needs=("bfield",),
+    ),
+    "pontryagin": Task(_pontryagin, needs=("lift",)),
+    "pontryagin-vanishing": Task(
+        lambda c: pontryagin_vanishing_check(c.algebroid, c.manifest.pontryagin_h),
+        needs=("pontryagin",),
+    ),
+    "naive-cohomology": Task(_naive_cohomology),
+    "quotient-jacobi": Task(
+        lambda c: quotient_jacobi_check(c.algebroid, c.complement, c.lift, *_sampling(c)),
+        needs=("complement", "lift"),
+    ),
+    "validate-algebra": Task(
+        _validate_algebra, needs=("twisted_action",), gated=False, sets_gate=True
+    ),
+    "validate-action": Task(
+        lambda c: validate_twisted_action(c.action),
+        needs=("twisted_action",),
+        gated=False,
+        sets_gate=True,
+    ),
+    "dissection-jacobiator": Task(
+        lambda c: dissection_jacobiator_check(c.algebroid, c.dissection), needs=("dissection",)
+    ),
+    "dissection-pontryagin": Task(_dissection_pontryagin, needs=("dissection",)),
+}
+
+
+def check_tasks(m: Manifest, names: Sequence[str]) -> None:
+    """Raise TaskError at the first name that is unknown or needs what m lacks."""
+    for name in names:
+        if name not in TASKS:
+            raise TaskError(name)
+        for need in TASKS[name].needs:
+            what, present = NEEDS[need]
+            if not present(m):
+                raise TaskError(name, what)

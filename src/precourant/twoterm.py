@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebroid import PreCourantAlgebroid, bracket, jacobiator, skew_bracket
-from .bundle import Section, anchor_apply, dee, format_section, pairing
+from .bundle import Section, anchor_apply, dee, format_section, format_sections, pairing
 from .cochain import KerCochain
 from .errors import RankMismatchError
 from .poly import Poly
@@ -60,23 +60,6 @@ def skew_jacobiator_direct(
         skew_bracket(p, e1, skew_bracket(p, e2, e3))
         + skew_bracket(p, e2, skew_bracket(p, e3, e1))
         + skew_bracket(p, e3, skew_bracket(p, e1, e2))
-    )
-
-
-def lie2_components(
-    p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Optional[Section] = None
-):
-    """The building blocks of the skew structure for the given sections.
-
-    With two sections: the skew bracket.  With three: the skew bracket of
-    the first two, the cyclic pairing scalar, and the corrected Jacobiator.
-    """
-    if e3 is None:
-        return skew_bracket(p, e1, e2)
-    return (
-        skew_bracket(p, e1, e2),
-        t_scalar(p, e1, e2, e3),
-        curly_jacobiator(p, e1, e2, e3),
     )
 
 
@@ -124,10 +107,6 @@ def build_lie2(p: PreCourantAlgebroid) -> TwoTermAlgebra:
     return TwoTermAlgebra("lie", p)
 
 
-def _fmt(*sections: Section) -> str:
-    return " | ".join("(" + format_section(s) + ")" for s in sections)
-
-
 def _two_term_condition_checks(
     alg: TwoTermAlgebra,
     report: VerifyReport,
@@ -143,22 +122,19 @@ def _two_term_condition_checks(
     b = alg.bundle
     l2 = alg.l2
     l3 = l3_override or alg.l3
-    names = [
-        "inclusion-right",
-        "inclusion-left",
-        "inclusion-balanced",
-        "defect-degree0",
-        "defect-kernel-slot3",
-        "defect-kernel-slot2",
-        "defect-kernel-slot1",
-        "coherence",
-    ]
-    status = {n: (True, "") for n in names}
-
-    def fail(name: str, witness: str) -> None:
-        if status[name][0]:
-            status[name] = (False, witness)
-
+    chk = {
+        n: report.check(n)
+        for n in (
+            "inclusion-right",
+            "inclusion-left",
+            "inclusion-balanced",
+            "defect-degree0",
+            "defect-kernel-slot3",
+            "defect-kernel-slot2",
+            "defect-kernel-slot1",
+            "coherence",
+        )
+    }
     for _ in range(trials):
         x = random_section(rng, b, max_degree)
         y = random_section(rng, b, max_degree)
@@ -170,36 +146,39 @@ def _two_term_condition_checks(
         # the mixed bracket lands in degree 1 and matches the total one
         xm = l2(x, m)
         if not anchor_apply(xm).is_zero():
-            fail("inclusion-right", f"l2(x, m) leaves the kernel: {_fmt(x, m)}")
+            chk["inclusion-right"].fail(
+                f"l2(x, m) leaves the kernel: {format_sections(x, m)}"
+            )
         elif xm != l2(x, alg.differential(m)):
-            fail("inclusion-right", _fmt(x, m))
+            chk["inclusion-right"].fail(format_sections(x, m))
         # same on the other side
         mx = l2(m, x)
         if not anchor_apply(mx).is_zero():
-            fail("inclusion-left", f"l2(m, x) leaves the kernel: {_fmt(m, x)}")
+            chk["inclusion-left"].fail(
+                f"l2(m, x) leaves the kernel: {format_sections(m, x)}"
+            )
         elif mx != l2(alg.differential(m), x):
-            fail("inclusion-left", _fmt(m, x))
+            chk["inclusion-left"].fail(format_sections(m, x))
         # either argument may carry the inclusion
         if l2(alg.differential(m), n) != l2(m, alg.differential(n)):
-            fail("inclusion-balanced", _fmt(m, n))
+            chk["inclusion-balanced"].fail(format_sections(m, n))
         # the corrector equals the bracket defect on degree 0
         lhs = l3(x, y, z)
         rhs = l2(x, l2(y, z)) - l2(l2(x, y), z) - l2(y, l2(x, z))
         if lhs != rhs:
-            fail(
-                "defect-degree0",
+            chk["defect-degree0"].fail(
                 f"d l3 = ({format_section(lhs)}) vs defect ({format_section(rhs)})"
-                f" at {_fmt(x, y, z)}",
+                f" at {format_sections(x, y, z)}",
             )
         # kernel element in the third slot
         if l3(x, y, m) != l2(x, l2(y, m)) - l2(l2(x, y), m) - l2(y, l2(x, m)):
-            fail("defect-kernel-slot3", _fmt(x, y, m))
+            chk["defect-kernel-slot3"].fail(format_sections(x, y, m))
         # kernel element in the second slot
         if l3(x, m, y) != l2(x, l2(m, y)) - l2(l2(x, m), y) - l2(m, l2(x, y)):
-            fail("defect-kernel-slot2", _fmt(x, m, y))
+            chk["defect-kernel-slot2"].fail(format_sections(x, m, y))
         # kernel element in the first slot
         if l3(m, x, y) != l2(m, l2(x, y)) - l2(l2(m, x), y) - l2(x, l2(m, y)):
-            fail("defect-kernel-slot1", _fmt(m, x, y))
+            chk["defect-kernel-slot1"].fail(format_sections(m, x, y))
         # the ten-term coherence of the corrector
         total = (
             l2(w, l3(x, y, z))
@@ -214,11 +193,9 @@ def _two_term_condition_checks(
             - l3(w, x, l2(y, z))
         )
         if not total.is_zero():
-            fail("coherence", f"defect ({format_section(total)}) at {_fmt(w, x, y, z)}")
-
-    for name in names:
-        ok, wit = status[name]
-        report.add(name, ok, wit)
+            chk["coherence"].fail(
+                f"defect ({format_section(total)}) at {format_sections(w, x, y, z)}"
+            )
 
 
 def verify_leibniz2(
@@ -256,30 +233,28 @@ def verify_lie2(
     report.notes.append(DEGREE1_DOMAIN_NOTE)
     rng = random.Random(seed)
 
-    ok_skew2, wit2 = True, ""
-    ok_skew3, wit3 = True, ""
-    ok_rho, witr = True, ""
+    skew2 = report.check("l2-skew")
+    skew3 = report.check("l3-skew")
+    kernel = report.check("l3-kernel-valued")
     for _ in range(trials):
         x = random_section(rng, b, max_degree)
         y = random_section(rng, b, max_degree)
         z = random_section(rng, b, max_degree)
-        if ok_skew2 and not (alg.l2(x, y) + alg.l2(y, x)).is_zero():
-            ok_skew2, wit2 = False, _fmt(x, y)
-        if ok_skew3:
+        if skew2.ok and not (alg.l2(x, y) + alg.l2(y, x)).is_zero():
+            skew2.fail(format_sections(x, y))
+        if skew3.ok:
             base = l3(x, y, z)
             if not (
                 (l3(y, x, z) + base).is_zero() and (l3(x, z, y) + base).is_zero()
             ):
-                ok_skew3, wit3 = False, _fmt(x, y, z)
-        if ok_rho and not anchor_apply(l3(x, y, z)).is_zero():
-            ok_rho, witr = False, _fmt(x, y, z)
-    report.add("l2-skew", ok_skew2, wit2)
-    report.add("l3-skew", ok_skew3, wit3)
-    report.add("l3-kernel-valued", ok_rho, witr)
+                skew3.fail(format_sections(x, y, z))
+        if kernel.ok and not anchor_apply(l3(x, y, z)).is_zero():
+            kernel.fail(format_sections(x, y, z))
 
-    # homotopy Jacobi identity on seeded quadruples
+    # homotopy Jacobi identity on seeded quadruples; stops drawing at the
+    # first failure, and the battery below draws on from the same rng
     n_quads = trials if quad_trials is None else quad_trials
-    ok, witness = True, ""
+    chk = report.check("homotopy-jacobi")
     for _ in range(n_quads):
         es = [random_section(rng, b, max_degree) for _ in range(4)]
         total = b.zero_section()
@@ -293,9 +268,8 @@ def verify_lie2(
                 term = l3(alg.l2(es[i], es[j]), *rest)
                 total = total + (term if (i + j) % 2 == 0 else -term)
         if not total.is_zero():
-            ok, witness = False, f"defect ({format_section(total)}) at {_fmt(*es)}"
+            chk.fail(f"defect ({format_section(total)}) at {format_sections(*es)}")
             break
-    report.add("homotopy-jacobi", ok, witness)
 
     _two_term_condition_checks(alg, report, rng, trials, max_degree, l3_override)
     return report
@@ -343,14 +317,11 @@ def verify_morphism(
     src, tgt = m.source, m.target
     b = src.bundle
 
-    names = ["chain-map", "deg0-equation", "mixed-equation-1", "mixed-equation-2",
-             "f2-kernel-valued", "coherence"]
-    status = {n: (True, "") for n in names}
-
-    def fail(name: str, witness: str) -> None:
-        if status[name][0]:
-            status[name] = (False, witness)
-
+    chk = {
+        n: report.check(n)
+        for n in ("chain-map", "deg0-equation", "mixed-equation-1", "mixed-equation-2",
+                  "f2-kernel-valued", "coherence")
+    }
     for _ in range(trials):
         x = random_section(rng, b, max_degree)
         y = random_section(rng, b, max_degree)
@@ -358,20 +329,19 @@ def verify_morphism(
         k = random_kernel_section(rng, b, max_degree)
 
         if m.f0(src.differential(k)) != tgt.differential(m.f1(k)):
-            fail("chain-map", _fmt(k))
+            chk["chain-map"].fail(format_sections(k))
         lhs = tgt.l2(m.f0(x), m.f0(y)) - m.f0(src.l2(x, y))
         rhs = tgt.differential(m.f2(x, y))
         if lhs != rhs:
-            fail(
-                "deg0-equation",
-                f"difference ({format_section(lhs - rhs)}) at {_fmt(x, y)}",
+            chk["deg0-equation"].fail(
+                f"difference ({format_section(lhs - rhs)}) at {format_sections(x, y)}",
             )
         if tgt.l2(m.f0(x), m.f1(k)) - m.f1(src.l2(x, k)) != m.f2(x, src.differential(k)):
-            fail("mixed-equation-1", _fmt(x, k))
+            chk["mixed-equation-1"].fail(format_sections(x, k))
         if tgt.l2(m.f1(k), m.f0(x)) - m.f1(src.l2(k, x)) != m.f2(src.differential(k), x):
-            fail("mixed-equation-2", _fmt(k, x))
+            chk["mixed-equation-2"].fail(format_sections(k, x))
         if not anchor_apply(m.f2(x, y)).is_zero():
-            fail("f2-kernel-valued", _fmt(x, y))
+            chk["f2-kernel-valued"].fail(format_sections(x, y))
         total = (
             m.f1(src.l3(x, y, z))
             + tgt.l2(m.f0(x), m.f2(y, z))
@@ -383,9 +353,7 @@ def verify_morphism(
             - tgt.l3(m.f0(x), m.f0(y), m.f0(z))
         )
         if not total.is_zero():
-            fail("coherence", f"defect ({format_section(total)}) at {_fmt(x, y, z)}")
-
-    for n in names:
-        ok, wit = status[n]
-        report.add(n, ok, wit)
+            chk["coherence"].fail(
+                f"defect ({format_section(total)}) at {format_sections(x, y, z)}"
+            )
     return report

@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from precourant.cli import main, resolve_manifest
+from precourant.errors import TaskError
 from precourant.manifest import parse_manifest
 from precourant.runner import run_manifest
 
@@ -130,3 +133,57 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "result = pass" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "manifest, task, missing",
+    [
+        ("standard_r3", "pontryagin", "[lift]"),
+        ("standard_r3", "quotient-jacobi", "[complement]"),
+        ("action_abelian", "dissection-jacobiator", "dissection"),
+        ("standard_r3", "validate-action", "twisted_action"),
+        ("standard_r3", "validate-algebra", "twisted_action"),
+    ],
+)
+def test_task_override_missing_block_exits_2(capsys, manifest, task, missing):
+    code, out, err = run_cli(capsys, "--manifest", manifest, "--task", task, "--quiet")
+    assert code == 2
+    assert out == ""
+    assert f"task {task!r} needs" in err and missing in err
+    assert "Traceback" not in err
+
+
+def test_task_override_rejected_before_build():
+    m = parse_manifest(resolve_manifest("standard_r3").read_text(), name="standard_r3")
+    with pytest.raises(TaskError) as err:
+        run_manifest(m, tasks=["validate-bundle", "pontryagin"])
+    assert err.value.task == "pontryagin"
+    assert "[lift]" in err.value.missing
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--trials", "0"),
+        ("--trials", "-3"),
+        ("--max-degree", "-1"),
+        ("--seed", "-1"),
+        ("--trials", "two"),
+    ],
+)
+def test_override_below_grammar_minimum_exits_2(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "--manifest", "action_abelian", "--task", "verify-axioms", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: expected an integer >=" in err
+
+
+def test_override_at_grammar_minimum_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "--manifest", "action_abelian", "--task", "verify-axioms",
+        "--trials", "1", "--max-degree", "0", "--seed", "0", "--quiet",
+    )
+    assert code == 0
+    assert "trials = 1\nmax-degree = 0\n" in out

@@ -4,7 +4,7 @@ import pytest
 
 from precourant.cli import builtin_manifest_dir
 from precourant.errors import ParseError
-from precourant.manifest import parse_manifest
+from precourant.manifest import META_MINIMUM, parse_manifest
 
 GOLDENS = [
     "standard_r3",
@@ -189,3 +189,27 @@ beta = x1*dx(1,2,3)
     with pytest.raises(ParseError) as err:
         parse_manifest(text)
     assert "2-form" in err.value.expected
+
+
+def test_task_requirement_error_points_at_tasks_entry():
+    text = """
+[chart]
+vars = x1 x2 x3
+
+[meta]
+tasks = validate-bundle, pontryagin
+
+[builder]
+kind = standard
+"""
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (6, 9)
+    assert "[lift]" in err.value.expected
+    assert err.value.found == "pontryagin"
+
+
+def test_meta_minimums_match_cli_overrides():
+    with pytest.raises(ParseError) as err:
+        parse_manifest(BASE.replace("tasks =", "trials = 0\ntasks ="))
+    assert err.value.expected == f"integer >= {META_MINIMUM['trials']}"

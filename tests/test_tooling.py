@@ -1,0 +1,36 @@
+"""The README and the benchmark tracer stay in step with the code."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+from precourant.tasks import TASKS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_task_table_matches_task_table():
+    rows = re.findall(
+        r"^\| `([a-z0-9-]+)` \| [^|]* \| ([^|]*) \|$",
+        (ROOT / "README.md").read_text(),
+        flags=re.MULTILINE,
+    )
+    assert [name for name, _ in rows] == list(TASKS)
+    for name, gate in rows:
+        task = TASKS[name]
+        assert ("gated" in gate) == task.gated, name
+        assert ("sets the gate" in gate) == task.sets_gate, name
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for metric, (module_name, attr) in tracer.TARGETS.items():
+        home = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(home, cls_name)), metric
+        else:
+            assert callable(getattr(home, attr)), metric
