@@ -35,7 +35,12 @@ from .sampling import random_poly, random_section
 
 
 class PreCourantAlgebroid:
-    """A Courant vector bundle with a frame bracket table."""
+    """A Courant vector bundle with a frame bracket table.
+
+    It keeps the anchored vector fields of the frames, and `bracket`
+    memoises its results here by the coefficients of its arguments, so the
+    memo lives exactly as long as the algebroid.
+    """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
         r = bundle.rank
@@ -48,6 +53,8 @@ class PreCourantAlgebroid:
                     raise RankMismatchError("table entry on a different bundle")
         self.bundle = bundle
         self.table = tuple(rows)
+        self.rho_frames = tuple(anchor_apply(f) for f in bundle.frames())
+        self.bracket_memo = {}
 
     @property
     def rank(self) -> int:
@@ -74,15 +81,18 @@ def zero_table(bundle: CourantBundle) -> List[List[Section]]:
 
 
 def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
-    """The unique Leibniz extension of the frame table."""
+    """The unique Leibniz extension of the frame table, memoised in p."""
     b = p.bundle
     if e1.bundle != b or e2.bundle != b:
         raise RankMismatchError("sections not on this algebroid's bundle")
-    r = b.rank
+    key = (e1.coeffs, e2.coeffs)
+    out = p.bracket_memo.get(key)
+    if out is not None:
+        return out
     rho_e1 = anchor_apply(e1)
     # cache D f_i and rho(u_j) f_i only for nonzero, nonconstant coefficients
     out = b.zero_section()
-    frames = [b.frame(i) for i in range(r)]
+    frames = b.frames()
     dees = {}
     for i, fi in enumerate(e1.coeffs):
         if not fi.is_zero() and not fi.is_constant():
@@ -91,7 +101,7 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
         if not gj.is_zero():
             # inner = e1 o u_j expanded by the first-argument rule
             inner = b.zero_section()
-            rho_uj = anchor_apply(frames[j])
+            rho_uj = p.rho_frames[j]
             for i, fi in enumerate(e1.coeffs):
                 if fi.is_zero():
                     continue
@@ -107,6 +117,7 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
         d2 = vf_apply(rho_e1, gj)
         if not d2.is_zero():
             out = out + frames[j].scale(d2)
+    p.bracket_memo[key] = out
     return out
 
 
@@ -143,7 +154,7 @@ def verify_axioms(
     b = p.bundle
     r = b.rank
     frames = b.frames()
-    rho_frames = [anchor_apply(f) for f in frames]
+    rho_frames = p.rho_frames
 
     def check_triple(name: str, e1, e2, e3) -> Optional[str]:
         lhs = vf_apply(anchor_apply(e1), pairing(e2, e3))

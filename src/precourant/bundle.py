@@ -62,12 +62,19 @@ class Section:
             and self.coeffs == other.coeffs
         )
 
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
     def __repr__(self) -> str:
         return f"Section[{format_section(self)}]"
 
 
 class CourantBundle:
-    """Chart + rank + constant pseudo-metric + polynomial anchor matrix."""
+    """Chart + rank + constant pseudo-metric + polynomial anchor matrix.
+
+    The frame sections are built once with the bundle, and the columns of
+    g^-1 A that `dee` combines are raised the first time `dee` needs them.
+    """
 
     def __init__(
         self,
@@ -92,12 +99,28 @@ class CourantBundle:
                     raise ChartMismatchError("anchor entry on a different chart")
         self.anchor = tuple(rows)
         self._metric_inv = None
+        self._dee_columns = None
+        zero, one = Poly.zero(chart), Poly.const(chart, 1)
+        self._frames = tuple(
+            Section(self, [one if k == i else zero for k in range(rank)])
+            for i in range(rank)
+        )
 
     @property
     def metric_inv(self):
         if self._metric_inv is None:
             self._metric_inv = linalg.invert(self.metric)
         return self._metric_inv
+
+    @property
+    def dee_columns(self) -> Tuple[Section, ...]:
+        """Column m of g^-1 A, which is the section D x_m."""
+        if self._dee_columns is None:
+            self._dee_columns = tuple(
+                self.raise_covector([row[m] for row in self.anchor])
+                for m in range(self.chart.dim)
+            )
+        return self._dee_columns
 
     def raise_covector(self, covector: Sequence[Poly]) -> "Section":
         """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
@@ -119,17 +142,17 @@ class CourantBundle:
         return Section(self, [Poly.zero(self.chart)] * self.rank)
 
     def frame(self, i: int) -> Section:
-        cs = [Poly.zero(self.chart)] * self.rank
-        cs[i] = Poly.const(self.chart, 1)
-        return Section(self, cs)
+        return self._frames[i]
 
     def frames(self) -> List[Section]:
-        return [self.frame(i) for i in range(self.rank)]
+        return list(self._frames)
 
     def section(self, coeffs: Iterable[Poly]) -> Section:
         return Section(self, coeffs)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, CourantBundle)
             and self.chart == other.chart
@@ -245,9 +268,19 @@ def rho_star(b: CourantBundle, xi: KForm) -> Section:
 
 
 def dee(b: CourantBundle, f: Poly) -> Section:
-    """The derivative section characterized by <D f, e> = rho(e) f."""
-    df = KForm(b.chart, 1, {(m,): f.diff(m) for m in range(b.chart.dim)})
-    return rho_star(b, df)
+    """The derivative section characterized by <D f, e> = rho(e) f:
+    the sum over m of (d f / d x_m) D x_m."""
+    if f.chart != b.chart:
+        raise ChartMismatchError("function on a different chart")
+    coeffs = [Poly.zero(b.chart)] * b.rank
+    for m, column in enumerate(b.dee_columns):
+        df_m = f.diff(m)
+        if df_m.is_zero():
+            continue
+        for k, c in enumerate(column.coeffs):
+            if not c.is_zero():
+                coeffs[k] = coeffs[k] + df_m * c
+    return Section(b, coeffs)
 
 
 @dataclass

@@ -281,7 +281,7 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
         raise MembershipError(member.witnesses[0])
     b = p.bundle
     k = psi.degree
-    rho_frames = [anchor_apply(b.frame(i)) for i in range(b.rank)]
+    rho_frames = p.rho_frames
     values: Dict[FrameTuple, Poly] = {}
     for big in combinations(range(b.rank), k + 1):
         total = Poly.zero(b.chart)

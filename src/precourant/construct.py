@@ -314,7 +314,7 @@ class TwistedAction:
 
     rho_matrix[a] lists the vector-field coefficients of the image of the
     a-th basis element; k_table gives the defect on constant basis pairs,
-    extended bilinearly over functions.
+    extended bilinearly over functions, as sections of `bundle`.
     """
 
     algebra: QuadraticLieAlgebra
@@ -322,6 +322,7 @@ class TwistedAction:
     rho_matrix: List[List[Poly]]
     k_table: List[List[Section]]
     sample_points: List[Tuple[Fraction, ...]]
+    bundle: CourantBundle
 
 
 def action_bundle(algebra: QuadraticLieAlgebra, chart: Chart,
@@ -347,7 +348,7 @@ def make_twisted_action(
         table[i][j] = s
         table[j][i] = -s
     points = [tuple(Fraction(x) for x in pt) for pt in sample_points]
-    return TwistedAction(algebra, chart, [list(r) for r in rho_matrix], table, points)
+    return TwistedAction(algebra, chart, [list(r) for r in rho_matrix], table, points, bundle)
 
 
 def _action_lie_bracket(
@@ -390,7 +391,7 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
         alg_report.ok,
         (alg_report.first_failure().name if not alg_report.ok else ""),
     )
-    bundle = action_bundle(ta.algebra, ta.chart, ta.rho_matrix)
+    bundle = ta.bundle
     m = ta.algebra.dim
 
     chk = report.check("defect-antisymmetric")
@@ -478,7 +479,7 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
     if not report.ok:
         fail = report.first_failure()
         raise ConstructionError("invalid-twisted-action", fail.name if fail else "")
-    bundle = action_bundle(ta.algebra, ta.chart, ta.rho_matrix)
+    bundle = ta.bundle
     bundle_report = validate_bundle(bundle)
     if not bundle_report.ok:
         raise ConstructionError("invalid-bundle", "; ".join(bundle_report.failures))

@@ -34,6 +34,12 @@ BUILDER_KINDS = (
     "dissection",
 )
 
+# the sections a builder kind reads its data from
+BUILDER_SECTIONS = {
+    "twisted_action": ("algebra", "action"),
+    "dissection": ("dissection",),
+}
+
 _SECTIONS = (
     "meta",
     "chart",
@@ -318,6 +324,12 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
                 f"builder kind among {', '.join(BUILDER_KINDS)}", kind_entry.value,
             )
         m.builder_kind = kind_entry.value
+        for needed in BUILDER_SECTIONS.get(m.builder_kind, ()):
+            if needed not in sections:
+                raise ParseError(
+                    kind_entry.line, kind_entry.value_col,
+                    f"a section [{needed}] for builder {m.builder_kind}",
+                )
         for e in entries:
             if e is kind_entry:
                 continue

@@ -47,6 +47,8 @@ class Chart:
         return self.var_names.index(name)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, Chart) and self.var_names == other.var_names
 
     def __hash__(self) -> int:
@@ -64,10 +66,11 @@ def _grlex_key(exp: Exponent):
 class Poly:
     """An exact polynomial attached to a chart.
 
-    Immutable.  `terms` never contains a zero coefficient.
+    Immutable.  `terms` never contains a zero coefficient.  The hash is
+    computed on first use and kept.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_hash")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Scalar]):
         clean: Dict[Exponent, Fraction] = {}
@@ -81,6 +84,7 @@ class Poly:
             clean[tuple(exp)] = c
         self.chart = chart
         self.terms = clean
+        self._hash = None
 
     # --- constructors -------------------------------------------------
 
@@ -174,7 +178,9 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.chart, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.chart, frozenset(self.terms.items())))
+        return self._hash
 
     # --- calculus -----------------------------------------------------
 

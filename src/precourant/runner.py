@@ -220,7 +220,8 @@ def run_manifest(
     """Execute the manifest's tasks (or the given override list).
 
     Raises TaskError, before anything is built, when a task is unknown or
-    the manifest lacks a block that the task needs.
+    the manifest lacks a block that the task needs.  A library error
+    raised inside a task fails that task with the error's message.
     """
     todo = list(tasks) if tasks is not None else list(m.tasks)
     check_tasks(m, todo)
@@ -239,7 +240,10 @@ def run_manifest(
             report.tasks.append(TaskResult(name, "skipped-precondition"))
             continue
         t0 = time.monotonic()
-        result = _result_from_report(name, task.run(ctx))
+        try:
+            result = _result_from_report(name, task.run(ctx))
+        except PrecourantError as exc:
+            result = TaskResult(name, "fail", [str(exc)])
         if timings is not None:
             timings.append((name, time.monotonic() - t0))
         report.tasks.append(result)

@@ -1,15 +1,19 @@
 """CLI behavior: golden runs, gating, output modes, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import precourant
 from precourant.cli import main, resolve_manifest
-from precourant.errors import TaskError
+from precourant.errors import ConstructionError, TaskError
 from precourant.manifest import parse_manifest
 from precourant.runner import run_manifest
+from precourant.tasks import TASKS, Task
 
 
 def run_cli(capsys, *argv):
@@ -125,11 +129,15 @@ def test_determinism_fast_goldens():
 
 
 def test_console_entrypoint_runs():
+    # the child imports the same precourant as this process, installed or not
+    src = str(Path(precourant.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "precourant.cli", "--manifest", "action_abelian",
          "--task", "validate-bundle", "--quiet"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "result = pass" in proc.stdout
@@ -187,3 +195,56 @@ def test_override_at_grammar_minimum_runs(capsys):
     )
     assert code == 0
     assert "trials = 1\nmax-degree = 0\n" in out
+
+
+@pytest.mark.parametrize(
+    "kind, blocks",
+    [
+        ("twisted_action", "[algebra]\ndim = 1\n"),
+        ("twisted_action", ""),
+        ("dissection", ""),
+    ],
+)
+def test_builder_without_its_sections_exits_2(tmp_path, capsys, kind, blocks):
+    path = tmp_path / "builder.pcm"
+    path.write_text(f"[chart]\nvars = x1 x2\n\n[builder]\nkind = {kind}\n\n{blocks}")
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert code == 2
+    assert out == ""
+    assert f"line 5, column 8: expected a section [" in err
+    assert "Traceback" not in err
+
+
+def _raises_inside(ctx):
+    raise ConstructionError("broken-task", "raised inside the task")
+
+
+def test_error_inside_gate_task_fails_it_and_closes_the_gate(monkeypatch, capsys):
+    monkeypatch.setitem(TASKS, "verify-axioms", Task(_raises_inside, sets_gate=True))
+    code, out, err = run_cli(
+        capsys, "--manifest", "action_abelian", "--trials", "1", "--quiet",
+        "--task", "validate-bundle", "--task", "verify-axioms",
+        "--task", "verify-identities", "--task", "coisotropy",
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    assert "task validate-bundle = pass" in lines
+    i = lines.index("task verify-axioms = fail")
+    assert lines[i + 1] == "  fail broken-task: raised inside the task"
+    assert "task verify-identities = skipped-precondition" in lines
+    assert "task coisotropy = pass" in lines
+
+
+def test_error_inside_other_task_leaves_later_tasks_running(monkeypatch):
+    monkeypatch.setitem(TASKS, "jacobiator-theorem", Task(_raises_inside))
+    m = parse_manifest(resolve_manifest("action_abelian").read_text(), name="action_abelian")
+    m.trials = 1
+    report = run_manifest(m, tasks=["verify-axioms", "jacobiator-theorem", "verify-identities"])
+    assert [(t.name, t.status) for t in report.tasks] == [
+        ("verify-axioms", "pass"),
+        ("jacobiator-theorem", "fail"),
+        ("verify-identities", "pass"),
+    ]
+    assert report.tasks[1].failures == ["broken-task: raised inside the task"]
+    assert not report.ok

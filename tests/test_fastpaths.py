@@ -1,0 +1,196 @@
+"""The frame data built once per bundle and algebroid, and the bracket memo,
+against the code they replaced: `dee_reference` and `bracket_reference`
+below are the earlier implementations, kept as oracles.  The Dorfman
+oracle in test_algebroid.py is the second, independent one."""
+
+import random
+
+import pytest
+
+from precourant import runner
+from precourant.algebroid import PreCourantAlgebroid, bracket, jacobiator, zero_table
+from precourant.bundle import Section, anchor_apply, dee, rho_star, standard_bundle
+from precourant.cli import resolve_manifest
+from precourant.construct import from_twisted_action
+from precourant.deform import apply_deformation, twist_deformation
+from precourant.exterior import KForm, vf_apply
+from precourant.manifest import parse_manifest
+from precourant.parsing import parse_form
+from precourant.poly import Chart, Poly
+from precourant.runner import build_context, run_manifest
+from precourant.sampling import random_poly, random_section
+
+BUILTINS = [
+    "standard_r3",
+    "twisted_r4",
+    "twisted_action_synthetic",
+    "dissection_rank2",
+    "action_abelian",
+    "double_nonabelian",
+]
+
+
+def load(name):
+    return parse_manifest(resolve_manifest(name).read_text(), name=name)
+
+
+def reference_frames(b):
+    """The frame sections, built afresh."""
+    return [
+        Section(b, [Poly.const(b.chart, int(k == i)) for k in range(b.rank)])
+        for i in range(b.rank)
+    ]
+
+
+def dee_reference(b, f):
+    """D f as rho*(df): through a 1-form and the rho_star double loop."""
+    df = KForm(b.chart, 1, {(m,): f.diff(m) for m in range(b.chart.dim)})
+    return rho_star(b, df)
+
+
+def bracket_reference(p, e1, e2):
+    """The Leibniz expansion that rebuilds frames and anchors on every call."""
+    b = p.bundle
+    rho_e1 = anchor_apply(e1)
+    out = b.zero_section()
+    frames = reference_frames(b)
+    dees = {}
+    for i, fi in enumerate(e1.coeffs):
+        if not fi.is_zero() and not fi.is_constant():
+            dees[i] = dee_reference(b, fi)
+    for j, gj in enumerate(e2.coeffs):
+        if not gj.is_zero():
+            inner = b.zero_section()
+            rho_uj = anchor_apply(frames[j])
+            for i, fi in enumerate(e1.coeffs):
+                if fi.is_zero():
+                    continue
+                inner = inner + p.table[i][j].scale(fi)
+                deriv = vf_apply(rho_uj, fi)
+                if not deriv.is_zero():
+                    inner = inner - frames[i].scale(deriv)
+                gij = b.metric[i][j]
+                if gij != 0 and i in dees:
+                    inner = inner + dees[i].scale(gij)
+            out = out + inner.scale(gj)
+        d2 = vf_apply(rho_e1, gj)
+        if not d2.is_zero():
+            out = out + frames[j].scale(d2)
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_frames_and_anchors_match_reference(name):
+    p = build_context(load(name)).algebroid
+    b = p.bundle
+    frames = reference_frames(b)
+    assert b.frames() == frames
+    assert [b.frame(i) for i in range(b.rank)] == frames
+    assert b.frames() is not b.frames()  # a fresh list each time
+    assert list(p.rho_frames) == [anchor_apply(f) for f in frames]
+
+
+def test_twisted_action_builds_on_its_own_bundle():
+    ctx = build_context(load("twisted_action_synthetic"))
+    # one bundle object, so bundle checks stop at identity
+    assert ctx.bundle is ctx.action.bundle
+    assert from_twisted_action(ctx.action).bundle is ctx.action.bundle
+    assert all(s.bundle is ctx.action.bundle for row in ctx.action.k_table for s in row)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_dee_matches_reference(name):
+    b = build_context(load(name)).bundle
+    rng = random.Random(11)
+    functions = [Poly.var(b.chart, m) for m in range(b.chart.dim)]
+    functions += [random_poly(rng, b.chart, 4, max_terms=3) for _ in range(8)]
+    functions += [Poly.zero(b.chart), Poly.const(b.chart, 5)]
+    for f in functions:
+        assert dee(b, f) == dee_reference(b, f), f
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bracket_matches_reference(name):
+    p = build_context(load(name)).algebroid
+    b = p.bundle
+    rng = random.Random(12)
+    sections = [random_section(rng, b, 4) for _ in range(3)] + b.frames()[:3]
+    for e1 in sections:
+        for e2 in sections:
+            expected = bracket_reference(p, e1, e2)
+            assert bracket(p, e1, e2) == expected  # computed
+            assert bracket(p, e1, e2) == expected  # from the memo
+
+
+def test_frame_triples_hit_the_memo(monkeypatch, std4, chart4):
+    base = PreCourantAlgebroid(std4, zero_table(std4))
+    p = apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
+    calls = []
+
+    def counted(q, e1, e2):
+        calls.append(1)
+        return bracket(q, e1, e2)
+
+    monkeypatch.setattr("precourant.algebroid.bracket", counted)
+    frames = std4.frames()
+    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2), (3, 4, 5), (0, 1, 3)]:
+        jacobiator(p, frames[i], frames[j], frames[k])
+    assert len(p.bracket_memo) < len(calls) == 36
+    u = [frames[i] for i in (0, 1, 2)]
+    assert jacobiator(p, *u) == (
+        bracket_reference(p, u[0], bracket_reference(p, u[1], u[2]))
+        - bracket_reference(p, bracket_reference(p, u[0], u[1]), u[2])
+        - bracket_reference(p, u[1], bracket_reference(p, u[0], u[2]))
+    )
+
+
+def test_derived_algebroids_do_not_share_the_memo(std4, chart4):
+    base = PreCourantAlgebroid(std4, zero_table(std4))
+    u0, u1 = std4.frame(0), std4.frame(1)
+    assert bracket(base, u0, u1).is_zero()
+    assert base.bracket_memo
+    same = base.with_table(base.table)
+    assert same == base and same.bracket_memo == {}
+    twisted = apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
+    assert twisted.bracket_memo == {}
+    # the twist puts x4 dx3 into u0 o u1; a shared memo would answer zero
+    assert bracket(twisted, u0, u1) == std4.frame(6).scale(Poly.var(chart4, 3))
+    assert bracket(base, u0, u1).is_zero()
+
+
+def test_each_run_builds_its_own_memo(monkeypatch):
+    built = []
+
+    def capture(m):
+        ctx = build_context(m)
+        built.append((ctx.algebroid, dict(ctx.algebroid.bracket_memo)))
+        return ctx
+
+    monkeypatch.setattr(runner, "build_context", capture)
+    m = load("standard_r3")
+    m.trials = 1
+    first = run_manifest(m, tasks=["verify-axioms"])
+    second = run_manifest(m, tasks=["verify-axioms"])
+    (p1, memo1), (p2, memo2) = built
+    assert p1 is not p2 and p1.bracket_memo is not p2.bracket_memo
+    assert memo1 == memo2 == {}
+    assert p1.bracket_memo and p2.bracket_memo.keys() == p1.bracket_memo.keys()
+    assert first.to_text() == second.to_text()
+
+
+def test_section_hash_agrees_with_equality():
+    chart = Chart(["x1", "x2"])
+    b1, b2 = standard_bundle(chart), standard_bundle(chart)
+    assert b1 is not b2 and b1 == b2
+
+    def section(b, order):
+        terms = [((1, 0), 2), ((0, 2), -1), ((0, 0), 3)]
+        if order:
+            terms.reverse()
+        p = Poly(chart, dict(terms))
+        return Section(b, [p, Poly.zero(chart), Poly.var(chart, 1), p])
+
+    s, t = section(b1, False), section(b2, True)
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert {s: "value"}[t] == "value"
+    assert len({s, t, b1.frame(0), b2.frame(0)}) == 2

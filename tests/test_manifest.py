@@ -213,3 +213,30 @@ def test_meta_minimums_match_cli_overrides():
     with pytest.raises(ParseError) as err:
         parse_manifest(BASE.replace("tasks =", "trials = 0\ntasks ="))
     assert err.value.expected == f"integer >= {META_MINIMUM['trials']}"
+
+
+BUILDER_ONLY = """
+[meta]
+tasks = validate-bundle
+
+[chart]
+vars = x1 x2
+
+[builder]
+kind = {kind}
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, blocks, missing",
+    [
+        ("twisted_action", "\n[algebra]\ndim = 1\n", "[action]"),
+        ("twisted_action", "", "[algebra]"),
+        ("dissection", "", "[dissection]"),
+    ],
+)
+def test_builder_requires_its_sections(kind, blocks, missing):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(BUILDER_ONLY.format(kind=kind) + blocks)
+    assert (err.value.line, err.value.column) == (9, 8)
+    assert err.value.expected == f"a section {missing} for builder {kind}"
