@@ -27,8 +27,9 @@ class Section:
         cs = tuple(coeffs)
         if len(cs) != bundle.rank:
             raise RankMismatchError(f"expected {bundle.rank} coefficients, got {len(cs)}")
+        chart = bundle.chart
         for c in cs:
-            if c.chart != bundle.chart:
+            if c.chart is not chart and c.chart != chart:
                 raise ChartMismatchError("section coefficient on a different chart")
         self.bundle = bundle
         self.coeffs = cs
@@ -69,11 +70,17 @@ class Section:
         return f"Section[{format_section(self)}]"
 
 
+def _nonzero_rows(matrix) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
+    """Each row of a constant matrix as its (column, entry) pairs with entry != 0."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c != 0) for row in matrix)
+
+
 class CourantBundle:
     """Chart + rank + constant pseudo-metric + polynomial anchor matrix.
 
-    The frame sections are built once with the bundle, and the columns of
-    g^-1 A that `dee` combines are raised the first time `dee` needs them.
+    The frame sections and the nonzero entries of each metric row are built
+    once with the bundle.  The nonzero entries of g^-1 and the columns of
+    g^-1 A that `dee` combines are built the first time they are needed.
     """
 
     def __init__(
@@ -98,19 +105,14 @@ class CourantBundle:
                 if p.chart != chart:
                     raise ChartMismatchError("anchor entry on a different chart")
         self.anchor = tuple(rows)
-        self._metric_inv = None
+        self.metric_rows = _nonzero_rows(self.metric)
+        self._metric_inv_rows = None
         self._dee_columns = None
         zero, one = Poly.zero(chart), Poly.const(chart, 1)
         self._frames = tuple(
             Section(self, [one if k == i else zero for k in range(rank)])
             for i in range(rank)
         )
-
-    @property
-    def metric_inv(self):
-        if self._metric_inv is None:
-            self._metric_inv = linalg.invert(self.metric)
-        return self._metric_inv
 
     @property
     def dee_columns(self) -> Tuple[Section, ...]:
@@ -124,16 +126,12 @@ class CourantBundle:
 
     def raise_covector(self, covector: Sequence[Poly]) -> "Section":
         """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
-        g_inv = self.metric_inv
+        if self._metric_inv_rows is None:
+            self._metric_inv_rows = _nonzero_rows(linalg.invert(self.metric))
+        zero = Poly.zero(self.chart)
         return Section(
             self,
-            [
-                sum(
-                    (covector[j] * g_inv[i][j] for j in range(self.rank) if g_inv[i][j] != 0),
-                    Poly.zero(self.chart),
-                )
-                for i in range(self.rank)
-            ],
+            [sum((covector[j] * c for j, c in row), zero) for row in self._metric_inv_rows],
         )
 
     # --- constructors ---------------------------------------------------
@@ -230,9 +228,9 @@ def pairing(e1: Section, e2: Section) -> Poly:
     for i, ci in enumerate(e1.coeffs):
         if ci.is_zero():
             continue
-        for j, cj in enumerate(e2.coeffs):
-            gij = b.metric[i][j]
-            if gij != 0 and not cj.is_zero():
+        for j, gij in b.metric_rows[i]:
+            cj = e2.coeffs[j]
+            if not cj.is_zero():
                 out = out + (ci * cj) * gij
     return out
 

@@ -18,7 +18,7 @@ task runner and the test-suite always do).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -166,12 +166,14 @@ class QuadraticLieAlgebra:
 
     bracket_table[i][j] is the coefficient vector of [b_i, b_j].  A plain
     Lie algebra (the admissible input of the double, which needs no pairing
-    of its own) carries pairing None.
+    of its own) carries pairing None.  The algebra is never changed after
+    it is built, so `validate_quadratic_lie` keeps its report here.
     """
 
     dim: int
     bracket_table: List[List[List[Fraction]]]
     pairing: Optional[Matrix]
+    _report: Optional[VerifyReport] = field(default=None, init=False, repr=False, compare=False)
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> List[Fraction]:
         out = [Fraction(0)] * self.dim
@@ -226,7 +228,15 @@ def validate_lie(g: QuadraticLieAlgebra) -> VerifyReport:
 
 def validate_quadratic_lie(g: QuadraticLieAlgebra) -> VerifyReport:
     """Antisymmetry, the Jacobi identity on all basis triples, and an
-    invariant nondegenerate symmetric pairing, all brute force."""
+    invariant nondegenerate symmetric pairing, all brute force.
+
+    The checks run once per algebra; every call returns its own copy."""
+    if g._report is None:
+        g._report = _quadratic_lie_report(g)
+    return g._report.copy()
+
+
+def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
     report = VerifyReport("quadratic lie algebra")
     m = g.dim
     basis = [[Fraction(1 if i == j else 0) for i in range(m)] for j in range(m)]

@@ -1,10 +1,15 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to nonzero Fraction
-coefficients.  The exponent tuple has one entry per chart coordinate.
-The zero polynomial stores no terms, so representations are canonical and
-equality is exact dict equality.  All arithmetic is arbitrary-precision
-rational; nothing here ever rounds.
+A polynomial is a map from exponent tuples to nonzero rational
+coefficients.  The exponent tuple has one entry per chart coordinate.  An
+integral coefficient is stored as a plain int, any other as a Fraction
+whose denominator is above 1, and the zero polynomial stores no terms, so
+representations are canonical and equality is exact dict equality.  All
+arithmetic is arbitrary-precision rational; nothing here ever rounds.
+
+The public constructor validates and normalises its input.  Arithmetic
+builds its results through `Poly._make`, which trusts that the terms it is
+given are already clean.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent vector, largest first).  Every serialization
@@ -15,6 +20,7 @@ byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import ChartMismatchError
@@ -63,20 +69,30 @@ def _grlex_key(exp: Exponent):
     return (-sum(exp), tuple(-e for e in exp))
 
 
+def _normal(c: Scalar) -> Scalar:
+    """An exact rational as stored: int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
     """An exact polynomial attached to a chart.
 
-    Immutable.  `terms` never contains a zero coefficient.  The hash is
-    computed on first use and kept.
+    Immutable.  `terms` never contains a zero coefficient, and holds every
+    integral coefficient as an int.  The hash is computed on first use and
+    kept.
     """
 
     __slots__ = ("chart", "terms", "_hash")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Scalar]):
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, Scalar] = {}
         dim = chart.dim
         for exp, coeff in terms.items():
-            c = Fraction(coeff)
+            c = _normal(coeff)
             if c == 0:
                 continue
             if len(exp) != dim or any(e < 0 for e in exp):
@@ -86,21 +102,32 @@ class Poly:
         self.terms = clean
         self._hash = None
 
+    @staticmethod
+    def _make(chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
+        """Wrap terms the caller guarantees clean: valid exponents, no zero,
+        and every coefficient an int or a non-integral Fraction."""
+        p = object.__new__(Poly)
+        p.chart = chart
+        p.terms = terms
+        p._hash = None
+        return p
+
     # --- constructors -------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "Poly":
-        return Poly(chart, {})
+        return Poly._make(chart, {})
 
     @staticmethod
     def const(chart: Chart, value: Scalar) -> "Poly":
-        return Poly(chart, {(0,) * chart.dim: Fraction(value)})
+        c = _normal(value)
+        return Poly._make(chart, {(0,) * chart.dim: c} if c else {})
 
     @staticmethod
     def var(chart: Chart, index: int) -> "Poly":
         exp = [0] * chart.dim
         exp[index] = 1
-        return Poly(chart, {tuple(exp): Fraction(1)})
+        return Poly._make(chart, {tuple(exp): 1})
 
     # --- predicates ---------------------------------------------------
 
@@ -117,67 +144,89 @@ class Poly:
     # --- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(f"{self.chart} vs {other.chart}")
+
+    def _combine(self, other: "Poly", negate: bool) -> "Poly":
+        """self + other, or self - other when negate is set."""
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = out.get(exp, 0) - c if negate else out.get(exp, 0) + c
+            if s:
+                out[exp] = _normal(s)
+            else:
+                del out[exp]  # a zero sum means exp was already present
+        return Poly._make(self.chart, out)
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Poly(self.chart, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._combine(other, False)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        return self._combine(other, True)
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            if c == 0:
-                return Poly.zero(self.chart)
-            return Poly(self.chart, {e: v * c for e, v in self.terms.items()})
+            return self._scale(_normal(other))
         self._check(other)
-        out: Dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exp, 0) + ca * cb
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Poly(self.chart, out)
+        a, b = self.terms, other.terms
+        if not a:
+            return self
+        if not b:
+            return other
+        out: Dict[Exponent, Scalar] = {}
+        get = out.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                exp = tuple(map(_add, ea, eb))
+                out[exp] = get(exp, 0) + ca * cb
+        return Poly._make(self.chart, {e: _normal(c) for e, c in out.items() if c})
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self * other
 
+    def _scale(self, c: Scalar) -> "Poly":
+        """self times a normalised scalar."""
+        if c == 1:
+            return self
+        if not c:
+            return Poly._make(self.chart, {})
+        return Poly._make(
+            self.chart, {e: _normal(v * c) for e, v in self.terms.items()}
+        )
+
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.const(self.chart, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Poly.const(self.chart, 1) if result is None else result
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Poly)
             and self.chart == other.chart
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
+        # hash(Fraction(n)) == hash(n), so the value matches a Fraction store
         if self._hash is None:
             self._hash = hash((self.chart, frozenset(self.terms.items())))
         return self._hash
@@ -186,15 +235,15 @@ class Poly:
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to coordinate `index`."""
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         for exp, c in self.terms.items():
             k = exp[index]
             if k == 0:
                 continue
             e = list(exp)
             e[index] = k - 1
-            out[tuple(e)] = c * k
-        return Poly(self.chart, out)
+            out[tuple(e)] = _normal(c * k)
+        return Poly._make(self.chart, out)
 
     def eval(self, point: Tuple[Scalar, ...]) -> Fraction:
         """Evaluate at a rational point."""
@@ -219,7 +268,7 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def format_scalar(c: Fraction) -> str:
+def format_scalar(c: Scalar) -> str:
     return str(c)
 
 

@@ -9,7 +9,7 @@ the first counterexample passed to `Check.fail`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 
@@ -49,6 +49,12 @@ class VerifyReport:
         """Record a check; returns ok so callers can gate early."""
         self.add(name, ok, witness)
         return ok
+
+    def copy(self) -> "VerifyReport":
+        """A copy that shares no check or note list with this report."""
+        return VerifyReport(
+            self.title, [replace(c) for c in self.checks], list(self.notes), self.skipped
+        )
 
     def first_failure(self):
         return next((c for c in self.checks if not c.ok), None)

@@ -1,15 +1,16 @@
 """The frame data built once per bundle and algebroid, and the bracket memo,
-against the code they replaced: `dee_reference` and `bracket_reference`
-below are the earlier implementations, kept as oracles.  The Dorfman
-oracle in test_algebroid.py is the second, independent one."""
+against the code they replaced: `dee_reference`, `bracket_reference`,
+`pairing_reference` and `raise_reference` below are the earlier
+implementations, kept as oracles.  The Dorfman oracle in test_algebroid.py
+is the second, independent one."""
 
 import random
 
 import pytest
 
-from precourant import runner
+from precourant import construct, linalg, runner
 from precourant.algebroid import PreCourantAlgebroid, bracket, jacobiator, zero_table
-from precourant.bundle import Section, anchor_apply, dee, rho_star, standard_bundle
+from precourant.bundle import Section, anchor_apply, dee, pairing, rho_star, standard_bundle
 from precourant.cli import resolve_manifest
 from precourant.construct import from_twisted_action
 from precourant.deform import apply_deformation, twist_deformation
@@ -46,6 +47,35 @@ def dee_reference(b, f):
     """D f as rho*(df): through a 1-form and the rho_star double loop."""
     df = KForm(b.chart, 1, {(m,): f.diff(m) for m in range(b.chart.dim)})
     return rho_star(b, df)
+
+
+def pairing_reference(e1, e2):
+    """e1^T g e2 over every entry of the metric."""
+    b = e1.bundle
+    out = Poly.zero(b.chart)
+    for i, ci in enumerate(e1.coeffs):
+        if ci.is_zero():
+            continue
+        for j, cj in enumerate(e2.coeffs):
+            gij = b.metric[i][j]
+            if gij != 0 and not cj.is_zero():
+                out = out + (ci * cj) * gij
+    return out
+
+
+def raise_reference(b, covector):
+    """g^-1 c over every entry of the inverted metric."""
+    g_inv = linalg.invert(b.metric)
+    return Section(
+        b,
+        [
+            sum(
+                (covector[j] * g_inv[i][j] for j in range(b.rank) if g_inv[i][j] != 0),
+                Poly.zero(b.chart),
+            )
+            for i in range(b.rank)
+        ],
+    )
 
 
 def bracket_reference(p, e1, e2):
@@ -194,3 +224,53 @@ def test_section_hash_agrees_with_equality():
     assert s is not t and s == t and hash(s) == hash(t)
     assert {s: "value"}[t] == "value"
     assert len({s, t, b1.frame(0), b2.frame(0)}) == 2
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_metric_rows_match_reference(name):
+    b = build_context(load(name)).bundle
+    assert b.metric_rows == tuple(
+        tuple((j, c) for j, c in enumerate(row) if c != 0) for row in b.metric
+    )
+    rng = random.Random(13)
+    sections = [random_section(rng, b, 3) for _ in range(4)] + b.frames()
+    for e1 in sections:
+        for e2 in sections[:4]:
+            assert pairing(e1, e2) == pairing_reference(e1, e2)
+    for _ in range(6):
+        covector = [random_poly(rng, b.chart, 3) for _ in range(b.rank)]
+        assert b.raise_covector(covector) == raise_reference(b, covector)
+
+
+@pytest.mark.parametrize(
+    "name, algebras",
+    [("twisted_action_synthetic", 2), ("double_nonabelian", 2), ("action_abelian", 1)],
+)
+def test_each_algebra_is_validated_once_per_run(monkeypatch, name, algebras):
+    validated = []
+    real = construct._quadratic_lie_report
+
+    def counted(g):
+        validated.append(g)
+        return real(g)
+
+    monkeypatch.setattr(construct, "_quadratic_lie_report", counted)
+    m = load(name)
+    m.trials = 1
+    report = run_manifest(m, tasks=["validate-algebra", "validate-action"])
+    assert report.ok
+    # the action's algebra, and the base algebra of a double, once each
+    assert len(validated) == len({id(g) for g in validated}) == algebras
+    run_manifest(m, tasks=["validate-action"])
+    assert len(validated) == len({id(g) for g in validated}) == 2 * algebras
+
+
+def test_validation_reports_are_copies():
+    g = build_context(load("twisted_action_synthetic")).algebra
+    first = construct.validate_quadratic_lie(g)
+    first.checks[0].fail("mutated")
+    first.notes.append("mutated")
+    second = construct.validate_quadratic_lie(g)
+    assert second.ok and not second.notes
+    assert second.lines() == construct._quadratic_lie_report(g).lines()
+    assert second.checks[0] is not construct.validate_quadratic_lie(g).checks[0]
