@@ -37,9 +37,8 @@ from .sampling import random_poly, random_section
 class PreCourantAlgebroid:
     """A Courant vector bundle with a frame bracket table.
 
-    It keeps the anchored vector fields of the frames, and `bracket`
-    memoises its results here by the coefficients of its arguments, so the
-    memo lives exactly as long as the algebroid.
+    `bracket` memoises its results here by the coefficients of its
+    arguments, so the memo lives exactly as long as the algebroid.
     """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
@@ -53,7 +52,6 @@ class PreCourantAlgebroid:
                     raise RankMismatchError("table entry on a different bundle")
         self.bundle = bundle
         self.table = tuple(rows)
-        self.rho_frames = tuple(anchor_apply(f) for f in bundle.frames())
         self.bracket_memo = {}
 
     @property
@@ -101,7 +99,7 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
         if not gj.is_zero():
             # inner = e1 o u_j expanded by the first-argument rule
             inner = b.zero_section()
-            rho_uj = p.rho_frames[j]
+            rho_uj = b.rho_frames[j]
             for i, fi in enumerate(e1.coeffs):
                 if fi.is_zero():
                     continue
@@ -154,7 +152,7 @@ def verify_axioms(
     b = p.bundle
     r = b.rank
     frames = b.frames()
-    rho_frames = p.rho_frames
+    rho_frames = b.rho_frames
 
     def check_triple(name: str, e1, e2, e3) -> Optional[str]:
         lhs = vf_apply(anchor_apply(e1), pairing(e2, e3))

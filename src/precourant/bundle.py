@@ -70,17 +70,13 @@ class Section:
         return f"Section[{format_section(self)}]"
 
 
-def _nonzero_rows(matrix) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
-    """Each row of a constant matrix as its (column, entry) pairs with entry != 0."""
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c != 0) for row in matrix)
-
-
 class CourantBundle:
     """Chart + rank + constant pseudo-metric + polynomial anchor matrix.
 
-    The frame sections and the nonzero entries of each metric row are built
-    once with the bundle.  The nonzero entries of g^-1 and the columns of
-    g^-1 A that `dee` combines are built the first time they are needed.
+    The frame sections, their anchored vector fields and the nonzero entries
+    of each metric row are built once with the bundle.  The nonzero entries
+    of g^-1 and the columns of g^-1 A that `dee` combines are built the
+    first time they are needed.
     """
 
     def __init__(
@@ -105,7 +101,7 @@ class CourantBundle:
                 if p.chart != chart:
                     raise ChartMismatchError("anchor entry on a different chart")
         self.anchor = tuple(rows)
-        self.metric_rows = _nonzero_rows(self.metric)
+        self.metric_rows = linalg.nonzero_rows(self.metric)
         self._metric_inv_rows = None
         self._dee_columns = None
         zero, one = Poly.zero(chart), Poly.const(chart, 1)
@@ -113,6 +109,7 @@ class CourantBundle:
             Section(self, [one if k == i else zero for k in range(rank)])
             for i in range(rank)
         )
+        self.rho_frames = tuple(anchor_apply(f) for f in self._frames)
 
     @property
     def dee_columns(self) -> Tuple[Section, ...]:
@@ -127,7 +124,7 @@ class CourantBundle:
     def raise_covector(self, covector: Sequence[Poly]) -> "Section":
         """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
         if self._metric_inv_rows is None:
-            self._metric_inv_rows = _nonzero_rows(linalg.invert(self.metric))
+            self._metric_inv_rows = linalg.nonzero_rows(linalg.invert(self.metric))
         zero = Poly.zero(self.chart)
         return Section(
             self,
@@ -281,6 +278,12 @@ def dee(b: CourantBundle, f: Poly) -> Section:
     return Section(b, coeffs)
 
 
+def anchor_at(b: CourantBundle, pt: Sequence[Fraction]) -> List[List[Fraction]]:
+    """A(p)^T at a rational point: row m holds the m-th component of every
+    frame's anchor, so its null space is Ker rho at the point."""
+    return [[b.anchor[i][m].eval(pt) for i in range(b.rank)] for m in range(b.chart.dim)]
+
+
 @dataclass
 class CoisotropyPointReport:
     point: Tuple[Fraction, ...]
@@ -308,11 +311,7 @@ def kernel_coisotropy_check(
     reports: List[CoisotropyPointReport] = []
     for raw in points:
         pt = tuple(Fraction(x) for x in raw)
-        # rho(e) = A^T e, so Ker rho at the point is the null space of A(p)^T
-        a_t = [
-            [b.anchor[i][m].eval(pt) for i in range(b.rank)]
-            for m in range(b.chart.dim)
-        ]
+        a_t = anchor_at(b, pt)
         kernel = linalg.kernel_basis(a_t, b.rank)
         anchor_rank = b.rank - len(kernel)
         constraints = [linalg.mat_vec(b.metric, v) for v in kernel]

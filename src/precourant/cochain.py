@@ -202,10 +202,9 @@ class KerCochain:
 def pullback_form(bundle: CourantBundle, alpha: KForm) -> Cochain:
     """The cochain alpha(rho(.), ..., rho(.)); always killed by every D f."""
     k = alpha.degree
-    rho_frames = [anchor_apply(bundle.frame(i)) for i in range(bundle.rank)]
     values = {}
     for idx in combinations(range(bundle.rank), k):
-        values[idx] = evaluate(alpha, [rho_frames[i] for i in idx])
+        values[idx] = evaluate(alpha, [bundle.rho_frames[i] for i in idx])
     return Cochain(bundle, k, values)
 
 
@@ -281,7 +280,7 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
         raise MembershipError(member.witnesses[0])
     b = p.bundle
     k = psi.degree
-    rho_frames = p.rho_frames
+    rho_frames = b.rho_frames
     values: Dict[FrameTuple, Poly] = {}
     for big in combinations(range(b.rank), k + 1):
         total = Poly.zero(b.chart)

@@ -1,6 +1,6 @@
 """Builders that produce pre-Courant algebroids from structured data.
 
-Four recipes are implemented:
+Three recipes are implemented:
 
 * a metric connection together with a skew-adjusted bilinear corrector on
   any Courant vector bundle;
@@ -29,6 +29,7 @@ from .bundle import (
     CourantBundle,
     Section,
     anchor_apply,
+    anchor_at,
     format_section,
     format_sections,
     kernel_coisotropy_check,
@@ -36,7 +37,7 @@ from .bundle import (
     rho_star,
     validate_bundle,
 )
-from .cochain import _sort_sign, jacobiator_flat, pullback_form
+from .cochain import jacobiator_flat, pullback_form
 from .errors import ConstructionError
 from .exterior import KForm, VectorField, ext_d, evaluate, vf_apply, vf_bracket
 from .poly import Chart, Poly, format_poly
@@ -44,6 +45,8 @@ from .reports import VerifyReport
 from .sampling import random_poly
 
 Matrix = List[List[Fraction]]
+# a vector of a Lie algebra as its {basis index: coefficient} entries
+AlgebraVector = Dict[int, Fraction]
 
 
 # --- connection + corrector on a general bundle ---------------------------
@@ -63,7 +66,6 @@ def from_connection_beta(
     skew, and the corrector supplies the anchor defect.
     """
     r, n = b.rank, b.chart.dim
-    zero = Poly.zero(b.chart)
     frames = b.frames()
 
     def nabla_coord(m: int, e: Section) -> Section:
@@ -119,7 +121,7 @@ def from_connection_beta(
                     )
 
     # anchor condition on frames
-    rho_frames = [anchor_apply(f) for f in frames]
+    rho_frames = b.rho_frames
     for a in range(r):
         for c in range(r):
             lhs = anchor_apply(beta[a][c])
@@ -164,10 +166,12 @@ def from_connection_beta(
 class QuadraticLieAlgebra:
     """Structure constants, with an invariant pairing on a rational basis.
 
-    bracket_table[i][j] is the coefficient vector of [b_i, b_j].  A plain
-    Lie algebra (the admissible input of the double, which needs no pairing
-    of its own) carries pairing None.  The algebra is never changed after
-    it is built, so `validate_quadratic_lie` keeps its report here.
+    bracket_table[i][j] is the coefficient vector of [b_i, b_j].  Its
+    nonzero entries are listed once, as (k, c) pairs, in `structure[i][j]`,
+    and those of the pairing rows in `pairing_rows`.  A plain Lie algebra
+    (the admissible input of the double, which needs no pairing of its own)
+    carries pairing None.  The algebra is never changed after it is built,
+    so `validate_quadratic_lie` keeps its report here.
     """
 
     dim: int
@@ -175,25 +179,21 @@ class QuadraticLieAlgebra:
     pairing: Optional[Matrix]
     _report: Optional[VerifyReport] = field(default=None, init=False, repr=False, compare=False)
 
-    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                for k, ck in enumerate(self.bracket_table[i][j]):
-                    if ck != 0:
-                        out[k] += ui * vj * ck
+    def __post_init__(self) -> None:
+        self.structure = tuple(linalg.nonzero_rows(row) for row in self.bracket_table)
+        self.pairing_rows = None if self.pairing is None else linalg.nonzero_rows(self.pairing)
+
+    def bracket_vec(self, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
+        out: AlgebraVector = {}
+        for i, ui in u.items():
+            for j, vj in v.items():
+                for k, ck in self.structure[i][j]:
+                    out[k] = out.get(k, 0) + ui * vj * ck
         return out
 
-    def pair_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    def pair_vec(self, u: AlgebraVector, v: AlgebraVector) -> Fraction:
         return sum(
-            ui * self.pairing[i][j] * vj
-            for i, ui in enumerate(u)
-            for j, vj in enumerate(v)
-            if ui != 0 and vj != 0
+            ui * gij * v[j] for i, ui in u.items() for j, gij in self.pairing_rows[i] if j in v
         )
 
 
@@ -239,7 +239,7 @@ def validate_quadratic_lie(g: QuadraticLieAlgebra) -> VerifyReport:
 def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
     report = VerifyReport("quadratic lie algebra")
     m = g.dim
-    basis = [[Fraction(1 if i == j else 0) for i in range(m)] for j in range(m)]
+    basis = [{i: Fraction(1)} for i in range(m)]
 
     chk = report.check("antisymmetric")
     for i, j in product(range(m), repeat=2):
@@ -250,16 +250,10 @@ def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
 
     chk = report.check("jacobi")
     for i, j, k in product(range(m), repeat=3):
-        jac = g.bracket_vec(basis[i], g.bracket_vec(basis[j], basis[k]))
-        jac = [
-            a - b - c
-            for a, b, c in zip(
-                jac,
-                g.bracket_vec(g.bracket_vec(basis[i], basis[j]), basis[k]),
-                g.bracket_vec(basis[j], g.bracket_vec(basis[i], basis[k])),
-            )
-        ]
-        if any(x != 0 for x in jac):
+        a = g.bracket_vec(basis[i], g.bracket_vec(basis[j], basis[k]))
+        b = g.bracket_vec(g.bracket_vec(basis[i], basis[j]), basis[k])
+        c = g.bracket_vec(basis[j], g.bracket_vec(basis[i], basis[k]))
+        if any(a.get(t, 0) - b.get(t, 0) - c.get(t, 0) != 0 for t in a.keys() | b.keys() | c.keys()):
             chk.fail(f"basis triple ({i + 1},{j + 1},{k + 1})")
             break
 
@@ -322,14 +316,14 @@ def double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
 class TwistedAction:
     """A quadratic Lie algebra acting on a chart up to a curvature defect.
 
-    rho_matrix[a] lists the vector-field coefficients of the image of the
-    a-th basis element; k_table gives the defect on constant basis pairs,
-    extended bilinearly over functions, as sections of `bundle`.
+    `bundle` carries the algebra pairing as metric and the action as anchor.
+    bracket_table holds the algebra bracket and k_table the defect on basis
+    pairs, both as sections of `bundle` that `_bilinear` extends over
+    functions.
     """
 
     algebra: QuadraticLieAlgebra
-    chart: Chart
-    rho_matrix: List[List[Poly]]
+    bracket_table: List[List[Section]]
     k_table: List[List[Section]]
     sample_points: List[Tuple[Fraction, ...]]
     bundle: CourantBundle
@@ -351,6 +345,10 @@ def make_twisted_action(
 ) -> TwistedAction:
     bundle = action_bundle(algebra, chart, rho_matrix)
     m = algebra.dim
+    brackets = [
+        [bundle.section([Poly.const(chart, x) for x in vec]) for vec in row]
+        for row in algebra.bracket_table
+    ]
     zero = bundle.zero_section()
     table = [[zero for _ in range(m)] for _ in range(m)]
     for (i, j), coeffs in k_entries.items():
@@ -358,36 +356,30 @@ def make_twisted_action(
         table[i][j] = s
         table[j][i] = -s
     points = [tuple(Fraction(x) for x in pt) for pt in sample_points]
-    return TwistedAction(algebra, chart, [list(r) for r in rho_matrix], table, points, bundle)
+    return TwistedAction(algebra, brackets, table, points, bundle)
 
 
-def _action_lie_bracket(
-    ta: TwistedAction, bundle: CourantBundle, e1: Section, e2: Section
-) -> Section:
+def _bilinear(table: Sequence[Sequence[Section]], e1: Section, e2: Section) -> Section:
+    """Function-bilinear extension of a frame table of sections."""
+    out = e1.bundle.zero_section()
+    for i, fi in enumerate(e1.coeffs):
+        if fi.is_zero():
+            continue
+        for j, fj in enumerate(e2.coeffs):
+            if fj.is_zero():
+                continue
+            entry = table[i][j]
+            if not entry.is_zero():
+                out = out + entry.scale(fi * fj)
+    return out
+
+
+def _action_lie_bracket(ta: TwistedAction, e1: Section, e2: Section) -> Section:
     """The action algebroid bracket L_{rho(e1)} e2 - L_{rho(e2)} e1 + [e1,e2]_g
     with the componentwise derivative as Lie action on trivial sections."""
     x1, x2 = anchor_apply(e1), anchor_apply(e2)
-    m = ta.algebra.dim
-    coeffs = []
-    for a in range(m):
-        c = vf_apply(x1, e2.coeffs[a]) - vf_apply(x2, e1.coeffs[a])
-        coeffs.append(c)
-    out = Section(bundle, coeffs)
-    # pointwise algebra bracket, bilinear over functions
-    basis_bracket = ta.algebra.bracket_table
-    extra = [Poly.zero(ta.chart)] * m
-    for i in range(m):
-        if e1.coeffs[i].is_zero():
-            continue
-        for j in range(m):
-            if e2.coeffs[j].is_zero():
-                continue
-            prod = e1.coeffs[i] * e2.coeffs[j]
-            for k in range(m):
-                ck = basis_bracket[i][j][k]
-                if ck != 0:
-                    extra[k] = extra[k] + prod * ck
-    return out + Section(bundle, extra)
+    lie = [vf_apply(x1, c2) - vf_apply(x2, c1) for c1, c2 in zip(e1.coeffs, e2.coeffs)]
+    return Section(ta.bundle, lie) + _bilinear(ta.bracket_table, e1, e2)
 
 
 def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
@@ -413,11 +405,7 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
     # k(e, .) = 0 for pointwise kernel vectors at the sample points
     chk = report.check("defect-kills-kernel")
     for pt in ta.sample_points:
-        a_t = [
-            [ta.rho_matrix[a][mm].eval(pt) for a in range(m)]
-            for mm in range(ta.chart.dim)
-        ]
-        for v, j in product(linalg.kernel_basis(a_t, m), range(m)):
+        for v, j in product(linalg.kernel_basis(anchor_at(bundle, pt), m), range(m)):
             val = [Fraction(0)] * m
             for a in range(m):
                 if v[a] == 0:
@@ -438,13 +426,13 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
     tests = [(frames[i], frames[j]) for i in range(m) for j in range(m)]
     for _ in range(8):
         i, j = rng.randrange(m), rng.randrange(m)
-        f = random_poly(rng, ta.chart, 2)
+        f = random_poly(rng, bundle.chart, 2)
         tests.append((frames[i].scale(f), frames[j]))
-        g_ = random_poly(rng, ta.chart, 2)
+        g_ = random_poly(rng, bundle.chart, 2)
         tests.append((frames[i], frames[j].scale(g_)))
     for e1, e2 in tests:
-        lhs = anchor_apply(_action_lie_bracket(ta, bundle, e1, e2))
-        k_val = _k_apply(ta, bundle, e1, e2)
+        lhs = anchor_apply(_action_lie_bracket(ta, e1, e2))
+        k_val = _bilinear(ta.k_table, e1, e2)
         rhs = vf_bracket(anchor_apply(e1), anchor_apply(e2)) - anchor_apply(k_val)
         if lhs != rhs:
             chk.fail(format_sections(e1, e2))
@@ -458,24 +446,6 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
               for r in coiso.points if not r.ok), ""),
     )
     return report
-
-
-def _k_apply(
-    ta: TwistedAction, bundle: CourantBundle, e1: Section, e2: Section
-) -> Section:
-    """Function-bilinear extension of the defect table."""
-    out = bundle.zero_section()
-    m = ta.algebra.dim
-    for i in range(m):
-        if e1.coeffs[i].is_zero():
-            continue
-        for j in range(m):
-            if e2.coeffs[j].is_zero():
-                continue
-            entry = ta.k_table[i][j]
-            if not entry.is_zero():
-                out = out + entry.scale(e1.coeffs[i] * e2.coeffs[j])
-    return out
 
 
 def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
@@ -500,17 +470,13 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
         # the section <ea, k(u_row, .)>: covector c -> <ea, k(u_row, u_c)>
         return bundle.raise_covector([pairing(ea, ta.k_table[kb_row][c]) for c in range(m)])
 
-    table = []
-    for a in range(m):
-        row = []
-        for c in range(m):
-            constant = [
-                Poly.const(ta.chart, x) for x in ta.algebra.bracket_table[a][c]
-            ]
-            entry = Section(bundle, constant) + ta.k_table[a][c]
-            entry = entry - adjust(frames[c], a) + adjust(frames[a], c)
-            row.append(entry)
-        table.append(row)
+    table = [
+        [
+            ta.bracket_table[a][c] + ta.k_table[a][c] - adjust(frames[c], a) + adjust(frames[a], c)
+            for c in range(m)
+        ]
+        for a in range(m)
+    ]
     return PreCourantAlgebroid(bundle, table)
 
 
@@ -524,7 +490,9 @@ class DissectionData:
     gamma[m] is the auxiliary connection matrix along the m-th coordinate
     (pairing-skew); curvature[(i, j)] for i < j lists auxiliary components
     of the 2-form R; psi is a 3-form on the base; fiber_table[(a, b)] for
-    a < b lists auxiliary components of the fiber bracket.
+    a < b lists auxiliary components of the fiber bracket.  The auxiliary
+    basis vectors, as constant coefficient vectors, are built once in
+    `aux_basis`.
     """
 
     chart: Chart
@@ -534,6 +502,11 @@ class DissectionData:
     curvature: Dict[Tuple[int, int], List[Poly]]
     psi: KForm
     fiber_table: Dict[Tuple[int, int], List[Poly]]
+
+    def __post_init__(self) -> None:
+        zero, one = Poly.zero(self.chart), Poly.const(self.chart, 1)
+        g = self.aux_rank
+        self.aux_basis = [[one if t == a else zero for t in range(g)] for a in range(g)]
 
     def curvature_value(self, i: int, j: int) -> List[Poly]:
         zero = Poly.zero(self.chart)
@@ -550,6 +523,10 @@ class DissectionData:
         if a < b:
             return list(self.fiber_table.get((a, b), [zero] * self.aux_rank))
         return [-p for p in self.fiber_bracket(b, a)]
+
+    def connection_column(self, m: int, a: int) -> List[Poly]:
+        """The connection along x_m applied to the a-th auxiliary basis vector."""
+        return [self.gamma[m][c][a] for c in range(self.aux_rank)]
 
 
 def dissection_bundle(dd: DissectionData) -> CourantBundle:
@@ -572,25 +549,29 @@ def dissection_bundle(dd: DissectionData) -> CourantBundle:
     return CourantBundle(dd.chart, r, metric, anchor)
 
 
+def _dissection_section(
+    b: CourantBundle, aux: Sequence[Poly], cotangent: Sequence[Poly]
+) -> Section:
+    """The section with no tangent part and the given auxiliary and
+    cotangent blocks."""
+    return Section(b, [Poly.zero(b.chart)] * b.chart.dim + list(aux) + list(cotangent))
+
+
 def _validate_dissection(dd: DissectionData) -> None:
     n, g = dd.chart.dim, dd.aux_rank
-    gp = dd.aux_pairing
-    if not linalg.is_symmetric(gp):
+    if not linalg.is_symmetric(dd.aux_pairing):
         raise ConstructionError("aux-pairing-not-symmetric")
-    linalg.invert(gp)  # raises if singular
+    linalg.invert(dd.aux_pairing)  # raises if singular
     if dd.psi.degree != 3:
         raise ConstructionError("psi-not-degree-3")
-    # pairing-skew connection: Gamma^T G + G Gamma = 0 entrywise over Poly
+    basis = dd.aux_basis
+    # pairing-skew connection: <Gamma_m u_a, u_b> + <u_a, Gamma_m u_b> = 0
     for m in range(n):
         for a in range(g):
             for b in range(g):
-                total = Poly.zero(dd.chart)
-                for c in range(g):
-                    total = (
-                        total
-                        + dd.gamma[m][c][a] * gp[c][b]
-                        + gp[a][c] * dd.gamma[m][c][b]
-                    )
+                total = _pair_aux(dd, dd.connection_column(m, a), basis[b]) + _pair_aux(
+                    dd, basis[a], dd.connection_column(m, b)
+                )
                 if not total.is_zero():
                     raise ConstructionError(
                         "connection-not-metric",
@@ -600,13 +581,9 @@ def _validate_dissection(dd: DissectionData) -> None:
     for a in range(g):
         for b in range(g):
             for c in range(g):
-                total = Poly.zero(dd.chart)
-                for k in range(g):
-                    total = (
-                        total
-                        + dd.fiber_bracket(a, b)[k] * gp[k][c]
-                        + gp[b][k] * dd.fiber_bracket(a, c)[k]
-                    )
+                total = _pair_aux(dd, dd.fiber_bracket(a, b), basis[c]) + _pair_aux(
+                    dd, basis[b], dd.fiber_bracket(a, c)
+                )
                 if not total.is_zero():
                     raise ConstructionError(
                         "fiber-pairing-not-invariant",
@@ -619,73 +596,44 @@ def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
     _validate_dissection(dd)
     b = dissection_bundle(dd)
     n, g = dd.chart.dim, dd.aux_rank
-    r = b.rank
-    zero = Poly.zero(dd.chart)
-    gp = dd.aux_pairing
-
-    def sec(tangent=None, aux=None, cotangent=None) -> Section:
-        coeffs = [zero] * r
-        if tangent:
-            for i, p in enumerate(tangent):
-                coeffs[i] = p
-        if aux:
-            for a, p in enumerate(aux):
-                coeffs[n + a] = p
-        if cotangent:
-            for i, p in enumerate(cotangent):
-                coeffs[n + g + i] = p
-        return Section(b, coeffs)
-
-    table = [[b.zero_section() for _ in range(r)] for _ in range(r)]
+    basis = dd.aux_basis
+    coords = [VectorField.coordinate(dd.chart, i) for i in range(n)]
+    table = [[b.zero_section() for _ in range(b.rank)] for _ in range(b.rank)]
 
     # tangent o tangent: curvature into the auxiliary block, the 3-form into
     # the cotangent block
     for i in range(n):
         for j in range(n):
-            aux = dd.curvature_value(i, j)
-            cot = [
-                evaluate(
-                    dd.psi,
-                    [
-                        VectorField.coordinate(dd.chart, i),
-                        VectorField.coordinate(dd.chart, j),
-                        VectorField.coordinate(dd.chart, k),
-                    ],
-                )
-                for k in range(n)
-            ]
-            table[i][j] = sec(aux=aux, cotangent=cot)
+            cot = [evaluate(dd.psi, [coords[i], coords[j], coords[k]]) for k in range(n)]
+            table[i][j] = _dissection_section(b, dd.curvature_value(i, j), cot)
 
     # tangent o auxiliary and its opposite
     for i in range(n):
         for a in range(g):
-            aux = [dd.gamma[i][c][a] for c in range(g)]
-            cot = []
-            for k in range(n):
-                total = Poly.zero(dd.chart)
-                rik = dd.curvature_value(i, k)
-                for c in range(g):
-                    if gp[a][c] != 0:
-                        total = total + rik[c] * gp[a][c]
-                cot.append(-total)
-            entry = sec(aux=aux, cotangent=cot)
+            cot = [-_pair_aux(dd, basis[a], dd.curvature_value(i, k)) for k in range(n)]
+            entry = _dissection_section(b, dd.connection_column(i, a), cot)
             table[i][n + a] = entry
             table[n + a][i] = -entry
 
     # auxiliary o auxiliary: fiber bracket plus the connection pairing form
     for a in range(g):
         for c in range(g):
-            aux = dd.fiber_bracket(a, c)
-            cot = []
-            for k in range(n):
-                total = Poly.zero(dd.chart)
-                for f in range(g):
-                    if gp[c][f] != 0 and not dd.gamma[k][f][a].is_zero():
-                        total = total + dd.gamma[k][f][a] * gp[c][f]
-                cot.append(total)
-            table[n + a][n + c] = sec(aux=aux, cotangent=cot)
+            cot = [_pair_aux(dd, basis[c], dd.connection_column(k, a)) for k in range(n)]
+            table[n + a][n + c] = _dissection_section(b, dd.fiber_bracket(a, c), cot)
 
     return PreCourantAlgebroid(b, table)
+
+
+def _pair_aux(dd: DissectionData, u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
+    """The auxiliary pairing of two coefficient vectors."""
+    out = Poly.zero(dd.chart)
+    for a in range(dd.aux_rank):
+        if u[a].is_zero():
+            continue
+        for b in range(dd.aux_rank):
+            if dd.aux_pairing[a][b] != 0 and not v[b].is_zero():
+                out = out + (u[a] * v[b]) * dd.aux_pairing[a][b]
+    return out
 
 
 def _nabla_aux(dd: DissectionData, m: int, vec: Sequence[Poly]) -> List[Poly]:
@@ -697,126 +645,6 @@ def _nabla_aux(dd: DissectionData, m: int, vec: Sequence[Poly]) -> List[Poly]:
             if not dd.gamma[m][c][a].is_zero() and not vec[a].is_zero():
                 out[c] = out[c] + dd.gamma[m][c][a] * vec[a]
     return out
-
-
-def dissection_jacobiator_check(
-    p: PreCourantAlgebroid, dd: DissectionData
-) -> VerifyReport:
-    """The computed Jacobiator against the closed-form block components on
-    every increasing frame triple."""
-    report = VerifyReport("dissection jacobiator components")
-    b = p.bundle
-    n, g = dd.chart.dim, dd.aux_rank
-    gp = dd.aux_pairing
-    zero = Poly.zero(dd.chart)
-    coords = [VectorField.coordinate(dd.chart, i) for i in range(n)]
-    r_wedge = _curvature_square(dd)
-    dpsi = ext_d(dd.psi)
-
-    def curvature_of_connection(i: int, j: int, vec: Sequence[Poly]) -> List[Poly]:
-        # nabla_i nabla_j - nabla_j nabla_i on an auxiliary vector (coordinate
-        # fields commute) minus the fiber adjoint of the curvature 2-form
-        first = _nabla_aux(dd, i, _nabla_aux(dd, j, vec))
-        second = _nabla_aux(dd, j, _nabla_aux(dd, i, vec))
-        out = [a - bb for a, bb in zip(first, second)]
-        rij = dd.curvature_value(i, j)
-        adj = _fiber_bracket_vec(dd, rij, list(vec))
-        return [a - bb for a, bb in zip(out, adj)]
-
-    def bianchi_term(i: int, j: int, k: int) -> List[Poly]:
-        # cyclic nabla_{x_i} R(x_j, x_k); coordinate brackets vanish
-        total = [zero] * g
-        for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
-            term = _nabla_aux(dd, a, dd.curvature_value(bb, c))
-            total = [x + y for x, y in zip(total, term)]
-        return total
-
-    chk = report.check("components-match")
-    for idx in combinations(range(b.rank), 3):
-        actual = jacobiator(p, b.frame(idx[0]), b.frame(idx[1]), b.frame(idx[2]))
-        blocks = tuple(
-            "x" if t < n else ("r" if t < n + g else "xi") for t in idx
-        )
-        expected = b.zero_section()
-        if "xi" in blocks:
-            pass  # cotangent slots kill the Jacobiator
-        elif blocks == ("x", "x", "x"):
-            i, j, k = idx
-            aux = bianchi_term(i, j, k)
-            cot = []
-            for l in range(n):
-                v = (
-                    r_wedge.coefficient_at(i, j, k, l) * Fraction(-1, 2)
-                    + evaluate(dpsi, [coords[i], coords[j], coords[k], coords[l]])
-                )
-                cot.append(v)
-            expected = _dissection_section(b, n, g, aux=aux, cotangent=cot)
-        elif blocks == ("x", "x", "r"):
-            i, j = idx[0], idx[1]
-            a = idx[2] - n
-            basis = [Poly.const(dd.chart, 1) if c == a else zero for c in range(g)]
-            aux = curvature_of_connection(i, j, basis)
-            cot = []
-            for l in range(n):
-                inner = bianchi_term(i, j, l)
-                v = zero
-                for c in range(g):
-                    for f in range(g):
-                        if gp[c][f] != 0 and not inner[c].is_zero():
-                            v = v + inner[c] * gp[c][f] * basis[f]
-                cot.append(-v)
-            expected = _dissection_section(b, n, g, aux=aux, cotangent=cot)
-        elif blocks == ("x", "r", "r"):
-            i = idx[0]
-            a, c = idx[1] - n, idx[2] - n
-            va = [Poly.const(dd.chart, 1) if t == a else zero for t in range(g)]
-            vc = [Poly.const(dd.chart, 1) if t == c else zero for t in range(g)]
-            derivation_defect = _derivation_defect(dd, i, va, vc)
-            cot = []
-            for l in range(n):
-                basis_l = curvature_of_connection(i, l, va)
-                v = zero
-                for s in range(g):
-                    for f in range(g):
-                        if gp[s][f] != 0 and not basis_l[s].is_zero():
-                            v = v + basis_l[s] * gp[s][f] * vc[f]
-                cot.append(v)
-            expected = _dissection_section(b, n, g, aux=derivation_defect, cotangent=cot)
-        elif blocks == ("r", "r", "r"):
-            a, c, e = (t - n for t in idx)
-            va = [Poly.const(dd.chart, 1) if t == a else zero for t in range(g)]
-            vc = [Poly.const(dd.chart, 1) if t == c else zero for t in range(g)]
-            ve = [Poly.const(dd.chart, 1) if t == e else zero for t in range(g)]
-            aux = _fiber_jacobi_defect(dd, va, vc, ve)
-            cot = []
-            for l in range(n):
-                inner = _derivation_defect(dd, l, va, vc)
-                v = zero
-                for s in range(g):
-                    for f in range(g):
-                        if gp[s][f] != 0 and not inner[s].is_zero():
-                            v = v + inner[s] * gp[s][f] * ve[f]
-                cot.append(-v)
-            expected = _dissection_section(b, n, g, aux=aux, cotangent=cot)
-        if actual != expected:
-            chk.fail(
-                f"frames {tuple(i + 1 for i in idx)} [{'/'.join(blocks)}]: computed "
-                f"({format_section(actual)}) vs closed form ({format_section(expected)})"
-            )
-            break
-    return report
-
-
-def _dissection_section(b, n, g, aux=None, cotangent=None) -> Section:
-    zero = Poly.zero(b.chart)
-    coeffs = [zero] * b.rank
-    if aux:
-        for a, p in enumerate(aux):
-            coeffs[n + a] = p
-    if cotangent:
-        for i, p in enumerate(cotangent):
-            coeffs[n + g + i] = p
-    return Section(b, coeffs)
 
 
 def _fiber_bracket_vec(
@@ -856,57 +684,94 @@ def _fiber_jacobi_defect(dd, u, v, w) -> List[Poly]:
     return [a + b + c for a, b, c in zip(t1, t2, t3)]
 
 
-class _CurvatureSquare:
-    """The 4-form pairing the curvature 2-form with itself, via the
-    three-partition alternation formula.  The brute-force permutation sum
-    lives in the acceptance tests as the independent oracle."""
-
-    def __init__(self, values: Dict[Tuple[int, int, int, int], Poly], chart: Chart):
-        self.values = values
-        self.chart = chart
-
-    def coefficient_at(self, i, j, k, l) -> Poly:
-        key, sign = _sort_sign((i, j, k, l))
-        if key is None:
-            return Poly.zero(self.chart)
-        v = self.values.get(key, Poly.zero(self.chart))
-        return v if sign > 0 else -v
-
-    def to_kform(self) -> KForm:
-        return KForm(self.chart, 4, dict(self.values))
+def _bianchi_term(dd: DissectionData, i: int, j: int, k: int) -> List[Poly]:
+    """The cyclic sum of nabla_{x_i} R(x_j, x_k); coordinate brackets vanish."""
+    total = [Poly.zero(dd.chart)] * dd.aux_rank
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        term = _nabla_aux(dd, a, dd.curvature_value(b, c))
+        total = [x + y for x, y in zip(total, term)]
+    return total
 
 
-def _pair_aux(dd: DissectionData, u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
-    out = Poly.zero(dd.chart)
-    for a in range(dd.aux_rank):
-        if u[a].is_zero():
-            continue
-        for b in range(dd.aux_rank):
-            if dd.aux_pairing[a][b] != 0 and not v[b].is_zero():
-                out = out + (u[a] * v[b]) * dd.aux_pairing[a][b]
-    return out
+def _connection_curvature_defect(
+    dd: DissectionData, i: int, j: int, vec: Sequence[Poly]
+) -> List[Poly]:
+    """nabla_i nabla_j - nabla_j nabla_i on an auxiliary vector (coordinate
+    fields commute) minus the fiber adjoint of the curvature R(x_i, x_j)."""
+    first = _nabla_aux(dd, i, _nabla_aux(dd, j, vec))
+    second = _nabla_aux(dd, j, _nabla_aux(dd, i, vec))
+    adj = _fiber_bracket_vec(dd, dd.curvature_value(i, j), vec)
+    return [x - y - z for x, y, z in zip(first, second, adj)]
 
 
-def _curvature_square(dd: DissectionData) -> _CurvatureSquare:
+def curvature_square_form(dd: DissectionData) -> KForm:
     """(R wedge R) with the auxiliary pairing: for increasing (i,j,k,l),
-    2 [ (R_ij, R_kl) - (R_ik, R_jl) + (R_il, R_jk) ]."""
-    n = dd.chart.dim
+    2 [ (R_ij, R_kl) - (R_ik, R_jl) + (R_il, R_jk) ].  The brute-force
+    permutation sum lives in the tests as the independent oracle."""
     values: Dict[Tuple[int, int, int, int], Poly] = {}
-    for idx in combinations(range(n), 4):
+    for idx in combinations(range(dd.chart.dim), 4):
         i, j, k, l = idx
         v = (
             _pair_aux(dd, dd.curvature_value(i, j), dd.curvature_value(k, l))
             - _pair_aux(dd, dd.curvature_value(i, k), dd.curvature_value(j, l))
             + _pair_aux(dd, dd.curvature_value(i, l), dd.curvature_value(j, k))
         )
-        v = v * 2
-        if not v.is_zero():
-            values[idx] = v
-    return _CurvatureSquare(values, dd.chart)
+        values[idx] = v * 2
+    return KForm(dd.chart, 4, values)
 
 
-def curvature_square_form(dd: DissectionData) -> KForm:
-    return _curvature_square(dd).to_kform()
+def _pontryagin_form(dd: DissectionData) -> KForm:
+    """d psi - half the curvature square: the cotangent block of the
+    Jacobiator on tangent triples."""
+    return ext_d(dd.psi) - curvature_square_form(dd).scale(Fraction(1, 2))
+
+
+def dissection_jacobiator_check(
+    p: PreCourantAlgebroid, dd: DissectionData
+) -> VerifyReport:
+    """The computed Jacobiator against the closed-form block components on
+    every increasing frame triple."""
+    report = VerifyReport("dissection jacobiator components")
+    b = p.bundle
+    n, g = dd.chart.dim, dd.aux_rank
+    basis = dd.aux_basis
+    coords = [VectorField.coordinate(dd.chart, i) for i in range(n)]
+    form = _pontryagin_form(dd)
+
+    chk = report.check("components-match")
+    for idx in combinations(range(b.rank), 3):
+        actual = jacobiator(p, b.frame(idx[0]), b.frame(idx[1]), b.frame(idx[2]))
+        blocks = tuple(
+            "x" if t < n else ("r" if t < n + g else "xi") for t in idx
+        )
+        expected = b.zero_section()
+        if "xi" in blocks:
+            pass  # cotangent slots kill the Jacobiator
+        elif blocks == ("x", "x", "x"):
+            i, j, k = idx
+            cot = [evaluate(form, [coords[i], coords[j], coords[k], coords[l]]) for l in range(n)]
+            expected = _dissection_section(b, _bianchi_term(dd, i, j, k), cot)
+        elif blocks == ("x", "x", "r"):
+            i, j = idx[0], idx[1]
+            va = basis[idx[2] - n]
+            cot = [-_pair_aux(dd, _bianchi_term(dd, i, j, l), va) for l in range(n)]
+            expected = _dissection_section(b, _connection_curvature_defect(dd, i, j, va), cot)
+        elif blocks == ("x", "r", "r"):
+            i = idx[0]
+            va, vc = basis[idx[1] - n], basis[idx[2] - n]
+            cot = [_pair_aux(dd, _connection_curvature_defect(dd, i, l, va), vc) for l in range(n)]
+            expected = _dissection_section(b, _derivation_defect(dd, i, va, vc), cot)
+        elif blocks == ("r", "r", "r"):
+            va, vc, ve = (basis[t - n] for t in idx)
+            cot = [-_pair_aux(dd, _derivation_defect(dd, l, va, vc), ve) for l in range(n)]
+            expected = _dissection_section(b, _fiber_jacobi_defect(dd, va, vc, ve), cot)
+        if actual != expected:
+            chk.fail(
+                f"frames {tuple(i + 1 for i in idx)} [{'/'.join(blocks)}]: computed "
+                f"({format_section(actual)}) vs closed form ({format_section(expected)})"
+            )
+            break
+    return report
 
 
 def dissection_flatness_conditions(dd: DissectionData) -> VerifyReport:
@@ -916,11 +781,7 @@ def dissection_flatness_conditions(dd: DissectionData) -> VerifyReport:
     matching the fiber adjoint of R."""
     report = VerifyReport("dissection flatness conditions")
     n, g = dd.chart.dim, dd.aux_rank
-    zero = Poly.zero(dd.chart)
-    basis = [
-        [Poly.const(dd.chart, 1) if t == a else zero for t in range(g)]
-        for a in range(g)
-    ]
+    basis = dd.aux_basis
 
     ok = all(
         all(x.is_zero() for x in _fiber_jacobi_defect(dd, basis[a], basis[c], basis[e]))
@@ -940,21 +801,13 @@ def dissection_flatness_conditions(dd: DissectionData) -> VerifyReport:
 
     chk = report.check("curvature-bianchi")
     for i, j, k in combinations(range(n), 3):
-        total = [zero] * g
-        for a, bb, c in ((i, j, k), (j, k, i), (k, i, j)):
-            term = _nabla_aux(dd, a, dd.curvature_value(bb, c))
-            total = [x + y for x, y in zip(total, term)]
-        if not all(x.is_zero() for x in total):
+        if not all(x.is_zero() for x in _bianchi_term(dd, i, j, k)):
             chk.fail()
             break
 
     chk = report.check("connection-curvature-matches")
     for i, j, a in product(range(n), range(n), range(g)):
-        first = _nabla_aux(dd, i, _nabla_aux(dd, j, basis[a]))
-        second = _nabla_aux(dd, j, _nabla_aux(dd, i, basis[a]))
-        adj = _fiber_bracket_vec(dd, dd.curvature_value(i, j), basis[a])
-        defect = [x - y - z for x, y, z in zip(first, second, adj)]
-        if not all(x.is_zero() for x in defect):
+        if not all(x.is_zero() for x in _connection_curvature_defect(dd, i, j, basis[a])):
             chk.fail()
             break
     return report
@@ -972,13 +825,13 @@ def dissection_pontryagin(
     half curvature-square).
     """
     report = VerifyReport("dissection pontryagin form")
-    half_square = curvature_square_form(dd).scale(Fraction(1, 2))
-    h_form = half_square - ext_d(dd.psi)
+    form = _pontryagin_form(dd)
+    h_form = -form
     flat = dissection_flatness_conditions(dd)
     report.merge(flat, prefix="flatness/")
     if flat.ok:
         jflat = jacobiator_flat(p)
-        target = pullback_form(p.bundle, ext_d(dd.psi) - half_square)
+        target = pullback_form(p.bundle, form)
         chk = report.check("jflat-matches-sign-corrected-form")
         for idx in combinations(range(p.bundle.rank), 4):
             lhs = jflat.value_at(idx)

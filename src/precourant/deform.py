@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, jacobiator, skew_bracket
+from .algebroid import PreCourantAlgebroid, bracket, jacobiator
 from .bundle import (
     CourantBundle,
     Section,
@@ -41,6 +41,7 @@ from .exterior import KForm, VectorField, ext_d, format_kform
 from .poly import Poly, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly, random_section, zero_anchor_frames
+from .twoterm import skew_jacobiator_direct
 
 FrameTuple = Tuple[int, ...]
 
@@ -526,11 +527,7 @@ def quotient_jacobi_check(
 
     chk = report.check("jacobi-mod-orthogonal")
     for e1, e2, e3 in tuples:
-        defect = (
-            skew_bracket(p, e1, skew_bracket(p, e2, e3))
-            + skew_bracket(p, e2, skew_bracket(p, e3, e1))
-            + skew_bracket(p, e3, skew_bracket(p, e1, e2))
-        )
+        defect = skew_jacobiator_direct(p, e1, e2, e3)
         values = (pairing(defect, kappa) for kappa in kappas)
         v = next((v for v in values if not v.is_zero()), None)
         if v is not None:

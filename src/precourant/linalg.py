@@ -8,7 +8,7 @@ elimination is all that is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import SingularMetricError
 
@@ -26,6 +26,11 @@ def identity(n: int) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def nonzero_rows(a: Sequence[Sequence[Fraction]]) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
+    """Each row of a constant matrix as its (column, entry) pairs with entry != 0."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c != 0) for row in a)
 
 
 def is_symmetric(a: Matrix) -> bool:

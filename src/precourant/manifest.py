@@ -36,6 +36,7 @@ BUILDER_KINDS = (
 
 # the sections a builder kind reads its data from
 BUILDER_SECTIONS = {
+    "connection_beta": ("bundle",),
     "twisted_action": ("algebra", "action"),
     "dissection": ("dissection",),
 }
@@ -178,10 +179,7 @@ def _parse_scalar_list(entry: _Entry, expected_len: Optional[int]) -> List[Fract
     out = []
     offset = 0
     for part in parts:
-        try:
-            out.append(parse_scalar(part, entry.line, entry.value_col + offset))
-        except ParseError:
-            raise
+        out.append(parse_scalar(part, entry.line, entry.value_col + offset))
         offset += len(part) + 1
     return out
 
@@ -341,11 +339,15 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
                 if m.builder_h.degree != 3:
                     raise ParseError(e.line, e.value_col, "a 3-form literal")
             elif e.key.startswith("gamma.") and m.builder_kind == "connection_beta":
-                idx = _key_indices(e, "gamma", 2)
-                m.gamma_entries[idx] = _parse_poly_list(chart, e, m.rank or 0)
+                mm, a = _key_indices(e, "gamma", 2)
+                if mm >= chart.dim or a >= m.rank:
+                    raise ParseError(e.line, 1, "gamma.direction.frame in range", e.key)
+                m.gamma_entries[(mm, a)] = _parse_poly_list(chart, e, m.rank)
             elif e.key.startswith("beta.") and m.builder_kind == "connection_beta":
-                idx = _key_indices(e, "beta", 2)
-                m.beta_entries[idx] = _parse_poly_list(chart, e, m.rank or 0)
+                i, j = _key_indices(e, "beta", 2)
+                if i >= m.rank or j >= m.rank:
+                    raise ParseError(e.line, 1, f"frame indices between 1 and {m.rank}", e.key)
+                m.beta_entries[(i, j)] = _parse_poly_list(chart, e, m.rank)
             else:
                 raise ParseError(e.line, 1, f"entries of builder {m.builder_kind}", e.key)
         if m.builder_kind == "twisted_exact" and m.builder_h is None:
@@ -379,6 +381,10 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
         if pairing_entries:
             m.algebra_pairing = _numbered_rows(
                 pairing_entries, "pairing", adim, lambda e: _parse_scalar_list(e, adim)
+            )
+        elif not m.algebra_double:
+            raise ParseError(
+                dim_entry.line, 1, "pairing.N rows in [algebra] unless double = true"
             )
 
     # action

@@ -203,6 +203,7 @@ def test_override_at_grammar_minimum_runs(capsys):
         ("twisted_action", "[algebra]\ndim = 1\n"),
         ("twisted_action", ""),
         ("dissection", ""),
+        ("connection_beta", ""),
     ],
 )
 def test_builder_without_its_sections_exits_2(tmp_path, capsys, kind, blocks):
@@ -212,6 +213,30 @@ def test_builder_without_its_sections_exits_2(tmp_path, capsys, kind, blocks):
     assert code == 2
     assert out == ""
     assert f"line 5, column 8: expected a section [" in err
+    assert "Traceback" not in err
+
+
+CONNECTION_BUNDLE = (
+    "[bundle]\nrank = 2\nmetric.1 = 0, 1\nmetric.2 = 1, 0\nanchor.1 = 1\nanchor.2 = 0\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (CONNECTION_BUNDLE + "[builder]\nkind = connection_beta\ngamma.2.1 = 0, 0\n", "line 13, column 1"),
+        (CONNECTION_BUNDLE + "[builder]\nkind = connection_beta\nbeta.1.3 = 0, 0\n", "line 13, column 1"),
+        ("[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\ndouble = false\n\n"
+         "[action]\nrho.1 = 1\n", "line 8, column 1"),
+    ],
+)
+def test_bad_builder_input_exits_2(tmp_path, capsys, text, position):
+    path = tmp_path / "builder.pcm"
+    path.write_text(f"[chart]\nvars = x1\n\n{text}")
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert code == 2
+    assert out == ""
+    assert f"{position}: expected " in err
     assert "Traceback" not in err
 
 

@@ -11,7 +11,6 @@ from precourant.bundle import CourantBundle
 from precourant.cochain import verify_jacobiator_theorem
 from precourant.construct import (
     DissectionData,
-    action_bundle,
     curvature_square_form,
     dissection_flatness_conditions,
     dissection_jacobiator_check,
@@ -135,9 +134,8 @@ def test_double_of_nonabelian():
     report = validate_quadratic_lie(d)
     assert report.ok
     # the coadjoint action: [a, b*] = -b*, [b, b*] = a*
-    basis = [[Fraction(1 if i == j else 0) for i in range(4)] for j in range(4)]
-    assert d.bracket_vec(basis[0], basis[3]) == [0, 0, 0, -1]
-    assert d.bracket_vec(basis[1], basis[3]) == [0, 0, 1, 0]
+    assert d.bracket_vec({0: 1}, {3: 1}) == {3: -1}
+    assert d.bracket_vec({1: 1}, {3: 1}) == {2: 1}
 
 
 def test_double_rejects_non_lie():
@@ -216,16 +214,14 @@ def test_synthetic_twisted_action_full_suite():
 
 def test_twisted_action_defect_must_kill_kernel():
     ta = _synthetic_action()
-    chart = ta.chart
+    chart = ta.bundle.chart
     zero, one = Poly.zero(chart), Poly.const(chart, 1)
     # a defect pairing a kernel direction (the 5th basis element is a dual
     # vector with zero anchor) against the first one
-    bad_k = dict()
-    bundle = action_bundle(ta.algebra, chart, ta.rho_matrix)
     bad = make_twisted_action(
         ta.algebra,
         chart,
-        ta.rho_matrix,
+        ta.bundle.anchor,
         {(4, 0): [one, zero, zero, zero, zero, zero, zero, zero]},
         ta.sample_points,
     )

@@ -117,7 +117,7 @@ def test_frames_and_anchors_match_reference(name):
     assert b.frames() == frames
     assert [b.frame(i) for i in range(b.rank)] == frames
     assert b.frames() is not b.frames()  # a fresh list each time
-    assert list(p.rho_frames) == [anchor_apply(f) for f in frames]
+    assert list(b.rho_frames) == [anchor_apply(f) for f in frames]
 
 
 def test_twisted_action_builds_on_its_own_bundle():

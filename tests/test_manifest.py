@@ -233,6 +233,7 @@ kind = {kind}
         ("twisted_action", "\n[algebra]\ndim = 1\n", "[action]"),
         ("twisted_action", "", "[algebra]"),
         ("dissection", "", "[dissection]"),
+        ("connection_beta", "", "[bundle]"),
     ],
 )
 def test_builder_requires_its_sections(kind, blocks, missing):
@@ -240,3 +241,49 @@ def test_builder_requires_its_sections(kind, blocks, missing):
         parse_manifest(BUILDER_ONLY.format(kind=kind) + blocks)
     assert (err.value.line, err.value.column) == (9, 8)
     assert err.value.expected == f"a section {missing} for builder {kind}"
+
+
+CONNECTION_BETA = """
+[chart]
+vars = x1
+
+[bundle]
+rank = 2
+metric.1 = 0, 1
+metric.2 = 1, 0
+anchor.1 = 1
+anchor.2 = 0
+
+[builder]
+kind = connection_beta
+{entry}
+"""
+
+
+@pytest.mark.parametrize(
+    "entry, expected",
+    [
+        ("gamma.2.1 = 0, 0", "gamma.direction.frame in range"),
+        ("gamma.1.3 = 0, 0", "gamma.direction.frame in range"),
+        ("beta.3.1 = 0, 0", "frame indices between 1 and 2"),
+        ("beta.1.3 = 0, 0", "frame indices between 1 and 2"),
+    ],
+)
+def test_connection_beta_key_out_of_range(entry, expected):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(CONNECTION_BETA.format(entry=entry))
+    assert (err.value.line, err.value.column) == (14, 1)
+    assert err.value.expected == expected
+    assert err.value.found == entry.split(" ")[0]
+
+
+@pytest.mark.parametrize("double", ["", "double = false\n"])
+def test_undoubled_algebra_needs_pairing_rows(double):
+    text = (
+        "[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n"
+        f"[algebra]\ndim = 1\n{double}\n[action]\nrho.1 = 1\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (8, 1)
+    assert err.value.expected == "pairing.N rows in [algebra] unless double = true"

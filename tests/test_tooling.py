@@ -1,5 +1,7 @@
-"""The README and the benchmark tracer stay in step with the code."""
+"""The README and the benchmark tracer stay in step with the code, and the
+modules keep to each other's public names."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -34,3 +36,19 @@ def test_tracer_targets_resolve():
             assert method in vars(getattr(home, cls_name)), metric
         else:
             assert callable(getattr(home, attr)), metric
+
+
+def test_no_private_names_imported_across_modules():
+    private = []
+    for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("precourant"):
+                continue
+            private += [
+                f"{path.name}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            ]
+    assert private == []

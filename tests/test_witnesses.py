@@ -1,0 +1,282 @@
+"""Failure witnesses of the builder checks, pinned as strings.
+
+The goldens only hold passing runs, so these tests fix what the closed-form
+Jacobiator check, the twisted-action validation and the quadratic Lie
+validation report on broken input: which case fails first and how both
+sides print.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from precourant.algebroid import PreCourantAlgebroid
+from precourant.construct import (
+    DissectionData,
+    dissection_jacobiator_check,
+    double,
+    from_dissection,
+    make_twisted_action,
+    quadratic_lie_algebra,
+    validate_quadratic_lie,
+    validate_twisted_action,
+)
+from precourant.exterior import KForm
+from precourant.parsing import parse_form
+from precourant.poly import Chart, Poly
+
+F = Fraction
+
+
+def _dissection_x4():
+    """Four coordinates, a hyperbolic auxiliary plane, curvature and a
+    3-form with nonzero differential."""
+    c = Chart(["x1", "x2", "x3", "x4"])
+    z, o = Poly.zero(c), Poly.const(c, 1)
+    x = [Poly.var(c, i) for i in range(4)]
+    flat = [[z, z], [z, z]]
+    return DissectionData(
+        chart=c,
+        aux_rank=2,
+        aux_pairing=[[F(0), F(1)], [F(1), F(0)]],
+        gamma=[[[x[1], z], [z, -x[1]]], flat, flat, flat],
+        curvature={(0, 1): [o, z], (2, 3): [z, x[0]], (0, 2): [x[3], o]},
+        psi=parse_form(c, "x4*dx(1,2,3) + x1*x2*dx(2,3,4)"),
+        fiber_table={},
+    )
+
+
+def _dissection_so3_plane():
+    """Two coordinates, an so(3) fiber and a curved connection."""
+    c = Chart(["x1", "x2"])
+    z, o = Poly.zero(c), Poly.const(c, 1)
+    x1, x2 = Poly.var(c, 0), Poly.var(c, 1)
+
+    def skew(a, b, d):
+        return [[z, a, b], [-a, z, d], [-b, -d, z]]
+
+    return DissectionData(
+        chart=c,
+        aux_rank=3,
+        aux_pairing=[[F(1), 0, 0], [0, F(1), 0], [0, 0, F(1)]],
+        gamma=[skew(x2, z, z), skew(z, x1, o)],
+        curvature={},
+        psi=KForm.zero(c, 3),
+        fiber_table={(0, 1): [z, z, o], (1, 2): [o, z, z], (0, 2): [z, -o, z]},
+    )
+
+
+def _dissection_line():
+    """One coordinate and a four-dimensional fiber bracket that depends on
+    the coordinate."""
+    c = Chart(["x1"])
+    z, o = Poly.zero(c), Poly.const(c, 1)
+    x1 = Poly.var(c, 0)
+    return DissectionData(
+        chart=c,
+        aux_rank=4,
+        aux_pairing=[[F(int(i == j)) for j in range(4)] for i in range(4)],
+        gamma=[[[z] * 4 for _ in range(4)]],
+        curvature={},
+        psi=KForm.zero(c, 3),
+        fiber_table={
+            (0, 1): [z, z, x1, o],
+            (0, 2): [z, -x1, z, z],
+            (1, 2): [x1, z, z, z],
+            (0, 3): [z, -o, z, z],
+            (1, 3): [o, z, z, z],
+        },
+    )
+
+
+# data, the frame pair (i, j) whose bracket gains frame k, the witness
+DISSECTION_CASES = {
+    "x/x/x": (
+        _dissection_x4, (0, 2), 1,
+        "frames (1, 3, 4) [x/x/x]: computed (0, 0, 0, 0, 1, -x1*x2 + 1, 0, "
+        "-x1 + x2 - 1, x1*x2, 0) vs closed form (0, 0, 0, 0, 1, -x1*x2 + 1, 0, "
+        "-x1 + x2 - 1, 0, 0)",
+    ),
+    "x/x/r": (
+        _dissection_so3_plane, (0, 1), 0,
+        "frames (1, 2, 3) [x/x/r]: computed (0, 0, 0, x2 + 1, -x2 - 1, 0, 0) "
+        "vs closed form (0, 0, 0, 1, -x2 - 1, 0, 0)",
+    ),
+    "x/r/r": (
+        _dissection_so3_plane, (0, 5), 0,
+        "frames (1, 3, 4) [x/r/r]: computed (-x2, 0, 0, 0, 0, 0, 1) "
+        "vs closed form (0, 0, 0, 0, 0, 0, 1)",
+    ),
+    "r/r/r": (
+        _dissection_line, (1, 2), 1,
+        "frames (2, 3, 4) [r/r/r]: computed (0, 0, x1, 0, 0, -1) "
+        "vs closed form (0, 0, 0, 0, 0, -1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("blocks", list(DISSECTION_CASES))
+def test_dissection_jacobiator_first_witness(blocks):
+    make, (i, j), k, expected = DISSECTION_CASES[blocks]
+    dd = make()
+    p = from_dissection(dd)
+    assert dissection_jacobiator_check(p, dd).ok
+    b = p.bundle
+    table = [list(row) for row in p.table]
+    table[i][j] = table[i][j] + b.frame(k)
+    table[j][i] = table[j][i] - b.frame(k)
+    report = dissection_jacobiator_check(PreCourantAlgebroid(b, table), dd)
+    assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+        ("components-match", False, expected)
+    ]
+
+
+# --- twisted actions -------------------------------------------------------
+
+
+def _so3(bracket_02):
+    return quadratic_lie_algebra(
+        3,
+        {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): bracket_02},
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    )
+
+
+def _double_action(k_entries, points):
+    c4 = Chart(["x1", "x2", "x3", "x4"])
+    d8 = double(quadratic_lie_algebra(4, {(0, 1): [0, 1, 0, 0]}, None))
+    zero, one = Poly.zero(c4), Poly.const(c4, 1)
+    x1 = Poly.var(c4, 0)
+    rows = [[zero] * 4 for _ in range(8)]
+    rows[0][0] = one
+    rows[1][0] = x1 * x1
+    rows[1][1] = one
+    rows[2][2] = one
+    rows[3][3] = one
+    return make_twisted_action(d8, c4, rows, k_entries(c4), points)
+
+
+def _broken_algebra_action():
+    c1 = Chart(["x1"])
+    zero = Poly.zero(c1)
+    return make_twisted_action(_so3([0, 1, 0]), c1, [[zero]] * 3, {}, [[0]])
+
+
+def _diagonal_defect_action():
+    def k_entries(c4):
+        zero, x1 = Poly.zero(c4), Poly.var(c4, 0)
+        return {
+            (0, 1): [x1 * 2, Poly.const(c4, -1), zero, zero, zero, zero, Poly.var(c4, 3), zero],
+            (2, 2): [zero, zero, zero, zero, zero, x1, zero, zero],
+        }
+
+    return _double_action(k_entries, [[0, 0, 0, 0]])
+
+
+def _kernel_defect_action():
+    def k_entries(c4):
+        zero, one = Poly.zero(c4), Poly.const(c4, 1)
+        return {(4, 0): [one] + [zero] * 7}
+
+    return _double_action(k_entries, [[0, 0, 0, 0], [1, 2, 1, -1]])
+
+
+def _non_coisotropic_action():
+    c1 = Chart(["x1"])
+    ab2 = quadratic_lie_algebra(2, {}, [[1, 0], [0, 1]])
+    zero, one = Poly.zero(c1), Poly.const(c1, 1)
+    return make_twisted_action(ab2, c1, [[one], [zero]], {}, [[0], [3]])
+
+
+def _action_lines(failures):
+    """The twisted-action report with the given checks failing."""
+    names = [
+        "quadratic-algebra",
+        "defect-antisymmetric",
+        "defect-kills-kernel",
+        "anchor-defect-equation",
+        "kernel-coisotropic",
+    ]
+    return ["[FAIL] twisted action"] + [
+        f"  FAIL {n}  witness: {failures[n]}" if n in failures else f"  ok   {n}"
+        for n in names
+    ]
+
+
+ANCHOR_WITNESS = "(1, 0, 0, 0, 0, 0, 0, 0) | (0, 1, 0, 0, 0, 0, 0, 0)"
+
+TWISTED_ACTION_CASES = {
+    "quadratic-algebra": (
+        _broken_algebra_action,
+        _action_lines({"quadratic-algebra": "pairing-invariant"}),
+    ),
+    "defect-antisymmetric": (
+        _diagonal_defect_action,
+        _action_lines({"defect-antisymmetric": "basis (3,3)"}),
+    ),
+    "defect-kills-kernel": (
+        _kernel_defect_action,
+        _action_lines(
+            {
+                "defect-kills-kernel": "point ('0', '0', '0', '0'): "
+                "k(kernel vector, basis 1) != 0",
+                "anchor-defect-equation": ANCHOR_WITNESS,
+            }
+        ),
+    ),
+    "anchor-defect-equation": (
+        lambda: _double_action(lambda c4: {}, [[0, 0, 0, 0]]),
+        _action_lines({"anchor-defect-equation": ANCHOR_WITNESS}),
+    ),
+    "kernel-coisotropic": (
+        _non_coisotropic_action,
+        _action_lines(
+            {"kernel-coisotropic": "point ('0',): perp-vector outside kernel: (1, 0)"}
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(TWISTED_ACTION_CASES))
+def test_twisted_action_failure_report(check):
+    make, expected = TWISTED_ACTION_CASES[check]
+    report = validate_twisted_action(make())
+    assert not next(c for c in report.checks if c.name == check).ok
+    assert report.lines() == expected
+
+
+# --- quadratic Lie algebras ------------------------------------------------
+
+
+QUADRATIC_LIE_CASES = {
+    "jacobi": (
+        lambda: _so3([-1, 0, 0]),
+        [
+            "[FAIL] quadratic lie algebra",
+            "  ok   antisymmetric",
+            "  FAIL jacobi  witness: basis triple (1,2,3)",
+            "  ok   pairing-symmetric",
+            "  ok   pairing-invertible",
+            "  FAIL pairing-invariant  witness: basis triple (1,1,3)",
+        ],
+    ),
+    "pairing-invariant": (
+        lambda: _so3([0, 1, 0]),
+        [
+            "[FAIL] quadratic lie algebra",
+            "  ok   antisymmetric",
+            "  ok   jacobi",
+            "  ok   pairing-symmetric",
+            "  ok   pairing-invertible",
+            "  FAIL pairing-invariant  witness: basis triple (1,2,3)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(QUADRATIC_LIE_CASES))
+def test_quadratic_lie_failure_report(check):
+    make, expected = QUADRATIC_LIE_CASES[check]
+    report = validate_quadratic_lie(make())
+    assert not next(c for c in report.checks if c.name == check).ok
+    assert report.lines() == expected
