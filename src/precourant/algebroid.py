@@ -29,7 +29,7 @@ from .bundle import (
 )
 from .errors import RankMismatchError
 from .exterior import vf_apply, vf_bracket
-from .poly import Poly, format_poly
+from .poly import Poly, add_into, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly, random_section
 
@@ -37,8 +37,8 @@ from .sampling import random_poly, random_section
 class PreCourantAlgebroid:
     """A Courant vector bundle with a frame bracket table.
 
-    `bracket` memoises its results here by the coefficients of its
-    arguments, so the memo lives exactly as long as the algebroid.
+    `bracket` memoises its results here by the value of its arguments, so
+    the memo lives exactly as long as the algebroid.
     """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
@@ -83,38 +83,31 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
     b = p.bundle
     if e1.bundle != b or e2.bundle != b:
         raise RankMismatchError("sections not on this algebroid's bundle")
-    key = (e1.coeffs, e2.coeffs)
+    key = (e1, e2)
     out = p.bracket_memo.get(key)
     if out is not None:
         return out
     rho_e1 = anchor_apply(e1)
-    # cache D f_i and rho(u_j) f_i only for nonzero, nonconstant coefficients
-    out = b.zero_section()
-    frames = b.frames()
-    dees = {}
-    for i, fi in enumerate(e1.coeffs):
-        if not fi.is_zero() and not fi.is_constant():
-            dees[i] = dee(b, fi)
-    for j, gj in enumerate(e2.coeffs):
-        if not gj.is_zero():
-            # inner = e1 o u_j expanded by the first-argument rule
-            inner = b.zero_section()
-            rho_uj = b.rho_frames[j]
-            for i, fi in enumerate(e1.coeffs):
-                if fi.is_zero():
-                    continue
-                inner = inner + p.table[i][j].scale(fi)
-                deriv = vf_apply(rho_uj, fi)
-                if not deriv.is_zero():
-                    inner = inner - frames[i].scale(deriv)
-                gij = b.metric[i][j]
-                if gij != 0 and i in dees:
-                    inner = inner + dees[i].scale(gij)
-            out = out + inner.scale(gj)
+    # D f_i only for nonconstant coefficients
+    dees = {i: dee(b, fi) for i, fi in e1.terms.items() if not fi.is_constant()}
+    terms = {}
+    for j, gj in e2.terms.items():
+        # e1 o u_j expanded by the first-argument rule
+        inner = {}
+        rho_uj = b.rho_frames[j]
+        for i, fi in e1.terms.items():
+            for k, c in p.table[i][j].terms.items():
+                add_into(inner, k, c * fi)
+            add_into(inner, i, -vf_apply(rho_uj, fi))
+            gij = b.metric[i][j]
+            if gij != 0 and i in dees:
+                for k, c in dees[i].terms.items():
+                    add_into(inner, k, c * gij)
+        for k, c in inner.items():
+            add_into(terms, k, c * gj)
         # second-argument rule contributes (rho(e1) g_j) u_j
-        d2 = vf_apply(rho_e1, gj)
-        if not d2.is_zero():
-            out = out + frames[j].scale(d2)
+        add_into(terms, j, vf_apply(rho_e1, gj))
+    out = Section.from_terms(b, terms)
     p.bracket_memo[key] = out
     return out
 

@@ -15,13 +15,13 @@ from typing import Iterable, List, Sequence, Tuple
 from . import linalg
 from .errors import ChartMismatchError, DegreeError, RankMismatchError
 from .exterior import KForm, VectorField
-from .poly import Chart, Poly, format_poly
+from .poly import Chart, Poly, PolyMap, add_into, format_poly
 
 
-class Section:
-    """Element of the section module in the fixed frame: a rank-tuple of Poly."""
+class Section(PolyMap):
+    """A section in the fixed frame: its nonzero coefficients by frame index."""
 
-    __slots__ = ("bundle", "coeffs")
+    __slots__ = ()
 
     def __init__(self, bundle: "CourantBundle", coeffs: Iterable[Poly]):
         cs = tuple(coeffs)
@@ -31,40 +31,22 @@ class Section:
         for c in cs:
             if c.chart is not chart and c.chart != chart:
                 raise ChartMismatchError("section coefficient on a different chart")
-        self.bundle = bundle
-        self.coeffs = cs
+        self.space = bundle
+        self.terms = {i: c for i, c in enumerate(cs) if c.terms}
+        self._hash = None
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+    @property
+    def bundle(self) -> "CourantBundle":
+        return self.space
 
-    def __add__(self, other: "Section") -> "Section":
-        self._check(other)
-        return Section(self.bundle, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+    @property
+    def coeffs(self) -> Tuple[Poly, ...]:
+        """Every coefficient, zeros included, in frame order."""
+        zero = Poly.zero(self.space.chart)
+        return tuple(self.terms.get(i, zero) for i in range(self.space.rank))
 
-    def __sub__(self, other: "Section") -> "Section":
-        self._check(other)
-        return Section(self.bundle, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "Section":
-        return Section(self.bundle, [-a for a in self.coeffs])
-
-    def scale(self, f) -> "Section":
-        """Multiply by a Poly or a rational scalar."""
-        return Section(self.bundle, [c * f for c in self.coeffs])
-
-    def _check(self, other: "Section") -> None:
-        if self.bundle is not other.bundle and self.bundle != other.bundle:
-            raise RankMismatchError("sections belong to different bundles")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Section)
-            and self.bundle == other.bundle
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    def _mismatch(self, other: "Section") -> None:
+        raise RankMismatchError("sections belong to different bundles")
 
     def __repr__(self) -> str:
         return f"Section[{format_section(self)}]"
@@ -74,9 +56,9 @@ class CourantBundle:
     """Chart + rank + constant pseudo-metric + polynomial anchor matrix.
 
     The frame sections, their anchored vector fields and the nonzero entries
-    of each metric row are built once with the bundle.  The nonzero entries
-    of g^-1 and the columns of g^-1 A that `dee` combines are built the
-    first time they are needed.
+    of each metric and anchor row are built once with the bundle.  The
+    nonzero entries of g^-1 and the columns of g^-1 A that `dee` combines
+    are built the first time they are needed.
     """
 
     def __init__(
@@ -102,6 +84,9 @@ class CourantBundle:
                     raise ChartMismatchError("anchor entry on a different chart")
         self.anchor = tuple(rows)
         self.metric_rows = linalg.nonzero_rows(self.metric)
+        self.anchor_rows = tuple(
+            tuple((m, p) for m, p in enumerate(row) if p.terms) for row in rows
+        )
         self._metric_inv_rows = None
         self._dee_columns = None
         zero, one = Poly.zero(chart), Poly.const(chart, 1)
@@ -134,7 +119,7 @@ class CourantBundle:
     # --- constructors ---------------------------------------------------
 
     def zero_section(self) -> Section:
-        return Section(self, [Poly.zero(self.chart)] * self.rank)
+        return Section.from_terms(self, {})
 
     def frame(self, i: int) -> Section:
         return self._frames[i]
@@ -222,12 +207,10 @@ def pairing(e1: Section, e2: Section) -> Poly:
     e1._check(e2)
     b = e1.bundle
     out = Poly.zero(b.chart)
-    for i, ci in enumerate(e1.coeffs):
-        if ci.is_zero():
-            continue
+    for i, ci in e1.terms.items():
         for j, gij in b.metric_rows[i]:
-            cj = e2.coeffs[j]
-            if not cj.is_zero():
+            cj = e2.terms.get(j)
+            if cj is not None:
                 out = out + (ci * cj) * gij
     return out
 
@@ -235,14 +218,11 @@ def pairing(e1: Section, e2: Section) -> Poly:
 def anchor_apply(e: Section) -> VectorField:
     """The anchored vector field sum_i e_i rho(frame_i)."""
     b = e.bundle
-    coeffs = []
-    for m in range(b.chart.dim):
-        c = Poly.zero(b.chart)
-        for i, ei in enumerate(e.coeffs):
-            if not ei.is_zero() and not b.anchor[i][m].is_zero():
-                c = c + ei * b.anchor[i][m]
-        coeffs.append(c)
-    return VectorField(b.chart, coeffs)
+    out = {}
+    for i, ei in e.terms.items():
+        for m, a in b.anchor_rows[i]:
+            add_into(out, m, ei * a)
+    return VectorField.from_terms(b.chart, out)
 
 
 def rho_star(b: CourantBundle, xi: KForm) -> Section:
@@ -251,14 +231,11 @@ def rho_star(b: CourantBundle, xi: KForm) -> Section:
         raise DegreeError("rho_star needs a 1-form")
     if xi.chart != b.chart:
         raise ChartMismatchError("form on a different chart")
-    a_xi = []
-    for i in range(b.rank):
-        c = Poly.zero(b.chart)
-        for m in range(b.chart.dim):
-            coeff = xi.coefficient((m,))
-            if not coeff.is_zero() and not b.anchor[i][m].is_zero():
-                c = c + b.anchor[i][m] * coeff
-        a_xi.append(c)
+    zero = Poly.zero(b.chart)
+    a_xi = [
+        sum((a * xi.terms[(m,)] for m, a in row if (m,) in xi.terms), zero)
+        for row in b.anchor_rows
+    ]
     return b.raise_covector(a_xi)
 
 
@@ -267,15 +244,12 @@ def dee(b: CourantBundle, f: Poly) -> Section:
     the sum over m of (d f / d x_m) D x_m."""
     if f.chart != b.chart:
         raise ChartMismatchError("function on a different chart")
-    coeffs = [Poly.zero(b.chart)] * b.rank
+    out = {}
     for m, column in enumerate(b.dee_columns):
         df_m = f.diff(m)
-        if df_m.is_zero():
-            continue
-        for k, c in enumerate(column.coeffs):
-            if not c.is_zero():
-                coeffs[k] = coeffs[k] + df_m * c
-    return Section(b, coeffs)
+        for k, c in column.terms.items():
+            add_into(out, k, df_m * c)
+    return Section.from_terms(b, out)
 
 
 def anchor_at(b: CourantBundle, pt: Sequence[Fraction]) -> List[List[Fraction]]:

@@ -1,7 +1,7 @@
 """Cochain spaces of a pre-Courant algebroid and their coboundaries.
 
-A degree-k cochain is stored densely on strictly increasing frame index
-tuples.  Members of the contraction-closed space (those killed by every
+A degree-k cochain stores its nonzero values on strictly increasing frame
+index tuples.  Members of the contraction-closed space (those killed by every
 D f) are tensorial, so frame storage is lossless and evaluation on general
 sections is multilinear expansion.  Kernel-valued cochains are stored as
 their flat, one degree up.
@@ -23,33 +23,17 @@ from .algebroid import PreCourantAlgebroid, bracket, jacobiator, verify_axioms
 from .bundle import CourantBundle, Section, anchor_apply, dee, format_section, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, evaluate, vf_apply
-from .poly import Poly, format_poly
+from .poly import Poly, PolyMap, format_poly, increasing_key, sort_sign
 from .reports import VerifyReport
 from .sampling import random_poly, random_section
 
 FrameTuple = Tuple[int, ...]
 
 
-def _sort_sign(indices: Sequence[int]):
-    """Sort an index tuple; returns (sorted_tuple, sign) or (None, 0) on repeats."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return None, 0
-    sign = 1
-    # insertion sort, counting swaps
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(idx), sign
-
-
-class Cochain:
+class Cochain(PolyMap):
     """Alternating k-linear data on the frame, with Poly values."""
 
-    __slots__ = ("bundle", "degree", "values")
+    __slots__ = ()
 
     def __init__(
         self, bundle: CourantBundle, degree: int, values: Dict[FrameTuple, Poly]
@@ -58,32 +42,29 @@ class Cochain:
             raise DegreeError("cochain degree must be nonnegative")
         clean: Dict[FrameTuple, Poly] = {}
         for idx, p in values.items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError(f"tuple {idx} has wrong length for degree {degree}")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"tuple {idx} is not strictly increasing")
-            if any(not (0 <= i < bundle.rank) for i in idx):
-                raise ValueError(f"frame index out of range in {idx}")
-            if not p.is_zero():
+            idx = increasing_key(idx, degree, bundle.rank)
+            if p.terms:
                 clean[idx] = p
-        self.bundle = bundle
-        self.degree = degree
-        self.values = clean
+        self.space = (bundle, degree)
+        self.terms = clean
+        self._hash = None
+
+    @property
+    def bundle(self) -> CourantBundle:
+        return self.space[0]
+
+    @property
+    def degree(self) -> int:
+        return self.space[1]
 
     @staticmethod
     def zero(bundle: CourantBundle, degree: int) -> "Cochain":
         return Cochain(bundle, degree, {})
 
-    def is_zero(self) -> bool:
-        return not self.values
-
     def value_at(self, indices: Sequence[int]) -> Poly:
         """Value on an arbitrary (possibly unsorted) frame tuple."""
-        key, sign = _sort_sign(indices)
-        if key is None:
-            return Poly.zero(self.bundle.chart)
-        p = self.values.get(key)
+        key, sign = sort_sign(indices)
+        p = self.terms.get(key)
         if p is None:
             return Poly.zero(self.bundle.chart)
         return p if sign > 0 else -p
@@ -91,65 +72,33 @@ class Cochain:
     def eval_section_first(self, s: Section, rest: Sequence[int]) -> Poly:
         """Evaluate with a general section in the first slot, frames after."""
         out = Poly.zero(self.bundle.chart)
-        for i, ci in enumerate(s.coeffs):
-            if not ci.is_zero():
-                v = self.value_at((i, *rest))
-                if not v.is_zero():
-                    out = out + ci * v
+        for i, ci in s.terms.items():
+            key, sign = sort_sign((i, *rest))
+            v = self.terms.get(key)
+            if v is not None:
+                out = out + ci * v if sign > 0 else out - ci * v
         return out
 
     def evaluate(self, sections: Sequence[Section]) -> Poly:
         """Full multilinear expansion on k general sections."""
         if len(sections) != self.degree:
             raise DegreeError(f"need {self.degree} sections")
-        if self.degree == 0:
-            return self.values.get((), Poly.zero(self.bundle.chart))
         out = Poly.zero(self.bundle.chart)
-        for idx, base in self.values.items():
+        for idx, base in self.terms.items():
             for perm in permutations(range(self.degree)):
                 # sections[t] takes frame index idx[perm[t]]
-                coeff = Poly.const(self.bundle.chart, 1)
-                zero = False
+                term = base
                 for t, pt in enumerate(perm):
-                    c = sections[t].coeffs[idx[pt]]
-                    if c.is_zero():
-                        zero = True
+                    c = sections[t].terms.get(idx[pt])
+                    if c is None:
                         break
-                    coeff = coeff * c
-                if zero:
-                    continue
-                _, sign = _sort_sign(perm)
-                term = coeff * base
-                out = out + (term if sign > 0 else -term)
+                    term = term * c
+                else:
+                    out = out + term if sort_sign(perm)[1] > 0 else out - term
         return out
 
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check(other)
-        out = dict(self.values)
-        for idx, p in other.values.items():
-            s = out.get(idx)
-            out[idx] = p if s is None else s + p
-        return Cochain(self.bundle, self.degree, out)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.bundle, self.degree, {i: -p for i, p in self.values.items()}
-        )
-
-    def _check(self, other: "Cochain") -> None:
-        if self.bundle != other.bundle or self.degree != other.degree:
-            raise DegreeError("cochain mismatch")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cochain)
-            and self.bundle == other.bundle
-            and self.degree == other.degree
-            and self.values == other.values
-        )
+    def _mismatch(self, other: "Cochain") -> None:
+        raise DegreeError("cochain mismatch")
 
     def __repr__(self) -> str:
         return f"Cochain(degree={self.degree}, {format_cochain(self)})"
@@ -246,7 +195,7 @@ def is_in_ckd(psi: Cochain) -> MembershipReport:
     for m in range(b.chart.dim):
         kappa = dee(b, Poly.var(b.chart, m))
         contracted = contract_with_section(psi, kappa)
-        for idx, p in contracted.values.items():
+        for idx, p in contracted.terms.items():
             witnesses.append(
                 f"i_D{b.chart.var_names[m]} psi at frames "
                 f"{tuple(i + 1 for i in idx)} = {format_poly(p)}"
@@ -285,24 +234,17 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
     for big in combinations(range(b.rank), k + 1):
         total = Poly.zero(b.chart)
         for t in range(k + 1):
-            rest = big[:t] + big[t + 1 :]
-            inner = psi.values.get(rest)
+            inner = psi.terms.get(big[:t] + big[t + 1 :])
             if inner is not None:
                 term = vf_apply(rho_frames[big[t]], inner)
-                if not term.is_zero():
-                    total = total + (term if t % 2 == 0 else -term)
+                total = total + term if t % 2 == 0 else total - term
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
                 rest = tuple(x for u, x in enumerate(big) if u != s and u != t)
-                entry = p.table[big[s]][big[t]]
-                if entry.is_zero():
-                    continue
-                term = psi.eval_section_first(entry, rest)
-                if not term.is_zero():
-                    # 1-based sign (-1)^{i+j} is (-1)^{s+t} on 0-based positions
-                    total = total + (term if (s + t) % 2 == 0 else -term)
-        if not total.is_zero():
-            values[big] = total
+                term = psi.eval_section_first(p.table[big[s]][big[t]], rest)
+                # 1-based sign (-1)^{i+j} is (-1)^{s+t} on 0-based positions
+                total = total + term if (s + t) % 2 == 0 else total - term
+        values[big] = total
     return Cochain(b, k + 1, values)
 
 
@@ -350,17 +292,11 @@ def cobound_partial(p: PreCourantAlgebroid, phi: KerCochain) -> KerCochain:
     """Covariant derivative packaged as a kernel-valued cochain again."""
     b = p.bundle
     values = partial_section_values(p, phi)
-    k = phi.degree
-    flat_values: Dict[FrameTuple, Poly] = {}
-    for big in combinations(range(b.rank), k + 2):
-        head, last = big[:-1], big[-1]
-        section = values.get(head)
-        if section is None:
-            continue
-        v = pairing(section, b.frame(last))
-        if not v.is_zero():
-            flat_values[big] = v
-    return KerCochain(Cochain(b, k + 2, flat_values))
+    flat = {
+        big: pairing(values[big[:-1]], b.frame(big[-1]))
+        for big in combinations(range(b.rank), phi.degree + 2)
+    }
+    return KerCochain(Cochain(b, phi.degree + 2, flat))
 
 
 def verify_comm_lemma(
@@ -378,7 +314,7 @@ def verify_comm_lemma(
         ok = lhs == rhs
         witness = ""
         if not ok:
-            for idx in sorted(set(lhs.values) | set(rhs.values)):
+            for idx in sorted(set(lhs.terms) | set(rhs.terms)):
                 a = lhs.value_at(idx)
                 bb = rhs.value_at(idx)
                 if a != bb:
@@ -397,16 +333,15 @@ def jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
     Only meaningful once total alternation has been verified.
     """
     b = p.bundle
-    values: Dict[FrameTuple, Poly] = {}
     cache: Dict[FrameTuple, Section] = {}
     for triple in combinations(range(b.rank), 3):
         cache[triple] = jacobiator(
             p, b.frame(triple[0]), b.frame(triple[1]), b.frame(triple[2])
         )
-    for quad in combinations(range(b.rank), 4):
-        total = pairing(cache[quad[:3]], b.frame(quad[3]))
-        if not total.is_zero():
-            values[quad] = total
+    values = {
+        quad: pairing(cache[quad[:3]], b.frame(quad[3]))
+        for quad in combinations(range(b.rank), 4)
+    }
     return Cochain(b, 4, values)
 
 
@@ -535,10 +470,10 @@ def verify_jacobiator_theorem(
     dflat = cobound_d(p, jflat)
     chk = report.check("d-jflat-zero")
     if not dflat.is_zero():
-        idx = sorted(dflat.values)[0]
+        idx = sorted(dflat.terms)[0]
         chk.fail(
             f"frames {tuple(i + 1 for i in idx)}: D(J-flat) = "
-            f"{format_poly(dflat.values[idx])}"
+            f"{format_poly(dflat.terms[idx])}"
         )
     return report
 
@@ -547,7 +482,7 @@ def format_cochain(psi: Cochain) -> str:
     if psi.is_zero():
         return "0"
     parts = []
-    for idx in sorted(psi.values):
+    for idx in sorted(psi.terms):
         label = ",".join(str(i + 1) for i in idx)
-        parts.append(f"[{label}] {format_poly(psi.values[idx])}")
+        parts.append(f"[{label}] {format_poly(psi.terms[idx])}")
     return "; ".join(parts)

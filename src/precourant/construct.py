@@ -38,9 +38,9 @@ from .bundle import (
     validate_bundle,
 )
 from .cochain import jacobiator_flat, pullback_form
-from .errors import ConstructionError
+from .errors import ConstructionError, SingularMetricError
 from .exterior import KForm, VectorField, ext_d, evaluate, vf_apply, vf_bracket
-from .poly import Chart, Poly, format_poly
+from .poly import Chart, Poly, add_into, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly
 
@@ -70,21 +70,16 @@ def from_connection_beta(
 
     def nabla_coord(m: int, e: Section) -> Section:
         # componentwise derivative plus the connection matrix
-        coeffs = [c.diff(m) for c in e.coeffs]
-        for a in range(r):
-            if e.coeffs[a].is_zero():
-                continue
+        terms = {a: c.diff(m) for a, c in e.terms.items()}
+        for a, c in e.terms.items():
             for bb in range(r):
-                g = gamma[m][bb][a]
-                if not g.is_zero():
-                    coeffs[bb] = coeffs[bb] + g * e.coeffs[a]
-        return Section(b, coeffs)
+                add_into(terms, bb, gamma[m][bb][a] * c)
+        return Section.from_terms(b, terms)
 
     def nabla_field(x: VectorField, e: Section) -> Section:
         out = b.zero_section()
-        for m in range(n):
-            if not x.coeffs[m].is_zero():
-                out = out + nabla_coord(m, e).scale(x.coeffs[m])
+        for m, xm in x.terms.items():
+            out = out + nabla_coord(m, e).scale(xm)
         return out
 
     # metric connection: the frame condition with a constant pairing
@@ -362,15 +357,9 @@ def make_twisted_action(
 def _bilinear(table: Sequence[Sequence[Section]], e1: Section, e2: Section) -> Section:
     """Function-bilinear extension of a frame table of sections."""
     out = e1.bundle.zero_section()
-    for i, fi in enumerate(e1.coeffs):
-        if fi.is_zero():
-            continue
-        for j, fj in enumerate(e2.coeffs):
-            if fj.is_zero():
-                continue
-            entry = table[i][j]
-            if not entry.is_zero():
-                out = out + entry.scale(fi * fj)
+    for i, fi in e1.terms.items():
+        for j, fj in e2.terms.items():
+            out = out + table[i][j].scale(fi * fj)
     return out
 
 
@@ -378,8 +367,8 @@ def _action_lie_bracket(ta: TwistedAction, e1: Section, e2: Section) -> Section:
     """The action algebroid bracket L_{rho(e1)} e2 - L_{rho(e2)} e1 + [e1,e2]_g
     with the componentwise derivative as Lie action on trivial sections."""
     x1, x2 = anchor_apply(e1), anchor_apply(e2)
-    lie = [vf_apply(x1, c2) - vf_apply(x2, c1) for c1, c2 in zip(e1.coeffs, e2.coeffs)]
-    return Section(ta.bundle, lie) + _bilinear(ta.bracket_table, e1, e2)
+    lie = e2.map(lambda c: vf_apply(x1, c)) - e1.map(lambda c: vf_apply(x2, c))
+    return lie + _bilinear(ta.bracket_table, e1, e2)
 
 
 def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
@@ -407,12 +396,9 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
     for pt in ta.sample_points:
         for v, j in product(linalg.kernel_basis(anchor_at(bundle, pt), m), range(m)):
             val = [Fraction(0)] * m
-            for a in range(m):
-                if v[a] == 0:
-                    continue
-                entry = ta.k_table[a][j]
-                for k in range(m):
-                    val[k] += v[a] * entry.coeffs[k].eval(pt)
+            for a, va in enumerate(v):
+                for k, c in ta.k_table[a][j].terms.items():
+                    val[k] += va * c.eval(pt)
             if any(x != 0 for x in val):
                 chk.fail(f"point {tuple(map(str, pt))}: k(kernel vector, basis {j + 1}) != 0")
                 break
@@ -561,7 +547,10 @@ def _validate_dissection(dd: DissectionData) -> None:
     n, g = dd.chart.dim, dd.aux_rank
     if not linalg.is_symmetric(dd.aux_pairing):
         raise ConstructionError("aux-pairing-not-symmetric")
-    linalg.invert(dd.aux_pairing)  # raises if singular
+    try:
+        linalg.invert(dd.aux_pairing)
+    except SingularMetricError:
+        raise ConstructionError("aux-pairing-singular") from None
     if dd.psi.degree != 3:
         raise ConstructionError("psi-not-degree-3")
     basis = dd.aux_basis

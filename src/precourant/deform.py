@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import PreCourantAlgebroid, bracket, jacobiator
 from .bundle import (
@@ -37,14 +37,11 @@ from .cochain import (
     pullback_form,
 )
 from .errors import ConstructionError, DegreeError
-from .exterior import KForm, VectorField, ext_d, format_kform
-from .poly import Poly, format_poly
+from .exterior import KForm, VectorField, ext_d, format_kform, format_vector_coeffs
+from .poly import format_poly
 from .reports import VerifyReport
 from .sampling import random_poly, random_section, zero_anchor_frames
 from .twoterm import skew_jacobiator_direct
-
-FrameTuple = Tuple[int, ...]
-
 
 def twist_deformation(bundle: CourantBundle, h: KForm) -> KerCochain:
     """The deformation pulling a 3-form back through the anchor:
@@ -106,16 +103,10 @@ def extract_deformation(
 ) -> KerCochain:
     """Inverse of apply_deformation: omega(e1, e2) = e1 o~ e2 - e1 o e2."""
     b = p.bundle
-    values: Dict[FrameTuple, Poly] = {}
-    diffs = [
-        [deformed.table[i][j] - p.table[i][j] for j in range(b.rank)]
-        for i in range(b.rank)
-    ]
-    for idx in combinations(range(b.rank), 3):
-        i, j, k = idx
-        v = pairing(diffs[i][j], b.frame(k))
-        if not v.is_zero():
-            values[idx] = v
+    values = {
+        (i, j, k): pairing(deformed.table[i][j] - p.table[i][j], b.frame(k))
+        for i, j, k in combinations(range(b.rank), 3)
+    }
     return KerCochain(Cochain(b, 3, values))
 
 
@@ -306,10 +297,8 @@ def kernel_generators_from_lift(
     out = []
     for a in range(b.rank):
         kappa = b.frame(a)
-        for i in range(b.chart.dim):
-            coeff = b.anchor[a][i]
-            if not coeff.is_zero():
-                kappa = kappa - lift[i].scale(coeff)
+        for i, coeff in b.anchor_rows[a]:
+            kappa = kappa - lift[i].scale(coeff)
         out.append(kappa)
     return out
 
@@ -324,7 +313,7 @@ def check_lift(p: PreCourantAlgebroid, lift: Sequence[Section]) -> Optional[str]
         expected = VectorField.coordinate(b.chart, i)
         if rho != expected:
             return (
-                f"rho(sigma_{i + 1}) = ({', '.join(format_poly(c) for c in rho.coeffs)})"
+                f"rho(sigma_{i + 1}) = ({format_vector_coeffs(rho)})"
                 f" is not the coordinate direction {b.chart.var_names[i]}"
             )
     return None
@@ -362,13 +351,10 @@ def pontryagin_representative(
         return None, report
 
     n = b.chart.dim
-    comps: Dict[Tuple[int, ...], Poly] = {}
-    for idx in combinations(range(n), 4):
-        v = pairing(
-            jacobiator(p, lift[idx[0]], lift[idx[1]], lift[idx[2]]), lift[idx[3]]
-        )
-        if not v.is_zero():
-            comps[idx] = v
+    comps = {
+        idx: pairing(jacobiator(p, lift[idx[0]], lift[idx[1]], lift[idx[2]]), lift[idx[3]])
+        for idx in combinations(range(n), 4)
+    }
     h_form = KForm(b.chart, 4, comps)
     closed = ext_d(h_form).is_zero()
     report.add("d-h-zero", closed, "" if closed else format_kform(ext_d(h_form)))
@@ -452,8 +438,8 @@ def _check_zero(report: VerifyReport, name: str, label: str, c: Cochain) -> None
     """Declare that c vanishes; the witness is its first nonzero frame value."""
     chk = report.check(name)
     if not c.is_zero():
-        idx = sorted(c.values)[0]
-        chk.fail(f"{label} at frames {tuple(i + 1 for i in idx)} = {format_poly(c.values[idx])}")
+        idx = sorted(c.terms)[0]
+        chk.fail(f"{label} at frames {tuple(i + 1 for i in idx)} = {format_poly(c.terms[idx])}")
 
 
 def naive_cohomology_check(

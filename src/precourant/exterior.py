@@ -16,15 +16,15 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import ChartMismatchError, DegreeError
-from .poly import Chart, Poly, format_poly
+from .poly import Chart, Poly, PolyMap, add_into, format_poly, increasing_key, sort_sign
 
 Index = Tuple[int, ...]
 
 
-class VectorField:
-    """Polynomial vector field: one coefficient per coordinate derivation."""
+class VectorField(PolyMap):
+    """Polynomial vector field: its nonzero coefficients by coordinate index."""
 
-    __slots__ = ("chart", "coeffs")
+    __slots__ = ()
 
     def __init__(self, chart: Chart, coeffs: Iterable[Poly]):
         cs = tuple(coeffs)
@@ -33,12 +33,23 @@ class VectorField:
         for c in cs:
             if c.chart != chart:
                 raise ChartMismatchError("coefficient on a different chart")
-        self.chart = chart
-        self.coeffs = cs
+        self.space = chart
+        self.terms = {i: c for i, c in enumerate(cs) if c.terms}
+        self._hash = None
+
+    @property
+    def chart(self) -> Chart:
+        return self.space
+
+    @property
+    def coeffs(self) -> Tuple[Poly, ...]:
+        """Every coefficient, zeros included, in coordinate order."""
+        zero = Poly.zero(self.space)
+        return tuple(self.terms.get(i, zero) for i in range(self.space.dim))
 
     @staticmethod
     def zero(chart: Chart) -> "VectorField":
-        return VectorField(chart, [Poly.zero(chart)] * chart.dim)
+        return VectorField.from_terms(chart, {})
 
     @staticmethod
     def coordinate(chart: Chart, index: int) -> "VectorField":
@@ -46,27 +57,8 @@ class VectorField:
         cs[index] = Poly.const(chart, 1)
         return VectorField(chart, cs)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, [-a for a in self.coeffs])
-
-    def scale(self, f: Poly) -> "VectorField":
-        return VectorField(self.chart, [f * a for a in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorField)
-            and self.chart == other.chart
-            and self.coeffs == other.coeffs
-        )
+    def _mismatch(self, other: "VectorField") -> None:
+        raise ChartMismatchError("vector fields on different charts")
 
     def __repr__(self) -> str:
         return f"VectorField({format_vector_field(self)})"
@@ -77,30 +69,25 @@ def vf_apply(x: VectorField, f: Poly) -> Poly:
     if x.chart != f.chart:
         raise ChartMismatchError("vector field and function on different charts")
     out = Poly.zero(f.chart)
-    for i, c in enumerate(x.coeffs):
-        if not c.is_zero():
-            out = out + c * f.diff(i)
+    for i, c in x.terms.items():
+        out = out + c * f.diff(i)
     return out
 
 
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Commutator of derivations; coefficient j is X(Y_j) - Y(X_j)."""
-    if x.chart != y.chart:
-        raise ChartMismatchError("vector fields on different charts")
-    return VectorField(
-        x.chart,
-        [vf_apply(x, yj) - vf_apply(y, xj) for xj, yj in zip(x.coeffs, y.coeffs)],
-    )
+    x._check(y)
+    return y.map(lambda yj: vf_apply(x, yj)) - x.map(lambda xj: vf_apply(y, xj))
 
 
-class KForm:
+class KForm(PolyMap):
     """Differential form of fixed degree with polynomial coefficients.
 
-    `comps` maps strictly increasing 0-based index tuples to nonzero Poly
+    `terms` maps strictly increasing 0-based index tuples to nonzero Poly
     coefficients.  Degree 0 uses the empty tuple.
     """
 
-    __slots__ = ("chart", "degree", "comps")
+    __slots__ = ()
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping[Index, Poly]):
         # degree > dim is allowed but forces the form to be zero: no strictly
@@ -109,20 +96,22 @@ class KForm:
             raise DegreeError(f"negative degree {degree}")
         clean: Dict[Index, Poly] = {}
         for idx, p in comps.items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-            if any(not (0 <= i < chart.dim) for i in idx):
-                raise ValueError(f"index out of range in {idx}")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx} is not strictly increasing")
+            idx = increasing_key(idx, degree, chart.dim)
             if p.chart != chart:
                 raise ChartMismatchError("component on a different chart")
-            if not p.is_zero():
+            if p.terms:
                 clean[idx] = p
-        self.chart = chart
-        self.degree = degree
-        self.comps = clean
+        self.space = (chart, degree)
+        self.terms = clean
+        self._hash = None
+
+    @property
+    def chart(self) -> Chart:
+        return self.space[0]
+
+    @property
+    def degree(self) -> int:
+        return self.space[1]
 
     @staticmethod
     def zero(chart: Chart, degree: int) -> "KForm":
@@ -138,58 +127,16 @@ class KForm:
         idx = tuple(indices)
         return KForm(chart, len(idx), {idx: Poly.const(chart, 1)})
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
     def coefficient(self, indices: Iterable[int]) -> Poly:
-        return self.comps.get(tuple(indices), Poly.zero(self.chart))
+        return self.terms.get(tuple(indices), Poly.zero(self.chart))
 
-    def __add__(self, other: "KForm") -> "KForm":
-        self._check(other)
-        out = dict(self.comps)
-        for idx, p in other.comps.items():
-            s = out.get(idx)
-            out[idx] = p if s is None else s + p
-        return KForm(self.chart, self.degree, out)
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
-
-    def __neg__(self) -> "KForm":
-        return KForm(self.chart, self.degree, {i: -p for i, p in self.comps.items()})
-
-    def scale(self, f) -> "KForm":
-        return KForm(self.chart, self.degree, {i: p * f for i, p in self.comps.items()})
-
-    def _check(self, other: "KForm") -> None:
+    def _mismatch(self, other: "KForm") -> None:
         if self.chart != other.chart:
             raise ChartMismatchError("forms on different charts")
-        if self.degree != other.degree:
-            raise DegreeError(f"degree {self.degree} vs {other.degree}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KForm)
-            and self.chart == other.chart
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
+        raise DegreeError(f"degree {self.degree} vs {other.degree}")
 
     def __repr__(self) -> str:
         return f"KForm({format_kform(self)})"
-
-
-def _merge_sign(left: Index, right: Index):
-    """Merge two disjoint increasing tuples; return (merged, Koszul sign).
-
-    Returns (None, 0) when the tuples share an index.
-    """
-    if set(left) & set(right):
-        return None, 0
-    merged = tuple(sorted(left + right))
-    # count transpositions needed to interleave `right` past `left`
-    inversions = sum(1 for i in left for j in right if j < i)
-    return merged, -1 if inversions % 2 else 1
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -200,17 +147,12 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if degree > a.chart.dim:
         return KForm.zero(a.chart, degree)
     out: Dict[Index, Poly] = {}
-    for ia, pa in a.comps.items():
-        for ib, pb in b.comps.items():
-            merged, sign = _merge_sign(ia, ib)
-            if merged is None:
-                continue
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            s = out.get(merged)
-            out[merged] = term if s is None else s + term
-    return KForm(a.chart, degree, out)
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
+            merged, sign = sort_sign(ia + ib)
+            if merged is not None:
+                add_into(out, merged, pa * pb if sign > 0 else -(pa * pb))
+    return KForm.from_terms((a.chart, degree), out)
 
 
 def ext_d(a: KForm) -> KForm:
@@ -219,16 +161,13 @@ def ext_d(a: KForm) -> KForm:
     if a.degree >= chart.dim:
         return KForm.zero(chart, a.degree + 1)
     out: Dict[Index, Poly] = {}
-    for idx, p in a.comps.items():
+    for idx, p in a.terms.items():
         for m in range(chart.dim):
-            dp = p.diff(m)
-            if dp.is_zero() or m in idx:
-                continue
-            merged, sign = _merge_sign((m,), idx)
-            term = dp if sign > 0 else -dp
-            s = out.get(merged)
-            out[merged] = term if s is None else s + term
-    return KForm(chart, a.degree + 1, out)
+            merged, sign = sort_sign((m,) + idx)
+            if merged is not None:
+                dp = p.diff(m)
+                add_into(out, merged, dp if sign > 0 else -dp)
+    return KForm.from_terms((chart, a.degree + 1), out)
 
 
 def contract(x: VectorField, a: KForm) -> KForm:
@@ -238,18 +177,13 @@ def contract(x: VectorField, a: KForm) -> KForm:
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     out: Dict[Index, Poly] = {}
-    for idx, p in a.comps.items():
+    for idx, p in a.terms.items():
         for pos, i in enumerate(idx):
-            xi = x.coeffs[i]
-            if xi.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = xi * p
-            if pos % 2:
-                term = -term
-            s = out.get(rest)
-            out[rest] = term if s is None else s + term
-    return KForm(a.chart, a.degree - 1, out)
+            xi = x.terms.get(i)
+            if xi is not None:
+                term = xi * p
+                add_into(out, idx[:pos] + idx[pos + 1 :], -term if pos % 2 else term)
+    return KForm.from_terms((a.chart, a.degree - 1), out)
 
 
 def lie_derivative(x: VectorField, a: KForm) -> KForm:
@@ -270,25 +204,28 @@ def evaluate(a: KForm, fields: Iterable[VectorField]) -> Poly:
         raise DegreeError(f"need {a.degree} fields, got {len(fields)}")
     for x in fields:
         current = contract(x, current)
-    return current.comps.get((), Poly.zero(a.chart))
+    return current.coefficient(())
 
 
 def format_vector_field(x: VectorField) -> str:
-    parts = []
-    for name, c in zip(x.chart.var_names, x.coeffs):
-        if not c.is_zero():
-            parts.append(f"({format_poly(c)})*d/d{name}")
+    names = x.chart.var_names
+    parts = [f"({format_poly(x.terms[i])})*d/d{names[i]}" for i in sorted(x.terms)]
     return " + ".join(parts) if parts else "0"
+
+
+def format_vector_coeffs(x: VectorField) -> str:
+    """Every coefficient, zeros included, comma-separated."""
+    return ", ".join(format_poly(c) for c in x.coeffs)
 
 
 def format_kform(a: KForm) -> str:
     """Canonical form string using 1-based dx(i,...) basis terms."""
     if a.degree == 0:
-        return format_poly(a.comps.get((), Poly.zero(a.chart)))
+        return format_poly(a.coefficient(()))
     if a.is_zero():
         return "0"
     parts = []
-    for idx in sorted(a.comps):
+    for idx in sorted(a.terms):
         basis = "dx(" + ",".join(str(i + 1) for i in idx) + ")"
-        parts.append(f"({format_poly(a.comps[idx])})*{basis}")
+        parts.append(f"({format_poly(a.terms[idx])})*{basis}")
     return " + ".join(parts)

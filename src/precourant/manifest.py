@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError, TaskError
+from . import linalg
+from .errors import ParseError, SingularMetricError, TaskError
 from .exterior import KForm
 from .parsing import parse_form, parse_poly, parse_scalar
 from .poly import Chart, Poly
@@ -378,6 +379,11 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
                 pairing_entries.append(e)
             else:
                 raise ParseError(e.line, 1, "dim, double, bracket.I.J or pairing.N", e.key)
+        if pairing_entries and m.algebra_double:
+            raise ParseError(
+                pairing_entries[0].line, 1,
+                "no pairing.N rows in [algebra] when double = true", pairing_entries[0].key,
+            )
         if pairing_entries:
             m.algebra_pairing = _numbered_rows(
                 pairing_entries, "pairing", adim, lambda e: _parse_scalar_list(e, adim)
@@ -428,8 +434,8 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
                 m.diss_gamma[idx] = _parse_poly_list(chart, e, g)
             elif e.key.startswith("r."):
                 i, j = _key_indices(e, "r", 2)
-                if i >= chart.dim or j >= chart.dim:
-                    raise ParseError(e.line, 1, "coordinate pair indices", e.key)
+                if not i < j < chart.dim:
+                    raise ParseError(e.line, 1, f"r.I.J with I < J <= {chart.dim}", e.key)
                 m.diss_r[(i, j)] = _parse_poly_list(chart, e, g)
             elif e.key == "psi":
                 try:
@@ -440,8 +446,8 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
                     raise ParseError(e.line, e.value_col, "a 3-form literal")
             elif e.key.startswith("gbracket."):
                 i, j = _key_indices(e, "gbracket", 2)
-                if i >= g or j >= g:
-                    raise ParseError(e.line, 1, "auxiliary basis indices", e.key)
+                if not i < j < g:
+                    raise ParseError(e.line, 1, f"gbracket.I.J with I < J <= {g}", e.key)
                 m.diss_gbracket[(i, j)] = _parse_poly_list(chart, e, g)
             else:
                 raise ParseError(
@@ -452,6 +458,12 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
             m.aux_pairing = _numbered_rows(
                 pairing_entries, "pairing", g, lambda e: _parse_scalar_list(e, g)
             )
+            try:
+                linalg.invert(m.aux_pairing)
+            except SingularMetricError:
+                raise ParseError(
+                    pairing_entries[0].line, 1, "a nonsingular auxiliary pairing in [dissection]"
+                ) from None
         else:
             m.aux_pairing = []
 

@@ -11,6 +11,10 @@ The public constructor validates and normalises its input.  Arithmetic
 builds its results through `Poly._make`, which trusts that the terms it is
 given are already clean.
 
+`PolyMap` carries the same sparse convention one level up: sections,
+vector fields, forms and cochains map their index keys to nonzero
+polynomials and share its arithmetic, equality and hash.
+
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent vector, largest first).  Every serialization
 in the library sorts by this order, which is what makes golden-file tests
@@ -266,6 +270,119 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def add_into(acc: Dict, key, p: Poly) -> None:
+    """acc[key] += p, where a missing key counts as zero."""
+    q = acc.get(key)
+    acc[key] = p if q is None else q + p
+
+
+def sort_sign(indices: Iterable[int]):
+    """Sort an index tuple; returns (sorted_tuple, sign) or (None, 0) on repeats."""
+    idx = list(indices)
+    if len(set(idx)) != len(idx):
+        return None, 0
+    sign = 1
+    # insertion sort, counting swaps
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(idx), sign
+
+
+def increasing_key(indices: Iterable[int], degree: int, size: int) -> Tuple[int, ...]:
+    """A key of a degree-`degree` form or cochain: a strictly increasing
+    tuple of that length with entries in range(size)."""
+    idx = tuple(indices)
+    if len(idx) != degree:
+        raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
+    if any(not (0 <= i < size) for i in idx):
+        raise ValueError(f"index out of range in {idx}")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"index tuple {idx} is not strictly increasing")
+    return idx
+
+
+class PolyMap:
+    """Polynomial data on the keys of a fixed index set.
+
+    `space` says what the keys index (a bundle, a chart, or one of those
+    with a degree) and `terms` maps each key to its nonzero Poly value;
+    a key with value zero is absent.  Immutable.  Subclasses validate
+    their public constructors and name their mismatch error in
+    `_mismatch`; the arithmetic, equality and the hash, computed on first
+    use and kept, are defined here once.
+    """
+
+    __slots__ = ("space", "terms", "_hash")
+
+    @classmethod
+    def from_terms(cls, space, terms: Mapping) -> "PolyMap":
+        """Wrap a key -> Poly map whose keys the caller guarantees valid;
+        zero values are dropped."""
+        out = object.__new__(cls)
+        out.space = space
+        out.terms = {k: p for k, p in terms.items() if p.terms}
+        out._hash = None
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other: "PolyMap") -> None:
+        if self.space is not other.space and self.space != other.space:
+            self._mismatch(other)
+
+    def _mismatch(self, other: "PolyMap") -> None:
+        raise NotImplementedError
+
+    def __add__(self, other: "PolyMap") -> "PolyMap":
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        out = dict(self.terms)
+        for k, p in other.terms.items():
+            add_into(out, k, p)
+        return self.from_terms(self.space, out)
+
+    def __sub__(self, other: "PolyMap") -> "PolyMap":
+        self._check(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for k, p in other.terms.items():
+            q = out.get(k)
+            out[k] = -p if q is None else q - p
+        return self.from_terms(self.space, out)
+
+    def __neg__(self) -> "PolyMap":
+        return self.from_terms(self.space, {k: -p for k, p in self.terms.items()})
+
+    def scale(self, f: Union[Poly, Scalar]) -> "PolyMap":
+        """Multiply every value by a Poly or a rational scalar."""
+        return self.from_terms(self.space, {k: p * f for k, p in self.terms.items()})
+
+    def map(self, fn) -> "PolyMap":
+        """Apply a Poly -> Poly function to every value."""
+        return self.from_terms(self.space, {k: fn(p) for k, p in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and self.space == other.space
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
 
 def format_scalar(c: Scalar) -> str:

@@ -155,28 +155,14 @@ def build_context(m: Manifest) -> BuildContext:
         gamma = [[[zero] * g for _ in range(g)] for _ in range(n)]
         for (mm, row), coeffs in m.diss_gamma.items():
             gamma[mm][row] = list(coeffs)
-        curvature = {}
-        for (i, j), coeffs in m.diss_r.items():
-            if i >= j:
-                raise ConstructionError(
-                    "curvature-key-order", f"use increasing indices, got ({i + 1},{j + 1})"
-                )
-            curvature[(i, j)] = list(coeffs)
-        fiber = {}
-        for (i, j), coeffs in m.diss_gbracket.items():
-            if i >= j:
-                raise ConstructionError(
-                    "fiber-key-order", f"use increasing indices, got ({i + 1},{j + 1})"
-                )
-            fiber[(i, j)] = list(coeffs)
         dissection = DissectionData(
             chart=chart,
             aux_rank=g,
             aux_pairing=m.aux_pairing,
             gamma=gamma,
-            curvature=curvature,
+            curvature=m.diss_r,
             psi=m.diss_psi if m.diss_psi is not None else KForm.zero(chart, 3),
-            fiber_table=fiber,
+            fiber_table=m.diss_gbracket,
         )
         algebroid = from_dissection(dissection)
         bundle = algebroid.bundle

@@ -70,11 +70,7 @@ def random_form(
 
 def zero_anchor_frames(bundle: CourantBundle) -> List[int]:
     """Frame indices whose anchor row vanishes identically."""
-    return [
-        i
-        for i in range(bundle.rank)
-        if all(p.is_zero() for p in bundle.anchor[i])
-    ]
+    return [i for i, row in enumerate(bundle.anchor_rows) if not row]
 
 
 def random_kernel_section(

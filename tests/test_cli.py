@@ -240,6 +240,29 @@ def test_bad_builder_input_exits_2(tmp_path, capsys, text, position):
     assert "Traceback" not in err
 
 
+DISSECTION_2D = "[chart]\nvars = x1 x2\n\n[builder]\nkind = dissection\n\n[dissection]\naux_rank = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (DISSECTION_2D + "pairing.1 = 1\nr.2.1 = 1\n", "line 10, column 1"),
+        (DISSECTION_2D + "pairing.1 = 1\ngbracket.1.1 = 0\n", "line 10, column 1"),
+        (DISSECTION_2D + "pairing.1 = 0\n", "line 9, column 1"),
+        ("[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\n"
+         "double = true\npairing.1 = 1\n\n[action]\nrho.1 = 1\nrho.2 = 0\n", "line 10, column 1"),
+    ],
+)
+def test_malformed_builder_blocks_exit_2(tmp_path, capsys, text, position):
+    path = tmp_path / "builder.pcm"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert code == 2
+    assert out == ""
+    assert f"{position}: expected " in err
+    assert "Traceback" not in err
+
+
 def _raises_inside(ctx):
     raise ConstructionError("broken-task", "raised inside the task")
 

@@ -340,6 +340,14 @@ def test_dissection_rejects_bad_connection():
     assert err.value.code == "connection-not-metric"
 
 
+def test_dissection_rejects_singular_aux_pairing():
+    dd = _flat_dissection()
+    dd.aux_pairing = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
+    with pytest.raises(ConstructionError) as err:
+        from_dissection(dd)
+    assert err.value.code == "aux-pairing-singular"
+
+
 def test_curvature_square_brute_force_oracle():
     """The three-partition formula against the 24-term signed sum."""
     from itertools import permutations

@@ -287,3 +287,64 @@ def test_undoubled_algebra_needs_pairing_rows(double):
         parse_manifest(text)
     assert (err.value.line, err.value.column) == (8, 1)
     assert err.value.expected == "pairing.N rows in [algebra] unless double = true"
+
+
+DISSECTION = """
+[chart]
+vars = x1 x2
+
+[builder]
+kind = dissection
+
+[dissection]
+aux_rank = 2
+{rows}
+"""
+AUX_ROWS = "pairing.1 = 0, 1\npairing.2 = 1, 0"
+
+
+@pytest.mark.parametrize(
+    "entry, expected",
+    [
+        ("r.2.1 = 1, 0", "r.I.J with I < J <= 2"),
+        ("r.1.1 = 1, 0", "r.I.J with I < J <= 2"),
+        ("r.1.3 = 1, 0", "r.I.J with I < J <= 2"),
+        ("gbracket.2.1 = 1, 0", "gbracket.I.J with I < J <= 2"),
+        ("gbracket.2.2 = 1, 0", "gbracket.I.J with I < J <= 2"),
+    ],
+)
+def test_dissection_keys_must_increase(entry, expected):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(DISSECTION.format(rows=f"{AUX_ROWS}\n{entry}"))
+    assert (err.value.line, err.value.column) == (12, 1)
+    assert err.value.expected == expected
+    assert err.value.found == entry.split(" ")[0]
+
+
+@pytest.mark.parametrize(
+    "rows", ["pairing.1 = 1, 1\npairing.2 = 1, 1", "pairing.2 = 0, 0\npairing.1 = 1, 0"]
+)
+def test_singular_aux_pairing_is_reported_at_its_first_row(rows):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(DISSECTION.format(rows=rows))
+    assert (err.value.line, err.value.column) == (10, 1)
+    assert err.value.expected == "a nonsingular auxiliary pairing in [dissection]"
+
+
+@pytest.mark.parametrize(
+    "entries, line",
+    [
+        ("double = true\npairing.1 = 1\n", 10),
+        ("pairing.1 = 1\ndouble = true\n", 9),
+    ],
+)
+def test_doubled_algebra_rejects_pairing_rows(entries, line):
+    text = (
+        "[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n"
+        f"[algebra]\ndim = 1\n{entries}\n[action]\nrho.1 = 1\nrho.2 = 0\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (line, 1)
+    assert err.value.expected == "no pairing.N rows in [algebra] when double = true"
+    assert err.value.found == "pairing.1"

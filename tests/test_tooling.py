@@ -1,5 +1,6 @@
 """The README and the benchmark tracer stay in step with the code, and the
-modules keep to each other's public names."""
+modules keep to each other's public names and off the dense views of the
+sparse store."""
 
 import ast
 import importlib
@@ -52,3 +53,16 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_") and not alias.name.startswith("__")
             ]
     assert private == []
+
+
+def test_dense_coefficients_read_only_where_they_are_defined():
+    # the sparse store stays behind PolyMap: elsewhere, callers walk `terms`
+    readers = {
+        path.name
+        for path in (ROOT / "src" / "precourant").glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "coeffs"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    }
+    assert readers <= {"bundle.py", "exterior.py"}, readers
