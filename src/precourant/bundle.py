@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
@@ -288,10 +289,12 @@ def kernel_coisotropy_check(
         a_t = anchor_at(b, pt)
         kernel = linalg.kernel_basis(a_t, b.rank)
         anchor_rank = b.rank - len(kernel)
-        constraints = [linalg.mat_vec(b.metric, v) for v in kernel]
+        constraints = [
+            [sum(c * v[j] for j, c in row) for row in b.metric_rows] for v in kernel
+        ]
         perp = linalg.kernel_basis(constraints, b.rank)
         bad = next(
-            (w for w in perp if any(x != 0 for x in linalg.mat_vec(a_t, w))), None
+            (w for w in perp if any(sum(map(mul, row, w)) != 0 for row in a_t)), None
         )
         if bad is None:
             reports.append(CoisotropyPointReport(pt, anchor_rank, True))

@@ -23,7 +23,7 @@ from .algebroid import PreCourantAlgebroid, bracket, jacobiator, verify_axioms
 from .bundle import CourantBundle, Section, anchor_apply, dee, format_section, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, evaluate, vf_apply
-from .poly import Poly, PolyMap, format_poly, increasing_key, sort_sign
+from .poly import Poly, PolyMap, add_into, format_poly, increasing_key, sort_sign
 from .reports import VerifyReport
 from .sampling import random_poly, random_section
 
@@ -105,12 +105,19 @@ class Cochain(PolyMap):
 
 
 class KerCochain:
-    """Kernel-valued k-cochain, stored as its flat (a (k+1)-cochain)."""
+    """Kernel-valued k-cochain, stored as its flat (a (k+1)-cochain).
 
-    __slots__ = ("flat",)
+    It is C-infinity-multilinear, so its section values on increasing
+    k-tuples determine it.  They are raised from the flat once, on first
+    use: a flat key K of length k+1 with value v gives the covector of
+    K without K[t] the entry (-1)^(k-t) v at index K[t].
+    """
+
+    __slots__ = ("flat", "_values")
 
     def __init__(self, flat: Cochain):
         self.flat = flat
+        self._values = None
 
     @property
     def bundle(self) -> CourantBundle:
@@ -124,18 +131,44 @@ class KerCochain:
     def zero(bundle: CourantBundle, degree: int) -> "KerCochain":
         return KerCochain(Cochain.zero(bundle, degree + 1))
 
+    @property
+    def frame_values(self) -> Dict[FrameTuple, Section]:
+        """The nonzero section values on increasing frame tuples."""
+        if self._values is None:
+            b = self.bundle
+            k = self.degree
+            covectors: Dict[FrameTuple, Dict[int, Poly]] = {}
+            for key, v in self.flat.terms.items():
+                for t, j in enumerate(key):
+                    rest = key[:t] + key[t + 1 :]
+                    covectors.setdefault(rest, {})[j] = v if (k - t) % 2 == 0 else -v
+            zero = Poly.zero(b.chart)
+            raised = {
+                rest: b.raise_covector([c.get(j, zero) for j in range(b.rank)])
+                for rest, c in covectors.items()
+            }
+            self._values = {rest: s for rest, s in raised.items() if s.terms}
+        return self._values
+
     def value_at(self, indices: Sequence[int]) -> Section:
         """Section value on a frame tuple."""
-        b = self.bundle
-        covector = [self.flat.value_at((*indices, j)) for j in range(b.rank)]
-        return b.raise_covector(covector)
+        key, sign = sort_sign(indices)
+        s = self.frame_values.get(key)
+        if s is None:
+            return self.bundle.zero_section()
+        return s if sign > 0 else -s
 
     def eval_section_first(self, s: Section, rest: Sequence[int]) -> Section:
-        b = self.bundle
-        covector = [
-            self.flat.eval_section_first(s, (*rest, j)) for j in range(b.rank)
-        ]
-        return b.raise_covector(covector)
+        """sum_i s_i phi(u_i, rest), by C-infinity-linearity in the first slot."""
+        out: Dict[int, Poly] = {}
+        for i, si in s.terms.items():
+            key, sign = sort_sign((i, *rest))
+            v = self.frame_values.get(key)
+            if v is not None:
+                f = si if sign > 0 else -si
+                for m, c in v.terms.items():
+                    add_into(out, m, f * c)
+        return Section.from_terms(self.bundle, out)
 
     def evaluate(self, sections: Sequence[Section]) -> Section:
         b = self.bundle

@@ -314,7 +314,8 @@ class TwistedAction:
     `bundle` carries the algebra pairing as metric and the action as anchor.
     bracket_table holds the algebra bracket and k_table the defect on basis
     pairs, both as sections of `bundle` that `_bilinear` extends over
-    functions.
+    functions.  The action is never changed after it is built, so
+    `validate_twisted_action` keeps its report here.
     """
 
     algebra: QuadraticLieAlgebra
@@ -322,6 +323,7 @@ class TwistedAction:
     k_table: List[List[Section]]
     sample_points: List[Tuple[Fraction, ...]]
     bundle: CourantBundle
+    _report: Optional[VerifyReport] = field(default=None, init=False, repr=False, compare=False)
 
 
 def action_bundle(algebra: QuadraticLieAlgebra, chart: Chart,
@@ -374,7 +376,15 @@ def _action_lie_bracket(ta: TwistedAction, e1: Section, e2: Section) -> Section:
 def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
     """Antisymmetry of the defect, its vanishing on the pointwise kernel,
     the anchor-defect equation on basis pairs and seeded function multiples,
-    and pointwise coisotropy of the kernel."""
+    and pointwise coisotropy of the kernel.
+
+    The checks run once per action; every call returns its own copy."""
+    if ta._report is None:
+        ta._report = _twisted_action_report(ta)
+    return ta._report.copy()
+
+
+def _twisted_action_report(ta: TwistedAction) -> VerifyReport:
     report = VerifyReport("twisted action")
     alg_report = validate_quadratic_lie(ta.algebra)
     report.add(

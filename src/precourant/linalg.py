@@ -24,10 +24,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def nonzero_rows(a: Sequence[Sequence[Fraction]]) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
     """Each row of a constant matrix as its (column, entry) pairs with entry != 0."""
     return tuple(tuple((j, c) for j, c in enumerate(row) if c != 0) for row in a)

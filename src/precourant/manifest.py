@@ -458,6 +458,10 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
             m.aux_pairing = _numbered_rows(
                 pairing_entries, "pairing", g, lambda e: _parse_scalar_list(e, g)
             )
+            if not linalg.is_symmetric(m.aux_pairing):
+                raise ParseError(
+                    pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"
+                )
             try:
                 linalg.invert(m.aux_pairing)
             except SingularMetricError:

@@ -249,6 +249,8 @@ DISSECTION_2D = "[chart]\nvars = x1 x2\n\n[builder]\nkind = dissection\n\n[disse
         (DISSECTION_2D + "pairing.1 = 1\nr.2.1 = 1\n", "line 10, column 1"),
         (DISSECTION_2D + "pairing.1 = 1\ngbracket.1.1 = 0\n", "line 10, column 1"),
         (DISSECTION_2D + "pairing.1 = 0\n", "line 9, column 1"),
+        (DISSECTION_2D.replace("aux_rank = 1", "aux_rank = 2")
+         + "pairing.1 = 1, 1\npairing.2 = 0, 1\n", "line 9, column 1"),
         ("[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\n"
          "double = true\npairing.1 = 1\n\n[action]\nrho.1 = 1\nrho.2 = 0\n", "line 10, column 1"),
     ],

@@ -1,17 +1,27 @@
-"""The frame data built once per bundle and algebroid, and the bracket memo,
-against the code they replaced: `dee_reference`, `bracket_reference`,
-`pairing_reference` and `raise_reference` below are the earlier
+"""The frame data built once per bundle and algebroid, the bracket memo, the
+closed-form bracket, the raised kernel-cochain values and the cached
+frame-axiom verdicts, against the code they replaced: `dee_reference`,
+`bracket_reference`, `pairing_reference`, `raise_reference`,
+`ker_value_reference` and `ker_eval_reference` below are the earlier
 implementations, kept as oracles.  The Dorfman oracle in test_algebroid.py
 is the second, independent one."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from precourant import construct, linalg, runner
-from precourant.algebroid import PreCourantAlgebroid, bracket, jacobiator, zero_table
+from precourant import algebroid, construct, linalg, runner
+from precourant.algebroid import (
+    PreCourantAlgebroid,
+    bracket,
+    jacobiator,
+    verify_axioms,
+    zero_table,
+)
 from precourant.bundle import Section, anchor_apply, dee, pairing, rho_star, standard_bundle
 from precourant.cli import resolve_manifest
+from precourant.cochain import KerCochain, jacobiator_flat, pullback_form
 from precourant.construct import from_twisted_action
 from precourant.deform import apply_deformation, twist_deformation
 from precourant.exterior import KForm, vf_apply
@@ -19,7 +29,7 @@ from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly
 from precourant.runner import build_context, run_manifest
-from precourant.sampling import random_poly, random_section
+from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
 
 BUILTINS = [
     "standard_r3",
@@ -109,6 +119,20 @@ def bracket_reference(p, e1, e2):
     return out
 
 
+def ker_value_reference(phi, indices):
+    """The section value through the flat, one covector entry at a time."""
+    b = phi.bundle
+    return b.raise_covector([phi.flat.value_at((*indices, j)) for j in range(b.rank)])
+
+
+def ker_eval_reference(phi, s, rest):
+    """A general section in the first slot through the flat's expansion."""
+    b = phi.bundle
+    return b.raise_covector(
+        [phi.flat.eval_section_first(s, (*rest, j)) for j in range(b.rank)]
+    )
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_frames_and_anchors_match_reference(name):
     p = build_context(load(name)).algebroid
@@ -145,6 +169,17 @@ def test_bracket_matches_reference(name):
     b = p.bundle
     rng = random.Random(12)
     sections = [random_section(rng, b, 4) for _ in range(3)] + b.frames()[:3]
+    # zero, constant, single-entry, derivative, kernel and sparse sections
+    x = [Poly.var(b.chart, m) for m in range(b.chart.dim)]
+    sections += [
+        b.zero_section(),
+        b.frame(0).scale(Poly.const(b.chart, 3)) + b.frame(b.rank - 1),
+        b.frame(1).scale(x[0] * x[-1]),
+        dee(b, x[-1] * x[0] + x[0]),
+        random_kernel_section(rng, b, 2),
+        random_section(rng, b, 2, density=0.2),
+        random_section(rng, b, 0),
+    ]
     for e1 in sections:
         for e2 in sections:
             expected = bracket_reference(p, e1, e2)
@@ -274,3 +309,98 @@ def test_validation_reports_are_copies():
     assert second.ok and not second.notes
     assert second.lines() == construct._quadratic_lie_report(g).lines()
     assert second.checks[0] is not construct.validate_quadratic_lie(g).checks[0]
+
+
+def _ker_cochains(m, ctx):
+    """The Jacobiator flat, the twist of a [deform] block and seeded
+    pulled-back forms of every degree the chart allows."""
+    b = ctx.bundle
+    rng = random.Random(22)
+    out = [KerCochain(jacobiator_flat(ctx.algebroid))]
+    if m.deform_h is not None:
+        out.append(twist_deformation(b, m.deform_h))
+    for degree in range(1, min(b.chart.dim, 3) + 1):
+        alpha = random_form(rng, b.chart, degree, 2, max_components=3)
+        out.append(KerCochain(pullback_form(b, alpha)))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_ker_cochain_values_match_reference(name):
+    m = load(name)
+    ctx = build_context(m)
+    b = ctx.bundle
+    rng = random.Random(23)
+    sections = [random_section(rng, b, 2) for _ in range(3)] + [b.frame(b.rank - 1)]
+    for phi in _ker_cochains(m, ctx):
+        k = phi.degree
+        increasing = list(combinations(range(b.rank), k))
+        # unsorted and repeated tuples next to the increasing ones
+        arbitrary = [tuple(rng.randrange(b.rank) for _ in range(k)) for _ in range(12)]
+        arbitrary += [tuple(reversed(t)) for t in increasing[:6]]
+        if k >= 2:
+            arbitrary += [(0,) * k, (1, 1) + tuple(range(2, k))]
+        for idx in increasing + arbitrary:
+            assert phi.value_at(idx) == ker_value_reference(phi, idx), idx
+        if k == 0:
+            continue
+        rests = list(combinations(range(b.rank), k - 1))[:8]
+        rests += [tuple(rng.randrange(b.rank) for _ in range(k - 1)) for _ in range(4)]
+        for s in sections:
+            for rest in rests:
+                assert phi.eval_section_first(s, rest) == ker_eval_reference(phi, s, rest)
+
+
+def test_frame_axioms_run_once_per_algebroid(monkeypatch, std4, chart4):
+    seen = []
+    real = algebroid._frame_axiom_report
+
+    def counted(p):
+        seen.append(p)
+        return real(p)
+
+    monkeypatch.setattr(algebroid, "_frame_axiom_report", counted)
+    m = load("twisted_r4")
+    m.trials = 1
+    assert run_manifest(m, tasks=["verify-axioms", "jacobiator-theorem"]).ok
+    assert len(seen) == 1
+    p = seen[0]
+    first = verify_axioms(p, trials=1, seed=4)
+    assert len(seen) == 1 and first.ok
+    # each call gets its own copy of the kept verdicts
+    first.checks[1].fail("mutated")
+    assert verify_axioms(p, trials=1, seed=4).lines() == verify_axioms(
+        p.with_table(p.table), trials=1, seed=4
+    ).lines()
+    assert len(seen) == 2 and seen[1] is not p
+    # a derived algebroid starts without verdicts of its own
+    base = PreCourantAlgebroid(std4, zero_table(std4))
+    verify_axioms(base, trials=1)
+    twisted = apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
+    assert twisted.frame_report is None and base.frame_report is not None
+    assert verify_axioms(twisted, trials=1).ok
+    assert seen[2:] == [base, twisted]
+
+
+@pytest.mark.parametrize("name", ["twisted_action_synthetic", "double_nonabelian", "action_abelian"])
+def test_each_action_is_validated_once_per_run(monkeypatch, name):
+    validated = []
+    real = construct._twisted_action_report
+
+    def counted(ta):
+        validated.append(ta)
+        return real(ta)
+
+    monkeypatch.setattr(construct, "_twisted_action_report", counted)
+    m = load(name)
+    m.trials = 1
+    # the builder validates the action, and validate-action reads that verdict
+    assert run_manifest(m, tasks=["validate-action"]).ok
+    assert len(validated) == 1
+    ta = validated[0]
+    first = construct.validate_twisted_action(ta)
+    first.checks[0].fail("mutated")
+    first.notes.append("mutated")
+    second = construct.validate_twisted_action(ta)
+    assert second.ok and not second.notes and len(validated) == 1
+    assert second.lines() == real(ta).lines()

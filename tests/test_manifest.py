@@ -332,6 +332,16 @@ def test_singular_aux_pairing_is_reported_at_its_first_row(rows):
 
 
 @pytest.mark.parametrize(
+    "rows", ["pairing.1 = 1, 1\npairing.2 = 0, 1", "pairing.2 = 0, 1\npairing.1 = 1, 1"]
+)
+def test_non_symmetric_aux_pairing_is_reported_at_its_first_row(rows):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(DISSECTION.format(rows=rows))
+    assert (err.value.line, err.value.column) == (10, 1)
+    assert err.value.expected == "a symmetric auxiliary pairing in [dissection]"
+
+
+@pytest.mark.parametrize(
     "entries, line",
     [
         ("double = true\npairing.1 = 1\n", 10),

@@ -1,16 +1,18 @@
-"""Failure witnesses of the builder checks, pinned as strings.
+"""Failure witnesses of the builder and axiom checks, pinned as strings.
 
 The goldens only hold passing runs, so these tests fix what the closed-form
-Jacobiator check, the twisted-action validation and the quadratic Lie
-validation report on broken input: which case fails first and how both
-sides print.
+Jacobiator check, the twisted-action validation, the quadratic Lie
+validation and the pre-Courant axioms report on broken input: which case
+fails first and how both sides print.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from precourant.algebroid import PreCourantAlgebroid
+from precourant.algebroid import PreCourantAlgebroid, verify_axioms, zero_table
+from precourant.bundle import standard_bundle
+from precourant.cochain import verify_jacobiator_theorem
 from precourant.construct import (
     DissectionData,
     dissection_jacobiator_check,
@@ -280,3 +282,95 @@ def test_quadratic_lie_failure_report(check):
     report = validate_quadratic_lie(make())
     assert not next(c for c in report.checks if c.name == check).ok
     assert report.lines() == expected
+
+
+# --- pre-Courant axioms ----------------------------------------------------
+
+
+def _broken_plane(entries):
+    """The generalized tangent bundle of a plane with a few table entries."""
+    c = Chart(["x1", "x2"])
+    b = standard_bundle(c)
+    table = [list(row) for row in zero_table(b)]
+    for (i, j), make in entries.items():
+        table[i][j] = make(b, Poly.var(c, 0))
+    return PreCourantAlgebroid(b, table)
+
+
+RANDOM_E = "(3, 2*x1^2 + 1, -3*x1, -x1*x2 + x1) | (0, -3*x2 + 2, x2, 3*x1^2)"
+RANDOM_E3 = f"{RANDOM_E} | (-2*x2, -2, -x1 - 1, 0)"
+LHS_III = "rho(e1)<e2,e3> = -8*x1^2*x2 - 36*x1 - 4*x2"
+III_FRAMES_112 = (
+    "frames (1,1,2): rho(e1)<e2,e3> = 0 but RHS = {rhs} at "
+    "(1, 0, 0, 0) | (1, 0, 0, 0) | (0, 1, 0, 0)"
+)
+
+# table entries, verify_axioms(trials=2, seed=5) lines, the precheck witness
+AXIOM_CASES = {
+    "anchor": (
+        {(0, 1): lambda b, x1: b.frame(0), (1, 0): lambda b, x1: -b.frame(0)},
+        [
+            "[FAIL] pre-courant axioms",
+            "  ok   bundle-valid",
+            "  FAIL axiom-i-frames  witness: frames (1,2)",
+            "  ok   axiom-ii-frames",
+            "  FAIL axiom-iii-frames  witness: frames (1,2,3): rho(e1)<e2,e3> = 0 but "
+            "RHS = 1 at (1, 0, 0, 0) | (0, 1, 0, 0) | (0, 0, 1, 0)",
+            f"  FAIL axiom-i-random  witness: sections {RANDOM_E}",
+            "  ok   axiom-ii-random",
+            f"  FAIL axiom-iii-random  witness: sections: {LHS_III} but RHS = "
+            "4*x1^2*x2^2 - 8*x1^2*x2 + 9*x1*x2 + 2*x2^2 - 42*x1 - x2 - 6 "
+            f"at {RANDOM_E3}",
+        ],
+        "axiom-i-frames: frames (1,2)",
+    ),
+    "symmetrization": (
+        {(0, 1): lambda b, x1: b.frame(2).scale(x1)},
+        [
+            "[FAIL] pre-courant axioms",
+            "  ok   bundle-valid",
+            "  ok   axiom-i-frames",
+            "  FAIL axiom-ii-frames  witness: frames (1,2): t[i][j]+t[j][i] = "
+            "(0, 0, x1, 0) but D<u_i,u_j> = (0, 0, 0, 0)",
+            "  FAIL axiom-iii-frames  witness: " + III_FRAMES_112.format(rhs="x1"),
+            "  ok   axiom-i-random",
+            f"  FAIL axiom-ii-random  witness: sections {RANDOM_E}",
+            f"  FAIL axiom-iii-random  witness: sections: {LHS_III} but RHS = "
+            f"-8*x1^2*x2 + 18*x1*x2^2 - 12*x1*x2 - 36*x1 - 4*x2 at {RANDOM_E3}",
+        ],
+        "axiom-ii-frames: frames (1,2): t[i][j]+t[j][i] = (0, 0, x1, 0) "
+        "but D<u_i,u_j> = (0, 0, 0, 0)",
+    ),
+    "pairing": (
+        {(0, 1): lambda b, x1: b.frame(2), (1, 0): lambda b, x1: -b.frame(2)},
+        [
+            "[FAIL] pre-courant axioms",
+            "  ok   bundle-valid",
+            "  ok   axiom-i-frames",
+            "  ok   axiom-ii-frames",
+            "  FAIL axiom-iii-frames  witness: " + III_FRAMES_112.format(rhs="1"),
+            "  ok   axiom-i-random",
+            "  ok   axiom-ii-random",
+            f"  FAIL axiom-iii-random  witness: sections: {LHS_III} but RHS = "
+            f"-8*x1^2*x2 + 18*x2^2 - 36*x1 - 16*x2 at {RANDOM_E3}",
+        ],
+        "axiom-iii-frames: " + III_FRAMES_112.format(rhs="1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(AXIOM_CASES))
+def test_broken_table_axiom_witnesses(case):
+    entries, expected, precheck = AXIOM_CASES[case]
+    p = _broken_plane(entries)
+    # the second call reads the frame verdicts kept on the algebroid
+    assert verify_axioms(p, trials=2, seed=5).lines() == expected
+    assert verify_axioms(p, trials=2, seed=5).lines() == expected
+    assert verify_jacobiator_theorem(p, trials=2, seed=5).lines() == [
+        "[FAIL] jacobiator theorem suite",
+        f"  FAIL precondition-axioms  witness: {precheck}",
+        "  note: theorem suite skipped: axioms do not hold",
+    ]
+    # the precheck alone, on a fresh algebroid, reports the same witness
+    fresh = verify_jacobiator_theorem(_broken_plane(entries), trials=2, seed=5)
+    assert fresh.checks[0].witness == precheck
