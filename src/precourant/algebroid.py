@@ -45,8 +45,9 @@ class PreCourantAlgebroid:
     `rows[i]` lists the nonzero entries of table row i once, as
     {j: ((k, c), ...)} with a constant coefficient c held as its scalar.
     `bracket` memoises its results here by the value of its arguments, and
-    `verify_axioms` keeps its frame-level verdicts in `frame_report`, so
-    both live exactly as long as the algebroid.
+    `verify_axioms` keeps its frame-level verdicts in `frame_report` and
+    `cochain.jacobiator_flat` keeps the flat of the Jacobiator in `jflat`,
+    so all three live exactly as long as the algebroid.
     """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
@@ -70,6 +71,7 @@ class PreCourantAlgebroid:
         )
         self.bracket_memo = {}
         self.frame_report: Optional[VerifyReport] = None
+        self.jflat = None
 
     @property
     def rank(self) -> int:
@@ -131,7 +133,7 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
             (e2.terms[j] * gij for j, gij in b.metric_rows[i] if j in e2.terms),
             Poly.zero(b.chart),
         )
-        if lowered.terms:
+        if not lowered.is_zero():
             for k, c in dee(b, fi).terms.items():
                 add_into(terms, k, c * lowered)
     # (rho(e1) g_j) u_j, which vanishes for constant g_j

@@ -33,7 +33,7 @@ class Section(PolyMap):
             if c.chart is not chart and c.chart != chart:
                 raise ChartMismatchError("section coefficient on a different chart")
         self.space = bundle
-        self.terms = {i: c for i, c in enumerate(cs) if c.terms}
+        self.terms = {i: c for i, c in enumerate(cs) if not c.is_zero()}
         self._hash = None
 
     @property
@@ -86,7 +86,7 @@ class CourantBundle:
         self.anchor = tuple(rows)
         self.metric_rows = linalg.nonzero_rows(self.metric)
         self.anchor_rows = tuple(
-            tuple((m, p) for m, p in enumerate(row) if p.terms) for row in rows
+            tuple((m, p) for m, p in enumerate(row) if not p.is_zero()) for row in rows
         )
         self._metric_inv_rows = None
         self._dee_columns = None

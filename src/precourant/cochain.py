@@ -43,7 +43,7 @@ class Cochain(PolyMap):
         clean: Dict[FrameTuple, Poly] = {}
         for idx, p in values.items():
             idx = increasing_key(idx, degree, bundle.rank)
-            if p.terms:
+            if not p.is_zero():
                 clean[idx] = p
         self.space = (bundle, degree)
         self.terms = clean
@@ -363,8 +363,15 @@ def verify_comm_lemma(
 def jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
     """The 4-cochain <J(u_a, u_b, u_c), u_d> on increasing frame tuples.
 
-    Only meaningful once total alternation has been verified.
+    Only meaningful once total alternation has been verified.  It depends
+    on the algebroid alone, so it is built once and kept in `p.jflat`.
     """
+    if p.jflat is None:
+        p.jflat = _jacobiator_flat(p)
+    return p.jflat
+
+
+def _jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
     b = p.bundle
     cache: Dict[FrameTuple, Section] = {}
     for triple in combinations(range(b.rank), 3):

@@ -34,7 +34,7 @@ class VectorField(PolyMap):
             if c.chart != chart:
                 raise ChartMismatchError("coefficient on a different chart")
         self.space = chart
-        self.terms = {i: c for i, c in enumerate(cs) if c.terms}
+        self.terms = {i: c for i, c in enumerate(cs) if not c.is_zero()}
         self._hash = None
 
     @property
@@ -99,7 +99,7 @@ class KForm(PolyMap):
             idx = increasing_key(idx, degree, chart.dim)
             if p.chart != chart:
                 raise ChartMismatchError("component on a different chart")
-            if p.terms:
+            if not p.is_zero():
                 clean[idx] = p
         self.space = (chart, degree)
         self.terms = clean

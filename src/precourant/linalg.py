@@ -8,12 +8,13 @@ elimination is all that is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .errors import SingularMetricError
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
+Scalar = Union[int, Fraction]
 
 
 def to_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -24,9 +25,18 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def nonzero_rows(a: Sequence[Sequence[Fraction]]) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
-    """Each row of a constant matrix as its (column, entry) pairs with entry != 0."""
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c != 0) for row in a)
+def nonzero_rows(a: Sequence[Sequence[Fraction]]) -> Tuple[Tuple[Tuple[int, Scalar], ...], ...]:
+    """Each row of a constant matrix as its (column, entry) pairs with
+    entry != 0, an integral entry held as an int so that products with it
+    stay in int arithmetic."""
+    return tuple(
+        tuple(
+            (j, c.numerator if c.denominator == 1 else c)
+            for j, c in enumerate(row)
+            if c != 0
+        )
+        for row in a
+    )
 
 
 def is_symmetric(a: Matrix) -> bool:

@@ -1,15 +1,21 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to nonzero rational
-coefficients.  The exponent tuple has one entry per chart coordinate.  An
-integral coefficient is stored as a plain int, any other as a Fraction
-whose denominator is above 1, and the zero polynomial stores no terms, so
-representations are canonical and equality is exact dict equality.  All
-arithmetic is arbitrary-precision rational; nothing here ever rounds.
+A polynomial is stored as integer numerators over one common denominator:
+`num` maps each exponent tuple (one entry per chart coordinate) to a
+nonzero int, and `den` is one positive int.  The form is canonical:
+gcd(den, *numerators) = 1, and the zero polynomial is `num == {}` over
+`den == 1`, so equality compares den and num as they are.  Arithmetic runs
+on ints only and reduces each result by a single gcd; nothing ever rounds,
+and a float is refused wherever a coefficient or a scalar comes in.  The
+read-only `terms` view gives each coefficient as a rational: an int when
+integral, else a Fraction whose denominator is above 1.
 
 The public constructor validates and normalises its input.  Arithmetic
-builds its results through `Poly._make`, which trusts that the terms it is
-given are already clean.
+builds its results through `Poly._make` and `Poly._reduce`, which trust
+that what they are given is clean.  A product with a constant factor is a
+scaling, and one with a single-term factor shifts the other factor's
+exponents, which stay distinct; only a product of two longer polynomials
+accumulates colliding terms.
 
 `PolyMap` carries the same sparse convention one level up: sections,
 vector fields, forms and cochains map their index keys to nonzero
@@ -24,6 +30,7 @@ byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add as _add
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -73,48 +80,67 @@ def _grlex_key(exp: Exponent):
     return (-sum(exp), tuple(-e for e in exp))
 
 
-def _normal(c: Scalar) -> Scalar:
-    """An exact rational as stored: int when integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _scalar(c) -> Tuple[int, int]:
+    """An exact rational as (numerator, denominator) in lowest terms with
+    the denominator positive.  Anything but an int or a Fraction is refused,
+    so that no float ever enters a polynomial."""
+    if isinstance(c, int):
+        return int(c), 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise TypeError(f"exact coefficient needed (int or Fraction), got {type(c).__name__}")
 
 
 class Poly:
-    """An exact polynomial attached to a chart.
+    """An exact polynomial attached to a chart: num / den.
 
-    Immutable.  `terms` never contains a zero coefficient, and holds every
-    integral coefficient as an int.  The hash is computed on first use and
-    kept.
+    Immutable.  `num` maps exponents to nonzero int numerators and `den` is
+    one positive int with gcd(den, *numerators) = 1; the zero polynomial is
+    `num == {}`, `den == 1`.  `terms` is the read-only rational view.  The
+    hash is computed on first use and kept.
     """
 
-    __slots__ = ("chart", "terms", "_hash")
+    __slots__ = ("chart", "num", "den", "_hash")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Scalar]):
-        clean: Dict[Exponent, Scalar] = {}
+        clean: Dict[Exponent, Tuple[int, int]] = {}
         dim = chart.dim
         for exp, coeff in terms.items():
-            c = _normal(coeff)
-            if c == 0:
+            n, d = _scalar(coeff)
+            if not n:
                 continue
             if len(exp) != dim or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for chart of dim {dim}")
-            clean[tuple(exp)] = c
+            clean[tuple(exp)] = (n, d)
+        # each n/d is in lowest terms, so the numerators over the lcm of the
+        # denominators already share no factor with it
+        den = lcm(*(d for _, d in clean.values()))
         self.chart = chart
-        self.terms = clean
+        self.num = {e: n * (den // d) for e, (n, d) in clean.items()}
+        self.den = den
         self._hash = None
 
     @staticmethod
-    def _make(chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
-        """Wrap terms the caller guarantees clean: valid exponents, no zero,
-        and every coefficient an int or a non-integral Fraction."""
+    def _make(chart: Chart, num: Dict[Exponent, int], den: int = 1) -> "Poly":
+        """Wrap a stored form the caller guarantees canonical: valid
+        exponents, nonzero int numerators, den > 0 and coprime to them."""
         p = object.__new__(Poly)
         p.chart = chart
-        p.terms = terms
+        p.num = num
+        p.den = den
         p._hash = None
         return p
+
+    @staticmethod
+    def _reduce(chart: Chart, num: Dict[Exponent, int], den: int) -> "Poly":
+        """`_make` after cancelling the common factor of den and num; an
+        empty num comes out as the zero polynomial, den 1."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        return Poly._make(chart, num, den)
 
     # --- constructors -------------------------------------------------
 
@@ -124,8 +150,8 @@ class Poly:
 
     @staticmethod
     def const(chart: Chart, value: Scalar) -> "Poly":
-        c = _normal(value)
-        return Poly._make(chart, {(0,) * chart.dim: c} if c else {})
+        n, d = _scalar(value)
+        return Poly._make(chart, {(0,) * chart.dim: n} if n else {}, d)
 
     @staticmethod
     def var(chart: Chart, index: int) -> "Poly":
@@ -133,17 +159,32 @@ class Poly:
         exp[index] = 1
         return Poly._make(chart, {tuple(exp): 1})
 
+    # --- the rational view ----------------------------------------------
+
+    @property
+    def terms(self) -> Dict[Exponent, Scalar]:
+        """Exponent -> coefficient: an int when integral, else a Fraction
+        with denominator above 1.  A fresh dict on every read."""
+        den = self.den
+        if den == 1:
+            return dict(self.num)
+        out: Dict[Exponent, Scalar] = {}
+        for e, c in self.num.items():
+            q = Fraction(c, den)
+            out[e] = q.numerator if q.denominator == 1 else q
+        return out
+
     # --- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     # --- arithmetic ---------------------------------------------------
 
@@ -153,61 +194,85 @@ class Poly:
 
     def _combine(self, other: "Poly", negate: bool) -> "Poly":
         """self + other, or self - other when negate is set."""
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) - c if negate else out.get(exp, 0) + c
+        den = self.den
+        if den == other.den:
+            out = dict(self.num)
+            items = other.num.items()
+        else:
+            g = gcd(den, other.den)
+            ma, mb = other.den // g, den // g
+            out = {e: c * ma for e, c in self.num.items()}
+            items = [(e, c * mb) for e, c in other.num.items()]
+            den *= ma
+        get = out.get
+        for exp, c in items:
+            s = get(exp, 0) - c if negate else get(exp, 0) + c
             if s:
-                out[exp] = _normal(s)
+                out[exp] = s
             else:
                 del out[exp]  # a zero sum means exp was already present
-        return Poly._make(self.chart, out)
+        return Poly._reduce(self.chart, out, den)
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if not other.terms:
+        if not other.num:
             return self
-        if not self.terms:
+        if not self.num:
             return other
         return self._combine(other, False)
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.chart, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.chart, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if not other.terms:
+        if not other.num:
             return self
         return self._combine(other, True)
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
-            return self._scale(_normal(other))
+            return self._scale(*_scalar(other))
         self._check(other)
-        a, b = self.terms, other.terms
+        p, q = self, other
+        a, b = p.num, q.num
         if not a:
-            return self
+            return p
         if not b:
-            return other
-        out: Dict[Exponent, Scalar] = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = tuple(map(_add, ea, eb))
-                out[exp] = get(exp, 0) + ca * cb
-        return Poly._make(self.chart, {e: _normal(c) for e, c in out.items() if c})
+            return q
+        if len(b) != 1:
+            if len(a) != 1:
+                out: Dict[Exponent, int] = {}
+                get = out.get
+                for ea, ca in a.items():
+                    for eb, cb in b.items():
+                        exp = tuple(map(_add, ea, eb))
+                        out[exp] = get(exp, 0) + ca * cb
+                return Poly._reduce(
+                    p.chart, {e: c for e, c in out.items() if c}, p.den * q.den
+                )
+            p, q, a, b = q, p, b, a
+        # q is one term (n / d) * x^eb, with n and d coprime: shifting every
+        # exponent of p by eb keeps them distinct, so nothing collides or
+        # cancels
+        (eb, n), = b.items()
+        if not any(eb):
+            return p._scale(n, q.den)
+        return Poly._reduce(
+            p.chart, {tuple(map(_add, e, eb)): c * n for e, c in a.items()}, p.den * q.den
+        )
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self * other
 
-    def _scale(self, c: Scalar) -> "Poly":
-        """self times a normalised scalar."""
-        if c == 1:
+    def _scale(self, n: int, d: int) -> "Poly":
+        """self times n / d, given in lowest terms with d > 0."""
+        if n == d:
             return self
-        if not c:
+        if not n:
             return Poly._make(self.chart, {})
-        return Poly._make(
-            self.chart, {e: _normal(v * c) for e, v in self.terms.items()}
-        )
+        num = self.num if n == 1 else {e: c * n for e, c in self.num.items()}
+        return Poly._reduce(self.chart, num, self.den * d)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -226,28 +291,31 @@ class Poly:
         return self is other or (
             isinstance(other, Poly)
             and self.chart == other.chart
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        # hash(Fraction(n)) == hash(n), so the value matches a Fraction store
+        # the hash of the rational view, which a Fraction store hashes
+        # alike, since hash(Fraction(n)) == hash(n)
         if self._hash is None:
-            self._hash = hash((self.chart, frozenset(self.terms.items())))
+            terms = self.num if self.den == 1 else self.terms
+            self._hash = hash((self.chart, frozenset(terms.items())))
         return self._hash
 
     # --- calculus -----------------------------------------------------
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to coordinate `index`."""
-        out: Dict[Exponent, Scalar] = {}
-        for exp, c in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for exp, c in self.num.items():
             k = exp[index]
             if k == 0:
                 continue
             e = list(exp)
             e[index] = k - 1
-            out[tuple(e)] = _normal(c * k)
-        return Poly._make(self.chart, out)
+            out[tuple(e)] = c * k
+        return Poly._reduce(self.chart, out, self.den)
 
     def eval(self, point: Tuple[Scalar, ...]) -> Fraction:
         """Evaluate at a rational point."""
@@ -255,13 +323,13 @@ class Poly:
             raise ValueError("point has wrong dimension")
         pt = [Fraction(x) for x in point]
         total = Fraction(0)
-        for exp, c in self.terms.items():
+        for exp, c in self.num.items():
             v = c
             for x, e in zip(pt, exp):
                 if e:
                     v *= x**e
             total += v
-        return total
+        return total / self.den
 
     # --- serialization ------------------------------------------------
 
@@ -326,7 +394,7 @@ class PolyMap:
         zero values are dropped."""
         out = object.__new__(cls)
         out.space = space
-        out.terms = {k: p for k, p in terms.items() if p.terms}
+        out.terms = {k: p for k, p in terms.items() if p.num}
         out._hash = None
         return out
 
@@ -393,9 +461,10 @@ def format_poly(p: Poly) -> str:
     """Canonical string in graded-lex order, e.g. ``3/2*x1^2*x4 - x2``."""
     if p.is_zero():
         return "0"
+    terms = p.terms
     parts = []
-    for exp in sorted(p.terms, key=_grlex_key):
-        c = p.terms[exp]
+    for exp in sorted(terms, key=_grlex_key):
+        c = terms[exp]
         factors = []
         for name, e in zip(p.chart.var_names, exp):
             if e == 1:

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from precourant import algebroid, construct, linalg, runner
+from precourant import algebroid, cochain, construct, linalg, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
     bracket,
@@ -380,6 +380,38 @@ def test_frame_axioms_run_once_per_algebroid(monkeypatch, std4, chart4):
     assert twisted.frame_report is None and base.frame_report is not None
     assert verify_axioms(twisted, trials=1).ok
     assert seen[2:] == [base, twisted]
+
+
+def test_jacobiator_flat_built_once_per_algebroid(monkeypatch, std4, chart4):
+    built = []
+    real = cochain._jacobiator_flat
+
+    def counted(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cochain, "_jacobiator_flat", counted)
+    m = load("twisted_r4")
+    m.trials = 1
+    # the theorem suite and the vanishing check read one flat
+    assert run_manifest(m, tasks=["jacobiator-theorem", "pontryagin-vanishing"]).ok
+    assert len(built) == 1
+    p = built[0]
+    assert jacobiator_flat(p) is p.jflat and len(built) == 1
+    assert p.jflat == real(p)
+    # so do the theorem suite and the dissection's Pontryagin comparison
+    m = load("dissection_rank2")
+    m.trials = 1
+    assert run_manifest(m, tasks=["jacobiator-theorem", "dissection-pontryagin"]).ok
+    assert len(built) == 2 and built[1] is not p
+    # a derived algebroid starts without a flat of its own
+    assert p.with_table(p.table).jflat is None
+    base = PreCourantAlgebroid(std4, zero_table(std4))
+    jacobiator_flat(base)
+    twisted = apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
+    assert twisted.jflat is None and base.jflat is not None
+    assert not jacobiator_flat(twisted).is_zero() and base.jflat.is_zero()
+    assert built[2:] == [base, twisted]
 
 
 @pytest.mark.parametrize("name", ["twisted_action_synthetic", "double_nonabelian", "action_abelian"])

@@ -3,11 +3,14 @@
 `ReferencePoly` and `reference_format_poly` below are the earlier `Poly`
 arithmetic and formatter, copied unchanged apart from their names: every
 coefficient is a Fraction and every result goes through the validating
-constructor.  They are the oracle for the current kernel, which stores
-integral coefficients as int and builds arithmetic results through the
-trusted `Poly._make`.  sympy, when installed, is a second, optional oracle.
+constructor.  They are the oracle for the current kernel, which stores int
+numerators over one common denominator, computes in ints only and builds
+arithmetic results through its trusted constructors; its `terms` view must
+equal the reference's terms.  sympy, when installed, is a second, optional
+oracle.
 """
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -275,8 +278,9 @@ def assert_agrees(p: Poly, ref: ReferencePoly) -> None:
 
 
 def assert_clean(p: Poly) -> None:
-    """The stored form: valid exponents; each coefficient a nonzero int or
-    a Fraction with a denominator above 1; never a float."""
+    """The rational view: valid exponents; each coefficient a nonzero int or
+    a Fraction with a denominator above 1; never a float.  Then the stored
+    form behind it."""
     for exp, c in p.terms.items():
         assert type(exp) is tuple and len(exp) == p.chart.dim
         assert all(type(e) is int and e >= 0 for e in exp)
@@ -284,6 +288,22 @@ def assert_clean(p: Poly) -> None:
         assert c != 0
         if type(c) is Fraction:
             assert c.denominator > 1
+    assert_canonical(p)
+
+
+def assert_canonical(p: Poly) -> None:
+    """num / den: int numerators, none zero, over one positive int
+    denominator that shares no factor with all of them; zero is {} over 1."""
+    assert type(p.num) is dict and type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+    assert p.terms == {e: _view(Fraction(c, p.den)) for e, c in p.num.items()}
+
+
+def _view(q: Fraction) -> Scalar:
+    return q.numerator if q.denominator == 1 else q
 
 
 # --- differential tests ------------------------------------------------------
@@ -368,7 +388,7 @@ def test_sympy_cross_check():
 
 def test_public_constructor_normalises():
     chart = Chart(["x", "y"])
-    p = Poly(chart, {(1, 0): Fraction(4, 2), (0, 1): 0.5, (0, 0): Fraction(0), (2, 0): True})
+    p = Poly(chart, {(1, 0): Fraction(4, 2), (0, 1): Fraction(2, 4), (0, 0): Fraction(0), (2, 0): True})
     assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (2, 0): 1}
     assert_clean(p)
     assert type(p.terms[(1, 0)]) is int and type(p.terms[(2, 0)]) is int
@@ -432,3 +452,105 @@ def test_arithmetic_and_constructor_share_the_bracket_memo():
     size = len(p.bracket_memo)
     again = bracket(p, Section(b, [parsed, zero, zero, zero]), e2)
     assert again is first and len(p.bracket_memo) == size
+
+
+# --- the common denominator ---------------------------------------------------
+
+
+def both(chart: Chart, terms: Mapping[Exponent, Scalar]):
+    return Poly(chart, terms), ReferencePoly(chart, terms)
+
+
+def test_mixed_denominators_match_reference():
+    chart = Chart(["x", "y"])
+    a, ra = both(chart, {(1, 0): Fraction(1, 2), (0, 0): 1})
+    b, rb = both(chart, {(1, 0): Fraction(1, 3), (0, 1): Fraction(-5, 4)})
+    assert (a.den, b.den) == (2, 12)
+    assert_agrees(a + b, ra + rb)
+    assert (a + b).terms[(1, 0)] == Fraction(5, 6) and (a + b).den == 12
+    assert_agrees(a - b, ra - rb)
+    assert_agrees(b - a, rb - ra)
+    assert_agrees(a * b, ra * rb)
+    assert (a * b).den == 24
+
+
+def test_cancellation_from_a_denominator_to_zero():
+    chart = Chart(["x", "y"])
+    a, ra = both(chart, {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+    b, rb = both(chart, {(1, 0): Fraction(3, 6), (0, 1): Fraction(4, 6)})
+    for p, ref in ((a - b, ra - rb), (a + (-b), ra + (-rb)), (a * 0, ra * 0)):
+        assert_agrees(p, ref)
+        assert p.is_zero() and p.num == {} and p.den == 1
+    assert_agrees(a.diff(0).diff(0), ra.diff(0).diff(0))
+    # cancellation of some terms leaves a smaller denominator behind
+    c, rc = both(chart, {(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 3)})
+    assert_agrees(a + c, ra + rc)
+    assert (a + c).den == 1 and (a + c).terms == {(0, 1): 1}
+
+
+def test_content_reduces_across_all_terms():
+    chart = Chart(["x", "y"])
+    half, rhalf = both(chart, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
+    # 1/2 x + 3/2 y doubled: both numerators and the denominator share 2
+    for p, ref in ((half * 2, rhalf * 2), (half + half, rhalf + rhalf)):
+        assert_agrees(p, ref)
+        assert (p.num, p.den) == ({(1, 0): 1, (0, 1): 3}, 1)
+    sixth, rsixth = both(chart, {(2, 0): Fraction(1, 6), (0, 1): Fraction(1, 4)})
+    assert (sixth.num, sixth.den) == ({(2, 0): 2, (0, 1): 3}, 12)
+    # d/dx leaves 1/3 x: the 2 of its numerator cancels against 12
+    assert_agrees(sixth.diff(0), rsixth.diff(0))
+    assert (sixth.diff(0).num, sixth.diff(0).den) == ({(1, 0): 1}, 3)
+    assert_agrees(sixth * 12, rsixth * 12)
+    assert (sixth * 12).den == 1
+    assert_agrees(sixth * Fraction(4, 3), rsixth * Fraction(4, 3))
+    assert ((sixth * Fraction(4, 3)).num, (sixth * Fraction(4, 3)).den) == (
+        {(2, 0): 2, (0, 1): 3}, 9
+    )
+
+
+def test_constant_and_monomial_factors_match_reference():
+    chart = Chart(["x", "y", "z"])
+    p, rp = both(
+        chart,
+        {(2, 0, 0): Fraction(3, 4), (1, 1, 0): Fraction(-2, 3), (0, 0, 1): 5, (0, 0, 0): Fraction(1, 6)},
+    )
+    factors = [
+        {(0, 0, 0): Fraction(2, 3)},
+        {(0, 0, 0): Fraction(-4, 1)},
+        {(0, 0, 0): 1},
+        {(1, 0, 0): Fraction(3, 2)},
+        {(0, 2, 1): Fraction(-6, 5)},
+        {(1, 0, 1): 12},
+    ]
+    for terms in factors:
+        q, rq = both(chart, terms)
+        assert_agrees(p * q, rp * rq)
+        assert_agrees(q * p, rq * rp)
+        assert_agrees(q * q, rq * rq)
+    one = Poly.const(chart, 1)
+    assert p * one is p and one * p is p
+
+
+def test_fraction_scalars_match_reference():
+    chart = Chart(["x", "y"])
+    p, rp = both(chart, {(1, 0): Fraction(2, 9), (0, 1): Fraction(-4, 3), (0, 0): 7})
+    for s in (Fraction(1, 2), Fraction(-3, 2), Fraction(9, 2), Fraction(3, 1), Fraction(1, 1), -1, 6):
+        assert_agrees(p * s, rp * s)
+        assert_agrees(s * p, s * rp)
+        assert_agrees(Poly.const(chart, s), ReferencePoly.const(chart, s))
+    assert p * Fraction(1, 1) is p
+
+
+def test_floats_are_refused():
+    chart = Chart(["x", "y"])
+    p = Poly.var(chart, 0)
+    with pytest.raises(TypeError, match="float"):
+        Poly(chart, {(1, 0): 0.5})
+    with pytest.raises(TypeError, match="float"):
+        Poly.const(chart, 0.5)
+    with pytest.raises(TypeError, match="float"):
+        p * 0.5
+    with pytest.raises(TypeError, match="float"):
+        0.5 * p
+    with pytest.raises(TypeError, match="float"):
+        p * 2.0

@@ -1,6 +1,6 @@
 """The README and the benchmark tracer stay in step with the code, and the
-modules keep to each other's public names and off the dense views of the
-sparse store."""
+modules keep to each other's public names, off the dense views of the
+sparse store and off the stored form of a polynomial."""
 
 import ast
 import importlib
@@ -66,3 +66,17 @@ def test_dense_coefficients_read_only_where_they_are_defined():
         )
     }
     assert readers <= {"bundle.py", "exterior.py"}, readers
+
+
+def test_stored_polynomial_form_read_only_in_poly():
+    # numerators and denominator stay behind Poly: elsewhere, callers read
+    # the rational view `terms`
+    readers = {
+        path.name
+        for path in (ROOT / "src" / "precourant").glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr in ("num", "den")
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    }
+    assert readers <= {"poly.py"}, readers
