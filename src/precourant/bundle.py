@@ -8,10 +8,9 @@ reads A^T g^-1 A = 0 as a polynomial matrix identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ChartMismatchError, DegreeError, RankMismatchError
@@ -58,8 +57,11 @@ class CourantBundle:
 
     The frame sections, their anchored vector fields and the nonzero entries
     of each metric and anchor row are built once with the bundle.  The
-    nonzero entries of g^-1 and the columns of g^-1 A that `dee` combines
-    are built the first time they are needed.
+    nonzero entries of g^-1, the columns of g^-1 A that `dee` combines, the
+    `validate_bundle` verdict and the kernel of the anchor at each point
+    that `kernel_coisotropy_check` or `kernel_at` is given are built the
+    first time they are needed.  A bundle is never changed after it is
+    built, so they are kept here.
     """
 
     def __init__(
@@ -90,6 +92,9 @@ class CourantBundle:
         )
         self._metric_inv_rows = None
         self._dee_columns = None
+        self._report: Optional[BundleReport] = None
+        # point -> (kernel basis of the anchor, anchor rank, coisotropy witness)
+        self._pointwise: Dict[Tuple[Fraction, ...], Tuple[List[list], int, str]] = {}
         zero, one = Poly.zero(chart), Poly.const(chart, 1)
         self._frames = tuple(
             Section(self, [one if k == i else zero for k in range(rank)])
@@ -107,15 +112,23 @@ class CourantBundle:
             )
         return self._dee_columns
 
-    def raise_covector(self, covector: Sequence[Poly]) -> "Section":
-        """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
+    @property
+    def metric_inv_rows(self) -> Tuple[Tuple[Tuple[int, linalg.Scalar], ...], ...]:
+        """The nonzero entries of each row of g^-1; raises
+        SingularMetricError when the metric is singular."""
         if self._metric_inv_rows is None:
             self._metric_inv_rows = linalg.nonzero_rows(linalg.invert(self.metric))
-        zero = Poly.zero(self.chart)
-        return Section(
-            self,
-            [sum((covector[j] * c for j, c in row), zero) for row in self._metric_inv_rows],
-        )
+        return self._metric_inv_rows
+
+    def raise_covector(self, covector: Sequence[Poly]) -> "Section":
+        """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
+        out = {}
+        for i, row in enumerate(self.metric_inv_rows):
+            for j, c in row:
+                p = covector[j]
+                if not p.is_zero():
+                    add_into(out, i, p * c)
+        return Section.from_terms(self, out)
 
     # --- constructors ---------------------------------------------------
 
@@ -146,12 +159,14 @@ class CourantBundle:
         return f"CourantBundle(rank={self.rank}, dim={self.chart.dim})"
 
 
-@dataclass
 class BundleReport:
     """Validation outcome with one entry per failed condition."""
 
-    ok: bool
-    failures: List[str] = field(default_factory=list)
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: Optional[List[str]] = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
 
 
 def standard_bundle(chart: Chart) -> CourantBundle:
@@ -162,10 +177,10 @@ def standard_bundle(chart: Chart) -> CourantBundle:
     tangent/cotangent duality and the anchor projects onto the first block.
     """
     n = chart.dim
-    metric = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    metric = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
-        metric[i][n + i] = Fraction(1)
-        metric[n + i][i] = Fraction(1)
+        metric[i][n + i] = 1
+        metric[n + i][i] = 1
     zero = Poly.zero(chart)
     one = Poly.const(chart, 1)
     anchor = [
@@ -177,25 +192,30 @@ def standard_bundle(chart: Chart) -> CourantBundle:
 
 def validate_bundle(b: CourantBundle) -> BundleReport:
     """Check the type invariants: metric symmetric and invertible,
-    and A^T g^-1 A = 0 with witness entries on failure."""
+    and A^T g^-1 A = 0 with witness entries on failure.
+
+    The checks run once per bundle; every call returns its own copy."""
+    if b._report is None:
+        b._report = _bundle_report(b)
+    return BundleReport(b._report.ok, list(b._report.failures))
+
+
+def _bundle_report(b: CourantBundle) -> BundleReport:
     failures: List[str] = []
     if not linalg.is_symmetric(b.metric):
         failures.append("metric-not-symmetric")
     try:
-        g_inv = linalg.invert(b.metric)
+        b.metric_inv_rows  # inverts the metric, once per bundle
     except linalg.SingularMetricError:
         failures.append("metric-singular")
         return BundleReport(False, failures)
-    # rho rho* = 0 in the frame: (A^T g^-1 A)_{mk} = sum_{i,j} A_im ginv_ij A_jk
-    n, r = b.chart.dim, b.rank
-    for m in range(n):
-        for k in range(n):
-            total = Poly.zero(b.chart)
-            for i in range(r):
-                for j in range(r):
-                    if g_inv[i][j] != 0:
-                        total = total + (b.anchor[i][m] * b.anchor[j][k]) * g_inv[i][j]
-            if not total.is_zero():
+    # rho rho* = 0 in the frame: (A^T g^-1 A)_{mk} is the m-th component of
+    # rho(D x_k), since D x_k is column k of g^-1 A
+    rho_dee = [anchor_apply(column) for column in b.dee_columns]
+    for m in range(b.chart.dim):
+        for k, vf in enumerate(rho_dee):
+            total = vf.terms.get(m)
+            if total is not None:
                 failures.append(
                     f"anchor-not-isotropic: (A^T g^-1 A)[{m + 1}][{k + 1}] = "
                     f"{format_poly(total)}"
@@ -253,24 +273,61 @@ def dee(b: CourantBundle, f: Poly) -> Section:
     return Section.from_terms(b, out)
 
 
-def anchor_at(b: CourantBundle, pt: Sequence[Fraction]) -> List[List[Fraction]]:
+def anchor_at(b: CourantBundle, pt: Sequence[Fraction]) -> linalg.Matrix:
     """A(p)^T at a rational point: row m holds the m-th component of every
-    frame's anchor, so its null space is Ker rho at the point."""
-    return [[b.anchor[i][m].eval(pt) for i in range(b.rank)] for m in range(b.chart.dim)]
+    frame's anchor, so its null space is Ker rho at the point.  Integral
+    entries are ints (see `linalg.rational`)."""
+    return [
+        [linalg.rational(b.anchor[i][m].eval(pt)) for i in range(b.rank)]
+        for m in range(b.chart.dim)
+    ]
 
 
-@dataclass
 class CoisotropyPointReport:
-    point: Tuple[Fraction, ...]
-    anchor_rank: int
-    ok: bool
-    witness: str = ""
+    __slots__ = ("point", "anchor_rank", "ok", "witness")
+
+    def __init__(
+        self, point: Tuple[Fraction, ...], anchor_rank: int, ok: bool, witness: str = ""
+    ):
+        self.point = point
+        self.anchor_rank = anchor_rank
+        self.ok = ok
+        self.witness = witness
 
 
-@dataclass
 class CoisotropyReport:
-    ok: bool
-    points: List[CoisotropyPointReport]
+    __slots__ = ("ok", "points")
+
+    def __init__(self, ok: bool, points: List[CoisotropyPointReport]):
+        self.ok = ok
+        self.points = points
+
+
+def _pointwise(b: CourantBundle, pt: Tuple[Fraction, ...]) -> Tuple[List[list], int, str]:
+    """The kernel basis of rho at pt, the anchor rank there, and a witness
+    when (Ker rho)-perp is not inside Ker rho; computed once per point."""
+    out = b._pointwise.get(pt)
+    if out is None:
+        a_t = anchor_at(b, pt)
+        kernel = linalg.kernel_basis(a_t, b.rank)
+        constraints = [
+            [sum(c * v[j] for j, c in row) for row in b.metric_rows] for v in kernel
+        ]
+        perp = linalg.kernel_basis(constraints, b.rank)
+        bad = next(
+            (w for w in perp if any(sum(map(mul, row, w)) != 0 for row in a_t)), None
+        )
+        witness = "" if bad is None else (
+            "perp-vector outside kernel: (" + ", ".join(map(str, bad)) + ")"
+        )
+        out = b._pointwise[pt] = (kernel, b.rank - len(kernel), witness)
+    return out
+
+
+def kernel_at(b: CourantBundle, point: Sequence) -> List[list]:
+    """A basis of Ker rho at a rational point, over the rationals.  The
+    basis is kept on the bundle; callers must not change it."""
+    return _pointwise(b, tuple(Fraction(x) for x in point))[0]
 
 
 def kernel_coisotropy_check(
@@ -280,27 +337,16 @@ def kernel_coisotropy_check(
 
     The kernel is computed over the rationals from the evaluated anchor; the
     perp is taken with the metric.  A failing point is reported, not raised.
+    Each point is computed once per bundle, and `kernel_at` reads the same
+    kernel.
     """
     if not points:
         raise ValueError("need at least one sample point")
     reports: List[CoisotropyPointReport] = []
     for raw in points:
         pt = tuple(Fraction(x) for x in raw)
-        a_t = anchor_at(b, pt)
-        kernel = linalg.kernel_basis(a_t, b.rank)
-        anchor_rank = b.rank - len(kernel)
-        constraints = [
-            [sum(c * v[j] for j, c in row) for row in b.metric_rows] for v in kernel
-        ]
-        perp = linalg.kernel_basis(constraints, b.rank)
-        bad = next(
-            (w for w in perp if any(sum(map(mul, row, w)) != 0 for row in a_t)), None
-        )
-        if bad is None:
-            reports.append(CoisotropyPointReport(pt, anchor_rank, True))
-        else:
-            witness = "perp-vector outside kernel: (" + ", ".join(map(str, bad)) + ")"
-            reports.append(CoisotropyPointReport(pt, anchor_rank, False, witness))
+        _, anchor_rank, witness = _pointwise(b, pt)
+        reports.append(CoisotropyPointReport(pt, anchor_rank, not witness, witness))
     return CoisotropyReport(all(r.ok for r in reports), reports)
 
 

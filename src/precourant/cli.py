@@ -1,7 +1,8 @@
 """Command-line entry point: parse a manifest, run its tasks, print a report.
 
 Exit codes: 0 when every executed task passes, 1 when any task fails (or
-the build does), 2 on parse or usage errors.  The report on stdout is
+the build does), 2 on parse or usage errors, a manifest file that cannot
+be read as UTF-8 text included.  The report on stdout is
 byte-identical across runs for a fixed manifest and seed; per-task timing
 goes to stderr unless --quiet is given.
 """
@@ -102,7 +103,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        manifest = parse_manifest(path.read_text(), name=path.stem)
+        manifest = parse_manifest(path.read_text(encoding="utf-8"), name=path.stem)
+    except OSError as exc:  # a directory, or a file that cannot be read
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2

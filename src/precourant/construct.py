@@ -13,12 +13,19 @@ Three recipes are implemented:
 Builders validate their stated preconditions and raise ConstructionError
 with a witness; verifying the output axioms is the caller's business (the
 task runner and the test-suite always do).
+
+The algebra and action checks run in int arithmetic wherever the data is
+integral.  The antisymmetry, Jacobi and invariance checks of a quadratic
+Lie algebra combine its nonzero structure constants and pairing entries,
+each integral one held as an int, with no basis vectors in between.  The
+defect check of a twisted action evaluates the defect table once per
+sample point, at which an integral point gives ints, and reads the kernel
+of the anchor that the bundle keeps for that point.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,9 +36,9 @@ from .bundle import (
     CourantBundle,
     Section,
     anchor_apply,
-    anchor_at,
     format_section,
     format_sections,
+    kernel_at,
     kernel_coisotropy_check,
     pairing,
     rho_star,
@@ -44,9 +51,9 @@ from .poly import Chart, Poly, add_into, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly
 
-Matrix = List[List[Fraction]]
+Matrix = linalg.Matrix
 # a vector of a Lie algebra as its {basis index: coefficient} entries
-AlgebraVector = Dict[int, Fraction]
+AlgebraVector = Dict[int, linalg.Scalar]
 
 
 # --- connection + corrector on a general bundle ---------------------------
@@ -157,7 +164,6 @@ def from_connection_beta(
 # --- quadratic Lie algebras and doubles -----------------------------------
 
 
-@dataclass
 class QuadraticLieAlgebra:
     """Structure constants, with an invariant pairing on a rational basis.
 
@@ -169,14 +175,17 @@ class QuadraticLieAlgebra:
     so `validate_quadratic_lie` keeps its report here.
     """
 
-    dim: int
-    bracket_table: List[List[List[Fraction]]]
-    pairing: Optional[Matrix]
-    _report: Optional[VerifyReport] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("dim", "bracket_table", "pairing", "structure", "pairing_rows", "_report")
 
-    def __post_init__(self) -> None:
-        self.structure = tuple(linalg.nonzero_rows(row) for row in self.bracket_table)
-        self.pairing_rows = None if self.pairing is None else linalg.nonzero_rows(self.pairing)
+    def __init__(
+        self, dim: int, bracket_table: List[Matrix], pairing: Optional[Matrix]
+    ):
+        self.dim = dim
+        self.bracket_table = bracket_table
+        self.pairing = pairing
+        self.structure = tuple(linalg.nonzero_rows(row) for row in bracket_table)
+        self.pairing_rows = None if pairing is None else linalg.nonzero_rows(pairing)
+        self._report: Optional[VerifyReport] = None
 
     def bracket_vec(self, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
         out: AlgebraVector = {}
@@ -186,11 +195,6 @@ class QuadraticLieAlgebra:
                     out[k] = out.get(k, 0) + ui * vj * ck
         return out
 
-    def pair_vec(self, u: AlgebraVector, v: AlgebraVector) -> Fraction:
-        return sum(
-            ui * gij * v[j] for i, ui in u.items() for j, gij in self.pairing_rows[i] if j in v
-        )
-
 
 def quadratic_lie_algebra(
     dim: int,
@@ -199,13 +203,13 @@ def quadratic_lie_algebra(
 ) -> QuadraticLieAlgebra:
     """Build from a sparse list of basis brackets [b_i, b_j] with i < j;
     pass pairing None for a plain Lie algebra (a double input)."""
-    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), vec in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ConstructionError("bracket-index-range", f"({i + 1},{j + 1})")
         for k, c in enumerate(vec):
-            table[i][j][k] = Fraction(c)
-            table[j][i][k] = -Fraction(c)
+            table[i][j][k] = linalg.rational(c)
+            table[j][i][k] = -table[i][j][k]
     return QuadraticLieAlgebra(
         dim, table, None if pairing is None else linalg.to_matrix(pairing)
     )
@@ -234,21 +238,28 @@ def validate_quadratic_lie(g: QuadraticLieAlgebra) -> VerifyReport:
 def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
     report = VerifyReport("quadratic lie algebra")
     m = g.dim
-    basis = [{i: Fraction(1)} for i in range(m)]
+    s = g.structure  # s[i][j]: the (l, c) pairs of [b_i, b_j]
 
     chk = report.check("antisymmetric")
     for i, j in product(range(m), repeat=2):
-        s = [a + b for a, b in zip(g.bracket_table[i][j], g.bracket_table[j][i])]
-        if any(x != 0 for x in s):
+        if dict(s[i][j]) != {k: -c for k, c in s[j][i]}:
             chk.fail(f"basis ({i + 1},{j + 1})")
             break
 
     chk = report.check("jacobi")
     for i, j, k in product(range(m), repeat=3):
-        a = g.bracket_vec(basis[i], g.bracket_vec(basis[j], basis[k]))
-        b = g.bracket_vec(g.bracket_vec(basis[i], basis[j]), basis[k])
-        c = g.bracket_vec(basis[j], g.bracket_vec(basis[i], basis[k]))
-        if any(a.get(t, 0) - b.get(t, 0) - c.get(t, 0) != 0 for t in a.keys() | b.keys() | c.keys()):
+        # [b_i, [b_j, b_k]] - [[b_i, b_j], b_k] - [b_j, [b_i, b_k]]
+        out: AlgebraVector = {}
+        for l, c in s[j][k]:
+            for t, d in s[i][l]:
+                out[t] = out.get(t, 0) + c * d
+        for l, c in s[i][j]:
+            for t, d in s[l][k]:
+                out[t] = out.get(t, 0) - c * d
+        for l, c in s[i][k]:
+            for t, d in s[j][l]:
+                out[t] = out.get(t, 0) - c * d
+        if any(out.values()):
             chk.fail(f"basis triple ({i + 1},{j + 1},{k + 1})")
             break
 
@@ -263,11 +274,13 @@ def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
         report.add("pairing-invertible", False, "pairing matrix is singular")
 
     chk = report.check("pairing-invariant")
+    pair = [dict(row) for row in g.pairing_rows]
     for i, j, k in product(range(m), repeat=3):
-        v = g.pair_vec(g.bracket_vec(basis[i], basis[j]), basis[k]) + g.pair_vec(
-            basis[j], g.bracket_vec(basis[i], basis[k])
+        # <[b_i, b_j], b_k> + <b_j, [b_i, b_k]>
+        v = sum(c * pair[l].get(k, 0) for l, c in s[i][j]) + sum(
+            pair[j].get(l, 0) * c for l, c in s[i][k]
         )
-        if v != 0:
+        if v:
             chk.fail(f"basis triple ({i + 1},{j + 1},{k + 1})")
             break
     return report
@@ -283,7 +296,7 @@ def double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
         raise ConstructionError("invalid-lie-algebra", fail.name if fail else "")
     m = g.dim
     n2 = 2 * m
-    table = [[[Fraction(0)] * n2 for _ in range(n2)] for _ in range(n2)]
+    table = [[[0] * n2 for _ in range(n2)] for _ in range(n2)]
     c = g.bracket_table
     for i in range(m):
         for j in range(m):
@@ -297,17 +310,16 @@ def double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
                 if coeff != 0:
                     table[i][m + j][m + k] = coeff
                     table[m + j][i][m + k] = -coeff
-    pair = [[Fraction(0)] * n2 for _ in range(n2)]
+    pair = [[0] * n2 for _ in range(n2)]
     for i in range(m):
-        pair[i][m + i] = Fraction(1)
-        pair[m + i][i] = Fraction(1)
+        pair[i][m + i] = 1
+        pair[m + i][i] = 1
     return QuadraticLieAlgebra(n2, table, pair)
 
 
 # --- twisted actions -------------------------------------------------------
 
 
-@dataclass
 class TwistedAction:
     """A quadratic Lie algebra acting on a chart up to a curvature defect.
 
@@ -318,12 +330,22 @@ class TwistedAction:
     `validate_twisted_action` keeps its report here.
     """
 
-    algebra: QuadraticLieAlgebra
-    bracket_table: List[List[Section]]
-    k_table: List[List[Section]]
-    sample_points: List[Tuple[Fraction, ...]]
-    bundle: CourantBundle
-    _report: Optional[VerifyReport] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("algebra", "bracket_table", "k_table", "sample_points", "bundle", "_report")
+
+    def __init__(
+        self,
+        algebra: QuadraticLieAlgebra,
+        bracket_table: List[List[Section]],
+        k_table: List[List[Section]],
+        sample_points: List[Tuple[Fraction, ...]],
+        bundle: CourantBundle,
+    ):
+        self.algebra = algebra
+        self.bracket_table = bracket_table
+        self.k_table = k_table
+        self.sample_points = sample_points
+        self.bundle = bundle
+        self._report: Optional[VerifyReport] = None
 
 
 def action_bundle(algebra: QuadraticLieAlgebra, chart: Chart,
@@ -343,8 +365,8 @@ def make_twisted_action(
     bundle = action_bundle(algebra, chart, rho_matrix)
     m = algebra.dim
     brackets = [
-        [bundle.section([Poly.const(chart, x) for x in vec]) for vec in row]
-        for row in algebra.bracket_table
+        [Section.from_terms(bundle, {k: Poly.const(chart, c) for k, c in pairs}) for pairs in row]
+        for row in algebra.structure
     ]
     zero = bundle.zero_section()
     table = [[zero for _ in range(m)] for _ in range(m)]
@@ -404,12 +426,20 @@ def _twisted_action_report(ta: TwistedAction) -> VerifyReport:
     # k(e, .) = 0 for pointwise kernel vectors at the sample points
     chk = report.check("defect-kills-kernel")
     for pt in ta.sample_points:
-        for v, j in product(linalg.kernel_basis(anchor_at(bundle, pt), m), range(m)):
-            val = [Fraction(0)] * m
+        kernel = kernel_at(bundle, pt)
+        if not kernel:
+            continue
+        # the defect table at pt, each integral value held as an int
+        k_at = [
+            [{k: linalg.rational(c.eval(pt)) for k, c in s.terms.items()} for s in row]
+            for row in ta.k_table
+        ]
+        for v, j in product(kernel, range(m)):
+            val = [0] * m
             for a, va in enumerate(v):
-                for k, c in ta.k_table[a][j].terms.items():
-                    val[k] += va * c.eval(pt)
-            if any(x != 0 for x in val):
+                for k, c in k_at[a][j].items():
+                    val[k] += va * c
+            if any(val):
                 chk.fail(f"point {tuple(map(str, pt))}: k(kernel vector, basis {j + 1}) != 0")
                 break
         if not chk.ok:
@@ -461,14 +491,16 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
         raise ConstructionError("invalid-bundle", "; ".join(bundle_report.failures))
     m = ta.algebra.dim
     frames = bundle.frames()
-
-    def adjust(ea: Section, kb_row: int) -> Section:
-        # the section <ea, k(u_row, .)>: covector c -> <ea, k(u_row, u_c)>
-        return bundle.raise_covector([pairing(ea, ta.k_table[kb_row][c]) for c in range(m)])
-
+    # k_flat[a][e][c] = <u_c, k(u_a, u_e)>
+    k_flat = [[[pairing(u, s) for u in frames] for s in row] for row in ta.k_table]
+    # adjust[a][c] is the section <u_c, k(u_a, .)>: covector e -> <u_c, k(u_a, u_e)>
+    adjust = [
+        [bundle.raise_covector([k_flat[a][e][c] for e in range(m)]) for c in range(m)]
+        for a in range(m)
+    ]
     table = [
         [
-            ta.bracket_table[a][c] + ta.k_table[a][c] - adjust(frames[c], a) + adjust(frames[a], c)
+            ta.bracket_table[a][c] + ta.k_table[a][c] - adjust[a][c] + adjust[c][a]
             for c in range(m)
         ]
         for a in range(m)
@@ -479,7 +511,6 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
 # --- dissections -----------------------------------------------------------
 
 
-@dataclass
 class DissectionData:
     """Transitive structure data on tangent + auxiliary + cotangent blocks.
 
@@ -491,17 +522,30 @@ class DissectionData:
     `aux_basis`.
     """
 
-    chart: Chart
-    aux_rank: int
-    aux_pairing: Matrix
-    gamma: List[List[List[Poly]]]
-    curvature: Dict[Tuple[int, int], List[Poly]]
-    psi: KForm
-    fiber_table: Dict[Tuple[int, int], List[Poly]]
+    __slots__ = (
+        "chart", "aux_rank", "aux_pairing", "gamma", "curvature", "psi", "fiber_table",
+        "aux_basis",
+    )
 
-    def __post_init__(self) -> None:
-        zero, one = Poly.zero(self.chart), Poly.const(self.chart, 1)
-        g = self.aux_rank
+    def __init__(
+        self,
+        chart: Chart,
+        aux_rank: int,
+        aux_pairing: Matrix,
+        gamma: List[List[List[Poly]]],
+        curvature: Dict[Tuple[int, int], List[Poly]],
+        psi: KForm,
+        fiber_table: Dict[Tuple[int, int], List[Poly]],
+    ):
+        self.chart = chart
+        self.aux_rank = aux_rank
+        self.aux_pairing = aux_pairing
+        self.gamma = gamma
+        self.curvature = curvature
+        self.psi = psi
+        self.fiber_table = fiber_table
+        zero, one = Poly.zero(chart), Poly.const(chart, 1)
+        g = aux_rank
         self.aux_basis = [[one if t == a else zero for t in range(g)] for a in range(g)]
 
     def curvature_value(self, i: int, j: int) -> List[Poly]:
@@ -529,13 +573,13 @@ def dissection_bundle(dd: DissectionData) -> CourantBundle:
     """Tangent/cotangent duality blocks around the auxiliary pairing."""
     n, g = dd.chart.dim, dd.aux_rank
     r = 2 * n + g
-    metric = [[Fraction(0)] * r for _ in range(r)]
+    metric = [[0] * r for _ in range(r)]
     for i in range(n):
-        metric[i][n + g + i] = Fraction(1)
-        metric[n + g + i][i] = Fraction(1)
+        metric[i][n + g + i] = 1
+        metric[n + g + i][i] = 1
     for a in range(g):
         for b in range(g):
-            metric[n + a][n + b] = Fraction(dd.aux_pairing[a][b])
+            metric[n + a][n + b] = dd.aux_pairing[a][b]
     zero = Poly.zero(dd.chart)
     one = Poly.const(dd.chart, 1)
     anchor = [

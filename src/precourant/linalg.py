@@ -1,41 +1,45 @@
 """Small exact linear algebra over the rationals.
 
-Everything here works on lists of lists of Fractions.  Sizes in this
-library stay tiny (bundle ranks around ten), so plain Gauss-Jordan
-elimination is all that is needed.
+A matrix is a list of rows of exact rationals, each entry held as an int
+when it is integral and as a Fraction otherwise (see `rational`), so that
+sums and products of integral entries stay in int arithmetic.  Elimination
+is fraction-free: each row is first scaled to ints, rows are combined by
+integer multiples, and each pivot row is divided by its pivot once, at the
+end.  Sizes in this library stay tiny (bundle ranks around ten), so plain
+Gauss-Jordan elimination is all that is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
 from .errors import SingularMetricError
 
-Matrix = List[List[Fraction]]
-Vector = List[Fraction]
 Scalar = Union[int, Fraction]
+Matrix = List[List[Scalar]]
+Vector = List[Scalar]
+
+
+def rational(x) -> Scalar:
+    """An exact rational as an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def to_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[rational(x) for x in row] for row in rows]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def nonzero_rows(a: Sequence[Sequence[Fraction]]) -> Tuple[Tuple[Tuple[int, Scalar], ...], ...]:
+def nonzero_rows(a: Sequence[Sequence[Scalar]]) -> Tuple[Tuple[Tuple[int, Scalar], ...], ...]:
     """Each row of a constant matrix as its (column, entry) pairs with
     entry != 0, an integral entry held as an int so that products with it
     stay in int arithmetic."""
     return tuple(
-        tuple(
-            (j, c.numerator if c.denominator == 1 else c)
-            for j, c in enumerate(row)
-            if c != 0
-        )
-        for row in a
+        tuple((j, rational(c)) for j, c in enumerate(row) if c != 0) for row in a
     )
 
 
@@ -44,64 +48,68 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
 
 
-def invert(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises SingularMetricError when singular."""
-    n = len(a)
-    aug = [list(row) + ident_row for row, ident_row in zip(to_matrix(a), identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMetricError(f"matrix is singular at column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _ratio(n: int, d: int) -> Scalar:
+    """n / d, an int when d divides n."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def rref(a: Matrix):
     """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-    m = [list(row) for row in a]
+    m = []
+    for row in a:
+        # the same row times the lcm of its denominators, in ints
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv_p = 1 / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
+        p = m[r]
+        pc = p[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = [pc * x - f * y for x, y in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
+    for i, c in enumerate(pivots):
+        pc = m[i][c]
+        m[i] = [_ratio(x, pc) for x in m[i]]
     return m, pivots
+
+
+def invert(a: Matrix) -> Matrix:
+    """Gauss-Jordan inverse through the rref of [a | I]; raises
+    SingularMetricError when singular."""
+    n = len(a)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = rref(augmented)
+    for col in range(n):
+        if col not in pivots:
+            raise SingularMetricError(f"matrix is singular at column {col}")
+    return [row[n:] for row in reduced]
 
 
 def kernel_basis(a: Matrix, n_cols: int) -> List[Vector]:
     """Basis of the right null space {v : a v = 0}."""
     if not a:
-        return [
-            [Fraction(1 if i == j else 0) for i in range(n_cols)]
-            for j in range(n_cols)
-        ]
+        return [[int(i == j) for i in range(n_cols)] for j in range(n_cols)]
     reduced, pivots = rref(a)
     free = [c for c in range(n_cols) if c not in pivots]
     basis: List[Vector] = []
     for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
+        v: Vector = [0] * n_cols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -reduced[r][f]
         basis.append(v)
     return basis
-

@@ -13,7 +13,6 @@ All syntax errors carry a line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -60,51 +59,97 @@ _SECTIONS = (
 )
 
 
-@dataclass
 class _Entry:
-    key: str
-    value: str
-    line: int
-    value_col: int
+    __slots__ = ("key", "value", "line", "value_col")
+
+    def __init__(self, key: str, value: str, line: int, value_col: int):
+        self.key = key
+        self.value = value
+        self.line = line
+        self.value_col = value_col
 
 
-@dataclass
 class Manifest:
-    name: str
-    chart: Chart
-    tasks: List[str]
-    seed: int = 0
-    trials: int = 16
-    max_degree: int = 2
-    # explicit bundle data
-    rank: Optional[int] = None
-    metric: Optional[List[List[Fraction]]] = None
-    anchor: Optional[List[List[Poly]]] = None
-    bracket_entries: Optional[Dict[Tuple[int, int], List[Poly]]] = None
-    # builder data
-    builder_kind: Optional[str] = None
-    builder_h: Optional[KForm] = None
-    gamma_entries: Dict[Tuple[int, int], List[Poly]] = field(default_factory=dict)
-    beta_entries: Dict[Tuple[int, int], List[Poly]] = field(default_factory=dict)
-    algebra_dim: Optional[int] = None
-    algebra_double: bool = False
-    algebra_brackets: Dict[Tuple[int, int], List[Fraction]] = field(default_factory=dict)
-    algebra_pairing: Optional[List[List[Fraction]]] = None
-    action_rho: Optional[List[List[Poly]]] = None
-    action_k: Dict[Tuple[int, int], List[Poly]] = field(default_factory=dict)
-    aux_rank: Optional[int] = None
-    aux_pairing: Optional[List[List[Fraction]]] = None
-    diss_gamma: Dict[Tuple[int, int], List[Poly]] = field(default_factory=dict)
-    diss_r: Dict[Tuple[int, int], List[Poly]] = field(default_factory=dict)
-    diss_psi: Optional[KForm] = None
-    diss_gbracket: Dict[Tuple[int, int], List[Poly]] = field(default_factory=dict)
-    # auxiliary blocks
-    lift: Optional[List[List[Poly]]] = None
-    complement: Optional[List[List[Poly]]] = None
-    points: List[Tuple[Fraction, ...]] = field(default_factory=list)
-    deform_h: Optional[KForm] = None
-    bfield_beta: Optional[KForm] = None
-    pontryagin_h: Optional[KForm] = None
+    __slots__ = (
+        "name", "chart", "tasks", "seed", "trials", "max_degree",
+        "rank", "metric", "anchor", "bracket_entries",
+        "builder_kind", "builder_h", "gamma_entries", "beta_entries",
+        "algebra_dim", "algebra_double", "algebra_brackets", "algebra_pairing",
+        "action_rho", "action_k",
+        "aux_rank", "aux_pairing", "diss_gamma", "diss_r", "diss_psi", "diss_gbracket",
+        "lift", "complement", "points", "deform_h", "bfield_beta", "pontryagin_h",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        chart: Chart,
+        tasks: List[str],
+        seed: int = 0,
+        trials: int = 16,
+        max_degree: int = 2,
+        # explicit bundle data
+        rank: Optional[int] = None,
+        metric: Optional[List[List[Fraction]]] = None,
+        anchor: Optional[List[List[Poly]]] = None,
+        bracket_entries: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        # builder data; a dict or list left out starts empty
+        builder_kind: Optional[str] = None,
+        builder_h: Optional[KForm] = None,
+        gamma_entries: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        beta_entries: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        algebra_dim: Optional[int] = None,
+        algebra_double: bool = False,
+        algebra_brackets: Optional[Dict[Tuple[int, int], List[Fraction]]] = None,
+        algebra_pairing: Optional[List[List[Fraction]]] = None,
+        action_rho: Optional[List[List[Poly]]] = None,
+        action_k: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        aux_rank: Optional[int] = None,
+        aux_pairing: Optional[List[List[Fraction]]] = None,
+        diss_gamma: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        diss_r: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        diss_psi: Optional[KForm] = None,
+        diss_gbracket: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        # auxiliary blocks
+        lift: Optional[List[List[Poly]]] = None,
+        complement: Optional[List[List[Poly]]] = None,
+        points: Optional[List[Tuple[Fraction, ...]]] = None,
+        deform_h: Optional[KForm] = None,
+        bfield_beta: Optional[KForm] = None,
+        pontryagin_h: Optional[KForm] = None,
+    ):
+        self.name = name
+        self.chart = chart
+        self.tasks = tasks
+        self.seed = seed
+        self.trials = trials
+        self.max_degree = max_degree
+        self.rank = rank
+        self.metric = metric
+        self.anchor = anchor
+        self.bracket_entries = bracket_entries
+        self.builder_kind = builder_kind
+        self.builder_h = builder_h
+        self.gamma_entries = {} if gamma_entries is None else gamma_entries
+        self.beta_entries = {} if beta_entries is None else beta_entries
+        self.algebra_dim = algebra_dim
+        self.algebra_double = algebra_double
+        self.algebra_brackets = {} if algebra_brackets is None else algebra_brackets
+        self.algebra_pairing = algebra_pairing
+        self.action_rho = action_rho
+        self.action_k = {} if action_k is None else action_k
+        self.aux_rank = aux_rank
+        self.aux_pairing = aux_pairing
+        self.diss_gamma = {} if diss_gamma is None else diss_gamma
+        self.diss_r = {} if diss_r is None else diss_r
+        self.diss_psi = diss_psi
+        self.diss_gbracket = {} if diss_gbracket is None else diss_gbracket
+        self.lift = lift
+        self.complement = complement
+        self.points = [] if points is None else points
+        self.deform_h = deform_h
+        self.bfield_beta = bfield_beta
+        self.pontryagin_h = pontryagin_h
 
 
 def _split_sections(text: str) -> Dict[str, List[_Entry]]:

@@ -318,18 +318,21 @@ class Poly:
         return Poly._reduce(self.chart, out, self.den)
 
     def eval(self, point: Tuple[Scalar, ...]) -> Fraction:
-        """Evaluate at a rational point."""
+        """Evaluate at a rational point.  At an integral point the terms are
+        summed in ints and divided by den once."""
         if len(point) != self.chart.dim:
             raise ValueError("point has wrong dimension")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
+        pt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+        if all(x.denominator == 1 for x in pt):
+            pt = [x.numerator for x in pt]
+        total = 0
         for exp, c in self.num.items():
             v = c
             for x, e in zip(pt, exp):
                 if e:
                     v *= x**e
             total += v
-        return total / self.den
+        return Fraction(total, self.den)
 
     # --- serialization ------------------------------------------------
 

@@ -9,15 +9,16 @@ the first counterexample passed to `Check.fail`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List
+from typing import List, Optional
 
 
-@dataclass
 class Check:
-    name: str
-    ok: bool
-    witness: str = ""
+    __slots__ = ("name", "ok", "witness")
+
+    def __init__(self, name: str, ok: bool, witness: str = ""):
+        self.name = name
+        self.ok = ok
+        self.witness = witness
 
     def fail(self, witness: str = "") -> None:
         """Record a counterexample; only the first one is kept."""
@@ -25,12 +26,20 @@ class Check:
             self.ok, self.witness = False, witness
 
 
-@dataclass
 class VerifyReport:
-    title: str
-    checks: List[Check] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    skipped: bool = False
+    __slots__ = ("title", "checks", "notes", "skipped")
+
+    def __init__(
+        self,
+        title: str,
+        checks: Optional[List[Check]] = None,
+        notes: Optional[List[str]] = None,
+        skipped: bool = False,
+    ):
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
+        self.skipped = skipped
 
     @property
     def ok(self) -> bool:
@@ -53,7 +62,10 @@ class VerifyReport:
     def copy(self) -> "VerifyReport":
         """A copy that shares no check or note list with this report."""
         return VerifyReport(
-            self.title, [replace(c) for c in self.checks], list(self.notes), self.skipped
+            self.title,
+            [Check(c.name, c.ok, c.witness) for c in self.checks],
+            list(self.notes),
+            self.skipped,
         )
 
     def first_failure(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -36,22 +35,40 @@ from .reports import VerifyReport
 from .tasks import TASKS, BuildContext, check_tasks
 
 
-@dataclass
 class TaskResult:
-    name: str
-    status: str  # pass | fail | skipped-precondition
-    failures: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    __slots__ = ("name", "status", "failures", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,  # pass | fail | skipped-precondition
+        failures: Optional[List[str]] = None,
+        notes: Optional[List[str]] = None,
+    ):
+        self.name = name
+        self.status = status
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
 
-@dataclass
 class RunReport:
-    manifest: str
-    seed: int
-    trials: int
-    max_degree: int
-    tasks: List[TaskResult] = field(default_factory=list)
-    build_error: str = ""
+    __slots__ = ("manifest", "seed", "trials", "max_degree", "tasks", "build_error")
+
+    def __init__(
+        self,
+        manifest: str,
+        seed: int,
+        trials: int,
+        max_degree: int,
+        tasks: Optional[List[TaskResult]] = None,
+        build_error: str = "",
+    ):
+        self.manifest = manifest
+        self.seed = seed
+        self.trials = trials
+        self.max_degree = max_degree
+        self.tasks = [] if tasks is None else tasks
+        self.build_error = build_error
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,6 @@ and degrees are bounded, so identities stay cheap to evaluate exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from typing import List
 
@@ -33,7 +32,7 @@ def random_poly(
             exp[rng.randrange(chart.dim)] += 1
         coeff = rng.randint(-3, 3)
         if coeff:
-            terms[tuple(exp)] = Fraction(coeff) + terms.get(tuple(exp), 0)
+            terms[tuple(exp)] = coeff + terms.get(tuple(exp), 0)
     return Poly(chart, terms)
 
 

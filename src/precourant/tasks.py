@@ -10,7 +10,6 @@ is a usage error and never a crash inside a task.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import PreCourantAlgebroid, verify_axioms, verify_derived_identities
@@ -55,27 +54,51 @@ if TYPE_CHECKING:
     from .manifest import Manifest
 
 
-@dataclass
 class BuildContext:
     """The structure a manifest describes, built once and shared by its tasks."""
 
-    manifest: Manifest
-    bundle: CourantBundle
-    algebroid: PreCourantAlgebroid
-    algebra: Optional[QuadraticLieAlgebra] = None
-    base_algebra: Optional[QuadraticLieAlgebra] = None
-    action: Optional[TwistedAction] = None
-    dissection: Optional[DissectionData] = None
-    lift: Optional[List[Section]] = None
-    complement: Optional[List[Section]] = None
+    __slots__ = (
+        "manifest", "bundle", "algebroid", "algebra", "base_algebra", "action",
+        "dissection", "lift", "complement",
+    )
+
+    def __init__(
+        self,
+        manifest: Manifest,
+        bundle: CourantBundle,
+        algebroid: PreCourantAlgebroid,
+        algebra: Optional[QuadraticLieAlgebra] = None,
+        base_algebra: Optional[QuadraticLieAlgebra] = None,
+        action: Optional[TwistedAction] = None,
+        dissection: Optional[DissectionData] = None,
+        lift: Optional[List[Section]] = None,
+        complement: Optional[List[Section]] = None,
+    ):
+        self.manifest = manifest
+        self.bundle = bundle
+        self.algebroid = algebroid
+        self.algebra = algebra
+        self.base_algebra = base_algebra
+        self.action = action
+        self.dissection = dissection
+        self.lift = lift
+        self.complement = complement
 
 
-@dataclass(frozen=True)
 class Task:
-    run: Callable[[BuildContext], VerifyReport]
-    needs: Tuple[str, ...] = ()
-    gated: bool = True  # skipped once the gate is closed
-    sets_gate: bool = False  # a failure closes the gate
+    __slots__ = ("run", "needs", "gated", "sets_gate")
+
+    def __init__(
+        self,
+        run: Callable[[BuildContext], VerifyReport],
+        needs: Tuple[str, ...] = (),
+        gated: bool = True,  # skipped once the gate is closed
+        sets_gate: bool = False,  # a failure closes the gate
+    ):
+        self.run = run
+        self.needs = needs
+        self.gated = gated
+        self.sets_gate = sets_gate
 
 
 # need -> (what the manifest must contain, the test on a parsed manifest)

@@ -12,7 +12,6 @@ every Lie-flavor report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -275,16 +274,25 @@ def verify_lie2(
     return report
 
 
-@dataclass
 class Morphism2:
     """Maps between two-term algebras: (f0, f1) on the complex plus the
     bilinear homotopy f2 with degree-1 values."""
 
-    source: TwoTermAlgebra
-    target: TwoTermAlgebra
-    f0: Callable[[Section], Section]
-    f1: Callable[[Section], Section]
-    f2: Callable[[Section, Section], Section]
+    __slots__ = ("source", "target", "f0", "f1", "f2")
+
+    def __init__(
+        self,
+        source: TwoTermAlgebra,
+        target: TwoTermAlgebra,
+        f0: Callable[[Section], Section],
+        f1: Callable[[Section], Section],
+        f2: Callable[[Section, Section], Section],
+    ):
+        self.source = source
+        self.target = target
+        self.f0 = f0
+        self.f1 = f1
+        self.f2 = f2
 
 
 def identity_morphism(alg: TwoTermAlgebra) -> Morphism2:

@@ -298,3 +298,17 @@ def test_error_inside_other_task_leaves_later_tasks_running(monkeypatch):
     ]
     assert report.tasks[1].failures == ["broken-task: raised inside the task"]
     assert not report.ok
+
+
+def test_unreadable_manifest_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--manifest", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_non_utf8_manifest_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.pcm"
+    bad.write_bytes("[chart]\nvars = x1  # \xe9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "--manifest", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text (invalid continuation byte at byte 21)\n"

@@ -1,17 +1,19 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
-closed-form bracket, the raised kernel-cochain values and the cached
-frame-axiom verdicts, against the code they replaced: `dee_reference`,
-`bracket_reference`, `pairing_reference`, `raise_reference`,
-`ker_value_reference` and `ker_eval_reference` below are the earlier
+closed-form bracket, the raised kernel-cochain values, the cached
+frame-axiom and bundle verdicts and the structure-constant Lie checks,
+against the code they replaced: `dee_reference`, `bracket_reference`,
+`pairing_reference`, `raise_reference`, `ker_value_reference`,
+`ker_eval_reference` and `lie_checks_reference` below are the earlier
 implementations, kept as oracles.  The Dorfman oracle in test_algebroid.py
 is the second, independent one."""
 
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from precourant import algebroid, cochain, construct, linalg, runner
+from precourant import algebroid, bundle, cochain, construct, linalg, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
     bracket,
@@ -22,7 +24,7 @@ from precourant.algebroid import (
 from precourant.bundle import Section, anchor_apply, dee, pairing, rho_star, standard_bundle
 from precourant.cli import resolve_manifest
 from precourant.cochain import KerCochain, jacobiator_flat, pullback_form
-from precourant.construct import from_twisted_action
+from precourant.construct import QuadraticLieAlgebra, from_twisted_action, quadratic_lie_algebra
 from precourant.deform import apply_deformation, twist_deformation
 from precourant.exterior import KForm, vf_apply
 from precourant.manifest import parse_manifest
@@ -436,3 +438,147 @@ def test_each_action_is_validated_once_per_run(monkeypatch, name):
     second = construct.validate_twisted_action(ta)
     assert second.ok and not second.notes and len(validated) == 1
     assert second.lines() == real(ta).lines()
+
+
+def lie_checks_reference(g):
+    """The antisymmetry, Jacobi and pairing-invariance loops over basis
+    vectors and the dense tables, as they ran before the structure-constant
+    form: each check's name -> (ok, witness)."""
+    m = g.dim
+    basis = [{i: Fraction(1)} for i in range(m)]
+
+    def br(u, v):
+        out = {}
+        for i, ui in u.items():
+            for j, vj in v.items():
+                for k, c in enumerate(g.bracket_table[i][j]):
+                    out[k] = out.get(k, 0) + ui * vj * c
+        return out
+
+    def pair(u, v):
+        return sum(ui * g.pairing[i][j] * vj for i, ui in u.items() for j, vj in v.items())
+
+    out = {"antisymmetric": (True, ""), "jacobi": (True, "")}
+    for i, j in product(range(m), repeat=2):
+        s = [a + b for a, b in zip(g.bracket_table[i][j], g.bracket_table[j][i])]
+        if any(x != 0 for x in s):
+            out["antisymmetric"] = (False, f"basis ({i + 1},{j + 1})")
+            break
+    for i, j, k in product(range(m), repeat=3):
+        a = br(basis[i], br(basis[j], basis[k]))
+        b = br(br(basis[i], basis[j]), basis[k])
+        c = br(basis[j], br(basis[i], basis[k]))
+        if any(a.get(t, 0) - b.get(t, 0) - c.get(t, 0) != 0 for t in range(m)):
+            out["jacobi"] = (False, f"basis triple ({i + 1},{j + 1},{k + 1})")
+            break
+    if g.pairing is None:
+        return out
+    out["pairing-invariant"] = (True, "")
+    for i, j, k in product(range(m), repeat=3):
+        v = pair(br(basis[i], basis[j]), basis[k]) + pair(basis[j], br(basis[i], basis[k]))
+        if v != 0:
+            out["pairing-invariant"] = (False, f"basis triple ({i + 1},{j + 1},{k + 1})")
+            break
+    return out
+
+
+def _so3(bracket_02, pairing):
+    return quadratic_lie_algebra(
+        3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): bracket_02}, pairing
+    )
+
+
+def _builtin_algebras():
+    out = []
+    for name in BUILTINS:
+        ctx = build_context(load(name))
+        out += [g for g in (ctx.algebra, ctx.base_algebra) if g is not None]
+    return out
+
+
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+SL2 = {(0, 1): [-2, 0, 0], (0, 2): [0, 1, 0], (1, 2): [0, 0, -2]}  # e, h, f
+
+
+@pytest.mark.parametrize(
+    "make, failing",
+    [
+        (_builtin_algebras, set()),
+        (lambda: [_so3([-1, 0, 0], IDENTITY3)], {"jacobi", "pairing-invariant"}),
+        # [b1, b2] = b1 but [b2, b1] = b2
+        (
+            lambda: [QuadraticLieAlgebra(
+                2, [[[0, 0], [1, 0]], [[0, 1], [0, 0]]], [[0, 1], [1, 0]]
+            )],
+            {"antisymmetric", "jacobi", "pairing-invariant"},
+        ),
+        # Lie brackets whose pairing is not invariant
+        (
+            lambda: [_so3([0, 1, 0], IDENTITY3), quadratic_lie_algebra(3, SL2, IDENTITY3)],
+            {"pairing-invariant"},
+        ),
+        # sl(2) with its trace form, and so(3) without a pairing
+        (
+            lambda: [
+                quadratic_lie_algebra(3, SL2, [[0, 0, 1], [0, 2, 0], [1, 0, 0]]),
+                _so3([0, -1, 0], None),
+            ],
+            set(),
+        ),
+    ],
+    ids=["builtins", "non-jacobi", "non-antisymmetric", "non-invariant", "valid"],
+)
+def test_lie_checks_match_reference(make, failing):
+    seen = set()
+    for g in make():
+        expected = lie_checks_reference(g)
+        checks = {c.name: (c.ok, c.witness) for c in construct._quadratic_lie_report(g).checks}
+        assert {name: checks[name] for name in expected} == expected
+        seen |= {name for name, (ok, _) in expected.items() if not ok}
+    assert seen == failing
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bundle_checks_run_once_per_bundle(monkeypatch, name):
+    validated, inverted = [], []
+    real_report, real_invert = bundle._bundle_report, linalg.invert
+
+    def counted_report(b):
+        validated.append(b)
+        return real_report(b)
+
+    def counted_invert(a):
+        inverted.append(a)
+        return real_invert(a)
+
+    monkeypatch.setattr(bundle, "_bundle_report", counted_report)
+    monkeypatch.setattr(linalg, "invert", counted_invert)
+    m = load(name)
+    m.trials = 1
+    tasks = [t for t in m.tasks if t not in ("leibniz2", "lie2")]
+    # the builder, validate-bundle and verify-axioms read one verdict, and
+    # validation and raise_covector one inverse metric
+    assert run_manifest(m, tasks=tasks).ok
+    assert len(validated) == 1
+    b = validated[0]
+    assert sum(a is b.metric for a in inverted) == 1
+    first = bundle.validate_bundle(b)
+    first.failures.append("mutated")
+    assert bundle.validate_bundle(b).failures == [] and len(validated) == 1
+
+
+def test_coisotropy_shared_with_the_twisted_action(monkeypatch):
+    kernels = []
+    real = linalg.kernel_basis
+
+    def counted(a, n_cols):
+        kernels.append(a)
+        return real(a, n_cols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    m = load("twisted_action_synthetic")
+    m.trials = 1
+    # defect-kills-kernel, kernel-coisotropic and the coisotropy task: one
+    # kernel and one perp per sample point
+    assert run_manifest(m, tasks=["validate-action", "coisotropy"]).ok
+    assert len(kernels) == 2 * len(m.points)

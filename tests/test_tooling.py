@@ -1,11 +1,15 @@
-"""The README and the benchmark tracer stay in step with the code, and the
+"""The README and the benchmark tracer stay in step with the code, the
 modules keep to each other's public names, off the dense views of the
-sparse store and off the stored form of a polynomial."""
+sparse store and off the stored form of a polynomial, and importing the
+CLI stays cheap."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from precourant.tasks import TASKS
@@ -80,3 +84,14 @@ def test_stored_polynomial_form_read_only_in_poly():
         )
     }
     assert readers <= {"poly.py"}, readers
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # decorating classes costs every run its start-up: importing
+    # dataclasses pulls in inspect, ast and dis
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, precourant.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
