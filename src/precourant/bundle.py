@@ -169,25 +169,28 @@ class BundleReport:
         self.failures = [] if failures is None else failures
 
 
-def standard_bundle(chart: Chart) -> CourantBundle:
-    """The generalized tangent bundle of the chart.
+def standard_bundle(chart: Chart, aux_pairing: Sequence[Sequence] = ()) -> CourantBundle:
+    """The generalized tangent bundle of the chart, with an auxiliary block
+    of rank g = len(aux_pairing) between its two halves.
 
-    Rank 2n; frames 0..n-1 are the coordinate tangent directions, frames
-    n..2n-1 the coordinate cotangent directions; the pairing is the
-    tangent/cotangent duality and the anchor projects onto the first block.
+    Rank 2n + g; frames 0..n-1 are the coordinate tangent directions,
+    frames n..n+g-1 the auxiliary ones and frames n+g..2n+g-1 the
+    coordinate cotangent directions; the pairing is the tangent/cotangent
+    duality around the auxiliary pairing and the anchor projects onto the
+    first block.
     """
-    n = chart.dim
-    metric = [[0] * (2 * n) for _ in range(2 * n)]
+    n, g = chart.dim, len(aux_pairing)
+    r = 2 * n + g
+    metric = [[0] * r for _ in range(r)]
     for i in range(n):
-        metric[i][n + i] = 1
-        metric[n + i][i] = 1
-    zero = Poly.zero(chart)
-    one = Poly.const(chart, 1)
-    anchor = [
-        [one if j == i else zero for j in range(n)] if i < n else [zero] * n
-        for i in range(2 * n)
-    ]
-    return CourantBundle(chart, 2 * n, metric, anchor)
+        metric[i][n + g + i] = 1
+        metric[n + g + i][i] = 1
+    for a, row in enumerate(aux_pairing):
+        metric[n + a][n : n + g] = row
+    zero, one = Poly.zero(chart), Poly.const(chart, 1)
+    anchor = [[one if j == i else zero for j in range(n)] for i in range(n)]
+    anchor += [[zero] * n for _ in range(r - n)]
+    return CourantBundle(chart, r, metric, anchor)
 
 
 def validate_bundle(b: CourantBundle) -> BundleReport:

@@ -42,6 +42,7 @@ from .bundle import (
     kernel_coisotropy_check,
     pairing,
     rho_star,
+    standard_bundle,
     validate_bundle,
 )
 from .cochain import jacobiator_flat, pullback_form
@@ -348,13 +349,6 @@ class TwistedAction:
         self._report: Optional[VerifyReport] = None
 
 
-def action_bundle(algebra: QuadraticLieAlgebra, chart: Chart,
-                  rho_matrix: Sequence[Sequence[Poly]]) -> CourantBundle:
-    """Trivial bundle with the algebra pairing as metric and the action
-    as anchor."""
-    return CourantBundle(chart, algebra.dim, algebra.pairing, rho_matrix)
-
-
 def make_twisted_action(
     algebra: QuadraticLieAlgebra,
     chart: Chart,
@@ -362,7 +356,8 @@ def make_twisted_action(
     k_entries: Dict[Tuple[int, int], Sequence[Poly]],
     sample_points: Sequence[Sequence],
 ) -> TwistedAction:
-    bundle = action_bundle(algebra, chart, rho_matrix)
+    # the trivial bundle with the algebra pairing as metric and the action as anchor
+    bundle = CourantBundle(chart, algebra.dim, algebra.pairing, rho_matrix)
     m = algebra.dim
     brackets = [
         [Section.from_terms(bundle, {k: Poly.const(chart, c) for k, c in pairs}) for pairs in row]
@@ -569,26 +564,6 @@ class DissectionData:
         return [self.gamma[m][c][a] for c in range(self.aux_rank)]
 
 
-def dissection_bundle(dd: DissectionData) -> CourantBundle:
-    """Tangent/cotangent duality blocks around the auxiliary pairing."""
-    n, g = dd.chart.dim, dd.aux_rank
-    r = 2 * n + g
-    metric = [[0] * r for _ in range(r)]
-    for i in range(n):
-        metric[i][n + g + i] = 1
-        metric[n + g + i][i] = 1
-    for a in range(g):
-        for b in range(g):
-            metric[n + a][n + b] = dd.aux_pairing[a][b]
-    zero = Poly.zero(dd.chart)
-    one = Poly.const(dd.chart, 1)
-    anchor = [
-        [one if j == i else zero for j in range(n)] if i < n else [zero] * n
-        for i in range(r)
-    ]
-    return CourantBundle(dd.chart, r, metric, anchor)
-
-
 def _dissection_section(
     b: CourantBundle, aux: Sequence[Poly], cotangent: Sequence[Poly]
 ) -> Section:
@@ -637,7 +612,7 @@ def _validate_dissection(dd: DissectionData) -> None:
 def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
     """Assemble the frame bracket table from the dissection data."""
     _validate_dissection(dd)
-    b = dissection_bundle(dd)
+    b = standard_bundle(dd.chart, dd.aux_pairing)
     n, g = dd.chart.dim, dd.aux_rank
     basis = dd.aux_basis
     coords = [VectorField.coordinate(dd.chart, i) for i in range(n)]

@@ -8,38 +8,43 @@ keys (``metric.2 = 0, 1``) with comma-separated entries, sparse tables
 default to zero.  Exactly one of the ``[bracket]`` and ``[builder]``
 sections must be present.
 
+The builder table `BUILDERS` declares each way of building the structure
+once: the sections it reads, how they parse into one plain spec, the bundle
+rank of that spec, and how the spec builds the bundle, the algebroid and
+the rest of the task context.  ``kind = ...`` in ``[builder]`` names an
+entry; an explicit ``[bundle]`` + ``[bracket]`` pair is the entry under
+None, which no kind can name.  A builder section that the chosen builder
+does not read is an error at its header.
+
 All syntax errors carry a line and column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
+from .algebroid import PreCourantAlgebroid, zero_table
+from .bundle import CourantBundle, standard_bundle
+from .construct import (
+    DissectionData,
+    double,
+    from_connection_beta,
+    from_dissection,
+    from_twisted_action,
+    make_twisted_action,
+    quadratic_lie_algebra,
+)
+from .deform import apply_deformation, twist_deformation
 from .errors import ParseError, SingularMetricError, TaskError
 from .exterior import KForm
 from .parsing import parse_form, parse_poly, parse_scalar
 from .poly import Chart, Poly
-from .tasks import TASKS, check_tasks
+from .tasks import TASKS, BuildContext, check_tasks
 
 # the smallest value of each integer setting, in [meta] and as a CLI override
 META_MINIMUM = {"seed": 0, "trials": 1, "max_degree": 0}
-
-BUILDER_KINDS = (
-    "standard",
-    "twisted_exact",
-    "connection_beta",
-    "twisted_action",
-    "dissection",
-)
-
-# the sections a builder kind reads its data from
-BUILDER_SECTIONS = {
-    "connection_beta": ("bundle",),
-    "twisted_action": ("algebra", "action"),
-    "dissection": ("dissection",),
-}
 
 _SECTIONS = (
     "meta",
@@ -69,14 +74,24 @@ class _Entry:
         self.value_col = value_col
 
 
+class _Section(list):
+    """The entries of one section, with the line of its header."""
+
+    __slots__ = ("line",)
+
+    def __init__(self, line: int):
+        super().__init__()
+        self.line = line
+
+
+# a parsed builder spec: plain data keyed by name
+Spec = Dict[str, object]
+Sections = Dict[str, _Section]
+
+
 class Manifest:
     __slots__ = (
-        "name", "chart", "tasks", "seed", "trials", "max_degree",
-        "rank", "metric", "anchor", "bracket_entries",
-        "builder_kind", "builder_h", "gamma_entries", "beta_entries",
-        "algebra_dim", "algebra_double", "algebra_brackets", "algebra_pairing",
-        "action_rho", "action_k",
-        "aux_rank", "aux_pairing", "diss_gamma", "diss_r", "diss_psi", "diss_gbracket",
+        "name", "chart", "tasks", "seed", "trials", "max_degree", "builder_kind", "spec",
         "lift", "complement", "points", "deform_h", "bfield_beta", "pontryagin_h",
     )
 
@@ -88,28 +103,9 @@ class Manifest:
         seed: int = 0,
         trials: int = 16,
         max_degree: int = 2,
-        # explicit bundle data
-        rank: Optional[int] = None,
-        metric: Optional[List[List[Fraction]]] = None,
-        anchor: Optional[List[List[Poly]]] = None,
-        bracket_entries: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
-        # builder data; a dict or list left out starts empty
+        # the key of the builder in BUILDERS (None for [bundle] + [bracket]) and its spec
         builder_kind: Optional[str] = None,
-        builder_h: Optional[KForm] = None,
-        gamma_entries: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
-        beta_entries: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
-        algebra_dim: Optional[int] = None,
-        algebra_double: bool = False,
-        algebra_brackets: Optional[Dict[Tuple[int, int], List[Fraction]]] = None,
-        algebra_pairing: Optional[List[List[Fraction]]] = None,
-        action_rho: Optional[List[List[Poly]]] = None,
-        action_k: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
-        aux_rank: Optional[int] = None,
-        aux_pairing: Optional[List[List[Fraction]]] = None,
-        diss_gamma: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
-        diss_r: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
-        diss_psi: Optional[KForm] = None,
-        diss_gbracket: Optional[Dict[Tuple[int, int], List[Poly]]] = None,
+        spec: Optional[Spec] = None,
         # auxiliary blocks
         lift: Optional[List[List[Poly]]] = None,
         complement: Optional[List[List[Poly]]] = None,
@@ -124,26 +120,8 @@ class Manifest:
         self.seed = seed
         self.trials = trials
         self.max_degree = max_degree
-        self.rank = rank
-        self.metric = metric
-        self.anchor = anchor
-        self.bracket_entries = bracket_entries
         self.builder_kind = builder_kind
-        self.builder_h = builder_h
-        self.gamma_entries = {} if gamma_entries is None else gamma_entries
-        self.beta_entries = {} if beta_entries is None else beta_entries
-        self.algebra_dim = algebra_dim
-        self.algebra_double = algebra_double
-        self.algebra_brackets = {} if algebra_brackets is None else algebra_brackets
-        self.algebra_pairing = algebra_pairing
-        self.action_rho = action_rho
-        self.action_k = {} if action_k is None else action_k
-        self.aux_rank = aux_rank
-        self.aux_pairing = aux_pairing
-        self.diss_gamma = {} if diss_gamma is None else diss_gamma
-        self.diss_r = {} if diss_r is None else diss_r
-        self.diss_psi = diss_psi
-        self.diss_gbracket = {} if diss_gbracket is None else diss_gbracket
+        self.spec = spec
         self.lift = lift
         self.complement = complement
         self.points = [] if points is None else points
@@ -152,9 +130,9 @@ class Manifest:
         self.pontryagin_h = pontryagin_h
 
 
-def _split_sections(text: str) -> Dict[str, List[_Entry]]:
-    sections: Dict[str, List[_Entry]] = {}
-    current: Optional[str] = None
+def _split_sections(text: str) -> Sections:
+    sections: Sections = {}
+    current: Optional[_Section] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -170,8 +148,7 @@ def _split_sections(text: str) -> Dict[str, List[_Entry]]:
                 )
             if name in sections:
                 raise ParseError(lineno, 1, f"unique section [{name}]", "duplicate")
-            sections[name] = []
-            current = name
+            current = sections[name] = _Section(lineno)
             continue
         if current is None:
             raise ParseError(lineno, 1, "a [section] header before entries")
@@ -180,15 +157,19 @@ def _split_sections(text: str) -> Dict[str, List[_Entry]]:
         key, value = line.split("=", 1)
         lead = len(value) - len(value.lstrip())
         entry = _Entry(key.strip(), value.strip(), lineno, line.index("=") + 2 + lead)
-        if any(e.key == entry.key for e in sections[current]):
+        if any(e.key == entry.key for e in current):
             raise ParseError(lineno, 1, f"unique key {entry.key!r}", "duplicate")
-        sections[current].append(entry)
+        current.append(entry)
     return sections
 
 
-def _reraise(e: ParseError, entry: _Entry) -> ParseError:
-    # literal parsers see only the value substring; shift to file coordinates
-    return ParseError(entry.line, entry.value_col + e.column - 1, e.expected, e.found)
+def _first_line(entries: _Section) -> int:
+    """The line of the first entry, or of the header when there is none."""
+    return entries[0].line if entries else entries.line
+
+
+def _lookup(entries: List[_Entry], key: str) -> Optional[_Entry]:
+    return next((e for e in entries if e.key == key), None)
 
 
 def _parse_poly_list(chart: Chart, entry: _Entry, expected_len: int) -> List[Poly]:
@@ -255,9 +236,7 @@ def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
     return tuple(i - 1 for i in idx)
 
 
-def _numbered_rows(
-    entries: List[_Entry], prefix: str, n_rows: int, parse_row
-) -> List:
+def _numbered_rows(entries: List[_Entry], prefix: str, n_rows: int, parse_row) -> List:
     rows: Dict[int, object] = {}
     for e in entries:
         (i,) = _key_indices(e, prefix, 1)
@@ -271,20 +250,375 @@ def _numbered_rows(
     return [rows[i] for i in range(n_rows)]
 
 
+def _parse_form_entry(chart: Chart, e: _Entry, degree: int) -> KForm:
+    try:
+        form = parse_form(chart, e.value)
+    except ParseError as exc:
+        # the form parser sees only the value; shift to file coordinates
+        raise ParseError(e.line, e.value_col + exc.column - 1, exc.expected, exc.found) from None
+    if form.degree != degree:
+        raise ParseError(e.line, e.value_col, f"a {degree}-form literal")
+    return form
+
+
+# --- the builders: each parses its sections into a spec, and builds it ------
+# A parser takes the chart, the sections and the [builder] kind entry (None
+# for the [bracket] entry); a build function takes the parsed manifest.
+
+
+def _builder_entries(sections: Sections, kind_entry: _Entry) -> List[_Entry]:
+    """The [builder] entries other than the kind."""
+    return [e for e in sections["builder"] if e is not kind_entry]
+
+
+def _not_an_entry_of(kind_entry: _Entry, e: _Entry) -> ParseError:
+    return ParseError(e.line, 1, f"entries of builder {kind_entry.value}", e.key)
+
+
+def _parse_bundle(chart: Chart, entries: _Section) -> Spec:
+    rank_entry = _lookup(entries, "rank")
+    if rank_entry is None:
+        raise ParseError(_first_line(entries), 1, "a 'rank' entry in [bundle]")
+    rank = _parse_int(rank_entry, 1)
+    metric_entries = [e for e in entries if e.key.startswith("metric.")]
+    anchor_entries = [e for e in entries if e.key.startswith("anchor.")]
+    leftovers = [
+        e for e in entries
+        if e is not rank_entry and e not in metric_entries and e not in anchor_entries
+    ]
+    if leftovers:
+        raise ParseError(leftovers[0].line, 1, "rank, metric.N or anchor.N", leftovers[0].key)
+    metric = _numbered_rows(metric_entries, "metric", rank, lambda e: _parse_scalar_list(e, rank))
+    anchor = _numbered_rows(
+        anchor_entries, "anchor", rank, lambda e: _parse_poly_list(chart, e, chart.dim)
+    )
+    return dict(rank=rank, metric=metric, anchor=anchor)
+
+
+def _parse_bracket(chart: Chart, sections: Sections, kind_entry: None) -> Spec:
+    spec = _parse_bundle(chart, sections["bundle"])
+    rank = spec["rank"]
+    table: Dict[Tuple[int, int], List[Poly]] = {}
+    for e in sections["bracket"]:
+        i, j = _key_indices(e, "t", 2)
+        if i >= rank or j >= rank:
+            raise ParseError(e.line, 1, f"frame indices between 1 and {rank}", e.key)
+        table[(i, j)] = _parse_poly_list(chart, e, rank)
+    return dict(spec, brackets=table)
+
+
+def _build_bracket(m: Manifest) -> BuildContext:
+    s = m.spec
+    bundle = CourantBundle(m.chart, s["rank"], s["metric"], s["anchor"])
+    table = zero_table(bundle)
+    for (i, j), coeffs in s["brackets"].items():
+        table[i][j] = bundle.section(coeffs)
+    return BuildContext(m, bundle, PreCourantAlgebroid(bundle, table))
+
+
+def _parse_kind_only(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
+    """The empty spec of a builder that takes no [builder] entry but the kind."""
+    for e in _builder_entries(sections, kind_entry):
+        raise _not_an_entry_of(kind_entry, e)
+    return {}
+
+
+def _build_standard(m: Manifest) -> BuildContext:
+    bundle = standard_bundle(m.chart)
+    return BuildContext(m, bundle, PreCourantAlgebroid(bundle, zero_table(bundle)))
+
+
+def _parse_twisted_exact(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
+    h = None
+    for e in _builder_entries(sections, kind_entry):
+        if e.key != "h":
+            raise _not_an_entry_of(kind_entry, e)
+        h = _parse_form_entry(chart, e, 3)
+    if h is None:
+        raise ParseError(kind_entry.line, 1, "an 'h' entry for twisted_exact")
+    return {"h": h}
+
+
+def _build_twisted_exact(m: Manifest) -> BuildContext:
+    bundle = standard_bundle(m.chart)
+    base = PreCourantAlgebroid(bundle, zero_table(bundle))
+    omega = twist_deformation(bundle, m.spec["h"])
+    return BuildContext(m, bundle, apply_deformation(base, omega, validate=False))
+
+
+def _parse_connection_beta(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
+    spec = _parse_bundle(chart, sections["bundle"])
+    rank = spec["rank"]
+    gamma, beta = {}, {}  # (direction, frame) and (frame, frame) -> coefficients
+    for e in _builder_entries(sections, kind_entry):
+        if e.key.startswith("gamma."):
+            mm, a = _key_indices(e, "gamma", 2)
+            if mm >= chart.dim or a >= rank:
+                raise ParseError(e.line, 1, "gamma.direction.frame in range", e.key)
+            gamma[(mm, a)] = _parse_poly_list(chart, e, rank)
+        elif e.key.startswith("beta."):
+            i, j = _key_indices(e, "beta", 2)
+            if i >= rank or j >= rank:
+                raise ParseError(e.line, 1, f"frame indices between 1 and {rank}", e.key)
+            beta[(i, j)] = _parse_poly_list(chart, e, rank)
+        else:
+            raise _not_an_entry_of(kind_entry, e)
+    return dict(spec, gamma=gamma, beta=beta)
+
+
+def _build_connection_beta(m: Manifest) -> BuildContext:
+    s = m.spec
+    r = s["rank"]
+    bundle = CourantBundle(m.chart, r, s["metric"], s["anchor"])
+    zero = Poly.zero(m.chart)
+    # gamma.M.A lists the frame coefficients of nabla_M u_A: column A of gamma[M]
+    gamma = [[[zero] * r for _ in range(r)] for _ in range(m.chart.dim)]
+    for (mm, a), coeffs in s["gamma"].items():
+        for bb in range(r):
+            gamma[mm][bb][a] = coeffs[bb]
+    zsec = bundle.zero_section()
+    beta = [[zsec for _ in range(r)] for _ in range(r)]
+    for (i, j), coeffs in s["beta"].items():
+        beta[i][j] = bundle.section(coeffs)
+        if (j, i) not in s["beta"]:
+            beta[j][i] = -beta[i][j]
+    return BuildContext(m, bundle, from_connection_beta(bundle, gamma, beta))
+
+
+def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
+    _parse_kind_only(chart, sections, kind_entry)
+    entries = sections["algebra"]
+    dim_entry = _lookup(entries, "dim")
+    if dim_entry is None:
+        raise ParseError(_first_line(entries), 1, "a 'dim' entry in [algebra]")
+    dim = _parse_int(dim_entry, 1)
+    doubled = False
+    brackets: Dict[Tuple[int, int], List[Fraction]] = {}
+    pairing_entries = []
+    for e in entries:
+        if e is dim_entry:
+            continue
+        if e.key == "double":
+            if e.value not in ("true", "false"):
+                raise ParseError(e.line, e.value_col, "true or false", e.value)
+            doubled = e.value == "true"
+        elif e.key.startswith("bracket."):
+            i, j = _key_indices(e, "bracket", 2)
+            if i >= dim or j >= dim:
+                raise ParseError(e.line, 1, f"basis indices between 1 and {dim}", e.key)
+            brackets[(i, j)] = _parse_scalar_list(e, dim)
+        elif e.key.startswith("pairing."):
+            pairing_entries.append(e)
+        else:
+            raise ParseError(e.line, 1, "dim, double, bracket.I.J or pairing.N", e.key)
+    if pairing_entries and doubled:
+        raise ParseError(
+            pairing_entries[0].line, 1,
+            "no pairing.N rows in [algebra] when double = true", pairing_entries[0].key,
+        )
+    pairing = None
+    if pairing_entries:
+        pairing = _numbered_rows(
+            pairing_entries, "pairing", dim, lambda e: _parse_scalar_list(e, dim)
+        )
+    elif not doubled:
+        raise ParseError(dim_entry.line, 1, "pairing.N rows in [algebra] unless double = true")
+
+    # the action of the algebra, or of its double: one row per basis vector
+    rank = 2 * dim if doubled else dim
+    entries = sections["action"]
+    rho_entries = [e for e in entries if e.key.startswith("rho.")]
+    k_entries = [e for e in entries if e.key.startswith("k.")]
+    leftovers = [e for e in entries if e not in rho_entries and e not in k_entries]
+    if leftovers:
+        raise ParseError(leftovers[0].line, 1, "rho.N or k.I.J", leftovers[0].key)
+    rho = _numbered_rows(rho_entries, "rho", rank, lambda e: _parse_poly_list(chart, e, chart.dim))
+    k: Dict[Tuple[int, int], List[Poly]] = {}
+    for e in k_entries:
+        i, j = _key_indices(e, "k", 2)
+        if i >= rank or j >= rank:
+            raise ParseError(e.line, 1, f"basis indices between 1 and {rank}", e.key)
+        k[(i, j)] = _parse_poly_list(chart, e, rank)
+    return dict(dim=dim, double=doubled, brackets=brackets, pairing=pairing, rho=rho, k=k)
+
+
+def _build_twisted_action(m: Manifest) -> BuildContext:
+    s = m.spec
+    algebra = quadratic_lie_algebra(s["dim"], s["brackets"], s["pairing"])
+    base = None
+    if s["double"]:
+        base, algebra = algebra, double(algebra)
+    points = m.points or [(0,) * m.chart.dim]
+    action = make_twisted_action(algebra, m.chart, s["rho"], s["k"], points)
+    algebroid = from_twisted_action(action)
+    return BuildContext(m, algebroid.bundle, algebroid, algebra, base, action)
+
+
+def _parse_dissection(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
+    _parse_kind_only(chart, sections, kind_entry)
+    entries = sections["dissection"]
+    rank_entry = _lookup(entries, "aux_rank")
+    if rank_entry is None:
+        raise ParseError(_first_line(entries), 1, "an 'aux_rank' entry in [dissection]")
+    g = _parse_int(rank_entry, 0)
+    gamma, curvature, fiber_table = {}, {}, {}  # index pairs -> auxiliary coefficients
+    psi = KForm.zero(chart, 3)
+    pairing_entries = []
+    for e in entries:
+        if e is rank_entry:
+            continue
+        if e.key.startswith("pairing."):
+            pairing_entries.append(e)
+        elif e.key.startswith("gamma."):
+            idx = _key_indices(e, "gamma", 2)
+            if idx[0] >= chart.dim or idx[1] >= g:
+                raise ParseError(e.line, 1, "gamma.direction.row in range", e.key)
+            gamma[idx] = _parse_poly_list(chart, e, g)
+        elif e.key.startswith("r."):
+            i, j = _key_indices(e, "r", 2)
+            if not i < j < chart.dim:
+                raise ParseError(e.line, 1, f"r.I.J with I < J <= {chart.dim}", e.key)
+            curvature[(i, j)] = _parse_poly_list(chart, e, g)
+        elif e.key == "psi":
+            psi = _parse_form_entry(chart, e, 3)
+        elif e.key.startswith("gbracket."):
+            i, j = _key_indices(e, "gbracket", 2)
+            if not i < j < g:
+                raise ParseError(e.line, 1, f"gbracket.I.J with I < J <= {g}", e.key)
+            fiber_table[(i, j)] = _parse_poly_list(chart, e, g)
+        else:
+            raise ParseError(
+                e.line, 1, "aux_rank, pairing.N, gamma.M.N, r.I.J, psi or gbracket.I.J", e.key
+            )
+    pairing = []
+    if g > 0:
+        pairing = _numbered_rows(pairing_entries, "pairing", g, lambda e: _parse_scalar_list(e, g))
+        if not linalg.is_symmetric(pairing):
+            raise ParseError(
+                pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"
+            )
+        try:
+            linalg.invert(pairing)
+        except SingularMetricError:
+            raise ParseError(
+                pairing_entries[0].line, 1, "a nonsingular auxiliary pairing in [dissection]"
+            ) from None
+    return dict(
+        aux_rank=g, aux_pairing=pairing, gamma=gamma, curvature=curvature, psi=psi,
+        fiber_table=fiber_table,
+    )
+
+
+def _build_dissection(m: Manifest) -> BuildContext:
+    s, chart = m.spec, m.chart
+    g = s["aux_rank"]
+    zero = Poly.zero(chart)
+    # gamma.M.N is row N of the connection matrix along x_M
+    gamma = [[[zero] * g for _ in range(g)] for _ in range(chart.dim)]
+    for (mm, row), coeffs in s["gamma"].items():
+        gamma[mm][row] = list(coeffs)
+    dissection = DissectionData(
+        chart, g, s["aux_pairing"], gamma, s["curvature"], s["psi"], s["fiber_table"]
+    )
+    algebroid = from_dissection(dissection)
+    return BuildContext(m, algebroid.bundle, algebroid, dissection=dissection)
+
+
+class Builder:
+    """One way to build the structure a manifest describes: the sections it
+    reads besides [builder], the parser of its spec, the rank of the bundle
+    that a spec builds, and the build of the task context from a manifest."""
+
+    __slots__ = ("reads", "parse", "rank", "build")
+
+    def __init__(
+        self,
+        reads: Tuple[str, ...],
+        parse: Callable[[Chart, Sections, Optional[_Entry]], Spec],
+        rank: Callable[[Chart, Spec], int],
+        build: Callable[[Manifest], BuildContext],
+    ):
+        self.reads = reads
+        self.parse = parse
+        self.rank = rank
+        self.build = build
+
+
+# builder kind -> Builder; the key None is the explicit [bundle] + [bracket]
+# pair, which `kind = ...` cannot name
+BUILDERS: Dict[Optional[str], Builder] = {
+    None: Builder(
+        ("bundle", "bracket"), _parse_bracket, lambda chart, s: s["rank"], _build_bracket
+    ),
+    "standard": Builder((), _parse_kind_only, lambda chart, s: 2 * chart.dim, _build_standard),
+    "twisted_exact": Builder(
+        (), _parse_twisted_exact, lambda chart, s: 2 * chart.dim, _build_twisted_exact
+    ),
+    "connection_beta": Builder(
+        ("bundle",), _parse_connection_beta, lambda chart, s: s["rank"], _build_connection_beta
+    ),
+    "twisted_action": Builder(
+        ("algebra", "action"), _parse_twisted_action, lambda chart, s: len(s["rho"]),
+        _build_twisted_action,
+    ),
+    "dissection": Builder(
+        ("dissection",), _parse_dissection, lambda chart, s: 2 * chart.dim + s["aux_rank"],
+        _build_dissection,
+    ),
+}
+
+# the sections that some builder reads
+_BUILDER_SECTIONS = {name for b in BUILDERS.values() for name in b.reads}
+
+
+def _parse_builder(chart: Chart, sections: Sections) -> Tuple[Optional[str], Spec]:
+    """The builder kind (None for [bracket]) and its spec."""
+    has_bracket = "bracket" in sections
+    if has_bracket == ("builder" in sections):
+        raise ParseError(
+            _first_line(next(iter(sections.values()))), 1,
+            "exactly one of [bracket] and [builder]", "both" if has_bracket else "neither",
+        )
+    kind = kind_entry = None
+    if not has_bracket:
+        entries = sections["builder"]
+        kind_entry = _lookup(entries, "kind")
+        if kind_entry is None:
+            raise ParseError(_first_line(entries), 1, "a 'kind' entry in [builder]")
+        kind = kind_entry.value
+        if kind not in BUILDERS:
+            kinds = ", ".join(k for k in BUILDERS if k is not None)
+            raise ParseError(
+                kind_entry.line, kind_entry.value_col, f"builder kind among {kinds}", kind
+            )
+    builder = BUILDERS[kind]
+    missing = [name for name in builder.reads if name not in sections]
+    if missing and kind is None:
+        raise ParseError(
+            _first_line(sections["bracket"]), 1, "a [bundle] section when [bracket] is used"
+        )
+    if missing:
+        raise ParseError(
+            kind_entry.line, kind_entry.value_col, f"a section [{missing[0]}] for builder {kind}"
+        )
+    for name, entries in sections.items():
+        if name in _BUILDER_SECTIONS and name not in builder.reads:
+            reader = "a [bracket] table" if kind is None else f"builder {kind}"
+            raise ParseError(entries.line, 1, f"a section read by {reader}", f"[{name}]")
+    return kind, builder.parse(chart, sections, kind_entry)
+
+
 def parse_manifest(text: str, name: str = "manifest") -> Manifest:
     sections = _split_sections(text)
 
     def section(key: str) -> List[_Entry]:
         return sections.get(key, [])
 
-    def lookup(entries: List[_Entry], key: str) -> Optional[_Entry]:
-        return next((e for e in entries if e.key == key), None)
-
     # chart
     chart_entries = section("chart")
     if not chart_entries:
         raise ParseError(1, 1, "a [chart] section")
-    vars_entry = lookup(chart_entries, "vars")
+    vars_entry = _lookup(chart_entries, "vars")
     if vars_entry is None:
         raise ParseError(chart_entries[0].line, 1, "a 'vars' entry in [chart]")
     try:
@@ -293,11 +627,10 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
         raise ParseError(vars_entry.line, vars_entry.value_col, str(exc)) from None
 
     # meta
-    meta = section("meta")
     settings: Dict[str, int] = {}
     tasks: List[str] = []
     tasks_entry = None
-    for e in meta:
+    for e in section("meta"):
         if e.key in META_MINIMUM:
             settings[e.key] = _parse_int(e, META_MINIMUM[e.key])
         elif e.key == "tasks":
@@ -306,217 +639,11 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
         else:
             raise ParseError(e.line, 1, "seed, trials, max_degree or tasks", e.key)
 
-    m = Manifest(name=name, chart=chart, tasks=tasks, **settings)
+    kind, spec = _parse_builder(chart, sections)
+    m = Manifest(name=name, chart=chart, tasks=tasks, builder_kind=kind, spec=spec, **settings)
 
-    has_bracket = "bracket" in sections
-    has_builder = "builder" in sections
-    if has_bracket == has_builder:
-        anchor_line = next(iter(sections.values()))[0].line if sections else 1
-        raise ParseError(
-            anchor_line, 1, "exactly one of [bracket] and [builder]",
-            "both" if has_bracket else "neither",
-        )
-
-    # bundle
-    if "bundle" in sections:
-        entries = section("bundle")
-        rank_entry = lookup(entries, "rank")
-        if rank_entry is None:
-            raise ParseError(entries[0].line, 1, "a 'rank' entry in [bundle]")
-        rank = _parse_int(rank_entry, 1)
-        m.rank = rank
-        metric_entries = [e for e in entries if e.key.startswith("metric.")]
-        anchor_entries = [e for e in entries if e.key.startswith("anchor.")]
-        leftovers = [
-            e for e in entries
-            if e is not rank_entry and e not in metric_entries and e not in anchor_entries
-        ]
-        if leftovers:
-            raise ParseError(leftovers[0].line, 1, "rank, metric.N or anchor.N", leftovers[0].key)
-        m.metric = _numbered_rows(
-            metric_entries, "metric", rank, lambda e: _parse_scalar_list(e, rank)
-        )
-        m.anchor = _numbered_rows(
-            anchor_entries, "anchor", rank, lambda e: _parse_poly_list(chart, e, chart.dim)
-        )
-
-    # bracket table (sparse)
-    if has_bracket:
-        if m.rank is None:
-            raise ParseError(
-                section("bracket")[0].line if section("bracket") else 1,
-                1,
-                "a [bundle] section when [bracket] is used",
-            )
-        table: Dict[Tuple[int, int], List[Poly]] = {}
-        for e in section("bracket"):
-            i, j = _key_indices(e, "t", 2)
-            if i >= m.rank or j >= m.rank:
-                raise ParseError(e.line, 1, f"frame indices between 1 and {m.rank}", e.key)
-            table[(i, j)] = _parse_poly_list(chart, e, m.rank)
-        m.bracket_entries = table
-
-    # builder
-    if has_builder:
-        entries = section("builder")
-        kind_entry = lookup(entries, "kind")
-        if kind_entry is None:
-            raise ParseError(entries[0].line, 1, "a 'kind' entry in [builder]")
-        if kind_entry.value not in BUILDER_KINDS:
-            raise ParseError(
-                kind_entry.line, kind_entry.value_col,
-                f"builder kind among {', '.join(BUILDER_KINDS)}", kind_entry.value,
-            )
-        m.builder_kind = kind_entry.value
-        for needed in BUILDER_SECTIONS.get(m.builder_kind, ()):
-            if needed not in sections:
-                raise ParseError(
-                    kind_entry.line, kind_entry.value_col,
-                    f"a section [{needed}] for builder {m.builder_kind}",
-                )
-        for e in entries:
-            if e is kind_entry:
-                continue
-            if e.key == "h" and m.builder_kind == "twisted_exact":
-                try:
-                    m.builder_h = parse_form(chart, e.value)
-                except ParseError as exc:
-                    raise _reraise(exc, e) from None
-                if m.builder_h.degree != 3:
-                    raise ParseError(e.line, e.value_col, "a 3-form literal")
-            elif e.key.startswith("gamma.") and m.builder_kind == "connection_beta":
-                mm, a = _key_indices(e, "gamma", 2)
-                if mm >= chart.dim or a >= m.rank:
-                    raise ParseError(e.line, 1, "gamma.direction.frame in range", e.key)
-                m.gamma_entries[(mm, a)] = _parse_poly_list(chart, e, m.rank)
-            elif e.key.startswith("beta.") and m.builder_kind == "connection_beta":
-                i, j = _key_indices(e, "beta", 2)
-                if i >= m.rank or j >= m.rank:
-                    raise ParseError(e.line, 1, f"frame indices between 1 and {m.rank}", e.key)
-                m.beta_entries[(i, j)] = _parse_poly_list(chart, e, m.rank)
-            else:
-                raise ParseError(e.line, 1, f"entries of builder {m.builder_kind}", e.key)
-        if m.builder_kind == "twisted_exact" and m.builder_h is None:
-            raise ParseError(kind_entry.line, 1, "an 'h' entry for twisted_exact")
-
-    # algebra
-    if "algebra" in sections:
-        entries = section("algebra")
-        dim_entry = lookup(entries, "dim")
-        if dim_entry is None:
-            raise ParseError(entries[0].line, 1, "a 'dim' entry in [algebra]")
-        adim = _parse_int(dim_entry, 1)
-        m.algebra_dim = adim
-        pairing_entries = []
-        for e in entries:
-            if e is dim_entry:
-                continue
-            if e.key == "double":
-                if e.value not in ("true", "false"):
-                    raise ParseError(e.line, e.value_col, "true or false", e.value)
-                m.algebra_double = e.value == "true"
-            elif e.key.startswith("bracket."):
-                i, j = _key_indices(e, "bracket", 2)
-                if i >= adim or j >= adim:
-                    raise ParseError(e.line, 1, f"basis indices between 1 and {adim}", e.key)
-                m.algebra_brackets[(i, j)] = _parse_scalar_list(e, adim)
-            elif e.key.startswith("pairing."):
-                pairing_entries.append(e)
-            else:
-                raise ParseError(e.line, 1, "dim, double, bracket.I.J or pairing.N", e.key)
-        if pairing_entries and m.algebra_double:
-            raise ParseError(
-                pairing_entries[0].line, 1,
-                "no pairing.N rows in [algebra] when double = true", pairing_entries[0].key,
-            )
-        if pairing_entries:
-            m.algebra_pairing = _numbered_rows(
-                pairing_entries, "pairing", adim, lambda e: _parse_scalar_list(e, adim)
-            )
-        elif not m.algebra_double:
-            raise ParseError(
-                dim_entry.line, 1, "pairing.N rows in [algebra] unless double = true"
-            )
-
-    # action
-    if "action" in sections:
-        if m.algebra_dim is None:
-            raise ParseError(section("action")[0].line, 1, "an [algebra] section before [action]")
-        adim = m.algebra_dim * (2 if m.algebra_double else 1)
-        entries = section("action")
-        rho_entries = [e for e in entries if e.key.startswith("rho.")]
-        k_entries = [e for e in entries if e.key.startswith("k.")]
-        leftovers = [e for e in entries if e not in rho_entries and e not in k_entries]
-        if leftovers:
-            raise ParseError(leftovers[0].line, 1, "rho.N or k.I.J", leftovers[0].key)
-        m.action_rho = _numbered_rows(
-            rho_entries, "rho", adim, lambda e: _parse_poly_list(chart, e, chart.dim)
-        )
-        for e in k_entries:
-            i, j = _key_indices(e, "k", 2)
-            if i >= adim or j >= adim:
-                raise ParseError(e.line, 1, f"basis indices between 1 and {adim}", e.key)
-            m.action_k[(i, j)] = _parse_poly_list(chart, e, adim)
-
-    # dissection
-    if "dissection" in sections:
-        entries = section("dissection")
-        rank_entry = lookup(entries, "aux_rank")
-        if rank_entry is None:
-            raise ParseError(entries[0].line, 1, "an 'aux_rank' entry in [dissection]")
-        g = _parse_int(rank_entry, 0)
-        m.aux_rank = g
-        pairing_entries = []
-        for e in entries:
-            if e is rank_entry:
-                continue
-            if e.key.startswith("pairing."):
-                pairing_entries.append(e)
-            elif e.key.startswith("gamma."):
-                idx = _key_indices(e, "gamma", 2)
-                if idx[0] >= chart.dim or idx[1] >= g:
-                    raise ParseError(e.line, 1, "gamma.direction.row in range", e.key)
-                m.diss_gamma[idx] = _parse_poly_list(chart, e, g)
-            elif e.key.startswith("r."):
-                i, j = _key_indices(e, "r", 2)
-                if not i < j < chart.dim:
-                    raise ParseError(e.line, 1, f"r.I.J with I < J <= {chart.dim}", e.key)
-                m.diss_r[(i, j)] = _parse_poly_list(chart, e, g)
-            elif e.key == "psi":
-                try:
-                    m.diss_psi = parse_form(chart, e.value)
-                except ParseError as exc:
-                    raise _reraise(exc, e) from None
-                if m.diss_psi.degree != 3:
-                    raise ParseError(e.line, e.value_col, "a 3-form literal")
-            elif e.key.startswith("gbracket."):
-                i, j = _key_indices(e, "gbracket", 2)
-                if not i < j < g:
-                    raise ParseError(e.line, 1, f"gbracket.I.J with I < J <= {g}", e.key)
-                m.diss_gbracket[(i, j)] = _parse_poly_list(chart, e, g)
-            else:
-                raise ParseError(
-                    e.line, 1, "aux_rank, pairing.N, gamma.M.N, r.I.J, psi or gbracket.I.J",
-                    e.key,
-                )
-        if g > 0:
-            m.aux_pairing = _numbered_rows(
-                pairing_entries, "pairing", g, lambda e: _parse_scalar_list(e, g)
-            )
-            if not linalg.is_symmetric(m.aux_pairing):
-                raise ParseError(
-                    pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"
-                )
-            try:
-                linalg.invert(m.aux_pairing)
-            except SingularMetricError:
-                raise ParseError(
-                    pairing_entries[0].line, 1, "a nonsingular auxiliary pairing in [dissection]"
-                ) from None
-        else:
-            m.aux_pairing = []
-
-    # lift / complement
+    # lift / complement rows have the rank of the bundle the builder builds
+    rank = BUILDERS[kind].rank(chart, spec)
     for key in ("lift", "complement"):
         if key in sections:
             entries = section(key)
@@ -524,16 +651,12 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
             rows: Dict[int, List[Poly]] = {}
             for e in entries:
                 (i,) = _key_indices(e, prefix, 1)
-                rows[i] = _parse_poly_list(chart, e, _expected_rank(m))
+                rows[i] = _parse_poly_list(chart, e, rank)
             count = max(rows) + 1 if rows else 0
             missing = [i + 1 for i in range(count) if i not in rows]
             if missing:
                 raise ParseError(entries[0].line, 1, f"contiguous {prefix} rows", str(missing))
-            value = [rows[i] for i in range(count)]
-            if key == "lift":
-                m.lift = value
-            else:
-                m.complement = value
+            setattr(m, key, [rows[i] for i in range(count)])
 
     # points
     for e in section("points"):
@@ -550,16 +673,10 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
         if not entries:
             continue
         keyname = "beta" if sect == "bfield" else "h"
-        e = lookup(entries, keyname)
+        e = _lookup(entries, keyname)
         if e is None or len(entries) > 1:
             raise ParseError(entries[0].line, 1, f"a single {keyname!r} entry in [{sect}]")
-        try:
-            form = parse_form(chart, e.value)
-        except ParseError as exc:
-            raise _reraise(exc, e) from None
-        if form.degree != degree:
-            raise ParseError(e.line, e.value_col, f"a {degree}-form literal")
-        setattr(m, attr, form)
+        setattr(m, attr, _parse_form_entry(chart, e, degree))
 
     try:
         check_tasks(m, m.tasks)
@@ -569,16 +686,3 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
         )
         raise ParseError(tasks_entry.line, tasks_entry.value_col, expected, exc.task) from None
     return m
-
-
-def _expected_rank(m: Manifest) -> int:
-    """The bundle rank implied by the manifest, for row-length validation."""
-    if m.rank is not None:
-        return m.rank
-    if m.builder_kind in ("standard", "twisted_exact"):
-        return 2 * m.chart.dim
-    if m.builder_kind == "twisted_action" and m.algebra_dim is not None:
-        return m.algebra_dim * (2 if m.algebra_double else 1)
-    if m.builder_kind == "dissection" and m.aux_rank is not None:
-        return 2 * m.chart.dim + m.aux_rank
-    raise ParseError(1, 1, "enough data to determine the bundle rank")

@@ -1,36 +1,24 @@
 """Task orchestration over a parsed manifest, with deterministic reports.
 
-Tasks run in the requested order.  A failed bundle validation, axiom check
-or builder validation closes the gate (see `tasks.TASKS`): every later
-mathematical task is reported as skipped-precondition rather than executed
-against a structure that is not a pre-Courant algebroid.  Reports never embed wall-clock data; timing goes
-to stderr so that two runs with one seed are byte-identical.
+The structure is built by the manifest's entry in the builder table
+(`manifest.BUILDERS`), which names every builder kind; a builder failure
+fails the build, and every task is then skipped.  Tasks run in the
+requested order.  A failed bundle validation, axiom check or builder
+validation closes the gate (see `tasks.TASKS`): every later mathematical
+task is reported as skipped-precondition rather than executed against a
+structure that is not a pre-Courant algebroid.  Reports never embed
+wall-clock data; timing goes to stderr so that two runs with one seed are
+byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .algebroid import PreCourantAlgebroid, zero_table
-from .bundle import CourantBundle, standard_bundle
-from .construct import (
-    DissectionData,
-    QuadraticLieAlgebra,
-    double,
-    from_connection_beta,
-    from_dissection,
-    from_twisted_action,
-    make_twisted_action,
-    quadratic_lie_algebra,
-)
-from .deform import apply_deformation, twist_deformation
-from .errors import ConstructionError, PrecourantError
-from .exterior import KForm
-from .manifest import Manifest
-from .poly import Poly
+from .errors import PrecourantError
+from .manifest import BUILDERS, Manifest
 from .reports import VerifyReport
 from .tasks import TASKS, BuildContext, check_tasks
 
@@ -95,6 +83,8 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # only the JSON report needs it
+
         doc = {
             "version": __version__,
             "manifest": self.manifest,
@@ -116,89 +106,12 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _algebra_from_manifest(
-    m: Manifest,
-) -> Tuple[QuadraticLieAlgebra, Optional[QuadraticLieAlgebra]]:
-    base = quadratic_lie_algebra(m.algebra_dim, m.algebra_brackets, m.algebra_pairing)
-    if m.algebra_double:
-        return double(base), base
-    return base, None
-
-
 def build_context(m: Manifest) -> BuildContext:
-    chart = m.chart
-    algebra = base_algebra = action = dissection = None
-
-    if m.bracket_entries is not None:
-        bundle = CourantBundle(chart, m.rank, m.metric, m.anchor)
-        table = zero_table(bundle)
-        for (i, j), coeffs in m.bracket_entries.items():
-            table[i][j] = bundle.section(coeffs)
-        algebroid = PreCourantAlgebroid(bundle, table)
-    elif m.builder_kind == "standard":
-        bundle = standard_bundle(chart)
-        algebroid = PreCourantAlgebroid(bundle, zero_table(bundle))
-    elif m.builder_kind == "twisted_exact":
-        bundle = standard_bundle(chart)
-        base = PreCourantAlgebroid(bundle, zero_table(bundle))
-        algebroid = apply_deformation(
-            base, twist_deformation(bundle, m.builder_h), validate=False
-        )
-    elif m.builder_kind == "connection_beta":
-        bundle = CourantBundle(chart, m.rank, m.metric, m.anchor)
-        r, n = bundle.rank, chart.dim
-        zero = Poly.zero(chart)
-        gamma = [[[zero] * r for _ in range(r)] for _ in range(n)]
-        for (mm, a), coeffs in m.gamma_entries.items():
-            for bb in range(r):
-                gamma[mm][bb][a] = coeffs[bb]
-        zsec = bundle.zero_section()
-        beta = [[zsec for _ in range(r)] for _ in range(r)]
-        for (i, j), coeffs in m.beta_entries.items():
-            s = bundle.section(coeffs)
-            beta[i][j] = s
-            if (j, i) not in m.beta_entries:
-                beta[j][i] = -s
-        algebroid = from_connection_beta(bundle, gamma, beta)
-    elif m.builder_kind == "twisted_action":
-        algebra, base_algebra = _algebra_from_manifest(m)
-        points = m.points or [tuple(0 for _ in range(chart.dim))]
-        action = make_twisted_action(algebra, chart, m.action_rho, m.action_k, points)
-        algebroid = from_twisted_action(action)
-        bundle = algebroid.bundle
-    elif m.builder_kind == "dissection":
-        n, g = chart.dim, m.aux_rank
-        zero = Poly.zero(chart)
-        gamma = [[[zero] * g for _ in range(g)] for _ in range(n)]
-        for (mm, row), coeffs in m.diss_gamma.items():
-            gamma[mm][row] = list(coeffs)
-        dissection = DissectionData(
-            chart=chart,
-            aux_rank=g,
-            aux_pairing=m.aux_pairing,
-            gamma=gamma,
-            curvature=m.diss_r,
-            psi=m.diss_psi if m.diss_psi is not None else KForm.zero(chart, 3),
-            fiber_table=m.diss_gbracket,
-        )
-        algebroid = from_dissection(dissection)
-        bundle = algebroid.bundle
-    else:
-        raise ConstructionError("unknown-builder", str(m.builder_kind))
-
-    ctx = BuildContext(
-        manifest=m,
-        bundle=bundle,
-        algebroid=algebroid,
-        algebra=algebra,
-        base_algebra=base_algebra,
-        action=action,
-        dissection=dissection,
-    )
+    ctx = BUILDERS[m.builder_kind].build(m)
     if m.lift is not None:
-        ctx.lift = [bundle.section(coeffs) for coeffs in m.lift]
+        ctx.lift = [ctx.bundle.section(coeffs) for coeffs in m.lift]
     if m.complement is not None:
-        ctx.complement = [bundle.section(coeffs) for coeffs in m.complement]
+        ctx.complement = [ctx.bundle.section(coeffs) for coeffs in m.complement]
     return ctx
 
 

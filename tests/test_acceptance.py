@@ -197,7 +197,7 @@ def test_criterion_08_pontryagin(ctx_tw4):
     p, b = ctx_tw4.algebroid, ctx_tw4.bundle
     form, report = pontryagin_representative(p, ctx_tw4.lift)
     assert report.ok, report.lines()
-    dh = ext_d(m.builder_h)
+    dh = ext_d(m.spec["h"])
     assert format_kform(form) == format_kform(dh)
     assert form == dh
     assert ext_d(form).is_zero()

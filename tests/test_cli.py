@@ -228,6 +228,7 @@ CONNECTION_BUNDLE = (
         (CONNECTION_BUNDLE + "[builder]\nkind = connection_beta\nbeta.1.3 = 0, 0\n", "line 13, column 1"),
         ("[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\ndouble = false\n\n"
          "[action]\nrho.1 = 1\n", "line 8, column 1"),
+        ("[builder]\nkind = standard\n\n[algebra]\ndim = 1\npairing.1 = 1\n", "line 7, column 1"),
     ],
 )
 def test_bad_builder_input_exits_2(tmp_path, capsys, text, position):

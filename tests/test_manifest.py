@@ -86,8 +86,8 @@ anchor.2 = 0
 [bracket]
 """
     m = parse_manifest(text)
-    assert m.rank == 2
-    assert m.bracket_entries == {}
+    assert m.spec["rank"] == 2
+    assert m.spec["brackets"] == {}
 
 
 def test_anchor_row_count_error_names_position():
@@ -358,3 +358,81 @@ def test_doubled_algebra_rejects_pairing_rows(entries, line):
     assert (err.value.line, err.value.column) == (line, 1)
     assert err.value.expected == "no pairing.N rows in [algebra] when double = true"
     assert err.value.found == "pairing.1"
+
+
+LIFT_1D = "\n[lift]\nsigma.1 = 1, 0, 0\n"
+
+
+def test_bundle_unread_by_the_builder_is_an_error_at_its_header():
+    # the lift row has the rank of the ignored [bundle]; the standard
+    # bundle over one coordinate has rank 2
+    text = (
+        "[chart]\nvars = x1\n\n[builder]\nkind = standard\n\n"
+        "[bundle]\nrank = 3\nmetric.1 = 1, 0, 0\nmetric.2 = 0, 1, 0\nmetric.3 = 0, 0, 1\n"
+        "anchor.1 = 1\nanchor.2 = 0\nanchor.3 = 0\n" + LIFT_1D
+    )
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (7, 1)
+    assert err.value.expected == "a section read by builder standard"
+    assert err.value.found == "[bundle]"
+
+
+def test_algebra_and_dissection_unread_by_the_builder_are_errors():
+    text = (
+        "[chart]\nvars = x1\n\n[builder]\nkind = standard\n\n"
+        "[dissection]\naux_rank = 0\n\n[algebra]\ndim = 1\npairing.1 = 1\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column, err.value.found) == (7, 1, "[dissection]")
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text.replace("[dissection]\naux_rank = 0\n\n", ""))
+    assert (err.value.line, err.value.column, err.value.found) == (7, 1, "[algebra]")
+
+
+@pytest.mark.parametrize(
+    "block, found",
+    [
+        ("[action]\n", "[action]"),  # an empty section counts too
+        ("[algebra]\ndim = 1\npairing.1 = 1\n", "[algebra]"),
+    ],
+)
+def test_section_unread_by_a_bracket_table_is_an_error(block, found):
+    text = (
+        "[chart]\nvars = x1\n\n[bundle]\nrank = 1\nmetric.1 = 1\nanchor.1 = 0\n\n"
+        f"[bracket]\n\n{block}"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (11, 1)
+    assert err.value.expected == "a section read by a [bracket] table"
+    assert err.value.found == found
+
+
+def test_builder_kind_list_leaves_out_the_bracket_table():
+    with pytest.raises(ParseError) as err:
+        parse_manifest("[chart]\nvars = x1\n\n[builder]\nkind = bracket\n")
+    assert (err.value.line, err.value.column) == (5, 8)
+    assert err.value.expected == (
+        "builder kind among standard, twisted_exact, connection_beta, twisted_action, dissection"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, line, expected",
+    [
+        ("[meta]\n[chart]\nvars = x1\n", 1, "exactly one of [bracket] and [builder]"),
+        ("[chart]\nvars = x1\n[builder]\n", 3, "a 'kind' entry in [builder]"),
+        ("[chart]\nvars = x1\n[bundle]\n[bracket]\n", 3, "a 'rank' entry in [bundle]"),
+        ("[chart]\nvars = x1\n[bracket]\n", 3, "a [bundle] section when [bracket] is used"),
+        ("[chart]\nvars = x1\n[builder]\nkind = twisted_action\n[algebra]\n[action]\n", 5,
+         "a 'dim' entry in [algebra]"),
+        ("[chart]\nvars = x1\n[builder]\nkind = dissection\n[dissection]\n", 5,
+         "an 'aux_rank' entry in [dissection]"),
+    ],
+)
+def test_empty_section_is_reported_at_its_header(text, line, expected):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column, err.value.expected) == (line, 1, expected)

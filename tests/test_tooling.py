@@ -1,7 +1,7 @@
 """The README and the benchmark tracer stay in step with the code, the
 modules keep to each other's public names, off the dense views of the
-sparse store and off the stored form of a polynomial, and importing the
-CLI stays cheap."""
+sparse store and off the stored form of a polynomial, builder kinds are
+named only in the builder table, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -12,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from precourant.manifest import BUILDERS
 from precourant.tasks import TASKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,12 +89,25 @@ def test_stored_polynomial_form_read_only_in_poly():
     assert readers <= {"poly.py"}, readers
 
 
-def test_cli_import_leaves_out_dataclasses():
+@pytest.mark.parametrize("module", ["dataclasses", "json"])
+def test_cli_import_leaves_out_dataclasses(module):
     # decorating classes costs every run its start-up: importing
-    # dataclasses pulls in inspect, ast and dis
+    # dataclasses pulls in inspect, ast and dis; only a JSON report needs json
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, precourant.cli; print('dataclasses' in sys.modules)"
+    code = f"import sys, precourant.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def test_runner_names_no_builder_kind():
+    # builder kinds are named in the builder table alone
+    kinds = {kind for kind in BUILDERS if kind is not None}
+    tree = ast.parse((ROOT / "src" / "precourant" / "runner.py").read_text())
+    named = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert kinds and not named & kinds, named & kinds
