@@ -39,11 +39,6 @@ def _bundle_block(b):
     return "\n".join(lines) + "\n"
 
 
-def _twist_beta(b, h):
-    omega = twist_deformation(b, h)
-    return [[omega.value_at((i, j)) for j in range(b.rank)] for i in range(b.rank)]
-
-
 def _bracket():
     chart = _chart(1)
     b = CourantBundle(chart, 2, [[0, 1], [1, 0]], [[Poly.const(chart, 1)], [Poly.zero(chart)]])
@@ -74,7 +69,8 @@ def _connection_beta_twist():
     # pair is given both ways, the others only as beta.I.J with I < J
     chart = _chart(4)
     b = standard_bundle(chart)
-    beta = _twist_beta(b, parse_form(chart, "x4*dx(1,2,3)"))
+    omega = twist_deformation(b, parse_form(chart, "x4*dx(1,2,3)"))
+    beta = [[omega.value_at((i, j)) for j in range(b.rank)] for i in range(b.rank)]
     entries = []
     for i in range(b.rank):
         for j in range(b.rank):
