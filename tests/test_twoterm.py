@@ -139,11 +139,14 @@ def test_identity_morphism(twisted4):
     assert verify_morphism(identity_morphism(alg), trials=4, seed=0, max_degree=1).ok
 
 
-def test_deformation_morphism_passes_and_zero_homotopy_fails(courant3, std3, chart3):
+@pytest.mark.parametrize("build", [build_leibniz2, build_lie2])
+def test_deformation_morphism_passes_and_zero_homotopy_fails(build, courant3, std3, chart3):
+    # both two-term algebras are stable under the deformation: (id, id, omega)
+    # is a morphism onto the deformed one, and no morphism without f2 is
     h = KForm.basis(chart3, [0, 1, 2]).scale(Poly.var(chart3, 0))
     omega = twist_deformation(std3, h)
     deformed = apply_deformation(courant3, omega)
-    src, tgt = build_leibniz2(courant3), build_leibniz2(deformed)
+    src, tgt = build(courant3), build(deformed)
     good = deformation_morphism(src, tgt, omega)
     assert verify_morphism(good, trials=4, seed=1).ok
     bad = Morphism2(src, tgt, lambda e: e, lambda k: k, lambda a, b: std3.zero_section())
