@@ -236,7 +236,10 @@ def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
     return tuple(i - 1 for i in idx)
 
 
-def _numbered_rows(entries: List[_Entry], prefix: str, n_rows: int, parse_row) -> List:
+def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> List:
+    """Rows prefix.1 .. prefix.n_rows of a section.  Missing rows are
+    reported at the last row given, or at the section header if none is."""
+    entries = [e for e in section if e.key.startswith(prefix + ".")]
     rows: Dict[int, object] = {}
     for e in entries:
         (i,) = _key_indices(e, prefix, 1)
@@ -245,7 +248,7 @@ def _numbered_rows(entries: List[_Entry], prefix: str, n_rows: int, parse_row) -
         rows[i] = parse_row(e)
     missing = [i + 1 for i in range(n_rows) if i not in rows]
     if missing:
-        last = entries[-1].line if entries else 1
+        last = entries[-1].line if entries else section.line
         raise ParseError(last, 1, f"rows {missing} of {prefix!r}")
     return [rows[i] for i in range(n_rows)]
 
@@ -288,9 +291,9 @@ def _parse_bundle(chart: Chart, entries: _Section) -> Spec:
     ]
     if leftovers:
         raise ParseError(leftovers[0].line, 1, "rank, metric.N or anchor.N", leftovers[0].key)
-    metric = _numbered_rows(metric_entries, "metric", rank, lambda e: _parse_scalar_list(e, rank))
+    metric = _numbered_rows(entries, "metric", rank, lambda e: _parse_scalar_list(e, rank))
     anchor = _numbered_rows(
-        anchor_entries, "anchor", rank, lambda e: _parse_poly_list(chart, e, chart.dim)
+        entries, "anchor", rank, lambda e: _parse_poly_list(chart, e, chart.dim)
     )
     return dict(rank=rank, metric=metric, anchor=anchor)
 
@@ -419,7 +422,7 @@ def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) 
     pairing = None
     if pairing_entries:
         pairing = _numbered_rows(
-            pairing_entries, "pairing", dim, lambda e: _parse_scalar_list(e, dim)
+            entries, "pairing", dim, lambda e: _parse_scalar_list(e, dim)
         )
     elif not doubled:
         raise ParseError(dim_entry.line, 1, "pairing.N rows in [algebra] unless double = true")
@@ -432,7 +435,7 @@ def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) 
     leftovers = [e for e in entries if e not in rho_entries and e not in k_entries]
     if leftovers:
         raise ParseError(leftovers[0].line, 1, "rho.N or k.I.J", leftovers[0].key)
-    rho = _numbered_rows(rho_entries, "rho", rank, lambda e: _parse_poly_list(chart, e, chart.dim))
+    rho = _numbered_rows(entries, "rho", rank, lambda e: _parse_poly_list(chart, e, chart.dim))
     k: Dict[Tuple[int, int], List[Poly]] = {}
     for e in k_entries:
         i, j = _key_indices(e, "k", 2)
@@ -492,7 +495,7 @@ def _parse_dissection(chart: Chart, sections: Sections, kind_entry: _Entry) -> S
             )
     pairing = []
     if g > 0:
-        pairing = _numbered_rows(pairing_entries, "pairing", g, lambda e: _parse_scalar_list(e, g))
+        pairing = _numbered_rows(entries, "pairing", g, lambda e: _parse_scalar_list(e, g))
         if not linalg.is_symmetric(pairing):
             raise ParseError(
                 pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"

@@ -254,6 +254,11 @@ DISSECTION_2D = "[chart]\nvars = x1 x2\n\n[builder]\nkind = dissection\n\n[disse
          + "pairing.1 = 1, 1\npairing.2 = 0, 1\n", "line 9, column 1"),
         ("[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\n"
          "double = true\npairing.1 = 1\n\n[action]\nrho.1 = 1\nrho.2 = 0\n", "line 10, column 1"),
+        # rows that are all missing are reported at the header of their section
+        ("[chart]\nvars = x\n\n[bundle]\nrank = 1\n\n[bracket]\n", "line 4, column 1"),
+        ("[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\n"
+         "pairing.1 = 1\n\n[action]\n", "line 11, column 1"),
+        (DISSECTION_2D, "line 7, column 1"),
     ],
 )
 def test_malformed_builder_blocks_exit_2(tmp_path, capsys, text, position):
