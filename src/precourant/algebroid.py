@@ -167,6 +167,19 @@ def skew_bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
     return out
 
 
+def _anchor_defect(p: PreCourantAlgebroid, e1: Section, e2: Section) -> bool:
+    """Whether axiom (i), rho(e1 o e2) = [rho(e1), rho(e2)], fails at (e1, e2)."""
+    return anchor_apply(bracket(p, e1, e2)) != vf_bracket(anchor_apply(e1), anchor_apply(e2))
+
+
+def _symmetrization_defect(p: PreCourantAlgebroid, e1: Section, e2: Section):
+    """(e1 o e2 + e2 o e1, D<e1, e2>) when the two sides of axiom (ii)
+    differ at (e1, e2), else None."""
+    lhs = bracket(p, e1, e2) + bracket(p, e2, e1)
+    rhs = dee(p.bundle, pairing(e1, e2))
+    return None if lhs == rhs else (lhs, rhs)
+
+
 def _axiom_iii_witness(p: PreCourantAlgebroid, name: str, e1, e2, e3) -> Optional[str]:
     """The witness of rho(e1)<e2,e3> != <e1oe2,e3> + <e2,e1oe3>, or None."""
     lhs = vf_apply(anchor_apply(e1), pairing(e2, e3))
@@ -185,42 +198,32 @@ def _frame_axiom_report(p: PreCourantAlgebroid) -> VerifyReport:
     report = VerifyReport("pre-courant axioms")
     bundle_report = validate_bundle(p.bundle)
     if not report.require(
-        "bundle-valid", bundle_report.ok, "; ".join(bundle_report.failures)
+        "bundle-valid", bundle_report.ok, "; ".join(c.name for c in bundle_report.checks)
     ):
         return report
-    b = p.bundle
-    r = b.rank
-    frames = b.frames()
-    rho_frames = b.rho_frames
-
-    # axiom (i) on frames: rho(table[i][j]) = [rho(u_i), rho(u_j)]
-    chk = report.check("axiom-i-frames")
-    for i, j in product(range(r), repeat=2):
-        if anchor_apply(p.table[i][j]) != vf_bracket(rho_frames[i], rho_frames[j]):
-            chk.fail(f"frames ({i + 1},{j + 1})")
-            break
-
-    # axiom (ii) via the symmetrized form on frames
-    chk = report.check("axiom-ii-frames")
-    for i, j in product(range(r), repeat=2):
-        lhs = p.table[i][j] + p.table[j][i]
-        rhs = dee(b, pairing(frames[i], frames[j]))
-        if lhs != rhs:
-            chk.fail(
-                f"frames ({i + 1},{j + 1}): t[i][j]+t[j][i] = "
-                f"({format_section(lhs)}) but D<u_i,u_j> = ({format_section(rhs)})"
-            )
-            break
-
-    # axiom (iii) on frame triples
-    chk = report.check("axiom-iii-frames")
-    for i, j, k in product(range(r), repeat=3):
-        w = _axiom_iii_witness(
-            p, f"frames ({i + 1},{j + 1},{k + 1})", frames[i], frames[j], frames[k]
-        )
-        if w:
-            chk.fail(w)
-            break
+    r = p.rank
+    u = p.bundle.frames()
+    pairs = list(product(range(r), repeat=2))
+    report.first(
+        "axiom-i-frames",
+        (f"frames ({i + 1},{j + 1})" for i, j in pairs if _anchor_defect(p, u[i], u[j])),
+    )
+    report.first(
+        "axiom-ii-frames",
+        (
+            f"frames ({i + 1},{j + 1}): t[i][j]+t[j][i] = ({format_section(d[0])})"
+            f" but D<u_i,u_j> = ({format_section(d[1])})"
+            for i, j in pairs
+            if (d := _symmetrization_defect(p, u[i], u[j]))
+        ),
+    )
+    report.first(
+        "axiom-iii-frames",
+        (
+            _axiom_iii_witness(p, f"frames ({i + 1},{j + 1},{k + 1})", u[i], u[j], u[k])
+            for i, j, k in product(range(r), repeat=3)
+        ),
+    )
     return report
 
 
@@ -235,31 +238,23 @@ def verify_axioms(
     report = p.frame_report.copy()
     if not report.checks[0].ok:  # bundle-valid
         return report
-    b = p.bundle
 
     # the random layer guards the extension rules themselves
     rng = random.Random(seed)
-    chk_i, chk_ii, chk_iii = (
-        report.check(f"axiom-{n}-random") for n in ("i", "ii", "iii")
+    draws = [
+        [random_section(rng, p.bundle, max_degree) for _ in range(3)] for _ in range(trials)
+    ]
+    report.first(
+        "axiom-i-random",
+        (f"sections {format_sections(e1, e2)}" for e1, e2, _ in draws
+         if _anchor_defect(p, e1, e2)),
     )
-    for _ in range(trials):
-        e1 = random_section(rng, b, max_degree)
-        e2 = random_section(rng, b, max_degree)
-        e3 = random_section(rng, b, max_degree)
-        if chk_i.ok:
-            lhs = anchor_apply(bracket(p, e1, e2))
-            rhs = vf_bracket(anchor_apply(e1), anchor_apply(e2))
-            if lhs != rhs:
-                chk_i.fail(f"sections {format_sections(e1, e2)}")
-        if chk_ii.ok:
-            lhs = bracket(p, e1, e2) + bracket(p, e2, e1)
-            rhs = dee(b, pairing(e1, e2))
-            if lhs != rhs:
-                chk_ii.fail(f"sections {format_sections(e1, e2)}")
-        if chk_iii.ok:
-            w = _axiom_iii_witness(p, "sections", e1, e2, e3)
-            if w:
-                chk_iii.fail(w)
+    report.first(
+        "axiom-ii-random",
+        (f"sections {format_sections(e1, e2)}" for e1, e2, _ in draws
+         if _symmetrization_defect(p, e1, e2)),
+    )
+    report.first("axiom-iii-random", (_axiom_iii_witness(p, "sections", *es) for es in draws))
     return report
 
 
@@ -273,54 +268,49 @@ def verify_derived_identities(
     rng = random.Random(seed)
     functions = [Poly.var(b.chart, m) for m in range(b.chart.dim)]
     functions += [random_poly(rng, b.chart, max_degree) for _ in range(4)]
-
-    chk = {
-        n: report.check(n)
-        for n in (
-            "right-function-rule",
-            "left-function-rule",
-            "derivative-left-zero",
-            "derivative-right-chain",
-            "anchor-kills-derivative",
-            "symmetrization",
-        )
-    }
+    draws = []
     for t in range(trials):
         e1 = random_section(rng, b, max_degree)
         e2 = random_section(rng, b, max_degree)
         f = functions[t % len(functions)]
-        df = dee(b, f)
-        # the bracket differentiates functions in its second slot
-        lhs = bracket(p, e1, e2.scale(f))
-        rhs = bracket(p, e1, e2).scale(f) + e2.scale(vf_apply(anchor_apply(e1), f))
-        if lhs != rhs:
-            chk["right-function-rule"].fail(f"f = {format_poly(f)}, {format_sections(e1, e2)}")
-        # first-slot functions pick up a derivative and a pairing term
-        lhs = bracket(p, e1.scale(f), e2)
-        rhs = (
-            bracket(p, e1, e2).scale(f)
-            - e1.scale(vf_apply(anchor_apply(e2), f))
-            + df.scale(pairing(e1, e2))
-        )
-        if lhs != rhs:
-            chk["left-function-rule"].fail(f"f = {format_poly(f)}, {format_sections(e1, e2)}")
-        # derivative sections annihilate from the left
-        lhs = bracket(p, df, e1)
-        if not lhs.is_zero():
-            chk["derivative-left-zero"].fail(f"f = {format_poly(f)}, e = ({format_section(e1)})")
-        # bracketing into a derivative section chains through the anchor
-        lhs = bracket(p, e1, df)
-        rhs = dee(b, vf_apply(anchor_apply(e1), f))
-        if lhs != rhs:
-            chk["derivative-right-chain"].fail(
-                f"f = {format_poly(f)}, e = ({format_section(e1)})"
-            )
-        # the anchor kills every derivative section
-        if not anchor_apply(df).is_zero():
-            chk["anchor-kills-derivative"].fail(f"f = {format_poly(f)}")
-        # symmetrization identity on random sections
-        lhs = bracket(p, e1, e2) + bracket(p, e2, e1)
-        rhs = dee(b, pairing(e1, e2))
-        if lhs != rhs:
-            chk["symmetrization"].fail(format_sections(e1, e2))
+        draws.append((e1, e2, f, dee(b, f)))
+
+    def rho_f(e: Section, f: Poly) -> Poly:
+        return vf_apply(anchor_apply(e), f)
+
+    # the bracket differentiates functions in its second slot
+    report.first(
+        "right-function-rule",
+        (f"f = {format_poly(f)}, {format_sections(e1, e2)}" for e1, e2, f, _ in draws
+         if bracket(p, e1, e2.scale(f))
+         != bracket(p, e1, e2).scale(f) + e2.scale(rho_f(e1, f))),
+    )
+    # first-slot functions pick up a derivative and a pairing term
+    report.first(
+        "left-function-rule",
+        (f"f = {format_poly(f)}, {format_sections(e1, e2)}" for e1, e2, f, df in draws
+         if bracket(p, e1.scale(f), e2)
+         != bracket(p, e1, e2).scale(f) - e1.scale(rho_f(e2, f)) + df.scale(pairing(e1, e2))),
+    )
+    # derivative sections annihilate from the left
+    report.first(
+        "derivative-left-zero",
+        (f"f = {format_poly(f)}, e = ({format_section(e1)})" for e1, _, f, df in draws
+         if not bracket(p, df, e1).is_zero()),
+    )
+    # bracketing into a derivative section chains through the anchor
+    report.first(
+        "derivative-right-chain",
+        (f"f = {format_poly(f)}, e = ({format_section(e1)})" for e1, _, f, df in draws
+         if bracket(p, e1, df) != dee(b, rho_f(e1, f))),
+    )
+    # the anchor kills every derivative section
+    report.first(
+        "anchor-kills-derivative",
+        (f"f = {format_poly(f)}" for *_, f, df in draws if not anchor_apply(df).is_zero()),
+    )
+    report.first(
+        "symmetrization",
+        (format_sections(e1, e2) for e1, e2, *_ in draws if _symmetrization_defect(p, e1, e2)),
+    )
     return report

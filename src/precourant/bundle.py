@@ -16,6 +16,7 @@ from . import linalg
 from .errors import ChartMismatchError, DegreeError, RankMismatchError
 from .exterior import KForm, VectorField
 from .poly import Chart, Poly, PolyMap, add_into, format_poly
+from .reports import VerifyReport
 
 
 class Section(PolyMap):
@@ -92,7 +93,7 @@ class CourantBundle:
         )
         self._metric_inv_rows = None
         self._dee_columns = None
-        self._report: Optional[BundleReport] = None
+        self._report: Optional[VerifyReport] = None
         # point -> (kernel basis of the anchor, anchor rank, coisotropy witness)
         self._pointwise: Dict[Tuple[Fraction, ...], Tuple[List[list], int, str]] = {}
         zero, one = Poly.zero(chart), Poly.const(chart, 1)
@@ -159,16 +160,6 @@ class CourantBundle:
         return f"CourantBundle(rank={self.rank}, dim={self.chart.dim})"
 
 
-class BundleReport:
-    """Validation outcome with one entry per failed condition."""
-
-    __slots__ = ("ok", "failures")
-
-    def __init__(self, ok: bool, failures: Optional[List[str]] = None):
-        self.ok = ok
-        self.failures = [] if failures is None else failures
-
-
 def standard_bundle(chart: Chart, aux_pairing: Sequence[Sequence] = ()) -> CourantBundle:
     """The generalized tangent bundle of the chart, with an auxiliary block
     of rank g = len(aux_pairing) between its two halves.
@@ -193,25 +184,26 @@ def standard_bundle(chart: Chart, aux_pairing: Sequence[Sequence] = ()) -> Coura
     return CourantBundle(chart, r, metric, anchor)
 
 
-def validate_bundle(b: CourantBundle) -> BundleReport:
-    """Check the type invariants: metric symmetric and invertible,
-    and A^T g^-1 A = 0 with witness entries on failure.
+def validate_bundle(b: CourantBundle) -> VerifyReport:
+    """Check the type invariants: metric symmetric and invertible, and
+    A^T g^-1 A = 0.  Each failed condition is one failed check, named by the
+    condition and its witness entry.
 
     The checks run once per bundle; every call returns its own copy."""
     if b._report is None:
         b._report = _bundle_report(b)
-    return BundleReport(b._report.ok, list(b._report.failures))
+    return b._report.copy()
 
 
-def _bundle_report(b: CourantBundle) -> BundleReport:
-    failures: List[str] = []
+def _bundle_report(b: CourantBundle) -> VerifyReport:
+    report = VerifyReport("bundle")
     if not linalg.is_symmetric(b.metric):
-        failures.append("metric-not-symmetric")
+        report.add("metric-not-symmetric", False)
     try:
         b.metric_inv_rows  # inverts the metric, once per bundle
     except linalg.SingularMetricError:
-        failures.append("metric-singular")
-        return BundleReport(False, failures)
+        report.add("metric-singular", False)
+        return report
     # rho rho* = 0 in the frame: (A^T g^-1 A)_{mk} is the m-th component of
     # rho(D x_k), since D x_k is column k of g^-1 A
     rho_dee = [anchor_apply(column) for column in b.dee_columns]
@@ -219,11 +211,12 @@ def _bundle_report(b: CourantBundle) -> BundleReport:
         for k, vf in enumerate(rho_dee):
             total = vf.terms.get(m)
             if total is not None:
-                failures.append(
+                report.add(
                     f"anchor-not-isotropic: (A^T g^-1 A)[{m + 1}][{k + 1}] = "
-                    f"{format_poly(total)}"
+                    f"{format_poly(total)}",
+                    False,
                 )
-    return BundleReport(not failures, failures)
+    return report
 
 
 def pairing(e1: Section, e2: Section) -> Poly:
@@ -286,26 +279,6 @@ def anchor_at(b: CourantBundle, pt: Sequence[Fraction]) -> linalg.Matrix:
     ]
 
 
-class CoisotropyPointReport:
-    __slots__ = ("point", "anchor_rank", "ok", "witness")
-
-    def __init__(
-        self, point: Tuple[Fraction, ...], anchor_rank: int, ok: bool, witness: str = ""
-    ):
-        self.point = point
-        self.anchor_rank = anchor_rank
-        self.ok = ok
-        self.witness = witness
-
-
-class CoisotropyReport:
-    __slots__ = ("ok", "points")
-
-    def __init__(self, ok: bool, points: List[CoisotropyPointReport]):
-        self.ok = ok
-        self.points = points
-
-
 def _pointwise(b: CourantBundle, pt: Tuple[Fraction, ...]) -> Tuple[List[list], int, str]:
     """The kernel basis of rho at pt, the anchor rank there, and a witness
     when (Ker rho)-perp is not inside Ker rho; computed once per point."""
@@ -333,24 +306,24 @@ def kernel_at(b: CourantBundle, point: Sequence) -> List[list]:
     return _pointwise(b, tuple(Fraction(x) for x in point))[0]
 
 
-def kernel_coisotropy_check(
-    b: CourantBundle, points: Sequence[Sequence]
-) -> CoisotropyReport:
+def kernel_coisotropy_check(b: CourantBundle, points: Sequence[Sequence]) -> VerifyReport:
     """At each rational point, check that (Ker rho)-perp lies inside Ker rho.
 
     The kernel is computed over the rationals from the evaluated anchor; the
-    perp is taken with the metric.  A failing point is reported, not raised.
-    Each point is computed once per bundle, and `kernel_at` reads the same
-    kernel.
+    perp is taken with the metric.  Each point is one check, and a note
+    gives the anchor rank there.  Each point is computed once per bundle,
+    and `kernel_at` reads the same kernel.
     """
     if not points:
         raise ValueError("need at least one sample point")
-    reports: List[CoisotropyPointReport] = []
+    report = VerifyReport("kernel coisotropy")
     for raw in points:
         pt = tuple(Fraction(x) for x in raw)
         _, anchor_rank, witness = _pointwise(b, pt)
-        reports.append(CoisotropyPointReport(pt, anchor_rank, not witness, witness))
-    return CoisotropyReport(all(r.ok for r in reports), reports)
+        point = f"point {tuple(map(str, pt))}"
+        report.add(point, not witness, witness)
+        report.notes.append(f"{point}: anchor rank {anchor_rank}")
+    return report
 
 
 def format_section(e: Section) -> str:

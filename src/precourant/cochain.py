@@ -16,11 +16,11 @@ cross-check between independent code paths.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations, product
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain, combinations, permutations, product
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .algebroid import PreCourantAlgebroid, bracket, jacobiator, verify_axioms
-from .bundle import CourantBundle, Section, anchor_apply, dee, format_section, pairing
+from .bundle import CourantBundle, Section, anchor_apply, format_section, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, evaluate, vf_apply
 from .poly import Poly, PolyMap, add_into, format_poly, increasing_key, sort_sign
@@ -206,49 +206,49 @@ def contract_with_section(psi: Cochain, s: Section) -> Cochain:
     return Cochain(psi.bundle, psi.degree - 1, values)
 
 
-class MembershipReport:
-    def __init__(self, ok: bool, witnesses: List[str]):
-        self.ok = ok
-        self.witnesses = witnesses
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_in_ckd(psi: Cochain) -> MembershipReport:
+def is_in_ckd(psi: Cochain) -> Optional[str]:
     """Contraction-membership: i_{D x_m} psi = 0 for every coordinate.
+    Returns None for a member, else the first nonzero contraction.
 
     D(fg) = f Dg + g Df together with Poly-linearity of contraction makes
     the coordinate functions sufficient.
     """
     if psi.degree == 0:
-        return MembershipReport(True, [])
+        return None
     b = psi.bundle
-    witnesses = []
-    for m in range(b.chart.dim):
-        kappa = dee(b, Poly.var(b.chart, m))
-        contracted = contract_with_section(psi, kappa)
-        for idx, p in contracted.terms.items():
-            witnesses.append(
-                f"i_D{b.chart.var_names[m]} psi at frames "
-                f"{tuple(i + 1 for i in idx)} = {format_poly(p)}"
-            )
-    return MembershipReport(not witnesses, witnesses)
+    return next(
+        (
+            f"i_D{b.chart.var_names[m]} psi at frames "
+            f"{tuple(i + 1 for i in idx)} = {format_poly(p)}"
+            for m in range(b.chart.dim)
+            for idx, p in contract_with_section(psi, b.dee_columns[m]).terms.items()
+        ),
+        None,
+    )
+
+
+def _require_membership(psi: Cochain) -> None:
+    witness = is_in_ckd(psi)
+    if witness is not None:
+        raise MembershipError(witness)
+
+
+def member_samples(
+    report: VerifyReport, samples: Sequence[Cochain]
+) -> Iterator[Tuple[int, Cochain]]:
+    """The samples, numbered from 1, that pass their sample-N-membership
+    check; each check is recorded in `report` as its sample comes up."""
+    for n, psi in enumerate(samples, 1):
+        if report.first(f"sample-{n}-membership", [is_in_ckd(psi)]):
+            yield n, psi
 
 
 def cochain_sharp(psi: Cochain) -> KerCochain:
     """Lower a (k+1)-cochain to a kernel-valued k-cochain; requires membership."""
     if psi.degree < 1:
         raise DegreeError("sharp needs degree >= 1")
-    member = is_in_ckd(psi)
-    if not member.ok:
-        raise MembershipError(member.witnesses[0])
+    _require_membership(psi)
     return KerCochain(psi)
-
-
-def cochain_flat(phi: KerCochain) -> Cochain:
-    """The stored flat; inverse of cochain_sharp by construction."""
-    return phi.flat
 
 
 def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
@@ -257,9 +257,7 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
     D psi(e_1..e_{k+1}) = sum_i (-1)^{i+1} rho(e_i) psi(..no i..)
                         + sum_{i<j} (-1)^{i+j} psi(e_i o e_j, ..no i,j..)
     """
-    member = is_in_ckd(psi)
-    if not member.ok:
-        raise MembershipError(member.witnesses[0])
+    _require_membership(psi)
     b = p.bundle
     k = psi.degree
     rho_frames = b.rho_frames
@@ -337,26 +335,18 @@ def verify_comm_lemma(
 ) -> VerifyReport:
     """Exact equality D psi = (partial sharp(psi))-flat on every frame tuple."""
     report = VerifyReport("commutation of D with the covariant derivative")
-    for n, psi in enumerate(samples):
-        member = is_in_ckd(psi)
-        if not report.require(f"sample-{n + 1}-membership", member.ok,
-                              member.witnesses[0] if member.witnesses else ""):
-            continue
+    for n, psi in member_samples(report, samples):
         lhs = cobound_d(p, psi)
         rhs = cobound_partial(p, cochain_sharp(psi)).flat
-        ok = lhs == rhs
-        witness = ""
-        if not ok:
-            for idx in sorted(set(lhs.terms) | set(rhs.terms)):
-                a = lhs.value_at(idx)
-                bb = rhs.value_at(idx)
-                if a != bb:
-                    witness = (
-                        f"frames {tuple(i + 1 for i in idx)}: D side = "
-                        f"{format_poly(a)}, partial side = {format_poly(bb)}"
-                    )
-                    break
-        report.add(f"sample-{n + 1}-equal", ok, witness)
+        report.first(
+            f"sample-{n}-equal",
+            (
+                f"frames {tuple(i + 1 for i in idx)}: D side = "
+                f"{format_poly(a)}, partial side = {format_poly(bb)}"
+                for idx in sorted(set(lhs.terms) | set(rhs.terms))
+                if (a := lhs.value_at(idx)) != (bb := rhs.value_at(idx))
+            ),
+        )
     return report
 
 
@@ -420,68 +410,62 @@ def verify_jacobiator_theorem(
         return jcache[key]
 
     # (1) skew-symmetry on frame triples (adjacent swaps + repeated arguments)
-    chk = report.check("skew-symmetric")
-    for i, j, k in combinations(range(r), 3):
-        base = jval(i, j, k)
-        if not ((jval(j, i, k) + base).is_zero() and (jval(i, k, j) + base).is_zero()):
-            chk.fail(f"frames ({i + 1},{j + 1},{k + 1})")
-            break
-    if chk.ok:
-        for i, j in product(range(r), repeat=2):
-            if not (
-                jval(i, i, j).is_zero()
-                and jval(i, j, j).is_zero()
-                and jval(i, j, i).is_zero()
-            ):
-                chk.fail(f"repeated frames ({i + 1},{j + 1})")
-                break
+    triples = list(combinations(range(r), 3))
+    report.first(
+        "skew-symmetric",
+        chain(
+            (f"frames ({i + 1},{j + 1},{k + 1})" for i, j, k in triples
+             if not (((base := jval(i, j, k)) + jval(j, i, k)).is_zero()
+                     and (base + jval(i, k, j)).is_zero())),
+            (f"repeated frames ({i + 1},{j + 1})" for i, j in product(range(r), repeat=2)
+             if not (jval(i, i, j).is_zero() and jval(i, j, j).is_zero()
+                     and jval(i, j, i).is_zero())),
+        ),
+    )
 
-    # (2) tensoriality under function multiplication in the first slot
+    # (2) tensoriality under function multiplication in the first slot, on
+    # functions and sections drawn as they are checked
     rng = random.Random(seed)
-    chk = report.check("tensorial")
-    for _ in range(trials):
-        f = random_poly(rng, b.chart, max_degree)
-        e1 = random_section(rng, b, max_degree)
-        e2 = random_section(rng, b, max_degree)
-        e3 = random_section(rng, b, max_degree)
-        if jacobiator(p, e1.scale(f), e2, e3) != jacobiator(p, e1, e2, e3).scale(f):
-            chk.fail(f"f = {format_poly(f)}")
-            break
+    draws = (
+        (random_poly(rng, b.chart, max_degree),
+         *(random_section(rng, b, max_degree) for _ in range(3)))
+        for _ in range(trials)
+    )
+    report.first(
+        "tensorial",
+        (f"f = {format_poly(f)}" for f, e1, e2, e3 in draws
+         if jacobiator(p, e1.scale(f), e2, e3) != jacobiator(p, e1, e2, e3).scale(f)),
+    )
 
     # (3) values in the kernel of the anchor
-    chk = report.check("kernel-valued")
-    for i, j, k in combinations(range(r), 3):
-        if not anchor_apply(jval(i, j, k)).is_zero():
-            chk.fail(f"frames ({i + 1},{j + 1},{k + 1})")
-            break
+    report.first(
+        "kernel-valued",
+        (f"frames ({i + 1},{j + 1},{k + 1})" for i, j, k in triples
+         if not anchor_apply(jval(i, j, k)).is_zero()),
+    )
 
     # (4) total alternation of <J(.,.,.), .> on frame quadruples
-    chk = report.check("flat-alternating")
-    for i, j, k, l in combinations(range(r), 4):
-        a = pairing(jval(i, j, k), frames[l])
-        bb = pairing(jval(i, j, l), frames[k])
-        if not (a + bb).is_zero():
-            chk.fail(f"frames ({i + 1},{j + 1},{k + 1},{l + 1})")
-            break
-    if chk.ok:
-        for i, j, k in combinations(range(r), 3):
-            jv = jval(i, j, k)
-            if not all(pairing(jv, frames[x]).is_zero() for x in (i, j, k)):
-                chk.fail(f"frames ({i + 1},{j + 1},{k + 1}) self-pairing")
-                break
+    report.first(
+        "flat-alternating",
+        chain(
+            (f"frames ({i + 1},{j + 1},{k + 1},{l + 1})"
+             for i, j, k, l in combinations(range(r), 4)
+             if not (pairing(jval(i, j, k), frames[l])
+                     + pairing(jval(i, j, l), frames[k])).is_zero()),
+            (f"frames ({i + 1},{j + 1},{k + 1}) self-pairing" for i, j, k in triples
+             if not all(pairing(jval(i, j, k), frames[x]).is_zero() for x in (i, j, k))),
+        ),
+    )
 
     # (5) J(D x_m, ., .) = 0
-    chk = report.check("derivative-slot-vanishes")
-    for m in range(b.chart.dim):
-        km = dee(b, Poly.var(b.chart, m))
-        bad = next(
-            ((i, j) for i in range(r) for j in range(i, r)
-             if not jacobiator(p, km, frames[i], frames[j]).is_zero()),
-            None,
-        )
-        if bad:
-            chk.fail(f"D{b.chart.var_names[m]}, frames ({bad[0] + 1},{bad[1] + 1})")
-            break
+    report.first(
+        "derivative-slot-vanishes",
+        (f"D{b.chart.var_names[m]}, frames ({i + 1},{j + 1})"
+         for m, km in enumerate(b.dee_columns)
+         for i in range(r)
+         for j in range(i, r)
+         if not jacobiator(p, km, frames[i], frames[j]).is_zero()),
+    )
 
     if not report.ok:
         report.notes.append("flat checks skipped: prerequisites failed")
@@ -489,32 +473,23 @@ def verify_jacobiator_theorem(
 
     # storage of the flat is sound now that (1) and (4) hold
     jflat = jacobiator_flat(p)
-    member = is_in_ckd(jflat)
-    report.add(
-        "flat-membership", member.ok, member.witnesses[0] if member.witnesses else ""
-    )
+    report.first("flat-membership", [is_in_ckd(jflat)])
 
     # (6) partial J = 0 on frame quadruples
-    jker = KerCochain(jflat)
-    values = partial_section_values(p, jker)
-    chk = report.check("partial-j-zero")
-    for idx, section in sorted(values.items()):
-        if not section.is_zero():
-            chk.fail(
-                f"frames {tuple(i + 1 for i in idx)}: partial J = "
-                f"({format_section(section)})"
-            )
-            break
+    values = partial_section_values(p, KerCochain(jflat))
+    report.first(
+        "partial-j-zero",
+        (f"frames {tuple(i + 1 for i in idx)}: partial J = ({format_section(section)})"
+         for idx, section in sorted(values.items()) if not section.is_zero()),
+    )
 
     # equivalent flat statement D(J-flat) = 0
     dflat = cobound_d(p, jflat)
-    chk = report.check("d-jflat-zero")
-    if not dflat.is_zero():
-        idx = sorted(dflat.terms)[0]
-        chk.fail(
-            f"frames {tuple(i + 1 for i in idx)}: D(J-flat) = "
-            f"{format_poly(dflat.terms[idx])}"
-        )
+    report.first(
+        "d-jflat-zero",
+        (f"frames {tuple(i + 1 for i in idx)}: D(J-flat) = {format_poly(dflat.terms[idx])}"
+         for idx in sorted(dflat.terms)),
+    )
     return report
 
 

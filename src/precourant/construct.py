@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebroid import PreCourantAlgebroid, jacobiator
@@ -241,14 +241,13 @@ def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
     m = g.dim
     s = g.structure  # s[i][j]: the (l, c) pairs of [b_i, b_j]
 
-    chk = report.check("antisymmetric")
-    for i, j in product(range(m), repeat=2):
-        if dict(s[i][j]) != {k: -c for k, c in s[j][i]}:
-            chk.fail(f"basis ({i + 1},{j + 1})")
-            break
+    report.first(
+        "antisymmetric",
+        (f"basis ({i + 1},{j + 1})" for i, j in product(range(m), repeat=2)
+         if dict(s[i][j]) != {k: -c for k, c in s[j][i]}),
+    )
 
-    chk = report.check("jacobi")
-    for i, j, k in product(range(m), repeat=3):
+    def jacobi_defect(i: int, j: int, k: int) -> AlgebraVector:
         # [b_i, [b_j, b_k]] - [[b_i, b_j], b_k] - [b_j, [b_i, b_k]]
         out: AlgebraVector = {}
         for l, c in s[j][k]:
@@ -260,9 +259,13 @@ def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
         for l, c in s[i][k]:
             for t, d in s[j][l]:
                 out[t] = out.get(t, 0) - c * d
-        if any(out.values()):
-            chk.fail(f"basis triple ({i + 1},{j + 1},{k + 1})")
-            break
+        return out
+
+    report.first(
+        "jacobi",
+        (f"basis triple ({i + 1},{j + 1},{k + 1})" for i, j, k in product(range(m), repeat=3)
+         if any(jacobi_defect(i, j, k).values())),
+    )
 
     if g.pairing is None:
         report.add("pairing-present", False, "no pairing supplied")
@@ -274,16 +277,14 @@ def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
     except linalg.SingularMetricError:
         report.add("pairing-invertible", False, "pairing matrix is singular")
 
-    chk = report.check("pairing-invariant")
+    # <[b_i, b_j], b_k> + <b_j, [b_i, b_k]> = 0
     pair = [dict(row) for row in g.pairing_rows]
-    for i, j, k in product(range(m), repeat=3):
-        # <[b_i, b_j], b_k> + <b_j, [b_i, b_k]>
-        v = sum(c * pair[l].get(k, 0) for l, c in s[i][j]) + sum(
-            pair[j].get(l, 0) * c for l, c in s[i][k]
-        )
-        if v:
-            chk.fail(f"basis triple ({i + 1},{j + 1},{k + 1})")
-            break
+    report.first(
+        "pairing-invariant",
+        (f"basis triple ({i + 1},{j + 1},{k + 1})" for i, j, k in product(range(m), repeat=3)
+         if sum(c * pair[l].get(k, 0) for l, c in s[i][j])
+         + sum(pair[j].get(l, 0) * c for l, c in s[i][k])),
+    )
     return report
 
 
@@ -412,37 +413,35 @@ def _twisted_action_report(ta: TwistedAction) -> VerifyReport:
     bundle = ta.bundle
     m = ta.algebra.dim
 
-    chk = report.check("defect-antisymmetric")
-    for i, j in product(range(m), repeat=2):
-        if not (ta.k_table[i][j] + ta.k_table[j][i]).is_zero():
-            chk.fail(f"basis ({i + 1},{j + 1})")
-            break
+    report.first(
+        "defect-antisymmetric",
+        (f"basis ({i + 1},{j + 1})" for i, j in product(range(m), repeat=2)
+         if not (ta.k_table[i][j] + ta.k_table[j][i]).is_zero()),
+    )
 
     # k(e, .) = 0 for pointwise kernel vectors at the sample points
-    chk = report.check("defect-kills-kernel")
-    for pt in ta.sample_points:
-        kernel = kernel_at(bundle, pt)
-        if not kernel:
-            continue
-        # the defect table at pt, each integral value held as an int
-        k_at = [
-            [{k: linalg.rational(c.eval(pt)) for k, c in s.terms.items()} for s in row]
-            for row in ta.k_table
-        ]
-        for v, j in product(kernel, range(m)):
-            val = [0] * m
-            for a, va in enumerate(v):
-                for k, c in k_at[a][j].items():
-                    val[k] += va * c
-            if any(val):
-                chk.fail(f"point {tuple(map(str, pt))}: k(kernel vector, basis {j + 1}) != 0")
-                break
-        if not chk.ok:
-            break
+    def kernel_defects() -> Iterator[str]:
+        for pt in ta.sample_points:
+            kernel = kernel_at(bundle, pt)
+            if not kernel:
+                continue
+            # the defect table at pt, each integral value held as an int
+            k_at = [
+                [{k: linalg.rational(c.eval(pt)) for k, c in s.terms.items()} for s in row]
+                for row in ta.k_table
+            ]
+            for v, j in product(kernel, range(m)):
+                val = [0] * m
+                for a, va in enumerate(v):
+                    for k, c in k_at[a][j].items():
+                        val[k] += va * c
+                if any(val):
+                    yield f"point {tuple(map(str, pt))}: k(kernel vector, basis {j + 1}) != 0"
+
+    report.first("defect-kills-kernel", kernel_defects())
 
     # anchor-defect equation on basis pairs and on seeded multiples
     rng = random.Random(0)
-    chk = report.check("anchor-defect-equation")
     frames = bundle.frames()
     tests = [(frames[i], frames[j]) for i in range(m) for j in range(m)]
     for _ in range(8):
@@ -451,20 +450,17 @@ def _twisted_action_report(ta: TwistedAction) -> VerifyReport:
         tests.append((frames[i].scale(f), frames[j]))
         g_ = random_poly(rng, bundle.chart, 2)
         tests.append((frames[i], frames[j].scale(g_)))
-    for e1, e2 in tests:
-        lhs = anchor_apply(_action_lie_bracket(ta, e1, e2))
-        k_val = _bilinear(ta.k_table, e1, e2)
-        rhs = vf_bracket(anchor_apply(e1), anchor_apply(e2)) - anchor_apply(k_val)
-        if lhs != rhs:
-            chk.fail(format_sections(e1, e2))
-            break
+    report.first(
+        "anchor-defect-equation",
+        (format_sections(e1, e2) for e1, e2 in tests
+         if anchor_apply(_action_lie_bracket(ta, e1, e2))
+         != vf_bracket(anchor_apply(e1), anchor_apply(e2))
+         - anchor_apply(_bilinear(ta.k_table, e1, e2))),
+    )
 
     coiso = kernel_coisotropy_check(bundle, ta.sample_points)
-    report.add(
-        "kernel-coisotropic",
-        coiso.ok,
-        next((f"point {tuple(map(str, r.point))}: {r.witness}"
-              for r in coiso.points if not r.ok), ""),
+    report.first(
+        "kernel-coisotropic", (f"{c.name}: {c.witness}" for c in coiso.checks if not c.ok)
     )
     return report
 
@@ -483,7 +479,9 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
     bundle = ta.bundle
     bundle_report = validate_bundle(bundle)
     if not bundle_report.ok:
-        raise ConstructionError("invalid-bundle", "; ".join(bundle_report.failures))
+        raise ConstructionError(
+            "invalid-bundle", "; ".join(c.name for c in bundle_report.checks)
+        )
     m = ta.algebra.dim
     frames = bundle.frames()
     # k_flat[a][e][c] = <u_c, k(u_a, u_e)>
@@ -756,8 +754,7 @@ def dissection_jacobiator_check(
     coords = [VectorField.coordinate(dd.chart, i) for i in range(n)]
     form = _pontryagin_form(dd)
 
-    chk = report.check("components-match")
-    for idx in combinations(range(b.rank), 3):
+    def witness(idx: Tuple[int, int, int]) -> Optional[str]:
         actual = jacobiator(p, b.frame(idx[0]), b.frame(idx[1]), b.frame(idx[2]))
         blocks = tuple(
             "x" if t < n else ("r" if t < n + g else "xi") for t in idx
@@ -783,12 +780,14 @@ def dissection_jacobiator_check(
             va, vc, ve = (basis[t - n] for t in idx)
             cot = [-_pair_aux(dd, _derivation_defect(dd, l, va, vc), ve) for l in range(n)]
             expected = _dissection_section(b, _fiber_jacobi_defect(dd, va, vc, ve), cot)
-        if actual != expected:
-            chk.fail(
-                f"frames {tuple(i + 1 for i in idx)} [{'/'.join(blocks)}]: computed "
-                f"({format_section(actual)}) vs closed form ({format_section(expected)})"
-            )
-            break
+        if actual == expected:
+            return None
+        return (
+            f"frames {tuple(i + 1 for i in idx)} [{'/'.join(blocks)}]: computed "
+            f"({format_section(actual)}) vs closed form ({format_section(expected)})"
+        )
+
+    report.first("components-match", map(witness, combinations(range(b.rank), 3)))
     return report
 
 
@@ -801,33 +800,29 @@ def dissection_flatness_conditions(dd: DissectionData) -> VerifyReport:
     n, g = dd.chart.dim, dd.aux_rank
     basis = dd.aux_basis
 
-    ok = all(
-        all(x.is_zero() for x in _fiber_jacobi_defect(dd, basis[a], basis[c], basis[e]))
-        for a in range(g)
-        for c in range(g)
-        for e in range(g)
+    def vanish(defects) -> Iterator[Optional[str]]:
+        """An empty witness for each auxiliary vector that is not zero."""
+        return (None if all(x.is_zero() for x in v) else "" for v in defects)
+
+    report.first(
+        "fiber-jacobi",
+        vanish(_fiber_jacobi_defect(dd, basis[a], basis[c], basis[e])
+               for a, c, e in product(range(g), repeat=3)),
     )
-    report.add("fiber-jacobi", ok)
-
-    ok = all(
-        all(x.is_zero() for x in _derivation_defect(dd, m, basis[a], basis[c]))
-        for m in range(n)
-        for a in range(g)
-        for c in range(g)
+    report.first(
+        "connection-derivation",
+        vanish(_derivation_defect(dd, m, basis[a], basis[c])
+               for m, a, c in product(range(n), range(g), range(g))),
     )
-    report.add("connection-derivation", ok)
-
-    chk = report.check("curvature-bianchi")
-    for i, j, k in combinations(range(n), 3):
-        if not all(x.is_zero() for x in _bianchi_term(dd, i, j, k)):
-            chk.fail()
-            break
-
-    chk = report.check("connection-curvature-matches")
-    for i, j, a in product(range(n), range(n), range(g)):
-        if not all(x.is_zero() for x in _connection_curvature_defect(dd, i, j, basis[a])):
-            chk.fail()
-            break
+    report.first(
+        "curvature-bianchi",
+        vanish(_bianchi_term(dd, i, j, k) for i, j, k in combinations(range(n), 3)),
+    )
+    report.first(
+        "connection-curvature-matches",
+        vanish(_connection_curvature_defect(dd, i, j, basis[a])
+               for i, j, a in product(range(n), range(n), range(g))),
+    )
     return report
 
 
@@ -850,16 +845,15 @@ def dissection_pontryagin(
     if flat.ok:
         jflat = jacobiator_flat(p)
         target = pullback_form(p.bundle, form)
-        chk = report.check("jflat-matches-sign-corrected-form")
-        for idx in combinations(range(p.bundle.rank), 4):
-            lhs = jflat.value_at(idx)
-            rhs = target.value_at(idx)
-            if lhs != rhs:
-                chk.fail(
-                    f"frames {tuple(t + 1 for t in idx)}: J-flat = "
-                    f"{format_poly(lhs)} vs {format_poly(rhs)}"
-                )
-                break
+        report.first(
+            "jflat-matches-sign-corrected-form",
+            (
+                f"frames {tuple(t + 1 for t in idx)}: J-flat = "
+                f"{format_poly(lhs)} vs {format_poly(rhs)}"
+                for idx in combinations(range(p.bundle.rank), 4)
+                if (lhs := jflat.value_at(idx)) != (rhs := target.value_at(idx))
+            ),
+        )
         closed = ext_d(h_form).is_zero()
         report.add("d-h-zero", closed)
     else:

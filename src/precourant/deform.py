@@ -33,6 +33,7 @@ from .cochain import (
     cochain_sharp,
     is_in_ckd,
     jacobiator_flat,
+    member_samples,
     partial_section_values,
     pullback_form,
 )
@@ -60,24 +61,20 @@ def validate_deformation(p: PreCourantAlgebroid, omega: KerCochain) -> VerifyRep
         report.add("degree-2", False, f"degree is {omega.degree}")
         return report
     report.add("degree-2", True)
-    chk = report.check("kernel-valued")
-    for i, j in combinations(range(b.rank), 2):
-        if not anchor_apply(omega.value_at((i, j))).is_zero():
-            chk.fail(f"omega(u{i + 1}, u{j + 1}) leaves the kernel")
-            break
+    report.first(
+        "kernel-valued",
+        (f"omega(u{i + 1}, u{j + 1}) leaves the kernel"
+         for i, j in combinations(range(b.rank), 2)
+         if not anchor_apply(omega.value_at((i, j))).is_zero()),
+    )
     # total alternation is structural for the stored flat; verify the
     # diagonal, which flat storage alone does not force on evaluation
-    chk = report.check("alternating")
-    for i in range(b.rank):
-        if not omega.value_at((i, i)).is_zero():
-            chk.fail(f"omega(u{i + 1}, u{i + 1}) nonzero")
-            break
-    member = is_in_ckd(omega.flat)
-    report.add(
-        "contraction-membership",
-        member.ok,
-        member.witnesses[0] if member.witnesses else "",
+    report.first(
+        "alternating",
+        (f"omega(u{i + 1}, u{i + 1}) nonzero" for i in range(b.rank)
+         if not omega.value_at((i, i)).is_zero()),
     )
+    report.first("contraction-membership", [is_in_ckd(omega.flat)])
     return report
 
 
@@ -143,42 +140,39 @@ def verify_deformation_identity(
     b = p.bundle
     partial_omega = partial_section_values(p, omega)
 
-    chk = report.check("identity-on-frames")
-    omega_sq_all_zero = True
-    for idx in combinations(range(b.rank), 3):
-        e = [b.frame(i) for i in idx]
-        lhs = jacobiator(deformed, *e)
-        sq = omega_square(p, omega, *e)
-        if not sq.is_zero():
-            omega_sq_all_zero = False
-        rhs = jacobiator(p, *e) + partial_omega[idx] + sq.scale(Fraction(1, 2))
-        if lhs != rhs:
-            chk.fail(
-                f"frames {tuple(i + 1 for i in idx)}: deformed J = "
-                f"({format_section(lhs)}) vs ({format_section(rhs)})"
-            )
-            break
+    half = Fraction(1, 2)
+    triples = {idx: [b.frame(i) for i in idx] for idx in combinations(range(b.rank), 3)}
+    squares = {idx: omega_square(p, omega, *e) for idx, e in triples.items()}
+    report.first(
+        "identity-on-frames",
+        (
+            f"frames {tuple(i + 1 for i in idx)}: deformed J = "
+            f"({format_section(lhs)}) vs ({format_section(rhs)})"
+            for idx, e in triples.items()
+            if (lhs := jacobiator(deformed, *e))
+            != (rhs := jacobiator(p, *e) + partial_omega[idx] + squares[idx].scale(half))
+        ),
+    )
     report.notes.append(
         "omega-square vanishes on all frame triples"
-        if omega_sq_all_zero
+        if all(sq.is_zero() for sq in squares.values())
         else "omega-square is nonzero on some frame triple"
     )
 
-    rng = random.Random(seed)
-    chk = report.check("identity-on-sections")
-    # partial(omega) packaged once; evaluated on general sections via its flat
+    # partial(omega) packaged once; evaluated on general sections via its
+    # flat.  The sections are drawn as they are checked.
     pom = cobound_partial(p, omega)
-    for _ in range(trials):
-        es = [random_section(rng, b, max_degree) for _ in range(3)]
-        lhs = jacobiator(deformed, *es)
-        rhs = (
-            jacobiator(p, *es)
-            + pom.evaluate(es)
-            + omega_square(p, omega, *es).scale(Fraction(1, 2))
-        )
-        if lhs != rhs:
-            chk.fail("seeded sections")
-            break
+    rng = random.Random(seed)
+    draws = ([random_section(rng, b, max_degree) for _ in range(3)] for _ in range(trials))
+    report.first(
+        "identity-on-sections",
+        (
+            "seeded sections"
+            for es in draws
+            if jacobiator(deformed, *es)
+            != jacobiator(p, *es) + pom.evaluate(es) + omega_square(p, omega, *es).scale(half)
+        ),
+    )
     return report
 
 
@@ -236,40 +230,34 @@ def bfield_verify(
     sections += [random_section(rng, b, max_degree) for _ in range(trials)]
 
     # (1) conjugation property on frames and seeded sections
-    chk = report.check("conjugation")
     pairs = (
         (e1, e2)
         for i, e1 in enumerate(sections)
         for e2 in sections[: len(sections) if i < b.rank else b.rank]
     )
-    for e1, e2 in pairs:
-        lhs = bracket(deformed, e1, e2)
-        rhs = field.inverse_transform(bracket(p, field.transform(e1), field.transform(e2)))
-        if lhs != rhs:
-            chk.fail(format_sections(e1, e2))
-            break
-
+    t = field.transform
+    report.first(
+        "conjugation",
+        (format_sections(e1, e2) for e1, e2 in pairs
+         if bracket(deformed, e1, e2) != field.inverse_transform(bracket(p, t(e1), t(e2)))),
+    )
     # (2) metric preserved
-    chk = report.check("metric-preserved")
-    for e1, e2 in product(sections, repeat=2):
-        if pairing(field.transform(e1), field.transform(e2)) != pairing(e1, e2):
-            chk.fail(format_sections(e1, e2))
-            break
-
+    report.first(
+        "metric-preserved",
+        (format_sections(e1, e2) for e1, e2 in product(sections, repeat=2)
+         if pairing(t(e1), t(e2)) != pairing(e1, e2)),
+    )
     # (3) anchor preserved
-    chk = report.check("anchor-preserved")
-    for e in sections:
-        if anchor_apply(field.transform(e)) != anchor_apply(e):
-            chk.fail(f"({format_section(e)})")
-            break
-
+    report.first(
+        "anchor-preserved",
+        (f"({format_section(e)})" for e in sections if anchor_apply(t(e)) != anchor_apply(e)),
+    )
     # (4) Jacobiator invariant on frame triples
-    chk = report.check("jacobiator-invariant")
-    for idx in combinations(range(b.rank), 3):
-        e = [b.frame(i) for i in idx]
-        if jacobiator(deformed, *e) != jacobiator(p, *e):
-            chk.fail(f"frames {tuple(i + 1 for i in idx)}")
-            break
+    report.first(
+        "jacobiator-invariant",
+        (f"frames {tuple(i + 1 for i in idx)}" for idx in combinations(range(b.rank), 3)
+         if jacobiator(deformed, *(e := [b.frame(i) for i in idx])) != jacobiator(p, *e)),
+    )
 
     # (5) closed 2-form leaves the bracket table unchanged
     if ext_d(beta).is_zero():
@@ -335,18 +323,14 @@ def pontryagin_representative(
         return None, report
 
     kappas = kernel_generators_from_lift(p, lift)
-    chk = report.check("kernel-slots-vanish")
-    slots = (
-        (a, kappa, i, j)
+    witnesses = (
+        f"J(kappa_{a + 1}, u{i + 1}, u{j + 1}) != 0"
         for a, kappa in enumerate(kappas)
         if not kappa.is_zero()
         for i, j in combinations(range(b.rank), 2)
+        if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero()
     )
-    for a, kappa, i, j in slots:
-        if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero():
-            chk.fail(f"J(kappa_{a + 1}, u{i + 1}, u{j + 1}) != 0")
-            break
-    if not chk.ok:
+    if not report.first("kernel-slots-vanish", witnesses):
         report.skipped = True
         return None, report
 
@@ -374,29 +358,26 @@ def pontryagin_vanishing_check(
     b = p.bundle
     jflat = jacobiator_flat(p)
     target = pullback_form(b, ext_d(h))
-    chk = report.check("jflat-equals-pullback-dh")
-    for idx in combinations(range(b.rank), 4):
-        lhs = jflat.value_at(idx)
-        rhs = target.value_at(idx)
-        if lhs != rhs:
-            chk.fail(
-                f"frames {tuple(i + 1 for i in idx)}: J-flat = {format_poly(lhs)}"
-                f" but rho*(dh) = {format_poly(rhs)}"
-            )
-            break
-    if not chk.ok:
+    witnesses = (
+        f"frames {tuple(i + 1 for i in idx)}: J-flat = {format_poly(lhs)}"
+        f" but rho*(dh) = {format_poly(rhs)}"
+        for idx in combinations(range(b.rank), 4)
+        if (lhs := jflat.value_at(idx)) != (rhs := target.value_at(idx))
+    )
+    if not report.first("jflat-equals-pullback-dh", witnesses):
         return report
 
     # untwist and confirm the Jacobiator dies
     minus_twist = KerCochain(-pullback_form(b, h))
     deformed = apply_deformation(p, minus_twist, validate=False)
-    chk = report.check("untwisted-jacobiator-zero")
-    for idx in combinations(range(b.rank), 3):
-        e = [b.frame(i) for i in idx]
-        j = jacobiator(deformed, *e)
-        if not j.is_zero():
-            chk.fail(f"frames {tuple(i + 1 for i in idx)}: J = ({format_section(j)})")
-            break
+    report.first(
+        "untwisted-jacobiator-zero",
+        (
+            f"frames {tuple(i + 1 for i in idx)}: J = ({format_section(j)})"
+            for idx in combinations(range(b.rank), 3)
+            if not (j := jacobiator(deformed, *[b.frame(i) for i in idx])).is_zero()
+        ),
+    )
     return report
 
 
@@ -409,18 +390,17 @@ def check_image_condition(
     """Whether every Jacobiator value pairs to zero with the kernel,
     i.e. lands in the kernel's orthogonal."""
     b = p.bundle
-    for idx in combinations(range(b.rank), 3):
-        j = jacobiator(p, b.frame(idx[0]), b.frame(idx[1]), b.frame(idx[2]))
-        if j.is_zero():
-            continue
-        for a, kappa in enumerate(kernel_generators):
-            v = pairing(j, kappa)
-            if not v.is_zero():
-                return False, (
-                    f"<J(u{idx[0] + 1}, u{idx[1] + 1}, u{idx[2] + 1}), kappa_{a + 1}>"
-                    f" = {format_poly(v)}"
-                )
-    return True, ""
+    witness = next(
+        (
+            f"<J(u{i + 1}, u{j + 1}, u{k + 1}), kappa_{a + 1}> = {format_poly(v)}"
+            for i, j, k in combinations(range(b.rank), 3)
+            if not (jv := jacobiator(p, b.frame(i), b.frame(j), b.frame(k))).is_zero()
+            for a, kappa in enumerate(kernel_generators)
+            if not (v := pairing(jv, kappa)).is_zero()
+        ),
+        None,
+    )
+    return witness is None, witness or ""
 
 
 def default_kernel_generators(
@@ -436,10 +416,11 @@ def default_kernel_generators(
 
 def _check_zero(report: VerifyReport, name: str, label: str, c: Cochain) -> None:
     """Declare that c vanishes; the witness is its first nonzero frame value."""
-    chk = report.check(name)
-    if not c.is_zero():
-        idx = sorted(c.terms)[0]
-        chk.fail(f"{label} at frames {tuple(i + 1 for i in idx)} = {format_poly(c.terms[idx])}")
+    report.first(
+        name,
+        (f"{label} at frames {tuple(i + 1 for i in idx)} = {format_poly(c.terms[idx])}"
+         for idx in sorted(c.terms)),
+    )
 
 
 def naive_cohomology_check(
@@ -454,18 +435,11 @@ def naive_cohomology_check(
     report = VerifyReport("naive cohomology")
     cond, witness = check_image_condition(p, kernel_generators)
     report.add("jacobiator-in-orthogonal", cond, witness)
-    for n, psi in enumerate(samples):
-        member = is_in_ckd(psi)
-        if not report.require(
-            f"sample-{n + 1}-membership",
-            member.ok,
-            member.witnesses[0] if member.witnesses else "",
-        ):
-            continue
+    for n, psi in member_samples(report, samples):
         dd = cobound_d(p, cobound_d(p, psi))
-        _check_zero(report, f"sample-{n + 1}-d-squared", "D^2", dd)
+        _check_zero(report, f"sample-{n}-d-squared", "D^2", dd)
         pp = cobound_partial(p, cobound_partial(p, cochain_sharp(psi)))
-        _check_zero(report, f"sample-{n + 1}-partial-squared", "partial^2", pp.flat)
+        _check_zero(report, f"sample-{n}-partial-squared", "partial^2", pp.flat)
     if not cond:
         report.notes.append(
             "precondition fails; any nonzero square above is the counterexample"
@@ -511,12 +485,13 @@ def quotient_jacobi_check(
             picks.append(e)
         tuples.append(tuple(picks))
 
-    chk = report.check("jacobi-mod-orthogonal")
-    for e1, e2, e3 in tuples:
-        defect = skew_jacobiator_direct(p, e1, e2, e3)
-        values = (pairing(defect, kappa) for kappa in kappas)
-        v = next((v for v in values if not v.is_zero()), None)
-        if v is not None:
-            chk.fail(f"defect pairs with a kernel generator: {format_poly(v)}")
-            break
+    report.first(
+        "jacobi-mod-orthogonal",
+        (
+            f"defect pairs with a kernel generator: {format_poly(v)}"
+            for defect in (skew_jacobiator_direct(p, *es) for es in tuples)
+            for kappa in kappas
+            if not (v := pairing(defect, kappa)).is_zero()
+        ),
+    )
     return report

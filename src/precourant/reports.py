@@ -2,14 +2,20 @@
 
 Each verification produces a VerifyReport made of named checks.  A failed
 check carries a witness string: the offending inputs plus both side values,
-serialized canonically so reports are reproducible.  A check that scans
-many cases is declared up front with `VerifyReport.check` and keeps only
-the first counterexample passed to `Check.fail`.
+serialized canonically so reports are reproducible.
+
+A check that scans many cases is recorded by `VerifyReport.first`, which
+reads its witnesses lazily in a fixed order: each case yields None when the
+identity holds there and a witness string when it fails.  The first witness
+fails the check and nothing after it is evaluated, so a check never computes
+past its first counterexample.  A battery whose checks share seeded draws
+draws them all into a list first, then scans each check in order; a check
+that draws as it goes stops drawing at its first failure.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 
 class Check:
@@ -19,11 +25,6 @@ class Check:
         self.name = name
         self.ok = ok
         self.witness = witness
-
-    def fail(self, witness: str = "") -> None:
-        """Record a counterexample; only the first one is kept."""
-        if self.ok:
-            self.ok, self.witness = False, witness
 
 
 class VerifyReport:
@@ -48,11 +49,11 @@ class VerifyReport:
     def add(self, name: str, ok: bool, witness: str = "") -> None:
         self.checks.append(Check(name, ok, witness))
 
-    def check(self, name: str) -> Check:
-        """Declare a check, in report order, that passes until it fails."""
-        c = Check(name, True)
-        self.checks.append(c)
-        return c
+    def first(self, name: str, witnesses: Iterable[Optional[str]]) -> bool:
+        """Record a check that fails with the first witness that is not None;
+        nothing after it is evaluated.  Returns whether the check passed."""
+        witness = next((w for w in witnesses if w is not None), None)
+        return self.require(name, witness is None, witness or "")
 
     def require(self, name: str, ok: bool, witness: str = "") -> bool:
         """Record a check; returns ok so callers can gate early."""

@@ -123,22 +123,6 @@ def _sampling(c: BuildContext) -> Tuple[int, int, int]:
     return m.trials, m.seed, m.max_degree
 
 
-def _validate_bundle(c: BuildContext) -> VerifyReport:
-    report = VerifyReport("bundle")
-    for failure in validate_bundle(c.bundle).failures:
-        report.add(failure, False)
-    return report
-
-
-def _coisotropy(c: BuildContext) -> VerifyReport:
-    report = VerifyReport("kernel coisotropy")
-    for r in kernel_coisotropy_check(c.bundle, c.manifest.points).points:
-        point = f"point {tuple(map(str, r.point))}"
-        report.add(point, r.ok, r.witness)
-        report.notes.append(f"{point}: anchor rank {r.anchor_rank}")
-    return report
-
-
 def _comm_lemma(c: BuildContext) -> VerifyReport:
     trials, seed, _ = _sampling(c)
     rng = random.Random(seed)
@@ -202,8 +186,12 @@ def _dissection_pontryagin(c: BuildContext) -> VerifyReport:
 
 
 TASKS: Dict[str, Task] = {
-    "validate-bundle": Task(_validate_bundle, gated=False, sets_gate=True),
-    "coisotropy": Task(_coisotropy, needs=("points",), gated=False),
+    "validate-bundle": Task(lambda c: validate_bundle(c.bundle), gated=False, sets_gate=True),
+    "coisotropy": Task(
+        lambda c: kernel_coisotropy_check(c.bundle, c.manifest.points),
+        needs=("points",),
+        gated=False,
+    ),
     "verify-axioms": Task(
         lambda c: verify_axioms(c.algebroid, *_sampling(c)), sets_gate=True
     ),

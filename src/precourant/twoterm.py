@@ -106,6 +106,42 @@ def build_lie2(p: PreCourantAlgebroid) -> TwoTermAlgebra:
     return TwoTermAlgebra("lie", p)
 
 
+def _leibniz_defect(l2: Callable, x: Section, y: Section, z: Section) -> Section:
+    """The defect l2(x, l2(y, z)) - l2(l2(x, y), z) - l2(y, l2(x, z))."""
+    return l2(x, l2(y, z)) - l2(l2(x, y), z) - l2(y, l2(x, z))
+
+
+def _inclusion_witness(l2: Callable, pair, included, label: str) -> Optional[str]:
+    """None when l2 of `pair` is a kernel section equal to l2 of `included`,
+    the same pair with the inclusion applied to its kernel element."""
+    v = l2(*pair)
+    if not anchor_apply(v).is_zero():
+        return f"{label} leaves the kernel: {format_sections(*pair)}"
+    return None if v == l2(*included) else format_sections(*pair)
+
+
+def _coherence_defect(l2: Callable, l3: Callable, w, x, y, z) -> Section:
+    """The ten-term coherence of the corrector l3 with l2."""
+    return (
+        l2(w, l3(x, y, z))
+        - l2(x, l3(w, y, z))
+        + l2(y, l3(w, x, z))
+        + l2(l3(w, x, y), z)
+        - l3(l2(w, x), y, z)
+        - l3(x, l2(w, y), z)
+        - l3(x, y, l2(w, z))
+        + l3(w, l2(x, y), z)
+        + l3(w, y, l2(x, z))
+        - l3(w, x, l2(y, z))
+    )
+
+
+def _kernel_slot_witness(l2: Callable, l3: Callable, *es: Section) -> Optional[str]:
+    """The sections, one of them a kernel section, when l3 on them is not
+    the Leibniz defect of l2; else None."""
+    return None if l3(*es) == _leibniz_defect(l2, *es) else format_sections(*es)
+
+
 def _two_term_condition_checks(
     alg: TwoTermAlgebra,
     report: VerifyReport,
@@ -121,80 +157,62 @@ def _two_term_condition_checks(
     b = alg.bundle
     l2 = alg.l2
     l3 = l3_override or alg.l3
-    chk = {
-        n: report.check(n)
-        for n in (
-            "inclusion-right",
-            "inclusion-left",
-            "inclusion-balanced",
-            "defect-degree0",
-            "defect-kernel-slot3",
-            "defect-kernel-slot2",
-            "defect-kernel-slot1",
-            "coherence",
-        )
-    }
-    for _ in range(trials):
-        x = random_section(rng, b, max_degree)
-        y = random_section(rng, b, max_degree)
-        z = random_section(rng, b, max_degree)
-        w = random_section(rng, b, max_degree)
-        m = random_kernel_section(rng, b, max_degree)
-        n = random_kernel_section(rng, b, max_degree)
-
-        # the mixed bracket lands in degree 1 and matches the total one
-        xm = l2(x, m)
-        if not anchor_apply(xm).is_zero():
-            chk["inclusion-right"].fail(
-                f"l2(x, m) leaves the kernel: {format_sections(x, m)}"
-            )
-        elif xm != l2(x, alg.differential(m)):
-            chk["inclusion-right"].fail(format_sections(x, m))
-        # same on the other side
-        mx = l2(m, x)
-        if not anchor_apply(mx).is_zero():
-            chk["inclusion-left"].fail(
-                f"l2(m, x) leaves the kernel: {format_sections(m, x)}"
-            )
-        elif mx != l2(alg.differential(m), x):
-            chk["inclusion-left"].fail(format_sections(m, x))
-        # either argument may carry the inclusion
-        if l2(alg.differential(m), n) != l2(m, alg.differential(n)):
-            chk["inclusion-balanced"].fail(format_sections(m, n))
-        # the corrector equals the bracket defect on degree 0
-        lhs = l3(x, y, z)
-        rhs = l2(x, l2(y, z)) - l2(l2(x, y), z) - l2(y, l2(x, z))
-        if lhs != rhs:
-            chk["defect-degree0"].fail(
-                f"d l3 = ({format_section(lhs)}) vs defect ({format_section(rhs)})"
-                f" at {format_sections(x, y, z)}",
-            )
-        # kernel element in the third slot
-        if l3(x, y, m) != l2(x, l2(y, m)) - l2(l2(x, y), m) - l2(y, l2(x, m)):
-            chk["defect-kernel-slot3"].fail(format_sections(x, y, m))
-        # kernel element in the second slot
-        if l3(x, m, y) != l2(x, l2(m, y)) - l2(l2(x, m), y) - l2(m, l2(x, y)):
-            chk["defect-kernel-slot2"].fail(format_sections(x, m, y))
-        # kernel element in the first slot
-        if l3(m, x, y) != l2(m, l2(x, y)) - l2(l2(m, x), y) - l2(x, l2(m, y)):
-            chk["defect-kernel-slot1"].fail(format_sections(m, x, y))
-        # the ten-term coherence of the corrector
-        total = (
-            l2(w, l3(x, y, z))
-            - l2(x, l3(w, y, z))
-            + l2(y, l3(w, x, z))
-            + l2(l3(w, x, y), z)
-            - l3(l2(w, x), y, z)
-            - l3(x, l2(w, y), z)
-            - l3(x, y, l2(w, z))
-            + l3(w, l2(x, y), z)
-            + l3(w, y, l2(x, z))
-            - l3(w, x, l2(y, z))
-        )
-        if not total.is_zero():
-            chk["coherence"].fail(
-                f"defect ({format_section(total)}) at {format_sections(w, x, y, z)}"
-            )
+    d = alg.differential
+    draws = [
+        [random_section(rng, b, max_degree) for _ in range(4)]
+        + [random_kernel_section(rng, b, max_degree) for _ in range(2)]
+        for _ in range(trials)
+    ]
+    # the mixed bracket lands in degree 1 and matches the total one, on
+    # either side
+    report.first(
+        "inclusion-right",
+        (_inclusion_witness(l2, (x, m), (x, d(m)), "l2(x, m)")
+         for x, y, z, w, m, n in draws),
+    )
+    report.first(
+        "inclusion-left",
+        (_inclusion_witness(l2, (m, x), (d(m), x), "l2(m, x)")
+         for x, y, z, w, m, n in draws),
+    )
+    # either argument may carry the inclusion
+    report.first(
+        "inclusion-balanced",
+        (format_sections(m, n) for x, y, z, w, m, n in draws
+         if l2(d(m), n) != l2(m, d(n))),
+    )
+    # the corrector equals the bracket defect on degree 0
+    report.first(
+        "defect-degree0",
+        (
+            f"d l3 = ({format_section(lhs)}) vs defect ({format_section(rhs)})"
+            f" at {format_sections(x, y, z)}"
+            for x, y, z, w, m, n in draws
+            if (lhs := l3(x, y, z)) != (rhs := _leibniz_defect(l2, x, y, z))
+        ),
+    )
+    # a kernel element in the third, second and first slot
+    report.first(
+        "defect-kernel-slot3",
+        (_kernel_slot_witness(l2, l3, x, y, m) for x, y, z, w, m, n in draws),
+    )
+    report.first(
+        "defect-kernel-slot2",
+        (_kernel_slot_witness(l2, l3, x, m, y) for x, y, z, w, m, n in draws),
+    )
+    report.first(
+        "defect-kernel-slot1",
+        (_kernel_slot_witness(l2, l3, m, x, y) for x, y, z, w, m, n in draws),
+    )
+    # the ten-term coherence of the corrector
+    report.first(
+        "coherence",
+        (
+            f"defect ({format_section(total)}) at {format_sections(w, x, y, z)}"
+            for x, y, z, w, m, n in draws
+            if not (total := _coherence_defect(l2, l3, w, x, y, z)).is_zero()
+        ),
+    )
 
 
 def verify_leibniz2(
@@ -213,6 +231,21 @@ def verify_leibniz2(
     return report
 
 
+def _homotopy_jacobi_defect(alg: TwoTermAlgebra, l3: Callable, es) -> Section:
+    """The homotopy Jacobi identity of l2 and l3 on four sections."""
+    total = alg.bundle.zero_section()
+    for i in range(4):
+        rest = [es[t] for t in range(4) if t != i]
+        term = alg.l2(es[i], l3(*rest))
+        total = total + (term if i % 2 == 0 else -term)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            rest = [es[t] for t in range(4) if t != i and t != j]
+            term = l3(alg.l2(es[i], es[j]), *rest)
+            total = total + (term if (i + j) % 2 == 0 else -term)
+    return total
+
+
 def verify_lie2(
     alg: TwoTermAlgebra,
     trials: int = 16,
@@ -225,50 +258,44 @@ def verify_lie2(
     identity on seeded quadruples, and the (a)/(b) battery in skew form."""
     if alg.flavor != "lie":
         raise ValueError("verify_lie2 needs the lie flavor")
-    p = alg.algebroid
     b = alg.bundle
     l3 = l3_override or alg.l3
     report = VerifyReport("two-term lie conditions")
     report.notes.append(DEGREE1_DOMAIN_NOTE)
     rng = random.Random(seed)
 
-    skew2 = report.check("l2-skew")
-    skew3 = report.check("l3-skew")
-    kernel = report.check("l3-kernel-valued")
-    for _ in range(trials):
-        x = random_section(rng, b, max_degree)
-        y = random_section(rng, b, max_degree)
-        z = random_section(rng, b, max_degree)
-        if skew2.ok and not (alg.l2(x, y) + alg.l2(y, x)).is_zero():
-            skew2.fail(format_sections(x, y))
-        if skew3.ok:
-            base = l3(x, y, z)
-            if not (
-                (l3(y, x, z) + base).is_zero() and (l3(x, z, y) + base).is_zero()
-            ):
-                skew3.fail(format_sections(x, y, z))
-        if kernel.ok and not anchor_apply(l3(x, y, z)).is_zero():
-            kernel.fail(format_sections(x, y, z))
+    draws = [[random_section(rng, b, max_degree) for _ in range(3)] for _ in range(trials)]
+    report.first(
+        "l2-skew",
+        (format_sections(x, y) for x, y, z in draws
+         if not (alg.l2(x, y) + alg.l2(y, x)).is_zero()),
+    )
+    report.first(
+        "l3-skew",
+        (
+            format_sections(x, y, z)
+            for x, y, z in draws
+            if not (((base := l3(x, y, z)) + l3(y, x, z)).is_zero()
+                    and (base + l3(x, z, y)).is_zero())
+        ),
+    )
+    report.first(
+        "l3-kernel-valued",
+        (format_sections(*es) for es in draws if not anchor_apply(l3(*es)).is_zero()),
+    )
 
     # homotopy Jacobi identity on seeded quadruples; stops drawing at the
     # first failure, and the battery below draws on from the same rng
     n_quads = trials if quad_trials is None else quad_trials
-    chk = report.check("homotopy-jacobi")
-    for _ in range(n_quads):
-        es = [random_section(rng, b, max_degree) for _ in range(4)]
-        total = b.zero_section()
-        for i in range(4):
-            rest = [es[t] for t in range(4) if t != i]
-            term = alg.l2(es[i], l3(*rest))
-            total = total + (term if i % 2 == 0 else -term)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                rest = [es[t] for t in range(4) if t != i and t != j]
-                term = l3(alg.l2(es[i], es[j]), *rest)
-                total = total + (term if (i + j) % 2 == 0 else -term)
-        if not total.is_zero():
-            chk.fail(f"defect ({format_section(total)}) at {format_sections(*es)}")
-            break
+    quads = ([random_section(rng, b, max_degree) for _ in range(4)] for _ in range(n_quads))
+    report.first(
+        "homotopy-jacobi",
+        (
+            f"defect ({format_section(total)}) at {format_sections(*es)}"
+            for es in quads
+            if not (total := _homotopy_jacobi_defect(alg, l3, es)).is_zero()
+        ),
+    )
 
     _two_term_condition_checks(alg, report, rng, trials, max_degree, l3_override)
     return report
@@ -313,6 +340,21 @@ def deformation_morphism(
     )
 
 
+def _morphism_coherence_defect(m: Morphism2, x: Section, y: Section, z: Section) -> Section:
+    """The coherence of f2 with the two trilinear correctors."""
+    src, tgt, f0, f1, f2 = m.source, m.target, m.f0, m.f1, m.f2
+    return (
+        f1(src.l3(x, y, z))
+        + tgt.l2(f0(x), f2(y, z))
+        - tgt.l2(f0(y), f2(x, z))
+        - tgt.l2(f2(x, y), f0(z))
+        - f2(src.l2(x, y), z)
+        + f2(x, src.l2(y, z))
+        - f2(y, src.l2(x, z))
+        - tgt.l3(f0(x), f0(y), f0(z))
+    )
+
+
 def verify_morphism(
     m: Morphism2, trials: int = 16, seed: int = 0, max_degree: int = 2
 ) -> VerifyReport:
@@ -324,44 +366,47 @@ def verify_morphism(
     rng = random.Random(seed)
     src, tgt = m.source, m.target
     b = src.bundle
-
-    chk = {
-        n: report.check(n)
-        for n in ("chain-map", "deg0-equation", "mixed-equation-1", "mixed-equation-2",
-                  "f2-kernel-valued", "coherence")
-    }
-    for _ in range(trials):
-        x = random_section(rng, b, max_degree)
-        y = random_section(rng, b, max_degree)
-        z = random_section(rng, b, max_degree)
-        k = random_kernel_section(rng, b, max_degree)
-
-        if m.f0(src.differential(k)) != tgt.differential(m.f1(k)):
-            chk["chain-map"].fail(format_sections(k))
-        lhs = tgt.l2(m.f0(x), m.f0(y)) - m.f0(src.l2(x, y))
-        rhs = tgt.differential(m.f2(x, y))
-        if lhs != rhs:
-            chk["deg0-equation"].fail(
-                f"difference ({format_section(lhs - rhs)}) at {format_sections(x, y)}",
-            )
-        if tgt.l2(m.f0(x), m.f1(k)) - m.f1(src.l2(x, k)) != m.f2(x, src.differential(k)):
-            chk["mixed-equation-1"].fail(format_sections(x, k))
-        if tgt.l2(m.f1(k), m.f0(x)) - m.f1(src.l2(k, x)) != m.f2(src.differential(k), x):
-            chk["mixed-equation-2"].fail(format_sections(k, x))
-        if not anchor_apply(m.f2(x, y)).is_zero():
-            chk["f2-kernel-valued"].fail(format_sections(x, y))
-        total = (
-            m.f1(src.l3(x, y, z))
-            + tgt.l2(m.f0(x), m.f2(y, z))
-            - tgt.l2(m.f0(y), m.f2(x, z))
-            - tgt.l2(m.f2(x, y), m.f0(z))
-            - m.f2(src.l2(x, y), z)
-            + m.f2(x, src.l2(y, z))
-            - m.f2(y, src.l2(x, z))
-            - tgt.l3(m.f0(x), m.f0(y), m.f0(z))
-        )
-        if not total.is_zero():
-            chk["coherence"].fail(
-                f"defect ({format_section(total)}) at {format_sections(x, y, z)}"
-            )
+    draws = [
+        [random_section(rng, b, max_degree) for _ in range(3)]
+        + [random_kernel_section(rng, b, max_degree)]
+        for _ in range(trials)
+    ]
+    f0, f1, f2 = m.f0, m.f1, m.f2
+    report.first(
+        "chain-map",
+        (format_sections(k) for x, y, z, k in draws
+         if f0(src.differential(k)) != tgt.differential(f1(k))),
+    )
+    report.first(
+        "deg0-equation",
+        (
+            f"difference ({format_section(lhs - rhs)}) at {format_sections(x, y)}"
+            for x, y, z, k in draws
+            if (lhs := tgt.l2(f0(x), f0(y)) - f0(src.l2(x, y)))
+            != (rhs := tgt.differential(f2(x, y)))
+        ),
+    )
+    report.first(
+        "mixed-equation-1",
+        (format_sections(x, k) for x, y, z, k in draws
+         if tgt.l2(f0(x), f1(k)) - f1(src.l2(x, k)) != f2(x, src.differential(k))),
+    )
+    report.first(
+        "mixed-equation-2",
+        (format_sections(k, x) for x, y, z, k in draws
+         if tgt.l2(f1(k), f0(x)) - f1(src.l2(k, x)) != f2(src.differential(k), x)),
+    )
+    report.first(
+        "f2-kernel-valued",
+        (format_sections(x, y) for x, y, z, k in draws
+         if not anchor_apply(f2(x, y)).is_zero()),
+    )
+    report.first(
+        "coherence",
+        (
+            f"defect ({format_section(total)}) at {format_sections(x, y, z)}"
+            for x, y, z, k in draws
+            if not (total := _morphism_coherence_defect(m, x, y, z)).is_zero()
+        ),
+    )
     return report

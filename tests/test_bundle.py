@@ -18,7 +18,7 @@ import random
 
 def test_standard_bundle_valid(std3):
     report = validate_bundle(std3)
-    assert report.ok and not report.failures
+    assert report.ok and not report.checks
 
 
 def test_validate_fails_when_anchor_hits_cotangent(chart3, std3):
@@ -28,7 +28,7 @@ def test_validate_fails_when_anchor_hits_cotangent(chart3, std3):
     bad = CourantBundle(chart3, 6, std3.metric, anchor)
     report = validate_bundle(bad)
     assert not report.ok
-    assert any("anchor-not-isotropic" in f for f in report.failures)
+    assert any("anchor-not-isotropic" in c.name for c in report.checks)
 
 
 def test_validate_singular_metric(chart3):
@@ -36,7 +36,7 @@ def test_validate_singular_metric(chart3):
     b = CourantBundle(chart3, 2, metric, [[Poly.zero(chart3)] * 3] * 2)
     report = validate_bundle(b)
     assert not report.ok
-    assert "metric-singular" in report.failures
+    assert [c.name for c in report.checks] == ["metric-singular"]
 
 
 def test_trivial_rank_one_bundle(chart3):
@@ -99,7 +99,10 @@ def test_section_rank_mismatch(std3, chart3):
 def test_coisotropy_standard(std3):
     report = kernel_coisotropy_check(std3, [(0, 0, 0), (1, 2, 3)])
     assert report.ok
-    assert all(r.anchor_rank == 3 for r in report.points)
+    assert report.notes == [
+        "point ('0', '0', '0'): anchor rank 3",
+        "point ('1', '2', '3'): anchor rank 3",
+    ]
 
 
 def test_coisotropy_isotropic_kernel_passes():
@@ -110,7 +113,7 @@ def test_coisotropy_isotropic_kernel_passes():
     b = CourantBundle(c, 2, [[1, 0], [0, -1]], [[one, zero], [one, zero]])
     report = kernel_coisotropy_check(b, [(0, 0), (5, -1)])
     assert report.ok
-    assert all(r.anchor_rank == 1 for r in report.points)
+    assert report.notes == ["point ('0', '0'): anchor rank 1", "point ('5', '-1'): anchor rank 1"]
 
 
 def test_coisotropy_failure_detected():
@@ -119,4 +122,4 @@ def test_coisotropy_failure_detected():
     b = CourantBundle(c, 2, [[1, 0], [0, 1]], [[one, zero], [zero, zero]])
     report = kernel_coisotropy_check(b, [(0, 0)])
     assert not report.ok
-    assert report.points[0].witness
+    assert report.checks[0].witness

@@ -13,7 +13,6 @@ from precourant.cochain import (
     KerCochain,
     cobound_d,
     cobound_partial,
-    cochain_flat,
     cochain_sharp,
     is_in_ckd,
     jacobiator_flat,
@@ -34,27 +33,25 @@ def test_membership_subtle_regression(std3, chart3):
     # the pullback of dx1 IS a member: the anchor image is isotropic, so
     # contracting with any D x_m gives <rho* dx1, rho* dx_m> = 0
     psi = section_covector(rho_star(std3, KForm.basis(chart3, [0])))
-    assert is_in_ckd(psi).ok
+    assert is_in_ckd(psi) is None
     # the tangent-frame covector is not: i_{D x1} pairs to 1
-    bad = section_covector(std3.frame(0))
-    report = is_in_ckd(bad)
-    assert not report.ok
-    assert "Dx1" in report.witnesses[0].replace("D x1", "Dx1")
-    assert is_in_ckd(Cochain.zero(std3, 2)).ok
+    witness = is_in_ckd(section_covector(std3.frame(0)))
+    assert "Dx1" in witness.replace("D x1", "Dx1")
+    assert is_in_ckd(Cochain.zero(std3, 2)) is None
 
 
 def test_membership_pullbacks_any_degree(std4, chart4):
     rng = random.Random(0)
     for degree in (1, 2, 3):
         psi = pullback_form(std4, random_form(rng, chart4, degree))
-        assert is_in_ckd(psi).ok
+        assert is_in_ckd(psi) is None
 
 
 def test_sharp_flat_roundtrip(twisted4):
     jflat = jacobiator_flat(twisted4)
     assert not jflat.is_zero()
     phi = cochain_sharp(jflat)
-    assert cochain_flat(phi) == jflat
+    assert phi.flat == jflat
     # defining relation on a frame triple
     b = twisted4.bundle
     for idx in list(combinations(range(b.rank), 4))[:6]:

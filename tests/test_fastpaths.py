@@ -305,7 +305,7 @@ def test_each_algebra_is_validated_once_per_run(monkeypatch, name, algebras):
 def test_validation_reports_are_copies():
     g = build_context(load("twisted_action_synthetic")).algebra
     first = construct.validate_quadratic_lie(g)
-    first.checks[0].fail("mutated")
+    first.checks[0].ok = False
     first.notes.append("mutated")
     second = construct.validate_quadratic_lie(g)
     assert second.ok and not second.notes
@@ -370,7 +370,7 @@ def test_frame_axioms_run_once_per_algebroid(monkeypatch, std4, chart4):
     first = verify_axioms(p, trials=1, seed=4)
     assert len(seen) == 1 and first.ok
     # each call gets its own copy of the kept verdicts
-    first.checks[1].fail("mutated")
+    first.checks[1].ok = False
     assert verify_axioms(p, trials=1, seed=4).lines() == verify_axioms(
         p.with_table(p.table), trials=1, seed=4
     ).lines()
@@ -433,7 +433,7 @@ def test_each_action_is_validated_once_per_run(monkeypatch, name):
     assert len(validated) == 1
     ta = validated[0]
     first = construct.validate_twisted_action(ta)
-    first.checks[0].fail("mutated")
+    first.checks[0].ok = False
     first.notes.append("mutated")
     second = construct.validate_twisted_action(ta)
     assert second.ok and not second.notes and len(validated) == 1
@@ -563,8 +563,8 @@ def test_bundle_checks_run_once_per_bundle(monkeypatch, name):
     b = validated[0]
     assert sum(a is b.metric for a in inverted) == 1
     first = bundle.validate_bundle(b)
-    first.failures.append("mutated")
-    assert bundle.validate_bundle(b).failures == [] and len(validated) == 1
+    first.add("mutated", False)
+    assert bundle.validate_bundle(b).checks == [] and len(validated) == 1
 
 
 def test_coisotropy_shared_with_the_twisted_action(monkeypatch):

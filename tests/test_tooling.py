@@ -1,7 +1,8 @@
 """The README and the benchmark tracer stay in step with the code, the
 modules keep to each other's public names, off the dense views of the
 sparse store and off the stored form of a polynomial, builder kinds are
-named only in the builder table, and importing the CLI stays cheap."""
+named only in the builder table, every check is recorded through
+`VerifyReport`, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -111,3 +112,22 @@ def test_runner_names_no_builder_kind():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert kinds and not named & kinds, named & kinds
+
+
+def test_verify_report_is_the_only_result_type():
+    # checks are made in reports.py alone, and no other report class exists
+    # beside the runner's report of a whole run
+    checks, reports = [], []
+    for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Check"
+                and path.name != "reports.py"
+            ):
+                checks.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Report"):
+                reports.append(f"{path.name}: {node.name}")
+    assert checks == []
+    assert reports == ["reports.py: VerifyReport", "runner.py: RunReport"]
