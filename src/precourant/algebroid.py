@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .bundle import (
     CourantBundle,
@@ -172,7 +172,9 @@ def _anchor_defect(p: PreCourantAlgebroid, e1: Section, e2: Section) -> bool:
     return anchor_apply(bracket(p, e1, e2)) != vf_bracket(anchor_apply(e1), anchor_apply(e2))
 
 
-def _symmetrization_defect(p: PreCourantAlgebroid, e1: Section, e2: Section):
+def _symmetrization_defect(
+    p: PreCourantAlgebroid, e1: Section, e2: Section
+) -> Optional[Tuple[Section, Section]]:
     """(e1 o e2 + e2 o e1, D<e1, e2>) when the two sides of axiom (ii)
     differ at (e1, e2), else None."""
     lhs = bracket(p, e1, e2) + bracket(p, e2, e1)
@@ -246,12 +248,12 @@ def verify_axioms(
     ]
     report.first(
         "axiom-i-random",
-        (f"sections {format_sections(e1, e2)}" for e1, e2, _ in draws
+        (f"sections {format_sections(e1, e2)}" for e1, e2, e3 in draws
          if _anchor_defect(p, e1, e2)),
     )
     report.first(
         "axiom-ii-random",
-        (f"sections {format_sections(e1, e2)}" for e1, e2, _ in draws
+        (f"sections {format_sections(e1, e2)}" for e1, e2, e3 in draws
          if _symmetrization_defect(p, e1, e2)),
     )
     report.first("axiom-iii-random", (_axiom_iii_witness(p, "sections", *es) for es in draws))
@@ -281,7 +283,7 @@ def verify_derived_identities(
     # the bracket differentiates functions in its second slot
     report.first(
         "right-function-rule",
-        (f"f = {format_poly(f)}, {format_sections(e1, e2)}" for e1, e2, f, _ in draws
+        (f"f = {format_poly(f)}, {format_sections(e1, e2)}" for e1, e2, f, df in draws
          if bracket(p, e1, e2.scale(f))
          != bracket(p, e1, e2).scale(f) + e2.scale(rho_f(e1, f))),
     )
@@ -295,22 +297,24 @@ def verify_derived_identities(
     # derivative sections annihilate from the left
     report.first(
         "derivative-left-zero",
-        (f"f = {format_poly(f)}, e = ({format_section(e1)})" for e1, _, f, df in draws
+        (f"f = {format_poly(f)}, e = ({format_section(e1)})" for e1, e2, f, df in draws
          if not bracket(p, df, e1).is_zero()),
     )
     # bracketing into a derivative section chains through the anchor
     report.first(
         "derivative-right-chain",
-        (f"f = {format_poly(f)}, e = ({format_section(e1)})" for e1, _, f, df in draws
+        (f"f = {format_poly(f)}, e = ({format_section(e1)})" for e1, e2, f, df in draws
          if bracket(p, e1, df) != dee(b, rho_f(e1, f))),
     )
     # the anchor kills every derivative section
     report.first(
         "anchor-kills-derivative",
-        (f"f = {format_poly(f)}" for *_, f, df in draws if not anchor_apply(df).is_zero()),
+        (f"f = {format_poly(f)}" for e1, e2, f, df in draws
+         if not anchor_apply(df).is_zero()),
     )
     report.first(
         "symmetrization",
-        (format_sections(e1, e2) for e1, e2, *_ in draws if _symmetrization_defect(p, e1, e2)),
+        (format_sections(e1, e2) for e1, e2, f, df in draws
+         if _symmetrization_defect(p, e1, e2)),
     )
     return report
