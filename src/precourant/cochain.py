@@ -1,10 +1,12 @@
 """Cochain spaces of a pre-Courant algebroid and their coboundaries.
 
-A degree-k cochain stores its nonzero values on strictly increasing frame
-index tuples.  Members of the contraction-closed space (those killed by every
-D f) are tensorial, so frame storage is lossless and evaluation on general
-sections is multilinear expansion.  Kernel-valued cochains are stored as
-their flat, one degree up.
+A degree-k cochain is an alternating form whose index set is the frame of
+the bundle (`exterior.KForm` over the bundle): its nonzero values sit on
+strictly increasing frame index tuples.  Members of the contraction-closed
+space (those killed by every D f) are tensorial, so frame storage is
+lossless; `exterior.contract` inserts a general section and
+`exterior.evaluate` expands on k sections.  Kernel-valued cochains are
+stored as their flat, one degree up.
 
 Two coboundaries act here: the extension of D (anchor terms plus bracket
 insertions) and the covariant derivative with left and right bracket
@@ -16,92 +18,40 @@ cross-check between independent code paths.
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .algebroid import PreCourantAlgebroid, bracket, jacobiator, verify_axioms
 from .bundle import CourantBundle, Section, anchor_apply, format_section, pairing
 from .errors import DegreeError, MembershipError
-from .exterior import KForm, evaluate, vf_apply
-from .poly import Poly, PolyMap, add_into, format_poly, increasing_key, sort_sign
+from .exterior import KForm, contract, evaluate, vf_apply
+from .poly import Chart, Poly, add_into, format_poly, sort_sign
 from .reports import VerifyReport
 from .sampling import random_poly, random_section
 
 FrameTuple = Tuple[int, ...]
 
 
-class Cochain(PolyMap):
+class Cochain(KForm):
     """Alternating k-linear data on the frame, with Poly values."""
 
     __slots__ = ()
-
-    def __init__(
-        self, bundle: CourantBundle, degree: int, values: Dict[FrameTuple, Poly]
-    ):
-        if degree < 0:
-            raise DegreeError("cochain degree must be nonnegative")
-        clean: Dict[FrameTuple, Poly] = {}
-        for idx, p in values.items():
-            idx = increasing_key(idx, degree, bundle.rank)
-            if not p.is_zero():
-                clean[idx] = p
-        self.space = (bundle, degree)
-        self.terms = clean
-        self._hash = None
 
     @property
     def bundle(self) -> CourantBundle:
         return self.space[0]
 
     @property
-    def degree(self) -> int:
-        return self.space[1]
+    def chart(self) -> Chart:
+        return self.space[0].chart
 
-    @staticmethod
-    def zero(bundle: CourantBundle, degree: int) -> "Cochain":
-        return Cochain(bundle, degree, {})
-
-    def value_at(self, indices: Sequence[int]) -> Poly:
-        """Value on an arbitrary (possibly unsorted) frame tuple."""
-        key, sign = sort_sign(indices)
-        p = self.terms.get(key)
-        if p is None:
-            return Poly.zero(self.bundle.chart)
-        return p if sign > 0 else -p
-
-    def eval_section_first(self, s: Section, rest: Sequence[int]) -> Poly:
-        """Evaluate with a general section in the first slot, frames after."""
-        out = Poly.zero(self.bundle.chart)
-        for i, ci in s.terms.items():
-            key, sign = sort_sign((i, *rest))
-            v = self.terms.get(key)
-            if v is not None:
-                out = out + ci * v if sign > 0 else out - ci * v
-        return out
-
-    def evaluate(self, sections: Sequence[Section]) -> Poly:
-        """Full multilinear expansion on k general sections."""
-        if len(sections) != self.degree:
-            raise DegreeError(f"need {self.degree} sections")
-        out = Poly.zero(self.bundle.chart)
-        for idx, base in self.terms.items():
-            for perm in permutations(range(self.degree)):
-                # sections[t] takes frame index idx[perm[t]]
-                term = base
-                for t, pt in enumerate(perm):
-                    c = sections[t].terms.get(idx[pt])
-                    if c is None:
-                        break
-                    term = term * c
-                else:
-                    out = out + term if sort_sign(perm)[1] > 0 else out - term
-        return out
+    @property
+    def size(self) -> int:
+        """The number of index values: the rank of the bundle."""
+        return self.space[0].rank
 
     def _mismatch(self, other: "Cochain") -> None:
         raise DegreeError("cochain mismatch")
-
-    def __repr__(self) -> str:
-        return f"Cochain(degree={self.degree}, {format_cochain(self)})"
 
 
 class KerCochain:
@@ -171,11 +121,15 @@ class KerCochain:
         return Section.from_terms(self.bundle, out)
 
     def evaluate(self, sections: Sequence[Section]) -> Section:
+        """The section value on k general sections: the flat contracted
+        with each in turn, then raised."""
+        if len(sections) != self.degree:
+            raise DegreeError(f"need {self.degree} sections, got {len(sections)}")
+        last = self.flat
+        for s in sections:
+            last = contract(s, last)
         b = self.bundle
-        covector = [
-            self.flat.evaluate(list(sections) + [b.frame(j)]) for j in range(b.rank)
-        ]
-        return b.raise_covector(covector)
+        return b.raise_covector([last.value_at((j,)) for j in range(b.rank)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KerCochain) and self.flat == other.flat
@@ -188,22 +142,6 @@ def pullback_form(bundle: CourantBundle, alpha: KForm) -> Cochain:
     for idx in combinations(range(bundle.rank), k):
         values[idx] = evaluate(alpha, [bundle.rho_frames[i] for i in idx])
     return Cochain(bundle, k, values)
-
-
-def section_covector(e: Section) -> Cochain:
-    """A section viewed as the 1-cochain <e, .>."""
-    b = e.bundle
-    return Cochain(b, 1, {(j,): pairing(e, b.frame(j)) for j in range(b.rank)})
-
-
-def contract_with_section(psi: Cochain, s: Section) -> Cochain:
-    """Insert a section into the first slot: (i_s psi)(...) = psi(s, ...)."""
-    if psi.degree == 0:
-        raise DegreeError("cannot contract a degree-0 cochain")
-    values = {}
-    for rest in combinations(range(psi.bundle.rank), psi.degree - 1):
-        values[rest] = psi.eval_section_first(s, rest)
-    return Cochain(psi.bundle, psi.degree - 1, values)
 
 
 def is_in_ckd(psi: Cochain) -> Optional[str]:
@@ -221,7 +159,7 @@ def is_in_ckd(psi: Cochain) -> Optional[str]:
             f"i_D{b.chart.var_names[m]} psi at frames "
             f"{tuple(i + 1 for i in idx)} = {format_poly(p)}"
             for m in range(b.chart.dim)
-            for idx, p in contract_with_section(psi, b.dee_columns[m]).terms.items()
+            for idx, p in sorted(contract(b.dee_columns[m], psi).terms.items())
         ),
         None,
     )
@@ -261,6 +199,11 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
     b = p.bundle
     k = psi.degree
     rho_frames = b.rho_frames
+    # psi(e_i o e_j, rest) for every frame pair i < j
+    inserted = {
+        (i, j): contract(p.table[i][j], psi).terms
+        for i, j in combinations(range(b.rank), 2)
+    } if k else {}
     values: Dict[FrameTuple, Poly] = {}
     for big in combinations(range(b.rank), k + 1):
         total = Poly.zero(b.chart)
@@ -272,9 +215,10 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
                 rest = tuple(x for u, x in enumerate(big) if u != s and u != t)
-                term = psi.eval_section_first(p.table[big[s]][big[t]], rest)
-                # 1-based sign (-1)^{i+j} is (-1)^{s+t} on 0-based positions
-                total = total + term if (s + t) % 2 == 0 else total - term
+                term = inserted[big[s], big[t]].get(rest)
+                if term is not None:
+                    # 1-based sign (-1)^{i+j} is (-1)^{s+t} on 0-based positions
+                    total = total + term if (s + t) % 2 == 0 else total - term
         values[big] = total
     return Cochain(b, k + 1, values)
 
@@ -491,13 +435,3 @@ def verify_jacobiator_theorem(
          for idx in sorted(dflat.terms)),
     )
     return report
-
-
-def format_cochain(psi: Cochain) -> str:
-    if psi.is_zero():
-        return "0"
-    parts = []
-    for idx in sorted(psi.terms):
-        label = ",".join(str(i + 1) for i in idx)
-        parts.append(f"[{label}] {format_poly(psi.terms[idx])}")
-    return "; ".join(parts)

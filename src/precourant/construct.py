@@ -47,7 +47,7 @@ from .bundle import (
 )
 from .cochain import jacobiator_flat, pullback_form
 from .errors import ConstructionError, SingularMetricError
-from .exterior import KForm, VectorField, ext_d, evaluate, vf_apply, vf_bracket
+from .exterior import KForm, VectorField, ext_d, vf_apply, vf_bracket
 from .poly import Chart, Poly, add_into, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly
@@ -613,14 +613,13 @@ def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
     b = standard_bundle(dd.chart, dd.aux_pairing)
     n, g = dd.chart.dim, dd.aux_rank
     basis = dd.aux_basis
-    coords = [VectorField.coordinate(dd.chart, i) for i in range(n)]
     table = [[b.zero_section() for _ in range(b.rank)] for _ in range(b.rank)]
 
     # tangent o tangent: curvature into the auxiliary block, the 3-form into
     # the cotangent block
     for i in range(n):
         for j in range(n):
-            cot = [evaluate(dd.psi, [coords[i], coords[j], coords[k]]) for k in range(n)]
+            cot = [dd.psi.value_at((i, j, k)) for k in range(n)]
             table[i][j] = _dissection_section(b, dd.curvature_value(i, j), cot)
 
     # tangent o auxiliary and its opposite
@@ -751,7 +750,6 @@ def dissection_jacobiator_check(
     b = p.bundle
     n, g = dd.chart.dim, dd.aux_rank
     basis = dd.aux_basis
-    coords = [VectorField.coordinate(dd.chart, i) for i in range(n)]
     form = _pontryagin_form(dd)
 
     def witness(idx: Tuple[int, int, int]) -> Optional[str]:
@@ -764,7 +762,7 @@ def dissection_jacobiator_check(
             pass  # cotangent slots kill the Jacobiator
         elif blocks == ("x", "x", "x"):
             i, j, k = idx
-            cot = [evaluate(form, [coords[i], coords[j], coords[k], coords[l]]) for l in range(n)]
+            cot = [form.value_at((i, j, k, l)) for l in range(n)]
             expected = _dissection_section(b, _bianchi_term(dd, i, j, k), cot)
         elif blocks == ("x", "x", "r"):
             i, j = idx[0], idx[1]

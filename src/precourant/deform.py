@@ -95,18 +95,6 @@ def apply_deformation(
     return PreCourantAlgebroid(b, table)
 
 
-def extract_deformation(
-    p: PreCourantAlgebroid, deformed: PreCourantAlgebroid
-) -> KerCochain:
-    """Inverse of apply_deformation: omega(e1, e2) = e1 o~ e2 - e1 o e2."""
-    b = p.bundle
-    values = {
-        (i, j, k): pairing(deformed.table[i][j] - p.table[i][j], b.frame(k))
-        for i, j, k in combinations(range(b.rank), 3)
-    }
-    return KerCochain(Cochain(b, 3, values))
-
-
 def omega_square(
     p: PreCourantAlgebroid, omega: KerCochain, e1: Section, e2: Section, e3: Section
 ) -> Section:
@@ -179,31 +167,6 @@ def verify_deformation_identity(
 # --- B-fields ----------------------------------------------------------
 
 
-class BField:
-    """A 2-form on the base, pulled back to a metric 2-cochain."""
-
-    def __init__(self, bundle: CourantBundle, beta: KForm):
-        if beta.degree != 2:
-            raise DegreeError("B-field needs a 2-form")
-        self.bundle = bundle
-        self.beta = beta
-        self.cochain = pullback_form(bundle, beta)
-
-    def raise_map(self, e: Section) -> Section:
-        """B-sharp: the section with <B#(e), e'> = B(e, e')."""
-        b = self.bundle
-        return b.raise_covector(
-            [self.cochain.eval_section_first(e, (j,)) for j in range(b.rank)]
-        )
-
-    def transform(self, e: Section) -> Section:
-        """e^B(e) = e + B#(e)."""
-        return e + self.raise_map(e)
-
-    def inverse_transform(self, e: Section) -> Section:
-        return e - self.raise_map(e)
-
-
 def bfield_deformed_structure(
     p: PreCourantAlgebroid, beta: KForm
 ) -> PreCourantAlgebroid:
@@ -223,7 +186,13 @@ def bfield_verify(
     """The five transformation properties of a B-field, exact."""
     report = VerifyReport("b-field transformation")
     b = p.bundle
-    field = BField(b, beta)
+    # B#, the section with <B#(e), e'> = beta(rho e, rho e')
+    b_sharp = KerCochain(pullback_form(b, beta))
+
+    def t(e: Section) -> Section:
+        """The transform e + B#(e)."""
+        return e + b_sharp.evaluate([e])
+
     deformed = bfield_deformed_structure(p, beta)
     rng = random.Random(seed)
     sections = [b.frame(i) for i in range(b.rank)]
@@ -235,11 +204,11 @@ def bfield_verify(
         for i, e1 in enumerate(sections)
         for e2 in sections[: len(sections) if i < b.rank else b.rank]
     )
-    t = field.transform
     report.first(
         "conjugation",
         (format_sections(e1, e2) for e1, e2 in pairs
-         if bracket(deformed, e1, e2) != field.inverse_transform(bracket(p, t(e1), t(e2)))),
+         if bracket(deformed, e1, e2)
+         != (te := bracket(p, t(e1), t(e2))) - b_sharp.evaluate([te])),
     )
     # (2) metric preserved
     report.first(

@@ -39,13 +39,16 @@ class ConstructionError(PrecourantError):
 
 
 class TaskError(PrecourantError):
-    """A task name is unknown, or the manifest lacks a block the task needs."""
+    """A task name is unknown, the manifest lacks a block the task needs,
+    or no task is named (an empty `task`)."""
 
     def __init__(self, task: str, missing: str = ""):
         self.task = task
         self.missing = missing
         super().__init__(
-            f"task {task!r} needs {missing}" if missing else f"unknown task {task!r}"
+            f"task {task!r} needs {missing}" if missing
+            else f"unknown task {task!r}" if task
+            else "no task to run: name tasks in [meta] or with --task"
         )
 
 

@@ -1,14 +1,17 @@
-"""Vector fields and exterior differential forms on a chart.
+"""Vector fields and alternating forms.
 
-Vector fields are derivations with polynomial coefficients; k-forms are
-stored sparsely on strictly increasing coordinate index tuples (0-based
-internally).  Conventions used throughout the library:
+Vector fields are derivations with polynomial coefficients.  A `KForm` is
+an alternating form of fixed degree over a base: the coordinates of a
+chart (a differential form) or, in `cochain.Cochain`, the frame of a
+bundle.  It is stored sparsely on strictly increasing index tuples (0-based
+internally).  A vector over the base is any `PolyMap` keyed by the same
+indices: a vector field for a chart form, a section for a cochain.
+`contract` and `evaluate` serve both kinds, with these conventions:
 
 * the interior product inserts the vector in the first slot,
   ``(contract(X, a))(Y, ...) == a(X, Y, ...)``;
-* evaluating a form on several fields feeds them in the listed order,
-  ``a(X1, ..., Xk) == contract(Xk, ... contract(X1, a) ...)``;
-* the Lie derivative is defined by the Cartan formula ``L_X = i_X d + d i_X``.
+* evaluating a form on several vectors feeds them in the listed order,
+  ``a(X1, ..., Xk) == contract(Xk, ... contract(X1, a) ...)``.
 """
 
 from __future__ import annotations
@@ -81,41 +84,52 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 class KForm(PolyMap):
-    """Differential form of fixed degree with polynomial coefficients.
+    """Alternating form of fixed degree with polynomial values.
 
-    `terms` maps strictly increasing 0-based index tuples to nonzero Poly
-    coefficients.  Degree 0 uses the empty tuple.
+    `space` is (base, degree) and `terms` maps strictly increasing 0-based
+    index tuples, entries below `size`, to nonzero Poly values.  Degree 0
+    uses the empty tuple.
     """
 
     __slots__ = ()
 
-    def __init__(self, chart: Chart, degree: int, comps: Mapping[Index, Poly]):
-        # degree > dim is allowed but forces the form to be zero: no strictly
-        # increasing index tuple of that length exists
+    def __init__(self, base, degree: int, comps: Mapping[Index, Poly]):
+        # degree > size is allowed but forces the form to be zero: no
+        # strictly increasing index tuple of that length exists
         if degree < 0:
             raise DegreeError(f"negative degree {degree}")
+        self.space = (base, degree)
+        chart, size = self.chart, self.size
         clean: Dict[Index, Poly] = {}
         for idx, p in comps.items():
-            idx = increasing_key(idx, degree, chart.dim)
+            idx = increasing_key(idx, degree, size)
             if p.chart != chart:
                 raise ChartMismatchError("component on a different chart")
             if not p.is_zero():
                 clean[idx] = p
-        self.space = (chart, degree)
         self.terms = clean
         self._hash = None
+
+    @property
+    def base(self):
+        return self.space[0]
 
     @property
     def chart(self) -> Chart:
         return self.space[0]
 
     @property
+    def size(self) -> int:
+        """The number of index values: the dimension of the chart."""
+        return self.space[0].dim
+
+    @property
     def degree(self) -> int:
         return self.space[1]
 
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "KForm":
-        return KForm(chart, degree, {})
+    @classmethod
+    def zero(cls, base, degree: int) -> "KForm":
+        return cls(base, degree, {})
 
     @staticmethod
     def from_function(f: Poly) -> "KForm":
@@ -127,8 +141,14 @@ class KForm(PolyMap):
         idx = tuple(indices)
         return KForm(chart, len(idx), {idx: Poly.const(chart, 1)})
 
-    def coefficient(self, indices: Iterable[int]) -> Poly:
-        return self.terms.get(tuple(indices), Poly.zero(self.chart))
+    def value_at(self, indices: Iterable[int]) -> Poly:
+        """The value on an index tuple in any order: the stored value times
+        the sign of the sorting permutation, zero on a repeated index."""
+        key, sign = sort_sign(indices)
+        p = self.terms.get(key)
+        if p is None:
+            return Poly.zero(self.chart)
+        return p if sign > 0 else -p
 
     def _mismatch(self, other: "KForm") -> None:
         if self.chart != other.chart:
@@ -136,23 +156,23 @@ class KForm(PolyMap):
         raise DegreeError(f"degree {self.degree} vs {other.degree}")
 
     def __repr__(self) -> str:
-        return f"KForm({format_kform(self)})"
+        return f"{type(self).__name__}({format_kform(self)})"
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
     """Graded-commutative exterior product."""
-    if a.chart != b.chart:
-        raise ChartMismatchError("forms on different charts")
+    if a.base != b.base:
+        raise ChartMismatchError("forms over different bases")
     degree = a.degree + b.degree
-    if degree > a.chart.dim:
-        return KForm.zero(a.chart, degree)
+    if degree > a.size:
+        return a.zero(a.base, degree)
     out: Dict[Index, Poly] = {}
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
             merged, sign = sort_sign(ia + ib)
             if merged is not None:
                 add_into(out, merged, pa * pb if sign > 0 else -(pa * pb))
-    return KForm.from_terms((a.chart, degree), out)
+    return a.from_terms((a.base, degree), out)
 
 
 def ext_d(a: KForm) -> KForm:
@@ -170,10 +190,11 @@ def ext_d(a: KForm) -> KForm:
     return KForm.from_terms((chart, a.degree + 1), out)
 
 
-def contract(x: VectorField, a: KForm) -> KForm:
-    """Interior product i_X, inserting X in the first slot."""
-    if x.chart != a.chart:
-        raise ChartMismatchError("vector field and form on different charts")
+def contract(x: PolyMap, a: KForm) -> KForm:
+    """Interior product i_x, inserting x in the first slot; x is a vector
+    over the form's base."""
+    if x.space is not a.base and x.space != a.base:
+        raise ChartMismatchError("vector and form over different bases")
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     out: Dict[Index, Poly] = {}
@@ -183,28 +204,18 @@ def contract(x: VectorField, a: KForm) -> KForm:
             if xi is not None:
                 term = xi * p
                 add_into(out, idx[:pos] + idx[pos + 1 :], -term if pos % 2 else term)
-    return KForm.from_terms((a.chart, a.degree - 1), out)
+    return a.from_terms((a.base, a.degree - 1), out)
 
 
-def lie_derivative(x: VectorField, a: KForm) -> KForm:
-    """Cartan formula L_X = i_X d + d i_X, adopted as the definition."""
-    d_a = ext_d(a)
-    first = contract(x, d_a) if d_a.degree > 0 else KForm.zero(a.chart, 0)
-    if a.degree == 0:
-        # i_X on degree 0 is zero, so L_X f = i_X df = X(f)
-        return first
-    return first + ext_d(contract(x, a))
-
-
-def evaluate(a: KForm, fields: Iterable[VectorField]) -> Poly:
-    """Evaluate a k-form on exactly k vector fields, in the listed order."""
-    current = a
-    fields = tuple(fields)
-    if len(fields) != a.degree:
-        raise DegreeError(f"need {a.degree} fields, got {len(fields)}")
-    for x in fields:
-        current = contract(x, current)
-    return current.coefficient(())
+def evaluate(a: KForm, vectors: Iterable[PolyMap]) -> Poly:
+    """Evaluate a k-form on exactly k vectors over its base, in the listed
+    order."""
+    vectors = tuple(vectors)
+    if len(vectors) != a.degree:
+        raise DegreeError(f"need {a.degree} vectors, got {len(vectors)}")
+    for x in vectors:
+        a = contract(x, a)
+    return a.value_at(())
 
 
 def format_vector_field(x: VectorField) -> str:
@@ -219,9 +230,9 @@ def format_vector_coeffs(x: VectorField) -> str:
 
 
 def format_kform(a: KForm) -> str:
-    """Canonical form string using 1-based dx(i,...) basis terms."""
+    """Canonical string with 1-based dx(i,...) basis terms (frame indices for a cochain)."""
     if a.degree == 0:
-        return format_poly(a.coefficient(()))
+        return format_poly(a.value_at(()))
     if a.is_zero():
         return "0"
     parts = []

@@ -253,6 +253,20 @@ def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> Li
     return [rows[i] for i in range(n_rows)]
 
 
+def _contiguous_rows(section: _Section, prefix: str, parse_row) -> List:
+    """Rows prefix.1 .. prefix.N of a section in index order, N the largest
+    index given.  A gap is reported at the first entry."""
+    rows: Dict[int, object] = {}
+    for e in section:
+        (i,) = _key_indices(e, prefix, 1)
+        rows[i] = parse_row(e)
+    count = max(rows) + 1 if rows else 0
+    missing = [i + 1 for i in range(count) if i not in rows]
+    if missing:
+        raise ParseError(section[0].line, 1, f"contiguous {prefix} rows", str(missing))
+    return [rows[i] for i in range(count)]
+
+
 def _parse_form_entry(chart: Chart, e: _Entry, degree: int) -> KForm:
     try:
         form = parse_form(chart, e.value)
@@ -645,26 +659,16 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
     kind, spec = _parse_builder(chart, sections)
     m = Manifest(name=name, chart=chart, tasks=tasks, builder_kind=kind, spec=spec, **settings)
 
-    # lift / complement rows have the rank of the bundle the builder builds
+    # lift and complement rows have the rank of the bundle the builder
+    # builds; a point has one coordinate per chart variable
     rank = BUILDERS[kind].rank(chart, spec)
-    for key in ("lift", "complement"):
+    for key, prefix, parse_row in (
+        ("lift", "sigma", lambda e: _parse_poly_list(chart, e, rank)),
+        ("complement", "c", lambda e: _parse_poly_list(chart, e, rank)),
+        ("points", "p", lambda e: tuple(_parse_scalar_list(e, chart.dim))),
+    ):
         if key in sections:
-            entries = section(key)
-            prefix = "sigma" if key == "lift" else "c"
-            rows: Dict[int, List[Poly]] = {}
-            for e in entries:
-                (i,) = _key_indices(e, prefix, 1)
-                rows[i] = _parse_poly_list(chart, e, rank)
-            count = max(rows) + 1 if rows else 0
-            missing = [i + 1 for i in range(count) if i not in rows]
-            if missing:
-                raise ParseError(entries[0].line, 1, f"contiguous {prefix} rows", str(missing))
-            setattr(m, key, [rows[i] for i in range(count)])
-
-    # points
-    for e in section("points"):
-        _key_indices(e, "p", 1)
-        m.points.append(tuple(_parse_scalar_list(e, chart.dim)))
+            setattr(m, key, _contiguous_rows(sections[key], prefix, parse_row))
 
     # deform / bfield / pontryagin forms
     for sect, attr, degree in (

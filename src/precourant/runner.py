@@ -17,7 +17,7 @@ import time
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .errors import PrecourantError
+from .errors import PrecourantError, TaskError
 from .manifest import BUILDERS, Manifest
 from .reports import VerifyReport
 from .tasks import TASKS, BuildContext, check_tasks
@@ -135,10 +135,13 @@ def run_manifest(
 ) -> RunReport:
     """Execute the manifest's tasks (or the given override list).
 
-    Raises TaskError, before anything is built, when a task is unknown or
-    the manifest lacks a block that the task needs.  A library error
-    raised inside a task fails that task with the error's message.
+    Raises TaskError, before anything is built, when a task is unknown,
+    the manifest lacks a block that the task needs, or neither names a
+    task.  An empty override list builds the structure and runs nothing.
+    A library error raised inside a task fails that task with its message.
     """
+    if tasks is None and not m.tasks:
+        raise TaskError("")
     todo = list(tasks) if tasks is not None else list(m.tasks)
     check_tasks(m, todo)
     report = RunReport(m.name, m.seed, m.trials, m.max_degree)

@@ -322,11 +322,6 @@ class Morphism2:
         self.f2 = f2
 
 
-def identity_morphism(alg: TwoTermAlgebra) -> Morphism2:
-    zero = alg.bundle.zero_section()
-    return Morphism2(alg, alg, lambda e: e, lambda k: k, lambda a, b: zero)
-
-
 def deformation_morphism(
     source: TwoTermAlgebra, target: TwoTermAlgebra, omega: KerCochain
 ) -> Morphism2:

@@ -258,7 +258,7 @@ def test_criterion_10_dissection():
         return total
 
     for idx in combinations(range(dd.chart.dim), 4):
-        assert form.coefficient(idx) == brute_force(idx) * Fraction(1, 2)
+        assert form.value_at(idx) == brute_force(idx) * Fraction(1, 2)
     assert ext_d(form).is_zero()
     announce(10, "dissection jacobiator and pontryagin oracle", t0)
 

@@ -66,6 +66,19 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_run_without_tasks_exits_2(tmp_path, capsys):
+    # a run that checks nothing must not report pass
+    path = tmp_path / "no_tasks.pcm"
+    path.write_text("[chart]\nvars = x y\n\n[builder]\nkind = standard\n")
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == "error: no task to run: name tasks in [meta] or with --task\n"
+    with pytest.raises(TaskError):
+        run_manifest(parse_manifest(path.read_text()))
+    code, out, _ = run_cli(capsys, "--manifest", str(path), "--task", "validate-bundle", "--quiet")
+    assert code == 0 and "task validate-bundle = pass" in out
+
+
 def test_unknown_task_flag_exits_2(capsys):
     code, _, err = run_cli(capsys, "--manifest", "standard_r3", "--task", "wat")
     assert code == 2

@@ -383,4 +383,4 @@ def test_curvature_square_brute_force_oracle():
             )
             term = val * Fraction(sign(perm), 4)
             brute = brute + term
-        assert form.coefficient(idx) == brute
+        assert form.value_at(idx) == brute

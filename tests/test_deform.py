@@ -2,19 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from precourant.bundle import rho_star
+from precourant.bundle import pairing, rho_star
 from precourant.cochain import Cochain, KerCochain, pullback_form
 from precourant.construct import DissectionData, from_dissection
 from precourant.deform import (
-    BField,
     apply_deformation,
     bfield_verify,
     check_image_condition,
     default_kernel_generators,
-    extract_deformation,
     naive_cohomology_check,
     omega_square,
     pontryagin_representative,
@@ -29,6 +28,16 @@ from precourant.exterior import KForm, ext_d, format_kform
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly
 from precourant.sampling import random_form
+
+
+def extract_deformation(p, deformed):
+    """Inverse of apply_deformation: omega(e1, e2) = e1 o~ e2 - e1 o e2."""
+    b = p.bundle
+    values = {
+        (i, j, k): pairing(deformed.table[i][j] - p.table[i][j], b.frame(k))
+        for i, j, k in combinations(range(b.rank), 3)
+    }
+    return KerCochain(Cochain(b, 3, values))
 
 
 def test_validate_twist_deformation(courant3, std3, chart3):
@@ -117,9 +126,9 @@ def test_bfield_examples(courant3, std3, chart3):
 
 
 def test_bfield_zero_is_identity(courant3, std3, chart3):
-    field = BField(std3, KForm.zero(chart3, 2))
+    b_sharp = KerCochain(pullback_form(std3, KForm.zero(chart3, 2)))
     e = std3.frame(0) + std3.frame(4).scale(Poly.var(chart3, 0))
-    assert field.transform(e) == e
+    assert e + b_sharp.evaluate([e]) == e
 
 
 def test_bfield_twisted_bundle(twisted4, chart4):
@@ -211,9 +220,8 @@ def test_naive_cohomology_precondition_fails_with_witness():
     assert not cond and witness
     # pullback samples cannot witness the failure (they kill the anchor of
     # the Jacobiator); an auxiliary-frame covector can
-    from precourant.cochain import section_covector
-
-    samples = [section_covector(p.bundle.frame(3))]
+    b = p.bundle
+    samples = [Cochain(b, 1, {(j,): pairing(b.frame(3), b.frame(j)) for j in range(b.rank)})]
     report = naive_cohomology_check(p, samples, generators)
     assert not report.ok
     d_squared_failures = [

@@ -10,7 +10,6 @@ from precourant.exterior import (
     evaluate,
     ext_d,
     format_kform,
-    lie_derivative,
     vf_apply,
     vf_bracket,
     wedge,
@@ -27,6 +26,11 @@ def c():
 
 def d(c, i):
     return VectorField.coordinate(c, i)
+
+
+def lie_derivative(x, a):
+    """The Cartan formula L_X = i_X d + d i_X on a form of degree >= 1."""
+    return contract(x, ext_d(a)) + ext_d(contract(x, a))
 
 
 def test_vf_apply_examples(c):

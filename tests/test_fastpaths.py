@@ -1,15 +1,17 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
-closed-form bracket, the raised kernel-cochain values, the cached
-frame-axiom and bundle verdicts and the structure-constant Lie checks,
-against the code they replaced: `dee_reference`, `bracket_reference`,
-`pairing_reference`, `raise_reference`, `ker_value_reference`,
-`ker_eval_reference` and `lie_checks_reference` below are the earlier
-implementations, kept as oracles.  The Dorfman oracle in test_algebroid.py
+closed-form bracket, the raised kernel-cochain values, cochain evaluation
+by contraction, the B-field map, the cached frame-axiom and bundle
+verdicts and the structure-constant Lie checks, against the code they
+replaced: `dee_reference`, `bracket_reference`, `pairing_reference`,
+`raise_reference`, `ker_value_reference`, `ker_eval_reference`,
+`cochain_evaluate_reference`, `bfield_sharp_reference` and
+`lie_checks_reference` below are the earlier implementations, kept as
+oracles.  The Dorfman oracle in test_algebroid.py
 is the second, independent one."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -26,10 +28,10 @@ from precourant.cli import resolve_manifest
 from precourant.cochain import KerCochain, jacobiator_flat, pullback_form
 from precourant.construct import QuadraticLieAlgebra, from_twisted_action, quadratic_lie_algebra
 from precourant.deform import apply_deformation, twist_deformation
-from precourant.exterior import KForm, vf_apply
+from precourant.exterior import KForm, contract, evaluate, vf_apply
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
-from precourant.poly import Chart, Poly
+from precourant.poly import Chart, Poly, sort_sign
 from precourant.runner import build_context, run_manifest
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
 
@@ -128,10 +130,39 @@ def ker_value_reference(phi, indices):
 
 
 def ker_eval_reference(phi, s, rest):
-    """A general section in the first slot through the flat's expansion."""
+    """A general section in the first slot through the flat contracted
+    with it."""
     b = phi.bundle
+    inserted = contract(s, phi.flat)
+    return b.raise_covector([inserted.value_at((*rest, j)) for j in range(b.rank)])
+
+
+def cochain_evaluate_reference(psi, sections):
+    """Full multilinear expansion on k general sections: a sum over the
+    stored values and the permutations of their frames."""
+    out = Poly.zero(psi.chart)
+    for idx, base in psi.terms.items():
+        for perm in permutations(range(psi.degree)):
+            # sections[t] takes frame index idx[perm[t]]
+            term = base
+            for t, pt in enumerate(perm):
+                c = sections[t].terms.get(idx[pt])
+                if c is None:
+                    break
+                term = term * c
+            else:
+                out = out + term if sort_sign(perm)[1] > 0 else out - term
+    return out
+
+
+def bfield_sharp_reference(b, beta, e):
+    """B#(e) raised from B(e, u_j) = sum_i e_i B(u_i, u_j), with B the
+    pulled-back 2-cochain read frame by frame."""
+    cochain = pullback_form(b, beta)
+    zero = Poly.zero(b.chart)
     return b.raise_covector(
-        [phi.flat.eval_section_first(s, (*rest, j)) for j in range(b.rank)]
+        [sum((c * cochain.value_at((i, j)) for i, c in e.terms.items()), zero)
+         for j in range(b.rank)]
     )
 
 
@@ -351,6 +382,47 @@ def test_ker_cochain_values_match_reference(name):
         for s in sections:
             for rest in rests:
                 assert phi.eval_section_first(s, rest) == ker_eval_reference(phi, s, rest)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_cochain_evaluation_matches_reference(name):
+    m = load(name)
+    ctx = build_context(m)
+    b = ctx.bundle
+    rng = random.Random(24)
+    sections = [random_section(rng, b, degree) for degree in (1, 2, 3, 4)]
+
+    def argument_lists(n):
+        """Seeded, reversed, repeated and zero arguments, n of each."""
+        yield sections[:n]
+        yield sections[::-1][:n]
+        if n:
+            yield [sections[1]] * n
+            yield [b.zero_section()] + sections[1:n]
+            yield sections[: n - 1] + [b.frame(b.rank - 1)]
+
+    for phi in _ker_cochains(m, ctx):
+        flat = phi.flat
+        for args in argument_lists(flat.degree):
+            assert evaluate(flat, args) == cochain_evaluate_reference(flat, args)
+        for args in argument_lists(phi.degree):
+            expected = b.raise_covector(
+                [cochain_evaluate_reference(flat, [*args, b.frame(j)]) for j in range(b.rank)]
+            )
+            assert phi.evaluate(args) == expected
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bfield_sharp_matches_reference(name):
+    b = build_context(load(name)).bundle
+    rng = random.Random(25)
+    sections = [random_section(rng, b, 2) for _ in range(3)]
+    sections += [b.zero_section(), b.frame(0), b.frame(b.rank - 1)]
+    for _ in range(3):
+        beta = random_form(rng, b.chart, 2, 2, max_components=3)
+        b_sharp = KerCochain(pullback_form(b, beta))
+        for e in sections:
+            assert b_sharp.evaluate([e]) == bfield_sharp_reference(b, beta, e)
 
 
 def test_frame_axioms_run_once_per_algebroid(monkeypatch, std4, chart4):

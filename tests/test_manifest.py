@@ -134,6 +134,20 @@ def test_duplicate_key_rejected():
     assert "unique key" in err.value.expected
 
 
+def test_points_are_read_in_index_order():
+    m = parse_manifest(BASE + "\n[points]\np.2 = 1, 2\np.1 = 0, 0\n")
+    assert m.points == [(0, 0), (1, 2)]
+
+
+def test_gap_in_points_is_a_positioned_error():
+    text = BASE + "\n[points]\np.7 = 1, 2\np.1 = 0, 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (12, 1)
+    assert err.value.expected == "contiguous p rows"
+    assert err.value.found == "[2, 3, 4, 5, 6]"
+
+
 def test_unknown_task_rejected():
     text = """
 [meta]

@@ -60,9 +60,8 @@ def dense(m):
     """Every value of m, zeros included, in a fixed key order."""
     if isinstance(m, (Section, VectorField)):
         return m.coeffs
-    if isinstance(m, KForm):
-        return tuple(m.coefficient(i) for i in combinations(range(m.chart.dim), m.degree))
-    return tuple(m.value_at(i) for i in combinations(range(m.bundle.rank), m.degree))
+    # a form over a chart or a cochain over a frame
+    return tuple(m.value_at(i) for i in combinations(range(m.size), m.degree))
 
 
 def pairs(values):

@@ -2,7 +2,8 @@
 modules keep to each other's public names, off the dense views of the
 sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, every check is recorded through
-`VerifyReport`, and importing the CLI stays cheap."""
+`VerifyReport`, every module-level function and class has a caller in the
+package, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -131,3 +133,30 @@ def test_verify_report_is_the_only_result_type():
                 reports.append(f"{path.name}: {node.name}")
     assert checks == []
     assert reports == ["reports.py: VerifyReport", "runner.py: RunReport"]
+
+
+def test_every_module_level_name_is_used_in_the_package():
+    # a function or class that only tests reach is dead code; a name counts
+    # as used when the package names it outside its own definition
+    def names(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        )
+
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "precourant").glob("*.py"))
+    }
+    everywhere = sum((names(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{home}: {node.name}"
+        for home, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and everywhere[node.name] == names(node)[node.name]
+    ]
+    assert unused == []
