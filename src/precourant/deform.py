@@ -189,37 +189,35 @@ def bfield_verify(
     # B#, the section with <B#(e), e'> = beta(rho e, rho e')
     b_sharp = KerCochain(pullback_form(b, beta))
 
-    def t(e: Section) -> Section:
-        """The transform e + B#(e)."""
-        return e + b_sharp.evaluate([e])
-
     deformed = bfield_deformed_structure(p, beta)
     rng = random.Random(seed)
     sections = [b.frame(i) for i in range(b.rank)]
     sections += [random_section(rng, b, max_degree) for _ in range(trials)]
+    # each section with its transform e + B#(e), computed once
+    moved = [(e, e + b_sharp.evaluate([e])) for e in sections]
 
     # (1) conjugation property on frames and seeded sections
     pairs = (
-        (e1, e2)
-        for i, e1 in enumerate(sections)
-        for e2 in sections[: len(sections) if i < b.rank else b.rank]
+        (x1, x2)
+        for i, x1 in enumerate(moved)
+        for x2 in moved[: len(moved) if i < b.rank else b.rank]
     )
     report.first(
         "conjugation",
-        (format_sections(e1, e2) for e1, e2 in pairs
+        (format_sections(e1, e2) for (e1, t1), (e2, t2) in pairs
          if bracket(deformed, e1, e2)
-         != (te := bracket(p, t(e1), t(e2))) - b_sharp.evaluate([te])),
+         != (t12 := bracket(p, t1, t2)) - b_sharp.evaluate([t12])),
     )
     # (2) metric preserved
     report.first(
         "metric-preserved",
-        (format_sections(e1, e2) for e1, e2 in product(sections, repeat=2)
-         if pairing(t(e1), t(e2)) != pairing(e1, e2)),
+        (format_sections(e1, e2) for (e1, t1), (e2, t2) in product(moved, repeat=2)
+         if pairing(t1, t2) != pairing(e1, e2)),
     )
     # (3) anchor preserved
     report.first(
         "anchor-preserved",
-        (f"({format_section(e)})" for e in sections if anchor_apply(t(e)) != anchor_apply(e)),
+        (f"({format_section(e)})" for e, te in moved if anchor_apply(te) != anchor_apply(e)),
     )
     # (4) Jacobiator invariant on frame triples
     report.first(

@@ -43,13 +43,13 @@ def _tokenize(text: str, line: int) -> List[_Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise ParseError(line, j + 2, "denominator digits")
@@ -142,7 +142,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Poly.const(self.chart, Fraction(tok.text))
+            text = tok.text
+            return Poly.const(self.chart, int(text) if text.isdecimal() else Fraction(text))
         if tok.kind == "ident":
             if tok.text not in self.chart.var_names:
                 raise ParseError(self.line, tok.col, "coordinate name", tok.text)

@@ -7,6 +7,12 @@ bracket, with corrector J - D T for the cyclic pairing scalar T.  Degree-1
 elements are kernel sections for both flavors; the alternative reading of
 the degree-1 domain as the kernel's orthogonal is recorded as a note on
 every Lie-flavor report.
+
+The theorem makes J tensorial, so both correctors read it from its frame
+flat <J(u_a, u_b, u_c), u_d> (`cochain.jacobiator_flat`, built once per
+algebroid), contracted with each section and raised.  No nested bracket
+evaluates J here, so the Leibniz defect checks cross-check that tensor
+against the brackets on every draw.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebroid import PreCourantAlgebroid, bracket, jacobiator, skew_bracket
+from .algebroid import PreCourantAlgebroid, bracket, skew_bracket
 from .bundle import Section, anchor_apply, dee, format_section, format_sections, pairing
-from .cochain import KerCochain
+from .cochain import KerCochain, jacobiator_flat
 from .errors import RankMismatchError
 from .poly import Poly
 from .reports import VerifyReport
@@ -40,11 +46,18 @@ def t_scalar(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> P
     return total * Fraction(1, 6)
 
 
+def jacobiator_tensor(
+    p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section
+) -> Section:
+    """J(e1, e2, e3) from the frame flat of J: tensorial by the theorem."""
+    return KerCochain(jacobiator_flat(p)).evaluate([e1, e2, e3])
+
+
 def curly_jacobiator(
     p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section
 ) -> Section:
     """Jacobiator of the skew bracket, computed as J - D T."""
-    out = jacobiator(p, e1, e2, e3)
+    out = jacobiator_tensor(p, e1, e2, e3)
     t = t_scalar(p, e1, e2, e3)
     if not t.is_zero():
         out = out - dee(p.bundle, t)
@@ -94,7 +107,7 @@ class TwoTermAlgebra:
 
     def l3(self, e1: Section, e2: Section, e3: Section) -> Section:
         if self.flavor == "leibniz":
-            return jacobiator(self.algebroid, e1, e2, e3)
+            return jacobiator_tensor(self.algebroid, e1, e2, e3)
         return curly_jacobiator(self.algebroid, e1, e2, e3)
 
 

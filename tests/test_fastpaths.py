@@ -1,12 +1,14 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
-by contraction, the B-field map, the cached frame-axiom and bundle
-verdicts and the structure-constant Lie checks, against the code they
-replaced: `dee_reference`, `bracket_reference`, `pairing_reference`,
+by contraction, the B-field map, the two-term l3 read from the Jacobiator
+flat, the cached frame-axiom and bundle verdicts and the
+structure-constant Lie checks, against the code they replaced:
+`dee_reference`, `bracket_reference`, `pairing_reference`,
 `raise_reference`, `ker_value_reference`, `ker_eval_reference`,
 `cochain_evaluate_reference`, `bfield_sharp_reference` and
 `lie_checks_reference` below are the earlier implementations, kept as
-oracles.  The Dorfman oracle in test_algebroid.py
+oracles, and so are `algebroid.jacobiator` and
+`twoterm.skew_jacobiator_direct`.  The Dorfman oracle in test_algebroid.py
 is the second, independent one."""
 
 import random
@@ -27,13 +29,14 @@ from precourant.bundle import Section, anchor_apply, dee, pairing, rho_star, sta
 from precourant.cli import resolve_manifest
 from precourant.cochain import KerCochain, jacobiator_flat, pullback_form
 from precourant.construct import QuadraticLieAlgebra, from_twisted_action, quadratic_lie_algebra
-from precourant.deform import apply_deformation, twist_deformation
+from precourant.deform import apply_deformation, bfield_verify, twist_deformation
 from precourant.exterior import KForm, contract, evaluate, vf_apply
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly, sort_sign
 from precourant.runner import build_context, run_manifest
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
+from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct
 
 BUILTINS = [
     "standard_r3",
@@ -423,6 +426,49 @@ def test_bfield_sharp_matches_reference(name):
         b_sharp = KerCochain(pullback_form(b, beta))
         for e in sections:
             assert b_sharp.evaluate([e]) == bfield_sharp_reference(b, beta, e)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_two_term_l3_matches_nested_brackets(name):
+    # l3 reads J from its frame flat; the nested brackets stay its oracle
+    p = build_context(load(name)).algebroid
+    b = p.bundle
+    rng = random.Random(26)
+    x, y, z, w = (random_section(rng, b, degree) for degree in (1, 2, 3, 4))
+    k1, k2 = (random_kernel_section(rng, b, 2) for _ in range(2))
+    leibniz, lie = build_leibniz2(p), build_lie2(p)
+    zero = b.zero_section()
+    triples = [
+        (x, y, z), (w, z, x),  # seeded, of polynomial degree 1-4
+        (k1, x, y), (y, k2, k1),  # kernel sections
+        # bracket outputs, as the coherence checks feed them
+        (leibniz.l2(x, y), z, x), (x, lie.l2(y, k1), y),
+        (leibniz.l2(x, leibniz.l2(y, z)), k2, y),
+        (y, y, z), (x, z, x), (k1, k1, k1), (zero, x, y), (x, zero, zero),  # repeated and zero
+    ]
+    for es in triples:
+        assert leibniz.l3(*es) == jacobiator(p, *es)
+        assert lie.l3(*es) == skew_jacobiator_direct(p, *es)
+
+
+def test_bfield_transforms_each_section_once(monkeypatch):
+    # B#(e) once per drawn section; the conjugation check also reads B# of
+    # each bracket it takes
+    seen = []
+    real = KerCochain.evaluate
+
+    def counted(phi, sections):
+        seen.append(sections[0])
+        return real(phi, sections)
+
+    monkeypatch.setattr(KerCochain, "evaluate", counted)
+    m = load("standard_r3")
+    p = build_context(m).algebroid
+    trials = 3
+    assert bfield_verify(p, m.bfield_beta, trials=trials, seed=1).ok
+    drawn = p.bundle.rank + trials
+    assert len(set(seen[:drawn])) == drawn
+    assert len(seen) == drawn + p.bundle.rank * (drawn + trials)
 
 
 def test_frame_axioms_run_once_per_algebroid(monkeypatch, std4, chart4):

@@ -92,6 +92,26 @@ def test_parse_error_positions(c):
     with pytest.raises(ParseError) as err:
         parse_poly(c, "x1 @ x2")
     assert err.value.column == 4
+    # a digit that is not a decimal one is no number: a positioned error
+    for text, column in (("x1^\u00b2", 4), ("\u00b2*x1", 1), ("2/\u00b2", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(c, text)
+        assert err.value.column == column, text
+
+
+def test_integral_literals_reach_poly_as_ints(c, monkeypatch):
+    seen = []
+    real = Poly.const
+
+    def recorded(chart, value):
+        seen.append(value)
+        return real(chart, value)
+
+    monkeypatch.setattr(Poly, "const", staticmethod(recorded))
+    x1 = Poly.var(c, 0)
+    assert parse_poly(c, "12*x1 + 3/4 - 6/3") == real(c, 12) * x1 + real(c, Fraction(-5, 4))
+    assert seen == [12, Fraction(3, 4), 2]
+    assert [type(v) for v in seen] == [int, Fraction, Fraction]
 
 
 def test_parse_scalar():

@@ -3,7 +3,8 @@ modules keep to each other's public names, off the dense views of the
 sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, every check is recorded through
 `VerifyReport`, every module-level function and class has a caller in the
-package, and importing the CLI stays cheap."""
+package, the two-term l3 has one code path, and importing the CLI stays
+cheap."""
 
 import ast
 import importlib
@@ -160,3 +161,15 @@ def test_every_module_level_name_is_used_in_the_package():
         and everywhere[node.name] == names(node)[node.name]
     ]
     assert unused == []
+
+
+def test_two_term_module_never_evaluates_nested_jacobiators():
+    # both correctors read J from its frame flat: one l3 code path
+    tree = ast.parse((ROOT / "src" / "precourant" / "twoterm.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "jacobiator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []

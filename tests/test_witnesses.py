@@ -3,8 +3,9 @@
 The goldens only hold passing runs, so these tests fix what the closed-form
 Jacobiator check, the twisted-action validation, the quadratic Lie
 validation, the pre-Courant axioms and the seeded batteries (two-term
-conditions, derived identities, Jacobiator theorem) report on broken input:
-which case fails first and how both sides print.
+conditions, derived identities, Jacobiator theorem) report on broken input,
+a kept Jacobiator flat that is not J's among it: which case fails first and
+how both sides print.
 """
 
 from fractions import Fraction
@@ -19,7 +20,8 @@ from precourant.algebroid import (
     zero_table,
 )
 from precourant.bundle import standard_bundle
-from precourant.cochain import verify_jacobiator_theorem
+from precourant.cli import resolve_manifest
+from precourant.cochain import Cochain, jacobiator_flat, verify_jacobiator_theorem
 from precourant.construct import (
     DissectionData,
     dissection_jacobiator_check,
@@ -31,8 +33,10 @@ from precourant.construct import (
     validate_twisted_action,
 )
 from precourant.exterior import KForm
+from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly
+from precourant.runner import build_context
 from precourant.twoterm import build_leibniz2, build_lie2, verify_leibniz2, verify_lie2
 
 F = Fraction
@@ -446,6 +450,46 @@ LIE2_UNCORRECTED_L3 = [
     "reading of the degree-1 bracket clause is not used",
 ]
 
+LEIBNIZ2_MUTANT_FLAT = [
+    "[FAIL] two-term leibniz conditions",
+    "  ok   inclusion-right",
+    "  ok   inclusion-left",
+    "  ok   inclusion-balanced",
+    "  FAIL defect-degree0  witness: d l3 = (0, 0, 0, 0, 0, 0, 0, 0) vs defect (0, 0,"
+    " 0, 0, 2*x3^2 + 12*x3*x4 + 2*x3, 0, -6*x2*x3 - 2*x3, -12*x2*x3*x4 - 4*x3*x4) at "
+    "(0, 0, 2*x4, -1, -x2, x4, x2 + 3*x4, -3) | (0, -2*x3, 0, 0, 3, 0, 0, -3*x4) | "
+    "(3*x2 + 1, 0, x3 + 1, 3, -3*x1 - 2, 0, 0, 0)",
+    "  ok   defect-kernel-slot3",
+    "  ok   defect-kernel-slot2",
+    "  ok   defect-kernel-slot1",
+    "  ok   coherence",
+]
+
+LIE2_MUTANT_FLAT = [
+    "[FAIL] two-term lie conditions",
+    "  ok   l2-skew",
+    "  ok   l3-skew",
+    "  ok   l3-kernel-valued",
+    "  FAIL homotopy-jacobi  witness: defect (0, 0, 0, 0, 4*x2*x3 - 16*x4^2 - 2*x4 + "
+    "14, 4*x1*x3 - 60*x3 - 24*x4 + 21, 4*x1*x2 - 60*x2 - 40, -32*x1*x4 - 2*x1 - 24*x2"
+    " - 16) at (0, 3*x2 + 2, -x1, 0, 0, -x2, 3, 3) | (-3, 0, 0, -4, 0, 0, 1, -2*x1) |"
+    " (-2*x4 + 1, -x2, 5, -1, -3*x2, x2, 0, x1) | (x3, 2*x4 + 2, 1, 0, -2*x1, -3*x1, "
+    "3*x1 + x2, 0)",
+    "  ok   inclusion-right",
+    "  ok   inclusion-left",
+    "  ok   inclusion-balanced",
+    "  FAIL defect-degree0  witness: d l3 = (0, 0, 0, 0, -27/4, -9/2, 0, 3) vs defect"
+    " (0, 0, 0, 0, -27/4, -9/2, -24, 3) at (0, 0, 0, -3, 0, -3, 0, -3*x2 + 2*x4) | "
+    "(3*x1 + 2*x2, 2, 0, -x3, 0, 0, -x4 - 2, -3) | (-4, 0, 0, -3*x2, 3*x4, -x4 - 3, "
+    "0, 0)",
+    "  ok   defect-kernel-slot3",
+    "  ok   defect-kernel-slot2",
+    "  ok   defect-kernel-slot1",
+    "  ok   coherence",
+    "  note: degree-1 space taken as kernel sections; the orthogonal-complement "
+    "reading of the degree-1 bracket clause is not used",
+]
+
 DERIVED_SYMMETRIZATION = [
     "[FAIL] derived bracket identities",
     "  ok   right-function-rule",
@@ -479,6 +523,29 @@ def test_lie2_uncorrected_l3_report(twisted4):
         l3_override=plain_j,
     )
     assert report.lines() == LIE2_UNCORRECTED_L3
+
+
+def _twisted_r4_with_mutant_flat():
+    """twisted_r4 with one entry of its Jacobiator flat moved off J:
+    <J(u1, u2, u3), u4> kept as 0 instead of -1."""
+    p = build_context(
+        parse_manifest(resolve_manifest("twisted_r4").read_text(), name="twisted_r4")
+    ).algebroid
+    flat = jacobiator_flat(p)
+    zero = Poly.zero(p.bundle.chart)
+    assert flat.value_at((0, 1, 2, 3)) == Poly.const(p.bundle.chart, -1)
+    p.jflat = Cochain(p.bundle, 4, {**flat.terms, (0, 1, 2, 3): zero})
+    return p
+
+
+def test_two_term_reports_on_a_mutant_flat():
+    # l3 reads J from the kept flat, and the defect checks compare it with
+    # the nested brackets, so a flat that is not J's fails both flavours
+    p = _twisted_r4_with_mutant_flat()
+    leibniz = verify_leibniz2(build_leibniz2(p), trials=1, seed=0, max_degree=1)
+    assert leibniz.lines() == LEIBNIZ2_MUTANT_FLAT
+    lie = verify_lie2(build_lie2(p), trials=1, seed=0, max_degree=1)
+    assert lie.lines() == LIE2_MUTANT_FLAT
 
 
 def test_derived_identities_symmetrization_report():
