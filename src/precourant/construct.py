@@ -1,14 +1,17 @@
 """Builders that produce pre-Courant algebroids from structured data.
 
-Three recipes are implemented:
+Two recipes are implemented:
 
 * a metric connection together with a skew-adjusted bilinear corrector on
   any Courant vector bundle;
 * quadratic Lie algebras, their hyperbolic doubles, and (twisted) actions
-  on a chart, giving structures on trivial bundles;
-* transitive dissections: tangent + auxiliary + cotangent blocks with a
-  fiber metric, a metric connection, a curvature-like 2-form and a
-  3-form, whose Jacobiator has known closed-form components.
+  on a chart, giving structures on trivial bundles.
+
+A transitive dissection (tangent + auxiliary + cotangent blocks with a
+fiber metric, a metric connection, a curvature-like 2-form and a 3-form)
+is an instance of the first recipe.  Its Jacobiator has known closed-form
+components, which are computed on sections of the standard bundle with
+the one covariant derivative `_covariant` that the first recipe uses too.
 
 Builders validate their stated preconditions and raise ConstructionError
 with a witness; verifying the output axioms is the caller's business (the
@@ -31,7 +34,7 @@ from itertools import combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebroid import PreCourantAlgebroid, jacobiator
+from .algebroid import PreCourantAlgebroid, jacobiator, zero_table
 from .bundle import (
     CourantBundle,
     Section,
@@ -47,7 +50,7 @@ from .bundle import (
 )
 from .cochain import jacobiator_flat, pullback_form
 from .errors import ConstructionError, SingularMetricError
-from .exterior import KForm, VectorField, ext_d, vf_apply, vf_bracket
+from .exterior import KForm, ext_d, vf_apply, vf_bracket
 from .poly import Chart, Poly, add_into, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly
@@ -73,93 +76,97 @@ def from_connection_beta(
     failure): the connection is metric, the corrector pairing is totally
     skew, and the corrector supplies the anchor defect.
     """
-    r, n = b.rank, b.chart.dim
-    frames = b.frames()
+    r = b.rank
+    frames, rho_frames = b.frames(), b.rho_frames
+    zero = Poly.zero(b.chart)
+    nabla = _connection_frames(b, gamma)
 
-    def nabla_coord(m: int, e: Section) -> Section:
-        # componentwise derivative plus the connection matrix
-        terms = {a: c.diff(m) for a, c in e.terms.items()}
-        for a, c in e.terms.items():
-            for bb in range(r):
-                add_into(terms, bb, gamma[m][bb][a] * c)
-        return Section.from_terms(b, terms)
+    def lowered(e: Section) -> Dict[int, Poly]:
+        """The nonzero <e, u_c>, by frame c."""
+        if not e.terms:
+            return {}
+        return {c: v for c, f in enumerate(frames) if not (v := pairing(e, f)).is_zero()}
 
-    def nabla_field(x: VectorField, e: Section) -> Section:
-        out = b.zero_section()
-        for m, xm in x.terms.items():
-            out = out + nabla_coord(m, e).scale(xm)
-        return out
+    # conn[m][a][c] = <nabla_m u_a, u_c>, the connection 1-forms
+    conn = [[lowered(e) for e in row] for row in nabla]
 
     # metric connection: the frame condition with a constant pairing
-    for m in range(n):
-        for a in range(r):
-            for c in range(r):
-                v = pairing(nabla_coord(m, frames[a]), frames[c]) + pairing(
-                    frames[a], nabla_coord(m, frames[c])
-                )
-                if not v.is_zero():
-                    raise ConstructionError(
-                        "connection-not-metric",
-                        f"direction {m + 1}, frames ({a + 1},{c + 1}): "
-                        f"{format_poly(v)}",
-                    )
+    for m, rows in enumerate(conn):
+        for a, c, v in _skew_defects(rows, zero):
+            raise ConstructionError(
+                "connection-not-metric",
+                f"direction {m + 1}, frames ({a + 1},{c + 1}): {format_poly(v)}",
+            )
 
     # corrector totally skew with respect to the pairing
-    for a in range(r):
-        for c in range(r):
-            if not (beta[a][c] + beta[c][a]).is_zero():
-                raise ConstructionError(
-                    "corrector-not-skew", f"frames ({a + 1},{c + 1})"
-                )
-    for a in range(r):
-        for c in range(r):
-            for e in range(r):
-                v = pairing(beta[a][c], frames[e]) + pairing(
-                    frames[c], beta[a][e]
-                )
-                if not v.is_zero():
-                    raise ConstructionError(
-                        "corrector-pairing-not-alternating",
-                        f"frames ({a + 1},{c + 1},{e + 1}): {format_poly(v)}",
-                    )
+    for a, c in product(range(r), repeat=2):
+        if not (beta[a][c] + beta[c][a]).is_zero():
+            raise ConstructionError("corrector-not-skew", f"frames ({a + 1},{c + 1})")
+    for a, row in enumerate(beta):
+        for c, e, v in _skew_defects([lowered(s) for s in row], zero):
+            raise ConstructionError(
+                "corrector-pairing-not-alternating",
+                f"frames ({a + 1},{c + 1},{e + 1}): {format_poly(v)}",
+            )
 
-    # anchor condition on frames
-    rho_frames = b.rho_frames
-    for a in range(r):
-        for c in range(r):
-            lhs = anchor_apply(beta[a][c])
-            rhs = vf_bracket(rho_frames[a], rho_frames[c]) - anchor_apply(
-                nabla_field(rho_frames[a], frames[c])
-                - nabla_field(rho_frames[c], frames[a])
-            )
-            if lhs != rhs:
-                raise ConstructionError(
-                    "corrector-anchor-defect", f"frames ({a + 1},{c + 1})"
-                )
+    # moved[a][c] = nabla along rho(u_a) of u_c
+    moved = [
+        [sum((_covariant(nabla, m, u).scale(xm) for m, xm in x.terms.items()),
+             b.zero_section()) for u in frames]
+        for x in rho_frames
+    ]
 
-    # assemble the frame table
-    table = []
-    for a in range(r):
-        row = []
-        for c in range(r):
-            # the 1-form X -> <nabla_X u_a, u_c>, pushed through rho*
-            xi = KForm(
-                b.chart,
-                1,
-                {
-                    (m,): pairing(nabla_coord(m, frames[a]), frames[c])
-                    for m in range(n)
-                },
-            )
-            entry = (
-                nabla_field(rho_frames[a], frames[c])
-                - nabla_field(rho_frames[c], frames[a])
-                + rho_star(b, xi)
-                + beta[a][c]
-            )
-            row.append(entry)
-        table.append(row)
+    # anchor condition on frames; both sides are skew in (a, c)
+    for a, c in combinations(range(r), 2):
+        if anchor_apply(beta[a][c]) != vf_bracket(rho_frames[a], rho_frames[c]) - anchor_apply(
+            moved[a][c] - moved[c][a]
+        ):
+            raise ConstructionError("corrector-anchor-defect", f"frames ({a + 1},{c + 1})")
+
+    # the frame table, with the 1-form X -> <nabla_X u_a, u_c> pushed through rho*
+    table = [[moved[a][c] - moved[c][a] + beta[a][c] for c in range(r)] for a in range(r)]
+    forms: Dict[Tuple[int, int], Dict[Tuple[int], Poly]] = {}
+    for m, rows in enumerate(conn):
+        for a, row in enumerate(rows):
+            for c, v in row.items():
+                forms.setdefault((a, c), {})[(m,)] = v
+    for (a, c), xi in forms.items():
+        table[a][c] = table[a][c] + rho_star(b, KForm(b.chart, 1, xi))
     return PreCourantAlgebroid(b, table)
+
+
+def _skew_defects(
+    rows: Sequence[Dict[int, Poly]], zero: Poly
+) -> Iterator[Tuple[int, int, Poly]]:
+    """(i, j, rows[i][j] + rows[j][i]) wherever that sum is not zero, in
+    index order; rows[i] holds the nonzero entries of row i by column."""
+    pairs = {(i, j) for i, row in enumerate(rows) for j in row}
+    for i, j in sorted(pairs | {(j, i) for i, j in pairs}):
+        v = rows[i].get(j, zero) + rows[j].get(i, zero)
+        if not v.is_zero():
+            yield i, j, v
+
+
+def _connection_frames(
+    b: CourantBundle, gamma: Sequence[Sequence[Sequence[Poly]]]
+) -> Tuple[Tuple[Section, ...], ...]:
+    """nabla_m u_a = sum_c gamma[m][c][a] u_c for every coordinate m and
+    frame a."""
+    r = b.rank
+    return tuple(
+        tuple(Section.from_terms(b, {c: g_m[c][a] for c in range(r)}) for a in range(r))
+        for g_m in gamma
+    )
+
+
+def _covariant(nabla: Sequence[Sequence[Section]], m: int, e: Section) -> Section:
+    """nabla_m e for the connection with frame derivatives nabla[m][a]: the
+    componentwise derivative plus the coefficients times those."""
+    terms = {a: c.diff(m) for a, c in e.terms.items()}
+    for a, c in e.terms.items():
+        for t, q in nabla[m][a].terms.items():
+            add_into(terms, t, q * c)
+    return Section.from_terms(e.bundle, terms)
 
 
 # --- quadratic Lie algebras and doubles -----------------------------------
@@ -187,14 +194,6 @@ class QuadraticLieAlgebra:
         self.structure = tuple(linalg.nonzero_rows(row) for row in bracket_table)
         self.pairing_rows = None if pairing is None else linalg.nonzero_rows(pairing)
         self._report: Optional[VerifyReport] = None
-
-    def bracket_vec(self, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
-        out: AlgebraVector = {}
-        for i, ui in u.items():
-            for j, vj in v.items():
-                for k, ck in self.structure[i][j]:
-                    out[k] = out.get(k, 0) + ui * vj * ck
-        return out
 
 
 def quadratic_lie_algebra(
@@ -379,7 +378,8 @@ def _bilinear(table: Sequence[Sequence[Section]], e1: Section, e2: Section) -> S
     out = e1.bundle.zero_section()
     for i, fi in e1.terms.items():
         for j, fj in e2.terms.items():
-            out = out + table[i][j].scale(fi * fj)
+            if table[i][j].terms:
+                out = out + table[i][j].scale(fi * fj)
     return out
 
 
@@ -510,14 +510,19 @@ class DissectionData:
     gamma[m] is the auxiliary connection matrix along the m-th coordinate
     (pairing-skew); curvature[(i, j)] for i < j lists auxiliary components
     of the 2-form R; psi is a 3-form on the base; fiber_table[(a, b)] for
-    a < b lists auxiliary components of the fiber bracket.  The auxiliary
-    basis vectors, as constant coefficient vectors, are built once in
-    `aux_basis`.
+    a < b lists auxiliary components of the fiber bracket.
+
+    Built once from these, as sections of the standard bundle `bundle`:
+    the auxiliary frames `aux_frames`; the connection extended by zero to
+    every frame, as matrices in `connection` and as nabla[m][t] = nabla_m u_t
+    in `nabla`; R(x_i, x_j) in `curvature_table[i][j]`; and the fiber
+    bracket on frame pairs in `bracket_table`, which `_bilinear` extends
+    over functions.
     """
 
     __slots__ = (
         "chart", "aux_rank", "aux_pairing", "gamma", "curvature", "psi", "fiber_table",
-        "aux_basis",
+        "bundle", "aux_frames", "connection", "nabla", "curvature_table", "bracket_table",
     )
 
     def __init__(
@@ -537,41 +542,34 @@ class DissectionData:
         self.curvature = curvature
         self.psi = psi
         self.fiber_table = fiber_table
-        zero, one = Poly.zero(chart), Poly.const(chart, 1)
-        g = aux_rank
-        self.aux_basis = [[one if t == a else zero for t in range(g)] for a in range(g)]
-
-    def curvature_value(self, i: int, j: int) -> List[Poly]:
-        zero = Poly.zero(self.chart)
-        if i == j:
-            return [zero] * self.aux_rank
-        if i < j:
-            return list(self.curvature.get((i, j), [zero] * self.aux_rank))
-        return [-p for p in self.curvature_value(j, i)]
-
-    def fiber_bracket(self, a: int, b: int) -> List[Poly]:
-        zero = Poly.zero(self.chart)
-        if a == b:
-            return [zero] * self.aux_rank
-        if a < b:
-            return list(self.fiber_table.get((a, b), [zero] * self.aux_rank))
-        return [-p for p in self.fiber_bracket(b, a)]
-
-    def connection_column(self, m: int, a: int) -> List[Poly]:
-        """The connection along x_m applied to the a-th auxiliary basis vector."""
-        return [self.gamma[m][c][a] for c in range(self.aux_rank)]
+        self.bundle = b = standard_bundle(chart, aux_pairing)
+        n, g, r = chart.dim, aux_rank, b.rank
+        self.aux_frames = tuple(b.frame(n + a) for a in range(g))
+        zero = Poly.zero(chart)
+        self.connection = [[[zero] * r for _ in range(r)] for _ in range(n)]
+        for full, aux in zip(self.connection, gamma):
+            for c, row in enumerate(aux):
+                full[n + c][n : n + g] = row
+        self.nabla = _connection_frames(b, self.connection)
+        self.curvature_table = [[b.zero_section()] * n for _ in range(n)]
+        self.bracket_table = zero_table(b)
+        for table, entries, offset in (
+            (self.curvature_table, curvature, 0), (self.bracket_table, fiber_table, n)
+        ):
+            for (i, j), comps in entries.items():
+                s = Section.from_terms(b, {n + a: p for a, p in enumerate(comps)})
+                table[offset + i][offset + j] = s
+                table[offset + j][offset + i] = -s
 
 
-def _dissection_section(
-    b: CourantBundle, aux: Sequence[Poly], cotangent: Sequence[Poly]
-) -> Section:
-    """The section with no tangent part and the given auxiliary and
-    cotangent blocks."""
-    return Section(b, [Poly.zero(b.chart)] * b.chart.dim + list(aux) + list(cotangent))
+def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
+    """The dissection as a connection-plus-corrector structure.
 
-
-def _validate_dissection(dd: DissectionData) -> None:
-    n, g = dd.chart.dim, dd.aux_rank
+    The connection is the auxiliary one extended by zero; the corrector is
+    R + psi on tangent pairs, -<u_a, R(x_i, .)> on tangent-auxiliary pairs
+    and the fiber bracket on auxiliary pairs.  What only a dissection has is
+    checked here; `from_connection_beta` checks the rest.
+    """
     if not linalg.is_symmetric(dd.aux_pairing):
         raise ConstructionError("aux-pairing-not-symmetric")
     try:
@@ -580,157 +578,84 @@ def _validate_dissection(dd: DissectionData) -> None:
         raise ConstructionError("aux-pairing-singular") from None
     if dd.psi.degree != 3:
         raise ConstructionError("psi-not-degree-3")
-    basis = dd.aux_basis
-    # pairing-skew connection: <Gamma_m u_a, u_b> + <u_a, Gamma_m u_b> = 0
-    for m in range(n):
-        for a in range(g):
-            for b in range(g):
-                total = _pair_aux(dd, dd.connection_column(m, a), basis[b]) + _pair_aux(
-                    dd, basis[a], dd.connection_column(m, b)
-                )
-                if not total.is_zero():
-                    raise ConstructionError(
-                        "connection-not-metric",
-                        f"direction {m + 1}, entries ({a + 1},{b + 1})",
-                    )
+    b, n, g = dd.bundle, dd.chart.dim, dd.aux_rank
+    aux, bracket_table = dd.aux_frames, dd.bracket_table
     # fiber bracket: invariance of the pairing on basis triples
-    for a in range(g):
-        for b in range(g):
-            for c in range(g):
-                total = _pair_aux(dd, dd.fiber_bracket(a, b), basis[c]) + _pair_aux(
-                    dd, basis[b], dd.fiber_bracket(a, c)
-                )
-                if not total.is_zero():
-                    raise ConstructionError(
-                        "fiber-pairing-not-invariant",
-                        f"basis ({a + 1},{b + 1},{c + 1})",
-                    )
+    for a, c, e in product(range(g), repeat=3):
+        total = pairing(bracket_table[n + a][n + c], aux[e]) + pairing(
+            aux[c], bracket_table[n + a][n + e]
+        )
+        if not total.is_zero():
+            raise ConstructionError(
+                "fiber-pairing-not-invariant", f"basis ({a + 1},{c + 1},{e + 1})"
+            )
+    beta = [list(row) for row in bracket_table]
+    for i, r_i in enumerate(dd.curvature_table):
+        for j, r_ij in enumerate(r_i):
+            beta[i][j] = r_ij + _cotangent(b, [dd.psi.value_at((i, j, k)) for k in range(n)])
+        for a, u in enumerate(aux):
+            beta[i][n + a] = _cotangent(b, [-pairing(u, r_ik) for r_ik in r_i])
+            beta[n + a][i] = -beta[i][n + a]
+    return from_connection_beta(b, dd.connection, beta)
 
 
-def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
-    """Assemble the frame bracket table from the dissection data."""
-    _validate_dissection(dd)
-    b = standard_bundle(dd.chart, dd.aux_pairing)
-    n, g = dd.chart.dim, dd.aux_rank
-    basis = dd.aux_basis
-    table = [[b.zero_section() for _ in range(b.rank)] for _ in range(b.rank)]
-
-    # tangent o tangent: curvature into the auxiliary block, the 3-form into
-    # the cotangent block
-    for i in range(n):
-        for j in range(n):
-            cot = [dd.psi.value_at((i, j, k)) for k in range(n)]
-            table[i][j] = _dissection_section(b, dd.curvature_value(i, j), cot)
-
-    # tangent o auxiliary and its opposite
-    for i in range(n):
-        for a in range(g):
-            cot = [-_pair_aux(dd, basis[a], dd.curvature_value(i, k)) for k in range(n)]
-            entry = _dissection_section(b, dd.connection_column(i, a), cot)
-            table[i][n + a] = entry
-            table[n + a][i] = -entry
-
-    # auxiliary o auxiliary: fiber bracket plus the connection pairing form
-    for a in range(g):
-        for c in range(g):
-            cot = [_pair_aux(dd, basis[c], dd.connection_column(k, a)) for k in range(n)]
-            table[n + a][n + c] = _dissection_section(b, dd.fiber_bracket(a, c), cot)
-
-    return PreCourantAlgebroid(b, table)
+def _cotangent(b: CourantBundle, values: Sequence[Poly]) -> Section:
+    """The section sum_k values[k] dx_k of a standard bundle, which keeps
+    dx_k at frame rank - dim + k."""
+    start = b.rank - b.chart.dim
+    return Section.from_terms(b, {start + k: v for k, v in enumerate(values)})
 
 
-def _pair_aux(dd: DissectionData, u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
-    """The auxiliary pairing of two coefficient vectors."""
-    out = Poly.zero(dd.chart)
-    for a in range(dd.aux_rank):
-        if u[a].is_zero():
-            continue
-        for b in range(dd.aux_rank):
-            if dd.aux_pairing[a][b] != 0 and not v[b].is_zero():
-                out = out + (u[a] * v[b]) * dd.aux_pairing[a][b]
-    return out
-
-
-def _nabla_aux(dd: DissectionData, m: int, vec: Sequence[Poly]) -> List[Poly]:
-    """Covariant derivative of an auxiliary coefficient vector along x_m."""
-    g = dd.aux_rank
-    out = [vec[c].diff(m) for c in range(g)]
-    for c in range(g):
-        for a in range(g):
-            if not dd.gamma[m][c][a].is_zero() and not vec[a].is_zero():
-                out[c] = out[c] + dd.gamma[m][c][a] * vec[a]
-    return out
-
-
-def _fiber_bracket_vec(
-    dd: DissectionData, u: Sequence[Poly], v: Sequence[Poly]
-) -> List[Poly]:
-    g = dd.aux_rank
-    out = [Poly.zero(dd.chart)] * g
-    for a in range(g):
-        if u[a].is_zero():
-            continue
-        for c in range(g):
-            if v[c].is_zero():
-                continue
-            fb = dd.fiber_bracket(a, c)
-            prod = u[a] * v[c]
-            for k in range(g):
-                if not fb[k].is_zero():
-                    out[k] = out[k] + prod * fb[k]
-    return out
-
-
-def _derivation_defect(
-    dd: DissectionData, m: int, u: Sequence[Poly], v: Sequence[Poly]
-) -> List[Poly]:
+def _derivation_defect(dd: DissectionData, m: int, u: Section, v: Section) -> Section:
     """nabla_m [u,v] - [nabla_m u, v] - [u, nabla_m v] on the auxiliary block."""
-    lhs = _nabla_aux(dd, m, _fiber_bracket_vec(dd, u, v))
-    a = _fiber_bracket_vec(dd, _nabla_aux(dd, m, u), v)
-    b = _fiber_bracket_vec(dd, u, _nabla_aux(dd, m, v))
-    return [x - y - z for x, y, z in zip(lhs, a, b)]
+    t, nabla = dd.bracket_table, dd.nabla
+    return (
+        _covariant(nabla, m, _bilinear(t, u, v))
+        - _bilinear(t, _covariant(nabla, m, u), v)
+        - _bilinear(t, u, _covariant(nabla, m, v))
+    )
 
 
-def _fiber_jacobi_defect(dd, u, v, w) -> List[Poly]:
+def _fiber_jacobi_defect(dd: DissectionData, u: Section, v: Section, w: Section) -> Section:
     """[[u,v],w] + [[w,u],v] + [[v,w],u] on the auxiliary block."""
-    t1 = _fiber_bracket_vec(dd, _fiber_bracket_vec(dd, u, v), w)
-    t2 = _fiber_bracket_vec(dd, _fiber_bracket_vec(dd, w, u), v)
-    t3 = _fiber_bracket_vec(dd, _fiber_bracket_vec(dd, v, w), u)
-    return [a + b + c for a, b, c in zip(t1, t2, t3)]
+    t = dd.bracket_table
+    return (
+        _bilinear(t, _bilinear(t, u, v), w)
+        + _bilinear(t, _bilinear(t, w, u), v)
+        + _bilinear(t, _bilinear(t, v, w), u)
+    )
 
 
-def _bianchi_term(dd: DissectionData, i: int, j: int, k: int) -> List[Poly]:
+def _bianchi_term(dd: DissectionData, i: int, j: int, k: int) -> Section:
     """The cyclic sum of nabla_{x_i} R(x_j, x_k); coordinate brackets vanish."""
-    total = [Poly.zero(dd.chart)] * dd.aux_rank
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        term = _nabla_aux(dd, a, dd.curvature_value(b, c))
-        total = [x + y for x, y in zip(total, term)]
-    return total
+    r = dd.curvature_table
+    return (
+        _covariant(dd.nabla, i, r[j][k])
+        + _covariant(dd.nabla, j, r[k][i])
+        + _covariant(dd.nabla, k, r[i][j])
+    )
 
 
-def _connection_curvature_defect(
-    dd: DissectionData, i: int, j: int, vec: Sequence[Poly]
-) -> List[Poly]:
-    """nabla_i nabla_j - nabla_j nabla_i on an auxiliary vector (coordinate
+def _connection_curvature_defect(dd: DissectionData, i: int, j: int, u: Section) -> Section:
+    """nabla_i nabla_j - nabla_j nabla_i on an auxiliary section (coordinate
     fields commute) minus the fiber adjoint of the curvature R(x_i, x_j)."""
-    first = _nabla_aux(dd, i, _nabla_aux(dd, j, vec))
-    second = _nabla_aux(dd, j, _nabla_aux(dd, i, vec))
-    adj = _fiber_bracket_vec(dd, dd.curvature_value(i, j), vec)
-    return [x - y - z for x, y, z in zip(first, second, adj)]
+    nabla = dd.nabla
+    return (
+        _covariant(nabla, i, _covariant(nabla, j, u))
+        - _covariant(nabla, j, _covariant(nabla, i, u))
+        - _bilinear(dd.bracket_table, dd.curvature_table[i][j], u)
+    )
 
 
 def curvature_square_form(dd: DissectionData) -> KForm:
     """(R wedge R) with the auxiliary pairing: for increasing (i,j,k,l),
     2 [ (R_ij, R_kl) - (R_ik, R_jl) + (R_il, R_jk) ].  The brute-force
     permutation sum lives in the tests as the independent oracle."""
+    r = dd.curvature_table
     values: Dict[Tuple[int, int, int, int], Poly] = {}
     for idx in combinations(range(dd.chart.dim), 4):
         i, j, k, l = idx
-        v = (
-            _pair_aux(dd, dd.curvature_value(i, j), dd.curvature_value(k, l))
-            - _pair_aux(dd, dd.curvature_value(i, k), dd.curvature_value(j, l))
-            + _pair_aux(dd, dd.curvature_value(i, l), dd.curvature_value(j, k))
-        )
+        v = pairing(r[i][j], r[k][l]) - pairing(r[i][k], r[j][l]) + pairing(r[i][l], r[j][k])
         values[idx] = v * 2
     return KForm(dd.chart, 4, values)
 
@@ -749,11 +674,11 @@ def dissection_jacobiator_check(
     report = VerifyReport("dissection jacobiator components")
     b = p.bundle
     n, g = dd.chart.dim, dd.aux_rank
-    basis = dd.aux_basis
     form = _pontryagin_form(dd)
 
     def witness(idx: Tuple[int, int, int]) -> Optional[str]:
-        actual = jacobiator(p, b.frame(idx[0]), b.frame(idx[1]), b.frame(idx[2]))
+        frames = [b.frame(t) for t in idx]
+        actual = jacobiator(p, *frames)
         blocks = tuple(
             "x" if t < n else ("r" if t < n + g else "xi") for t in idx
         )
@@ -763,21 +688,19 @@ def dissection_jacobiator_check(
         elif blocks == ("x", "x", "x"):
             i, j, k = idx
             cot = [form.value_at((i, j, k, l)) for l in range(n)]
-            expected = _dissection_section(b, _bianchi_term(dd, i, j, k), cot)
+            expected = _bianchi_term(dd, i, j, k) + _cotangent(b, cot)
         elif blocks == ("x", "x", "r"):
-            i, j = idx[0], idx[1]
-            va = basis[idx[2] - n]
-            cot = [-_pair_aux(dd, _bianchi_term(dd, i, j, l), va) for l in range(n)]
-            expected = _dissection_section(b, _connection_curvature_defect(dd, i, j, va), cot)
+            i, j, u = idx[0], idx[1], frames[2]
+            cot = [-pairing(_bianchi_term(dd, i, j, l), u) for l in range(n)]
+            expected = _connection_curvature_defect(dd, i, j, u) + _cotangent(b, cot)
         elif blocks == ("x", "r", "r"):
-            i = idx[0]
-            va, vc = basis[idx[1] - n], basis[idx[2] - n]
-            cot = [_pair_aux(dd, _connection_curvature_defect(dd, i, l, va), vc) for l in range(n)]
-            expected = _dissection_section(b, _derivation_defect(dd, i, va, vc), cot)
+            i, u, v = idx[0], frames[1], frames[2]
+            cot = [pairing(_connection_curvature_defect(dd, i, l, u), v) for l in range(n)]
+            expected = _derivation_defect(dd, i, u, v) + _cotangent(b, cot)
         elif blocks == ("r", "r", "r"):
-            va, vc, ve = (basis[t - n] for t in idx)
-            cot = [-_pair_aux(dd, _derivation_defect(dd, l, va, vc), ve) for l in range(n)]
-            expected = _dissection_section(b, _fiber_jacobi_defect(dd, va, vc, ve), cot)
+            u, v, w = frames
+            cot = [-pairing(_derivation_defect(dd, l, u, v), w) for l in range(n)]
+            expected = _fiber_jacobi_defect(dd, u, v, w) + _cotangent(b, cot)
         if actual == expected:
             return None
         return (
@@ -796,11 +719,11 @@ def dissection_flatness_conditions(dd: DissectionData) -> VerifyReport:
     matching the fiber adjoint of R."""
     report = VerifyReport("dissection flatness conditions")
     n, g = dd.chart.dim, dd.aux_rank
-    basis = dd.aux_basis
+    basis = dd.aux_frames
 
     def vanish(defects) -> Iterator[Optional[str]]:
-        """An empty witness for each auxiliary vector that is not zero."""
-        return (None if all(x.is_zero() for x in v) else "" for v in defects)
+        """An empty witness for each section that is not zero."""
+        return (None if v.is_zero() else "" for v in defects)
 
     report.first(
         "fiber-jacobi",

@@ -244,7 +244,8 @@ def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> Li
     for e in entries:
         (i,) = _key_indices(e, prefix, 1)
         if i >= n_rows:
-            raise ParseError(e.line, 1, f"row index between 1 and {n_rows}", e.key)
+            expected = f"row index between 1 and {n_rows}" if n_rows else f"no {prefix} row"
+            raise ParseError(e.line, 1, expected, e.key)
         rows[i] = parse_row(e)
     missing = [i + 1 for i in range(n_rows) if i not in rows]
     if missing:
@@ -507,19 +508,17 @@ def _parse_dissection(chart: Chart, sections: Sections, kind_entry: _Entry) -> S
             raise ParseError(
                 e.line, 1, "aux_rank, pairing.N, gamma.M.N, r.I.J, psi or gbracket.I.J", e.key
             )
-    pairing = []
-    if g > 0:
-        pairing = _numbered_rows(entries, "pairing", g, lambda e: _parse_scalar_list(e, g))
-        if not linalg.is_symmetric(pairing):
-            raise ParseError(
-                pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"
-            )
-        try:
-            linalg.invert(pairing)
-        except SingularMetricError:
-            raise ParseError(
-                pairing_entries[0].line, 1, "a nonsingular auxiliary pairing in [dissection]"
-            ) from None
+    pairing = _numbered_rows(entries, "pairing", g, lambda e: _parse_scalar_list(e, g))
+    if not linalg.is_symmetric(pairing):
+        raise ParseError(
+            pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"
+        )
+    try:
+        linalg.invert(pairing)
+    except SingularMetricError:
+        raise ParseError(
+            pairing_entries[0].line, 1, "a nonsingular auxiliary pairing in [dissection]"
+        ) from None
     return dict(
         aux_rank=g, aux_pairing=pairing, gamma=gamma, curvature=curvature, psi=psi,
         fiber_table=fiber_table,

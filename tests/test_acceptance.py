@@ -237,7 +237,13 @@ def test_criterion_10_dissection():
     assert report.ok, report.lines()
 
     # independent oracle: the quarter-weighted signed sum over all 24
-    # argument orders of the curvature pairing
+    # argument orders of the curvature pairing, read from the raw data
+    def curvature(i, j):
+        zero = [Poly.zero(dd.chart)] * dd.aux_rank
+        if i < j:
+            return dd.curvature.get((i, j), zero)
+        return [-p for p in dd.curvature.get((j, i), zero)]
+
     def brute_force(idx):
         total = Poly.zero(dd.chart)
         for perm in permutations(range(4)):
@@ -247,8 +253,8 @@ def test_criterion_10_dissection():
                 for j in range(i + 1, 4):
                     if perm_list[i] > perm_list[j]:
                         sign = -sign
-            r1 = dd.curvature_value(idx[perm[0]], idx[perm[1]])
-            r2 = dd.curvature_value(idx[perm[2]], idx[perm[3]])
+            r1 = curvature(idx[perm[0]], idx[perm[1]])
+            r2 = curvature(idx[perm[2]], idx[perm[3]])
             val = Poly.zero(dd.chart)
             for a in range(dd.aux_rank):
                 for b in range(dd.aux_rank):

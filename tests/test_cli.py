@@ -272,6 +272,9 @@ DISSECTION_2D = "[chart]\nvars = x1 x2\n\n[builder]\nkind = dissection\n\n[disse
         ("[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\n"
          "pairing.1 = 1\n\n[action]\n", "line 11, column 1"),
         (DISSECTION_2D, "line 7, column 1"),
+        # with no auxiliary block there is no pairing row to give
+        (DISSECTION_2D.replace("aux_rank = 1", "aux_rank = 0") + "pairing.1 = 7, 8, 9\n",
+         "line 9, column 1"),
     ],
 )
 def test_malformed_builder_blocks_exit_2(tmp_path, capsys, text, position):
@@ -331,3 +334,27 @@ def test_non_utf8_manifest_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--manifest", str(bad))
     assert (code, out) == (2, "")
     assert err == f"error: {bad}: not UTF-8 text (invalid continuation byte at byte 21)\n"
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        # the identity pairing is not invariant under [u1, u2] = u1 + u2
+        ("vars = x1\n\n[builder]\nkind = dissection\n\n[dissection]\naux_rank = 2\n"
+         "pairing.1 = 1, 0\npairing.2 = 0, 1\ngbracket.1.2 = 1, 1\n",
+         "build = fail: fiber-pairing-not-invariant: basis (1,1,2)"),
+        # gamma along x2 moves u1 by x1 u1, which the hyperbolic pairing does not keep
+        ("vars = x1 x2\n\n[builder]\nkind = dissection\n\n[dissection]\naux_rank = 2\n"
+         "pairing.1 = 0, 1\npairing.2 = 1, 0\ngamma.2.1 = x1, 0\n",
+         "build = fail: connection-not-metric: direction 2, frames (3,4): x1"),
+    ],
+)
+def test_dissection_build_failure_lines(tmp_path, capsys, body, line):
+    path = tmp_path / "dissection.pcm"
+    path.write_text(f"[meta]\ntasks = validate-bundle\n\n[chart]\n{body}")
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert code == 1
+    lines = out.splitlines()
+    assert line in lines
+    assert lines[-2:] == ["task validate-bundle = skipped-precondition", "result = fail"]
+    assert "Traceback" not in err

@@ -134,8 +134,8 @@ def test_double_of_nonabelian():
     report = validate_quadratic_lie(d)
     assert report.ok
     # the coadjoint action: [a, b*] = -b*, [b, b*] = a*
-    assert d.bracket_vec({0: 1}, {3: 1}) == {3: -1}
-    assert d.bracket_vec({1: 1}, {3: 1}) == {2: 1}
+    assert d.bracket_table[0][3] == [0, 0, 0, -1]
+    assert d.bracket_table[1][3] == [0, 0, 1, 0]
 
 
 def test_double_rejects_non_lie():
@@ -302,7 +302,9 @@ def test_flat_dissection_jacobiator_and_pontryagin():
     assert j_route == -h_form
 
 
-def test_nonflat_dissection_components_match():
+def _so3_dissection():
+    """An so(3) fiber over three coordinates, with a curved connection, a
+    curvature that does not match it and a 3-form."""
     c3 = Chart(["x1", "x2", "x3"])
     zero, one = Poly.zero(c3), Poly.const(c3, 1)
     x1, x2, x3 = (Poly.var(c3, i) for i in range(3))
@@ -311,7 +313,7 @@ def test_nonflat_dissection_components_match():
     def skew(a, b, c):
         return [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
 
-    dd = DissectionData(
+    return DissectionData(
         chart=c3,
         aux_rank=3,
         aux_pairing=[[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]],
@@ -320,6 +322,10 @@ def test_nonflat_dissection_components_match():
         psi=parse_form(c3, "x1*dx(1,2,3)"),
         fiber_table=so3,
     )
+
+
+def test_nonflat_dissection_components_match():
+    dd = _so3_dissection()
     p = from_dissection(dd)
     assert verify_axioms(p, trials=4, seed=0).ok
     assert dissection_jacobiator_check(p, dd).ok
@@ -332,12 +338,17 @@ def test_nonflat_dissection_components_match():
 
 
 def test_dissection_rejects_bad_connection():
-    dd = _flat_dissection()
-    one = Poly.const(dd.chart, 1)
-    dd.gamma[0][0][0] = one  # not pairing-skew for the hyperbolic block
+    flat = _flat_dissection()
+    gamma = [[list(row) for row in g_m] for g_m in flat.gamma]
+    gamma[0][0][0] = Poly.const(flat.chart, 1)  # not pairing-skew for the hyperbolic block
+    dd = DissectionData(
+        flat.chart, flat.aux_rank, flat.aux_pairing, gamma, flat.curvature, flat.psi,
+        flat.fiber_table,
+    )
     with pytest.raises(ConstructionError) as err:
         from_dissection(dd)
     assert err.value.code == "connection-not-metric"
+    assert err.value.witness == "direction 1, frames (5,6): 1"
 
 
 def test_dissection_rejects_singular_aux_pairing():
@@ -356,6 +367,12 @@ def test_curvature_square_brute_force_oracle():
     p = from_dissection(dd)
     form = curvature_square_form(dd)
     coords = list(range(4))
+
+    def curvature(i, j):
+        zero = [Poly.zero(dd.chart)] * dd.aux_rank
+        if i < j:
+            return dd.curvature.get((i, j), zero)
+        return [-p for p in dd.curvature.get((j, i), zero)]
 
     def pair_aux(u, v):
         total = Poly.zero(dd.chart)
@@ -378,8 +395,8 @@ def test_curvature_square_brute_force_oracle():
         brute = Poly.zero(dd.chart)
         for perm in permutations(range(4)):
             val = pair_aux(
-                dd.curvature_value(idx[perm[0]], idx[perm[1]]),
-                dd.curvature_value(idx[perm[2]], idx[perm[3]]),
+                curvature(idx[perm[0]], idx[perm[1]]),
+                curvature(idx[perm[2]], idx[perm[3]]),
             )
             term = val * Fraction(sign(perm), 4)
             brute = brute + term

@@ -82,15 +82,13 @@ def test_deformation_identity_standard_twist(courant3, std3, chart3):
     assert any("vanishes" in n for n in report.notes)
 
 
-def test_deformation_identity_with_nonzero_square():
-    """Deforming inside a rank-5 auxiliary block by a non-decomposable
-    alternating form produces a nonvanishing square term.  (Any 3-form on
-    four or fewer auxiliary directions is decomposable and its induced
-    product satisfies the Jacobi identity, so the square would vanish.)"""
+def _rank5_dissection():
+    """A flat rank-5 auxiliary block with the identity pairing over two
+    coordinates."""
     c2 = Chart(["x1", "x2"])
-    zero, one = Poly.zero(c2), Poly.const(c2, 1)
+    zero = Poly.zero(c2)
     identity5 = [[Fraction(1 if i == j else 0) for j in range(5)] for i in range(5)]
-    dd = DissectionData(
+    return DissectionData(
         chart=c2,
         aux_rank=5,
         aux_pairing=identity5,
@@ -99,8 +97,38 @@ def test_deformation_identity_with_nonzero_square():
         psi=KForm.zero(c2, 3),
         fiber_table={},
     )
-    p = from_dissection(dd)
+
+
+def _so3_curved_dissection():
+    """An so(3) fiber over three coordinates whose connection curvature
+    does not match the fiber adjoint of the curvature 2-form."""
+    c3 = Chart(["x1", "x2", "x3"])
+    zero, one = Poly.zero(c3), Poly.const(c3, 1)
+    x1, x2 = Poly.var(c3, 0), Poly.var(c3, 1)
+    so3 = {(0, 1): [zero, zero, one], (1, 2): [one, zero, zero], (0, 2): [zero, -one, zero]}
+
+    def skew(a, b, c):
+        return [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
+
+    return DissectionData(
+        chart=c3,
+        aux_rank=3,
+        aux_pairing=[[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]],
+        gamma=[skew(x2, zero, zero), skew(zero, x1, zero), skew(zero, zero, one)],
+        curvature={(0, 1): [Poly.var(c3, 2), zero, zero]},
+        psi=KForm.zero(c3, 3),
+        fiber_table=so3,
+    )
+
+
+def test_deformation_identity_with_nonzero_square():
+    """Deforming inside a rank-5 auxiliary block by a non-decomposable
+    alternating form produces a nonvanishing square term.  (Any 3-form on
+    four or fewer auxiliary directions is decomposable and its induced
+    product satisfies the Jacobi identity, so the square would vanish.)"""
+    p = from_dissection(_rank5_dissection())
     b = p.bundle
+    one = Poly.const(b.chart, 1)
     # auxiliary frames are 2..6; the flat is vol(123) + vol(145) there
     omega = KerCochain(Cochain(b, 3, {(2, 3, 4): one, (2, 5, 6): one}))
     assert validate_deformation(p, omega).ok
@@ -197,24 +225,7 @@ def test_naive_cohomology_precondition_fails_with_witness():
     """A dissection whose connection curvature does not match the fiber
     adjoint has Jacobiator values outside the kernel's orthogonal; the
     squared coboundary then exhibits a counterexample."""
-    c3 = Chart(["x1", "x2", "x3"])
-    zero, one = Poly.zero(c3), Poly.const(c3, 1)
-    x1, x2 = Poly.var(c3, 0), Poly.var(c3, 1)
-    so3 = {(0, 1): [zero, zero, one], (1, 2): [one, zero, zero], (0, 2): [zero, -one, zero]}
-
-    def skew(a, b, c):
-        return [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
-
-    dd = DissectionData(
-        chart=c3,
-        aux_rank=3,
-        aux_pairing=[[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]],
-        gamma=[skew(x2, zero, zero), skew(zero, x1, zero), skew(zero, zero, one)],
-        curvature={(0, 1): [Poly.var(c3, 2), zero, zero]},
-        psi=KForm.zero(c3, 3),
-        fiber_table=so3,
-    )
-    p = from_dissection(dd)
+    p = from_dissection(_so3_curved_dissection())
     generators = default_kernel_generators(p)
     cond, witness = check_image_condition(p, generators)
     assert not cond and witness
@@ -240,24 +251,7 @@ def test_quotient_jacobi_twisted_and_standard(twisted4, std4, courant3, std3):
 
 
 def test_quotient_jacobi_precondition_failure():
-    c3 = Chart(["x1", "x2", "x3"])
-    zero, one = Poly.zero(c3), Poly.const(c3, 1)
-    x1, x2 = Poly.var(c3, 0), Poly.var(c3, 1)
-    so3 = {(0, 1): [zero, zero, one], (1, 2): [one, zero, zero], (0, 2): [zero, -one, zero]}
-
-    def skew(a, b, c):
-        return [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
-
-    dd = DissectionData(
-        chart=c3,
-        aux_rank=3,
-        aux_pairing=[[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]],
-        gamma=[skew(x2, zero, zero), skew(zero, x1, zero), skew(zero, zero, one)],
-        curvature={(0, 1): [Poly.var(c3, 2), zero, zero]},
-        psi=KForm.zero(c3, 3),
-        fiber_table=so3,
-    )
-    p = from_dissection(dd)
+    p = from_dissection(_so3_curved_dissection())
     b = p.bundle
     lift = [b.frame(i) for i in range(3)]
     comp = [b.frame(i) for i in range(6)]

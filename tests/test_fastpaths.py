@@ -1,12 +1,13 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
 by contraction, the B-field map, the two-term l3 read from the Jacobiator
-flat, the cached frame-axiom and bundle verdicts and the
-structure-constant Lie checks, against the code they replaced:
-`dee_reference`, `bracket_reference`, `pairing_reference`,
-`raise_reference`, `ker_value_reference`, `ker_eval_reference`,
-`cochain_evaluate_reference`, `bfield_sharp_reference` and
-`lie_checks_reference` below are the earlier implementations, kept as
+flat, the cached frame-axiom and bundle verdicts, the structure-constant
+Lie checks and the dissection built through the connection recipe,
+against the code they replaced: `dee_reference`, `bracket_reference`,
+`pairing_reference`, `raise_reference`, `ker_value_reference`,
+`ker_eval_reference`, `cochain_evaluate_reference`,
+`bfield_sharp_reference`, `lie_checks_reference` and
+`dissection_table_reference` below are the earlier implementations, kept as
 oracles, and so are `algebroid.jacobiator` and
 `twoterm.skew_jacobiator_direct`.  The Dorfman oracle in test_algebroid.py
 is the second, independent one."""
@@ -37,6 +38,10 @@ from precourant.poly import Chart, Poly, sort_sign
 from precourant.runner import build_context, run_manifest
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
 from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct
+from test_builders import _dissection as _builders_dissection
+from test_construct import _flat_dissection, _so3_dissection
+from test_deform import _rank5_dissection, _so3_curved_dissection
+from test_witnesses import _dissection_line, _dissection_so3_plane, _dissection_x4
 
 BUILTINS = [
     "standard_r3",
@@ -156,6 +161,61 @@ def cochain_evaluate_reference(psi, sections):
             else:
                 out = out + term if sort_sign(perm)[1] > 0 else out - term
     return out
+
+
+def dissection_table_reference(dd):
+    """The dissection's frame table assembled block by block from its raw
+    data, on lists of auxiliary coefficients."""
+    b = standard_bundle(dd.chart, dd.aux_pairing)
+    n, g = dd.chart.dim, dd.aux_rank
+    zero = Poly.zero(dd.chart)
+
+    def skew_entry(values, i, j):
+        if i == j:
+            return [zero] * g
+        if i < j:
+            return list(values.get((i, j), [zero] * g))
+        return [-p for p in skew_entry(values, j, i)]
+
+    def column(m, a):
+        return [dd.gamma[m][c][a] for c in range(g)]
+
+    def pair(u, v):
+        out = zero
+        for a, c in product(range(g), repeat=2):
+            if dd.aux_pairing[a][c] != 0:
+                out = out + (u[a] * v[c]) * dd.aux_pairing[a][c]
+        return out
+
+    def section(aux, cotangent):
+        return Section(b, [zero] * n + list(aux) + list(cotangent))
+
+    unit = [[Poly.const(dd.chart, int(t == a)) for t in range(g)] for a in range(g)]
+    table = zero_table(b)
+    for i, j in product(range(n), repeat=2):
+        cot = [dd.psi.value_at((i, j, k)) for k in range(n)]
+        table[i][j] = section(skew_entry(dd.curvature, i, j), cot)
+    for i, a in product(range(n), range(g)):
+        cot = [-pair(unit[a], skew_entry(dd.curvature, i, k)) for k in range(n)]
+        table[i][n + a] = section(column(i, a), cot)
+        table[n + a][i] = -table[i][n + a]
+    for a, c in product(range(g), repeat=2):
+        cot = [pair(unit[c], column(k, a)) for k in range(n)]
+        table[n + a][n + c] = section(skew_entry(dd.fiber_table, a, c), cot)
+    return table
+
+
+def _test_dissections():
+    """Every dissection the tests build, the builtin one and one without
+    an auxiliary block."""
+    chart = Chart(["x1", "x2", "x3"])
+    yield construct.DissectionData(chart, 0, [], [[] for _ in range(3)], {},
+                                   KForm.zero(chart, 3), {})
+    yield build_context(load("dissection_rank2")).dissection
+    yield _builders_dissection()[2]["dissection"]
+    yield from (_flat_dissection(), _so3_dissection(), _rank5_dissection(),
+                _so3_curved_dissection(), _dissection_x4(), _dissection_so3_plane(),
+                _dissection_line())
 
 
 def bfield_sharp_reference(b, beta, e):
@@ -700,3 +760,19 @@ def test_coisotropy_shared_with_the_twisted_action(monkeypatch):
     # kernel and one perp per sample point
     assert run_manifest(m, tasks=["validate-action", "coisotropy"]).ok
     assert len(kernels) == 2 * len(m.points)
+
+
+def test_dissection_table_matches_reference(monkeypatch):
+    calls = []
+    real = construct.from_connection_beta
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct, "from_connection_beta", counted)
+    for dd in _test_dissections():
+        calls.clear()
+        p = construct.from_dissection(dd)
+        assert [list(row) for row in p.table] == dissection_table_reference(dd)
+        assert len(calls) == 1

@@ -3,8 +3,8 @@ modules keep to each other's public names, off the dense views of the
 sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, every check is recorded through
 `VerifyReport`, every module-level function and class has a caller in the
-package, the two-term l3 has one code path, and importing the CLI stays
-cheap."""
+package, the two-term l3 has one code path, the builders have one
+connection derivative, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -173,3 +173,21 @@ def test_two_term_module_never_evaluates_nested_jacobiators():
         and "jacobiator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def test_builders_differentiate_in_one_connection_derivative():
+    # the connection-plus-corrector recipe and the dissection's closed forms
+    # share one covariant derivative: nothing else in construct.py takes .diff
+    tree = ast.parse((ROOT / "src" / "precourant" / "construct.py").read_text())
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "diff"
+            for node in ast.walk(func)
+        )
+    }
+    assert callers == {"_covariant"}, callers
