@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import combinations, product
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bundle import (
     CourantBundle,
@@ -44,10 +44,11 @@ class PreCourantAlgebroid:
 
     `rows[i]` lists the nonzero entries of table row i once, as
     {j: ((k, c), ...)} with a constant coefficient c held as its scalar.
-    `bracket` memoises its results here by the value of its arguments, and
-    `verify_axioms` keeps its frame-level verdicts in `frame_report` and
-    `cochain.jacobiator_flat` keeps the flat of the Jacobiator in `jflat`,
-    so all three live exactly as long as the algebroid.
+    `bracket` memoises its results here by the value of its arguments,
+    `verify_axioms` keeps its frame-level verdicts in `frame_report`,
+    `frame_jacobiators` keeps J on the increasing frame triples in `jtable`
+    and `cochain.jacobiator_flat` keeps the flat of the Jacobiator in
+    `jflat`, so all four live exactly as long as the algebroid.
     """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
@@ -71,6 +72,7 @@ class PreCourantAlgebroid:
         )
         self.bracket_memo = {}
         self.frame_report: Optional[VerifyReport] = None
+        self.jtable = None
         self.jflat = None
 
     @property
@@ -156,6 +158,25 @@ def jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) ->
         - bracket(p, bracket(p, e1, e2), e3)
         - bracket(p, e2, bracket(p, e1, e3))
     )
+
+
+def frame_jacobiators(p: PreCourantAlgebroid) -> Dict[Tuple[int, int, int], Section]:
+    """J on every increasing frame triple, keyed in `combinations` order.
+
+    J is C-infinity-multilinear, so these values determine it.  They depend
+    on the algebroid alone, so the table is built once and kept in `p.jtable`.
+    """
+    if p.jtable is None:
+        p.jtable = _frame_jacobiators(p)
+    return p.jtable
+
+
+def _frame_jacobiators(p: PreCourantAlgebroid) -> Dict[Tuple[int, int, int], Section]:
+    u = p.bundle.frames()
+    return {
+        (i, j, k): jacobiator(p, u[i], u[j], u[k])
+        for i, j, k in combinations(range(p.rank), 3)
+    }
 
 
 def skew_bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:

@@ -21,7 +21,7 @@ import random
 from itertools import chain, combinations, product
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, jacobiator, verify_axioms
+from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator, verify_axioms
 from .bundle import CourantBundle, Section, anchor_apply, format_section, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, contract, evaluate, vf_apply
@@ -295,28 +295,20 @@ def verify_comm_lemma(
 
 
 def jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
-    """The 4-cochain <J(u_a, u_b, u_c), u_d> on increasing frame tuples.
+    """The 4-cochain <J(u_a, u_b, u_c), u_d> on increasing frame tuples,
+    paired from `frame_jacobiators(p)`.
 
     Only meaningful once total alternation has been verified.  It depends
     on the algebroid alone, so it is built once and kept in `p.jflat`.
     """
     if p.jflat is None:
-        p.jflat = _jacobiator_flat(p)
+        b = p.bundle
+        table = frame_jacobiators(p)
+        p.jflat = Cochain(b, 4, {
+            quad: pairing(table[quad[:3]], b.frame(quad[3]))
+            for quad in combinations(range(b.rank), 4)
+        })
     return p.jflat
-
-
-def _jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
-    b = p.bundle
-    cache: Dict[FrameTuple, Section] = {}
-    for triple in combinations(range(b.rank), 3):
-        cache[triple] = jacobiator(
-            p, b.frame(triple[0]), b.frame(triple[1]), b.frame(triple[2])
-        )
-    values = {
-        quad: pairing(cache[quad[:3]], b.frame(quad[3]))
-        for quad in combinations(range(b.rank), 4)
-    }
-    return Cochain(b, 4, values)
 
 
 def verify_jacobiator_theorem(
@@ -344,26 +336,21 @@ def verify_jacobiator_theorem(
     b = p.bundle
     r = b.rank
     frames = b.frames()
+    table = frame_jacobiators(p)
 
-    jcache: Dict[FrameTuple, Section] = {}
-
-    def jval(i: int, j: int, k: int) -> Section:
-        key = (i, j, k)
-        if key not in jcache:
-            jcache[key] = jacobiator(p, frames[i], frames[j], frames[k])
-        return jcache[key]
+    def jval(*idx: int) -> Section:
+        return jacobiator(p, *(frames[t] for t in idx))
 
     # (1) skew-symmetry on frame triples (adjacent swaps + repeated arguments)
-    triples = list(combinations(range(r), 3))
     report.first(
         "skew-symmetric",
         chain(
-            (f"frames ({i + 1},{j + 1},{k + 1})" for i, j, k in triples
-             if not (((base := jval(i, j, k)) + jval(j, i, k)).is_zero()
-                     and (base + jval(i, k, j)).is_zero())),
+            (f"frames ({i + 1},{j + 1},{k + 1})" for (i, j, k), base in table.items()
+             if not ((base + jval(j, i, k)).is_zero() and (base + jval(i, k, j)).is_zero())),
+            # the three repeated triples coincide when i == j
             (f"repeated frames ({i + 1},{j + 1})" for i, j in product(range(r), repeat=2)
-             if not (jval(i, i, j).is_zero() and jval(i, j, j).is_zero()
-                     and jval(i, j, i).is_zero())),
+             if not all(jval(*t).is_zero()
+                        for t in dict.fromkeys([(i, i, j), (i, j, j), (i, j, i)]))),
         ),
     )
 
@@ -384,8 +371,8 @@ def verify_jacobiator_theorem(
     # (3) values in the kernel of the anchor
     report.first(
         "kernel-valued",
-        (f"frames ({i + 1},{j + 1},{k + 1})" for i, j, k in triples
-         if not anchor_apply(jval(i, j, k)).is_zero()),
+        (f"frames ({i + 1},{j + 1},{k + 1})" for (i, j, k), v in table.items()
+         if not anchor_apply(v).is_zero()),
     )
 
     # (4) total alternation of <J(.,.,.), .> on frame quadruples
@@ -394,10 +381,10 @@ def verify_jacobiator_theorem(
         chain(
             (f"frames ({i + 1},{j + 1},{k + 1},{l + 1})"
              for i, j, k, l in combinations(range(r), 4)
-             if not (pairing(jval(i, j, k), frames[l])
-                     + pairing(jval(i, j, l), frames[k])).is_zero()),
-            (f"frames ({i + 1},{j + 1},{k + 1}) self-pairing" for i, j, k in triples
-             if not all(pairing(jval(i, j, k), frames[x]).is_zero() for x in (i, j, k))),
+             if not (pairing(table[i, j, k], frames[l])
+                     + pairing(table[i, j, l], frames[k])).is_zero()),
+            (f"frames ({i + 1},{j + 1},{k + 1}) self-pairing" for (i, j, k), v in table.items()
+             if not all(pairing(v, frames[x]).is_zero() for x in (i, j, k))),
         ),
     )
 

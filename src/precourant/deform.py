@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, jacobiator
+from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator
 from .bundle import (
     CourantBundle,
     Section,
@@ -129,16 +129,16 @@ def verify_deformation_identity(
     partial_omega = partial_section_values(p, omega)
 
     half = Fraction(1, 2)
-    triples = {idx: [b.frame(i) for i in idx] for idx in combinations(range(b.rank), 3)}
-    squares = {idx: omega_square(p, omega, *e) for idx, e in triples.items()}
+    table, deformed_table = frame_jacobiators(p), frame_jacobiators(deformed)
+    squares = {idx: omega_square(p, omega, *(b.frame(i) for i in idx)) for idx in table}
     report.first(
         "identity-on-frames",
         (
             f"frames {tuple(i + 1 for i in idx)}: deformed J = "
             f"({format_section(lhs)}) vs ({format_section(rhs)})"
-            for idx, e in triples.items()
-            if (lhs := jacobiator(deformed, *e))
-            != (rhs := jacobiator(p, *e) + partial_omega[idx] + squares[idx].scale(half))
+            for idx, j in table.items()
+            if (lhs := deformed_table[idx])
+            != (rhs := j + partial_omega[idx] + squares[idx].scale(half))
         ),
     )
     report.notes.append(
@@ -167,15 +167,6 @@ def verify_deformation_identity(
 # --- B-fields ----------------------------------------------------------
 
 
-def bfield_deformed_structure(
-    p: PreCourantAlgebroid, beta: KForm
-) -> PreCourantAlgebroid:
-    """The equivalent structure o + rho*(d beta (rho ., rho ., .))."""
-    return apply_deformation(
-        p, twist_deformation(p.bundle, ext_d(beta)), validate=False
-    )
-
-
 def bfield_verify(
     p: PreCourantAlgebroid,
     beta: KForm,
@@ -189,7 +180,8 @@ def bfield_verify(
     # B#, the section with <B#(e), e'> = beta(rho e, rho e')
     b_sharp = KerCochain(pullback_form(b, beta))
 
-    deformed = bfield_deformed_structure(p, beta)
+    # the equivalent structure o + rho*(d beta (rho ., rho ., .))
+    deformed = apply_deformation(p, twist_deformation(b, ext_d(beta)), validate=False)
     rng = random.Random(seed)
     sections = [b.frame(i) for i in range(b.rank)]
     sections += [random_section(rng, b, max_degree) for _ in range(trials)]
@@ -220,10 +212,11 @@ def bfield_verify(
         (f"({format_section(e)})" for e, te in moved if anchor_apply(te) != anchor_apply(e)),
     )
     # (4) Jacobiator invariant on frame triples
+    deformed_table = frame_jacobiators(deformed)
     report.first(
         "jacobiator-invariant",
-        (f"frames {tuple(i + 1 for i in idx)}" for idx in combinations(range(b.rank), 3)
-         if jacobiator(deformed, *(e := [b.frame(i) for i in idx])) != jacobiator(p, *e)),
+        (f"frames {tuple(i + 1 for i in idx)}" for idx, j in frame_jacobiators(p).items()
+         if deformed_table[idx] != j),
     )
 
     # (5) closed 2-form leaves the bracket table unchanged
@@ -341,8 +334,7 @@ def pontryagin_vanishing_check(
         "untwisted-jacobiator-zero",
         (
             f"frames {tuple(i + 1 for i in idx)}: J = ({format_section(j)})"
-            for idx in combinations(range(b.rank), 3)
-            if not (j := jacobiator(deformed, *[b.frame(i) for i in idx])).is_zero()
+            for idx, j in frame_jacobiators(deformed).items() if not j.is_zero()
         ),
     )
     return report
@@ -356,12 +348,10 @@ def check_image_condition(
 ) -> Tuple[bool, str]:
     """Whether every Jacobiator value pairs to zero with the kernel,
     i.e. lands in the kernel's orthogonal."""
-    b = p.bundle
     witness = next(
         (
             f"<J(u{i + 1}, u{j + 1}, u{k + 1}), kappa_{a + 1}> = {format_poly(v)}"
-            for i, j, k in combinations(range(b.rank), 3)
-            if not (jv := jacobiator(p, b.frame(i), b.frame(j), b.frame(k))).is_zero()
+            for (i, j, k), jv in frame_jacobiators(p).items() if not jv.is_zero()
             for a, kappa in enumerate(kernel_generators)
             if not (v := pairing(jv, kappa)).is_zero()
         ),

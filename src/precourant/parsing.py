@@ -53,6 +53,8 @@ def _tokenize(text: str, line: int) -> List[_Token]:
                     k += 1
                 if k == j + 1:
                     raise ParseError(line, j + 2, "denominator digits")
+                if int(text[j + 1 : k]) == 0:
+                    raise ParseError(line, j + 2, "nonzero denominator", text[j + 1 : k])
                 tokens.append(_Token("number", text[i:k], col))
                 i = k
             else:

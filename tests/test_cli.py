@@ -242,6 +242,10 @@ CONNECTION_BUNDLE = (
         ("[builder]\nkind = twisted_action\n\n[algebra]\ndim = 1\ndouble = false\n\n"
          "[action]\nrho.1 = 1\n", "line 8, column 1"),
         ("[builder]\nkind = standard\n\n[algebra]\ndim = 1\npairing.1 = 1\n", "line 7, column 1"),
+        # a zero denominator in a form or polynomial literal
+        ("[builder]\nkind = twisted_exact\nh = 1/0*dx(1)\n", "line 6, column 7"),
+        (CONNECTION_BUNDLE.replace("anchor.1 = 1", "anchor.1 = 1/0")
+         + "[builder]\nkind = connection_beta\n", "line 8, column 14"),
     ],
 )
 def test_bad_builder_input_exits_2(tmp_path, capsys, text, position):

@@ -1,7 +1,7 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
-by contraction, the B-field map, the two-term l3 read from the Jacobiator
-flat, the cached frame-axiom and bundle verdicts, the structure-constant
+by contraction, the B-field map, the frame Jacobiator table, the two-term
+l3 read from the Jacobiator flat, the cached frame-axiom and bundle verdicts, the structure-constant
 Lie checks and the dissection built through the connection recipe,
 against the code they replaced: `dee_reference`, `bracket_reference`,
 `pairing_reference`, `raise_reference`, `ker_value_reference`,
@@ -22,6 +22,7 @@ from precourant import algebroid, bundle, cochain, construct, linalg, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
     bracket,
+    frame_jacobiators,
     jacobiator,
     verify_axioms,
     zero_table,
@@ -562,36 +563,70 @@ def test_frame_axioms_run_once_per_algebroid(monkeypatch, std4, chart4):
     assert seen[2:] == [base, twisted]
 
 
+def _frame_j_algebroids(std4, chart4):
+    """The six builtins, a twisted_exact deformation and a broken table."""
+    for name in BUILTINS:
+        yield build_context(load(name)).algebroid
+    base = PreCourantAlgebroid(std4, zero_table(std4))
+    yield apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
+    table = zero_table(std4)
+    x1 = Poly.var(chart4, 0)
+    table[0][1], table[1][0] = std4.frame(2).scale(x1), -std4.frame(2).scale(x1)
+    table[1][2], table[2][1] = std4.frame(0), -std4.frame(0)
+    yield base.with_table(table)
+
+
+def test_frame_jacobiators_match_direct_evaluation(std4, chart4):
+    nonzero = []
+    for p in _frame_j_algebroids(std4, chart4):
+        table = frame_jacobiators(p)
+        assert list(table) == list(combinations(range(p.rank), 3))
+        # a fresh algebroid, so no memo is shared with the table
+        q, u = p.with_table(p.table), p.bundle.frames()
+        assert table == {idx: jacobiator(q, *(u[i] for i in idx)) for idx in table}
+        assert frame_jacobiators(p) is table
+        nonzero.append(any(not v.is_zero() for v in table.values()))
+    assert nonzero[-2:] == [True, True]
+
+
 def test_jacobiator_flat_built_once_per_algebroid(monkeypatch, std4, chart4):
-    built = []
-    real = cochain._jacobiator_flat
+    built, bases = [], []
+    real = algebroid._frame_jacobiators
 
     def counted(p):
         built.append(p)
         return real(p)
 
-    monkeypatch.setattr(cochain, "_jacobiator_flat", counted)
-    m = load("twisted_r4")
-    m.trials = 1
-    # the theorem suite and the vanishing check read one flat
-    assert run_manifest(m, tasks=["jacobiator-theorem", "pontryagin-vanishing"]).ok
-    assert len(built) == 1
-    p = built[0]
-    assert jacobiator_flat(p) is p.jflat and len(built) == 1
-    assert p.jflat == real(p)
-    # so do the theorem suite and the dissection's Pontryagin comparison
-    m = load("dissection_rank2")
-    m.trials = 1
-    assert run_manifest(m, tasks=["jacobiator-theorem", "dissection-pontryagin"]).ok
-    assert len(built) == 2 and built[1] is not p
-    # a derived algebroid starts without a flat of its own
-    assert p.with_table(p.table).jflat is None
+    def capture(m):
+        ctx = build_context(m)
+        bases.append(ctx.algebroid)
+        return ctx
+
+    monkeypatch.setattr(algebroid, "_frame_jacobiators", counted)
+    monkeypatch.setattr(runner, "build_context", capture)
+    for name, deformed in (("twisted_r4", 1), ("dissection_rank2", 0)):
+        built.clear()
+        m = load(name)
+        m.trials = 1
+        # every frame-level check of the full task list reads one table per
+        # algebroid: the base and each deformed structure build theirs once
+        assert run_manifest(m).ok
+        p = bases[-1]
+        assert built[0] is p and len(built) == 1 + deformed
+        assert len({id(q) for q in built}) == len(built)
+        assert jacobiator_flat(p) is p.jflat and frame_jacobiators(p) is p.jtable
+        assert len(built) == 1 + deformed
+        assert p.jflat == jacobiator_flat(p.with_table(p.table))
+    # a derived algebroid starts with neither cache
+    derived = p.with_table(p.table)
+    assert derived.jtable is None and derived.jflat is None
     base = PreCourantAlgebroid(std4, zero_table(std4))
     jacobiator_flat(base)
     twisted = apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
-    assert twisted.jflat is None and base.jflat is not None
+    assert twisted.jtable is None and twisted.jflat is None
+    assert base.jtable is not None and base.jflat is not None
     assert not jacobiator_flat(twisted).is_zero() and base.jflat.is_zero()
-    assert built[2:] == [base, twisted]
+    assert built[-2:] == [base, twisted]
 
 
 @pytest.mark.parametrize("name", ["twisted_action_synthetic", "double_nonabelian", "action_abelian"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from precourant.errors import ChartMismatchError, ParseError
-from precourant.parsing import parse_poly, parse_scalar
+from precourant.parsing import parse_form, parse_poly, parse_scalar
 from precourant.poly import Chart, Poly, format_poly
 
 
@@ -97,6 +97,12 @@ def test_parse_error_positions(c):
         with pytest.raises(ParseError) as err:
             parse_poly(c, text)
         assert err.value.column == column, text
+    # a zero denominator is named at its first digit, in either grammar
+    for parse, text, column in ((parse_poly, "x1 + 3/0", 8), (parse_poly, "1/00*x1", 3),
+                                (parse_form, "1/0*dx(1,2)", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(c, text)
+        assert (err.value.column, err.value.expected) == (column, "nonzero denominator"), text
 
 
 def test_integral_literals_reach_poly_as_ints(c, monkeypatch):

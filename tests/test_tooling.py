@@ -4,7 +4,8 @@ sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, every check is recorded through
 `VerifyReport`, every module-level function and class has a caller in the
 package, the two-term l3 has one code path, the builders have one
-connection derivative, and importing the CLI stays cheap."""
+connection derivative, J on frame triples is enumerated in one place, and
+importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -171,6 +172,22 @@ def test_two_term_module_never_evaluates_nested_jacobiators():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and "jacobiator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []
+
+
+def test_frame_triples_enumerated_only_in_algebroid():
+    # J on the increasing frame triples is read from `frame_jacobiators`
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "precourant").glob("*.py"))
+        if path.name != "algebroid.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "combinations"
+        and len(node.args) == 2
+        and re.fullmatch(r"range\(.*\.rank\)", ast.unparse(node.args[0]))
+        and ast.unparse(node.args[1]) == "3"
     ]
     assert calls == []
 
