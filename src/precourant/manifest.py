@@ -8,6 +8,10 @@ keys (``metric.2 = 0, 1``) with comma-separated entries, sparse tables
 default to zero.  Exactly one of the ``[bracket]`` and ``[builder]``
 sections must be present.
 
+The block table `BLOCKS` declares each optional block beyond the builder
+once; one loop parses them all into `Manifest.blocks`, and `check_tasks`
+names a missing block or builder kind from the two tables.
+
 The builder table `BUILDERS` declares each way of building the structure
 once: the sections it reads, how they parse into one plain spec, the bundle
 rank of that spec, and how the spec builds the bundle, the algebroid and
@@ -22,7 +26,7 @@ All syntax errors carry a line and column.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .algebroid import PreCourantAlgebroid, zero_table
@@ -41,26 +45,26 @@ from .errors import ParseError, SingularMetricError, TaskError
 from .exterior import KForm
 from .parsing import parse_form, parse_poly, parse_scalar
 from .poly import Chart, Poly
-from .tasks import TASKS, BuildContext, check_tasks
+from .tasks import TASKS, BuildContext
 
 # the smallest value of each integer setting, in [meta] and as a CLI override
 META_MINIMUM = {"seed": 0, "trials": 1, "max_degree": 0}
 
+# the optional blocks beyond the builder: block -> (the key of its rows,
+# prefix.N, or of its single form entry; what a row holds, "rank"
+# coefficients of the built bundle or a "point" of the chart, or the degree
+# of the form).  A block without a row or entry is an error at its header.
+BLOCKS: Dict[str, Tuple[str, Union[str, int]]] = {
+    "lift": ("sigma", "rank"),
+    "complement": ("c", "rank"),
+    "points": ("p", "point"),
+    "deform": ("h", 3),
+    "bfield": ("beta", 2),
+    "pontryagin": ("h", 3),
+}
+
 _SECTIONS = (
-    "meta",
-    "chart",
-    "bundle",
-    "bracket",
-    "builder",
-    "algebra",
-    "action",
-    "dissection",
-    "lift",
-    "complement",
-    "points",
-    "deform",
-    "bfield",
-    "pontryagin",
+    "meta", "chart", "bundle", "bracket", "builder", "algebra", "action", "dissection", *BLOCKS
 )
 
 
@@ -91,8 +95,7 @@ Sections = Dict[str, _Section]
 
 class Manifest:
     __slots__ = (
-        "name", "chart", "tasks", "seed", "trials", "max_degree", "builder_kind", "spec",
-        "lift", "complement", "points", "deform_h", "bfield_beta", "pontryagin_h",
+        "name", "chart", "tasks", "seed", "trials", "max_degree", "builder_kind", "spec", "blocks"
     )
 
     def __init__(
@@ -106,13 +109,6 @@ class Manifest:
         # the key of the builder in BUILDERS (None for [bundle] + [bracket]) and its spec
         builder_kind: Optional[str] = None,
         spec: Optional[Spec] = None,
-        # auxiliary blocks
-        lift: Optional[List[List[Poly]]] = None,
-        complement: Optional[List[List[Poly]]] = None,
-        points: Optional[List[Tuple[Fraction, ...]]] = None,
-        deform_h: Optional[KForm] = None,
-        bfield_beta: Optional[KForm] = None,
-        pontryagin_h: Optional[KForm] = None,
     ):
         self.name = name
         self.chart = chart
@@ -122,12 +118,8 @@ class Manifest:
         self.max_degree = max_degree
         self.builder_kind = builder_kind
         self.spec = spec
-        self.lift = lift
-        self.complement = complement
-        self.points = [] if points is None else points
-        self.deform_h = deform_h
-        self.bfield_beta = bfield_beta
-        self.pontryagin_h = pontryagin_h
+        # block of BLOCKS -> its list of rows or its form, for the blocks given
+        self.blocks: Dict[str, object] = {}
 
 
 def _split_sections(text: str) -> Sections:
@@ -172,42 +164,26 @@ def _lookup(entries: List[_Entry], key: str) -> Optional[_Entry]:
     return next((e for e in entries if e.key == key), None)
 
 
-def _parse_poly_list(chart: Chart, entry: _Entry, expected_len: int) -> List[Poly]:
+def _read_row(entry: _Entry, length: int, chart: Optional[Chart] = None) -> List:
+    """The comma-separated entries of a row: polynomials over the chart, or
+    numbers when no chart is given."""
     parts = entry.value.split(",")
-    if len(parts) != expected_len:
+    if len(parts) != length:
+        noun = "numbers" if chart is None else "entries"
         raise ParseError(
             entry.line,
             entry.value_col,
-            f"{expected_len} comma-separated entries for {entry.key!r}",
+            f"{length} comma-separated {noun} for {entry.key!r}",
             f"{len(parts)} entries",
         )
     out = []
-    offset = 0
+    col = entry.value_col
     for part in parts:
-        try:
-            out.append(parse_poly(chart, part))
-        except ParseError as e:
-            raise ParseError(
-                entry.line, entry.value_col + offset + e.column - 1, e.expected, e.found
-            ) from None
-        offset += len(part) + 1
-    return out
-
-
-def _parse_scalar_list(entry: _Entry, expected_len: Optional[int]) -> List[Fraction]:
-    parts = entry.value.split(",")
-    if expected_len is not None and len(parts) != expected_len:
-        raise ParseError(
-            entry.line,
-            entry.value_col,
-            f"{expected_len} comma-separated numbers for {entry.key!r}",
-            f"{len(parts)} entries",
-        )
-    out = []
-    offset = 0
-    for part in parts:
-        out.append(parse_scalar(part, entry.line, entry.value_col + offset))
-        offset += len(part) + 1
+        if chart is None:
+            out.append(parse_scalar(part, entry.line, col))
+        else:
+            out.append(parse_poly(chart, part, entry.line, col))
+        col += len(part) + 1
     return out
 
 
@@ -255,13 +231,13 @@ def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> Li
 
 
 def _contiguous_rows(section: _Section, prefix: str, parse_row) -> List:
-    """Rows prefix.1 .. prefix.N of a section in index order, N the largest
-    index given.  A gap is reported at the first entry."""
+    """Rows prefix.1 .. prefix.N of a nonempty section in index order, N the
+    largest index given.  A gap is reported at the first entry."""
     rows: Dict[int, object] = {}
     for e in section:
         (i,) = _key_indices(e, prefix, 1)
         rows[i] = parse_row(e)
-    count = max(rows) + 1 if rows else 0
+    count = max(rows) + 1
     missing = [i + 1 for i in range(count) if i not in rows]
     if missing:
         raise ParseError(section[0].line, 1, f"contiguous {prefix} rows", str(missing))
@@ -269,11 +245,7 @@ def _contiguous_rows(section: _Section, prefix: str, parse_row) -> List:
 
 
 def _parse_form_entry(chart: Chart, e: _Entry, degree: int) -> KForm:
-    try:
-        form = parse_form(chart, e.value)
-    except ParseError as exc:
-        # the form parser sees only the value; shift to file coordinates
-        raise ParseError(e.line, e.value_col + exc.column - 1, exc.expected, exc.found) from None
+    form = parse_form(chart, e.value, e.line, e.value_col)
     if form.degree != degree:
         raise ParseError(e.line, e.value_col, f"a {degree}-form literal")
     return form
@@ -306,10 +278,8 @@ def _parse_bundle(chart: Chart, entries: _Section) -> Spec:
     ]
     if leftovers:
         raise ParseError(leftovers[0].line, 1, "rank, metric.N or anchor.N", leftovers[0].key)
-    metric = _numbered_rows(entries, "metric", rank, lambda e: _parse_scalar_list(e, rank))
-    anchor = _numbered_rows(
-        entries, "anchor", rank, lambda e: _parse_poly_list(chart, e, chart.dim)
-    )
+    metric = _numbered_rows(entries, "metric", rank, lambda e: _read_row(e, rank))
+    anchor = _numbered_rows(entries, "anchor", rank, lambda e: _read_row(e, chart.dim, chart))
     return dict(rank=rank, metric=metric, anchor=anchor)
 
 
@@ -321,7 +291,7 @@ def _parse_bracket(chart: Chart, sections: Sections, kind_entry: None) -> Spec:
         i, j = _key_indices(e, "t", 2)
         if i >= rank or j >= rank:
             raise ParseError(e.line, 1, f"frame indices between 1 and {rank}", e.key)
-        table[(i, j)] = _parse_poly_list(chart, e, rank)
+        table[(i, j)] = _read_row(e, rank, chart)
     return dict(spec, brackets=table)
 
 
@@ -373,12 +343,12 @@ def _parse_connection_beta(chart: Chart, sections: Sections, kind_entry: _Entry)
             mm, a = _key_indices(e, "gamma", 2)
             if mm >= chart.dim or a >= rank:
                 raise ParseError(e.line, 1, "gamma.direction.frame in range", e.key)
-            gamma[(mm, a)] = _parse_poly_list(chart, e, rank)
+            gamma[(mm, a)] = _read_row(e, rank, chart)
         elif e.key.startswith("beta."):
             i, j = _key_indices(e, "beta", 2)
             if i >= rank or j >= rank:
                 raise ParseError(e.line, 1, f"frame indices between 1 and {rank}", e.key)
-            beta[(i, j)] = _parse_poly_list(chart, e, rank)
+            beta[(i, j)] = _read_row(e, rank, chart)
         else:
             raise _not_an_entry_of(kind_entry, e)
     return dict(spec, gamma=gamma, beta=beta)
@@ -424,7 +394,7 @@ def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) 
             i, j = _key_indices(e, "bracket", 2)
             if i >= dim or j >= dim:
                 raise ParseError(e.line, 1, f"basis indices between 1 and {dim}", e.key)
-            brackets[(i, j)] = _parse_scalar_list(e, dim)
+            brackets[(i, j)] = _read_row(e, dim)
         elif e.key.startswith("pairing."):
             pairing_entries.append(e)
         else:
@@ -436,9 +406,7 @@ def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) 
         )
     pairing = None
     if pairing_entries:
-        pairing = _numbered_rows(
-            entries, "pairing", dim, lambda e: _parse_scalar_list(e, dim)
-        )
+        pairing = _numbered_rows(entries, "pairing", dim, lambda e: _read_row(e, dim))
     elif not doubled:
         raise ParseError(dim_entry.line, 1, "pairing.N rows in [algebra] unless double = true")
 
@@ -450,13 +418,13 @@ def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) 
     leftovers = [e for e in entries if e not in rho_entries and e not in k_entries]
     if leftovers:
         raise ParseError(leftovers[0].line, 1, "rho.N or k.I.J", leftovers[0].key)
-    rho = _numbered_rows(entries, "rho", rank, lambda e: _parse_poly_list(chart, e, chart.dim))
+    rho = _numbered_rows(entries, "rho", rank, lambda e: _read_row(e, chart.dim, chart))
     k: Dict[Tuple[int, int], List[Poly]] = {}
     for e in k_entries:
         i, j = _key_indices(e, "k", 2)
         if i >= rank or j >= rank:
             raise ParseError(e.line, 1, f"basis indices between 1 and {rank}", e.key)
-        k[(i, j)] = _parse_poly_list(chart, e, rank)
+        k[(i, j)] = _read_row(e, rank, chart)
     return dict(dim=dim, double=doubled, brackets=brackets, pairing=pairing, rho=rho, k=k)
 
 
@@ -466,7 +434,7 @@ def _build_twisted_action(m: Manifest) -> BuildContext:
     base = None
     if s["double"]:
         base, algebra = algebra, double(algebra)
-    points = m.points or [(0,) * m.chart.dim]
+    points = m.blocks.get("points", [(0,) * m.chart.dim])
     action = make_twisted_action(algebra, m.chart, s["rho"], s["k"], points)
     algebroid = from_twisted_action(action)
     return BuildContext(m, algebroid.bundle, algebroid, algebra, base, action)
@@ -491,24 +459,24 @@ def _parse_dissection(chart: Chart, sections: Sections, kind_entry: _Entry) -> S
             idx = _key_indices(e, "gamma", 2)
             if idx[0] >= chart.dim or idx[1] >= g:
                 raise ParseError(e.line, 1, "gamma.direction.row in range", e.key)
-            gamma[idx] = _parse_poly_list(chart, e, g)
+            gamma[idx] = _read_row(e, g, chart)
         elif e.key.startswith("r."):
             i, j = _key_indices(e, "r", 2)
             if not i < j < chart.dim:
                 raise ParseError(e.line, 1, f"r.I.J with I < J <= {chart.dim}", e.key)
-            curvature[(i, j)] = _parse_poly_list(chart, e, g)
+            curvature[(i, j)] = _read_row(e, g, chart)
         elif e.key == "psi":
             psi = _parse_form_entry(chart, e, 3)
         elif e.key.startswith("gbracket."):
             i, j = _key_indices(e, "gbracket", 2)
             if not i < j < g:
                 raise ParseError(e.line, 1, f"gbracket.I.J with I < J <= {g}", e.key)
-            fiber_table[(i, j)] = _parse_poly_list(chart, e, g)
+            fiber_table[(i, j)] = _read_row(e, g, chart)
         else:
             raise ParseError(
                 e.line, 1, "aux_rank, pairing.N, gamma.M.N, r.I.J, psi or gbracket.I.J", e.key
             )
-    pairing = _numbered_rows(entries, "pairing", g, lambda e: _parse_scalar_list(e, g))
+    pairing = _numbered_rows(entries, "pairing", g, lambda e: _read_row(e, g))
     if not linalg.is_symmetric(pairing):
         raise ParseError(
             pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"
@@ -658,31 +626,26 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
     kind, spec = _parse_builder(chart, sections)
     m = Manifest(name=name, chart=chart, tasks=tasks, builder_kind=kind, spec=spec, **settings)
 
-    # lift and complement rows have the rank of the bundle the builder
+    # [lift] and [complement] rows have the rank of the bundle the builder
     # builds; a point has one coordinate per chart variable
     rank = BUILDERS[kind].rank(chart, spec)
-    for key, prefix, parse_row in (
-        ("lift", "sigma", lambda e: _parse_poly_list(chart, e, rank)),
-        ("complement", "c", lambda e: _parse_poly_list(chart, e, rank)),
-        ("points", "p", lambda e: tuple(_parse_scalar_list(e, chart.dim))),
-    ):
-        if key in sections:
-            setattr(m, key, _contiguous_rows(sections[key], prefix, parse_row))
-
-    # deform / bfield / pontryagin forms
-    for sect, attr, degree in (
-        ("deform", "deform_h", 3),
-        ("bfield", "bfield_beta", 2),
-        ("pontryagin", "pontryagin_h", 3),
-    ):
-        entries = section(sect)
-        if not entries:
+    read_row = {
+        "rank": lambda e: _read_row(e, rank, chart),
+        "point": lambda e: tuple(_read_row(e, chart.dim)),
+    }
+    for block, (key, holds) in BLOCKS.items():
+        entries = sections.get(block)
+        if entries is None:
             continue
-        keyname = "beta" if sect == "bfield" else "h"
-        e = _lookup(entries, keyname)
-        if e is None or len(entries) > 1:
-            raise ParseError(entries[0].line, 1, f"a single {keyname!r} entry in [{sect}]")
-        setattr(m, attr, _parse_form_entry(chart, e, degree))
+        what = f"{key}.N rows" if holds in read_row else f"a single {key!r} entry"
+        if not entries:
+            raise ParseError(entries.line, 1, f"{what} in [{block}]")
+        if holds in read_row:
+            m.blocks[block] = _contiguous_rows(entries, key, read_row[holds])
+        elif len(entries) > 1 or entries[0].key != key:
+            raise ParseError(entries[0].line, 1, f"{what} in [{block}]")
+        else:
+            m.blocks[block] = _parse_form_entry(chart, entries[0], holds)
 
     try:
         check_tasks(m, m.tasks)
@@ -692,3 +655,17 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
         )
         raise ParseError(tasks_entry.line, tasks_entry.value_col, expected, exc.task) from None
     return m
+
+
+def check_tasks(m: Manifest, names: Sequence[str]) -> None:
+    """Raise TaskError at the first name that is unknown, or that needs a
+    block of BLOCKS or a builder kind that m lacks."""
+    for name in names:
+        if name not in TASKS:
+            raise TaskError(name)
+        for need in TASKS[name].needs:
+            if need in BLOCKS:
+                if need not in m.blocks:
+                    raise TaskError(name, f"a [{need}] block")
+            elif need != m.builder_kind:
+                raise TaskError(name, f"a [builder] of kind {need}")

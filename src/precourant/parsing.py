@@ -14,7 +14,7 @@ degree.  ``dx()`` denotes the degree-0 basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 from .errors import ParseError
 from .poly import Chart, Poly
@@ -33,7 +33,8 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text: str, line: int) -> List[_Token]:
+def _tokenize(text: str, line: int, start: int) -> List[_Token]:
+    """The tokens of a literal whose first character is at (line, start)."""
     tokens: List[_Token] = []
     i = 0
     n = len(text)
@@ -42,7 +43,7 @@ def _tokenize(text: str, line: int) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        col = i + 1
+        col = start + i
         if ch.isdecimal():
             j = i
             while j < n and text[j].isdecimal():
@@ -52,9 +53,11 @@ def _tokenize(text: str, line: int) -> List[_Token]:
                 while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
-                    raise ParseError(line, j + 2, "denominator digits")
+                    raise ParseError(line, start + j + 1, "denominator digits")
                 if int(text[j + 1 : k]) == 0:
-                    raise ParseError(line, j + 2, "nonzero denominator", text[j + 1 : k])
+                    raise ParseError(
+                        line, start + j + 1, "nonzero denominator", text[j + 1 : k]
+                    )
                 tokens.append(_Token("number", text[i:k], col))
                 i = k
             else:
@@ -71,15 +74,15 @@ def _tokenize(text: str, line: int) -> List[_Token]:
             i += 1
         else:
             raise ParseError(line, col, "number, identifier or operator", ch)
-    tokens.append(_Token("end", "", n + 1))
+    tokens.append(_Token("end", "", start + n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, chart: Chart, text: str, line: int):
+    def __init__(self, chart: Optional[Chart], text: str, line: int, col: int):
         self.chart = chart
         self.line = line
-        self.tokens = _tokenize(text, line)
+        self.tokens = _tokenize(text, line, col)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -228,24 +231,24 @@ class _Parser:
         return KForm.from_function(self._power())
 
 
-def parse_poly(chart: Chart, text: str, line: int = 1) -> Poly:
-    """Parse a polynomial literal over the chart."""
-    return _Parser(chart, text, line).parse_poly()
+def parse_poly(chart: Chart, text: str, line: int = 1, col: int = 1) -> Poly:
+    """Parse a polynomial literal over the chart; its errors are positioned
+    as if its first character stood at (line, col)."""
+    return _Parser(chart, text, line, col).parse_poly()
 
 
-def parse_form(chart: Chart, text: str, line: int = 1) -> KForm:
-    """Parse a form literal over the chart."""
-    return _Parser(chart, text, line).parse_form()
+def parse_form(chart: Chart, text: str, line: int = 1, col: int = 1) -> KForm:
+    """Parse a form literal over the chart, positioned like `parse_poly`."""
+    return _Parser(chart, text, line, col).parse_form()
 
 
 def parse_scalar(text: str, line: int = 1, col: int = 1) -> Fraction:
-    """Parse a bare rational number (used by manifest matrix rows)."""
-    t = text.strip()
-    neg = t.startswith("-")
-    if neg:
-        t = t[1:].strip()
-    try:
-        value = Fraction(t)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(line, col, "rational number", text.strip()) from None
-    return -value if neg else value
+    """Parse an optional sign and one number of the literal grammar, an
+    integer or ``p/q`` (manifest matrix and point rows), positioned like
+    `parse_poly`."""
+    p = _Parser(None, text, line, col)
+    sign = p.advance().kind if p.peek().kind in "+-" else "+"
+    value = Fraction(p.expect("number", "rational number").text)
+    if p.peek().kind != "end":
+        p.fail("end of number")
+    return -value if sign == "-" else value

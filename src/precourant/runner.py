@@ -18,9 +18,9 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .errors import PrecourantError, TaskError
-from .manifest import BUILDERS, Manifest
+from .manifest import BUILDERS, Manifest, check_tasks
 from .reports import VerifyReport
-from .tasks import TASKS, BuildContext, check_tasks
+from .tasks import TASKS, BuildContext
 
 
 class TaskResult:
@@ -107,12 +107,7 @@ class RunReport:
 
 
 def build_context(m: Manifest) -> BuildContext:
-    ctx = BUILDERS[m.builder_kind].build(m)
-    if m.lift is not None:
-        ctx.lift = [ctx.bundle.section(coeffs) for coeffs in m.lift]
-    if m.complement is not None:
-        ctx.complement = [ctx.bundle.section(coeffs) for coeffs in m.complement]
-    return ctx
+    return BUILDERS[m.builder_kind].build(m)
 
 
 def _result_from_report(name: str, report: VerifyReport) -> TaskResult:

@@ -1,16 +1,18 @@
 """The task table: every task that a manifest or ``--task`` can name.
 
-Each entry holds the function that runs the task on a built context, the
-manifest blocks the task needs, whether a closed gate skips it, and whether
-its failure closes the gate.  The manifest parser and the runner both check
-a task list against the table before anything is built, so a missing block
-is a usage error and never a crash inside a task.
+Each entry holds the function that runs the task on a built context, what
+the task needs (blocks of `manifest.BLOCKS` or a builder kind of
+`manifest.BUILDERS`), whether a closed gate skips it, and whether its
+failure closes the gate.  The manifest parser and the runner both check a
+task list against the table (`manifest.check_tasks`) before anything is
+built, so a missing block is a usage error and never a crash inside a task.
+A task reads its blocks from ``c.manifest.blocks``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .algebroid import PreCourantAlgebroid, verify_axioms, verify_derived_identities
 from .bundle import CourantBundle, Section, kernel_coisotropy_check, validate_bundle
@@ -37,7 +39,6 @@ from .deform import (
     validate_deformation,
     verify_deformation_identity,
 )
-from .errors import TaskError
 from .exterior import format_kform
 from .reports import VerifyReport
 from .sampling import random_form
@@ -59,7 +60,7 @@ class BuildContext:
 
     __slots__ = (
         "manifest", "bundle", "algebroid", "algebra", "base_algebra", "action",
-        "dissection", "lift", "complement",
+        "dissection",
     )
 
     def __init__(
@@ -71,8 +72,6 @@ class BuildContext:
         base_algebra: Optional[QuadraticLieAlgebra] = None,
         action: Optional[TwistedAction] = None,
         dissection: Optional[DissectionData] = None,
-        lift: Optional[List[Section]] = None,
-        complement: Optional[List[Section]] = None,
     ):
         self.manifest = manifest
         self.bundle = bundle
@@ -81,8 +80,6 @@ class BuildContext:
         self.base_algebra = base_algebra
         self.action = action
         self.dissection = dissection
-        self.lift = lift
-        self.complement = complement
 
 
 class Task:
@@ -101,20 +98,11 @@ class Task:
         self.sets_gate = sets_gate
 
 
-# need -> (what the manifest must contain, the test on a parsed manifest)
-NEEDS: Dict[str, Tuple[str, Callable[[Manifest], bool]]] = {
-    "points": ("a [points] block", lambda m: bool(m.points)),
-    "deform": ("a [deform] block", lambda m: m.deform_h is not None),
-    "bfield": ("a [bfield] block", lambda m: m.bfield_beta is not None),
-    "pontryagin": ("a [pontryagin] block", lambda m: m.pontryagin_h is not None),
-    "lift": ("a [lift] block", lambda m: m.lift is not None),
-    "complement": ("a [complement] block", lambda m: m.complement is not None),
-    "twisted_action": (
-        "a [builder] of kind twisted_action",
-        lambda m: m.builder_kind == "twisted_action",
-    ),
-    "dissection": ("a [builder] of kind dissection", lambda m: m.builder_kind == "dissection"),
-}
+def _sections(c: BuildContext, block: str) -> Optional[List[Section]]:
+    """The rows of a [lift] or [complement] block as sections of the built
+    bundle, or None when the manifest has no such block."""
+    rows = c.manifest.blocks.get(block)
+    return None if rows is None else [c.bundle.section(coeffs) for coeffs in rows]
 
 
 def _sampling(c: BuildContext) -> Tuple[int, int, int]:
@@ -140,7 +128,7 @@ def _lie2(c: BuildContext) -> VerifyReport:
 
 def _deform(c: BuildContext) -> VerifyReport:
     p = c.algebroid
-    omega = twist_deformation(c.bundle, c.manifest.deform_h)
+    omega = twist_deformation(c.bundle, c.manifest.blocks["deform"])
     valid = validate_deformation(p, omega)
     combined = VerifyReport("deform")
     combined.merge(valid, prefix="valid/")
@@ -153,7 +141,7 @@ def _deform(c: BuildContext) -> VerifyReport:
 
 
 def _pontryagin(c: BuildContext) -> VerifyReport:
-    form, report = pontryagin_representative(c.algebroid, c.lift)
+    form, report = pontryagin_representative(c.algebroid, _sections(c, "lift"))
     if form is not None:
         report.notes.append(f"H = {format_kform(form)}")
     return report
@@ -166,7 +154,7 @@ def _naive_cohomology(c: BuildContext) -> VerifyReport:
         pullback_form(c.bundle, random_form(rng, c.bundle.chart, 2 if i % 2 == 0 else 1))
         for i in range(min(trials, 8))
     ]
-    generators = default_kernel_generators(c.algebroid, c.lift)
+    generators = default_kernel_generators(c.algebroid, _sections(c, "lift"))
     return naive_cohomology_check(c.algebroid, samples, generators)
 
 
@@ -188,7 +176,7 @@ def _dissection_pontryagin(c: BuildContext) -> VerifyReport:
 TASKS: Dict[str, Task] = {
     "validate-bundle": Task(lambda c: validate_bundle(c.bundle), gated=False, sets_gate=True),
     "coisotropy": Task(
-        lambda c: kernel_coisotropy_check(c.bundle, c.manifest.points),
+        lambda c: kernel_coisotropy_check(c.bundle, c.manifest.blocks["points"]),
         needs=("points",),
         gated=False,
     ),
@@ -202,17 +190,19 @@ TASKS: Dict[str, Task] = {
     "lie2": Task(_lie2),
     "deform": Task(_deform, needs=("deform",)),
     "bfield": Task(
-        lambda c: bfield_verify(c.algebroid, c.manifest.bfield_beta, *_sampling(c)),
+        lambda c: bfield_verify(c.algebroid, c.manifest.blocks["bfield"], *_sampling(c)),
         needs=("bfield",),
     ),
     "pontryagin": Task(_pontryagin, needs=("lift",)),
     "pontryagin-vanishing": Task(
-        lambda c: pontryagin_vanishing_check(c.algebroid, c.manifest.pontryagin_h),
+        lambda c: pontryagin_vanishing_check(c.algebroid, c.manifest.blocks["pontryagin"]),
         needs=("pontryagin",),
     ),
     "naive-cohomology": Task(_naive_cohomology),
     "quotient-jacobi": Task(
-        lambda c: quotient_jacobi_check(c.algebroid, c.complement, c.lift, *_sampling(c)),
+        lambda c: quotient_jacobi_check(
+            c.algebroid, _sections(c, "complement"), _sections(c, "lift"), *_sampling(c)
+        ),
         needs=("complement", "lift"),
     ),
     "validate-algebra": Task(
@@ -230,13 +220,3 @@ TASKS: Dict[str, Task] = {
     "dissection-pontryagin": Task(_dissection_pontryagin, needs=("dissection",)),
 }
 
-
-def check_tasks(m: Manifest, names: Sequence[str]) -> None:
-    """Raise TaskError at the first name that is unknown or needs what m lacks."""
-    for name in names:
-        if name not in TASKS:
-            raise TaskError(name)
-        for need in TASKS[name].needs:
-            what, present = NEEDS[need]
-            if not present(m):
-                raise TaskError(name, what)

@@ -156,7 +156,7 @@ def test_criterion_05_deformation_identity(ctx_std3):
     t0 = time.monotonic()
     m = ctx_std3.manifest
     p, b = ctx_std3.algebroid, ctx_std3.bundle
-    omega = twist_deformation(b, m.deform_h)
+    omega = twist_deformation(b, m.blocks["deform"])
     report = verify_deformation_identity(p, omega, trials=16, seed=0, max_degree=2)
     assert report.ok, report.lines()
     for idx in combinations(range(b.rank), 3):
@@ -195,16 +195,16 @@ def test_criterion_08_pontryagin(ctx_tw4):
     t0 = time.monotonic()
     m = ctx_tw4.manifest
     p, b = ctx_tw4.algebroid, ctx_tw4.bundle
-    form, report = pontryagin_representative(p, ctx_tw4.lift)
+    form, report = pontryagin_representative(p, [b.section(c) for c in m.blocks["lift"]])
     assert report.ok, report.lines()
     dh = ext_d(m.spec["h"])
     assert format_kform(form) == format_kform(dh)
     assert form == dh
     assert ext_d(form).is_zero()
-    vanish = pontryagin_vanishing_check(p, m.pontryagin_h)
+    vanish = pontryagin_vanishing_check(p, m.blocks["pontryagin"])
     assert vanish.ok, vanish.lines()
     untwisted = apply_deformation(
-        p, twist_deformation(b, m.pontryagin_h.scale(-1)), validate=False
+        p, twist_deformation(b, m.blocks["pontryagin"].scale(-1)), validate=False
     )
     for idx in combinations(range(b.rank), 3):
         assert jacobiator(untwisted, *(b.frame(i) for i in idx)).is_zero()
@@ -219,7 +219,8 @@ def test_criterion_09_naive_cohomology(ctx_tw4):
         pullback_form(b, random_form(rng, b.chart, 2 if i % 2 == 0 else 1))
         for i in range(8)
     ]
-    generators = default_kernel_generators(p, ctx_tw4.lift)
+    lift = [b.section(c) for c in ctx_tw4.manifest.blocks["lift"]]
+    generators = default_kernel_generators(p, lift)
     report = naive_cohomology_check(p, samples, generators)
     assert report.ok, report.lines()
     assert sum(1 for c in report.checks if "d-squared" in c.name) == 8

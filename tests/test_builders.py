@@ -184,13 +184,14 @@ def test_manifest_builds_the_direct_structure(case):
         f"[chart]\nvars = {' '.join(f'x{i + 1}' for i in range(n))}\n\n{body}\n"
         f"[lift]\nsigma.1 = {unit}\n\n[complement]\nc.1 = {unit}\nc.2 = {unit}\n"
     )
-    ctx = build_context(parse_manifest(text, name=case))
+    m = parse_manifest(text, name=case)
+    ctx = build_context(m)
     assert ctx.bundle == direct.bundle
     assert ctx.algebroid.bundle is ctx.bundle
     assert ctx.algebroid.table == direct.table
-    assert [len(s.coeffs) for s in ctx.lift] == [rank]
-    assert [len(s.coeffs) for s in ctx.complement] == [rank, rank]
-    assert all(s.bundle is ctx.bundle for s in ctx.lift + ctx.complement)
+    # [lift] and [complement] rows have the rank of the built bundle
+    assert [len(row) for row in m.blocks["lift"]] == [rank]
+    assert [len(row) for row in m.blocks["complement"]] == [rank, rank]
     assert _same_algebra(ctx.algebra, extras.get("algebra"))
     assert _same_algebra(ctx.base_algebra, extras.get("base_algebra"))
     action = extras.get("action")

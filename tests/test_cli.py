@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,19 @@ def test_task_override_missing_block_exits_2(capsys, manifest, task, missing):
     assert code == 2
     assert out == ""
     assert f"task {task!r} needs" in err and missing in err
+    assert "Traceback" not in err
+
+
+def test_empty_complement_block_exits_2(tmp_path, capsys):
+    # with no row, quotient-jacobi would pair only zero sections and pass
+    text = re.sub(r"^c\.\d = .*\n", "", resolve_manifest("twisted_r4").read_text(), flags=re.M)
+    path = tmp_path / "empty_complement.pcm"
+    path.write_text(text)
+    header = text.splitlines().index("[complement]") + 1
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--task", "quotient-jacobi")
+    assert code == 2
+    assert out == ""
+    assert f"line {header}, column 1: expected c.N rows in [complement]" in err
     assert "Traceback" not in err
 
 

@@ -414,8 +414,8 @@ def _ker_cochains(m, ctx):
     b = ctx.bundle
     rng = random.Random(22)
     out = [KerCochain(jacobiator_flat(ctx.algebroid))]
-    if m.deform_h is not None:
-        out.append(twist_deformation(b, m.deform_h))
+    if "deform" in m.blocks:
+        out.append(twist_deformation(b, m.blocks["deform"]))
     for degree in range(1, min(b.chart.dim, 3) + 1):
         alpha = random_form(rng, b.chart, degree, 2, max_components=3)
         out.append(KerCochain(pullback_form(b, alpha)))
@@ -526,7 +526,7 @@ def test_bfield_transforms_each_section_once(monkeypatch):
     m = load("standard_r3")
     p = build_context(m).algebroid
     trials = 3
-    assert bfield_verify(p, m.bfield_beta, trials=trials, seed=1).ok
+    assert bfield_verify(p, m.blocks["bfield"], trials=trials, seed=1).ok
     drawn = p.bundle.rank + trials
     assert len(set(seen[:drawn])) == drawn
     assert len(seen) == drawn + p.bundle.rank * (drawn + trials)
@@ -794,7 +794,7 @@ def test_coisotropy_shared_with_the_twisted_action(monkeypatch):
     # defect-kills-kernel, kernel-coisotropic and the coisotropy task: one
     # kernel and one perp per sample point
     assert run_manifest(m, tasks=["validate-action", "coisotropy"]).ok
-    assert len(kernels) == 2 * len(m.points)
+    assert len(kernels) == 2 * len(m.blocks["points"])
 
 
 def test_dissection_table_matches_reference(monkeypatch):

@@ -3,8 +3,9 @@
 import pytest
 
 from precourant.cli import builtin_manifest_dir
-from precourant.errors import ParseError
-from precourant.manifest import META_MINIMUM, parse_manifest
+from precourant.errors import ParseError, TaskError
+from precourant.manifest import META_MINIMUM, check_tasks, parse_manifest
+from precourant.tasks import TASKS
 
 GOLDENS = [
     "standard_r3",
@@ -30,9 +31,9 @@ def test_standard_r3_fields():
     assert m.builder_kind == "standard"
     assert m.chart.dim == 3
     assert m.seed == 0 and m.trials == 16 and m.max_degree == 2
-    assert m.deform_h is not None and m.deform_h.degree == 3
-    assert m.bfield_beta is not None and m.bfield_beta.degree == 2
-    assert len(m.points) == 2
+    assert m.blocks["deform"].degree == 3
+    assert m.blocks["bfield"].degree == 2
+    assert len(m.blocks["points"]) == 2
 
 
 BASE = """
@@ -136,7 +137,7 @@ def test_duplicate_key_rejected():
 
 def test_points_are_read_in_index_order():
     m = parse_manifest(BASE + "\n[points]\np.2 = 1, 2\np.1 = 0, 0\n")
-    assert m.points == [(0, 0), (1, 2)]
+    assert m.blocks["points"] == [(0, 0), (1, 2)]
 
 
 def test_gap_in_points_is_a_positioned_error():
@@ -221,6 +222,27 @@ kind = standard
     assert (err.value.line, err.value.column) == (6, 9)
     assert "[lift]" in err.value.expected
     assert err.value.found == "pontryagin"
+
+
+NEED_TEXT = {
+    "points": "a [points] block",
+    "deform": "a [deform] block",
+    "bfield": "a [bfield] block",
+    "pontryagin": "a [pontryagin] block",
+    "lift": "a [lift] block",
+    "complement": "a [complement] block",
+    "twisted_action": "a [builder] of kind twisted_action",
+    "dissection": "a [builder] of kind dissection",
+}
+
+
+@pytest.mark.parametrize("need", sorted({need for t in TASKS.values() for need in t.needs}))
+def test_missing_need_is_named_in_the_task_error(need):
+    # a task that needs this first, on a standard manifest with no block
+    name = next(name for name, t in TASKS.items() if t.needs[:1] == (need,))
+    with pytest.raises(TaskError) as err:
+        check_tasks(parse_manifest(BASE), [name])
+    assert (err.value.task, err.value.missing) == (name, NEED_TEXT[need])
 
 
 def test_meta_minimums_match_cli_overrides():
@@ -450,3 +472,77 @@ def test_empty_section_is_reported_at_its_header(text, line, expected):
     with pytest.raises(ParseError) as err:
         parse_manifest(text)
     assert (err.value.line, err.value.column, err.value.expected) == (line, 1, expected)
+
+
+@pytest.mark.parametrize(
+    "block, expected",
+    [
+        ("lift", "sigma.N rows in [lift]"),
+        ("complement", "c.N rows in [complement]"),
+        ("points", "p.N rows in [points]"),
+        ("deform", "a single 'h' entry in [deform]"),
+        ("bfield", "a single 'beta' entry in [bfield]"),
+        ("pontryagin", "a single 'h' entry in [pontryagin]"),
+    ],
+)
+def test_empty_block_is_an_error_at_its_header(block, expected):
+    # a block with nothing in it would let its task run on nothing
+    with pytest.raises(ParseError) as err:
+        parse_manifest(BASE + f"\n[{block}]   # no rows\n")
+    assert (err.value.line, err.value.column, err.value.expected) == (11, 1, expected)
+
+
+@pytest.mark.parametrize(
+    "block, line, column, expected",
+    [
+        ("[bfield]\nh = dx(1,2)", 12, 1, "a single 'beta' entry in [bfield]"),
+        ("[pontryagin]\nh = x1*dx(1,2)", 12, 5, "a 3-form literal"),
+    ],
+)
+def test_malformed_form_block_is_positioned(block, line, column, expected):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(BASE.replace("x1 x2", "x1 x2 x3") + f"\n{block}\n")
+    assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+
+
+NUMBER_ROWS = {
+    "metric": "[chart]\nvars = x1\n\n[bundle]\nrank = 1\nmetric.1 = {}\nanchor.1 = 0\n\n[bracket]\n",
+    "pairing": (
+        "[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n"
+        "[algebra]\ndim = 1\npairing.1 = {}\n\n[action]\nrho.1 = 0\n"
+    ),
+    "bracket": (
+        "[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n"
+        "[algebra]\ndim = 1\nbracket.1.1 = {}\npairing.1 = 1\n\n[action]\nrho.1 = 0\n"
+    ),
+    "p": BASE.replace("x1 x2", "x1") + "\n[points]\np.1 = {}\n",
+}
+
+
+@pytest.mark.parametrize("row", sorted(NUMBER_ROWS))
+@pytest.mark.parametrize("number, found", [("1.5", "."), ("1e3", "e3"), ("1_000", "_000")])
+def test_number_rows_take_the_literal_grammar(row, number, found):
+    # numbers in matrix and point rows are those of polynomial literals
+    text = NUMBER_ROWS[row].format(number)
+    lines = text.splitlines()
+    line = next(e for e in lines if e.startswith(row + "."))
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert err.value.line == lines.index(line) + 1
+    assert err.value.column == line.index(found, line.index("=")) + 1
+    assert err.value.found == found
+    assert parse_manifest(text.replace(number, "-3/2")).name == "manifest"
+
+
+def test_number_error_is_at_the_offending_token():
+    text = "[chart]\nvars = x1\n\n[bundle]\nrank = 2\nmetric.1 = 0,   x\nmetric.2 = 1, 0\n"
+    text += "anchor.1 = 0\nanchor.2 = 0\n\n[bracket]\n"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (6, 17)
+    assert (err.value.expected, err.value.found) == ("rational number", "x")
+    # the same layout in a bracket row, where the column was already right
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text.replace("metric.1 = 0,   x", "metric.1 = 0, 1") + "t.1.2 = 0,   y\n")
+    assert (err.value.line, err.value.column) == (12, 14)
+    assert (err.value.expected, err.value.found) == ("coordinate name", "y")

@@ -1,11 +1,11 @@
 """The README and the benchmark tracer stay in step with the code, the
 modules keep to each other's public names, off the dense views of the
 sparse store and off the stored form of a polynomial, builder kinds are
-named only in the builder table, every check is recorded through
-`VerifyReport`, every module-level function and class has a caller in the
-package, the two-term l3 has one code path, the builders have one
-connection derivative, J on frame triples is enumerated in one place, and
-importing the CLI stays cheap."""
+named only in the builder table, blocks are read only through the block
+table, every check is recorded through `VerifyReport`, every module-level
+function and class has a caller in the package, the two-term l3 has one
+code path, the builders have one connection derivative, J on frame triples
+is enumerated in one place, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from precourant.manifest import BUILDERS
+from precourant.manifest import BLOCKS, BUILDERS
 from precourant.tasks import TASKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,13 +27,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_readme_task_table_matches_task_table():
     rows = re.findall(
-        r"^\| `([a-z0-9-]+)` \| [^|]* \| ([^|]*) \|$",
+        r"^\| `([a-z0-9-]+)` \| ([^|]*) \| ([^|]*) \|$",
         (ROOT / "README.md").read_text(),
         flags=re.MULTILINE,
     )
-    assert [name for name, _ in rows] == list(TASKS)
-    for name, gate in rows:
+    assert [name for name, _, _ in rows] == list(TASKS)
+    for name, needs, gate in rows:
         task = TASKS[name]
+        named = [f"`[{n}]`" if n in BLOCKS else f"`kind = {n}`" for n in task.needs]
+        assert needs == (", ".join(named) or "—"), name
         assert ("gated" in gate) == task.gated, name
         assert ("sets the gate" in gate) == task.sets_gate, name
 
@@ -116,6 +118,20 @@ def test_runner_names_no_builder_kind():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert kinds and not named & kinds, named & kinds
+
+
+def test_blocks_are_read_through_the_block_table():
+    # a block is declared once, in manifest.BLOCKS; elsewhere it is read
+    # from Manifest.blocks by name, never as an attribute of its own
+    attrs = set(BLOCKS) | {"deform_h", "bfield_beta", "pontryagin_h"}
+    named = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted((ROOT / "src" / "precourant").glob("*.py"))
+        if path.name != "manifest.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in attrs
+    ]
+    assert named == []
 
 
 def test_verify_report_is_the_only_result_type():
