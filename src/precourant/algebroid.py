@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bundle import (
     CourantBundle,
@@ -29,6 +29,7 @@ from .bundle import (
     dee,
     format_section,
     format_sections,
+    lower,
     pairing,
     validate_bundle,
 )
@@ -46,7 +47,7 @@ class PreCourantAlgebroid:
     {j: ((k, c), ...)} with a constant coefficient c held as its scalar.
     `bracket` memoises its results here by the value of its arguments,
     `verify_axioms` keeps its frame-level verdicts in `frame_report`,
-    `frame_jacobiators` keeps J on the increasing frame triples in `jtable`
+    `frame_jacobiator` keeps J on each ordered frame triple in `jmemo`
     and `cochain.jacobiator_flat` keeps the flat of the Jacobiator in
     `jflat`, so all four live exactly as long as the algebroid.
     """
@@ -72,7 +73,7 @@ class PreCourantAlgebroid:
         )
         self.bracket_memo = {}
         self.frame_report: Optional[VerifyReport] = None
-        self.jtable = None
+        self.jmemo: Dict[Tuple[int, int, int], Section] = {}
         self.jflat = None
 
     @property
@@ -160,23 +161,28 @@ def jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) ->
     )
 
 
+def frame_jacobiator(p: PreCourantAlgebroid, i: int, j: int, k: int) -> Section:
+    """J(u_i, u_j, u_k), evaluated once per ordered triple and kept in
+    `p.jmemo`; no value is read from another order up to sign."""
+    out = p.jmemo.get((i, j, k))
+    if out is None:
+        u = p.bundle.frames()
+        out = p.jmemo[i, j, k] = jacobiator(p, u[i], u[j], u[k])
+    return out
+
+
+def jacobiator_of(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Section:
+    """J(e1, e2, e3), read through `frame_jacobiator` when all three are frames."""
+    index = {f: i for i, f in enumerate(p.bundle.frames())}
+    t = tuple(index.get(e) for e in (e1, e2, e3))
+    return jacobiator(p, e1, e2, e3) if None in t else frame_jacobiator(p, *t)
+
+
 def frame_jacobiators(p: PreCourantAlgebroid) -> Dict[Tuple[int, int, int], Section]:
-    """J on every increasing frame triple, keyed in `combinations` order.
-
-    J is C-infinity-multilinear, so these values determine it.  They depend
-    on the algebroid alone, so the table is built once and kept in `p.jtable`.
-    """
-    if p.jtable is None:
-        p.jtable = _frame_jacobiators(p)
-    return p.jtable
-
-
-def _frame_jacobiators(p: PreCourantAlgebroid) -> Dict[Tuple[int, int, int], Section]:
-    u = p.bundle.frames()
-    return {
-        (i, j, k): jacobiator(p, u[i], u[j], u[k])
-        for i, j, k in combinations(range(p.rank), 3)
-    }
+    """J on every increasing frame triple, keyed in `combinations` order and
+    read through `frame_jacobiator`; J is C-infinity-multilinear, so these
+    values determine it."""
+    return {t: frame_jacobiator(p, *t) for t in combinations(range(p.rank), 3)}
 
 
 def skew_bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
@@ -215,6 +221,32 @@ def _axiom_iii_witness(p: PreCourantAlgebroid, name: str, e1, e2, e3) -> Optiona
     return None
 
 
+def skew_defects(rows: Sequence[Dict[int, Poly]], zero) -> Iterator[Tuple[int, int, Poly]]:
+    """(i, j, rows[i][j] + rows[j][i]) wherever that sum is not zero, in
+    index order; rows[i] holds the nonzero entries of row i by column."""
+    pairs = {(i, j) for i, row in enumerate(rows) for j in row}
+    for i, j in sorted(pairs | {(j, i) for i, j in pairs}):
+        v = rows[i].get(j, zero) + rows[j].get(i, zero)
+        if not v.is_zero():
+            yield i, j, v
+
+
+def frame_axiom_defects(p: PreCourantAlgebroid):
+    """Where axioms (i), (ii) and (iii) fail on frame pairs, pairs and
+    triples, lazily in `product` order.  Frames and the metric are constant,
+    so D<u_i,u_j> and rho(u_i)<u_j,u_k> vanish: each axiom reads the table,
+    (iii) its lowered entries <u_i o u_j, u_k>, and a failing tuple gets the
+    witness of the general form."""
+    b, t = p.bundle, p.table
+    rho, pairs = b.rho_frames, list(product(range(p.rank), repeat=2))
+    return (
+        ((i, j) for i, j in pairs if anchor_apply(t[i][j]) != vf_bracket(rho[i], rho[j])),
+        ((i, j) for i, j in pairs if not (t[i][j] + t[j][i]).is_zero()),
+        ((i, j, k) for i, row in enumerate(t)
+         for j, k, _ in skew_defects([lower(s) for s in row], Poly.zero(b.chart))),
+    )
+
+
 def _frame_axiom_report(p: PreCourantAlgebroid) -> VerifyReport:
     """bundle-valid and the three axioms on every frame tuple; these depend
     on the algebroid alone, so `verify_axioms` runs them once per algebroid."""
@@ -224,19 +256,15 @@ def _frame_axiom_report(p: PreCourantAlgebroid) -> VerifyReport:
         "bundle-valid", bundle_report.ok, "; ".join(c.name for c in bundle_report.checks)
     ):
         return report
-    r = p.rank
     u = p.bundle.frames()
-    pairs = list(product(range(r), repeat=2))
-    report.first(
-        "axiom-i-frames",
-        (f"frames ({i + 1},{j + 1})" for i, j in pairs if _anchor_defect(p, u[i], u[j])),
-    )
+    i_pairs, ii_pairs, iii_triples = frame_axiom_defects(p)
+    report.first("axiom-i-frames", (f"frames ({i + 1},{j + 1})" for i, j in i_pairs))
     report.first(
         "axiom-ii-frames",
         (
             f"frames ({i + 1},{j + 1}): t[i][j]+t[j][i] = ({format_section(d[0])})"
             f" but D<u_i,u_j> = ({format_section(d[1])})"
-            for i, j in pairs
+            for i, j in ii_pairs
             if (d := _symmetrization_defect(p, u[i], u[j]))
         ),
     )
@@ -244,7 +272,7 @@ def _frame_axiom_report(p: PreCourantAlgebroid) -> VerifyReport:
         "axiom-iii-frames",
         (
             _axiom_iii_witness(p, f"frames ({i + 1},{j + 1},{k + 1})", u[i], u[j], u[k])
-            for i, j, k in product(range(r), repeat=3)
+            for i, j, k in iii_triples
         ),
     )
     return report

@@ -232,6 +232,15 @@ def pairing(e1: Section, e2: Section) -> Poly:
     return out
 
 
+def lower(e: Section) -> Dict[int, Poly]:
+    """The nonzero <e, u_k>, by frame k in increasing order."""
+    out: Dict[int, Poly] = {}
+    for i, ci in e.terms.items():
+        for k, gik in e.bundle.metric_rows[i]:
+            add_into(out, k, ci * gik)
+    return {k: out[k] for k in sorted(out) if not out[k].is_zero()}
+
+
 def anchor_apply(e: Section) -> VectorField:
     """The anchored vector field sum_i e_i rho(frame_i)."""
     b = e.bundle

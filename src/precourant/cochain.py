@@ -21,7 +21,15 @@ import random
 from itertools import chain, combinations, product
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator, verify_axioms
+from .algebroid import (
+    PreCourantAlgebroid,
+    bracket,
+    frame_jacobiator,
+    frame_jacobiators,
+    jacobiator,
+    jacobiator_of,
+    verify_axioms,
+)
 from .bundle import CourantBundle, Section, anchor_apply, format_section, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, contract, evaluate, vf_apply
@@ -338,18 +346,16 @@ def verify_jacobiator_theorem(
     frames = b.frames()
     table = frame_jacobiators(p)
 
-    def jval(*idx: int) -> Section:
-        return jacobiator(p, *(frames[t] for t in idx))
-
     # (1) skew-symmetry on frame triples (adjacent swaps + repeated arguments)
     report.first(
         "skew-symmetric",
         chain(
             (f"frames ({i + 1},{j + 1},{k + 1})" for (i, j, k), base in table.items()
-             if not ((base + jval(j, i, k)).is_zero() and (base + jval(i, k, j)).is_zero())),
+             if not ((base + frame_jacobiator(p, j, i, k)).is_zero()
+                     and (base + frame_jacobiator(p, i, k, j)).is_zero())),
             # the three repeated triples coincide when i == j
             (f"repeated frames ({i + 1},{j + 1})" for i, j in product(range(r), repeat=2)
-             if not all(jval(*t).is_zero()
+             if not all(frame_jacobiator(p, *t).is_zero()
                         for t in dict.fromkeys([(i, i, j), (i, j, j), (i, j, i)]))),
         ),
     )
@@ -395,7 +401,7 @@ def verify_jacobiator_theorem(
          for m, km in enumerate(b.dee_columns)
          for i in range(r)
          for j in range(i, r)
-         if not jacobiator(p, km, frames[i], frames[j]).is_zero()),
+         if not jacobiator_of(p, km, frames[i], frames[j]).is_zero()),
     )
 
     if not report.ok:

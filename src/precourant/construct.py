@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, product, starmap
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebroid import PreCourantAlgebroid, frame_jacobiators, zero_table
+from .algebroid import PreCourantAlgebroid, frame_jacobiators, skew_defects, zero_table
 from .bundle import (
     CourantBundle,
     Section,
@@ -43,6 +44,7 @@ from .bundle import (
     format_sections,
     kernel_at,
     kernel_coisotropy_check,
+    lower,
     pairing,
     rho_star,
     standard_bundle,
@@ -81,18 +83,12 @@ def from_connection_beta(
     zero = Poly.zero(b.chart)
     nabla = _connection_frames(b, gamma)
 
-    def lowered(e: Section) -> Dict[int, Poly]:
-        """The nonzero <e, u_c>, by frame c."""
-        if not e.terms:
-            return {}
-        return {c: v for c, f in enumerate(frames) if not (v := pairing(e, f)).is_zero()}
-
     # conn[m][a][c] = <nabla_m u_a, u_c>, the connection 1-forms
-    conn = [[lowered(e) for e in row] for row in nabla]
+    conn = [[lower(e) for e in row] for row in nabla]
 
     # metric connection: the frame condition with a constant pairing
     for m, rows in enumerate(conn):
-        for a, c, v in _skew_defects(rows, zero):
+        for a, c, v in skew_defects(rows, zero):
             raise ConstructionError(
                 "connection-not-metric",
                 f"direction {m + 1}, frames ({a + 1},{c + 1}): {format_poly(v)}",
@@ -103,7 +99,7 @@ def from_connection_beta(
         if not (beta[a][c] + beta[c][a]).is_zero():
             raise ConstructionError("corrector-not-skew", f"frames ({a + 1},{c + 1})")
     for a, row in enumerate(beta):
-        for c, e, v in _skew_defects([lowered(s) for s in row], zero):
+        for c, e, v in skew_defects([lower(s) for s in row], zero):
             raise ConstructionError(
                 "corrector-pairing-not-alternating",
                 f"frames ({a + 1},{c + 1},{e + 1}): {format_poly(v)}",
@@ -133,18 +129,6 @@ def from_connection_beta(
     for (a, c), xi in forms.items():
         table[a][c] = table[a][c] + rho_star(b, KForm(b.chart, 1, xi))
     return PreCourantAlgebroid(b, table)
-
-
-def _skew_defects(
-    rows: Sequence[Dict[int, Poly]], zero: Poly
-) -> Iterator[Tuple[int, int, Poly]]:
-    """(i, j, rows[i][j] + rows[j][i]) wherever that sum is not zero, in
-    index order; rows[i] holds the nonzero entries of row i by column."""
-    pairs = {(i, j) for i, row in enumerate(rows) for j in row}
-    for i, j in sorted(pairs | {(j, i) for i, j in pairs}):
-        v = rows[i].get(j, zero) + rows[j].get(i, zero)
-        if not v.is_zero():
-            yield i, j, v
 
 
 def _connection_frames(
@@ -675,6 +659,9 @@ def dissection_jacobiator_check(
     b = p.bundle
     n, g = dd.chart.dim, dd.aux_rank
     form = _pontryagin_form(dd)
+    # the closed forms recur across triples: each is computed once per check
+    bianchi = cache(partial(_bianchi_term, dd))
+    curvature_defect = cache(partial(_connection_curvature_defect, dd))
 
     def witness(idx: Tuple[int, int, int], actual: Section) -> Optional[str]:
         frames = [b.frame(t) for t in idx]
@@ -687,14 +674,14 @@ def dissection_jacobiator_check(
         elif blocks == ("x", "x", "x"):
             i, j, k = idx
             cot = [form.value_at((i, j, k, l)) for l in range(n)]
-            expected = _bianchi_term(dd, i, j, k) + _cotangent(b, cot)
+            expected = bianchi(i, j, k) + _cotangent(b, cot)
         elif blocks == ("x", "x", "r"):
             i, j, u = idx[0], idx[1], frames[2]
-            cot = [-pairing(_bianchi_term(dd, i, j, l), u) for l in range(n)]
-            expected = _connection_curvature_defect(dd, i, j, u) + _cotangent(b, cot)
+            cot = [-pairing(bianchi(i, j, l), u) for l in range(n)]
+            expected = curvature_defect(i, j, u) + _cotangent(b, cot)
         elif blocks == ("x", "r", "r"):
             i, u, v = idx[0], frames[1], frames[2]
-            cot = [pairing(_connection_curvature_defect(dd, i, l, u), v) for l in range(n)]
+            cot = [pairing(curvature_defect(i, l, u), v) for l in range(n)]
             expected = _derivation_defect(dd, i, u, v) + _cotangent(b, cot)
         elif blocks == ("r", "r", "r"):
             u, v, w = frames

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator
+from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator, jacobiator_of
 from .bundle import (
     CourantBundle,
     Section,
@@ -288,7 +288,7 @@ def pontryagin_representative(
         for a, kappa in enumerate(kappas)
         if not kappa.is_zero()
         for i, j in combinations(range(b.rank), 2)
-        if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero()
+        if not jacobiator_of(p, kappa, b.frame(i), b.frame(j)).is_zero()
     )
     if not report.first("kernel-slots-vanish", witnesses):
         report.skipped = True
@@ -296,7 +296,7 @@ def pontryagin_representative(
 
     n = b.chart.dim
     comps = {
-        idx: pairing(jacobiator(p, lift[idx[0]], lift[idx[1]], lift[idx[2]]), lift[idx[3]])
+        idx: pairing(jacobiator_of(p, lift[idx[0]], lift[idx[1]], lift[idx[2]]), lift[idx[3]])
         for idx in combinations(range(n), 4)
     }
     h_form = KForm(b.chart, 4, comps)

@@ -1,29 +1,39 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
-by contraction, the B-field map, the frame Jacobiator table, the two-term
-l3 read from the Jacobiator flat, the cached frame-axiom and bundle verdicts, the structure-constant
-Lie checks and the dissection built through the connection recipe,
-against the code they replaced: `dee_reference`, `bracket_reference`,
-`pairing_reference`, `raise_reference`, `ker_value_reference`,
-`ker_eval_reference`, `cochain_evaluate_reference`,
-`bfield_sharp_reference`, `lie_checks_reference` and
-`dissection_table_reference` below are the earlier implementations, kept as
-oracles, and so are `algebroid.jacobiator` and
+by contraction, the B-field map, the frame Jacobiator table and its
+ordered-triple memo, the two-term l3 read from the Jacobiator flat, the
+frame axioms read from the bracket table, the cached frame-axiom and
+bundle verdicts, the structure-constant Lie checks and the dissection
+built through the connection recipe, against the code they replaced:
+`dee_reference`, `bracket_reference`, `pairing_reference`,
+`raise_reference`, `ker_value_reference`, `ker_eval_reference`,
+`cochain_evaluate_reference`, `bfield_sharp_reference`,
+`lie_checks_reference` and `dissection_table_reference` below are the
+earlier implementations, kept as oracles, and so are
+`algebroid.jacobiator`, the section-level axiom checks
+`_anchor_defect`/`_symmetrization_defect`/`_axiom_iii_witness` and
 `twoterm.skew_jacobiator_direct`.  The Dorfman oracle in test_algebroid.py
 is the second, independent one."""
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
-from precourant import algebroid, bundle, cochain, construct, linalg, runner
+from precourant import algebroid, bundle, cochain, construct, deform, linalg, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
+    _anchor_defect,
+    _axiom_iii_witness,
+    _symmetrization_defect,
     bracket,
+    frame_axiom_defects,
+    frame_jacobiator,
     frame_jacobiators,
     jacobiator,
+    jacobiator_of,
     verify_axioms,
     zero_table,
 )
@@ -584,49 +594,57 @@ def test_frame_jacobiators_match_direct_evaluation(std4, chart4):
         # a fresh algebroid, so no memo is shared with the table
         q, u = p.with_table(p.table), p.bundle.frames()
         assert table == {idx: jacobiator(q, *(u[i] for i in idx)) for idx in table}
-        assert frame_jacobiators(p) is table
+        # a second call reads the same values and evaluates nothing again
+        assert all(a is b for a, b in zip(frame_jacobiators(p).values(), table.values()))
         nonzero.append(any(not v.is_zero() for v in table.values()))
     assert nonzero[-2:] == [True, True]
 
 
 def test_jacobiator_flat_built_once_per_algebroid(monkeypatch, std4, chart4):
-    built, bases = [], []
-    real = algebroid._frame_jacobiators
+    evaluated, bases = [], []
+    real = algebroid.jacobiator
 
-    def counted(p):
-        built.append(p)
-        return real(p)
+    def counted(p, *es):
+        if all(e in p.bundle.frames() for e in es):
+            evaluated.append((p, es))
+        return real(p, *es)
+
+    def built():
+        """The algebroids that evaluated J on frames, in first-use order."""
+        return list({id(q): q for q, _ in evaluated}.values())
 
     def capture(m):
         ctx = build_context(m)
         bases.append(ctx.algebroid)
         return ctx
 
-    monkeypatch.setattr(algebroid, "_frame_jacobiators", counted)
+    monkeypatch.setattr(algebroid, "jacobiator", counted)
     monkeypatch.setattr(runner, "build_context", capture)
     for name, deformed in (("twisted_r4", 1), ("dissection_rank2", 0)):
-        built.clear()
+        evaluated.clear()
         m = load(name)
         m.trials = 1
-        # every frame-level check of the full task list reads one table per
-        # algebroid: the base and each deformed structure build theirs once
+        # every frame-level check of the full task list reads one memo per
+        # algebroid: the base and each deformed structure fill theirs once
         assert run_manifest(m).ok
         p = bases[-1]
-        assert built[0] is p and len(built) == 1 + deformed
-        assert len({id(q) for q in built}) == len(built)
-        assert jacobiator_flat(p) is p.jflat and frame_jacobiators(p) is p.jtable
-        assert len(built) == 1 + deformed
+        assert built()[0] is p and len(built()) == 1 + deformed
+        assert len({(id(q), es) for q, es in evaluated}) == len(evaluated)
+        n = len(evaluated)
+        assert jacobiator_flat(p) is p.jflat
+        assert all(v is p.jmemo[t] for t, v in frame_jacobiators(p).items())
+        assert len(evaluated) == n
         assert p.jflat == jacobiator_flat(p.with_table(p.table))
     # a derived algebroid starts with neither cache
     derived = p.with_table(p.table)
-    assert derived.jtable is None and derived.jflat is None
+    assert not derived.jmemo and derived.jflat is None
     base = PreCourantAlgebroid(std4, zero_table(std4))
     jacobiator_flat(base)
     twisted = apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
-    assert twisted.jtable is None and twisted.jflat is None
-    assert base.jtable is not None and base.jflat is not None
+    assert not twisted.jmemo and twisted.jflat is None
+    assert base.jmemo and base.jflat is not None
     assert not jacobiator_flat(twisted).is_zero() and base.jflat.is_zero()
-    assert built[-2:] == [base, twisted]
+    assert built()[-2:] == [base, twisted]
 
 
 @pytest.mark.parametrize("name", ["twisted_action_synthetic", "double_nonabelian", "action_abelian"])
@@ -811,3 +829,107 @@ def test_dissection_table_matches_reference(monkeypatch):
         p = construct.from_dissection(dd)
         assert [list(row) for row in p.table] == dissection_table_reference(dd)
         assert len(calls) == 1
+
+
+BROKEN_TABLES = sorted(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "manifests").glob("*.pcm")
+)
+
+
+def _frame_table_algebroids():
+    """The six builtins, the two broken benchmark tables and, per builtin,
+    three seeded perturbations of one table entry and its transpose."""
+    rng = random.Random(17)
+    for name in BUILTINS:
+        p = build_context(load(name)).algebroid
+        yield p
+        b = p.bundle
+        for _ in range(3):
+            i, j = rng.randrange(b.rank), rng.randrange(b.rank)
+            table = [list(row) for row in p.table]
+            table[i][j] = table[i][j] + random_section(rng, b, 1)
+            if rng.random() < 0.5:
+                table[j][i] = -table[i][j]
+            yield p.with_table(table)
+    for path in BROKEN_TABLES:
+        yield build_context(parse_manifest(path.read_text(), name=path.stem)).algebroid
+
+
+def test_frame_axiom_defects_match_section_checks():
+    failing = [False, False, False]
+    for p in _frame_table_algebroids():
+        u, r = p.bundle.frames(), p.rank
+        i_pairs, ii_pairs, iii_triples = frame_axiom_defects(p)
+        q = p.with_table(p.table)  # the section checks get a memo of their own
+        expected = [
+            [(i, j) for i, j in product(range(r), repeat=2) if _anchor_defect(q, u[i], u[j])],
+            [(i, j) for i, j in product(range(r), repeat=2)
+             if _symmetrization_defect(q, u[i], u[j])],
+            [(i, j, k) for i, j, k in product(range(r), repeat=3)
+             if _axiom_iii_witness(q, "", u[i], u[j], u[k])],
+        ]
+        assert [list(i_pairs), list(ii_pairs), list(iii_triples)] == expected
+        failing = [f or bool(e) for f, e in zip(failing, expected)]
+    # every axiom fails somewhere, so each predicate is tested on failures too
+    assert failing == [True, True, True]
+
+
+def test_frame_jacobiator_matches_jacobiator_on_ordered_triples():
+    nonzero = False
+    for p in _frame_table_algebroids():
+        u, r = p.bundle.frames(), p.rank
+        q = p.with_table(p.table)
+        # repeated indices included; every order is evaluated, none read by sign
+        for t in product(range(r), repeat=3):
+            value = frame_jacobiator(p, *t)
+            assert value == jacobiator(q, *(u[i] for i in t))
+            assert frame_jacobiator(p, *t) is value
+            nonzero = nonzero or not value.is_zero()
+        assert len(p.jmemo) == r ** 3
+        assert all(v is p.jmemo[t] for t, v in frame_jacobiators(p).items())
+        # a section that is not a frame goes to jacobiator itself
+        e = u[0] + u[-1].scale(Poly.var(p.bundle.chart, 0))
+        assert jacobiator_of(p, e, u[-1], u[0]) == jacobiator(q, e, u[-1], u[0])
+        assert jacobiator_of(p, u[-1], u[0], u[-1]) is p.jmemo[r - 1, 0, r - 1]
+    assert nonzero
+
+
+def _count_frame_jacobiators(monkeypatch):
+    """Wrap `jacobiator` where it is bound and count its calls on frame
+    triples by (algebroid, ordered triple); the algebroids are kept alive
+    so that no id is reused."""
+    counts, seen = {}, []
+    real = algebroid.jacobiator
+
+    def counted(p, *es):
+        u = p.bundle.frames()
+        if all(e in u for e in es):
+            seen.append(p)
+            key = (id(p), tuple(u.index(e) for e in es))
+            counts[key] = counts.get(key, 0) + 1
+        return real(p, *es)
+
+    for module in (algebroid, cochain, deform):
+        monkeypatch.setattr(module, "jacobiator", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_full_run_evaluates_each_frame_triple_once(monkeypatch, name):
+    counts = _count_frame_jacobiators(monkeypatch)
+    m = load(name)
+    m.trials = 1
+    assert run_manifest(m).ok
+    assert counts and max(counts.values()) == 1
+
+
+def test_dissection_closed_forms_once_per_check(monkeypatch):
+    calls = {"_bianchi_term": [], "_connection_curvature_defect": []}
+    for fname, seen in calls.items():
+        real = getattr(construct, fname)
+        monkeypatch.setattr(construct, fname,
+                            lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    m = load("dissection_rank2")
+    assert run_manifest(m, tasks=["dissection-jacobiator"]).ok
+    assert [len(seen) for seen in calls.values()] == [24, 22]
+    assert all(len(set(seen)) == len(seen) for seen in calls.values())

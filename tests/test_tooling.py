@@ -5,11 +5,13 @@ named only in the builder table, blocks are read only through the block
 table, every check is recorded through `VerifyReport`, every module-level
 function and class has a caller in the package, the two-term l3 has one
 code path, the builders have one connection derivative, J on frame triples
-is enumerated in one place, and importing the CLI stays cheap."""
+is enumerated in one place, `tools/bench_record.py --compare` reads two
+records, and importing the CLI stays cheap."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -224,3 +226,26 @@ def test_builders_differentiate_in_one_connection_derivative():
         )
     }
     assert callers == {"_covariant"}, callers
+
+
+def _bench_record(label, task_s, failed=0):
+    metrics = {"task_s": {"value": task_s, "unit": "s"}, "wall_s": {"value": 0.5, "unit": "s"}}
+    result = {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
+    return {"label": label, "workloads": {"frame-suite": {"result": result}}}
+
+
+def test_bench_record_compares_two_records(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_bench_record("16", 0.25)))
+    b.write_text(json.dumps(_bench_record("17", 0.2, failed=1)))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(a), str(b)],
+        capture_output=True, text=True, check=True,
+    )
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert lines == [
+        ["workload", "metric", "16", "17", "B/A"],
+        ["frame-suite", "task_s", "0.2500", "0.2000", "0.800"],
+        ["frame-suite", "wall_s", "0.5000", "0.5000", "1.000"],
+        ["frame-suite", "B", "not", "correct:", "1", "failed"],
+    ]

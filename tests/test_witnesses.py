@@ -32,6 +32,7 @@ from precourant.construct import (
     validate_quadratic_lie,
     validate_twisted_action,
 )
+from precourant.deform import pontryagin_representative
 from precourant.exterior import KForm
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
@@ -546,6 +547,30 @@ def test_two_term_reports_on_a_mutant_flat():
     assert leibniz.lines() == LEIBNIZ2_MUTANT_FLAT
     lie = verify_lie2(build_lie2(p), trials=1, seed=0, max_degree=1)
     assert lie.lines() == LIE2_MUTANT_FLAT
+
+
+KERNEL_SLOT_MUTANT = [
+    "[FAIL] pontryagin representative",
+    "  ok   lift-is-right-inverse",
+    "  FAIL kernel-slots-vanish  witness: J(kappa_5, u1, u2) != 0",
+]
+
+
+def test_pontryagin_kernel_slot_mutant_report():
+    # twisted_r4 with dx1 o d2 = x1 dx2 (and its negative transposed): the
+    # lift stays a right inverse, but the cotangent frame kappa_5 = u5 no
+    # longer kills J, so H is not well defined and d-h-zero never runs
+    ctx = build_context(
+        parse_manifest(resolve_manifest("twisted_r4").read_text(), name="twisted_r4")
+    )
+    p, b = ctx.algebroid, ctx.bundle
+    table = [list(row) for row in p.table]
+    x1 = Poly.var(b.chart, 0)
+    table[4][1], table[1][4] = b.frame(5).scale(x1), -b.frame(5).scale(x1)
+    lift = [b.section(coeffs) for coeffs in ctx.manifest.blocks["lift"]]
+    form, report = pontryagin_representative(p.with_table(table), lift)
+    assert form is None and report.skipped
+    assert report.lines() == KERNEL_SLOT_MUTANT
 
 
 def test_derived_identities_symmetrization_report():
