@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -45,11 +46,10 @@ class PreCourantAlgebroid:
 
     `rows[i]` lists the nonzero entries of table row i once, as
     {j: ((k, c), ...)} with a constant coefficient c held as its scalar.
-    `bracket` memoises its results here by the value of its arguments,
-    `verify_axioms` keeps its frame-level verdicts in `frame_report`,
-    `frame_jacobiator` keeps J on each ordered frame triple in `jmemo`
-    and `cochain.jacobiator_flat` keeps the flat of the Jacobiator in
-    `jflat`, so all four live exactly as long as the algebroid.
+    `bracket` memoises its results in `bracket_memo` by the value of its
+    arguments, `frame_jacobiator` J on ordered frame triples in `jmemo`
+    and `cochain.jacobiator_flat` the flat of J in `jflat`; all live
+    exactly as long as the algebroid.
     """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
@@ -72,13 +72,17 @@ class PreCourantAlgebroid:
             for row in rows
         )
         self.bracket_memo = {}
-        self.frame_report: Optional[VerifyReport] = None
         self.jmemo: Dict[Tuple[int, int, int], Section] = {}
         self.jflat = None
 
     @property
     def rank(self) -> int:
         return self.bundle.rank
+
+    @cached_property
+    def frame_report(self) -> VerifyReport:
+        """The frame-level verdicts of `verify_axioms`."""
+        return _frame_axiom_report(self)
 
     @property
     def chart(self):
@@ -173,7 +177,7 @@ def frame_jacobiator(p: PreCourantAlgebroid, i: int, j: int, k: int) -> Section:
 
 def jacobiator_of(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Section:
     """J(e1, e2, e3), read through `frame_jacobiator` when all three are frames."""
-    index = {f: i for i, f in enumerate(p.bundle.frames())}
+    index = p.bundle.frame_index
     t = tuple(index.get(e) for e in (e1, e2, e3))
     return jacobiator(p, e1, e2, e3) if None in t else frame_jacobiator(p, *t)
 
@@ -248,8 +252,7 @@ def frame_axiom_defects(p: PreCourantAlgebroid):
 
 
 def _frame_axiom_report(p: PreCourantAlgebroid) -> VerifyReport:
-    """bundle-valid and the three axioms on every frame tuple; these depend
-    on the algebroid alone, so `verify_axioms` runs them once per algebroid."""
+    """bundle-valid and the three axioms on every frame tuple."""
     report = VerifyReport("pre-courant axioms")
     bundle_report = validate_bundle(p.bundle)
     if not report.require(
@@ -282,10 +285,7 @@ def verify_axioms(
     p: PreCourantAlgebroid, trials: int = 16, seed: int = 0, max_degree: int = 2
 ) -> VerifyReport:
     """Check the three defining axioms on all frame tuples and on seeded
-    random sections; the report carries the first counterexample.  The
-    frame-level verdicts are computed once per algebroid and kept on it."""
-    if p.frame_report is None:
-        p.frame_report = _frame_axiom_report(p)
+    random sections; the report carries the first counterexample."""
     report = p.frame_report.copy()
     if not report.checks[0].ok:  # bundle-valid
         return report

@@ -9,8 +9,9 @@ reads A^T g^-1 A = 0 as a polynomial matrix identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import linalg
 from .errors import ChartMismatchError, DegreeError, RankMismatchError
@@ -56,13 +57,9 @@ class Section(PolyMap):
 class CourantBundle:
     """Chart + rank + constant pseudo-metric + polynomial anchor matrix.
 
-    The frame sections, their anchored vector fields and the nonzero entries
-    of each metric and anchor row are built once with the bundle.  The
-    nonzero entries of g^-1, the columns of g^-1 A that `dee` combines, the
-    `validate_bundle` verdict and the kernel of the anchor at each point
-    that `kernel_coisotropy_check` or `kernel_at` is given are built the
-    first time they are needed.  A bundle is never changed after it is
-    built, so they are kept here.
+    A bundle is never changed after it is built, so what is derived from
+    it is kept on it: the frames and the nonzero metric and anchor entries
+    from the start, the cached properties from their first read.
     """
 
     def __init__(
@@ -91,9 +88,6 @@ class CourantBundle:
         self.anchor_rows = tuple(
             tuple((m, p) for m, p in enumerate(row) if not p.is_zero()) for row in rows
         )
-        self._metric_inv_rows = None
-        self._dee_columns = None
-        self._report: Optional[VerifyReport] = None
         # point -> (kernel basis of the anchor, anchor rank, coisotropy witness)
         self._pointwise: Dict[Tuple[Fraction, ...], Tuple[List[list], int, str]] = {}
         zero, one = Poly.zero(chart), Poly.const(chart, 1)
@@ -103,23 +97,28 @@ class CourantBundle:
         )
         self.rho_frames = tuple(anchor_apply(f) for f in self._frames)
 
-    @property
+    @cached_property
     def dee_columns(self) -> Tuple[Section, ...]:
         """Column m of g^-1 A, which is the section D x_m."""
-        if self._dee_columns is None:
-            self._dee_columns = tuple(
-                self.raise_covector([row[m] for row in self.anchor])
-                for m in range(self.chart.dim)
-            )
-        return self._dee_columns
+        return tuple(
+            self.raise_covector([row[m] for row in self.anchor])
+            for m in range(self.chart.dim)
+        )
 
-    @property
+    @cached_property
     def metric_inv_rows(self) -> Tuple[Tuple[Tuple[int, linalg.Scalar], ...], ...]:
         """The nonzero entries of each row of g^-1; raises
         SingularMetricError when the metric is singular."""
-        if self._metric_inv_rows is None:
-            self._metric_inv_rows = linalg.nonzero_rows(linalg.invert(self.metric))
-        return self._metric_inv_rows
+        return linalg.nonzero_rows(linalg.invert(self.metric))
+
+    @cached_property
+    def frame_index(self) -> Dict[Section, int]:
+        """The index of each frame section."""
+        return {f: i for i, f in enumerate(self._frames)}
+
+    @cached_property
+    def _report(self) -> VerifyReport:
+        return _bundle_report(self)
 
     def raise_covector(self, covector: Sequence[Poly]) -> "Section":
         """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
@@ -187,11 +186,7 @@ def standard_bundle(chart: Chart, aux_pairing: Sequence[Sequence] = ()) -> Coura
 def validate_bundle(b: CourantBundle) -> VerifyReport:
     """Check the type invariants: metric symmetric and invertible, and
     A^T g^-1 A = 0.  Each failed condition is one failed check, named by the
-    condition and its witness entry.
-
-    The checks run once per bundle; every call returns its own copy."""
-    if b._report is None:
-        b._report = _bundle_report(b)
+    condition and its witness entry.  Every call gets its own copy."""
     return b._report.copy()
 
 

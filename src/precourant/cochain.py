@@ -18,6 +18,7 @@ cross-check between independent code paths.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -66,16 +67,13 @@ class KerCochain:
     """Kernel-valued k-cochain, stored as its flat (a (k+1)-cochain).
 
     It is C-infinity-multilinear, so its section values on increasing
-    k-tuples determine it.  They are raised from the flat once, on first
-    use: a flat key K of length k+1 with value v gives the covector of
-    K without K[t] the entry (-1)^(k-t) v at index K[t].
+    k-tuples determine it.  They are raised from the flat: a flat key K of
+    length k+1 with value v gives the covector of K without K[t] the entry
+    (-1)^(k-t) v at index K[t].
     """
-
-    __slots__ = ("flat", "_values")
 
     def __init__(self, flat: Cochain):
         self.flat = flat
-        self._values = None
 
     @property
     def bundle(self) -> CourantBundle:
@@ -89,24 +87,22 @@ class KerCochain:
     def zero(bundle: CourantBundle, degree: int) -> "KerCochain":
         return KerCochain(Cochain.zero(bundle, degree + 1))
 
-    @property
+    @cached_property
     def frame_values(self) -> Dict[FrameTuple, Section]:
         """The nonzero section values on increasing frame tuples."""
-        if self._values is None:
-            b = self.bundle
-            k = self.degree
-            covectors: Dict[FrameTuple, Dict[int, Poly]] = {}
-            for key, v in self.flat.terms.items():
-                for t, j in enumerate(key):
-                    rest = key[:t] + key[t + 1 :]
-                    covectors.setdefault(rest, {})[j] = v if (k - t) % 2 == 0 else -v
-            zero = Poly.zero(b.chart)
-            raised = {
-                rest: b.raise_covector([c.get(j, zero) for j in range(b.rank)])
-                for rest, c in covectors.items()
-            }
-            self._values = {rest: s for rest, s in raised.items() if s.terms}
-        return self._values
+        b = self.bundle
+        k = self.degree
+        covectors: Dict[FrameTuple, Dict[int, Poly]] = {}
+        for key, v in self.flat.terms.items():
+            for t, j in enumerate(key):
+                rest = key[:t] + key[t + 1 :]
+                covectors.setdefault(rest, {})[j] = v if (k - t) % 2 == 0 else -v
+        zero = Poly.zero(b.chart)
+        raised = {
+            rest: b.raise_covector([c.get(j, zero) for j in range(b.rank)])
+            for rest, c in covectors.items()
+        }
+        return {rest: s for rest, s in raised.items() if s.terms}
 
     def value_at(self, indices: Sequence[int]) -> Section:
         """Section value on a frame tuple."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, product, starmap
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -163,11 +163,8 @@ class QuadraticLieAlgebra:
     nonzero entries are listed once, as (k, c) pairs, in `structure[i][j]`,
     and those of the pairing rows in `pairing_rows`.  A plain Lie algebra
     (the admissible input of the double, which needs no pairing of its own)
-    carries pairing None.  The algebra is never changed after it is built,
-    so `validate_quadratic_lie` keeps its report here.
+    carries pairing None.
     """
-
-    __slots__ = ("dim", "bracket_table", "pairing", "structure", "pairing_rows", "_report")
 
     def __init__(
         self, dim: int, bracket_table: List[Matrix], pairing: Optional[Matrix]
@@ -177,7 +174,10 @@ class QuadraticLieAlgebra:
         self.pairing = pairing
         self.structure = tuple(linalg.nonzero_rows(row) for row in bracket_table)
         self.pairing_rows = None if pairing is None else linalg.nonzero_rows(pairing)
-        self._report: Optional[VerifyReport] = None
+
+    @cached_property
+    def _report(self) -> VerifyReport:
+        return _quadratic_lie_report(self)
 
 
 def quadratic_lie_algebra(
@@ -211,11 +211,8 @@ def validate_lie(g: QuadraticLieAlgebra) -> VerifyReport:
 
 def validate_quadratic_lie(g: QuadraticLieAlgebra) -> VerifyReport:
     """Antisymmetry, the Jacobi identity on all basis triples, and an
-    invariant nondegenerate symmetric pairing, all brute force.
-
-    The checks run once per algebra; every call returns its own copy."""
-    if g._report is None:
-        g._report = _quadratic_lie_report(g)
+    invariant nondegenerate symmetric pairing, all brute force.  Every call
+    gets its own copy."""
     return g._report.copy()
 
 
@@ -311,11 +308,8 @@ class TwistedAction:
     `bundle` carries the algebra pairing as metric and the action as anchor.
     bracket_table holds the algebra bracket and k_table the defect on basis
     pairs, both as sections of `bundle` that `_bilinear` extends over
-    functions.  The action is never changed after it is built, so
-    `validate_twisted_action` keeps its report here.
+    functions.
     """
-
-    __slots__ = ("algebra", "bracket_table", "k_table", "sample_points", "bundle", "_report")
 
     def __init__(
         self,
@@ -330,7 +324,10 @@ class TwistedAction:
         self.k_table = k_table
         self.sample_points = sample_points
         self.bundle = bundle
-        self._report: Optional[VerifyReport] = None
+
+    @cached_property
+    def _report(self) -> VerifyReport:
+        return _twisted_action_report(self)
 
 
 def make_twisted_action(
@@ -378,11 +375,7 @@ def _action_lie_bracket(ta: TwistedAction, e1: Section, e2: Section) -> Section:
 def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
     """Antisymmetry of the defect, its vanishing on the pointwise kernel,
     the anchor-defect equation on basis pairs and seeded function multiples,
-    and pointwise coisotropy of the kernel.
-
-    The checks run once per action; every call returns its own copy."""
-    if ta._report is None:
-        ta._report = _twisted_action_report(ta)
+    and pointwise coisotropy of the kernel.  Every call gets its own copy."""
     return ta._report.copy()
 
 

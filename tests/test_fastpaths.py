@@ -568,7 +568,7 @@ def test_frame_axioms_run_once_per_algebroid(monkeypatch, std4, chart4):
     base = PreCourantAlgebroid(std4, zero_table(std4))
     verify_axioms(base, trials=1)
     twisted = apply_deformation(base, twist_deformation(std4, parse_form(chart4, "x4*dx(1,2,3)")))
-    assert twisted.frame_report is None and base.frame_report is not None
+    assert "frame_report" not in vars(twisted) and "frame_report" in vars(base)
     assert verify_axioms(twisted, trials=1).ok
     assert seen[2:] == [base, twisted]
 
@@ -767,6 +767,22 @@ def test_lie_checks_match_reference(make, failing):
         assert {name: checks[name] for name in expected} == expected
         seen |= {name for name, (ok, _) in expected.items() if not ok}
     assert seen == failing
+
+
+def test_jacobiator_of_reads_the_frame_index_kept_on_the_bundle(monkeypatch, chart4):
+    # the index is built on first read and is then a plain attribute
+    b = standard_bundle(chart4)
+    p = PreCourantAlgebroid(b, zero_table(b))
+    assert "frame_index" not in vars(b)
+    u = b.frames()
+    jacobiator_of(p, u[0], u[1], u[2])
+    index = vars(b)["frame_index"]
+    assert index == {f: i for i, f in enumerate(u)}
+    calls = []
+    monkeypatch.setattr(algebroid, "frame_jacobiator", lambda *a: calls.append(a[1:]))
+    jacobiator_of(p, u[3], u[0], u[5])
+    jacobiator_of(p, u[1], u[2].scale(Poly.var(chart4, 0)), u[3])
+    assert calls == [(3, 0, 5)] and vars(b)["frame_index"] is index
 
 
 @pytest.mark.parametrize("name", BUILTINS)

@@ -5,8 +5,9 @@ named only in the builder table, blocks are read only through the block
 table, every check is recorded through `VerifyReport`, every module-level
 function and class has a caller in the package, the two-term l3 has one
 code path, the builders have one connection derivative, J on frame triples
-is enumerated in one place, `tools/bench_record.py --compare` reads two
-records, and importing the CLI stays cheap."""
+is enumerated in one place, results kept on an object are cached
+properties, `tools/bench_record.py --compare` reads two records, and
+importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -226,6 +227,49 @@ def test_builders_differentiate_in_one_connection_derivative():
         )
     }
     assert callers == {"_covariant"}, callers
+
+
+def test_kept_results_are_cached_properties():
+    # a result derived from one fixed object is kept on it as a
+    # functools.cached_property; a hand-rolled fill is `if x.a is None:`
+    # followed by an assignment to x.a
+    fills = []
+    for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        funcs += [
+            (f"{cls.name}.{f.name}", f)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, ast.FunctionDef)
+        ]
+        for name, func in funcs:
+            for node in ast.walk(func):
+                if not (
+                    isinstance(node, ast.If)
+                    and isinstance(node.test, ast.Compare)
+                    and isinstance(node.test.left, ast.Attribute)
+                    and [type(op) for op in node.test.ops] == [ast.Is]
+                    and ast.unparse(node.test.comparators[0]) == "None"
+                ):
+                    continue
+                kept = ast.unparse(node.test.left)
+                if any(
+                    ast.unparse(target) == kept
+                    for assign in ast.walk(node)
+                    if isinstance(assign, ast.Assign)
+                    for t in assign.targets
+                    for target in ast.walk(t)
+                    if isinstance(target, ast.Attribute)
+                ):
+                    fills.append(f"{path.name}: {name}: {kept}")
+    assert fills == [
+        # `jacobiator_flat` is a benchmark tracer target, and algebroid.py,
+        # which owns the algebroid, cannot import Cochain
+        "cochain.py: jacobiator_flat: p.jflat",
+        # the hashes of the two hot value types, which are slotted
+        "poly.py: Poly.__hash__: self._hash",
+        "poly.py: PolyMap.__hash__: self._hash",
+    ]
 
 
 def _bench_record(label, task_s, failed=0):
