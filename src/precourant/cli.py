@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from .errors import ParseError, PrecourantError
 from .manifest import META_MINIMUM, parse_manifest
+from .parsing import parse_int
 from .runner import run_manifest
 from .tasks import TASKS
 
@@ -47,12 +48,9 @@ def _int_at_least(key: str):
     def parse(text: str) -> int:
         error = argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
         try:
-            value = int(text)
-        except ValueError:
+            return parse_int(text, minimum)
+        except ParseError:
             raise error from None
-        if value < minimum:
-            raise error
-        return value
 
     return parse
 

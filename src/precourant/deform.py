@@ -267,6 +267,13 @@ def check_lift(p: PreCourantAlgebroid, lift: Sequence[Section]) -> Optional[str]
     return None
 
 
+def _require_lift(report: VerifyReport, p: PreCourantAlgebroid, lift: Sequence[Section]) -> bool:
+    """Record `lift-is-right-inverse`; a lift that fails it skips the report."""
+    problem = check_lift(p, lift)
+    report.skipped = not report.require("lift-is-right-inverse", problem is None, problem or "")
+    return not report.skipped
+
+
 def pontryagin_representative(
     p: PreCourantAlgebroid, lift: Sequence[Section]
 ) -> Tuple[Optional[KForm], VerifyReport]:
@@ -277,9 +284,7 @@ def pontryagin_representative(
     """
     report = VerifyReport("pontryagin representative")
     b = p.bundle
-    lift_problem = check_lift(p, lift)
-    if not report.require("lift-is-right-inverse", lift_problem is None, lift_problem or ""):
-        report.skipped = True
+    if not _require_lift(report, p, lift):
         return None, report
 
     kappas = kernel_generators_from_lift(p, lift)
@@ -383,14 +388,17 @@ def _check_zero(report: VerifyReport, name: str, label: str, c: Cochain) -> None
 def naive_cohomology_check(
     p: PreCourantAlgebroid,
     samples: Sequence[Cochain],
-    kernel_generators: Sequence[Section],
+    lift: Optional[Sequence[Section]] = None,
 ) -> VerifyReport:
     """D squared and partial squared vanish exactly on each sample, once the
-    Jacobiator lands in the kernel's orthogonal.  When the precondition
-    fails the squares are still evaluated so the report can exhibit a
-    counterexample."""
+    Jacobiator lands in the orthogonal of the kernel generators that
+    `default_kernel_generators(p, lift)` gives, after `_require_lift` has
+    passed a given lift.  When the precondition fails the squares are still
+    evaluated so the report can exhibit a counterexample."""
     report = VerifyReport("naive cohomology")
-    cond, witness = check_image_condition(p, kernel_generators)
+    if lift is not None and not _require_lift(report, p, lift):
+        return report
+    cond, witness = check_image_condition(p, default_kernel_generators(p, lift))
     report.add("jacobiator-in-orthogonal", cond, witness)
     for n, psi in member_samples(report, samples):
         dd = cobound_d(p, cobound_d(p, psi))
@@ -416,11 +424,7 @@ def quotient_jacobi_check(
     on the supplied complement representatives and seeded combinations."""
     report = VerifyReport("quotient jacobi identity")
     b = p.bundle
-    lift_problem = check_lift(p, lift)
-    if not report.require(
-        "lift-is-right-inverse", lift_problem is None, lift_problem or ""
-    ):
-        report.skipped = True
+    if not _require_lift(report, p, lift):
         return report
     kappas = [k for k in kernel_generators_from_lift(p, lift) if not k.is_zero()]
     cond, witness = check_image_condition(p, kappas)

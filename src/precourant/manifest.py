@@ -43,7 +43,7 @@ from .construct import (
 from .deform import apply_deformation, twist_deformation
 from .errors import ParseError, SingularMetricError, TaskError
 from .exterior import KForm
-from .parsing import parse_form, parse_poly, parse_scalar
+from .parsing import parse_form, parse_int, parse_poly, parse_scalar
 from .poly import Chart, Poly
 from .tasks import TASKS, BuildContext
 
@@ -187,14 +187,8 @@ def _read_row(entry: _Entry, length: int, chart: Optional[Chart] = None) -> List
     return out
 
 
-def _parse_int(entry: _Entry, minimum: int = 0) -> int:
-    try:
-        v = int(entry.value)
-    except ValueError:
-        raise ParseError(entry.line, entry.value_col, "integer", entry.value) from None
-    if v < minimum:
-        raise ParseError(entry.line, entry.value_col, f"integer >= {minimum}", entry.value)
-    return v
+def _parse_int(entry: _Entry, minimum: int) -> int:
+    return parse_int(entry.value, minimum, entry.line, entry.value_col)
 
 
 def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
@@ -204,12 +198,18 @@ def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
             entry.line, 1, f"key of the form {prefix}.{'.'.join(['N'] * count)}", entry.key
         )
     try:
-        idx = tuple(int(p) for p in parts[1:])
-    except ValueError:
-        raise ParseError(entry.line, 1, "integer key indices", entry.key) from None
-    if any(i < 1 for i in idx):
-        raise ParseError(entry.line, 1, "1-based key indices", entry.key)
-    return tuple(i - 1 for i in idx)
+        return tuple(parse_int(p, 1) - 1 for p in parts[1:])
+    except ParseError:
+        raise ParseError(entry.line, 1, "1-based integer key indices", entry.key) from None
+
+
+def _missing_rows(rows: Dict[int, object], count: int) -> str:
+    """The 1-based rows up to count that rows, all of whose keys are below
+    count, lacks: the first five, then "..." if there are more."""
+    # the first five missing rows lie below len(rows) + 5
+    first = [i + 1 for i in range(min(count, len(rows) + 5)) if i not in rows][:5]
+    more = ", ..." if count - len(rows) > 5 else ""
+    return f"[{', '.join(map(str, first))}{more}]" if first else ""
 
 
 def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> List:
@@ -223,7 +223,7 @@ def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> Li
             expected = f"row index between 1 and {n_rows}" if n_rows else f"no {prefix} row"
             raise ParseError(e.line, 1, expected, e.key)
         rows[i] = parse_row(e)
-    missing = [i + 1 for i in range(n_rows) if i not in rows]
+    missing = _missing_rows(rows, n_rows)
     if missing:
         last = entries[-1].line if entries else section.line
         raise ParseError(last, 1, f"rows {missing} of {prefix!r}")
@@ -238,9 +238,9 @@ def _contiguous_rows(section: _Section, prefix: str, parse_row) -> List:
         (i,) = _key_indices(e, prefix, 1)
         rows[i] = parse_row(e)
     count = max(rows) + 1
-    missing = [i + 1 for i in range(count) if i not in rows]
+    missing = _missing_rows(rows, count)
     if missing:
-        raise ParseError(section[0].line, 1, f"contiguous {prefix} rows", str(missing))
+        raise ParseError(section[0].line, 1, f"contiguous {prefix} rows", missing)
     return [rows[i] for i in range(count)]
 
 

@@ -252,3 +252,16 @@ def parse_scalar(text: str, line: int = 1, col: int = 1) -> Fraction:
     if p.peek().kind != "end":
         p.fail("end of number")
     return -value if sign == "-" else value
+
+
+def parse_int(text: str, minimum: int, line: int = 1, col: int = 1) -> int:
+    """Parse an integer of at least `minimum` (manifest settings and key
+    indices, CLI overrides): the decimal digits of the literal grammar, with
+    no sign, space or underscore, positioned like `parse_poly`."""
+    try:
+        value = int(text) if text.isdecimal() else None
+    except ValueError:  # more digits than int() converts
+        value = None
+    if value is None or value < minimum:
+        raise ParseError(line, col, f"integer >= {minimum}", text)
+    return value

@@ -30,7 +30,6 @@ from .construct import (
 from .deform import (
     apply_deformation,
     bfield_verify,
-    default_kernel_generators,
     naive_cohomology_check,
     pontryagin_representative,
     pontryagin_vanishing_check,
@@ -154,8 +153,7 @@ def _naive_cohomology(c: BuildContext) -> VerifyReport:
         pullback_form(c.bundle, random_form(rng, c.bundle.chart, 2 if i % 2 == 0 else 1))
         for i in range(min(trials, 8))
     ]
-    generators = default_kernel_generators(c.algebroid, _sections(c, "lift"))
-    return naive_cohomology_check(c.algebroid, samples, generators)
+    return naive_cohomology_check(c.algebroid, samples, _sections(c, "lift"))
 
 
 def _validate_algebra(c: BuildContext) -> VerifyReport:

@@ -33,7 +33,6 @@ from precourant.construct import (
 from precourant.deform import (
     apply_deformation,
     bfield_verify,
-    default_kernel_generators,
     naive_cohomology_check,
     omega_square,
     pontryagin_representative,
@@ -220,8 +219,7 @@ def test_criterion_09_naive_cohomology(ctx_tw4):
         for i in range(8)
     ]
     lift = [b.section(c) for c in ctx_tw4.manifest.blocks["lift"]]
-    generators = default_kernel_generators(p, lift)
-    report = naive_cohomology_check(p, samples, generators)
+    report = naive_cohomology_check(p, samples, lift)
     assert report.ok, report.lines()
     assert sum(1 for c in report.checks if "d-squared" in c.name) == 8
     assert sum(1 for c in report.checks if "partial-squared" in c.name) == 8

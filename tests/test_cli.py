@@ -12,7 +12,7 @@ import pytest
 import precourant
 from precourant.cli import main, resolve_manifest
 from precourant.errors import ConstructionError, TaskError
-from precourant.manifest import parse_manifest
+from precourant.manifest import META_MINIMUM, parse_manifest
 from precourant.runner import run_manifest
 from precourant.tasks import TASKS, Task
 
@@ -213,6 +213,16 @@ def test_override_below_grammar_minimum_exits_2(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert f"argument {flag}: expected an integer >=" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "1_6"), ("--seed", "+3"), ("--seed", " 3")])
+def test_override_outside_the_literal_grammar_exits_2(capsys, flag, value):
+    # `int()` would read these; the manifest's integer reader does not
+    code, out, err = run_cli(
+        capsys, "--manifest", "action_abelian", "--task", "verify-axioms", flag, value
+    )
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: expected an integer >= {META_MINIMUM[flag[2:]]}, got {value!r}" in err
 
 
 def test_override_at_grammar_minimum_runs(capsys):

@@ -216,8 +216,7 @@ def test_naive_cohomology_twisted(twisted4, std4, chart4):
     samples = [pullback_form(std4, random_form(rng, chart4, 2)) for _ in range(3)]
     samples += [pullback_form(std4, random_form(rng, chart4, 1)) for _ in range(2)]
     lift = [std4.frame(i) for i in range(4)]
-    generators = default_kernel_generators(twisted4, lift)
-    report = naive_cohomology_check(twisted4, samples, generators)
+    report = naive_cohomology_check(twisted4, samples, lift)
     assert report.ok
 
 
@@ -233,7 +232,7 @@ def test_naive_cohomology_precondition_fails_with_witness():
     # the Jacobiator); an auxiliary-frame covector can
     b = p.bundle
     samples = [Cochain(b, 1, {(j,): pairing(b.frame(3), b.frame(j)) for j in range(b.rank)})]
-    report = naive_cohomology_check(p, samples, generators)
+    report = naive_cohomology_check(p, samples)
     assert not report.ok
     d_squared_failures = [
         c for c in report.checks if "squared" in c.name and not c.ok

@@ -149,6 +149,47 @@ def test_gap_in_points_is_a_positioned_error():
     assert err.value.found == "[2, 3, 4, 5, 6]"
 
 
+def test_many_missing_rows_are_named_briefly():
+    # the first five missing rows, found without walking the declared range
+    text = BASE + "\n[points]\np.8 = 1, 2\np.1 = 0, 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert err.value.found == "[2, 3, 4, 5, 6, ...]"
+    text = BASE + "\n[points]\np.1000000 = 1, 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (12, 1)
+    assert err.value.found == "[1, 2, 3, 4, 5, ...]" and len(str(err.value)) < 200
+    text = "[chart]\nvars = x1\n\n[bundle]\nrank = 1000000\n\n[bracket]\n"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (4, 1)
+    assert err.value.expected == "rows [1, 2, 3, 4, 5, ...] of 'metric'"
+    assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("setting, minimum", [("seed = 1_0", 0), ("trials = +4", 1)])
+def test_integer_settings_are_decimal_digits(setting, minimum):
+    # `int()` would read these; the literal grammar's integers are digits only
+    text = BASE.replace("tasks =", setting + "\ntasks =")
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (3, setting.index("=") + 3)
+    assert err.value.expected == f"integer >= {minimum}"
+    assert err.value.found == setting.split("= ")[1]
+
+
+def test_key_indices_are_decimal_digits():
+    text = (
+        "[chart]\nvars = x1\n\n[bundle]\nrank = 2\nmetric.1 = 0, 1\nmetric.2 = 1, 0\n"
+        "anchor.1 = 1\nanchor.2 = 0\n\n[bracket]\nt.1_0.2 = 0, 0\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (12, 1)
+    assert (err.value.expected, err.value.found) == ("1-based integer key indices", "t.1_0.2")
+
+
 def test_unknown_task_rejected():
     text = """
 [meta]

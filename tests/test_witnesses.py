@@ -37,7 +37,7 @@ from precourant.exterior import KForm
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly
-from precourant.runner import build_context
+from precourant.runner import build_context, run_manifest
 from precourant.twoterm import build_leibniz2, build_lie2, verify_leibniz2, verify_lie2
 
 F = Fraction
@@ -571,6 +571,33 @@ def test_pontryagin_kernel_slot_mutant_report():
     form, report = pontryagin_representative(p.with_table(table), lift)
     assert form is None and report.skipped
     assert report.lines() == KERNEL_SLOT_MUTANT
+
+
+# twisted_r4's [lift] row -> its replacement and the lift-is-right-inverse witness
+BAD_LIFTS = {
+    "sigma.1 = 1, 0, 0, 0, 0, 0, 0, 0": (
+        "sigma.1 = 0, 0, 0, 0, 1, 0, 0, 0",
+        "rho(sigma_1) = (0, 0, 0, 0) is not the coordinate direction x1",
+    ),
+    "sigma.4 = 0, 0, 0, 1, 0, 0, 0, 0": ("", "lift must supply 4 sections"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_LIFTS), ids=["wrong-anchor", "short"])
+def test_naive_cohomology_checks_its_lift(row):
+    # naive-cohomology builds its kernel generators from the lift, so a lift
+    # that is not a right inverse skips it as it skips pontryagin, instead of
+    # failing jacobiator-in-orthogonal or indexing past a short lift
+    new, witness = BAD_LIFTS[row]
+    text = resolve_manifest("twisted_r4").read_text().replace(row, new)
+    report = run_manifest(parse_manifest(text), tasks=["naive-cohomology", "pontryagin"])
+    assert report.to_text().splitlines()[6:] == [
+        "task naive-cohomology = skipped-precondition",
+        f"  fail lift-is-right-inverse: {witness}",
+        "task pontryagin = skipped-precondition",
+        f"  fail lift-is-right-inverse: {witness}",
+        "result = fail",
+    ]
 
 
 def test_derived_identities_symmetrization_report():
