@@ -37,7 +37,7 @@ from .cochain import (
     partial_section_values,
     pullback_form,
 )
-from .errors import ConstructionError, DegreeError
+from .errors import DegreeError
 from .exterior import KForm, VectorField, ext_d, format_kform, format_vector_coeffs
 from .poly import format_poly
 from .reports import VerifyReport
@@ -78,15 +78,9 @@ def validate_deformation(p: PreCourantAlgebroid, omega: KerCochain) -> VerifyRep
     return report
 
 
-def apply_deformation(
-    p: PreCourantAlgebroid, omega: KerCochain, validate: bool = True
-) -> PreCourantAlgebroid:
-    """New structure with table[i][j] + omega(u_i, u_j)."""
-    if validate:
-        report = validate_deformation(p, omega)
-        if not report.ok:
-            fail = report.first_failure()
-            raise ConstructionError("invalid-deformation", fail.name if fail else "")
+def apply_deformation(p: PreCourantAlgebroid, omega: KerCochain) -> PreCourantAlgebroid:
+    """New structure with table[i][j] + omega(u_i, u_j).  Adds omega as
+    given; `validate_deformation` checks it."""
     b = p.bundle
     table = [
         [p.table[i][j] + omega.value_at((i, j)) for j in range(b.rank)]
@@ -124,7 +118,7 @@ def verify_deformation_identity(
         report.skipped = True
         return report
     report.add("precondition-valid-omega", True)
-    deformed = apply_deformation(p, omega, validate=False)
+    deformed = apply_deformation(p, omega)
     b = p.bundle
     partial_omega = partial_section_values(p, omega)
 
@@ -181,7 +175,7 @@ def bfield_verify(
     b_sharp = KerCochain(pullback_form(b, beta))
 
     # the equivalent structure o + rho*(d beta (rho ., rho ., .))
-    deformed = apply_deformation(p, twist_deformation(b, ext_d(beta)), validate=False)
+    deformed = apply_deformation(p, twist_deformation(b, ext_d(beta)))
     rng = random.Random(seed)
     sections = [b.frame(i) for i in range(b.rank)]
     sections += [random_section(rng, b, max_degree) for _ in range(trials)]
@@ -333,8 +327,7 @@ def pontryagin_vanishing_check(
         return report
 
     # untwist and confirm the Jacobiator dies
-    minus_twist = KerCochain(-pullback_form(b, h))
-    deformed = apply_deformation(p, minus_twist, validate=False)
+    deformed = apply_deformation(p, twist_deformation(b, -h))
     report.first(
         "untwisted-jacobiator-zero",
         (
@@ -426,7 +419,7 @@ def quotient_jacobi_check(
     b = p.bundle
     if not _require_lift(report, p, lift):
         return report
-    kappas = [k for k in kernel_generators_from_lift(p, lift) if not k.is_zero()]
+    kappas = default_kernel_generators(p, lift)
     cond, witness = check_image_condition(p, kappas)
     if not report.require("jacobiator-in-orthogonal", cond, witness):
         report.skipped = True

@@ -331,7 +331,7 @@ def _build_twisted_exact(m: Manifest) -> BuildContext:
     bundle = standard_bundle(m.chart)
     base = PreCourantAlgebroid(bundle, zero_table(bundle))
     omega = twist_deformation(bundle, m.spec["h"])
-    return BuildContext(m, bundle, apply_deformation(base, omega, validate=False))
+    return BuildContext(m, bundle, apply_deformation(base, omega))
 
 
 def _parse_connection_beta(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:

@@ -1,8 +1,8 @@
 """Parsers for the polynomial and form literal grammars.
 
-Polynomial literals: integers, rationals ``p/q``, coordinate identifiers,
-``+ - * ^`` and parentheses; whitespace is insignificant.  Example:
-``(3/2)*x1^2*x4 - x2``.
+Polynomial literals: integers and rationals ``p/q`` in ASCII digits,
+coordinate identifiers, ``+ - * ^`` and parentheses; whitespace is
+insignificant.  Example: ``(3/2)*x1^2*x4 - x2``.
 
 Form literals extend the polynomial grammar with wedge-basis groups
 ``dx(i,j,...)`` using 1-based coordinate positions; a term is a product of
@@ -13,6 +13,7 @@ degree.  ``dx()`` denotes the degree-0 basis.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import List, Optional
 
@@ -25,12 +26,20 @@ _SYMBOLS = "+-*^(),"
 
 
 class _Token:
-    __slots__ = ("kind", "text", "col")
+    __slots__ = ("kind", "text", "col", "value")
 
-    def __init__(self, kind: str, text: str, col: int):
+    def __init__(self, kind: str, text: str, col: int, value=None):
         self.kind = kind
         self.text = text
         self.col = col
+        self.value = value  # a number token's int, or Fraction for p/q
+
+
+def _digits_end(text: str, i: int) -> int:
+    """The end of the run of ASCII digits 0-9 that starts at text[i]."""
+    while i < len(text) and "0" <= text[i] <= "9":
+        i += 1
+    return i
 
 
 def _tokenize(text: str, line: int, start: int) -> List[_Token]:
@@ -44,25 +53,26 @@ def _tokenize(text: str, line: int, start: int) -> List[_Token]:
             i += 1
             continue
         col = start + i
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+        if "0" <= ch <= "9":
+            j = k = _digits_end(text, i)
             if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdecimal():
-                    k += 1
+                k = _digits_end(text, j + 1)
                 if k == j + 1:
                     raise ParseError(line, start + j + 1, "denominator digits")
-                if int(text[j + 1 : k]) == 0:
-                    raise ParseError(
-                        line, start + j + 1, "nonzero denominator", text[j + 1 : k]
-                    )
-                tokens.append(_Token("number", text[i:k], col))
-                i = k
-            else:
-                tokens.append(_Token("number", text[i:j], col))
-                i = j
+            try:
+                value = int(text[i:j])
+                den = int(text[j + 1 : k]) if k > j else None
+            except ValueError:  # more digits than int() converts
+                raise ParseError(
+                    line, col, f"at most {sys.get_int_max_str_digits()} digits per integer",
+                    text[i : i + 20] + "...",
+                ) from None
+            if den == 0:
+                raise ParseError(line, start + j + 1, "nonzero denominator", text[j + 1 : k])
+            if den is not None:
+                value = Fraction(value, den)
+            tokens.append(_Token("number", text[i:k], col, value))
+            i = k
         elif ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -140,15 +150,14 @@ class _Parser:
             tok = self.expect("number", "integer exponent")
             if "/" in tok.text:
                 raise ParseError(self.line, tok.col, "integer exponent", tok.text)
-            return base ** int(tok.text)
+            return base ** tok.value
         return base
 
     def _atom(self) -> Poly:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            text = tok.text
-            return Poly.const(self.chart, int(text) if text.isdecimal() else Fraction(text))
+            return Poly.const(self.chart, tok.value)
         if tok.kind == "ident":
             if tok.text not in self.chart.var_names:
                 raise ParseError(self.line, tok.col, "coordinate name", tok.text)
@@ -211,7 +220,7 @@ class _Parser:
                     num = self.expect("number", "1-based coordinate index")
                     if "/" in num.text:
                         raise ParseError(self.line, num.col, "integer index", num.text)
-                    i = int(num.text)
+                    i = num.value
                     if not (1 <= i <= self.chart.dim):
                         raise ParseError(
                             self.line, num.col,
@@ -248,7 +257,7 @@ def parse_scalar(text: str, line: int = 1, col: int = 1) -> Fraction:
     `parse_poly`."""
     p = _Parser(None, text, line, col)
     sign = p.advance().kind if p.peek().kind in "+-" else "+"
-    value = Fraction(p.expect("number", "rational number").text)
+    value = Fraction(p.expect("number", "rational number").value)
     if p.peek().kind != "end":
         p.fail("end of number")
     return -value if sign == "-" else value
@@ -256,10 +265,10 @@ def parse_scalar(text: str, line: int = 1, col: int = 1) -> Fraction:
 
 def parse_int(text: str, minimum: int, line: int = 1, col: int = 1) -> int:
     """Parse an integer of at least `minimum` (manifest settings and key
-    indices, CLI overrides): the decimal digits of the literal grammar, with
+    indices, CLI overrides): the ASCII digits of the literal grammar, with
     no sign, space or underscore, positioned like `parse_poly`."""
     try:
-        value = int(text) if text.isdecimal() else None
+        value = int(text) if text and _digits_end(text, 0) == len(text) else None
     except ValueError:  # more digits than int() converts
         value = None
     if value is None or value < minimum:

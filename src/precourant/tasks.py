@@ -44,7 +44,6 @@ from .sampling import random_form
 from .twoterm import (
     build_leibniz2,
     build_lie2,
-    deformation_morphism,
     verify_leibniz2,
     verify_lie2,
     verify_morphism,
@@ -120,11 +119,6 @@ def _comm_lemma(c: BuildContext) -> VerifyReport:
     return verify_comm_lemma(c.algebroid, samples)
 
 
-def _lie2(c: BuildContext) -> VerifyReport:
-    trials, seed, deg = _sampling(c)
-    return verify_lie2(build_lie2(c.algebroid), trials, seed, deg, quad_trials=min(trials, 8))
-
-
 def _deform(c: BuildContext) -> VerifyReport:
     p = c.algebroid
     omega = twist_deformation(c.bundle, c.manifest.blocks["deform"])
@@ -133,9 +127,10 @@ def _deform(c: BuildContext) -> VerifyReport:
     combined.merge(valid, prefix="valid/")
     if valid.ok:
         combined.merge(verify_deformation_identity(p, omega, *_sampling(c)), prefix="identity/")
-        deformed = apply_deformation(p, omega, validate=False)
-        morph = deformation_morphism(build_leibniz2(p), build_leibniz2(deformed), omega)
-        combined.merge(verify_morphism(morph, *_sampling(c)), prefix="morphism/")
+        target = build_leibniz2(apply_deformation(p, omega))
+        combined.merge(
+            verify_morphism(build_leibniz2(p), target, omega, *_sampling(c)), prefix="morphism/"
+        )
     return combined
 
 
@@ -185,7 +180,7 @@ TASKS: Dict[str, Task] = {
     "jacobiator-theorem": Task(lambda c: verify_jacobiator_theorem(c.algebroid, *_sampling(c))),
     "comm-lemma": Task(_comm_lemma),
     "leibniz2": Task(lambda c: verify_leibniz2(build_leibniz2(c.algebroid), *_sampling(c))),
-    "lie2": Task(_lie2),
+    "lie2": Task(lambda c: verify_lie2(build_lie2(c.algebroid), *_sampling(c))),
     "deform": Task(_deform, needs=("deform",)),
     "bfield": Task(
         lambda c: bfield_verify(c.algebroid, c.manifest.blocks["bfield"], *_sampling(c)),

@@ -38,7 +38,7 @@ def twisted4(std4, chart4):
     """The exact structure twisted by h = x4 dx1^dx2^dx3."""
     base = PreCourantAlgebroid(std4, zero_table(std4))
     h = parse_form(chart4, "x4*dx(1,2,3)")
-    return apply_deformation(base, twist_deformation(std4, h), validate=False)
+    return apply_deformation(base, twist_deformation(std4, h))
 
 
 @pytest.fixture(scope="session")

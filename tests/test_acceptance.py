@@ -49,7 +49,6 @@ from precourant.sampling import random_form, random_section
 from precourant.twoterm import (
     build_leibniz2,
     build_lie2,
-    deformation_morphism,
     verify_leibniz2,
     verify_lie2,
     verify_morphism,
@@ -144,7 +143,7 @@ def test_criterion_03_leibniz_two_term(ctx_tw4):
 def test_criterion_04_lie_two_term(ctx_tw4):
     t0 = time.monotonic()
     alg = build_lie2(ctx_tw4.algebroid)
-    report = verify_lie2(alg, trials=16, seed=0, max_degree=2, quad_trials=8)
+    report = verify_lie2(alg, trials=16, seed=0, max_degree=2)
     assert report.ok, report.lines()
     names = {c.name for c in report.checks}
     assert {"l2-skew", "l3-skew", "l3-kernel-valued", "homotopy-jacobi"} <= names
@@ -161,8 +160,10 @@ def test_criterion_05_deformation_identity(ctx_std3):
     for idx in combinations(range(b.rank), 3):
         assert omega_square(p, omega, *(b.frame(i) for i in idx)).is_zero()
     deformed = apply_deformation(p, omega)
-    morphism = deformation_morphism(build_leibniz2(p), build_leibniz2(deformed), omega)
-    assert verify_morphism(morphism, trials=16, seed=0, max_degree=2).ok
+    morphism = verify_morphism(
+        build_leibniz2(p), build_leibniz2(deformed), omega, trials=16, seed=0, max_degree=2
+    )
+    assert morphism.ok
     announce(5, "deformation identity and morphism", t0)
 
 
@@ -202,9 +203,7 @@ def test_criterion_08_pontryagin(ctx_tw4):
     assert ext_d(form).is_zero()
     vanish = pontryagin_vanishing_check(p, m.blocks["pontryagin"])
     assert vanish.ok, vanish.lines()
-    untwisted = apply_deformation(
-        p, twist_deformation(b, m.blocks["pontryagin"].scale(-1)), validate=False
-    )
+    untwisted = apply_deformation(p, twist_deformation(b, m.blocks["pontryagin"].scale(-1)))
     for idx in combinations(range(b.rank), 3):
         assert jacobiator(untwisted, *(b.frame(i) for i in idx)).is_zero()
     announce(8, "pontryagin representative and vanishing", t0)

@@ -58,9 +58,7 @@ def _twisted_exact():
     chart = _chart(4)
     b = standard_bundle(chart)
     h = parse_form(chart, "x4*dx(1,2,3)")
-    p = apply_deformation(
-        PreCourantAlgebroid(b, zero_table(b)), twist_deformation(b, h), validate=False
-    )
+    p = apply_deformation(PreCourantAlgebroid(b, zero_table(b)), twist_deformation(b, h))
     return "[builder]\nkind = twisted_exact\nh = x4*dx(1,2,3)\n", p, {}
 
 

@@ -215,7 +215,9 @@ def test_override_below_grammar_minimum_exits_2(capsys, flag, value):
     assert f"argument {flag}: expected an integer >=" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", "1_6"), ("--seed", "+3"), ("--seed", " 3")])
+@pytest.mark.parametrize(
+    "flag, value", [("--trials", "1_6"), ("--seed", "+3"), ("--seed", " 3"), ("--seed", "\u0663")]
+)
 def test_override_outside_the_literal_grammar_exits_2(capsys, flag, value):
     # `int()` would read these; the manifest's integer reader does not
     code, out, err = run_cli(
@@ -354,6 +356,17 @@ def test_unreadable_manifest_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--manifest", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_number_beyond_the_int_digit_limit_exits_2(tmp_path, capsys):
+    text = resolve_manifest("twisted_r4").read_text()
+    assert "\np.2 = 2, 1, -1, 3\n" in text
+    path = tmp_path / "long.pcm"
+    path.write_text(text.replace("\np.2 = 2, 1, -1, 3\n", "\np.2 = 2, 1, -1, " + "3" * 5000 + "\n"))
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--task", "coisotropy", "--quiet")
+    assert (code, out) == (2, "")
+    assert "line 20, column 17: expected at most " in err
+    assert "Traceback" not in err
 
 
 def test_non_utf8_manifest_exits_2(tmp_path, capsys):

@@ -168,7 +168,9 @@ def test_many_missing_rows_are_named_briefly():
     assert len(str(err.value)) < 200
 
 
-@pytest.mark.parametrize("setting, minimum", [("seed = 1_0", 0), ("trials = +4", 1)])
+@pytest.mark.parametrize(
+    "setting, minimum", [("seed = 1_0", 0), ("trials = +4", 1), ("seed = \u0663", 0)]
+)
 def test_integer_settings_are_decimal_digits(setting, minimum):
     # `int()` would read these; the literal grammar's integers are digits only
     text = BASE.replace("tasks =", setting + "\ntasks =")

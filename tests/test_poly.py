@@ -92,8 +92,9 @@ def test_parse_error_positions(c):
     with pytest.raises(ParseError) as err:
         parse_poly(c, "x1 @ x2")
     assert err.value.column == 4
-    # a digit that is not a decimal one is no number: a positioned error
-    for text, column in (("x1^\u00b2", 4), ("\u00b2*x1", 1), ("2/\u00b2", 3)):
+    # a digit that is not an ASCII one is no number: a positioned error
+    for text, column in (("x1^\u00b2", 4), ("\u00b2*x1", 1), ("2/\u00b2", 3),
+                         ("x1^\u0663 + \uff12", 4), ("x1 + \uff12", 6)):
         with pytest.raises(ParseError) as err:
             parse_poly(c, text)
         assert err.value.column == column, text
@@ -125,3 +126,30 @@ def test_parse_scalar():
     assert parse_scalar(" -2 ") == -2
     with pytest.raises(ParseError):
         parse_scalar("x")
+
+
+LONG = "3" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (parse_poly, LONG, 1),
+        (parse_poly, f"x1 + {LONG}/7", 6),
+        (parse_poly, f"1/{LONG}*x2", 1),
+        (parse_poly, f"x1^{LONG}", 4),
+        (parse_form, f"dx({LONG})", 4),
+        (parse_form, f"{LONG}*dx(1)", 1),
+        (parse_scalar, LONG, 1),
+        (parse_scalar, f"-2/{LONG}", 2),
+    ],
+    ids=["poly", "poly-numerator", "poly-denominator", "exponent", "dx-index", "form-coefficient",
+         "scalar", "scalar-denominator"],
+)
+def test_number_beyond_the_int_digit_limit_is_a_parse_error(c, parse, text, column):
+    # int() refuses such a string with a ValueError; the tokenizer positions it
+    with pytest.raises(ParseError) as err:
+        parse(text) if parse is parse_scalar else parse(c, text)
+    assert err.value.column == column
+    assert err.value.expected.endswith("digits per integer")
+    assert len(str(err.value)) < 200

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from precourant import twoterm
 from precourant.algebroid import jacobiator, skew_bracket
 from precourant.bundle import anchor_apply, dee, pairing
+from precourant.cochain import KerCochain
 from precourant.deform import apply_deformation, twist_deformation
 from precourant.errors import RankMismatchError
 from precourant.exterior import KForm
@@ -15,11 +17,9 @@ from precourant.poly import Poly
 from precourant.sampling import random_kernel_section, random_section
 from precourant.twoterm import (
     DEGREE1_DOMAIN_NOTE,
-    Morphism2,
     build_leibniz2,
     build_lie2,
     curly_jacobiator,
-    deformation_morphism,
     skew_jacobiator_direct,
     t_scalar,
     verify_leibniz2,
@@ -61,8 +61,8 @@ def test_leibniz2_rejects_nonkernel_degree1(courant3, std3):
 
 def test_doubled_corrector_fails_b1(twisted4):
     alg = build_leibniz2(twisted4)
-    double_j = lambda x, y, z: jacobiator(twisted4, x, y, z).scale(2)
-    report = verify_leibniz2(alg, trials=3, seed=0, l3_override=double_j)
+    alg.l3 = lambda x, y, z: jacobiator(twisted4, x, y, z).scale(2)
+    report = verify_leibniz2(alg, trials=3, seed=0)
     assert not report.ok
     failed = {c.name for c in report.checks if not c.ok}
     assert "defect-degree0" in failed
@@ -77,7 +77,7 @@ def test_zero_algebra_passes(std3):
     flat = CourantBundle(chart, 2, [[0, 1], [1, 0]], [[Poly.zero(chart)] * 3] * 2)
     p = PreCourantAlgebroid(flat, zero_table(flat))
     assert verify_leibniz2(build_leibniz2(p), trials=3, seed=0).ok
-    assert verify_lie2(build_lie2(p), trials=3, seed=0, quad_trials=2).ok
+    assert verify_lie2(build_lie2(p), trials=3, seed=0).ok
 
 
 def test_skew_bracket_and_t_examples(courant3, std3, chart3):
@@ -117,27 +117,35 @@ def test_curly_jacobiator_components(twisted4, courant3, std4, std3):
 
 
 def test_lie2_suites(courant3, twisted4):
-    assert verify_lie2(build_lie2(courant3), trials=3, seed=1, quad_trials=2, max_degree=1).ok
-    report = verify_lie2(build_lie2(twisted4), trials=3, seed=1, quad_trials=2, max_degree=1)
+    assert verify_lie2(build_lie2(courant3), trials=3, seed=1, max_degree=1).ok
+    report = verify_lie2(build_lie2(twisted4), trials=3, seed=1, max_degree=1)
     assert report.ok
     assert DEGREE1_DOMAIN_NOTE in report.notes
+
+
+@pytest.mark.parametrize("trials, quadruples", [(3, 3), (10, 8)])
+def test_lie2_draws_at_most_eight_quadruples(courant3, monkeypatch, trials, quadruples):
+    seen = []
+    real = twoterm._homotopy_jacobi_defect
+    monkeypatch.setattr(
+        twoterm, "_homotopy_jacobi_defect", lambda alg, es: seen.append(es) or real(alg, es)
+    )
+    assert verify_lie2(build_lie2(courant3), trials=trials, seed=0, max_degree=0).ok
+    assert len(seen) == quadruples
 
 
 def test_lie2_uncorrected_l3_fails(twisted4):
     # plain J without the D T correction breaks the skew battery
     alg = build_lie2(twisted4)
-    plain_j = lambda x, y, z: jacobiator(twisted4, x, y, z)
-    report = verify_lie2(
-        alg, trials=4, seed=2, quad_trials=2, max_degree=1, l3_override=plain_j
-    )
+    alg.l3 = lambda x, y, z: jacobiator(twisted4, x, y, z)
+    report = verify_lie2(alg, trials=4, seed=2, max_degree=1)
     assert not report.ok
 
 
 def test_identity_morphism(twisted4):
     alg = build_leibniz2(twisted4)
-    zero = alg.bundle.zero_section()
-    identity = Morphism2(alg, alg, lambda e: e, lambda k: k, lambda a, b: zero)
-    assert verify_morphism(identity, trials=4, seed=0, max_degree=1).ok
+    zero = KerCochain.zero(alg.bundle, 2)
+    assert verify_morphism(alg, alg, zero, trials=4, seed=0, max_degree=1).ok
 
 
 @pytest.mark.parametrize("build", [build_leibniz2, build_lie2])
@@ -148,10 +156,8 @@ def test_deformation_morphism_passes_and_zero_homotopy_fails(build, courant3, st
     omega = twist_deformation(std3, h)
     deformed = apply_deformation(courant3, omega)
     src, tgt = build(courant3), build(deformed)
-    good = deformation_morphism(src, tgt, omega)
-    assert verify_morphism(good, trials=4, seed=1).ok
-    bad = Morphism2(src, tgt, lambda e: e, lambda k: k, lambda a, b: std3.zero_section())
-    report = verify_morphism(bad, trials=4, seed=1)
+    assert verify_morphism(src, tgt, omega, trials=4, seed=1).ok
+    report = verify_morphism(src, tgt, KerCochain.zero(std3, 2), trials=4, seed=1)
     assert not report.ok
     assert report.first_failure().name == "deg0-equation"
 
@@ -159,6 +165,5 @@ def test_deformation_morphism_passes_and_zero_homotopy_fails(build, courant3, st
 def test_morphism_flavor_mismatch(courant3):
     src = build_leibniz2(courant3)
     tgt = build_lie2(courant3)
-    m = Morphism2(src, tgt, lambda e: e, lambda k: k, lambda a, b: src.bundle.zero_section())
     with pytest.raises(ValueError):
-        verify_morphism(m)
+        verify_morphism(src, tgt, KerCochain.zero(src.bundle, 2))

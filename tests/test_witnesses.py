@@ -3,7 +3,8 @@
 The goldens only hold passing runs, so these tests fix what the closed-form
 Jacobiator check, the twisted-action validation, the quadratic Lie
 validation, the pre-Courant axioms and the seeded batteries (two-term
-conditions, derived identities, Jacobiator theorem) report on broken input,
+conditions, derived identities, Jacobiator theorem, the morphism
+equations) report on broken input,
 a kept Jacobiator flat that is not J's among it: which case fails first and
 how both sides print.
 """
@@ -21,7 +22,7 @@ from precourant.algebroid import (
 )
 from precourant.bundle import standard_bundle
 from precourant.cli import resolve_manifest
-from precourant.cochain import Cochain, jacobiator_flat, verify_jacobiator_theorem
+from precourant.cochain import Cochain, KerCochain, jacobiator_flat, verify_jacobiator_theorem
 from precourant.construct import (
     DissectionData,
     dissection_jacobiator_check,
@@ -32,13 +33,19 @@ from precourant.construct import (
     validate_quadratic_lie,
     validate_twisted_action,
 )
-from precourant.deform import pontryagin_representative
+from precourant.deform import apply_deformation, pontryagin_representative, twist_deformation
 from precourant.exterior import KForm
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly
 from precourant.runner import build_context, run_manifest
-from precourant.twoterm import build_leibniz2, build_lie2, verify_leibniz2, verify_lie2
+from precourant.twoterm import (
+    build_leibniz2,
+    build_lie2,
+    verify_leibniz2,
+    verify_lie2,
+    verify_morphism,
+)
 
 F = Fraction
 
@@ -510,20 +517,56 @@ TENSORIAL_WITNESS = {
 
 
 def test_leibniz2_doubled_corrector_report(twisted4):
-    double_j = lambda x, y, z: jacobiator(twisted4, x, y, z).scale(2)
-    report = verify_leibniz2(
-        build_leibniz2(twisted4), trials=3, seed=0, l3_override=double_j
-    )
+    alg = build_leibniz2(twisted4)
+    alg.l3 = lambda x, y, z: jacobiator(twisted4, x, y, z).scale(2)
+    report = verify_leibniz2(alg, trials=3, seed=0)
     assert report.lines() == LEIBNIZ2_DOUBLED_CORRECTOR
 
 
 def test_lie2_uncorrected_l3_report(twisted4):
-    plain_j = lambda x, y, z: jacobiator(twisted4, x, y, z)
-    report = verify_lie2(
-        build_lie2(twisted4), trials=4, seed=2, quad_trials=2, max_degree=1,
-        l3_override=plain_j,
-    )
+    alg = build_lie2(twisted4)
+    alg.l3 = lambda x, y, z: jacobiator(twisted4, x, y, z)
+    report = verify_lie2(alg, trials=4, seed=2, max_degree=1)
     assert report.lines() == LIE2_UNCORRECTED_L3
+
+
+_MORPHISM_HEAD = [
+    "[FAIL] two-term morphism equations",
+    "  FAIL deg0-equation  witness: difference (0, 0, 0, 0, -6*x1^2*x3 + 6*x1*x3 + 4*x2*x3, 0)"
+    " at (0, 0, 3*x1 - 3, 2*x2, 0, -3*x1) | (-2*x3, 0, 0, 2*x1 - 2*x3, -2, 0)",
+    "  FAIL mixed-equation-1  witness: (0, 2*x2 - x3, x3, 0, 0, 0) | (0, 0, 0, -3, -3, 0)",
+    "  FAIL mixed-equation-2  witness: (0, 0, 0, -3, -3, 0) | (0, 2*x2 - x3, x3, 0, 0, 0)",
+    "  FAIL f2-kernel-valued  witness: (0, 2*x2 - x3, x3, 0, 0, 0) | (3*x2, x2 + 1, 1, 3*x1, 0,"
+    " 3*x1)",
+]
+_MORPHISM_AT = (
+    " at (0, 0, 3*x1 - 3, 2*x2, 0, -3*x1) | (-2*x3, 0, 0, 2*x1 - 2*x3, -2, 0)"
+    " | (0, 3*x3 - 1, 3*x3, 0, 0, 0)"
+)
+
+MORPHISM_NON_MEMBER_HOMOTOPY = {
+    "leibniz": _MORPHISM_HEAD + [
+        "  FAIL coherence  witness: defect (0, 0, 18*x3^2 - 6*x3, 0, -18*x1^2*x3^2 + 6*x1^2*x3"
+        " + 18*x1*x3^2 - 6*x1*x3 + 18*x3^2, -18*x3^2 + 6*x3)" + _MORPHISM_AT,
+    ],
+    "lie": _MORPHISM_HEAD + [
+        "  FAIL coherence  witness: defect (0, 0, 18*x3^2 - 6*x3, -18*x1*x3^2 + 6*x1*x3 + 9*x3^2"
+        " - 3*x3, -18*x1^2*x3^2 + 6*x1^2*x3 + 18*x1*x3^2 - 6*x1*x3 + 15*x3^2 - 2*x3, -18*x1^2*x3"
+        " + 3*x1^2 + 18*x1*x3 + 12*x2*x3 - 18*x3^2 - 3*x1 - 2*x2 + 6*x3)" + _MORPHISM_AT,
+    ],
+}
+
+
+@pytest.mark.parametrize("build", [build_leibniz2, build_lie2])
+def test_morphism_non_member_homotopy_report(build, courant3, std3, chart3):
+    # standard_r3 deformed by h = x1 dx(1,2,3), with a homotopy whose flat
+    # pairs a frame pair against a tangent frame: every equation fails
+    h = parse_form(chart3, "x1*dx(1,2,3)")
+    deformed = apply_deformation(courant3, twist_deformation(std3, h))
+    omega = KerCochain(Cochain(std3, 3, {(0, 1, 3): Poly.const(chart3, 1)}))
+    src, tgt = build(courant3), build(deformed)
+    report = verify_morphism(src, tgt, omega, trials=3, seed=1, max_degree=1)
+    assert report.lines() == MORPHISM_NON_MEMBER_HOMOTOPY[src.flavor]
 
 
 def _twisted_r4_with_mutant_flat():
