@@ -46,11 +46,12 @@ def _int_at_least(key: str):
     minimum = META_MINIMUM[key]
 
     def parse(text: str) -> int:
-        error = argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
         try:
             return parse_int(text, minimum)
-        except ParseError:
-            raise error from None
+        except ParseError as exc:  # exc.found quotes at most 20 characters of text
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {exc.found!r}"
+            ) from None
 
     return parse
 

@@ -5,27 +5,28 @@ verification job.
 comment; blank lines separate nothing.  Polynomials and forms are string
 literals in the calculus grammar; matrix-valued data uses dotted numbered
 keys (``metric.2 = 0, 1``) with comma-separated entries, sparse tables
-default to zero.  Exactly one of the ``[bracket]`` and ``[builder]``
-sections must be present.
+default to zero; one reader, `_indexed`, checks the indices of every dotted
+key and rejects indices given twice.  Exactly one of the ``[bracket]`` and
+``[builder]`` sections must be present.
 
 The block table `BLOCKS` declares each optional block beyond the builder
 once; one loop parses them all into `Manifest.blocks`, and `check_tasks`
 names a missing block or builder kind from the two tables.
 
 The builder table `BUILDERS` declares each way of building the structure
-once: the sections it reads, how they parse into one plain spec, the bundle
-rank of that spec, and how the spec builds the bundle, the algebroid and
-the rest of the task context.  ``kind = ...`` in ``[builder]`` names an
-entry; an explicit ``[bundle]`` + ``[bracket]`` pair is the entry under
-None, which no kind can name.  A builder section that the chosen builder
-does not read is an error at its header.
+once: the sections it reads, its ``[builder]`` keys, how they parse into
+one plain spec that holds the rank of the bundle it builds, and how the spec
+builds the bundle, the algebroid and the rest of the task context.
+``kind = ...`` in ``[builder]`` names an entry; an explicit ``[bundle]`` +
+``[bracket]`` pair is the entry under None, which no kind can name.  A
+builder section that the chosen builder does not read is an error at its
+header.
 
 All syntax errors carry a line and column.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -191,6 +192,31 @@ def _parse_int(entry: _Entry, minimum: int) -> int:
     return parse_int(entry.value, minimum, entry.line, entry.value_col)
 
 
+def _required_int(entries: _Section, key: str, section: str, minimum: int) -> int:
+    """The integer entry key of a section, which must be given."""
+    entry = _lookup(entries, key)
+    if entry is None:
+        article = "an" if key[0] in "aeiou" else "a"
+        raise ParseError(_first_line(entries), 1, f"{article} {key!r} entry in [{section}]")
+    return _parse_int(entry, minimum)
+
+
+def _check_keys(entries: List[_Entry], keys: Sequence[str], expected: str = "") -> None:
+    """Reject the first entry whose key is none of keys, where a dotted key
+    such as metric.N stands for every key metric.... (its table reader checks
+    the indices); the error names expected, or else the keys."""
+    allowed = {k.partition(".")[:2] for k in keys}
+    for e in entries:
+        if e.key.partition(".")[:2] not in allowed:
+            raise ParseError(
+                e.line, 1, expected or f"{', '.join(keys[:-1])} or {keys[-1]}", e.key
+            )
+
+
+def _prefixed(entries: List[_Entry], prefix: str) -> List[_Entry]:
+    return [e for e in entries if e.key.startswith(prefix + ".")]
+
+
 def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
     parts = entry.key.split(".")
     if parts[0] != prefix or len(parts) != count + 1:
@@ -203,11 +229,31 @@ def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
         raise ParseError(entry.line, 1, "1-based integer key indices", entry.key) from None
 
 
-def _missing_rows(rows: Dict[int, object], count: int) -> str:
-    """The 1-based rows up to count that rows, all of whose keys are below
-    count, lacks: the first five, then "..." if there are more."""
+def _indexed(
+    entries: List[_Entry], prefix: str, count: int, parse_row, fits, expected: str, skew=False
+) -> Dict[Tuple[int, ...], object]:
+    """The rows of the entries prefix.I... with count 1-based indices, keyed
+    by their 0-based index tuples.  Indices that fits refuses are an error
+    naming expected; so are indices given before, or, in a skew table whose
+    transpose the build fills in, their transpose."""
+    rows: Dict[Tuple[int, ...], object] = {}
+    for e in _prefixed(entries, prefix):
+        idx = _key_indices(e, prefix, count)
+        if not fits(*idx):
+            raise ParseError(e.line, 1, expected, e.key)
+        same = (idx, idx[::-1]) if skew else (idx,)
+        if any(s in rows for s in same):
+            names = dict.fromkeys(".".join([prefix, *(str(i + 1) for i in s)]) for s in same)
+            raise ParseError(e.line, 1, f"a single entry for {' or '.join(names)}", e.key)
+        rows[idx] = parse_row(e)
+    return rows
+
+
+def _missing_rows(rows: Dict[Tuple[int], object], count: int) -> str:
+    """The 1-based rows up to count that rows, all of whose 1-tuple keys are
+    below count, lacks: the first five, then "..." if there are more."""
     # the first five missing rows lie below len(rows) + 5
-    first = [i + 1 for i in range(min(count, len(rows) + 5)) if i not in rows][:5]
+    first = [i + 1 for i in range(min(count, len(rows) + 5)) if (i,) not in rows][:5]
     more = ", ..." if count - len(rows) > 5 else ""
     return f"[{', '.join(map(str, first))}{more}]" if first else ""
 
@@ -215,33 +261,25 @@ def _missing_rows(rows: Dict[int, object], count: int) -> str:
 def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> List:
     """Rows prefix.1 .. prefix.n_rows of a section.  Missing rows are
     reported at the last row given, or at the section header if none is."""
-    entries = [e for e in section if e.key.startswith(prefix + ".")]
-    rows: Dict[int, object] = {}
-    for e in entries:
-        (i,) = _key_indices(e, prefix, 1)
-        if i >= n_rows:
-            expected = f"row index between 1 and {n_rows}" if n_rows else f"no {prefix} row"
-            raise ParseError(e.line, 1, expected, e.key)
-        rows[i] = parse_row(e)
+    expected = f"row index between 1 and {n_rows}" if n_rows else f"no {prefix} row"
+    rows = _indexed(section, prefix, 1, parse_row, lambda i: i < n_rows, expected)
     missing = _missing_rows(rows, n_rows)
     if missing:
-        last = entries[-1].line if entries else section.line
+        last = max([section.line] + [e.line for e in _prefixed(section, prefix)])
         raise ParseError(last, 1, f"rows {missing} of {prefix!r}")
-    return [rows[i] for i in range(n_rows)]
+    return [rows[(i,)] for i in range(n_rows)]
 
 
 def _contiguous_rows(section: _Section, prefix: str, parse_row) -> List:
     """Rows prefix.1 .. prefix.N of a nonempty section in index order, N the
     largest index given.  A gap is reported at the first entry."""
-    rows: Dict[int, object] = {}
-    for e in section:
-        (i,) = _key_indices(e, prefix, 1)
-        rows[i] = parse_row(e)
-    count = max(rows) + 1
+    _check_keys(section, (f"{prefix}.N",), f"key of the form {prefix}.N")
+    rows = _indexed(section, prefix, 1, parse_row, lambda i: True, "")
+    count = max(rows)[0] + 1
     missing = _missing_rows(rows, count)
     if missing:
         raise ParseError(section[0].line, 1, f"contiguous {prefix} rows", missing)
-    return [rows[i] for i in range(count)]
+    return [rows[(i,)] for i in range(count)]
 
 
 def _parse_form_entry(chart: Chart, e: _Entry, degree: int) -> KForm:
@@ -253,31 +291,13 @@ def _parse_form_entry(chart: Chart, e: _Entry, degree: int) -> KForm:
 
 # --- the builders: each parses its sections into a spec, and builds it ------
 # A parser takes the chart, the sections and the [builder] kind entry (None
-# for the [bracket] entry); a build function takes the parsed manifest.
-
-
-def _builder_entries(sections: Sections, kind_entry: _Entry) -> List[_Entry]:
-    """The [builder] entries other than the kind."""
-    return [e for e in sections["builder"] if e is not kind_entry]
-
-
-def _not_an_entry_of(kind_entry: _Entry, e: _Entry) -> ParseError:
-    return ParseError(e.line, 1, f"entries of builder {kind_entry.value}", e.key)
+# for the [bracket] entry) and returns a spec that holds the rank of the
+# bundle it builds; a build function takes the parsed manifest.
 
 
 def _parse_bundle(chart: Chart, entries: _Section) -> Spec:
-    rank_entry = _lookup(entries, "rank")
-    if rank_entry is None:
-        raise ParseError(_first_line(entries), 1, "a 'rank' entry in [bundle]")
-    rank = _parse_int(rank_entry, 1)
-    metric_entries = [e for e in entries if e.key.startswith("metric.")]
-    anchor_entries = [e for e in entries if e.key.startswith("anchor.")]
-    leftovers = [
-        e for e in entries
-        if e is not rank_entry and e not in metric_entries and e not in anchor_entries
-    ]
-    if leftovers:
-        raise ParseError(leftovers[0].line, 1, "rank, metric.N or anchor.N", leftovers[0].key)
+    rank = _required_int(entries, "rank", "bundle", 1)
+    _check_keys(entries, ("rank", "metric.N", "anchor.N"))
     metric = _numbered_rows(entries, "metric", rank, lambda e: _read_row(e, rank))
     anchor = _numbered_rows(entries, "anchor", rank, lambda e: _read_row(e, chart.dim, chart))
     return dict(rank=rank, metric=metric, anchor=anchor)
@@ -286,12 +306,12 @@ def _parse_bundle(chart: Chart, entries: _Section) -> Spec:
 def _parse_bracket(chart: Chart, sections: Sections, kind_entry: None) -> Spec:
     spec = _parse_bundle(chart, sections["bundle"])
     rank = spec["rank"]
-    table: Dict[Tuple[int, int], List[Poly]] = {}
-    for e in sections["bracket"]:
-        i, j = _key_indices(e, "t", 2)
-        if i >= rank or j >= rank:
-            raise ParseError(e.line, 1, f"frame indices between 1 and {rank}", e.key)
-        table[(i, j)] = _read_row(e, rank, chart)
+    entries = sections["bracket"]
+    _check_keys(entries, ("t.N.N",), "key of the form t.N.N")
+    table = _indexed(
+        entries, "t", 2, lambda e: _read_row(e, rank, chart), lambda i, j: max(i, j) < rank,
+        f"frame indices between 1 and {rank}",
+    )
     return dict(spec, brackets=table)
 
 
@@ -304,11 +324,8 @@ def _build_bracket(m: Manifest) -> BuildContext:
     return BuildContext(m, bundle, PreCourantAlgebroid(bundle, table))
 
 
-def _parse_kind_only(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    """The empty spec of a builder that takes no [builder] entry but the kind."""
-    for e in _builder_entries(sections, kind_entry):
-        raise _not_an_entry_of(kind_entry, e)
-    return {}
+def _parse_standard(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
+    return {"rank": 2 * chart.dim}
 
 
 def _build_standard(m: Manifest) -> BuildContext:
@@ -317,14 +334,10 @@ def _build_standard(m: Manifest) -> BuildContext:
 
 
 def _parse_twisted_exact(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    h = None
-    for e in _builder_entries(sections, kind_entry):
-        if e.key != "h":
-            raise _not_an_entry_of(kind_entry, e)
-        h = _parse_form_entry(chart, e, 3)
+    h = _lookup(sections["builder"], "h")
     if h is None:
         raise ParseError(kind_entry.line, 1, "an 'h' entry for twisted_exact")
-    return {"h": h}
+    return {"rank": 2 * chart.dim, "h": _parse_form_entry(chart, h, 3)}
 
 
 def _build_twisted_exact(m: Manifest) -> BuildContext:
@@ -337,20 +350,20 @@ def _build_twisted_exact(m: Manifest) -> BuildContext:
 def _parse_connection_beta(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
     spec = _parse_bundle(chart, sections["bundle"])
     rank = spec["rank"]
-    gamma, beta = {}, {}  # (direction, frame) and (frame, frame) -> coefficients
-    for e in _builder_entries(sections, kind_entry):
-        if e.key.startswith("gamma."):
-            mm, a = _key_indices(e, "gamma", 2)
-            if mm >= chart.dim or a >= rank:
-                raise ParseError(e.line, 1, "gamma.direction.frame in range", e.key)
-            gamma[(mm, a)] = _read_row(e, rank, chart)
-        elif e.key.startswith("beta."):
-            i, j = _key_indices(e, "beta", 2)
-            if i >= rank or j >= rank:
-                raise ParseError(e.line, 1, f"frame indices between 1 and {rank}", e.key)
-            beta[(i, j)] = _read_row(e, rank, chart)
-        else:
-            raise _not_an_entry_of(kind_entry, e)
+    entries = sections["builder"]
+
+    def row(e: _Entry) -> List[Poly]:
+        return _read_row(e, rank, chart)
+
+    # (direction, frame) and (frame, frame) -> coefficients
+    gamma = _indexed(
+        entries, "gamma", 2, row, lambda mm, a: mm < chart.dim and a < rank,
+        "gamma.direction.frame in range",
+    )
+    beta = _indexed(
+        entries, "beta", 2, row, lambda i, j: max(i, j) < rank,
+        f"frame indices between 1 and {rank}",
+    )
     return dict(spec, gamma=gamma, beta=beta)
 
 
@@ -374,31 +387,18 @@ def _build_connection_beta(m: Manifest) -> BuildContext:
 
 
 def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    _parse_kind_only(chart, sections, kind_entry)
     entries = sections["algebra"]
-    dim_entry = _lookup(entries, "dim")
-    if dim_entry is None:
-        raise ParseError(_first_line(entries), 1, "a 'dim' entry in [algebra]")
-    dim = _parse_int(dim_entry, 1)
-    doubled = False
-    brackets: Dict[Tuple[int, int], List[Fraction]] = {}
-    pairing_entries = []
-    for e in entries:
-        if e is dim_entry:
-            continue
-        if e.key == "double":
-            if e.value not in ("true", "false"):
-                raise ParseError(e.line, e.value_col, "true or false", e.value)
-            doubled = e.value == "true"
-        elif e.key.startswith("bracket."):
-            i, j = _key_indices(e, "bracket", 2)
-            if i >= dim or j >= dim:
-                raise ParseError(e.line, 1, f"basis indices between 1 and {dim}", e.key)
-            brackets[(i, j)] = _read_row(e, dim)
-        elif e.key.startswith("pairing."):
-            pairing_entries.append(e)
-        else:
-            raise ParseError(e.line, 1, "dim, double, bracket.I.J or pairing.N", e.key)
+    dim = _required_int(entries, "dim", "algebra", 1)
+    _check_keys(entries, ("dim", "double", "bracket.I.J", "pairing.N"))
+    flag = _lookup(entries, "double")
+    if flag is not None and flag.value not in ("true", "false"):
+        raise ParseError(flag.line, flag.value_col, "true or false", flag.value)
+    doubled = flag is not None and flag.value == "true"
+    brackets = _indexed(
+        entries, "bracket", 2, lambda e: _read_row(e, dim), lambda i, j: max(i, j) < dim,
+        f"basis indices between 1 and {dim}", skew=True,
+    )
+    pairing_entries = _prefixed(entries, "pairing")
     if pairing_entries and doubled:
         raise ParseError(
             pairing_entries[0].line, 1,
@@ -408,24 +408,22 @@ def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) 
     if pairing_entries:
         pairing = _numbered_rows(entries, "pairing", dim, lambda e: _read_row(e, dim))
     elif not doubled:
-        raise ParseError(dim_entry.line, 1, "pairing.N rows in [algebra] unless double = true")
+        raise ParseError(
+            _lookup(entries, "dim").line, 1, "pairing.N rows in [algebra] unless double = true"
+        )
 
     # the action of the algebra, or of its double: one row per basis vector
     rank = 2 * dim if doubled else dim
     entries = sections["action"]
-    rho_entries = [e for e in entries if e.key.startswith("rho.")]
-    k_entries = [e for e in entries if e.key.startswith("k.")]
-    leftovers = [e for e in entries if e not in rho_entries and e not in k_entries]
-    if leftovers:
-        raise ParseError(leftovers[0].line, 1, "rho.N or k.I.J", leftovers[0].key)
+    _check_keys(entries, ("rho.N", "k.I.J"))
     rho = _numbered_rows(entries, "rho", rank, lambda e: _read_row(e, chart.dim, chart))
-    k: Dict[Tuple[int, int], List[Poly]] = {}
-    for e in k_entries:
-        i, j = _key_indices(e, "k", 2)
-        if i >= rank or j >= rank:
-            raise ParseError(e.line, 1, f"basis indices between 1 and {rank}", e.key)
-        k[(i, j)] = _read_row(e, rank, chart)
-    return dict(dim=dim, double=doubled, brackets=brackets, pairing=pairing, rho=rho, k=k)
+    k = _indexed(
+        entries, "k", 2, lambda e: _read_row(e, rank, chart), lambda i, j: max(i, j) < rank,
+        f"basis indices between 1 and {rank}", skew=True,
+    )
+    return dict(
+        rank=rank, dim=dim, double=doubled, brackets=brackets, pairing=pairing, rho=rho, k=k
+    )
 
 
 def _build_twisted_action(m: Manifest) -> BuildContext:
@@ -441,55 +439,42 @@ def _build_twisted_action(m: Manifest) -> BuildContext:
 
 
 def _parse_dissection(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    _parse_kind_only(chart, sections, kind_entry)
     entries = sections["dissection"]
-    rank_entry = _lookup(entries, "aux_rank")
-    if rank_entry is None:
-        raise ParseError(_first_line(entries), 1, "an 'aux_rank' entry in [dissection]")
-    g = _parse_int(rank_entry, 0)
-    gamma, curvature, fiber_table = {}, {}, {}  # index pairs -> auxiliary coefficients
-    psi = KForm.zero(chart, 3)
-    pairing_entries = []
-    for e in entries:
-        if e is rank_entry:
-            continue
-        if e.key.startswith("pairing."):
-            pairing_entries.append(e)
-        elif e.key.startswith("gamma."):
-            idx = _key_indices(e, "gamma", 2)
-            if idx[0] >= chart.dim or idx[1] >= g:
-                raise ParseError(e.line, 1, "gamma.direction.row in range", e.key)
-            gamma[idx] = _read_row(e, g, chart)
-        elif e.key.startswith("r."):
-            i, j = _key_indices(e, "r", 2)
-            if not i < j < chart.dim:
-                raise ParseError(e.line, 1, f"r.I.J with I < J <= {chart.dim}", e.key)
-            curvature[(i, j)] = _read_row(e, g, chart)
-        elif e.key == "psi":
-            psi = _parse_form_entry(chart, e, 3)
-        elif e.key.startswith("gbracket."):
-            i, j = _key_indices(e, "gbracket", 2)
-            if not i < j < g:
-                raise ParseError(e.line, 1, f"gbracket.I.J with I < J <= {g}", e.key)
-            fiber_table[(i, j)] = _read_row(e, g, chart)
-        else:
-            raise ParseError(
-                e.line, 1, "aux_rank, pairing.N, gamma.M.N, r.I.J, psi or gbracket.I.J", e.key
-            )
+    g = _required_int(entries, "aux_rank", "dissection", 0)
+    _check_keys(entries, ("aux_rank", "pairing.N", "gamma.M.N", "r.I.J", "psi", "gbracket.I.J"))
+
+    def row(e: _Entry) -> List[Poly]:
+        return _read_row(e, g, chart)
+
+    # index pairs -> auxiliary coefficients
+    gamma = _indexed(
+        entries, "gamma", 2, row, lambda mm, n: mm < chart.dim and n < g,
+        "gamma.direction.row in range",
+    )
+    curvature = _indexed(
+        entries, "r", 2, row, lambda i, j: i < j < chart.dim, f"r.I.J with I < J <= {chart.dim}"
+    )
+    fiber_table = _indexed(
+        entries, "gbracket", 2, row, lambda i, j: i < j < g, f"gbracket.I.J with I < J <= {g}"
+    )
+    psi_entry = _lookup(entries, "psi")
+    psi = KForm.zero(chart, 3) if psi_entry is None else _parse_form_entry(chart, psi_entry, 3)
     pairing = _numbered_rows(entries, "pairing", g, lambda e: _read_row(e, g))
     if not linalg.is_symmetric(pairing):
         raise ParseError(
-            pairing_entries[0].line, 1, "a symmetric auxiliary pairing in [dissection]"
+            _prefixed(entries, "pairing")[0].line, 1,
+            "a symmetric auxiliary pairing in [dissection]",
         )
     try:
         linalg.invert(pairing)
     except SingularMetricError:
         raise ParseError(
-            pairing_entries[0].line, 1, "a nonsingular auxiliary pairing in [dissection]"
+            _prefixed(entries, "pairing")[0].line, 1,
+            "a nonsingular auxiliary pairing in [dissection]",
         ) from None
     return dict(
-        aux_rank=g, aux_pairing=pairing, gamma=gamma, curvature=curvature, psi=psi,
-        fiber_table=fiber_table,
+        rank=2 * chart.dim + g, aux_rank=g, aux_pairing=pairing, gamma=gamma,
+        curvature=curvature, psi=psi, fiber_table=fiber_table,
     )
 
 
@@ -510,45 +495,37 @@ def _build_dissection(m: Manifest) -> BuildContext:
 
 class Builder:
     """One way to build the structure a manifest describes: the sections it
-    reads besides [builder], the parser of its spec, the rank of the bundle
-    that a spec builds, and the build of the task context from a manifest."""
+    reads besides [builder], the [builder] keys it reads besides the kind, the
+    parser of its spec, and the build of the task context from a manifest."""
 
-    __slots__ = ("reads", "parse", "rank", "build")
+    __slots__ = ("reads", "keys", "parse", "build")
 
     def __init__(
         self,
         reads: Tuple[str, ...],
+        keys: Tuple[str, ...],
         parse: Callable[[Chart, Sections, Optional[_Entry]], Spec],
-        rank: Callable[[Chart, Spec], int],
         build: Callable[[Manifest], BuildContext],
     ):
         self.reads = reads
+        self.keys = keys
         self.parse = parse
-        self.rank = rank
         self.build = build
 
 
 # builder kind -> Builder; the key None is the explicit [bundle] + [bracket]
 # pair, which `kind = ...` cannot name
 BUILDERS: Dict[Optional[str], Builder] = {
-    None: Builder(
-        ("bundle", "bracket"), _parse_bracket, lambda chart, s: s["rank"], _build_bracket
-    ),
-    "standard": Builder((), _parse_kind_only, lambda chart, s: 2 * chart.dim, _build_standard),
-    "twisted_exact": Builder(
-        (), _parse_twisted_exact, lambda chart, s: 2 * chart.dim, _build_twisted_exact
-    ),
+    None: Builder(("bundle", "bracket"), (), _parse_bracket, _build_bracket),
+    "standard": Builder((), (), _parse_standard, _build_standard),
+    "twisted_exact": Builder((), ("h",), _parse_twisted_exact, _build_twisted_exact),
     "connection_beta": Builder(
-        ("bundle",), _parse_connection_beta, lambda chart, s: s["rank"], _build_connection_beta
+        ("bundle",), ("gamma.M.N", "beta.I.J"), _parse_connection_beta, _build_connection_beta
     ),
     "twisted_action": Builder(
-        ("algebra", "action"), _parse_twisted_action, lambda chart, s: len(s["rho"]),
-        _build_twisted_action,
+        ("algebra", "action"), (), _parse_twisted_action, _build_twisted_action
     ),
-    "dissection": Builder(
-        ("dissection",), _parse_dissection, lambda chart, s: 2 * chart.dim + s["aux_rank"],
-        _build_dissection,
-    ),
+    "dissection": Builder(("dissection",), (), _parse_dissection, _build_dissection),
 }
 
 # the sections that some builder reads
@@ -589,6 +566,8 @@ def _parse_builder(chart: Chart, sections: Sections) -> Tuple[Optional[str], Spe
         if name in _BUILDER_SECTIONS and name not in builder.reads:
             reader = "a [bracket] table" if kind is None else f"builder {kind}"
             raise ParseError(entries.line, 1, f"a section read by {reader}", f"[{name}]")
+    if kind is not None:
+        _check_keys(sections["builder"], ("kind", *builder.keys), f"entries of builder {kind}")
     return kind, builder.parse(chart, sections, kind_entry)
 
 
@@ -611,26 +590,19 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
         raise ParseError(vars_entry.line, vars_entry.value_col, str(exc)) from None
 
     # meta
-    settings: Dict[str, int] = {}
-    tasks: List[str] = []
-    tasks_entry = None
-    for e in section("meta"):
-        if e.key in META_MINIMUM:
-            settings[e.key] = _parse_int(e, META_MINIMUM[e.key])
-        elif e.key == "tasks":
-            tasks = [t.strip() for t in e.value.split(",") if t.strip()]
-            tasks_entry = e
-        else:
-            raise ParseError(e.line, 1, "seed, trials, max_degree or tasks", e.key)
+    meta = section("meta")
+    _check_keys(meta, (*META_MINIMUM, "tasks"))
+    settings = {e.key: _parse_int(e, META_MINIMUM[e.key]) for e in meta if e.key in META_MINIMUM}
+    tasks_entry = _lookup(meta, "tasks")
+    tasks = [t.strip() for t in tasks_entry.value.split(",") if t.strip()] if tasks_entry else []
 
     kind, spec = _parse_builder(chart, sections)
     m = Manifest(name=name, chart=chart, tasks=tasks, builder_kind=kind, spec=spec, **settings)
 
     # [lift] and [complement] rows have the rank of the bundle the builder
     # builds; a point has one coordinate per chart variable
-    rank = BUILDERS[kind].rank(chart, spec)
     read_row = {
-        "rank": lambda e: _read_row(e, rank, chart),
+        "rank": lambda e: _read_row(e, spec["rank"], chart),
         "point": lambda e: tuple(_read_row(e, chart.dim)),
     }
     for block, (key, holds) in BLOCKS.items():

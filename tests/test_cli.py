@@ -369,6 +369,36 @@ def test_number_beyond_the_int_digit_limit_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["manifest", "override"])
+def test_long_integer_setting_is_quoted_briefly(tmp_path, capsys, where):
+    # an integer setting of 5 000 digits is quoted by its first 20 digits
+    digits = "3" * 5000
+    path = tmp_path / "long.pcm"
+    text = resolve_manifest("action_abelian").read_text()
+    path.write_text(text.replace("seed = 0", f"seed = {digits}") if where == "manifest" else text)
+    override = ["--seed", digits] if where == "override" else []
+    code, out, err = run_cli(capsys, "--manifest", str(path), *override, "--quiet")
+    assert (code, out) == (2, "")
+    assert f"got '{digits[:20]}...'" in err if override else f"found '{digits[:20]}...'" in err
+    assert len(err) < 300
+
+
+def test_repeated_bracket_pair_exits_2(tmp_path, capsys):
+    # the transpose of a given bracket would overwrite it: here with zero,
+    # which would build the abelian algebra
+    text = resolve_manifest("double_nonabelian").read_text()
+    given = "\nbracket.1.2 = 0, 1\n"
+    assert given in text
+    path = tmp_path / "repeated.pcm"
+    path.write_text(text.replace(given, given + "bracket.2.1 = 0, 0\n"))
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: line 22, column 1: expected a single entry for bracket.2.1 or "
+        "bracket.1.2, found 'bracket.2.1'\n"
+    )
+
+
 def test_non_utf8_manifest_exits_2(tmp_path, capsys):
     bad = tmp_path / "latin1.pcm"
     bad.write_bytes("[chart]\nvars = x1  # \xe9\n".encode("latin-1"))

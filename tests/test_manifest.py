@@ -589,3 +589,36 @@ def test_number_error_is_at_the_offending_token():
         parse_manifest(text.replace("metric.1 = 0,   x", "metric.1 = 0, 1") + "t.1.2 = 0,   y\n")
     assert (err.value.line, err.value.column) == (12, 14)
     assert (err.value.expected, err.value.found) == ("coordinate name", "y")
+
+
+BRACKET_TABLE = (
+    "[chart]\nvars = x1\n\n[bundle]\nrank = 2\nmetric.1 = 0, 1\nmetric.2 = 1, 0\n"
+    "anchor.1 = 1\nanchor.2 = 0\n\n[bracket]\n{}\n"
+)
+ALGEBRA = (
+    "[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n[algebra]\ndim = 2\n"
+    "pairing.1 = 0, 1\npairing.2 = 1, 0\n{}\n[action]\nrho.1 = 1\nrho.2 = 0\n{}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, line, expected, found",
+    [
+        (BRACKET_TABLE.format("").replace("metric.2 =", "metric.01 ="), 7, "metric.1", "metric.01"),
+        (BASE + "\n[points]\np.1 = 0, 0\np.01 = 7, 7\n", 13, "p.1", "p.01"),
+        (BRACKET_TABLE.format("t.1.2 = 0, x1\nt.1.02 = 0, 0"), 13, "t.1.2", "t.1.02"),
+        (ALGEBRA.format("bracket.1.2 = 0, 1\nbracket.2.1 = 0, 0", ""), 12,
+         "bracket.2.1 or bracket.1.2", "bracket.2.1"),
+        (ALGEBRA.format("bracket.1.1 = 0, 0\nbracket.01.1 = 0, 0", ""), 12,
+         "bracket.1.1", "bracket.01.1"),
+        (ALGEBRA.format("", "k.2.1 = 0, x1\nk.1.2 = 0, 0"), 16, "k.1.2 or k.2.1", "k.1.2"),
+    ],
+    ids=["numbered-row", "contiguous-row", "ordered-table", "skew-table", "skew-diagonal",
+         "skew-action-table"],
+)
+def test_repeated_indices_are_an_error(text, line, expected, found):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert (err.value.line, err.value.column) == (line, 1)
+    assert (err.value.expected, err.value.found) == (f"a single entry for {expected}", found)
+

@@ -2,12 +2,13 @@
 modules keep to each other's public names, off the dense views of the
 sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, blocks are read only through the block
-table, every check is recorded through `VerifyReport`, every module-level
-function and class has a caller in the package, the two-term l3 has one
-code path, the builders have one connection derivative, J on frame triples
-is enumerated in one place, results kept on an object are cached
-properties, `tools/bench_record.py --compare` reads two records, and
-importing the CLI stays cheap."""
+table, dotted manifest keys are read through one reader, every check is
+recorded through `VerifyReport`, every module-level function and class has
+a caller in the package, the two-term l3 has one code path, the builders
+have one connection derivative, J on frame triples is enumerated in one
+place, results kept on an object are cached properties,
+`tools/bench_record.py --compare` reads two records, and importing the CLI
+stays cheap."""
 
 import ast
 import importlib
@@ -135,6 +136,26 @@ def test_blocks_are_read_through_the_block_table():
         if isinstance(node, ast.Attribute) and node.attr in attrs
     ]
     assert named == []
+
+
+def test_dotted_keys_are_read_through_one_reader():
+    # `_indexed` alone parses key indices, checks their range and rejects a
+    # repeat; no parser picks entries by key prefix or compares keys itself
+    tree = ast.parse((ROOT / "src" / "precourant" / "manifest.py").read_text())
+    funcs = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    callers = [
+        f.name for f in funcs for node in ast.walk(f)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_key_indices"
+    ]
+    assert callers == ["_indexed"]
+    dispatch = [
+        f"{f.name}: {ast.unparse(node)}"
+        for f in funcs if f.name.startswith("_parse_")
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".startswith")
+        or isinstance(node, ast.Compare) and ast.unparse(node.left).endswith(".key")
+    ]
+    assert dispatch == []
 
 
 def test_verify_report_is_the_only_result_type():

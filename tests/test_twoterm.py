@@ -9,11 +9,14 @@ import pytest
 from precourant import twoterm
 from precourant.algebroid import jacobiator, skew_bracket
 from precourant.bundle import anchor_apply, dee, pairing
-from precourant.cochain import KerCochain
-from precourant.deform import apply_deformation, twist_deformation
+from precourant.cli import resolve_manifest
+from precourant.cochain import Cochain, KerCochain
+from precourant.deform import apply_deformation, twist_deformation, validate_deformation
 from precourant.errors import RankMismatchError
 from precourant.exterior import KForm
+from precourant.manifest import parse_manifest
 from precourant.poly import Poly
+from precourant.runner import build_context
 from precourant.sampling import random_kernel_section, random_section
 from precourant.twoterm import (
     DEGREE1_DOMAIN_NOTE,
@@ -160,6 +163,22 @@ def test_deformation_morphism_passes_and_zero_homotopy_fails(build, courant3, st
     report = verify_morphism(src, tgt, KerCochain.zero(std3, 2), trials=4, seed=1)
     assert not report.ok
     assert report.first_failure().name == "deg0-equation"
+
+
+@pytest.mark.parametrize("build", [build_leibniz2, build_lie2])
+def test_morphism_with_a_homotopy_nonzero_on_the_kernel(build):
+    # on dissection_rank2 (frames 1-4 tangent, 5-6 auxiliary) this omega pairs
+    # the auxiliary frames, so omega(x, k) is nonzero for anchor-kernel k and
+    # the mixed equations compare nonzero sides, in the order f2 takes them
+    ctx = build_context(parse_manifest(resolve_manifest("dissection_rank2").read_text()))
+    p, b = ctx.algebroid, ctx.bundle
+    omega = KerCochain(Cochain(b, 3, {(0, 4, 5): Poly.var(b.chart, 0)}))
+    assert validate_deformation(p, omega).ok
+    rng = random.Random(0)
+    k, x = random_kernel_section(rng, b, 1), random_section(rng, b, 1)
+    assert not omega.evaluate([x, k]).is_zero()
+    target = build(apply_deformation(p, omega))
+    assert verify_morphism(build(p), target, omega, trials=3, seed=0, max_degree=1).ok
 
 
 def test_morphism_flavor_mismatch(courant3):
