@@ -48,8 +48,8 @@ class PreCourantAlgebroid:
     {j: ((k, c), ...)} with a constant coefficient c held as its scalar.
     `bracket` memoises its results in `bracket_memo` by the value of its
     arguments, `frame_jacobiator` J on ordered frame triples in `jmemo`
-    and `cochain.jacobiator_flat` the flat of J in `jflat`; all live
-    exactly as long as the algebroid.
+    and `cochain.jacobiator_flat` the flat of J in `jflat`; these and the
+    cached properties live exactly as long as the algebroid.
     """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
@@ -83,6 +83,17 @@ class PreCourantAlgebroid:
     def frame_report(self) -> VerifyReport:
         """The frame-level verdicts of `verify_axioms`."""
         return _frame_axiom_report(self)
+
+    @cached_property
+    def cyclic_table(self) -> Dict[Tuple[int, int, int], Union[Poly, Scalar]]:
+        """The nonzero tau_ijk = c_ijk + c_jki + c_kij, where c_ijk is
+        <u_i o u_j, u_k>: six times the frame cochain of `twoterm.t_scalar`."""
+        tau: Dict[Tuple[int, int, int], Poly] = {}
+        for i, j in product(range(self.rank), repeat=2):
+            for k, c in lower(self.table[i][j]).items():
+                for t in ((i, j, k), (j, k, i), (k, i, j)):
+                    add_into(tau, t, c)
+        return {t: _coefficient(v) for t, v in tau.items() if not v.is_zero()}
 
     @property
     def chart(self):

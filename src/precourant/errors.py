@@ -59,8 +59,9 @@ class ParseError(PrecourantError):
         self.line = line
         self.column = column
         self.expected = expected
-        self.found = found
+        # a long key or literal is quoted by its first 20 characters
+        self.found = found if len(found) <= 20 else found[:20] + "..."
         msg = f"line {line}, column {column}: expected {expected}"
         if found:
-            msg += f", found {found!r}"
+            msg += f", found {self.found!r}"
         super().__init__(msg)

@@ -581,9 +581,8 @@ def parse_manifest(text: str, name: str = "manifest") -> Manifest:
     chart_entries = section("chart")
     if not chart_entries:
         raise ParseError(1, 1, "a [chart] section")
+    _check_keys(chart_entries, ("vars",), "vars")
     vars_entry = _lookup(chart_entries, "vars")
-    if vars_entry is None:
-        raise ParseError(chart_entries[0].line, 1, "a 'vars' entry in [chart]")
     try:
         chart = Chart(vars_entry.value.split())
     except ValueError as exc:

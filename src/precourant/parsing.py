@@ -42,11 +42,6 @@ def _digits_end(text: str, i: int) -> int:
     return i
 
 
-def _clipped(text: str) -> str:
-    """text as an error quotes it: its first 20 characters and "..." when longer."""
-    return text if len(text) <= 20 else text[:20] + "..."
-
-
 def _tokenize(text: str, line: int, start: int) -> List[_Token]:
     """The tokens of a literal whose first character is at (line, start)."""
     tokens: List[_Token] = []
@@ -70,7 +65,7 @@ def _tokenize(text: str, line: int, start: int) -> List[_Token]:
             except ValueError:  # more digits than int() converts
                 raise ParseError(
                     line, col, f"at most {sys.get_int_max_str_digits()} digits per integer",
-                    _clipped(text[i:]),
+                    text[i:],
                 ) from None
             if den == 0:
                 raise ParseError(line, start + j + 1, "nonzero denominator", text[j + 1 : k])
@@ -277,5 +272,5 @@ def parse_int(text: str, minimum: int, line: int = 1, col: int = 1) -> int:
     except ValueError:  # more digits than int() converts
         value = None
     if value is None or value < minimum:
-        raise ParseError(line, col, f"integer >= {minimum}", _clipped(text))
+        raise ParseError(line, col, f"integer >= {minimum}", text)
     return value

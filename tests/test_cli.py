@@ -383,6 +383,30 @@ def test_long_integer_setting_is_quoted_briefly(tmp_path, capsys, where):
     assert len(err) < 300
 
 
+def test_long_key_is_quoted_briefly(tmp_path, capsys):
+    # a key is quoted by its first 20 characters, like a literal
+    text = resolve_manifest("standard_r3").read_text()
+    assert "\np.2 = 1, -1, 2\n" in text
+    path = tmp_path / "long.pcm"
+    key = "p." + "9" * 5000
+    path.write_text(text.replace("\np.2 = 1, -1, 2\n", f"\n{key} = 1, -1, 2\n"))
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"expected 1-based integer key indices, found '{key[:20]}...'\n")
+    assert len(err.encode()) <= 200
+
+
+def test_unknown_chart_key_exits_2(tmp_path, capsys):
+    # [chart] holds vars alone: a misspelt key is an error, not ignored
+    text = resolve_manifest("standard_r3").read_text()
+    assert "\nvars = x1 x2 x3\n" in text
+    path = tmp_path / "chart.pcm"
+    path.write_text(text.replace("\nvars = x1 x2 x3\n", "\nvars = x1 x2 x3\nvar = x9\n"))
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 12, column 1: expected vars, found 'var'\n"
+
+
 def test_repeated_bracket_pair_exits_2(tmp_path, capsys):
     # the transpose of a given bracket would overwrite it: here with zero,
     # which would build the abelian algebra

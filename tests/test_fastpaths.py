@@ -1,15 +1,16 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
 by contraction, the B-field map, the frame Jacobiator table and its
-ordered-triple memo, the two-term l3 read from the Jacobiator flat, the
-frame axioms read from the bracket table, the cached frame-axiom and
-bundle verdicts, the structure-constant Lie checks and the dissection
-built through the connection recipe, against the code they replaced:
-`dee_reference`, `bracket_reference`, `pairing_reference`,
-`raise_reference`, `ker_value_reference`, `ker_eval_reference`,
-`cochain_evaluate_reference`, `bfield_sharp_reference`,
-`lie_checks_reference` and `dissection_table_reference` below are the
-earlier implementations, kept as oracles, and so are
+ordered-triple memo, the two-term l3 read from the Jacobiator flat, T read
+from the cyclic frame table, the frame axioms read from the bracket table,
+the cached frame-axiom and bundle verdicts, the structure-constant Lie
+checks and the dissection built through the connection recipe, against the
+code they replaced: `dee_reference`, `bracket_reference`,
+`pairing_reference`, `raise_reference`, `t_scalar_reference`,
+`ker_value_reference`, `ker_eval_reference`, `cochain_evaluate_reference`,
+`bfield_sharp_reference`, `lie_checks_reference` and
+`dissection_table_reference` below are the earlier implementations, kept
+as oracles, and so are
 `algebroid.jacobiator`, the section-level axiom checks
 `_anchor_defect`/`_symmetrization_defect`/`_axiom_iii_witness` and
 `twoterm.skew_jacobiator_direct`.  The Dorfman oracle in test_algebroid.py
@@ -34,10 +35,19 @@ from precourant.algebroid import (
     frame_jacobiators,
     jacobiator,
     jacobiator_of,
+    skew_bracket,
     verify_axioms,
     zero_table,
 )
-from precourant.bundle import Section, anchor_apply, dee, pairing, rho_star, standard_bundle
+from precourant.bundle import (
+    CourantBundle,
+    Section,
+    anchor_apply,
+    dee,
+    pairing,
+    rho_star,
+    standard_bundle,
+)
 from precourant.cli import resolve_manifest
 from precourant.cochain import KerCochain, jacobiator_flat, pullback_form
 from precourant.construct import QuadraticLieAlgebra, from_twisted_action, quadratic_lie_algebra
@@ -48,11 +58,16 @@ from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly, sort_sign
 from precourant.runner import build_context, run_manifest
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
-from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct
+from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct, t_scalar
 from test_builders import _dissection as _builders_dissection
 from test_construct import _flat_dissection, _so3_dissection
 from test_deform import _rank5_dissection, _so3_curved_dissection
-from test_witnesses import _dissection_line, _dissection_so3_plane, _dissection_x4
+from test_witnesses import (
+    BROKEN_TABLE_MANIFEST,
+    _dissection_line,
+    _dissection_so3_plane,
+    _dissection_x4,
+)
 
 BUILTINS = [
     "standard_r3",
@@ -140,6 +155,17 @@ def bracket_reference(p, e1, e2):
         if not d2.is_zero():
             out = out + frames[j].scale(d2)
     return out
+
+
+def t_scalar_reference(p, e1, e2, e3):
+    """T as (1/6) sum over cyclic permutations of <skew_bracket(e1, e2), e3>:
+    three brackets of the sections themselves."""
+    total = (
+        pairing(skew_bracket(p, e1, e2), e3)
+        + pairing(skew_bracket(p, e2, e3), e1)
+        + pairing(skew_bracket(p, e3, e1), e2)
+    )
+    return total * Fraction(1, 6)
 
 
 def ker_value_reference(phi, indices):
@@ -520,6 +546,48 @@ def test_two_term_l3_matches_nested_brackets(name):
     for es in triples:
         assert leibniz.l3(*es) == jacobiator(p, *es)
         assert lie.l3(*es) == skew_jacobiator_direct(p, *es)
+
+
+def _skewed_metric_algebroid():
+    """A plane whose metric is not symmetric, with a polynomial anchor and a
+    table that is neither skew nor anchor-compatible."""
+    c = Chart(["x1", "x2"])
+    z, o = Poly.zero(c), Poly.const(c, 1)
+    x1, x2 = Poly.var(c, 0), Poly.var(c, 1)
+    metric = [[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 0, 0], [0, 1, 0, 3]]
+    b = CourantBundle(c, 4, metric, [[o, z], [z, x1], [x2, z], [z, z]])
+    table = [list(row) for row in zero_table(b)]
+    table[0][1] = b.section([x2, z, x1, o])
+    table[1][2] = b.section([z, x1 * x2, z, x2])
+    table[3][0] = b.section([o, z, z, x1])
+    return PreCourantAlgebroid(b, table)
+
+
+T_SCALAR_CASES = {
+    **{name: lambda name=name: build_context(load(name)).algebroid for name in BUILTINS},
+    "broken-table": lambda: build_context(parse_manifest(BROKEN_TABLE_MANIFEST)).algebroid,
+    "skewed-metric": _skewed_metric_algebroid,
+}
+
+
+@pytest.mark.parametrize("case", list(T_SCALAR_CASES))
+def test_t_scalar_matches_bracket_reference(case):
+    # T in closed form, from the cyclic frame table and its first-order
+    # terms, against the three brackets it replaced; the skewed metric
+    # takes the rho~ path
+    p = T_SCALAR_CASES[case]()
+    b = p.bundle
+    assert b.symmetric == (case != "skewed-metric")
+    rng = random.Random(27)
+    x, y, z, w = (random_section(rng, b, degree) for degree in (1, 2, 3, 4))
+    lie = build_lie2(p)
+    triples = [
+        (x, y, z), (w, z, x), (z, w, y),
+        (lie.l2(x, y), z, x), (x, lie.l2(y, z), lie.l2(z, w)),  # bracket outputs
+        (y, y, z), (x, z, x), (b.zero_section(), x, y), (b.frame(0), b.frame(b.rank - 1), x),
+    ]
+    for es in triples:
+        assert t_scalar(p, *es) == t_scalar_reference(p, *es), es
 
 
 def test_bfield_transforms_each_section_once(monkeypatch):

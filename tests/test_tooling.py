@@ -4,8 +4,8 @@ sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, blocks are read only through the block
 table, dotted manifest keys are read through one reader, every check is
 recorded through `VerifyReport`, every module-level function and class has
-a caller in the package, the two-term l3 has one code path, the builders
-have one connection derivative, J on frame triples is enumerated in one
+a caller in the package, the two-term l3 has one code path and reaches
+no bracket, the builders have one connection derivative, J on frame triples is enumerated in one
 place, results kept on an object are cached properties,
 `tools/bench_record.py --compare` reads two records, and importing the CLI
 stays cheap."""
@@ -213,6 +213,35 @@ def test_two_term_module_never_evaluates_nested_jacobiators():
         if isinstance(node, ast.Call)
         and "jacobiator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
+    assert calls == []
+
+
+def test_two_term_l3_reaches_no_bracket():
+    # l3 reads J from its frame flat and T from the cyclic frame table, so
+    # no function that it reaches takes a bracket.  Reach is by name through
+    # the whole package, over every name a function mentions (a class name
+    # stands for its __init__), and stops at `jacobiator_flat`, which builds
+    # the flat from frame brackets once per algebroid and keeps it
+    defs = {}
+    for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                defs.setdefault(node.name, []).extend(
+                    f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                )
+    seen, todo, calls = {"l3", "jacobiator_flat"}, list(defs["l3"]), []
+    while todo:
+        func = todo.pop()
+        for node in ast.walk(func):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("bracket", "skew_bracket"):
+                calls.append(f"{func.name}:{node.lineno} {name}")
+            elif name in defs and name not in seen:
+                seen.add(name)
+                todo.extend(defs[name])
+    assert len(defs["l3"]) == 1 and {"t_scalar", "cyclic_table"} <= seen
     assert calls == []
 
 

@@ -3,8 +3,9 @@
 The goldens only hold passing runs, so these tests fix what the closed-form
 Jacobiator check, the twisted-action validation, the quadratic Lie
 validation, the pre-Courant axioms and the seeded batteries (two-term
-conditions, derived identities, Jacobiator theorem, the morphism
-equations) report on broken input,
+conditions, among them an ungated `lie2` run on a broken table, derived
+identities, Jacobiator theorem, the morphism equations) report on broken
+input,
 a kept Jacobiator flat that is not J's among it: which case fails first and
 how both sides print.
 """
@@ -528,6 +529,78 @@ def test_lie2_uncorrected_l3_report(twisted4):
     alg.l3 = lambda x, y, z: jacobiator(twisted4, x, y, z)
     report = verify_lie2(alg, trials=4, seed=2, max_degree=1)
     assert report.lines() == LIE2_UNCORRECTED_L3
+
+
+
+# a plane whose table breaks the axioms, with a polynomial anchor and table
+# entries so that T's first-order terms do not vanish; `lie2` alone runs
+# ungated, so every check of the battery runs on it
+BROKEN_TABLE_MANIFEST = """
+[meta]
+seed = 1
+trials = 2
+max_degree = 1
+tasks = lie2
+
+[chart]
+vars = x1 x2
+
+[bundle]
+rank = 4
+metric.1 = 0, 0, 1, 0
+metric.2 = 0, 0, 0, 1
+metric.3 = 1, 0, 0, 0
+metric.4 = 0, 1, 0, 0
+anchor.1 = 1, 0
+anchor.2 = 0, x1
+anchor.3 = 0, 0
+anchor.4 = 0, 0
+
+[bracket]
+t.1.2 = x2, 0, x1, 0
+t.2.3 = 0, 1, 0, x2
+
+[points]
+p.1 = 0, 0
+"""
+
+LIE2_BROKEN_TABLE = [
+    "task lie2 = fail",
+    "  fail l2-skew: (0, 0, 3*x1 - 3, 2*x2) | (0, -3*x1, 0, 0)",
+    "  fail l3-skew: (0, 0, 3*x1 - 3, 2*x2) | (0, -3*x1, 0, 0) | (-x1 + 2, -2, 0, 0)",
+    "  fail homotopy-jacobi: defect (0, 3*x2^2 - 9/2*x1 + 10/3*x2, -2*x1*x2 - 1/3*x2^2 + "
+    "x1 - 83/6, -x1^3 - 2/3*x1^2*x2 + 3*x2^3 + 13/2*x1*x2 + 10/3*x2^2 + 7/6*x1 + 2*x2) at "
+    "(3*x2, 1, 0, x2) | (x1, 3*x1 + 2, 3, 0) | (0, 2, 0, -2) | (0, 0, -1, -2)",
+    "  fail inclusion-right: l2(x, m) leaves the kernel: (0, -2*x1, 2, 0) | (0, 0, -5*x2 "
+    "- 1, 3*x1 + 3*x2)",
+    "  fail defect-degree0: d l3 = (0, 0, 2*x1^2*x2 + 8/3*x1*x2 + 2/3*x2, 2/3*x1^4 + "
+    "4/3*x1^3 + 2/3*x1^2 + 7/3*x1) vs defect (4*x1^3 - 4*x1*x2^2 + 12*x1^2 - 8*x2^2 + "
+    "8*x1, 4*x1^3 + 8*x1^2 - 4*x1*x2 - 8*x2, -4*x1^2*x2 - 8*x1*x2 + 2*x2, 4*x1^3*x2 + "
+    "8*x1^2*x2 + 2*x1^2 + 7*x1 + 4) at (0, -2*x1, 2, 0) | (x1 + 2, 0, 0, 0) | (2*x2, -2, "
+    "0, 0)",
+    "  fail defect-kernel-slot3: (0, -2*x1, 2, 0) | (x1 + 2, 0, 0, 0) | (0, 0, -5*x2 - 1, "
+    "3*x1 + 3*x2)",
+    "  fail defect-kernel-slot2: (0, -2*x1, 2, 0) | (0, 0, -5*x2 - 1, 3*x1 + 3*x2) | (x1 "
+    "+ 2, 0, 0, 0)",
+    "  fail defect-kernel-slot1: (0, 0, -5*x2 - 1, 3*x1 + 3*x2) | (0, -2*x1, 2, 0) | (x1 "
+    "+ 2, 0, 0, 0)",
+    "  fail coherence: defect (0, 2/3*x1^2*x2 + 4/3*x1*x2 - 2*x1 + 2/3*x2, 16/3*x1^3 + "
+    "2*x1^2*x2 + 8*x1^2 + 4*x1*x2 - 2/3*x2^2 + 2*x1 + 4/3*x2 + 13/3, 2/3*x1^4 + "
+    "2/3*x1^2*x2^2 + 2*x1^3 - 4/3*x1^2*x2 + 4/3*x1*x2^2 + 4/3*x1^2 - 16/3*x1*x2 + "
+    "2/3*x2^2 + 1/3*x1 - 4/3*x2 + 4/3) at (0, 1, 0, 2*x1) | (0, -2*x1, 2, 0) | (x1 + 2, "
+    "0, 0, 0) | (2*x2, -2, 0, 0)",
+    "  note degree-1 space taken as kernel sections; the orthogonal-complement reading "
+    "of the degree-1 bracket clause is not used",
+    "result = fail",
+]
+
+
+def test_ungated_lie2_report_on_a_broken_table():
+    # l3 reads T in closed form from the table, and the defect checks
+    # compare l3 with nested skew brackets, so the witnesses that carry T
+    # (homotopy-jacobi, defect-degree0, coherence) pin the closed form
+    report = run_manifest(parse_manifest(BROKEN_TABLE_MANIFEST))
+    assert report.to_text().splitlines()[6:] == LIE2_BROKEN_TABLE
 
 
 _MORPHISM_HEAD = [
