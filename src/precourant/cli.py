@@ -48,7 +48,7 @@ def _int_at_least(key: str):
     def parse(text: str) -> int:
         try:
             return parse_int(text, minimum)
-        except ParseError as exc:  # exc.found quotes at most 20 characters of text
+        except ParseError as exc:  # exc.found clips runaway text
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {minimum}, got {exc.found!r}"
             ) from None

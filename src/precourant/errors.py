@@ -59,8 +59,8 @@ class ParseError(PrecourantError):
         self.line = line
         self.column = column
         self.expected = expected
-        # a long key or literal is quoted by its first 20 characters
-        self.found = found if len(found) <= 20 else found[:20] + "..."
+        # runaway text, longer than any real key or name, shows 20 characters
+        self.found = found if len(found) <= 64 else found[:20] + "..."
         msg = f"line {line}, column {column}: expected {expected}"
         if found:
             msg += f", found {self.found!r}"

@@ -10,10 +10,9 @@ every Lie-flavor report.
 
 The theorem makes J tensorial, so both correctors read it from its frame
 flat <J(u_a, u_b, u_c), u_d> (`cochain.jacobiator_flat`, built once per
-algebroid), contracted with each section and raised.  T is first order:
-`t_scalar` reads it from the algebroid's cyclic frame table plus the anchor
-derivatives of the sections.  So l3 of neither flavor takes a bracket, and
-the defect checks cross-check it against the nested brackets on every draw.
+algebroid), contracted with each section and raised; T reads the cyclic
+frame table and the sections' first derivatives.  So l3 of neither flavor
+takes a bracket, and the defect checks cross-check it on every draw.
 """
 
 from __future__ import annotations
@@ -41,35 +40,40 @@ def t_scalar(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> P
     `p.cyclic_table` contracted with e1, e2, e3, plus, for each e_x with
     successor n and predecessor q in the cycle, sum_m rho(e_x)^m (<d_m n, q>
     - <d_m q, n>) + 1/2 rho~(e_x)^m (<d_m n, q> - <n, d_m q>).  The field
-    rho~(e) = sum_m <D x_m, e> d/dx_m is rho(e) on a symmetric metric, and
-    then both halves agree."""
+    rho~(e) = sum_m <D x_m, e> d/dx_m is rho(e) on a symmetric metric."""
     es, b = (e1, e2, e3), p.bundle
-    total = first = second = zero = Poly.zero(b.chart)
+    total = half = Poly.zero(b.chart)
     for (i, j, k), c in p.cyclic_table.items():
         if i in e1.terms and j in e2.terms and k in e3.terms:
             total = total + e1.terms[i] * e2.terms[j] * e3.terms[k] * c
     partials = [[e.map(lambda f: f.diff(m)) for m in range(b.chart.dim)] for e in es]
     for x, e in enumerate(es):
-        n, q, dn, dq, rho = es[x - 2], es[x - 1], partials[x - 2], partials[x - 1], anchor_apply(e)
-        tilde = rho.terms if b.symmetric else {
-            m: pairing(column, e) for m, column in enumerate(b.dee_columns)
-        }
-        for m in rho.terms.keys() | tilde.keys():
+        n, q, dn, dq = es[x - 2], es[x - 1], partials[x - 2], partials[x - 1]
+        rho = anchor_apply(e).terms
+        for m, column in enumerate(b.dee_columns):
             a = pairing(dn[m], q)
-            first = first + rho.terms.get(m, zero) * (a - pairing(dq[m], n))
-            if not b.symmetric:
-                second = second + tilde[m] * (a - pairing(n, dq[m]))
-    return (total + first + (first if b.symmetric else second) * Fraction(1, 2)) * Fraction(1, 6)
+            if m in rho:
+                total = total + rho[m] * (a - pairing(dq[m], n))
+            half = half + pairing(column, e) * (a - pairing(n, dq[m]))
+    return (total + half * Fraction(1, 2)) * Fraction(1, 6)
 
 
-def jacobiator_tensor(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Section:
+def jacobiator_tensor(
+    p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section
+) -> Section:
     """J(e1, e2, e3) from the frame flat of J: tensorial by the theorem."""
     return KerCochain(jacobiator_flat(p)).evaluate([e1, e2, e3])
 
 
-def curly_jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Section:
+def curly_jacobiator(
+    p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section
+) -> Section:
     """Jacobiator of the skew bracket, computed as J - D T."""
-    return jacobiator_tensor(p, e1, e2, e3) - dee(p.bundle, t_scalar(p, e1, e2, e3))
+    out = jacobiator_tensor(p, e1, e2, e3)
+    t = t_scalar(p, e1, e2, e3)
+    if not t.is_zero():
+        out = out - dee(p.bundle, t)
+    return out
 
 
 def skew_jacobiator_direct(

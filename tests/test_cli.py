@@ -396,6 +396,20 @@ def test_long_key_is_quoted_briefly(tmp_path, capsys):
     assert len(err.encode()) <= 200
 
 
+@pytest.mark.parametrize("task", ["dissection-pontryagin", "dissection-pontryagim"])
+def test_long_task_name_is_quoted_whole(tmp_path, capsys, task):
+    # a 21-character task name, known but missing its block or misspelt in
+    # its last letter, is quoted in full, so the typo shows
+    text = resolve_manifest("standard_r3").read_text()
+    assert "\ntasks = validate-bundle, " in text
+    path = tmp_path / "task.pcm"
+    path.write_text(text.replace("\ntasks = validate-bundle, ", f"\ntasks = {task}, "))
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: line 8, column 9: expected ")
+    assert err.endswith(f", found '{task}'\n")
+
+
 def test_unknown_chart_key_exits_2(tmp_path, capsys):
     # [chart] holds vars alone: a misspelt key is an error, not ignored
     text = resolve_manifest("standard_r3").read_text()
