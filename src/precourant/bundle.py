@@ -85,6 +85,7 @@ class CourantBundle:
                     raise ChartMismatchError("anchor entry on a different chart")
         self.anchor = tuple(rows)
         self.metric_rows = linalg.nonzero_rows(self.metric)
+        self.symmetric = linalg.is_symmetric(self.metric)
         self.anchor_rows = tuple(
             tuple((m, p) for m, p in enumerate(row) if not p.is_zero()) for row in rows
         )
@@ -192,7 +193,7 @@ def validate_bundle(b: CourantBundle) -> VerifyReport:
 
 def _bundle_report(b: CourantBundle) -> VerifyReport:
     report = VerifyReport("bundle")
-    if not linalg.is_symmetric(b.metric):
+    if not b.symmetric:
         report.add("metric-not-symmetric", False)
     try:
         b.metric_inv_rows  # inverts the metric, once per bundle

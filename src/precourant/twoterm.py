@@ -39,10 +39,10 @@ def t_scalar(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> P
     """T = (1/6) sum over cyclic (a, b, c) of <skew_bracket(e_a, e_b), e_c>:
     `p.cyclic_table` contracted with e1, e2, e3, plus, for each e_x with
     successor n and predecessor q in the cycle, sum_m rho(e_x)^m (<d_m n, q>
-    - <d_m q, n>) + 1/2 rho~(e_x)^m (<d_m n, q> - <n, d_m q>).  The field
-    rho~(e) = sum_m <D x_m, e> d/dx_m is rho(e) on a symmetric metric."""
+    - <d_m q, n>) + 1/2 rho~(e_x)^m (<d_m n, q> - <n, d_m q>), where
+    rho~(e) = sum_m <D x_m, e> d/dx_m."""
     es, b = (e1, e2, e3), p.bundle
-    total = half = Poly.zero(b.chart)
+    total = zero = Poly.zero(b.chart)
     for (i, j, k), c in p.cyclic_table.items():
         if i in e1.terms and j in e2.terms and k in e3.terms:
             total = total + e1.terms[i] * e2.terms[j] * e3.terms[k] * c
@@ -50,12 +50,17 @@ def t_scalar(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> P
     for x, e in enumerate(es):
         n, q, dn, dq = es[x - 2], es[x - 1], partials[x - 2], partials[x - 1]
         rho = anchor_apply(e).terms
-        for m, column in enumerate(b.dee_columns):
-            a = pairing(dn[m], q)
-            if m in rho:
-                total = total + rho[m] * (a - pairing(dq[m], n))
-            half = half + pairing(column, e) * (a - pairing(n, dq[m]))
-    return (total + half * Fraction(1, 2)) * Fraction(1, 6)
+        # a symmetric metric has rho~ = rho and <n, d_m q> = <d_m q, n>
+        tilde = rho if b.symmetric else {
+            m: pairing(column, e) for m, column in enumerate(b.dee_columns)
+        }
+        for m, t in tilde.items():  # every m with rho(e)^m != 0 among them
+            a, back = pairing(dn[m], q), pairing(dq[m], n)
+            half = t * Fraction(1, 2)
+            total = total + (rho.get(m, zero) + half) * (a - back)
+            if not b.symmetric:
+                total = total + half * (back - pairing(n, dq[m]))
+    return total * Fraction(1, 6)
 
 
 def jacobiator_tensor(

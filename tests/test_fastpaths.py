@@ -573,11 +573,11 @@ T_SCALAR_CASES = {
 @pytest.mark.parametrize("case", list(T_SCALAR_CASES))
 def test_t_scalar_matches_bracket_reference(case):
     # T in closed form, from the cyclic frame table and its first-order
-    # terms, against the three brackets it replaced; only on the skewed
-    # metric does rho~ differ from rho
+    # terms, against the three brackets it replaced; the skewed metric
+    # takes the rho~ path
     p = T_SCALAR_CASES[case]()
     b = p.bundle
-    assert linalg.is_symmetric(b.metric) == (case != "skewed-metric")
+    assert b.symmetric == (case != "skewed-metric")
     rng = random.Random(27)
     x, y, z, w = (random_section(rng, b, degree) for degree in (1, 2, 3, 4))
     lie = build_lie2(p)
