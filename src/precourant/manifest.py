@@ -9,25 +9,25 @@ default to zero; one reader, `_indexed`, checks the indices of every dotted
 key and rejects indices given twice.  Exactly one of the ``[bracket]`` and
 ``[builder]`` sections must be present.
 
-The block table `BLOCKS` declares each optional block beyond the builder
-once; one loop parses them all into `Manifest.blocks`, and `check_tasks`
-names a missing block or builder kind from the two tables.
+The schema `SCHEMA` declares every section and each of its keys once (see
+`Section` and `Key`); `parse_manifest` chooses the builder, then reads every
+section through the schema in one loop.  `BLOCKS` are the optional blocks
+beyond the builder; `check_tasks` names a missing block or builder kind.
 
 The builder table `BUILDERS` declares each way of building the structure
-once: the sections it reads, its ``[builder]`` keys, how they parse into
-one plain spec that holds the rank of the bundle it builds, and how the spec
-builds the bundle, the algebroid and the rest of the task context.
-``kind = ...`` in ``[builder]`` names an entry; an explicit ``[bundle]`` +
-``[bracket]`` pair is the entry under None, which no kind can name.  A
-builder section that the chosen builder does not read is an error at its
-header.
+once: the rank of the bundle it builds, a check of what no key expresses,
+and how its spec (the keys of the sections it reads) builds the bundle, the
+algebroid and the rest of the task context.  ``kind = ...`` in
+``[builder]`` names an entry; an explicit ``[bundle]`` + ``[bracket]`` pair
+is the entry under None, which no kind can name.  A builder section that
+the chosen builder does not read is an error at its header.
 
 All syntax errors carry a line and column.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebroid import PreCourantAlgebroid, zero_table
@@ -47,26 +47,6 @@ from .exterior import KForm
 from .parsing import parse_form, parse_int, parse_poly, parse_scalar
 from .poly import Chart, Poly
 from .tasks import TASKS, BuildContext
-
-# the smallest value of each integer setting, in [meta] and as a CLI override
-META_MINIMUM = {"seed": 0, "trials": 1, "max_degree": 0}
-
-# the optional blocks beyond the builder: block -> (the key of its rows,
-# prefix.N, or of its single form entry; what a row holds, "rank"
-# coefficients of the built bundle or a "point" of the chart, or the degree
-# of the form).  A block without a row or entry is an error at its header.
-BLOCKS: Dict[str, Tuple[str, Union[str, int]]] = {
-    "lift": ("sigma", "rank"),
-    "complement": ("c", "rank"),
-    "points": ("p", "point"),
-    "deform": ("h", 3),
-    "bfield": ("beta", 2),
-    "pontryagin": ("h", 3),
-}
-
-_SECTIONS = (
-    "meta", "chart", "bundle", "bracket", "builder", "algebra", "action", "dissection", *BLOCKS
-)
 
 
 class _Entry:
@@ -95,30 +75,18 @@ Sections = Dict[str, _Section]
 
 
 class Manifest:
+    """A parsed manifest.  The keys of [meta] and [chart] are attributes
+    (seed, trials, max_degree, tasks and chart), set by `parse_manifest`."""
+
     __slots__ = (
         "name", "chart", "tasks", "seed", "trials", "max_degree", "builder_kind", "spec", "blocks"
     )
 
-    def __init__(
-        self,
-        name: str,
-        chart: Chart,
-        tasks: List[str],
-        seed: int = 0,
-        trials: int = 16,
-        max_degree: int = 2,
-        # the key of the builder in BUILDERS (None for [bundle] + [bracket]) and its spec
-        builder_kind: Optional[str] = None,
-        spec: Optional[Spec] = None,
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.chart = chart
-        self.tasks = tasks
-        self.seed = seed
-        self.trials = trials
-        self.max_degree = max_degree
-        self.builder_kind = builder_kind
-        self.spec = spec
+        # the key of the builder in BUILDERS (None for [bundle] + [bracket]) and its spec
+        self.builder_kind: Optional[str] = None
+        self.spec: Spec = {}
         # block of BLOCKS -> its list of rows or its form, for the blocks given
         self.blocks: Dict[str, object] = {}
 
@@ -135,9 +103,9 @@ def _split_sections(text: str) -> Sections:
             if not stripped.endswith("]"):
                 raise ParseError(lineno, len(line), "closing ']' in section header")
             name = stripped[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in SCHEMA:
                 raise ParseError(
-                    lineno, line.index("[") + 2, f"one of {', '.join(_SECTIONS)}", name
+                    lineno, line.index("[") + 2, f"one of {', '.join(SCHEMA)}", name
                 )
             if name in sections:
                 raise ParseError(lineno, 1, f"unique section [{name}]", "duplicate")
@@ -159,10 +127,6 @@ def _split_sections(text: str) -> Sections:
 def _first_line(entries: _Section) -> int:
     """The line of the first entry, or of the header when there is none."""
     return entries[0].line if entries else entries.line
-
-
-def _lookup(entries: List[_Entry], key: str) -> Optional[_Entry]:
-    return next((e for e in entries if e.key == key), None)
 
 
 def _read_row(entry: _Entry, length: int, chart: Optional[Chart] = None) -> List:
@@ -188,35 +152,6 @@ def _read_row(entry: _Entry, length: int, chart: Optional[Chart] = None) -> List
     return out
 
 
-def _parse_int(entry: _Entry, minimum: int) -> int:
-    return parse_int(entry.value, minimum, entry.line, entry.value_col)
-
-
-def _required_int(entries: _Section, key: str, section: str, minimum: int) -> int:
-    """The integer entry key of a section, which must be given."""
-    entry = _lookup(entries, key)
-    if entry is None:
-        article = "an" if key[0] in "aeiou" else "a"
-        raise ParseError(_first_line(entries), 1, f"{article} {key!r} entry in [{section}]")
-    return _parse_int(entry, minimum)
-
-
-def _check_keys(entries: List[_Entry], keys: Sequence[str], expected: str = "") -> None:
-    """Reject the first entry whose key is none of keys, where a dotted key
-    such as metric.N stands for every key metric.... (its table reader checks
-    the indices); the error names expected, or else the keys."""
-    allowed = {k.partition(".")[:2] for k in keys}
-    for e in entries:
-        if e.key.partition(".")[:2] not in allowed:
-            raise ParseError(
-                e.line, 1, expected or f"{', '.join(keys[:-1])} or {keys[-1]}", e.key
-            )
-
-
-def _prefixed(entries: List[_Entry], prefix: str) -> List[_Entry]:
-    return [e for e in entries if e.key.startswith(prefix + ".")]
-
-
 def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
     parts = entry.key.split(".")
     if parts[0] != prefix or len(parts) != count + 1:
@@ -230,20 +165,23 @@ def _key_indices(entry: _Entry, prefix: str, count: int) -> Tuple[int, ...]:
 
 
 def _indexed(
-    entries: List[_Entry], prefix: str, count: int, parse_row, fits, expected: str, skew=False
+    given: List[_Entry], prefix: str, count: int, parse_row, fits, expected: str, pairs=""
 ) -> Dict[Tuple[int, ...], object]:
-    """The rows of the entries prefix.I... with count 1-based indices, keyed
-    by their 0-based index tuples.  Indices that fits refuses are an error
-    naming expected; so are indices given before, or, in a skew table whose
-    transpose the build fills in, their transpose."""
+    """The rows of the entries given, prefix.I... with count 1-based
+    indices, keyed by their 0-based index tuples.  Indices that fits refuses
+    are an error naming expected, and so are I >= J if pairs is "upper";
+    so are indices given before, and if pairs is "skew", as the build fills
+    in the transpose and the diagonal, I = J and a transpose given before."""
     rows: Dict[Tuple[int, ...], object] = {}
-    for e in _prefixed(entries, prefix):
+    for e in given:
         idx = _key_indices(e, prefix, count)
-        if not fits(*idx):
+        if not fits(*idx) or pairs == "upper" and idx[0] >= idx[1]:
             raise ParseError(e.line, 1, expected, e.key)
-        same = (idx, idx[::-1]) if skew else (idx,)
+        if pairs == "skew" and idx[0] == idx[1]:
+            raise ParseError(e.line, 1, f"{prefix}.I.J with I != J", e.key)
+        same = (idx, idx[::-1]) if pairs == "skew" else (idx,)
         if any(s in rows for s in same):
-            names = dict.fromkeys(".".join([prefix, *(str(i + 1) for i in s)]) for s in same)
+            names = [".".join([prefix, *(str(i + 1) for i in s)]) for s in same]
             raise ParseError(e.line, 1, f"a single entry for {' or '.join(names)}", e.key)
         rows[idx] = parse_row(e)
     return rows
@@ -258,61 +196,150 @@ def _missing_rows(rows: Dict[Tuple[int], object], count: int) -> str:
     return f"[{', '.join(map(str, first))}{more}]" if first else ""
 
 
-def _numbered_rows(section: _Section, prefix: str, n_rows: int, parse_row) -> List:
-    """Rows prefix.1 .. prefix.n_rows of a section.  Missing rows are
-    reported at the last row given, or at the section header if none is."""
-    expected = f"row index between 1 and {n_rows}" if n_rows else f"no {prefix} row"
-    rows = _indexed(section, prefix, 1, parse_row, lambda i: i < n_rows, expected)
-    missing = _missing_rows(rows, n_rows)
-    if missing:
-        last = max([section.line] + [e.line for e in _prefixed(section, prefix)])
-        raise ParseError(last, 1, f"rows {missing} of {prefix!r}")
-    return [rows[(i,)] for i in range(n_rows)]
+class Key(NamedTuple):
+    """One key of a section, such as rank, metric.N or t.N.N, read by
+    `read(r, name, key, given)` from the entries under its name (the part
+    before the first dot), or from its one entry if it has no `row` parser.
+    `size` is an integer's minimum, a form's degree, or the size names of a
+    row count or of a table's index bounds; `pairs`, "skew" or "upper", is
+    a table's rule for index pairs (see `_indexed`).  An absent key is an
+    error if required, reported with `expected`, and else takes `default`;
+    `expected` is also the template, over the names of `_Reader`, of an
+    index out of range.  `by` names the kinds that read a [builder] key;
+    `into` renames the key's value."""
+
+    read: Callable
+    size: object = None
+    row: Optional[Callable] = None
+    pairs: str = ""
+    required: bool = False
+    default: object = None
+    expected: str = ""
+    by: Optional[Tuple[Optional[str], ...]] = None
+    into: Optional[str] = None
 
 
-def _contiguous_rows(section: _Section, prefix: str, parse_row) -> List:
-    """Rows prefix.1 .. prefix.N of a nonempty section in index order, N the
-    largest index given.  A gap is reported at the first entry."""
-    _check_keys(section, (f"{prefix}.N",), f"key of the form {prefix}.N")
-    rows = _indexed(section, prefix, 1, parse_row, lambda i: True, "")
-    count = max(rows)[0] + 1
-    missing = _missing_rows(rows, count)
-    if missing:
-        raise ParseError(section[0].line, 1, f"contiguous {prefix} rows", missing)
-    return [rows[(i,)] for i in range(count)]
+class Section(NamedTuple):
+    """One section: its keys in the order read, the builder kinds that read
+    it (None for any manifest), and the template of the text an unknown key
+    is reported with (by default the keys)."""
+
+    keys: Dict[str, Key]
+    by: Optional[Tuple[Optional[str], ...]] = None
+    unknown: str = ""
 
 
-def _parse_form_entry(chart: Chart, e: _Entry, degree: int) -> KForm:
-    form = parse_form(chart, e.value, e.line, e.value_col)
-    if form.degree != degree:
-        raise ParseError(e.line, e.value_col, f"a {degree}-form literal")
+class _Reader:
+    """One read: the manifest so far, the first entry under each key by its
+    value's name, and the section read.  Indexing gives a size or template
+    name: the chart dimension, the bundle's rank, or a spec value read
+    before, such as dim or the builder kind."""
+
+    __slots__ = ("m", "where", "section", "entries")
+
+    def __init__(self, m: Manifest):
+        self.m = m
+        self.where: Dict[str, Optional[_Entry]] = {}
+
+    def __getitem__(self, name: str):
+        if name == "chart":
+            return self.m.chart.dim
+        if name == "rank":
+            return BUILDERS[self.m.builder_kind].rank(self.m.spec, self.m.chart)
+        return self.m.spec[name]
+
+
+def _entry(r: _Reader, name: str, key: Key, given: List[_Entry]) -> Optional[_Entry]:
+    """The one entry of a key, or None if it is absent and not required."""
+    if given:
+        return given[0]
+    if key.required:
+        article = "an" if name[0] in "aeiou" else "a"
+        expected = key.expected or f"{article} {name!r} entry in [{r.section}]"
+        raise ParseError(_first_line(r.entries), 1, expected)
+    return None
+
+
+def _int(r: _Reader, name: str, key: Key, e: Optional[_Entry]) -> int:
+    return key.default if e is None else parse_int(e.value, key.size, e.line, e.value_col)
+
+
+def _flag(r: _Reader, name: str, key: Key, e: Optional[_Entry]) -> bool:
+    if e is not None and e.value not in ("true", "false"):
+        raise ParseError(e.line, e.value_col, "true or false", e.value)
+    return e is not None and e.value == "true"
+
+
+def _vars(r: _Reader, name: str, key: Key, e: _Entry) -> Chart:
+    try:
+        return Chart(e.value.split())
+    except ValueError as exc:
+        raise ParseError(e.line, e.value_col, str(exc)) from None
+
+
+def _tasks(r: _Reader, name: str, key: Key, e: Optional[_Entry]) -> List[str]:
+    return [t.strip() for t in e.value.split(",") if t.strip()] if e else []
+
+
+def _kind(r: _Reader, name: str, key: Key, e: _Entry) -> str:
+    if e.value not in BUILDERS:
+        kinds = ", ".join(k for k in BUILDERS if k is not None)
+        raise ParseError(e.line, e.value_col, f"builder kind among {kinds}", e.value)
+    return e.value
+
+
+def _form(r: _Reader, name: str, key: Key, e: Optional[_Entry]) -> KForm:
+    """A form of degree size; an absent optional form is zero."""
+    if e is None:
+        return KForm.zero(r.m.chart, key.size)
+    form = parse_form(r.m.chart, e.value, e.line, e.value_col)
+    if form.degree != key.size:
+        raise ParseError(e.line, e.value_col, f"a {key.size}-form literal")
     return form
 
 
-# --- the builders: each parses its sections into a spec, and builds it ------
-# A parser takes the chart, the sections and the [builder] kind entry (None
-# for the [bracket] entry) and returns a spec that holds the rank of the
-# bundle it builds; a build function takes the parsed manifest.
+def _rows(r: _Reader, name: str, key: Key, given: List[_Entry]) -> Optional[List]:
+    """Rows name.1 .. name.n, n the size, or None for an optional key with
+    no row.  Missing rows are reported at the last row given, or at the
+    section header if none is."""
+    if not (given or key.required):
+        return None
+    n = r[key.size]
+    expected = f"row index between 1 and {n}" if n else f"no {name} row"
+    rows = _indexed(given, name, 1, lambda e: key.row(r, e), lambda i: i < n, expected)
+    missing = _missing_rows(rows, n)
+    if missing:
+        last = max([r.entries.line] + [e.line for e in given])
+        raise ParseError(last, 1, f"rows {missing} of {name!r}")
+    return [rows[(i,)] for i in range(n)]
 
 
-def _parse_bundle(chart: Chart, entries: _Section) -> Spec:
-    rank = _required_int(entries, "rank", "bundle", 1)
-    _check_keys(entries, ("rank", "metric.N", "anchor.N"))
-    metric = _numbered_rows(entries, "metric", rank, lambda e: _read_row(e, rank))
-    anchor = _numbered_rows(entries, "anchor", rank, lambda e: _read_row(e, chart.dim, chart))
-    return dict(rank=rank, metric=metric, anchor=anchor)
+def _contiguous(r: _Reader, name: str, key: Key, given: List[_Entry]) -> List:
+    """Rows name.1 .. name.N, N the largest index given; a gap is an error at the first row."""
+    first = _entry(r, name, key, given)
+    rows = _indexed(given, name, 1, lambda e: key.row(r, e), lambda i: True, "")
+    count = max(rows)[0] + 1
+    missing = _missing_rows(rows, count)
+    if missing:
+        raise ParseError(first.line, 1, f"contiguous {name} rows", missing)
+    return [rows[(i,)] for i in range(count)]
 
 
-def _parse_bracket(chart: Chart, sections: Sections, kind_entry: None) -> Spec:
-    spec = _parse_bundle(chart, sections["bundle"])
-    rank = spec["rank"]
-    entries = sections["bracket"]
-    _check_keys(entries, ("t.N.N",), "key of the form t.N.N")
-    table = _indexed(
-        entries, "t", 2, lambda e: _read_row(e, rank, chart), lambda i, j: max(i, j) < rank,
-        f"frame indices between 1 and {rank}",
+def _table(r: _Reader, name: str, key: Key, given: List[_Entry]) -> Dict:
+    """The sparse table name.I.J..., its rows keyed by 0-based index tuples."""
+    bounds = [r[size] for size in key.size]
+    return _indexed(
+        given, name, len(bounds), lambda e: key.row(r, e),
+        lambda *idx: all(map(int.__lt__, idx, bounds)), key.expected.format_map(r), key.pairs,
     )
-    return dict(spec, brackets=table)
+
+
+def _row(size: str, polys: bool = True) -> Callable:
+    """The parser of a row of size polynomials over the chart, or numbers."""
+    return lambda r, e: _read_row(e, r[size], r.m.chart if polys else None)
+
+
+# --- the builders: each builds the task context from a manifest -------------
 
 
 def _build_bracket(m: Manifest) -> BuildContext:
@@ -324,20 +351,9 @@ def _build_bracket(m: Manifest) -> BuildContext:
     return BuildContext(m, bundle, PreCourantAlgebroid(bundle, table))
 
 
-def _parse_standard(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    return {"rank": 2 * chart.dim}
-
-
 def _build_standard(m: Manifest) -> BuildContext:
     bundle = standard_bundle(m.chart)
     return BuildContext(m, bundle, PreCourantAlgebroid(bundle, zero_table(bundle)))
-
-
-def _parse_twisted_exact(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    h = _lookup(sections["builder"], "h")
-    if h is None:
-        raise ParseError(kind_entry.line, 1, "an 'h' entry for twisted_exact")
-    return {"rank": 2 * chart.dim, "h": _parse_form_entry(chart, h, 3)}
 
 
 def _build_twisted_exact(m: Manifest) -> BuildContext:
@@ -345,26 +361,6 @@ def _build_twisted_exact(m: Manifest) -> BuildContext:
     base = PreCourantAlgebroid(bundle, zero_table(bundle))
     omega = twist_deformation(bundle, m.spec["h"])
     return BuildContext(m, bundle, apply_deformation(base, omega))
-
-
-def _parse_connection_beta(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    spec = _parse_bundle(chart, sections["bundle"])
-    rank = spec["rank"]
-    entries = sections["builder"]
-
-    def row(e: _Entry) -> List[Poly]:
-        return _read_row(e, rank, chart)
-
-    # (direction, frame) and (frame, frame) -> coefficients
-    gamma = _indexed(
-        entries, "gamma", 2, row, lambda mm, a: mm < chart.dim and a < rank,
-        "gamma.direction.frame in range",
-    )
-    beta = _indexed(
-        entries, "beta", 2, row, lambda i, j: max(i, j) < rank,
-        f"frame indices between 1 and {rank}",
-    )
-    return dict(spec, gamma=gamma, beta=beta)
 
 
 def _build_connection_beta(m: Manifest) -> BuildContext:
@@ -386,44 +382,16 @@ def _build_connection_beta(m: Manifest) -> BuildContext:
     return BuildContext(m, bundle, from_connection_beta(bundle, gamma, beta))
 
 
-def _parse_twisted_action(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    entries = sections["algebra"]
-    dim = _required_int(entries, "dim", "algebra", 1)
-    _check_keys(entries, ("dim", "double", "bracket.I.J", "pairing.N"))
-    flag = _lookup(entries, "double")
-    if flag is not None and flag.value not in ("true", "false"):
-        raise ParseError(flag.line, flag.value_col, "true or false", flag.value)
-    doubled = flag is not None and flag.value == "true"
-    brackets = _indexed(
-        entries, "bracket", 2, lambda e: _read_row(e, dim), lambda i, j: max(i, j) < dim,
-        f"basis indices between 1 and {dim}", skew=True,
-    )
-    pairing_entries = _prefixed(entries, "pairing")
-    if pairing_entries and doubled:
+def _check_algebra(s: Spec, where: Dict[str, _Entry]) -> None:
+    """[algebra] gives pairing.N rows unless double = true, and none if so
+    (the double builds its own pairing)."""
+    pairing = where.get("pairing")
+    if pairing and s["double"]:
         raise ParseError(
-            pairing_entries[0].line, 1,
-            "no pairing.N rows in [algebra] when double = true", pairing_entries[0].key,
+            pairing.line, 1, "no pairing.N rows in [algebra] when double = true", pairing.key
         )
-    pairing = None
-    if pairing_entries:
-        pairing = _numbered_rows(entries, "pairing", dim, lambda e: _read_row(e, dim))
-    elif not doubled:
-        raise ParseError(
-            _lookup(entries, "dim").line, 1, "pairing.N rows in [algebra] unless double = true"
-        )
-
-    # the action of the algebra, or of its double: one row per basis vector
-    rank = 2 * dim if doubled else dim
-    entries = sections["action"]
-    _check_keys(entries, ("rho.N", "k.I.J"))
-    rho = _numbered_rows(entries, "rho", rank, lambda e: _read_row(e, chart.dim, chart))
-    k = _indexed(
-        entries, "k", 2, lambda e: _read_row(e, rank, chart), lambda i, j: max(i, j) < rank,
-        f"basis indices between 1 and {rank}", skew=True,
-    )
-    return dict(
-        rank=rank, dim=dim, double=doubled, brackets=brackets, pairing=pairing, rho=rho, k=k
-    )
+    if not (pairing or s["double"]):
+        raise ParseError(where["dim"].line, 1, "pairing.N rows in [algebra] unless double = true")
 
 
 def _build_twisted_action(m: Manifest) -> BuildContext:
@@ -438,44 +406,19 @@ def _build_twisted_action(m: Manifest) -> BuildContext:
     return BuildContext(m, algebroid.bundle, algebroid, algebra, base, action)
 
 
-def _parse_dissection(chart: Chart, sections: Sections, kind_entry: _Entry) -> Spec:
-    entries = sections["dissection"]
-    g = _required_int(entries, "aux_rank", "dissection", 0)
-    _check_keys(entries, ("aux_rank", "pairing.N", "gamma.M.N", "r.I.J", "psi", "gbracket.I.J"))
-
-    def row(e: _Entry) -> List[Poly]:
-        return _read_row(e, g, chart)
-
-    # index pairs -> auxiliary coefficients
-    gamma = _indexed(
-        entries, "gamma", 2, row, lambda mm, n: mm < chart.dim and n < g,
-        "gamma.direction.row in range",
-    )
-    curvature = _indexed(
-        entries, "r", 2, row, lambda i, j: i < j < chart.dim, f"r.I.J with I < J <= {chart.dim}"
-    )
-    fiber_table = _indexed(
-        entries, "gbracket", 2, row, lambda i, j: i < j < g, f"gbracket.I.J with I < J <= {g}"
-    )
-    psi_entry = _lookup(entries, "psi")
-    psi = KForm.zero(chart, 3) if psi_entry is None else _parse_form_entry(chart, psi_entry, 3)
-    pairing = _numbered_rows(entries, "pairing", g, lambda e: _read_row(e, g))
-    if not linalg.is_symmetric(pairing):
+def _check_aux_pairing(s: Spec, where: Dict[str, _Entry]) -> None:
+    """The auxiliary pairing of [dissection] is symmetric and nonsingular;
+    either error is reported at its first row."""
+    if not linalg.is_symmetric(s["aux_pairing"]):
         raise ParseError(
-            _prefixed(entries, "pairing")[0].line, 1,
-            "a symmetric auxiliary pairing in [dissection]",
+            where["aux_pairing"].line, 1, "a symmetric auxiliary pairing in [dissection]"
         )
     try:
-        linalg.invert(pairing)
+        linalg.invert(s["aux_pairing"])
     except SingularMetricError:
         raise ParseError(
-            _prefixed(entries, "pairing")[0].line, 1,
-            "a nonsingular auxiliary pairing in [dissection]",
+            where["aux_pairing"].line, 1, "a nonsingular auxiliary pairing in [dissection]"
         ) from None
-    return dict(
-        rank=2 * chart.dim + g, aux_rank=g, aux_pairing=pairing, gamma=gamma,
-        curvature=curvature, psi=psi, fiber_table=fiber_table,
-    )
 
 
 def _build_dissection(m: Manifest) -> BuildContext:
@@ -493,138 +436,194 @@ def _build_dissection(m: Manifest) -> BuildContext:
     return BuildContext(m, algebroid.bundle, algebroid, dissection=dissection)
 
 
-class Builder:
-    """One way to build the structure a manifest describes: the sections it
-    reads besides [builder], the [builder] keys it reads besides the kind, the
-    parser of its spec, and the build of the task context from a manifest."""
+class Builder(NamedTuple):
+    """One way to build the structure a manifest describes: the rank of the
+    bundle it builds, the build of the task context from a manifest, and a
+    check of the spec that no key expresses, given the entries."""
 
-    __slots__ = ("reads", "keys", "parse", "build")
-
-    def __init__(
-        self,
-        reads: Tuple[str, ...],
-        keys: Tuple[str, ...],
-        parse: Callable[[Chart, Sections, Optional[_Entry]], Spec],
-        build: Callable[[Manifest], BuildContext],
-    ):
-        self.reads = reads
-        self.keys = keys
-        self.parse = parse
-        self.build = build
+    rank: Callable[[Spec, Chart], int]
+    build: Callable[[Manifest], BuildContext]
+    check: Callable[[Spec, Dict[str, _Entry]], None] = lambda s, where: None
 
 
 # builder kind -> Builder; the key None is the explicit [bundle] + [bracket]
 # pair, which `kind = ...` cannot name
 BUILDERS: Dict[Optional[str], Builder] = {
-    None: Builder(("bundle", "bracket"), (), _parse_bracket, _build_bracket),
-    "standard": Builder((), (), _parse_standard, _build_standard),
-    "twisted_exact": Builder((), ("h",), _parse_twisted_exact, _build_twisted_exact),
-    "connection_beta": Builder(
-        ("bundle",), ("gamma.M.N", "beta.I.J"), _parse_connection_beta, _build_connection_beta
-    ),
-    "twisted_action": Builder(
-        ("algebra", "action"), (), _parse_twisted_action, _build_twisted_action
-    ),
-    "dissection": Builder(("dissection",), (), _parse_dissection, _build_dissection),
+    None: Builder(lambda s, chart: s["rank"], _build_bracket),
+    "standard": Builder(lambda s, chart: 2 * chart.dim, _build_standard),
+    "twisted_exact": Builder(lambda s, chart: 2 * chart.dim, _build_twisted_exact),
+    "connection_beta": Builder(lambda s, chart: s["rank"], _build_connection_beta),
+    "twisted_action": Builder(lambda s, chart: 2 * s["dim"] if s["double"] else s["dim"],
+                              _build_twisted_action, _check_algebra),
+    "dissection": Builder(lambda s, chart: 2 * chart.dim + s["aux_rank"],
+                          _build_dissection, _check_aux_pairing),
 }
 
-# the sections that some builder reads
-_BUILDER_SECTIONS = {name for b in BUILDERS.values() for name in b.reads}
+
+def _rows_block(block: str, key: str, row: Callable) -> Tuple[str, Section]:
+    """The block of the rows key.1 .. key.N, from 1 without a gap."""
+    rows = Key(_contiguous, row=row, required=True, expected=f"{key}.N rows in [{block}]")
+    return block, Section({key + ".N": rows}, unknown=f"key of the form {key}.N")
 
 
-def _parse_builder(chart: Chart, sections: Sections) -> Tuple[Optional[str], Spec]:
-    """The builder kind (None for [bracket]) and its spec."""
+def _form_block(block: str, key: str, degree: int) -> Tuple[str, Section]:
+    """The block of the single form entry key."""
+    text = f"a single {key!r} entry in [{block}]"
+    return block, Section({key: Key(_form, degree, required=True, expected=text)}, unknown=text)
+
+
+# the optional blocks beyond the builder, each read into Manifest.blocks by
+# its name: [lift] and [complement] rows have the rank of the bundle the
+# builder builds, and a point has one coordinate per chart variable.  A
+# block without a row or entry is an error at its header.
+BLOCKS: Dict[str, Section] = dict([
+    _rows_block("lift", "sigma", _row("rank")),
+    _rows_block("complement", "c", _row("rank")),
+    _rows_block("points", "p", lambda r, e: tuple(_read_row(e, r["chart"]))),
+    _form_block("deform", "h", 3),
+    _form_block("bfield", "beta", 2),
+    _form_block("pontryagin", "h", 3),
+])
+
+SCHEMA: Dict[str, Section] = {
+    "meta": Section({
+        "seed": Key(_int, 0, default=0),
+        "trials": Key(_int, 1, default=16),
+        "max_degree": Key(_int, 0, default=2),
+        "tasks": Key(_tasks),
+    }),
+    "chart": Section({"vars": Key(_vars, required=True, into="chart")}),
+    "bundle": Section({
+        "rank": Key(_int, 1, required=True),
+        "metric.N": Key(_rows, "rank", _row("rank", polys=False), required=True),
+        "anchor.N": Key(_rows, "rank", _row("chart"), required=True),
+    }, by=(None, "connection_beta")),
+    "bracket": Section({
+        "t.N.N": Key(_table, ("rank", "rank"), _row("rank"), into="brackets",
+                     expected="frame indices between 1 and {rank}"),
+    }, by=(None,), unknown="key of the form t.N.N"),
+    # (direction, frame) and (frame, frame) -> coefficients
+    "builder": Section({
+        "kind": Key(_kind, required=True),
+        "h": Key(_form, 3, required=True, expected="an 'h' entry for twisted_exact",
+                 by=("twisted_exact",)),
+        "gamma.M.N": Key(_table, ("chart", "rank"), _row("rank"), by=("connection_beta",),
+                         expected="gamma.direction.frame in range"),
+        "beta.I.J": Key(_table, ("rank", "rank"), _row("rank"), by=("connection_beta",),
+                        expected="frame indices between 1 and {rank}"),
+    }, by=tuple(k for k in BUILDERS if k is not None), unknown="entries of builder {kind}"),
+    "algebra": Section({
+        "dim": Key(_int, 1, required=True),
+        "double": Key(_flag),
+        "bracket.I.J": Key(_table, ("dim", "dim"), _row("dim", polys=False), pairs="skew",
+                           into="brackets", expected="basis indices between 1 and {dim}"),
+        "pairing.N": Key(_rows, "dim", _row("dim", polys=False)),
+    }, by=("twisted_action",)),
+    # the action of the algebra, or of its double: one row per basis vector
+    "action": Section({
+        "rho.N": Key(_rows, "rank", _row("chart"), required=True),
+        "k.I.J": Key(_table, ("rank", "rank"), _row("rank"), pairs="skew",
+                     expected="basis indices between 1 and {rank}"),
+    }, by=("twisted_action",)),
+    # index pairs -> auxiliary coefficients
+    "dissection": Section({
+        "aux_rank": Key(_int, 0, required=True),
+        "pairing.N": Key(_rows, "aux_rank", _row("aux_rank", polys=False), required=True,
+                         into="aux_pairing"),
+        "gamma.M.N": Key(_table, ("chart", "aux_rank"), _row("aux_rank"),
+                         expected="gamma.direction.row in range"),
+        "r.I.J": Key(_table, ("chart", "chart"), _row("aux_rank"), pairs="upper",
+                     into="curvature", expected="r.I.J with I < J <= {chart}"),
+        "psi": Key(_form, 3),
+        "gbracket.I.J": Key(_table, ("aux_rank", "aux_rank"), _row("aux_rank"), pairs="upper",
+                            into="fiber_table", expected="gbracket.I.J with I < J <= {aux_rank}"),
+    }, by=("dissection",)),
+    **BLOCKS,
+}
+
+# the smallest value of each integer setting, in [meta] and as a CLI override
+META_MINIMUM = {k: key.size for k, key in SCHEMA["meta"].keys.items() if key.read is _int}
+
+
+def _read_key(r: _Reader, pattern: str) -> object:
+    """Read a key of the section being read into the manifest: a block's key
+    is the block, a [meta] or [chart] key an attribute, any other a spec field."""
+    key = SCHEMA[r.section].keys[pattern]
+    name = pattern.split(".")[0]
+    given = [e for e in r.entries if e.key.split(".")[0] == name]
+    r.where[key.into or name] = given[0] if given else None
+    # a key with a row parser reads every entry given, any other key its one
+    value = key.read(r, name, key, given if key.row else _entry(r, name, key, given))
+    if r.section in BLOCKS:
+        r.m.blocks[r.section] = value
+    elif SCHEMA[r.section].by:
+        r.m.spec[key.into or name] = value
+    else:
+        setattr(r.m, key.into or name, value)
+    return value
+
+
+def _choose_builder(r: _Reader, sections: Sections) -> Optional[str]:
+    """The builder kind (None for [bracket]), once the manifest is known to
+    give the sections that it reads and no other builder section."""
     has_bracket = "bracket" in sections
     if has_bracket == ("builder" in sections):
         raise ParseError(
             _first_line(next(iter(sections.values()))), 1,
             "exactly one of [bracket] and [builder]", "both" if has_bracket else "neither",
         )
-    kind = kind_entry = None
     if not has_bracket:
-        entries = sections["builder"]
-        kind_entry = _lookup(entries, "kind")
-        if kind_entry is None:
-            raise ParseError(_first_line(entries), 1, "a 'kind' entry in [builder]")
-        kind = kind_entry.value
-        if kind not in BUILDERS:
-            kinds = ", ".join(k for k in BUILDERS if k is not None)
-            raise ParseError(
-                kind_entry.line, kind_entry.value_col, f"builder kind among {kinds}", kind
-            )
-    builder = BUILDERS[kind]
-    missing = [name for name in builder.reads if name not in sections]
+        r.section, r.entries = "builder", sections["builder"]
+        r.m.builder_kind = _read_key(r, "kind")
+    kind = r.m.builder_kind
+    missing = [s for s in SCHEMA if kind in (SCHEMA[s].by or ()) and s not in sections]
     if missing and kind is None:
         raise ParseError(
             _first_line(sections["bracket"]), 1, "a [bundle] section when [bracket] is used"
         )
     if missing:
-        raise ParseError(
-            kind_entry.line, kind_entry.value_col, f"a section [{missing[0]}] for builder {kind}"
-        )
-    for name, entries in sections.items():
-        if name in _BUILDER_SECTIONS and name not in builder.reads:
+        e = r.where["kind"]
+        raise ParseError(e.line, e.value_col, f"a section [{missing[0]}] for builder {kind}")
+    for s, entries in sections.items():
+        if SCHEMA[s].by and kind not in SCHEMA[s].by:
             reader = "a [bracket] table" if kind is None else f"builder {kind}"
-            raise ParseError(entries.line, 1, f"a section read by {reader}", f"[{name}]")
-    if kind is not None:
-        _check_keys(sections["builder"], ("kind", *builder.keys), f"entries of builder {kind}")
-    return kind, builder.parse(chart, sections, kind_entry)
+            raise ParseError(entries.line, 1, f"a section read by {reader}", f"[{s}]")
+    return kind
 
 
 def parse_manifest(text: str, name: str = "manifest") -> Manifest:
+    """Read every section through SCHEMA, in its order, once the builder is
+    chosen; then run the builder's check and check the task list."""
     sections = _split_sections(text)
-
-    def section(key: str) -> List[_Entry]:
-        return sections.get(key, [])
-
-    # chart
-    chart_entries = section("chart")
-    if not chart_entries:
+    if "chart" not in sections:
         raise ParseError(1, 1, "a [chart] section")
-    _check_keys(chart_entries, ("vars",), "vars")
-    vars_entry = _lookup(chart_entries, "vars")
-    try:
-        chart = Chart(vars_entry.value.split())
-    except ValueError as exc:
-        raise ParseError(vars_entry.line, vars_entry.value_col, str(exc)) from None
-
-    # meta
-    meta = section("meta")
-    _check_keys(meta, (*META_MINIMUM, "tasks"))
-    settings = {e.key: _parse_int(e, META_MINIMUM[e.key]) for e in meta if e.key in META_MINIMUM}
-    tasks_entry = _lookup(meta, "tasks")
-    tasks = [t.strip() for t in tasks_entry.value.split(",") if t.strip()] if tasks_entry else []
-
-    kind, spec = _parse_builder(chart, sections)
-    m = Manifest(name=name, chart=chart, tasks=tasks, builder_kind=kind, spec=spec, **settings)
-
-    # [lift] and [complement] rows have the rank of the bundle the builder
-    # builds; a point has one coordinate per chart variable
-    read_row = {
-        "rank": lambda e: _read_row(e, spec["rank"], chart),
-        "point": lambda e: tuple(_read_row(e, chart.dim)),
-    }
-    for block, (key, holds) in BLOCKS.items():
-        entries = sections.get(block)
-        if entries is None:
+    r = _Reader(Manifest(name))
+    kind = _choose_builder(r, sections)
+    for section, declared in SCHEMA.items():
+        entries = sections.get(section)
+        if declared.by and kind not in declared.by or entries is None and section in BLOCKS:
             continue
-        what = f"{key}.N rows" if holds in read_row else f"a single {key!r} entry"
-        if not entries:
-            raise ParseError(entries.line, 1, f"{what} in [{block}]")
-        if holds in read_row:
-            m.blocks[block] = _contiguous_rows(entries, key, read_row[holds])
-        elif len(entries) > 1 or entries[0].key != key:
-            raise ParseError(entries[0].line, 1, f"{what} in [{block}]")
-        else:
-            m.blocks[block] = _parse_form_entry(chart, entries[0], holds)
-
+        # an absent [meta] takes its defaults
+        r.section, r.entries = section, _Section(0) if entries is None else entries
+        keys = [k for k, key in declared.keys.items() if key.by is None or kind in key.by]
+        # a dotted key such as metric.N stands for every key metric.... (its
+        # reader checks the indices)
+        allowed = {k.partition(".")[:2] for k in keys}
+        for e in r.entries:
+            if e.key.partition(".")[:2] not in allowed:
+                listed = f"{', '.join(keys[:-1])} or {keys[-1]}" if len(keys) > 1 else keys[0]
+                raise ParseError(e.line, 1, declared.unknown.format_map(r) or listed, e.key)
+        for pattern in keys:
+            _read_key(r, pattern)
+    m = r.m
+    BUILDERS[kind].check(m.spec, r.where)
     try:
         check_tasks(m, m.tasks)
     except TaskError as exc:
-        expected = (
-            f"{exc.missing} for task" if exc.missing else f"task among {', '.join(TASKS)}"
-        )
-        raise ParseError(tasks_entry.line, tasks_entry.value_col, expected, exc.task) from None
+        # the task names, which --help lists, would not fit on one short line
+        expected = f"{exc.missing} for task" if exc.missing else "a task that --help lists"
+        e = r.where["tasks"]
+        raise ParseError(e.line, e.value_col, expected, exc.task) from None
     return m
 
 

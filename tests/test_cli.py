@@ -410,6 +410,19 @@ def test_long_task_name_is_quoted_whole(tmp_path, capsys, task):
     assert err.endswith(f", found '{task}'\n")
 
 
+def test_unknown_task_in_the_manifest_is_reported_briefly(tmp_path, capsys):
+    # the task list would make a 300-byte line; --help lists the names
+    text = resolve_manifest("standard_r3").read_text()
+    assert "\ntasks = validate-bundle, " in text
+    path = tmp_path / "task.pcm"
+    path.write_text(text.replace("\ntasks = validate-bundle, ", "\ntasks = frobnicate, "))
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: line 8, column 9: expected a task that --help lists, found 'frobnicate'\n"
+    )
+
+
 def test_unknown_chart_key_exits_2(tmp_path, capsys):
     # [chart] holds vars alone: a misspelt key is an error, not ignored
     text = resolve_manifest("standard_r3").read_text()
@@ -435,6 +448,49 @@ def test_repeated_bracket_pair_exits_2(tmp_path, capsys):
         f"error: {path}: line 22, column 1: expected a single entry for bracket.2.1 or "
         "bracket.1.2, found 'bracket.2.1'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "given, diagonal",
+    [
+        ("\nbracket.1.2 = 0, 1\n", "bracket.1.1 = 0, 1"),
+        ("\nbracket.1.2 = 0, 1\n", "bracket.2.2 = 0, 0"),
+        ("\nrho.4 = 0\n", "k.2.2 = 0, 0, 1, 0"),
+    ],
+    ids=["bracket", "bracket-zero-row", "k"],
+)
+def test_diagonal_key_in_a_skew_table_exits_2(tmp_path, capsys, given, diagonal):
+    # the build fills in the transpose of each entry of a skew table, so a
+    # diagonal entry, even an all-zero one, is an input error at its line
+    text = resolve_manifest("double_nonabelian").read_text()
+    assert given in text
+    path = tmp_path / "diagonal.pcm"
+    path.write_text(text.replace(given, given + diagonal + "\n"))
+    line = path.read_text().splitlines().index(diagonal) + 1
+    key = diagonal.split(" ")[0]
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: line {line}, column 1: expected {key.split('.')[0]}.I.J with I != J, "
+        f"found '{key}'\n"
+    )
+
+
+def test_empty_chart_is_reported_at_its_header(tmp_path, capsys):
+    # like an empty [bundle] or [builder]: the missing entry, at the header
+    text = resolve_manifest("standard_r3").read_text()
+    assert "\n[chart]\nvars = x1 x2 x3\n" in text
+    path = tmp_path / "chart.pcm"
+    path.write_text(text.replace("\nvars = x1 x2 x3\n", "\n"))
+    header = path.read_text().splitlines().index("[chart]") + 1
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line {header}, column 1: expected a 'vars' entry in [chart]\n"
+    # a manifest with no [chart] at all is reported at its top
+    path.write_text(text.replace("\n[chart]\nvars = x1 x2 x3\n", "\n"))
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 1, column 1: expected a [chart] section\n"
 
 
 def test_non_utf8_manifest_exits_2(tmp_path, capsys):

@@ -556,7 +556,8 @@ NUMBER_ROWS = {
     ),
     "bracket": (
         "[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n"
-        "[algebra]\ndim = 1\nbracket.1.1 = {}\npairing.1 = 1\n\n[action]\nrho.1 = 0\n"
+        "[algebra]\ndim = 2\nbracket.1.2 = {}, 0\npairing.1 = 0, 1\npairing.2 = 1, 0\n\n"
+        "[action]\nrho.1 = 0\nrho.2 = 0\n"
     ),
     "p": BASE.replace("x1 x2", "x1") + "\n[points]\np.1 = {}\n",
 }
@@ -609,12 +610,9 @@ ALGEBRA = (
         (BRACKET_TABLE.format("t.1.2 = 0, x1\nt.1.02 = 0, 0"), 13, "t.1.2", "t.1.02"),
         (ALGEBRA.format("bracket.1.2 = 0, 1\nbracket.2.1 = 0, 0", ""), 12,
          "bracket.2.1 or bracket.1.2", "bracket.2.1"),
-        (ALGEBRA.format("bracket.1.1 = 0, 0\nbracket.01.1 = 0, 0", ""), 12,
-         "bracket.1.1", "bracket.01.1"),
         (ALGEBRA.format("", "k.2.1 = 0, x1\nk.1.2 = 0, 0"), 16, "k.1.2 or k.2.1", "k.1.2"),
     ],
-    ids=["numbered-row", "contiguous-row", "ordered-table", "skew-table", "skew-diagonal",
-         "skew-action-table"],
+    ids=["numbered-row", "contiguous-row", "ordered-table", "skew-table", "skew-action-table"],
 )
 def test_repeated_indices_are_an_error(text, line, expected, found):
     with pytest.raises(ParseError) as err:

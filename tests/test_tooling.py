@@ -2,7 +2,8 @@
 modules keep to each other's public names, off the dense views of the
 sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, blocks are read only through the block
-table, dotted manifest keys are read through one reader, every check is
+table, dotted manifest keys are read through one reader and every section
+through the manifest schema, whose keys the README lists, every check is
 recorded through `VerifyReport`, every module-level function and class has
 a caller in the package, the two-term l3 has one code path and reaches
 no bracket, the builders have one connection derivative, J on frame triples is enumerated in one
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from precourant.manifest import BLOCKS, BUILDERS
+from precourant.manifest import BLOCKS, BUILDERS, SCHEMA
 from precourant.tasks import TASKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +43,24 @@ def test_readme_task_table_matches_task_table():
         assert needs == (", ".join(named) or "—"), name
         assert ("gated" in gate) == task.gated, name
         assert ("sets the gate" in gate) == task.sets_gate, name
+
+
+def test_readme_section_table_matches_schema():
+    rows = re.findall(
+        r"^\| `\[([a-z]+)\]` \| ([^|]*) \| ([^|]*) \|$",
+        (ROOT / "README.md").read_text(),
+        flags=re.MULTILINE,
+    )
+    assert [name for name, _, _ in rows] == list(SCHEMA)
+    for name, keys, readers in rows:
+        section = SCHEMA[name]
+        listed = []
+        for pattern, key in section.keys.items():
+            notes = ["required"] * key.required + [f"`{kind}`" for kind in key.by or ()]
+            listed.append(f"`{pattern}`" + (f" ({', '.join(notes)})" if notes else ""))
+        assert keys == ", ".join(listed), name
+        named = [f"`{kind}`" if kind else "`[bracket]`" for kind in section.by or ()]
+        assert readers == (", ".join(named) or "any manifest"), name
 
 
 def test_tracer_targets_resolve():
@@ -156,6 +175,39 @@ def test_dotted_keys_are_read_through_one_reader():
         or isinstance(node, ast.Compare) and ast.unparse(node.left).endswith(".key")
     ]
     assert dispatch == []
+
+
+def test_manifest_sections_are_read_through_the_schema():
+    # one loop reads every section through SCHEMA: no section or builder has
+    # a parser of its own, and no function picks entries by comparing their
+    # key with a literal (the loop compares keys with the schema's patterns)
+    tree = ast.parse((ROOT / "src" / "precourant" / "manifest.py").read_text())
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    parsers = {f"_parse_{name}" for name in [*SCHEMA, *BUILDERS] if name}
+    assert [f.name for f in funcs if f.name in parsers] == []
+
+    def literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return all(literal(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    def reads_key(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "key" for n in ast.walk(node))
+
+    compared = [
+        f"{f.name}: {ast.unparse(node)}"
+        for f in funcs
+        for node in ast.walk(f)
+        if isinstance(node, ast.Compare)
+        and any(map(reads_key, [node.left, *node.comparators]))
+        and any(map(literal, [node.left, *node.comparators]))
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and reads_key(node.func.value)
+        and any(map(literal, node.args))
+        and node.func.attr in ("startswith", "endswith")
+    ]
+    assert compared == []
 
 
 def test_verify_report_is_the_only_result_type():
