@@ -47,8 +47,8 @@ class PreCourantAlgebroid:
     `rows[i]` lists the nonzero entries of table row i once, as
     {j: ((k, c), ...)} with a constant coefficient c held as its scalar.
     `bracket` memoises its results in `bracket_memo` by the value of its
-    arguments, `frame_jacobiator` J on ordered frame triples in `jmemo`
-    and `cochain.jacobiator_flat` the flat of J in `jflat`; these and the
+    arguments, `jacobiator` J on ordered frame triples in `jmemo` and
+    `cochain.jacobiator_flat` the flat of J in `jflat`; these and the
     cached properties live exactly as long as the algebroid.
     """
 
@@ -168,36 +168,29 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
 
 
 def jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Section:
-    """Leibniz-identity defect e1o(e2oe3) - (e1oe2)oe3 - e2o(e1oe3)."""
-    return (
-        bracket(p, e1, bracket(p, e2, e3))
-        - bracket(p, bracket(p, e1, e2), e3)
-        - bracket(p, e2, bracket(p, e1, e3))
-    )
-
-
-def frame_jacobiator(p: PreCourantAlgebroid, i: int, j: int, k: int) -> Section:
-    """J(u_i, u_j, u_k), evaluated once per ordered triple and kept in
-    `p.jmemo`; no value is read from another order up to sign."""
-    out = p.jmemo.get((i, j, k))
-    if out is None:
-        u = p.bundle.frames()
-        out = p.jmemo[i, j, k] = jacobiator(p, u[i], u[j], u[k])
-    return out
-
-
-def jacobiator_of(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Section:
-    """J(e1, e2, e3), read through `frame_jacobiator` when all three are frames."""
+    """Leibniz-identity defect e1o(e2oe3) - (e1oe2)oe3 - e2o(e1oe3); on three
+    frames it is evaluated once per ordered triple and kept in `p.jmemo`, and
+    no value is read from another order up to sign."""
     index = p.bundle.frame_index
-    t = tuple(index.get(e) for e in (e1, e2, e3))
-    return jacobiator(p, e1, e2, e3) if None in t else frame_jacobiator(p, *t)
+    key = (index.get(e1), index.get(e2), index.get(e3))
+    out = p.jmemo.get(key)
+    if out is None:
+        out = (
+            bracket(p, e1, bracket(p, e2, e3))
+            - bracket(p, bracket(p, e1, e2), e3)
+            - bracket(p, e2, bracket(p, e1, e3))
+        )
+        if None not in key:
+            p.jmemo[key] = out
+    return out
 
 
 def frame_jacobiators(p: PreCourantAlgebroid) -> Dict[Tuple[int, int, int], Section]:
     """J on every increasing frame triple, keyed in `combinations` order and
-    read through `frame_jacobiator`; J is C-infinity-multilinear, so these
-    values determine it."""
-    return {t: frame_jacobiator(p, *t) for t in combinations(range(p.rank), 3)}
+    read through `jacobiator`; J is C-infinity-multilinear, so these values
+    determine it."""
+    u = p.bundle.frames()
+    return {t: jacobiator(p, *(u[i] for i in t)) for t in combinations(range(p.rank), 3)}
 
 
 def skew_bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:

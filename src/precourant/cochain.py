@@ -25,10 +25,8 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 from .algebroid import (
     PreCourantAlgebroid,
     bracket,
-    frame_jacobiator,
     frame_jacobiators,
     jacobiator,
-    jacobiator_of,
     verify_axioms,
 )
 from .bundle import CourantBundle, Section, anchor_apply, format_section, pairing
@@ -86,6 +84,18 @@ class KerCochain:
     @staticmethod
     def zero(bundle: CourantBundle, degree: int) -> "KerCochain":
         return KerCochain(Cochain.zero(bundle, degree + 1))
+
+    @staticmethod
+    def from_values(
+        bundle: CourantBundle, degree: int, values: Dict[FrameTuple, Section]
+    ) -> "KerCochain":
+        """The cochain with these section values on the increasing frame
+        tuples: its flat pairs the value on K[:-1] with the frame K[-1]."""
+        flat = {
+            big: pairing(values[big[:-1]], bundle.frame(big[-1]))
+            for big in combinations(range(bundle.rank), degree + 1)
+        }
+        return KerCochain(Cochain(bundle, degree + 1, flat))
 
     @cached_property
     def frame_values(self) -> Dict[FrameTuple, Section]:
@@ -269,13 +279,7 @@ def partial_section_values(
 
 def cobound_partial(p: PreCourantAlgebroid, phi: KerCochain) -> KerCochain:
     """Covariant derivative packaged as a kernel-valued cochain again."""
-    b = p.bundle
-    values = partial_section_values(p, phi)
-    flat = {
-        big: pairing(values[big[:-1]], b.frame(big[-1]))
-        for big in combinations(range(b.rank), phi.degree + 2)
-    }
-    return KerCochain(Cochain(b, phi.degree + 2, flat))
+    return KerCochain.from_values(p.bundle, phi.degree + 1, partial_section_values(p, phi))
 
 
 def verify_comm_lemma(
@@ -347,11 +351,11 @@ def verify_jacobiator_theorem(
         "skew-symmetric",
         chain(
             (f"frames ({i + 1},{j + 1},{k + 1})" for (i, j, k), base in table.items()
-             if not ((base + frame_jacobiator(p, j, i, k)).is_zero()
-                     and (base + frame_jacobiator(p, i, k, j)).is_zero())),
+             if not ((base + jacobiator(p, frames[j], frames[i], frames[k])).is_zero()
+                     and (base + jacobiator(p, frames[i], frames[k], frames[j])).is_zero())),
             # the three repeated triples coincide when i == j
             (f"repeated frames ({i + 1},{j + 1})" for i, j in product(range(r), repeat=2)
-             if not all(frame_jacobiator(p, *t).is_zero()
+             if not all(jacobiator(p, *(frames[x] for x in t)).is_zero()
                         for t in dict.fromkeys([(i, i, j), (i, j, j), (i, j, i)]))),
         ),
     )
@@ -397,7 +401,7 @@ def verify_jacobiator_theorem(
          for m, km in enumerate(b.dee_columns)
          for i in range(r)
          for j in range(i, r)
-         if not jacobiator_of(p, km, frames[i], frames[j]).is_zero()),
+         if not jacobiator(p, km, frames[i], frames[j]).is_zero()),
     )
 
     if not report.ok:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator, jacobiator_of
+from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator
 from .bundle import (
     CourantBundle,
     Section,
@@ -135,9 +135,9 @@ def verify_deformation_identity(
         else "omega-square is nonzero on some frame triple"
     )
 
-    # partial(omega) packaged once; evaluated on general sections via its
-    # flat.  The sections are drawn as they are checked.
-    pom = cobound_partial(p, omega)
+    # partial(omega) packaged once from its frame values; evaluated on
+    # general sections via its flat.  The sections are drawn as they are checked.
+    pom = KerCochain.from_values(b, omega.degree + 1, partial_omega)
     rng = random.Random(seed)
     draws = ([random_section(rng, b, max_degree) for _ in range(3)] for _ in range(trials))
     report.first(
@@ -281,7 +281,7 @@ def pontryagin_representative(
         for a, kappa in enumerate(kappas)
         if not kappa.is_zero()
         for i, j in combinations(range(b.rank), 2)
-        if not jacobiator_of(p, kappa, b.frame(i), b.frame(j)).is_zero()
+        if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero()
     )
     if not report.first("kernel-slots-vanish", witnesses):
         report.skipped = True
@@ -289,7 +289,7 @@ def pontryagin_representative(
 
     n = b.chart.dim
     comps = {
-        idx: pairing(jacobiator_of(p, lift[idx[0]], lift[idx[1]], lift[idx[2]]), lift[idx[3]])
+        idx: pairing(jacobiator(p, lift[idx[0]], lift[idx[1]], lift[idx[2]]), lift[idx[3]])
         for idx in combinations(range(n), 4)
     }
     h_form = KForm(b.chart, 4, comps)

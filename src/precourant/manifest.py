@@ -568,9 +568,10 @@ def _choose_builder(r: _Reader, sections: Sections) -> Optional[str]:
     give the sections that it reads and no other builder section."""
     has_bracket = "bracket" in sections
     if has_bracket == ("builder" in sections):
+        # both at the header given second, neither at the top
+        line = max(sections["bracket"].line, sections["builder"].line) if has_bracket else 1
         raise ParseError(
-            _first_line(next(iter(sections.values()))), 1,
-            "exactly one of [bracket] and [builder]", "both" if has_bracket else "neither",
+            line, 1, "exactly one of [bracket] and [builder]", "both" if has_bracket else "neither"
         )
     if not has_bracket:
         r.section, r.entries = "builder", sections["builder"]

@@ -8,10 +8,10 @@ checks and the dissection built through the connection recipe, against the
 code they replaced: `dee_reference`, `bracket_reference`,
 `pairing_reference`, `raise_reference`, `t_scalar_reference`,
 `ker_value_reference`, `ker_eval_reference`, `cochain_evaluate_reference`,
-`bfield_sharp_reference`, `lie_checks_reference` and
-`dissection_table_reference` below are the earlier implementations, kept
-as oracles, and so are
-`algebroid.jacobiator`, the section-level axiom checks
+`bfield_sharp_reference`, `lie_checks_reference`,
+`dissection_table_reference` and `jacobiator_reference` below are the
+earlier implementations, kept as oracles, and so are the section-level
+axiom checks
 `_anchor_defect`/`_symmetrization_defect`/`_axiom_iii_witness` and
 `twoterm.skew_jacobiator_direct`.  The Dorfman oracle in test_algebroid.py
 is the second, independent one."""
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from precourant import algebroid, bundle, cochain, construct, deform, linalg, runner
+from precourant import algebroid, bundle, construct, linalg, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
     _anchor_defect,
@@ -31,10 +31,8 @@ from precourant.algebroid import (
     _symmetrization_defect,
     bracket,
     frame_axiom_defects,
-    frame_jacobiator,
     frame_jacobiators,
     jacobiator,
-    jacobiator_of,
     skew_bracket,
     verify_axioms,
     zero_table,
@@ -155,6 +153,15 @@ def bracket_reference(p, e1, e2):
         if not d2.is_zero():
             out = out + frames[j].scale(d2)
     return out
+
+
+def jacobiator_reference(p, e1, e2, e3):
+    """J by its three brackets, with nothing kept for frame triples."""
+    return (
+        bracket(p, e1, bracket(p, e2, e3))
+        - bracket(p, bracket(p, e1, e2), e3)
+        - bracket(p, e2, bracket(p, e1, e3))
+    )
 
 
 def t_scalar_reference(p, e1, e2, e3):
@@ -333,7 +340,8 @@ def test_frame_triples_hit_the_memo(monkeypatch, std4, chart4):
     frames = std4.frames()
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2), (3, 4, 5), (0, 1, 3)]:
         jacobiator(p, frames[i], frames[j], frames[k])
-    assert len(p.bracket_memo) < len(calls) == 36
+    # six brackets for each of the five triples; the repeated one is read from jmemo
+    assert len(p.bracket_memo) < len(calls) == 30
     u = [frames[i] for i in (0, 1, 2)]
     assert jacobiator(p, *u) == (
         bracket_reference(p, u[0], bracket_reference(p, u[1], u[2]))
@@ -669,27 +677,21 @@ def test_frame_jacobiators_match_direct_evaluation(std4, chart4):
 
 
 def test_jacobiator_flat_built_once_per_algebroid(monkeypatch, std4, chart4):
-    evaluated, bases = [], []
-    real = algebroid.jacobiator
-
-    def counted(p, *es):
-        if all(e in p.bundle.frames() for e in es):
-            evaluated.append((p, es))
-        return real(p, *es)
+    bases = []
+    filled = _log_jmemo_fills(monkeypatch)
 
     def built():
-        """The algebroids that evaluated J on frames, in first-use order."""
-        return list({id(q): q for q, _ in evaluated}.values())
+        """The algebroids that kept J on frames, in first-fill order."""
+        return list({id(q): q for q, _ in filled}.values())
 
     def capture(m):
         ctx = build_context(m)
         bases.append(ctx.algebroid)
         return ctx
 
-    monkeypatch.setattr(algebroid, "jacobiator", counted)
     monkeypatch.setattr(runner, "build_context", capture)
     for name, deformed in (("twisted_r4", 1), ("dissection_rank2", 0)):
-        evaluated.clear()
+        filled.clear()
         m = load(name)
         m.trials = 1
         # every frame-level check of the full task list reads one memo per
@@ -697,11 +699,11 @@ def test_jacobiator_flat_built_once_per_algebroid(monkeypatch, std4, chart4):
         assert run_manifest(m).ok
         p = bases[-1]
         assert built()[0] is p and len(built()) == 1 + deformed
-        assert len({(id(q), es) for q, es in evaluated}) == len(evaluated)
-        n = len(evaluated)
+        assert len({(id(q), t) for q, t in filled}) == len(filled)
+        n = len(filled)
         assert jacobiator_flat(p) is p.jflat
         assert all(v is p.jmemo[t] for t, v in frame_jacobiators(p).items())
-        assert len(evaluated) == n
+        assert len(filled) == n
         assert p.jflat == jacobiator_flat(p.with_table(p.table))
     # a derived algebroid starts with neither cache
     derived = p.with_table(p.table)
@@ -837,20 +839,22 @@ def test_lie_checks_match_reference(make, failing):
     assert seen == failing
 
 
-def test_jacobiator_of_reads_the_frame_index_kept_on_the_bundle(monkeypatch, chart4):
-    # the index is built on first read and is then a plain attribute
+def test_jacobiator_reads_the_frame_index_kept_on_the_bundle(chart4):
+    # the index is built on first read and is then a plain attribute, which
+    # every algebroid on the bundle reads
     b = standard_bundle(chart4)
     p = PreCourantAlgebroid(b, zero_table(b))
     assert "frame_index" not in vars(b)
     u = b.frames()
-    jacobiator_of(p, u[0], u[1], u[2])
+    jacobiator(p, u[0], u[1], u[2])
     index = vars(b)["frame_index"]
     assert index == {f: i for i, f in enumerate(u)}
-    calls = []
-    monkeypatch.setattr(algebroid, "frame_jacobiator", lambda *a: calls.append(a[1:]))
-    jacobiator_of(p, u[3], u[0], u[5])
-    jacobiator_of(p, u[1], u[2].scale(Poly.var(chart4, 0)), u[3])
-    assert calls == [(3, 0, 5)] and vars(b)["frame_index"] is index
+    jacobiator(p, u[3], u[0], u[5])
+    jacobiator(p, u[1], u[2].scale(Poly.var(chart4, 0)), u[3])
+    assert list(p.jmemo) == [(0, 1, 2), (3, 0, 5)]
+    q = p.with_table(p.table)
+    jacobiator(q, u[5], u[5], u[1])
+    assert list(q.jmemo) == [(5, 5, 1)] and vars(b)["frame_index"] is index
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -958,53 +962,61 @@ def test_frame_axiom_defects_match_section_checks():
     assert failing == [True, True, True]
 
 
-def test_frame_jacobiator_matches_jacobiator_on_ordered_triples():
+def test_jacobiator_keeps_each_ordered_frame_triple():
     nonzero = False
     for p in _frame_table_algebroids():
         u, r = p.bundle.frames(), p.rank
         q = p.with_table(p.table)
         # repeated indices included; every order is evaluated, none read by sign
         for t in product(range(r), repeat=3):
-            value = frame_jacobiator(p, *t)
-            assert value == jacobiator(q, *(u[i] for i in t))
-            assert frame_jacobiator(p, *t) is value
+            es = [u[i] for i in t]
+            value = jacobiator(p, *es)
+            assert value == jacobiator_reference(q, *es)
+            assert jacobiator(p, *es) is value
             nonzero = nonzero or not value.is_zero()
-        assert len(p.jmemo) == r ** 3
+        assert len(p.jmemo) == r ** 3 and not q.jmemo
         assert all(v is p.jmemo[t] for t, v in frame_jacobiators(p).items())
-        # a section that is not a frame goes to jacobiator itself
+        # a section that is not a frame is evaluated and not kept
         e = u[0] + u[-1].scale(Poly.var(p.bundle.chart, 0))
-        assert jacobiator_of(p, e, u[-1], u[0]) == jacobiator(q, e, u[-1], u[0])
-        assert jacobiator_of(p, u[-1], u[0], u[-1]) is p.jmemo[r - 1, 0, r - 1]
+        assert jacobiator(p, e, u[-1], u[0]) == jacobiator_reference(q, e, u[-1], u[0])
+        assert jacobiator(p, u[0].scale(2), u[-1], u[0]) == p.jmemo[0, r - 1, 0].scale(2)
+        assert len(p.jmemo) == r ** 3
     assert nonzero
 
 
-def _count_frame_jacobiators(monkeypatch):
-    """Wrap `jacobiator` where it is bound and count its calls on frame
-    triples by (algebroid, ordered triple); the algebroids are kept alive
-    so that no id is reused."""
-    counts, seen = {}, []
-    real = algebroid.jacobiator
+def _log_jmemo_fills(monkeypatch):
+    """Give every algebroid built a `jmemo` that logs each fill as
+    (algebroid, ordered frame triple), in fill order; the log keeps the
+    algebroids alive, so that no id is reused."""
+    filled = []
+    real = PreCourantAlgebroid.__init__
 
-    def counted(p, *es):
-        u = p.bundle.frames()
-        if all(e in u for e in es):
-            seen.append(p)
-            key = (id(p), tuple(u.index(e) for e in es))
-            counts[key] = counts.get(key, 0) + 1
-        return real(p, *es)
+    class LoggedMemo(dict):
+        def __init__(self, owner):
+            super().__init__()
+            self.owner = owner
 
-    for module in (algebroid, cochain, deform):
-        monkeypatch.setattr(module, "jacobiator", counted)
-    return counts
+        def __setitem__(self, key, value):
+            filled.append((self.owner, key))
+            super().__setitem__(key, value)
+
+    def init(self, *args):
+        real(self, *args)
+        self.jmemo = LoggedMemo(self)
+
+    monkeypatch.setattr(PreCourantAlgebroid, "__init__", init)
+    return filled
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_full_run_evaluates_each_frame_triple_once(monkeypatch, name):
-    counts = _count_frame_jacobiators(monkeypatch)
+    # J on frames is evaluated only to fill jmemo, so a second evaluation
+    # of an ordered triple would fill it again
+    filled = _log_jmemo_fills(monkeypatch)
     m = load(name)
     m.trials = 1
     assert run_manifest(m).ok
-    assert counts and max(counts.values()) == 1
+    assert filled and len({(id(p), t) for p, t in filled}) == len(filled)
 
 
 def test_dissection_closed_forms_once_per_check(monkeypatch):

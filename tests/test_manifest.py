@@ -69,6 +69,24 @@ vars = x1
     assert "exactly one" in err.value.expected
 
 
+@pytest.mark.parametrize(
+    "text, line, found",
+    [
+        # both: at the header of whichever of the two comes second
+        (BASE + "\n[bracket]\nt.1.2 = 0, 0, 0, 0\n", 11, "both"),
+        ("[bracket]\nt.1.2 = 0, 0\n[chart]\nvars = x1\n[builder]\nkind = standard\n", 5, "both"),
+        # neither: at the top, not at the first entry of the first section
+        ("\n[meta]\nseed = 1\n\n[chart]\nvars = x1\n", 1, "neither"),
+    ],
+)
+def test_exactly_one_of_bracket_builder_is_positioned(text, line, found):
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    expected = "exactly one of [bracket] and [builder]"
+    assert (err.value.line, err.value.column, err.value.expected) == (line, 1, expected)
+    assert err.value.found == found
+
+
 def test_bracket_manifest_roundtrip():
     text = """
 [meta]

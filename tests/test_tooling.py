@@ -159,22 +159,21 @@ def test_blocks_are_read_through_the_block_table():
 
 def test_dotted_keys_are_read_through_one_reader():
     # `_indexed` alone parses key indices, checks their range and rejects a
-    # repeat; no parser picks entries by key prefix or compares keys itself
+    # repeat; no function picks entries by the prefix or suffix of their key
     tree = ast.parse((ROOT / "src" / "precourant" / "manifest.py").read_text())
-    funcs = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
     callers = [
         f.name for f in funcs for node in ast.walk(f)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "_key_indices"
     ]
     assert callers == ["_indexed"]
-    dispatch = [
+    affixed = [
         f"{f.name}: {ast.unparse(node)}"
-        for f in funcs if f.name.startswith("_parse_")
-        for node in ast.walk(f)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".startswith")
-        or isinstance(node, ast.Compare) and ast.unparse(node.left).endswith(".key")
+        for f in funcs for node in ast.walk(f)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith((".key.startswith", ".key.endswith"))
     ]
-    assert dispatch == []
+    assert affixed == []
 
 
 def test_manifest_sections_are_read_through_the_schema():
@@ -295,6 +294,37 @@ def test_two_term_l3_reaches_no_bracket():
                 todo.extend(defs[name])
     assert len(defs["l3"]) == 1 and {"t_scalar", "cyclic_table"} <= seen
     assert calls == []
+
+
+def test_jacobiator_is_the_one_evaluator_of_j():
+    # J is taken by its three brackets in `jacobiator` alone, which keeps the
+    # values on frame triples in `jmemo`: no other function nests a bracket
+    # inside a bracket, and `jmemo` is read or written nowhere else
+    nested, memo = [], []
+    for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        funcs += [
+            (f"{cls.name}.{f.name}", f)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, ast.FunctionDef)
+        ]
+        for name, func in funcs:
+            calls = [
+                node for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "bracket"
+            ]
+            nested += [
+                f"{path.name}: {name}" for call in calls for arg in call.args
+                if any(inner in calls for inner in ast.walk(arg))
+            ]
+            memo += [
+                f"{path.name}: {name}" for node in ast.walk(func)
+                if isinstance(node, ast.Attribute) and node.attr == "jmemo"
+            ]
+    assert set(nested) == {"algebroid.py: jacobiator"}
+    assert set(memo) == {"algebroid.py: PreCourantAlgebroid.__init__", "algebroid.py: jacobiator"}
 
 
 def test_frame_triples_enumerated_only_in_algebroid():
