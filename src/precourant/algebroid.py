@@ -169,12 +169,16 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
 
 def jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Section:
     """Leibniz-identity defect e1o(e2oe3) - (e1oe2)oe3 - e2o(e1oe3); on three
-    frames it is evaluated once per ordered triple and kept in `p.jmemo`, and
-    no value is read from another order up to sign."""
+    frames it is evaluated once per ordered triple, with the bundle's own
+    frame objects, and kept in `p.jmemo`, and no value is read from another
+    order up to sign."""
     index = p.bundle.frame_index
     key = (index.get(e1), index.get(e2), index.get(e3))
     out = p.jmemo.get(key)
     if out is None:
+        if None not in key:
+            # a section equal to a frame would reach the bracket memo by value
+            e1, e2, e3 = map(p.bundle.frame, key)
         out = (
             bracket(p, e1, bracket(p, e2, e3))
             - bracket(p, bracket(p, e1, e2), e3)

@@ -57,9 +57,11 @@ class Section(PolyMap):
 class CourantBundle:
     """Chart + rank + constant pseudo-metric + polynomial anchor matrix.
 
-    A bundle is never changed after it is built, so what is derived from
-    it is kept on it: the frames and the nonzero metric and anchor entries
-    from the start, the cached properties from their first read.
+    The metric must be a nondegenerate symmetric form: any other raises
+    ConstructionError (see `linalg.symmetric_inverse`).  A bundle is never
+    changed after it is built, so what is derived from it is kept on it:
+    the frames and the nonzero entries of the metric, its inverse and the
+    anchor from the start, the cached properties from their first read.
     """
 
     def __init__(
@@ -85,7 +87,7 @@ class CourantBundle:
                     raise ChartMismatchError("anchor entry on a different chart")
         self.anchor = tuple(rows)
         self.metric_rows = linalg.nonzero_rows(self.metric)
-        self.symmetric = linalg.is_symmetric(self.metric)
+        self.metric_inv_rows = linalg.nonzero_rows(linalg.symmetric_inverse(self.metric, "metric"))
         self.anchor_rows = tuple(
             tuple((m, p) for m, p in enumerate(row) if not p.is_zero()) for row in rows
         )
@@ -105,12 +107,6 @@ class CourantBundle:
             self.raise_covector([row[m] for row in self.anchor])
             for m in range(self.chart.dim)
         )
-
-    @cached_property
-    def metric_inv_rows(self) -> Tuple[Tuple[Tuple[int, linalg.Scalar], ...], ...]:
-        """The nonzero entries of each row of g^-1; raises
-        SingularMetricError when the metric is singular."""
-        return linalg.nonzero_rows(linalg.invert(self.metric))
 
     @cached_property
     def frame_index(self) -> Dict[Section, int]:
@@ -185,21 +181,14 @@ def standard_bundle(chart: Chart, aux_pairing: Sequence[Sequence] = ()) -> Coura
 
 
 def validate_bundle(b: CourantBundle) -> VerifyReport:
-    """Check the type invariants: metric symmetric and invertible, and
-    A^T g^-1 A = 0.  Each failed condition is one failed check, named by the
-    condition and its witness entry.  Every call gets its own copy."""
+    """Check the one type invariant that the construction does not, since
+    it is polynomial: A^T g^-1 A = 0.  Each nonzero entry is one failed
+    check, named by its witness entry.  Every call gets its own copy."""
     return b._report.copy()
 
 
 def _bundle_report(b: CourantBundle) -> VerifyReport:
     report = VerifyReport("bundle")
-    if not b.symmetric:
-        report.add("metric-not-symmetric", False)
-    try:
-        b.metric_inv_rows  # inverts the metric, once per bundle
-    except linalg.SingularMetricError:
-        report.add("metric-singular", False)
-        return report
     # rho rho* = 0 in the frame: (A^T g^-1 A)_{mk} is the m-th component of
     # rho(D x_k), since D x_k is column k of g^-1 A
     rho_dee = [anchor_apply(column) for column in b.dee_columns]

@@ -51,7 +51,7 @@ from .bundle import (
     validate_bundle,
 )
 from .cochain import jacobiator_flat, pullback_form
-from .errors import ConstructionError, SingularMetricError
+from .errors import ConstructionError
 from .exterior import KForm, ext_d, vf_apply, vf_bracket
 from .poly import Chart, Poly, add_into, format_poly
 from .reports import VerifyReport
@@ -161,14 +161,17 @@ class QuadraticLieAlgebra:
 
     bracket_table[i][j] is the coefficient vector of [b_i, b_j].  Its
     nonzero entries are listed once, as (k, c) pairs, in `structure[i][j]`,
-    and those of the pairing rows in `pairing_rows`.  A plain Lie algebra
-    (the admissible input of the double, which needs no pairing of its own)
-    carries pairing None.
+    and those of the pairing rows in `pairing_rows`.  A pairing must be a
+    nondegenerate symmetric form: any other raises ConstructionError (see
+    `linalg.symmetric_inverse`).  A plain Lie algebra (the admissible input
+    of the double, which needs no pairing of its own) carries pairing None.
     """
 
     def __init__(
         self, dim: int, bracket_table: List[Matrix], pairing: Optional[Matrix]
     ):
+        if pairing is not None:
+            linalg.symmetric_inverse(pairing, "pairing")
         self.dim = dim
         self.bracket_table = bracket_table
         self.pairing = pairing
@@ -210,9 +213,9 @@ def validate_lie(g: QuadraticLieAlgebra) -> VerifyReport:
 
 
 def validate_quadratic_lie(g: QuadraticLieAlgebra) -> VerifyReport:
-    """Antisymmetry, the Jacobi identity on all basis triples, and an
-    invariant nondegenerate symmetric pairing, all brute force.  Every call
-    gets its own copy."""
+    """Antisymmetry, the Jacobi identity on all basis triples, and a pairing
+    that is invariant, all brute force; the construction has checked that a
+    pairing is symmetric and nondegenerate.  Every call gets its own copy."""
     return g._report.copy()
 
 
@@ -250,13 +253,6 @@ def _quadratic_lie_report(g: QuadraticLieAlgebra) -> VerifyReport:
     if g.pairing is None:
         report.add("pairing-present", False, "no pairing supplied")
         return report
-    report.add("pairing-symmetric", linalg.is_symmetric(g.pairing))
-    try:
-        linalg.invert(g.pairing)
-        report.add("pairing-invertible", True)
-    except linalg.SingularMetricError:
-        report.add("pairing-invertible", False, "pairing matrix is singular")
-
     # <[b_i, b_j], b_k> + <b_j, [b_i, b_k]> = 0
     pair = [dict(row) for row in g.pairing_rows]
     report.first(
@@ -494,7 +490,8 @@ class DissectionData:
     every frame, as matrices in `connection` and as nabla[m][t] = nabla_m u_t
     in `nabla`; R(x_i, x_j) in `curvature_table[i][j]`; and the fiber
     bracket on frame pairs in `bracket_table`, which `_bilinear` extends
-    over functions.
+    over functions.  The bundle refuses an auxiliary pairing that is not a
+    nondegenerate symmetric form.
     """
 
     __slots__ = (
@@ -547,12 +544,6 @@ def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
     and the fiber bracket on auxiliary pairs.  What only a dissection has is
     checked here; `from_connection_beta` checks the rest.
     """
-    if not linalg.is_symmetric(dd.aux_pairing):
-        raise ConstructionError("aux-pairing-not-symmetric")
-    try:
-        linalg.invert(dd.aux_pairing)
-    except SingularMetricError:
-        raise ConstructionError("aux-pairing-singular") from None
     if dd.psi.degree != 3:
         raise ConstructionError("psi-not-degree-3")
     b, n, g = dd.bundle, dd.chart.dim, dd.aux_rank

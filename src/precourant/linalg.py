@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
-from .errors import SingularMetricError
+from .errors import ConstructionError, SingularMetricError
 
 Scalar = Union[int, Fraction]
 Matrix = List[List[Scalar]]
@@ -97,6 +97,20 @@ def invert(a: Matrix) -> Matrix:
         if col not in pivots:
             raise SingularMetricError(f"matrix is singular at column {col}")
     return [row[n:] for row in reduced]
+
+
+def symmetric_inverse(a: Matrix, name: str) -> Matrix:
+    """The inverse of a, which must be a nondegenerate symmetric form.
+    Otherwise raises ConstructionError `{name}-not-symmetric`, witnessed by
+    the first entry (i,j), in row order, that differs from entry (j,i), or
+    `{name}-singular`."""
+    if not is_symmetric(a):
+        i, j = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x != a[j][i])
+        raise ConstructionError(f"{name}-not-symmetric", f"({i + 1},{j + 1})")
+    try:
+        return invert(a)
+    except SingularMetricError:
+        raise ConstructionError(f"{name}-singular") from None
 
 
 def kernel_basis(a: Matrix, n_cols: int) -> List[Vector]:

@@ -42,7 +42,7 @@ from .construct import (
     quadratic_lie_algebra,
 )
 from .deform import apply_deformation, twist_deformation
-from .errors import ParseError, SingularMetricError, TaskError
+from .errors import ConstructionError, ParseError, TaskError
 from .exterior import KForm
 from .parsing import parse_form, parse_int, parse_poly, parse_scalar
 from .poly import Chart, Poly
@@ -205,7 +205,8 @@ class Key(NamedTuple):
     a table's rule for index pairs (see `_indexed`).  An absent key is an
     error if required, reported with `expected`, and else takes `default`;
     `expected` is also the template, over the names of `_Reader`, of an
-    index out of range.  `by` names the kinds that read a [builder] key;
+    index out of range, and the name of a matrix that `_nondegenerate`
+    reads.  `by` names the kinds that read a [builder] key;
     `into` renames the key's value."""
 
     read: Callable
@@ -314,6 +315,22 @@ def _rows(r: _Reader, name: str, key: Key, given: List[_Entry]) -> Optional[List
     return [rows[(i,)] for i in range(n)]
 
 
+def _nondegenerate(r: _Reader, name: str, key: Key, given: List[_Entry]) -> Optional[List]:
+    """The rows of a constant matrix, read as `_rows` reads them, that must be
+    a nondegenerate symmetric form, as the construction requires; one that
+    is not is an error at its first row given, naming the matrix by
+    `expected`."""
+    rows = _rows(r, name, key, given)
+    if rows is not None:
+        try:
+            linalg.symmetric_inverse(rows, name)
+        except ConstructionError as exc:
+            quality = "nonsingular" if exc.code.endswith("-singular") else "symmetric"
+            expected = f"a {quality} {key.expected} in [{r.section}]"
+            raise ParseError(given[0].line, 1, expected) from None
+    return rows
+
+
 def _contiguous(r: _Reader, name: str, key: Key, given: List[_Entry]) -> List:
     """Rows name.1 .. name.N, N the largest index given; a gap is an error at the first row."""
     first = _entry(r, name, key, given)
@@ -406,21 +423,6 @@ def _build_twisted_action(m: Manifest) -> BuildContext:
     return BuildContext(m, algebroid.bundle, algebroid, algebra, base, action)
 
 
-def _check_aux_pairing(s: Spec, where: Dict[str, _Entry]) -> None:
-    """The auxiliary pairing of [dissection] is symmetric and nonsingular;
-    either error is reported at its first row."""
-    if not linalg.is_symmetric(s["aux_pairing"]):
-        raise ParseError(
-            where["aux_pairing"].line, 1, "a symmetric auxiliary pairing in [dissection]"
-        )
-    try:
-        linalg.invert(s["aux_pairing"])
-    except SingularMetricError:
-        raise ParseError(
-            where["aux_pairing"].line, 1, "a nonsingular auxiliary pairing in [dissection]"
-        ) from None
-
-
 def _build_dissection(m: Manifest) -> BuildContext:
     s, chart = m.spec, m.chart
     g = s["aux_rank"]
@@ -455,8 +457,7 @@ BUILDERS: Dict[Optional[str], Builder] = {
     "connection_beta": Builder(lambda s, chart: s["rank"], _build_connection_beta),
     "twisted_action": Builder(lambda s, chart: 2 * s["dim"] if s["double"] else s["dim"],
                               _build_twisted_action, _check_algebra),
-    "dissection": Builder(lambda s, chart: 2 * chart.dim + s["aux_rank"],
-                          _build_dissection, _check_aux_pairing),
+    "dissection": Builder(lambda s, chart: 2 * chart.dim + s["aux_rank"], _build_dissection),
 }
 
 
@@ -495,7 +496,8 @@ SCHEMA: Dict[str, Section] = {
     "chart": Section({"vars": Key(_vars, required=True, into="chart")}),
     "bundle": Section({
         "rank": Key(_int, 1, required=True),
-        "metric.N": Key(_rows, "rank", _row("rank", polys=False), required=True),
+        "metric.N": Key(_nondegenerate, "rank", _row("rank", polys=False), required=True,
+                        expected="metric"),
         "anchor.N": Key(_rows, "rank", _row("chart"), required=True),
     }, by=(None, "connection_beta")),
     "bracket": Section({
@@ -517,7 +519,7 @@ SCHEMA: Dict[str, Section] = {
         "double": Key(_flag),
         "bracket.I.J": Key(_table, ("dim", "dim"), _row("dim", polys=False), pairs="skew",
                            into="brackets", expected="basis indices between 1 and {dim}"),
-        "pairing.N": Key(_rows, "dim", _row("dim", polys=False)),
+        "pairing.N": Key(_nondegenerate, "dim", _row("dim", polys=False), expected="pairing"),
     }, by=("twisted_action",)),
     # the action of the algebra, or of its double: one row per basis vector
     "action": Section({
@@ -528,8 +530,8 @@ SCHEMA: Dict[str, Section] = {
     # index pairs -> auxiliary coefficients
     "dissection": Section({
         "aux_rank": Key(_int, 0, required=True),
-        "pairing.N": Key(_rows, "aux_rank", _row("aux_rank", polys=False), required=True,
-                         into="aux_pairing"),
+        "pairing.N": Key(_nondegenerate, "aux_rank", _row("aux_rank", polys=False),
+                         required=True, expected="auxiliary pairing", into="aux_pairing"),
         "gamma.M.N": Key(_table, ("chart", "aux_rank"), _row("aux_rank"),
                          expected="gamma.direction.row in range"),
         "r.I.J": Key(_table, ("chart", "chart"), _row("aux_rank"), pairs="upper",

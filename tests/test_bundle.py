@@ -9,7 +9,7 @@ from precourant.bundle import (
     rho_star,
     validate_bundle,
 )
-from precourant.errors import RankMismatchError
+from precourant.errors import ConstructionError, RankMismatchError
 from precourant.exterior import KForm, VectorField, vf_apply
 from precourant.poly import Chart, Poly
 from precourant.sampling import random_form, random_section
@@ -31,12 +31,19 @@ def test_validate_fails_when_anchor_hits_cotangent(chart3, std3):
     assert any("anchor-not-isotropic" in c.name for c in report.checks)
 
 
-def test_validate_singular_metric(chart3):
-    metric = [[0] * 2 for _ in range(2)]
-    b = CourantBundle(chart3, 2, metric, [[Poly.zero(chart3)] * 3] * 2)
-    report = validate_bundle(b)
-    assert not report.ok
-    assert [c.name for c in report.checks] == ["metric-singular"]
+def test_bundle_refuses_singular_metric(chart3):
+    with pytest.raises(ConstructionError) as err:
+        CourantBundle(chart3, 2, [[1, 2], [2, 4]], [[Poly.zero(chart3)] * 3] * 2)
+    assert (err.value.code, err.value.witness) == ("metric-singular", "")
+
+
+def test_bundle_refuses_skewed_metric():
+    # entry (2,3) is 2 but entry (3,2) is 0
+    c = Chart(["x1", "x2"])
+    metric = [[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 0, 0], [0, 1, 0, 3]]
+    with pytest.raises(ConstructionError) as err:
+        CourantBundle(c, 4, metric, [[Poly.zero(c)] * 2] * 4)
+    assert (err.value.code, err.value.witness) == ("metric-not-symmetric", "(2,3)")
 
 
 def test_trivial_rank_one_bundle(chart3):

@@ -284,6 +284,11 @@ def test_bad_builder_input_exits_2(tmp_path, capsys, text, position):
     assert "Traceback" not in err
 
 
+BUNDLE_2 = "[chart]\nvars = x\n\n[bundle]\nrank = 2\n{rows}\nanchor.1 = 1\nanchor.2 = 0\n\n[bracket]\n"
+ALGEBRA_2 = (
+    "[chart]\nvars = x1\n\n[builder]\nkind = twisted_action\n\n[algebra]\ndim = 2\n{rows}\n\n"
+    "[action]\nrho.1 = 1\nrho.2 = 0\n"
+)
 DISSECTION_2D = "[chart]\nvars = x1 x2\n\n[builder]\nkind = dissection\n\n[dissection]\naux_rank = 1\n"
 
 
@@ -305,6 +310,12 @@ DISSECTION_2D = "[chart]\nvars = x1 x2\n\n[builder]\nkind = dissection\n\n[disse
         # with no auxiliary block there is no pairing row to give
         (DISSECTION_2D.replace("aux_rank = 1", "aux_rank = 0") + "pairing.1 = 7, 8, 9\n",
          "line 9, column 1"),
+        # a metric or an algebra pairing that is not symmetric, or is
+        # singular, is reported at its first row given
+        (BUNDLE_2.format(rows="metric.1 = 0, 1\nmetric.2 = 2, 0"), "line 6, column 1"),
+        (BUNDLE_2.format(rows="metric.2 = 1, 1\nmetric.1 = 1, 1"), "line 6, column 1"),
+        (ALGEBRA_2.format(rows="pairing.1 = 1, 1\npairing.2 = 0, 1"), "line 9, column 1"),
+        (ALGEBRA_2.format(rows="pairing.2 = 0, 0\npairing.1 = 1, 0"), "line 9, column 1"),
     ],
 )
 def test_malformed_builder_blocks_exit_2(tmp_path, capsys, text, position):

@@ -352,11 +352,13 @@ def test_dissection_rejects_bad_connection():
 
 
 def test_dissection_rejects_singular_aux_pairing():
-    dd = _flat_dissection()
-    dd.aux_pairing = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
+    flat = _flat_dissection()
     with pytest.raises(ConstructionError) as err:
-        from_dissection(dd)
-    assert err.value.code == "aux-pairing-singular"
+        DissectionData(
+            flat.chart, flat.aux_rank, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
+            flat.gamma, flat.curvature, flat.psi, flat.fiber_table,
+        )
+    assert err.value.code == "metric-singular"
 
 
 def test_curvature_square_brute_force_oracle():

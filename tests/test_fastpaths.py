@@ -556,13 +556,13 @@ def test_two_term_l3_matches_nested_brackets(name):
         assert lie.l3(*es) == skew_jacobiator_direct(p, *es)
 
 
-def _skewed_metric_algebroid():
-    """A plane whose metric is not symmetric, with a polynomial anchor and a
-    table that is neither skew nor anchor-compatible."""
+def _polynomial_anchor_algebroid():
+    """A plane with a symmetric nonsingular metric that is not hyperbolic, a
+    polynomial anchor and a table that is neither skew nor anchor-compatible."""
     c = Chart(["x1", "x2"])
     z, o = Poly.zero(c), Poly.const(c, 1)
     x1, x2 = Poly.var(c, 0), Poly.var(c, 1)
-    metric = [[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 0, 0], [0, 1, 0, 3]]
+    metric = [[0, 0, 1, 0], [0, 0, 2, 1], [1, 2, 0, 0], [0, 1, 0, 3]]
     b = CourantBundle(c, 4, metric, [[o, z], [z, x1], [x2, z], [z, z]])
     table = [list(row) for row in zero_table(b)]
     table[0][1] = b.section([x2, z, x1, o])
@@ -574,18 +574,16 @@ def _skewed_metric_algebroid():
 T_SCALAR_CASES = {
     **{name: lambda name=name: build_context(load(name)).algebroid for name in BUILTINS},
     "broken-table": lambda: build_context(parse_manifest(BROKEN_TABLE_MANIFEST)).algebroid,
-    "skewed-metric": _skewed_metric_algebroid,
+    "polynomial-anchor": _polynomial_anchor_algebroid,
 }
 
 
 @pytest.mark.parametrize("case", list(T_SCALAR_CASES))
 def test_t_scalar_matches_bracket_reference(case):
     # T in closed form, from the cyclic frame table and its first-order
-    # terms, against the three brackets it replaced; the skewed metric
-    # takes the rho~ path
+    # terms, against the three brackets it replaced
     p = T_SCALAR_CASES[case]()
     b = p.bundle
-    assert b.symmetric == (case != "skewed-metric")
     rng = random.Random(27)
     x, y, z, w = (random_section(rng, b, degree) for degree in (1, 2, 3, 4))
     lie = build_lie2(p)
@@ -857,6 +855,29 @@ def test_jacobiator_reads_the_frame_index_kept_on_the_bundle(chart4):
     assert list(q.jmemo) == [(5, 5, 1)] and vars(b)["frame_index"] is index
 
 
+def test_jacobiator_brackets_the_bundles_own_frames(monkeypatch, twisted4):
+    # a section equal to a frame but built apart, as D x_m is, reaches the
+    # bracket only as the frame itself, which the bracket memo finds by
+    # identity rather than by comparing coefficients
+    p = twisted4.with_table(twisted4.table)
+    u = p.bundle.frames()
+    copy = p.bundle.section([Poly.const(p.bundle.chart, int(i == 1)) for i in range(p.rank)])
+    assert copy == u[1] and copy is not u[1]
+    seen = []
+    real = algebroid.bracket
+
+    def spy(q, e1, e2):
+        seen.extend((e1, e2))
+        return real(q, e1, e2)
+
+    monkeypatch.setattr(algebroid, "bracket", spy)
+    value = jacobiator(p, u[0], copy, u[2])
+    monkeypatch.undo()
+    assert value == jacobiator(twisted4.with_table(twisted4.table), u[0], u[1], u[2])
+    assert any(e is u[1] for e in seen)
+    assert all(e is u[1] for e in seen if e == u[1])
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_bundle_checks_run_once_per_bundle(monkeypatch, name):
     validated, inverted = [], []
@@ -876,7 +897,7 @@ def test_bundle_checks_run_once_per_bundle(monkeypatch, name):
     m.trials = 1
     tasks = [t for t in m.tasks if t not in ("leibniz2", "lie2")]
     # the builder, validate-bundle and verify-axioms read one verdict, and
-    # validation and raise_covector one inverse metric
+    # raise_covector the inverse metric that the construction computed
     assert run_manifest(m, tasks=tasks).ok
     assert len(validated) == 1
     b = validated[0]

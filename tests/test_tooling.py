@@ -6,7 +6,8 @@ table, dotted manifest keys are read through one reader and every section
 through the manifest schema, whose keys the README lists, every check is
 recorded through `VerifyReport`, every module-level function and class has
 a caller in the package, the two-term l3 has one code path and reaches
-no bracket, the builders have one connection derivative, J on frame triples is enumerated in one
+no bracket, the builders have one connection derivative, J on frame
+triples is enumerated in one place, symmetric forms are checked in one
 place, results kept on an object are cached properties,
 `tools/bench_record.py --compare` reads two records, and importing the CLI
 stays cheap."""
@@ -294,6 +295,28 @@ def test_two_term_l3_reaches_no_bracket():
                 todo.extend(defs[name])
     assert len(defs["l3"]) == 1 and {"t_scalar", "cyclic_table"} <= seen
     assert calls == []
+
+
+def test_symmetric_forms_are_checked_in_one_place():
+    # bundles and quadratic algebras are built on nondegenerate symmetric
+    # forms: `linalg.symmetric_inverse` alone tests symmetry, and no code
+    # keeps a flag to choose a path for a form that is not symmetric
+    callers, named = set(), []
+    for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers |= {
+            f"{path.name}: {func.name}"
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "is_symmetric"
+        }
+        named += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "symmetric"
+        ]
+    assert callers == {"linalg.py: symmetric_inverse"}
+    assert named == []
 
 
 def test_jacobiator_is_the_one_evaluator_of_j():

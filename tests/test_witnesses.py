@@ -2,10 +2,10 @@
 
 The goldens only hold passing runs, so these tests fix what the closed-form
 Jacobiator check, the twisted-action validation, the quadratic Lie
-validation, the pre-Courant axioms and the seeded batteries (two-term
-conditions, among them an ungated `lie2` run on a broken table, derived
-identities, Jacobiator theorem, the morphism equations) report on broken
-input,
+validation, the pre-Courant axioms, the degree guards of the deformation
+and vanishing checks and the seeded batteries (two-term conditions, among
+them an ungated `lie2` run on a broken table, derived identities,
+Jacobiator theorem, the morphism equations) report on broken input,
 a kept Jacobiator flat that is not J's among it: which case fails first and
 how both sides print.
 """
@@ -34,7 +34,13 @@ from precourant.construct import (
     validate_quadratic_lie,
     validate_twisted_action,
 )
-from precourant.deform import apply_deformation, pontryagin_representative, twist_deformation
+from precourant.deform import (
+    apply_deformation,
+    pontryagin_representative,
+    pontryagin_vanishing_check,
+    twist_deformation,
+    validate_deformation,
+)
 from precourant.exterior import KForm
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
@@ -278,8 +284,6 @@ QUADRATIC_LIE_CASES = {
             "[FAIL] quadratic lie algebra",
             "  ok   antisymmetric",
             "  FAIL jacobi  witness: basis triple (1,2,3)",
-            "  ok   pairing-symmetric",
-            "  ok   pairing-invertible",
             "  FAIL pairing-invariant  witness: basis triple (1,1,3)",
         ],
     ),
@@ -289,9 +293,19 @@ QUADRATIC_LIE_CASES = {
             "[FAIL] quadratic lie algebra",
             "  ok   antisymmetric",
             "  ok   jacobi",
-            "  ok   pairing-symmetric",
-            "  ok   pairing-invertible",
             "  FAIL pairing-invariant  witness: basis triple (1,2,3)",
+        ],
+    ),
+    # so(3) as a plain Lie algebra, which only the double accepts
+    "pairing-present": (
+        lambda: quadratic_lie_algebra(
+            3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]}, None
+        ),
+        [
+            "[FAIL] quadratic lie algebra",
+            "  ok   antisymmetric",
+            "  ok   jacobi",
+            "  FAIL pairing-present  witness: no pairing supplied",
         ],
     ),
 }
@@ -640,6 +654,26 @@ def test_morphism_non_member_homotopy_report(build, courant3, std3, chart3):
     src, tgt = build(courant3), build(deformed)
     report = verify_morphism(src, tgt, omega, trials=3, seed=1, max_degree=1)
     assert report.lines() == MORPHISM_NON_MEMBER_HOMOTOPY[src.flavor]
+
+
+DEGREE_CASES = {
+    # a 2-cochain, kernel-valued, is what deforms a bracket
+    "degree-2": (
+        lambda p: validate_deformation(p, KerCochain.zero(p.bundle, 3)),
+        ["[FAIL] deformation validity", "  FAIL degree-2  witness: degree is 3"],
+    ),
+    # the 3-form whose differential untwists J
+    "h-degree-3": (
+        lambda p: pontryagin_vanishing_check(p, KForm.zero(p.bundle.chart, 2)),
+        ["[FAIL] pontryagin vanishing", "  FAIL h-degree-3  witness: degree 2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(DEGREE_CASES))
+def test_wrong_degree_report(check, courant3):
+    check_of, expected = DEGREE_CASES[check]
+    assert check_of(courant3).lines() == expected
 
 
 def _twisted_r4_with_mutant_flat():
