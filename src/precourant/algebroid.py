@@ -8,8 +8,8 @@ arbitrary sections are produced by the two extension rules
 
 which determine the operation uniquely; the two possible expansion orders
 agree, and a property test pins that down.  Summed over both frames they
-give the closed form that `bracket` evaluates, for e1 = sum f_i u_i and
-e2 = sum g_j u_j:
+give the closed form that `bracket_operator` compiles and `bracket`
+evaluates, for e1 = sum f_i u_i and e2 = sum g_j u_j:
 
     e1 o e2 = sum_{i,j} f_i g_j (u_i o u_j) - sum_i (rho(e2) f_i) u_i
             + sum_i <u_i, e2> D f_i + sum_j (rho(e1) g_j) u_j
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bundle import (
@@ -36,7 +36,7 @@ from .bundle import (
 )
 from .errors import RankMismatchError
 from .exterior import vf_apply, vf_bracket
-from .poly import Poly, Scalar, add_into, format_poly
+from .poly import BilinearOperator, Poly, Scalar, add_into, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly, random_section
 
@@ -44,8 +44,10 @@ from .sampling import random_poly, random_section
 class PreCourantAlgebroid:
     """A Courant vector bundle with a frame bracket table.
 
-    `rows[i]` lists the nonzero entries of table row i once, as
-    {j: ((k, c), ...)} with a constant coefficient c held as its scalar.
+    `bracket_operator` is the bracket compiled once, as a bilinear operator
+    of order at most one in each slot: its entries come from the table, the
+    anchor, the pairing and the columns D x_m, with every coefficient held
+    as numerators over one denominator (see `bracket_families`).
     `bracket` memoises its results in `bracket_memo` by the value of its
     arguments, `jacobiator` J on ordered frame triples in `jmemo` and
     `cochain.jacobiator_flat` the flat of J in `jflat`; these and the
@@ -63,14 +65,6 @@ class PreCourantAlgebroid:
                     raise RankMismatchError("table entry on a different bundle")
         self.bundle = bundle
         self.table = tuple(rows)
-        self.rows = tuple(
-            {
-                j: tuple((k, _coefficient(c)) for k, c in s.terms.items())
-                for j, s in enumerate(row)
-                if s.terms
-            }
-            for row in rows
-        )
         self.bracket_memo = {}
         self.jmemo: Dict[Tuple[int, int, int], Section] = {}
         self.jflat = None
@@ -78,6 +72,12 @@ class PreCourantAlgebroid:
     @property
     def rank(self) -> int:
         return self.bundle.rank
+
+    @cached_property
+    def bracket_operator(self) -> BilinearOperator:
+        """The closed form of the module docstring as one bilinear operator
+        on frame coefficients, entries from `bracket_families`."""
+        return BilinearOperator(self.chart, chain(*bracket_families(self)))
 
     @cached_property
     def frame_report(self) -> VerifyReport:
@@ -115,6 +115,24 @@ def _coefficient(c: Poly) -> Union[Poly, Scalar]:
     return next(iter(c.terms.values())) if c.is_constant() else c
 
 
+def bracket_families(p: PreCourantAlgebroid) -> Tuple[List[Tuple], ...]:
+    """The entries (i, j, a, b, k, c) of the closed form, one list per term:
+    the table f_i g_j (u_i o u_j), then -(rho(e2) f_i) u_i from the anchor
+    a_jm, (rho(e1) g_j) u_j from a_im and <u_i, e2> D f_i from g_ij and the
+    columns D x_m of the bundle."""
+    b, r = p.bundle, p.rank
+    return (
+        [(i, j, None, None, k, c) for i, row in enumerate(p.table)
+         for j, s in enumerate(row) for k, c in s.terms.items()],
+        [(i, j, m, None, i, -a) for i in range(r) for j in range(r)
+         for m, a in b.anchor_rows[j]],
+        [(i, j, None, m, j, a) for i in range(r) for j in range(r)
+         for m, a in b.anchor_rows[i]],
+        [(i, j, m, None, k, c * gij) for i in range(r) for j, gij in b.metric_rows[i]
+         for m, column in enumerate(b.dee_columns) for k, c in column.terms.items()],
+    )
+
+
 def zero_table(bundle: CourantBundle) -> List[List[Section]]:
     zero = bundle.zero_section()
     return [[zero for _ in range(bundle.rank)] for _ in range(bundle.rank)]
@@ -129,40 +147,7 @@ def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
     out = p.bracket_memo.get(key)
     if out is not None:
         return out
-    terms = {}
-    # f_i g_j (u_i o u_j), one product f_i g_j per nonzero table entry
-    for i, fi in e1.terms.items():
-        row = p.rows[i]
-        for j, gj in e2.terms.items():
-            entry = row.get(j)
-            if entry:
-                fg = fi * gj
-                for k, c in entry:
-                    add_into(terms, k, fg * c)
-    # -(rho(e2) f_i) u_i + <u_i, e2> D f_i, which vanish for constant f_i
-    rho_e2 = None
-    for i, fi in e1.terms.items():
-        if fi.is_constant():
-            continue
-        if rho_e2 is None:
-            rho_e2 = anchor_apply(e2)
-        add_into(terms, i, -vf_apply(rho_e2, fi))
-        lowered = sum(
-            (e2.terms[j] * gij for j, gij in b.metric_rows[i] if j in e2.terms),
-            Poly.zero(b.chart),
-        )
-        if not lowered.is_zero():
-            for k, c in dee(b, fi).terms.items():
-                add_into(terms, k, c * lowered)
-    # (rho(e1) g_j) u_j, which vanishes for constant g_j
-    rho_e1 = None
-    for j, gj in e2.terms.items():
-        if gj.is_constant():
-            continue
-        if rho_e1 is None:
-            rho_e1 = anchor_apply(e1)
-        add_into(terms, j, vf_apply(rho_e1, gj))
-    out = Section.from_terms(b, terms)
+    out = Section.from_terms(b, p.bracket_operator.apply(e1.terms, e2.terms))
     p.bracket_memo[key] = out
     return out
 

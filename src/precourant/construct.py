@@ -334,6 +334,8 @@ def make_twisted_action(
     sample_points: Sequence[Sequence],
 ) -> TwistedAction:
     # the trivial bundle with the algebra pairing as metric and the action as anchor
+    if algebra.pairing is None:
+        raise ConstructionError("missing-pairing", "a twisted action needs a quadratic Lie algebra")
     bundle = CourantBundle(chart, algebra.dim, algebra.pairing, rho_matrix)
     m = algebra.dim
     brackets = [

@@ -20,6 +20,8 @@ accumulates colliding terms.
 `PolyMap` carries the same sparse convention one level up: sections,
 vector fields, forms and cochains map their index keys to nonzero
 polynomials and share its arithmetic, equality and hash.
+`BilinearOperator` evaluates a bilinear operator of order at most one in
+each slot, such as the algebroid bracket, on numerators alone.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent vector, largest first).  Every serialization
@@ -29,6 +31,7 @@ byte-stable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add as _add
@@ -341,6 +344,96 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def _partial(p: Poly, a, scale: int, zero: Exponent) -> Dict:
+    """The numerators of d_a p (p itself when a is None) times scale, with
+    the exponent `zero` held as None."""
+    items = p.num.items()
+    if a is not None:
+        items = [(e[:a] + (e[a] - 1,) + e[a + 1:], c * e[a]) for e, c in items if e[a]]
+    return {(None if e == zero else e): c * scale for e, c in items}
+
+
+class BilinearOperator:
+    """A bilinear operator with polynomial coefficients and of order at
+    most one in each slot, on index -> Poly maps f and g:
+
+        out_k = sum of c * d_a f_i * d_b g_j over its entries (i, j, a, b, k, c)
+
+    where a slot order a or b is None for the identity or a coordinate m
+    for d/dx_m, and c is a Poly or a rational.  Each nonzero c is held as
+    its (exponent, numerator) pairs over the one denominator `den`, with
+    None for the constant exponent.  `rows[i]` groups the entries of row i
+    as (a, ((j, ((b, k, c), ...)), ...)) tuples.
+    """
+
+    __slots__ = ("chart", "den", "rows")
+
+    def __init__(self, chart: Chart, entries: Iterable[Tuple]):
+        held = []
+        for i, j, a, b, k, c in entries:
+            if not isinstance(c, Poly):
+                c = Poly.const(chart, c)
+            if c.num:
+                held.append((i, j, a, b, k, c))
+        self.chart = chart
+        self.den = lcm(*(c.den for *_, c in held))
+        rows: Dict[int, Dict] = {}
+        for i, j, a, b, k, c in held:
+            s = self.den // c.den
+            c = tuple((e if any(e) else None, v * s) for e, v in c.num.items())
+            rows.setdefault(i, {}).setdefault(a, {}).setdefault(j, []).append((b, k, c))
+        self.rows = {
+            i: tuple((a, tuple((j, tuple(es)) for j, es in cols.items())) for a, cols in row.items())
+            for i, row in rows.items()
+        }
+
+    def apply(self, f: Mapping[int, Poly], g: Mapping[int, Poly]) -> Dict[int, Poly]:
+        """{k: out_k} for the nonzero out_k.  Each d_a f_i and d_b g_j is
+        taken once, as numerators over lcm(f dens) and lcm(g dens); terms
+        multiply as ints into one dict per k, reduced once at the end."""
+        fden = lcm(*(p.den for p in f.values()))
+        gden = lcm(*(p.den for p in g.values()))
+        # a product with the exponent zero (None) keeps the other exponent
+        zero = (0,) * self.chart.dim
+        gd: Dict[Tuple, Dict] = {}
+        out: Dict[int, Dict] = defaultdict(dict)
+        for i, fi in f.items():
+            for a, cols in self.rows.get(i, ()):
+                fa = None
+                for j, es in cols:
+                    gj = g.get(j)
+                    if gj is None:
+                        continue
+                    if fa is None:
+                        fa = _partial(fi, a, fden // fi.den, zero)
+                        if not fa:
+                            break
+                    for b, k, c in es:
+                        gb = gd.get((j, b))
+                        if gb is None:
+                            gb = gd[j, b] = _partial(gj, b, gden // gj.den, zero)
+                        if not gb:
+                            continue
+                        acc = out[k]
+                        get = acc.get
+                        for ec, cc in c:
+                            for ef, cf in fa.items():
+                                if ec is not None:
+                                    ef = ec if ef is None else tuple(map(_add, ef, ec))
+                                cf *= cc
+                                for eg, cg in gb.items():
+                                    e = (eg if ef is None else ef if eg is None
+                                         else tuple(map(_add, ef, eg)))
+                                    acc[e] = get(e, 0) + cf * cg
+        den = fden * gden * self.den
+        result = {}
+        for k, acc in out.items():
+            num = {zero if e is None else e: v for e, v in acc.items() if v}
+            if num:
+                result[k] = Poly._reduce(self.chart, num, den)
+        return result
 
 
 def add_into(acc: Dict, key, p: Poly) -> None:

@@ -182,6 +182,15 @@ def test_untwisted_action_is_courant():
                 assert jacobiator(p, b.frame(i), b.frame(j), b.frame(k)).is_zero()
 
 
+def test_twisted_action_needs_a_pairing():
+    # a plain Lie algebra, the input of `double`, has no metric for the bundle
+    c1 = Chart(["x1"])
+    with pytest.raises(ConstructionError) as err:
+        make_twisted_action(quadratic_lie_algebra(1, {}, None), c1, [[Poly.zero(c1)]], {}, [[0]])
+    assert err.value.code == "missing-pairing"
+    assert "quadratic Lie algebra" in err.value.witness
+
+
 def test_zero_anchor_action_is_pointwise_lie():
     c1 = Chart(["x1"])
     so3 = quadratic_lie_algebra(

@@ -53,7 +53,7 @@ from precourant.deform import apply_deformation, bfield_verify, twist_deformatio
 from precourant.exterior import KForm, contract, evaluate, vf_apply
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
-from precourant.poly import Chart, Poly, sort_sign
+from precourant.poly import BilinearOperator, Chart, Poly, sort_sign
 from precourant.runner import build_context, run_manifest
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
 from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct, t_scalar
@@ -303,15 +303,13 @@ def test_dee_matches_reference(name):
         assert dee(b, f) == dee_reference(b, f), f
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_bracket_matches_reference(name):
-    p = build_context(load(name)).algebroid
-    b = p.bundle
+def reference_sections(b):
+    """Random, frame, zero, constant, single-entry, derivative, kernel and
+    sparse sections of b."""
     rng = random.Random(12)
     sections = [random_section(rng, b, 4) for _ in range(3)] + b.frames()[:3]
-    # zero, constant, single-entry, derivative, kernel and sparse sections
     x = [Poly.var(b.chart, m) for m in range(b.chart.dim)]
-    sections += [
+    return sections + [
         b.zero_section(),
         b.frame(0).scale(Poly.const(b.chart, 3)) + b.frame(b.rank - 1),
         b.frame(1).scale(x[0] * x[-1]),
@@ -320,11 +318,94 @@ def test_bracket_matches_reference(name):
         random_section(rng, b, 2, density=0.2),
         random_section(rng, b, 0),
     ]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bracket_matches_reference(name):
+    p = build_context(load(name)).algebroid
+    sections = reference_sections(p.bundle)
     for e1 in sections:
         for e2 in sections:
             expected = bracket_reference(p, e1, e2)
             assert bracket(p, e1, e2) == expected  # computed
             assert bracket(p, e1, e2) == expected  # from the memo
+
+
+def _fractional_algebroid():
+    """Hand-built data with denominators everywhere: a metric whose inverse
+    is not integral, a polynomial anchor with rational coefficients and a
+    table with Fraction and polynomial entries.  No axiom holds; the
+    bracket is the Leibniz extension all the same."""
+    chart = Chart(["x1", "x2"])
+    x1, x2 = Poly.var(chart, 0), Poly.var(chart, 1)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    zero = Poly.zero(chart)
+    anchor = [[x1, Poly.const(chart, half)], [zero, x2 * x2], [x1 * x2 * Fraction(2, 3), zero]]
+    b = CourantBundle(chart, 3, [[2, 1, 0], [1, 2, 0], [0, 0, 3]], anchor)
+    table = zero_table(b)
+    table[0][1] = Section(b, [Poly.const(chart, half), x1 * third, zero])
+    table[1][0] = Section(b, [zero, x2 * x1 + Poly.const(chart, Fraction(3, 4)), x2])
+    table[2][2] = Section(b, [x1 * x1 * Fraction(5, 7), zero, Poly.const(chart, -2)])
+    table[1][2] = b.frame(2).scale(Poly.const(chart, Fraction(-1, 6)))
+    return PreCourantAlgebroid(b, table)
+
+
+def test_bracket_over_a_common_denominator_matches_reference():
+    p = _fractional_algebroid()
+    b, chart = p.bundle, p.chart
+    x1, x2 = Poly.var(chart, 0), Poly.var(chart, 1)
+    assert p.bracket_operator.den > 1
+    sections = b.frames() + [
+        Section(b, [x1 * Fraction(1, 2), x2 * x2 * Fraction(2, 3) + Poly.const(chart, Fraction(1, 5)),
+                    x1 * x2]),
+        Section(b, [Poly.const(chart, Fraction(3, 4)), Poly.zero(chart), x1 * x1 * Fraction(1, 9)]),
+        dee(b, x1 * x2 * Fraction(1, 2)),
+        b.zero_section(),
+    ]
+    rng = random.Random(5)
+    sections += [random_section(rng, b, 3).scale(Fraction(1, k)) for k in (2, 3, 6)]
+    for e1 in sections:
+        for e2 in sections:
+            assert bracket(p, e1, e2) == bracket_reference(p, e1, e2)
+
+
+def test_bilinear_operator_on_empty_maps_and_cancelling_sums(chart3):
+    x1 = Poly.var(chart3, 0)
+    half = Fraction(1, 2)
+    op = BilinearOperator(chart3, [
+        (0, 0, None, None, 0, 1), (0, 0, 0, None, 0, -x1),
+        (0, 0, None, None, 1, half), (0, 0, None, 0, 1, x1 * -half),
+        (0, 1, None, None, 2, 0), (1, 0, None, None, 2, Poly.zero(chart3)),
+    ])
+    assert op.den == 2
+    assert op.rows.keys() == {0}  # zero coefficients are dropped
+    f = {0: x1, 1: x1 * x1}
+    assert op.apply({}, {}) == {}
+    assert op.apply(f, {}) == {} and op.apply({}, f) == {}
+    # x1 * x1 - x1 * d_1 x1 * x1 and x1^2 / 2 - x1 * x1 * d_1 x1 / 2 cancel
+    assert op.apply(f, f) == {}
+    # 3 * x1^2, and 3 * x1^2 / 2 - 3 * d_1(x1^2) * x1 / 2
+    assert op.apply({0: Poly.const(chart3, 3)}, {0: x1 * x1}) == {
+        0: x1 * x1 * 3, 1: x1 * x1 * Fraction(-3, 2)
+    }
+
+
+@pytest.mark.parametrize("family", range(4))
+def test_every_bracket_family_counts(family):
+    # the oracle sees each family: without it the bracket differs from the
+    # reference on the sections of test_bracket_matches_reference
+    for name in BUILTINS:
+        p = build_context(load(name)).algebroid
+        families = algebroid.bracket_families(p)
+        q = PreCourantAlgebroid(p.bundle, p.table)
+        q.bracket_operator = BilinearOperator(
+            p.chart, [e for t, fam in enumerate(families) if t != family for e in fam]
+        )
+        sections = reference_sections(p.bundle)
+        if any(bracket(q, e1, e2) != bracket_reference(p, e1, e2)
+               for e1 in sections for e2 in sections):
+            return
+    pytest.fail(f"dropping family {family} changes no bracket")
 
 
 def test_frame_triples_hit_the_memo(monkeypatch, std4, chart4):

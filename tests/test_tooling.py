@@ -6,7 +6,7 @@ table, dotted manifest keys are read through one reader and every section
 through the manifest schema, whose keys the README lists, every check is
 recorded through `VerifyReport`, every module-level function and class has
 a caller in the package, the two-term l3 has one code path and reaches
-no bracket, the builders have one connection derivative, J on frame
+no bracket, the bracket reaches no anchor map and no D, the builders have one connection derivative, J on frame
 triples is enumerated in one place, symmetric forms are checked in one
 place, results kept on an object are cached properties,
 `tools/bench_record.py --compare` reads two records, and importing the CLI
@@ -297,6 +297,36 @@ def test_two_term_l3_reaches_no_bracket():
     assert calls == []
 
 
+def test_bracket_reaches_no_anchor_or_derivative_section():
+    # the bracket is one compiled operator on frame coefficients, so nothing
+    # that `bracket` reaches builds a vector field, applies one or takes D f.
+    # Reach is by name through the whole package, as in the l3 test above,
+    # over function bodies (an annotation calls nothing), and takes in the
+    # operator's compilation on first use
+    defs = {}
+    for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                defs.setdefault(node.name, []).extend(
+                    f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                )
+    seen, todo, calls = {"bracket"}, list(defs["bracket"]), []
+    while todo:
+        func = todo.pop()
+        for node in (n for stmt in func.body for n in ast.walk(stmt)):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("anchor_apply", "vf_apply", "dee"):
+                calls.append(f"{func.name}:{node.lineno} {name}")
+            elif name in defs and name not in seen:
+                seen.add(name)
+                todo.extend(defs[name])
+    assert len(defs["bracket"]) == 1
+    assert {"bracket_operator", "bracket_families", "apply"} <= seen
+    assert calls == []
+
+
 def test_symmetric_forms_are_checked_in_one_place():
     # bundles and quadratic algebras are built on nondegenerate symmetric
     # forms: `linalg.symmetric_inverse` alone tests symmetry, and no code
@@ -427,24 +457,37 @@ def test_kept_results_are_cached_properties():
     ]
 
 
-def _bench_record(label, task_s, failed=0):
-    metrics = {"task_s": {"value": task_s, "unit": "s"}, "wall_s": {"value": 0.5, "unit": "s"}}
+def _bench_record(label, task_s, failed=0, spread=0.01):
+    metrics = {"task_s": {"value": task_s, "unit": "s"}, "wall_s": {"value": 0.5, "unit": "s"},
+               "setup_s": {"value": 0.1, "unit": "s"}}
+    quartiles = {"task_s": [task_s - spread, task_s, task_s + spread], "wall_s": [0.45, 0.5, 0.55]}
     result = {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
-    return {"label": label, "workloads": {"frame-suite": {"result": result}}}
+    return {"label": label,
+            "workloads": {"frame-suite": {"result": result, "quartiles": quartiles}}}
 
 
 def test_bench_record_compares_two_records(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
     a.write_text(json.dumps(_bench_record("16", 0.25)))
     b.write_text(json.dumps(_bench_record("17", 0.2, failed=1)))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(a), str(b)],
-        capture_output=True, text=True, check=True,
-    )
-    lines = [line.split() for line in proc.stdout.splitlines()]
-    assert lines == [
-        ["workload", "metric", "16", "17", "B/A"],
-        ["frame-suite", "task_s", "0.2500", "0.2000", "0.800"],
-        ["frame-suite", "wall_s", "0.5000", "0.5000", "1.000"],
+    c.write_text(json.dumps(_bench_record("18", 0.2, spread=0.05)))
+
+    def compare(x, y):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(x), str(y)],
+            capture_output=True, text=True, check=True,
+        )
+        return [line.split() for line in proc.stdout.splitlines()]
+
+    # a ratio whose q1-q3 ranges overlap reads `~`; a metric without
+    # quartiles shows `-` for its range
+    assert compare(a, b) == [
+        ["workload", "metric", "16", "q1-q3", "17", "q1-q3", "B/A"],
+        ["frame-suite", "task_s", "0.2500", "0.2400-0.2600", "0.2000", "0.1900-0.2100", "0.800"],
+        ["frame-suite", "wall_s", "0.5000", "0.4500-0.5500", "0.5000", "0.4500-0.5500", "~1.000"],
+        ["frame-suite", "setup_s", "0.1000", "-", "0.1000", "-", "1.000"],
         ["frame-suite", "B", "not", "correct:", "1", "failed"],
+    ]
+    assert compare(a, c)[1] == [
+        "frame-suite", "task_s", "0.2500", "0.2400-0.2600", "0.2000", "0.1500-0.2500", "~0.800"
     ]

@@ -17,8 +17,9 @@ line together with the Python version, source digest, quartiles and pass
 count from its summary line.
 
 ``--compare A B`` takes two record files, or two labels of records at the
-root, and prints every metric both records hold, per workload, as
-``B / A``.  Only the standard library is used.
+root, and prints every metric both records hold, per workload: each
+side's median and q1-q3 range, and ``B / A``, marked ``~`` when the two
+ranges overlap.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -93,9 +94,18 @@ def load(name: str) -> dict:
     return json.loads((path if path.is_file() else ROOT / f"BENCH_{name}.json").read_text())
 
 
+def spread(w: dict, metric: str):
+    """The (q1, q3) of a metric's passes, or None when the record has none."""
+    q = w.get("quartiles", {}).get(metric)
+    return (q[0], q[2]) if q else None
+
+
 def compare(a: dict, b: dict) -> list:
-    """One line per (workload, metric) present in both records."""
-    lines = [f"{'workload':16s} {'metric':12s} {a['label']:>12s} {b['label']:>12s}   B/A"]
+    """One line per (workload, metric) present in both records: each
+    median with its q1-q3 range, and B/A, marked ``~`` when the two ranges
+    overlap, since drift between runs then covers the difference."""
+    lines = [f"{'workload':16s} {'metric':12s} {a['label']:>12s} {'q1-q3':>17s} "
+             f"{b['label']:>12s} {'q1-q3':>17s}   B/A"]
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
         if wb is None:
@@ -103,8 +113,12 @@ def compare(a: dict, b: dict) -> list:
         ma, mb = wa["result"]["metrics"], wb["result"]["metrics"]
         for metric in (m for m in ma if m in mb):
             va, vb = ma[metric]["value"], mb[metric]["value"]
-            ratio = f"{vb / va:.3f}" if va else "-"
-            lines.append(f"{workload:16s} {metric:12s} {va:12.4f} {vb:12.4f}   {ratio}")
+            ra, rb = spread(wa, metric), spread(wb, metric)
+            overlap = ra and rb and ra[0] <= rb[1] and rb[0] <= ra[1]
+            ratio = f"{'~' if overlap else ''}{vb / va:.3f}" if va else "-"
+            ranges = ["-" if r is None else f"{r[0]:.4f}-{r[1]:.4f}" for r in (ra, rb)]
+            lines.append(f"{workload:16s} {metric:12s} {va:12.4f} {ranges[0]:>17s} "
+                         f"{vb:12.4f} {ranges[1]:>17s}   {ratio}")
         for side, w in (("A", wa), ("B", wb)):
             r = w["result"]
             if not r["correct"] or r["failed"]:
