@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bundle import (
     CourantBundle,
@@ -36,7 +36,7 @@ from .bundle import (
 )
 from .errors import RankMismatchError
 from .exterior import vf_apply, vf_bracket
-from .poly import BilinearOperator, Poly, Scalar, add_into, format_poly
+from .poly import BilinearOperator, Poly, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly, random_section
 
@@ -47,7 +47,8 @@ class PreCourantAlgebroid:
     `bracket_operator` is the bracket compiled once, as a bilinear operator
     of order at most one in each slot: its entries come from the table, the
     anchor, the pairing and the columns D x_m, with every coefficient held
-    as numerators over one denominator (see `bracket_families`).
+    as numerators over one denominator (see `bracket_families`).  So is
+    `t_operator`, the kernel K of the cyclic pairing scalar T (`t_families`).
     `bracket` memoises its results in `bracket_memo` by the value of its
     arguments, `jacobiator` J on ordered frame triples in `jmemo` and
     `cochain.jacobiator_flat` the flat of J in `jflat`; these and the
@@ -85,15 +86,9 @@ class PreCourantAlgebroid:
         return _frame_axiom_report(self)
 
     @cached_property
-    def cyclic_table(self) -> Dict[Tuple[int, int, int], Union[Poly, Scalar]]:
-        """The nonzero tau_ijk = c_ijk + c_jki + c_kij, where c_ijk is
-        <u_i o u_j, u_k>: six times the frame cochain of `twoterm.t_scalar`."""
-        tau: Dict[Tuple[int, int, int], Poly] = {}
-        for i, j in product(range(self.rank), repeat=2):
-            for k, c in lower(self.table[i][j]).items():
-                for t in ((i, j, k), (j, k, i), (k, i, j)):
-                    add_into(tau, t, c)
-        return {t: _coefficient(v) for t, v in tau.items() if not v.is_zero()}
+    def t_operator(self) -> BilinearOperator:
+        """The kernel K of `twoterm.t_scalar`, entries from `t_families`."""
+        return BilinearOperator(self.chart, chain(*t_families(self)))
 
     @property
     def chart(self):
@@ -108,11 +103,6 @@ class PreCourantAlgebroid:
             and self.bundle == other.bundle
             and self.table == other.table
         )
-
-
-def _coefficient(c: Poly) -> Union[Poly, Scalar]:
-    """A nonzero table coefficient, as its scalar value when it is constant."""
-    return next(iter(c.terms.values())) if c.is_constant() else c
 
 
 def bracket_families(p: PreCourantAlgebroid) -> Tuple[List[Tuple], ...]:
@@ -130,6 +120,20 @@ def bracket_families(p: PreCourantAlgebroid) -> Tuple[List[Tuple], ...]:
          for m, a in b.anchor_rows[i]],
         [(i, j, m, None, k, c * gij) for i in range(r) for j, gij in b.metric_rows[i]
          for m, column in enumerate(b.dee_columns) for k, c in column.terms.items()],
+    )
+
+
+def t_families(p: PreCourantAlgebroid) -> Tuple[List[Tuple], ...]:
+    """The entries (i, j, a, b, k, c) of the kernel K of `twoterm.t_scalar`:
+    the lowered table c_ijk = <u_i o u_j, u_k>, whose cyclic sum is the frame
+    tau_ijk, then (3/2) g_ij a_km on d_m f_i g_j and its negative on f_i d_m g_j."""
+    b, h = p.bundle, Fraction(3, 2)
+    return (
+        [(i, j, None, None, k, c) for i, row in enumerate(p.table)
+         for j, s in enumerate(row) for k, c in lower(s).items()],
+        [e for i, row in enumerate(b.metric_rows) for j, gij in row
+         for k, arow in enumerate(b.anchor_rows) for m, a in arow
+         for e in ((i, j, m, None, k, a * (gij * h)), (i, j, None, m, k, a * (gij * -h)))],
     )
 
 

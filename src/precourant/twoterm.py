@@ -10,9 +10,9 @@ every Lie-flavor report.
 
 The theorem makes J tensorial, so both correctors read it from its frame
 flat <J(u_a, u_b, u_c), u_d> (`cochain.jacobiator_flat`, built once per
-algebroid), contracted with each section and raised; T reads the cyclic
-frame table and the sections' first derivatives.  So l3 of neither flavor
-takes a bracket, and the defect checks cross-check it on every draw.
+algebroid), contracted with each section and raised; T applies the kernel
+K = `PreCourantAlgebroid.t_operator` to each cyclic pair of sections.  So l3
+of neither flavor takes a bracket, and the defect checks cross-check it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebroid import PreCourantAlgebroid, bracket, skew_bracket
-from .bundle import Section, anchor_apply, dee, format_section, format_sections, pairing
+from .bundle import Section, anchor_apply, dee, format_section, format_sections
 from .cochain import KerCochain, jacobiator_flat
 from .errors import RankMismatchError
 from .poly import Poly
@@ -36,20 +36,15 @@ DEGREE1_DOMAIN_NOTE = (
 
 
 def t_scalar(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Poly:
-    """T = (1/6) sum over cyclic (a, b, c) of <skew_bracket(e_a, e_b), e_c>:
-    `p.cyclic_table` contracted with e1, e2, e3, plus, for each e_x with
-    successor n and predecessor q in the cycle,
-    (3/2) sum_m rho(e_x)^m (<d_m n, q> - <d_m q, n>)."""
-    es, b = (e1, e2, e3), p.bundle
-    total = Poly.zero(b.chart)
-    for (i, j, k), c in p.cyclic_table.items():
-        if i in e1.terms and j in e2.terms and k in e3.terms:
-            total = total + e1.terms[i] * e2.terms[j] * e3.terms[k] * c
-    partials = [[e.map(lambda f: f.diff(m)) for m in range(b.chart.dim)] for e in es]
-    for x, e in enumerate(es):
-        n, q, dn, dq = es[x - 2], es[x - 1], partials[x - 2], partials[x - 1]
-        for m, t in anchor_apply(e).terms.items():
-            total = total + t * Fraction(3, 2) * (pairing(dn[m], q) - pairing(dq[m], n))
+    """T = (1/6) sum over cyclic (a, b, c) of <skew_bracket(e_a, e_b), e_c>,
+    that is of sum_k K(e_a, e_b)_k (e_c)_k for the kernel K = `p.t_operator`."""
+    if any(e.bundle != p.bundle for e in (e1, e2, e3)):
+        raise RankMismatchError("sections not on this algebroid's bundle")
+    total = Poly.zero(p.chart)
+    for x, y, z in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+        for k, c in p.t_operator.apply(x.terms, y.terms).items():
+            if k in z.terms:
+                total = total + c * z.terms[k]
     return total * Fraction(1, 6)
 
 

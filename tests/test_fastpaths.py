@@ -2,7 +2,7 @@
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
 by contraction, the B-field map, the frame Jacobiator table and its
 ordered-triple memo, the two-term l3 read from the Jacobiator flat, T read
-from the cyclic frame table, the frame axioms read from the bracket table,
+through its compiled kernel, the frame axioms read from the bracket table,
 the cached frame-axiom and bundle verdicts, the structure-constant Lie
 checks and the dissection built through the connection recipe, against the
 code they replaced: `dee_reference`, `bracket_reference`,
@@ -390,22 +390,32 @@ def test_bilinear_operator_on_empty_maps_and_cancelling_sums(chart3):
     }
 
 
-@pytest.mark.parametrize("family", range(4))
-def test_every_bracket_family_counts(family):
+@pytest.mark.parametrize(
+    "kind, family",
+    [("bracket", t) for t in range(4)] + [("t", t) for t in range(2)],
+    ids=[*map(str, range(4)), "t-0", "t-1"],
+)
+def test_every_bracket_family_counts(kind, family):
     # the oracle sees each family: without it the bracket differs from the
-    # reference on the sections of test_bracket_matches_reference
+    # reference on the sections of test_bracket_matches_reference, or T
+    # from `t_scalar_reference` on consecutive triples of those sections
     for name in BUILTINS:
         p = build_context(load(name)).algebroid
-        families = algebroid.bracket_families(p)
+        families = getattr(algebroid, f"{kind}_families")(p)
         q = PreCourantAlgebroid(p.bundle, p.table)
-        q.bracket_operator = BilinearOperator(
+        setattr(q, f"{kind}_operator", BilinearOperator(
             p.chart, [e for t, fam in enumerate(families) if t != family for e in fam]
-        )
+        ))
         sections = reference_sections(p.bundle)
-        if any(bracket(q, e1, e2) != bracket_reference(p, e1, e2)
-               for e1 in sections for e2 in sections):
+        if kind == "bracket":
+            differs = any(bracket(q, e1, e2) != bracket_reference(p, e1, e2)
+                          for e1 in sections for e2 in sections)
+        else:
+            differs = any(t_scalar(q, *es) != t_scalar_reference(p, *es)
+                          for es in zip(sections, sections[1:], sections[2:]))
+        if differs:
             return
-    pytest.fail(f"dropping family {family} changes no bracket")
+    pytest.fail(f"dropping {kind} family {family} changes no value")
 
 
 def test_frame_triples_hit_the_memo(monkeypatch, std4, chart4):
@@ -656,14 +666,17 @@ T_SCALAR_CASES = {
     **{name: lambda name=name: build_context(load(name)).algebroid for name in BUILTINS},
     "broken-table": lambda: build_context(parse_manifest(BROKEN_TABLE_MANIFEST)).algebroid,
     "polynomial-anchor": _polynomial_anchor_algebroid,
+    "fractional": _fractional_algebroid,
 }
 
 
 @pytest.mark.parametrize("case", list(T_SCALAR_CASES))
 def test_t_scalar_matches_bracket_reference(case):
-    # T in closed form, from the cyclic frame table and its first-order
-    # terms, against the three brackets it replaced
+    # T through its compiled kernel K, the lowered frame table and the
+    # first-order terms, against the three brackets it replaced
     p = T_SCALAR_CASES[case]()
+    if case == "fractional":
+        assert p.t_operator.den > 1  # K over a common denominator
     b = p.bundle
     rng = random.Random(27)
     x, y, z, w = (random_section(rng, b, degree) for degree in (1, 2, 3, 4))

@@ -6,11 +6,11 @@ table, dotted manifest keys are read through one reader and every section
 through the manifest schema, whose keys the README lists, every check is
 recorded through `VerifyReport`, every module-level function and class has
 a caller in the package, the two-term l3 has one code path and reaches
-no bracket, the bracket reaches no anchor map and no D, the builders have one connection derivative, J on frame
-triples is enumerated in one place, symmetric forms are checked in one
-place, results kept on an object are cached properties,
-`tools/bench_record.py --compare` reads two records, and importing the CLI
-stays cheap."""
+no bracket, neither the bracket nor T reaches an anchor map or D, the
+builders have one connection derivative, J on frame triples is enumerated
+in one place, symmetric forms are checked in one place, results kept on an
+object are cached properties, `tools/bench_record.py --compare` reads two
+records, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -269,8 +269,8 @@ def test_two_term_module_never_evaluates_nested_jacobiators():
 
 
 def test_two_term_l3_reaches_no_bracket():
-    # l3 reads J from its frame flat and T from the cyclic frame table, so
-    # no function that it reaches takes a bracket.  Reach is by name through
+    # l3 reads J from its frame flat and T from its compiled kernel, so no
+    # function that it reaches takes a bracket.  Reach is by name through
     # the whole package, over every name a function mentions (a class name
     # stands for its __init__), and stops at `jacobiator_flat`, which builds
     # the flat from frame brackets once per algebroid and keeps it
@@ -293,16 +293,17 @@ def test_two_term_l3_reaches_no_bracket():
             elif name in defs and name not in seen:
                 seen.add(name)
                 todo.extend(defs[name])
-    assert len(defs["l3"]) == 1 and {"t_scalar", "cyclic_table"} <= seen
+    assert len(defs["l3"]) == 1 and {"t_scalar", "t_operator"} <= seen
     assert calls == []
 
 
 def test_bracket_reaches_no_anchor_or_derivative_section():
-    # the bracket is one compiled operator on frame coefficients, so nothing
-    # that `bracket` reaches builds a vector field, applies one or takes D f.
-    # Reach is by name through the whole package, as in the l3 test above,
-    # over function bodies (an annotation calls nothing), and takes in the
-    # operator's compilation on first use
+    # the bracket and T are each one compiled operator on frame
+    # coefficients, so nothing that `bracket` or `t_scalar` reaches builds a
+    # vector field, applies one or takes D f.  Reach is by name through the
+    # whole package, as in the l3 test above, over function bodies (an
+    # annotation calls nothing), and takes in the operator's compilation on
+    # first use
     defs = {}
     for path in sorted((ROOT / "src" / "precourant").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -312,19 +313,24 @@ def test_bracket_reaches_no_anchor_or_derivative_section():
                 defs.setdefault(node.name, []).extend(
                     f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"
                 )
-    seen, todo, calls = {"bracket"}, list(defs["bracket"]), []
-    while todo:
-        func = todo.pop()
-        for node in (n for stmt in func.body for n in ast.walk(stmt)):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if name in ("anchor_apply", "vf_apply", "dee"):
-                calls.append(f"{func.name}:{node.lineno} {name}")
-            elif name in defs and name not in seen:
-                seen.add(name)
-                todo.extend(defs[name])
-    assert len(defs["bracket"]) == 1
-    assert {"bracket_operator", "bracket_families", "apply"} <= seen
-    assert calls == []
+    roots = {
+        "bracket": {"bracket_operator", "bracket_families", "apply"},
+        "t_scalar": {"t_operator", "t_families", "apply"},
+    }
+    for root, compiled in roots.items():
+        seen, todo, calls = {root}, list(defs[root]), []
+        while todo:
+            func = todo.pop()
+            for node in (n for stmt in func.body for n in ast.walk(stmt)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name in ("anchor_apply", "vf_apply", "dee"):
+                    calls.append(f"{func.name}:{node.lineno} {name}")
+                elif name in defs and name not in seen:
+                    seen.add(name)
+                    todo.extend(defs[name])
+        assert len(defs[root]) == 1
+        assert compiled <= seen, root
+        assert calls == [], root
 
 
 def test_symmetric_forms_are_checked_in_one_place():

@@ -101,6 +101,15 @@ def test_skew_bracket_and_t_examples(courant3, std3, chart3):
     assert got == oracle
 
 
+@pytest.mark.parametrize("slot", range(3))
+def test_t_scalar_rejects_a_section_of_another_bundle(slot, courant3, std3, std4):
+    # like the bracket, T takes sections of its algebroid's bundle in every slot
+    es = [std3.frame(0), std3.frame(1), std3.frame(2)]
+    es[slot] = std4.frame(0)
+    with pytest.raises(RankMismatchError, match="sections not on this algebroid's bundle"):
+        t_scalar(courant3, *es)
+
+
 def test_curly_jacobiator_matches_direct_cyclic(twisted4, std4):
     rng = random.Random(3)
     for _ in range(4):

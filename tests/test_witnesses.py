@@ -40,6 +40,7 @@ from precourant.deform import (
     pontryagin_vanishing_check,
     twist_deformation,
     validate_deformation,
+    verify_deformation_identity,
 )
 from precourant.exterior import KForm
 from precourant.manifest import parse_manifest
@@ -644,13 +645,20 @@ MORPHISM_NON_MEMBER_HOMOTOPY = {
 }
 
 
+def _non_member_omega(b, value):
+    """The 2-cochain with <omega(u1, u2), u4> = `value` as its one flat
+    entry: on standard_r3's bundle omega(u1, u2) is then tangent, so omega
+    is neither kernel-valued nor in the image of the contraction."""
+    return KerCochain(Cochain(b, 3, {(0, 1, 3): value}))
+
+
 @pytest.mark.parametrize("build", [build_leibniz2, build_lie2])
 def test_morphism_non_member_homotopy_report(build, courant3, std3, chart3):
     # standard_r3 deformed by h = x1 dx(1,2,3), with a homotopy whose flat
     # pairs a frame pair against a tangent frame: every equation fails
     h = parse_form(chart3, "x1*dx(1,2,3)")
     deformed = apply_deformation(courant3, twist_deformation(std3, h))
-    omega = KerCochain(Cochain(std3, 3, {(0, 1, 3): Poly.const(chart3, 1)}))
+    omega = _non_member_omega(std3, Poly.const(chart3, 1))
     src, tgt = build(courant3), build(deformed)
     report = verify_morphism(src, tgt, omega, trials=3, seed=1, max_degree=1)
     assert report.lines() == MORPHISM_NON_MEMBER_HOMOTOPY[src.flavor]
@@ -666,6 +674,23 @@ DEGREE_CASES = {
     "h-degree-3": (
         lambda p: pontryagin_vanishing_check(p, KForm.zero(p.bundle.chart, 2)),
         ["[FAIL] pontryagin vanishing", "  FAIL h-degree-3  witness: degree 2"],
+    ),
+    # a 2-cochain of degree 2 outside the contraction image, and the
+    # deformation identity, which it stops before any bracket is taken
+    "contraction-membership": (
+        lambda p: validate_deformation(p, _non_member_omega(p.bundle, Poly.var(p.chart, 0))),
+        [
+            "[FAIL] deformation validity",
+            "  ok   degree-2",
+            "  FAIL kernel-valued  witness: omega(u1, u2) leaves the kernel",
+            "  FAIL contraction-membership  witness: i_Dx1 psi at frames (1, 2) = x1",
+        ],
+    ),
+    "precondition-valid-omega": (
+        lambda p: verify_deformation_identity(
+            p, _non_member_omega(p.bundle, Poly.var(p.chart, 0))
+        ),
+        ["[FAIL] deformation identity", "  FAIL precondition-valid-omega  witness: kernel-valued"],
     ),
 }
 
