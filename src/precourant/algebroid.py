@@ -78,7 +78,7 @@ class PreCourantAlgebroid:
     def bracket_operator(self) -> BilinearOperator:
         """The closed form of the module docstring as one bilinear operator
         on frame coefficients, entries from `bracket_families`."""
-        return BilinearOperator(self.chart, chain(*bracket_families(self)))
+        return BilinearOperator(self.chart, chain(*bracket_families(self.bundle, self.table)))
 
     @cached_property
     def frame_report(self) -> VerifyReport:
@@ -105,21 +105,22 @@ class PreCourantAlgebroid:
         )
 
 
-def bracket_families(p: PreCourantAlgebroid) -> Tuple[List[Tuple], ...]:
-    """The entries (i, j, a, b, k, c) of the closed form, one list per term:
-    the table f_i g_j (u_i o u_j), then -(rho(e2) f_i) u_i from the anchor
-    a_jm, (rho(e1) g_j) u_j from a_im and <u_i, e2> D f_i from g_ij and the
-    columns D x_m of the bundle."""
-    b, r = p.bundle, p.rank
+def bracket_families(b: CourantBundle, table: Sequence[Sequence[Section]]) -> Tuple[Iterator, ...]:
+    """The entries (i, j, a, b, k, c) of the closed form for a frame table of
+    sections of b, one lazy iterator per term: the table f_i g_j (u_i o u_j),
+    then -(rho(e2) f_i) u_i from the anchor a_jm, (rho(e1) g_j) u_j from a_im
+    and last <u_i, e2> D f_i from g_ij and the columns D x_m of the bundle.
+    So all but the last, the pairing family, give the table's action bracket."""
+    r = b.rank
     return (
-        [(i, j, None, None, k, c) for i, row in enumerate(p.table)
-         for j, s in enumerate(row) for k, c in s.terms.items()],
-        [(i, j, m, None, i, -a) for i in range(r) for j in range(r)
-         for m, a in b.anchor_rows[j]],
-        [(i, j, None, m, j, a) for i in range(r) for j in range(r)
-         for m, a in b.anchor_rows[i]],
-        [(i, j, m, None, k, c * gij) for i in range(r) for j, gij in b.metric_rows[i]
-         for m, column in enumerate(b.dee_columns) for k, c in column.terms.items()],
+        ((i, j, None, None, k, c) for i, row in enumerate(table)
+         for j, s in enumerate(row) for k, c in s.terms.items()),
+        ((i, j, m, None, i, -a) for i in range(r) for j in range(r)
+         for m, a in b.anchor_rows[j]),
+        ((i, j, None, m, j, a) for i in range(r) for j in range(r)
+         for m, a in b.anchor_rows[i]),
+        ((i, j, m, None, k, c * gij) for i in range(r) for j, gij in b.metric_rows[i]
+         for m, column in enumerate(b.dee_columns) for k, c in column.terms.items()),
     )
 
 

@@ -303,19 +303,14 @@ def verify_comm_lemma(
 
 
 def jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
-    """The 4-cochain <J(u_a, u_b, u_c), u_d> on increasing frame tuples,
-    paired from `frame_jacobiators(p)`.
+    """The 4-cochain <J(u_a, u_b, u_c), u_d> on increasing frame tuples:
+    the flat of the kernel cochain with the values `frame_jacobiators(p)`.
 
     Only meaningful once total alternation has been verified.  It depends
     on the algebroid alone, so it is built once and kept in `p.jflat`.
     """
     if p.jflat is None:
-        b = p.bundle
-        table = frame_jacobiators(p)
-        p.jflat = Cochain(b, 4, {
-            quad: pairing(table[quad[:3]], b.frame(quad[3]))
-            for quad in combinations(range(b.rank), 4)
-        })
+        p.jflat = KerCochain.from_values(p.bundle, 3, frame_jacobiators(p)).flat
     return p.jflat
 
 

@@ -13,6 +13,9 @@ is an instance of the first recipe.  Its Jacobiator has known closed-form
 components, which are computed on sections of the standard bundle with
 the one covariant derivative `_covariant` that the first recipe uses too.
 
+No builder expands a frame table by hand: a twisted action's bracket and
+a dissection's fiber bracket are compiled from `algebroid.bracket_families`.
+
 Builders validate their stated preconditions and raise ConstructionError
 with a witness; verifying the output axioms is the caller's business (the
 task runner and the test-suite always do).
@@ -31,11 +34,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import combinations, product, starmap
+from itertools import chain, combinations, product, starmap
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebroid import PreCourantAlgebroid, frame_jacobiators, skew_defects, zero_table
+from .algebroid import (
+    PreCourantAlgebroid, bracket_families, frame_jacobiators, skew_defects, zero_table
+)
 from .bundle import (
     CourantBundle,
     Section,
@@ -52,8 +57,8 @@ from .bundle import (
 )
 from .cochain import jacobiator_flat, pullback_form
 from .errors import ConstructionError
-from .exterior import KForm, ext_d, vf_apply, vf_bracket
-from .poly import Chart, Poly, add_into, format_poly
+from .exterior import KForm, ext_d, vf_bracket
+from .poly import BilinearOperator, Chart, Poly, add_into, format_poly
 from .reports import VerifyReport
 from .sampling import random_poly
 
@@ -79,7 +84,7 @@ def from_connection_beta(
     skew, and the corrector supplies the anchor defect.
     """
     r = b.rank
-    frames, rho_frames = b.frames(), b.rho_frames
+    rho_frames = b.rho_frames
     zero = Poly.zero(b.chart)
     nabla = _connection_frames(b, gamma)
 
@@ -105,10 +110,10 @@ def from_connection_beta(
                 f"frames ({a + 1},{c + 1},{e + 1}): {format_poly(v)}",
             )
 
-    # moved[a][c] = nabla along rho(u_a) of u_c
+    # moved[a][c] = nabla along rho(u_a) of the constant frame u_c
     moved = [
-        [sum((_covariant(nabla, m, u).scale(xm) for m, xm in x.terms.items()),
-             b.zero_section()) for u in frames]
+        [sum((nabla[m][c].scale(xm) for m, xm in x.terms.items()), b.zero_section())
+         for c in range(r)]
         for x in rho_frames
     ]
 
@@ -303,8 +308,8 @@ class TwistedAction:
 
     `bundle` carries the algebra pairing as metric and the action as anchor.
     bracket_table holds the algebra bracket and k_table the defect on basis
-    pairs, both as sections of `bundle` that `_bilinear` extends over
-    functions.
+    pairs, both as sections of `bundle`.  `defect_operator` is the action
+    Lie bracket of their sum, compiled once from `bracket_families`.
     """
 
     def __init__(
@@ -324,6 +329,14 @@ class TwistedAction:
     @cached_property
     def _report(self) -> VerifyReport:
         return _twisted_action_report(self)
+
+    @cached_property
+    def defect_operator(self) -> BilinearOperator:
+        """L_{rho(e1)} e2 - L_{rho(e2)} e1 + [e1, e2]_g + k(e1, e2), acting by
+        derivatives of components: all but the pairing `bracket_families`."""
+        b = self.bundle
+        table = [[s + k for s, k in zip(*rows)] for rows in zip(self.bracket_table, self.k_table)]
+        return BilinearOperator(b.chart, chain(*bracket_families(b, table)[:-1]))
 
 
 def make_twisted_action(
@@ -352,22 +365,9 @@ def make_twisted_action(
     return TwistedAction(algebra, brackets, table, points, bundle)
 
 
-def _bilinear(table: Sequence[Sequence[Section]], e1: Section, e2: Section) -> Section:
-    """Function-bilinear extension of a frame table of sections."""
-    out = e1.bundle.zero_section()
-    for i, fi in e1.terms.items():
-        for j, fj in e2.terms.items():
-            if table[i][j].terms:
-                out = out + table[i][j].scale(fi * fj)
-    return out
-
-
-def _action_lie_bracket(ta: TwistedAction, e1: Section, e2: Section) -> Section:
-    """The action algebroid bracket L_{rho(e1)} e2 - L_{rho(e2)} e1 + [e1,e2]_g
-    with the componentwise derivative as Lie action on trivial sections."""
-    x1, x2 = anchor_apply(e1), anchor_apply(e2)
-    lie = e2.map(lambda c: vf_apply(x1, c)) - e1.map(lambda c: vf_apply(x2, c))
-    return lie + _bilinear(ta.bracket_table, e1, e2)
+def _bilinear(op: BilinearOperator, e1: Section, e2: Section) -> Section:
+    """The section op(e1, e2) of a compiled frame-table operator."""
+    return Section.from_terms(e1.bundle, op.apply(e1.terms, e2.terms))
 
 
 def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
@@ -428,9 +428,8 @@ def _twisted_action_report(ta: TwistedAction) -> VerifyReport:
     report.first(
         "anchor-defect-equation",
         (format_sections(e1, e2) for e1, e2 in tests
-         if anchor_apply(_action_lie_bracket(ta, e1, e2))
-         != vf_bracket(anchor_apply(e1), anchor_apply(e2))
-         - anchor_apply(_bilinear(ta.k_table, e1, e2))),
+         if anchor_apply(_bilinear(ta.defect_operator, e1, e2))
+         != vf_bracket(anchor_apply(e1), anchor_apply(e2))),
     )
 
     coiso = kernel_coisotropy_check(bundle, ta.sample_points)
@@ -458,12 +457,12 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
             "invalid-bundle", "; ".join(c.name for c in bundle_report.checks)
         )
     m = ta.algebra.dim
-    frames = bundle.frames()
-    # k_flat[a][e][c] = <u_c, k(u_a, u_e)>
-    k_flat = [[[pairing(u, s) for u in frames] for s in row] for row in ta.k_table]
+    zero = Poly.zero(bundle.chart)
+    # k_flat[a][e] holds the nonzero <u_c, k(u_a, u_e)> by c
+    k_flat = [[lower(s) for s in row] for row in ta.k_table]
     # adjust[a][c] is the section <u_c, k(u_a, .)>: covector e -> <u_c, k(u_a, u_e)>
     adjust = [
-        [bundle.raise_covector([k_flat[a][e][c] for e in range(m)]) for c in range(m)]
+        [bundle.raise_covector([k_flat[a][e].get(c, zero) for e in range(m)]) for c in range(m)]
         for a in range(m)
     ]
     table = [
@@ -491,14 +490,15 @@ class DissectionData:
     the auxiliary frames `aux_frames`; the connection extended by zero to
     every frame, as matrices in `connection` and as nabla[m][t] = nabla_m u_t
     in `nabla`; R(x_i, x_j) in `curvature_table[i][j]`; and the fiber
-    bracket on frame pairs in `bracket_table`, which `_bilinear` extends
-    over functions.  The bundle refuses an auxiliary pairing that is not a
-    nondegenerate symmetric form.
+    bracket on frame pairs in `bracket_table`, its table family of
+    `bracket_families` compiled in `fiber_operator`.  The bundle refuses an
+    auxiliary pairing that is not a nondegenerate symmetric form.
     """
 
     __slots__ = (
         "chart", "aux_rank", "aux_pairing", "gamma", "curvature", "psi", "fiber_table",
         "bundle", "aux_frames", "connection", "nabla", "curvature_table", "bracket_table",
+        "fiber_operator",
     )
 
     def __init__(
@@ -536,6 +536,7 @@ class DissectionData:
                 s = Section.from_terms(b, {n + a: p for a, p in enumerate(comps)})
                 table[offset + i][offset + j] = s
                 table[offset + j][offset + i] = -s
+        self.fiber_operator = BilinearOperator(chart, bracket_families(b, self.bracket_table)[0])
 
 
 def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
@@ -578,7 +579,7 @@ def _cotangent(b: CourantBundle, values: Sequence[Poly]) -> Section:
 
 def _derivation_defect(dd: DissectionData, m: int, u: Section, v: Section) -> Section:
     """nabla_m [u,v] - [nabla_m u, v] - [u, nabla_m v] on the auxiliary block."""
-    t, nabla = dd.bracket_table, dd.nabla
+    t, nabla = dd.fiber_operator, dd.nabla
     return (
         _covariant(nabla, m, _bilinear(t, u, v))
         - _bilinear(t, _covariant(nabla, m, u), v)
@@ -588,7 +589,7 @@ def _derivation_defect(dd: DissectionData, m: int, u: Section, v: Section) -> Se
 
 def _fiber_jacobi_defect(dd: DissectionData, u: Section, v: Section, w: Section) -> Section:
     """[[u,v],w] + [[w,u],v] + [[v,w],u] on the auxiliary block."""
-    t = dd.bracket_table
+    t = dd.fiber_operator
     return (
         _bilinear(t, _bilinear(t, u, v), w)
         + _bilinear(t, _bilinear(t, w, u), v)
@@ -613,7 +614,7 @@ def _connection_curvature_defect(dd: DissectionData, i: int, j: int, u: Section)
     return (
         _covariant(nabla, i, _covariant(nabla, j, u))
         - _covariant(nabla, j, _covariant(nabla, i, u))
-        - _bilinear(dd.bracket_table, dd.curvature_table[i][j], u)
+        - _bilinear(dd.fiber_operator, dd.curvature_table[i][j], u)
     )
 
 

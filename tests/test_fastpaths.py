@@ -4,12 +4,14 @@ by contraction, the B-field map, the frame Jacobiator table and its
 ordered-triple memo, the two-term l3 read from the Jacobiator flat, T read
 through its compiled kernel, the frame axioms read from the bracket table,
 the cached frame-axiom and bundle verdicts, the structure-constant Lie
-checks and the dissection built through the connection recipe, against the
-code they replaced: `dee_reference`, `bracket_reference`,
-`pairing_reference`, `raise_reference`, `t_scalar_reference`,
-`ker_value_reference`, `ker_eval_reference`, `cochain_evaluate_reference`,
+checks, the dissection built through the connection recipe and the
+builders' compiled twisted-action and fiber brackets, against the code
+they replaced: `dee_reference`, `bracket_reference`, `pairing_reference`,
+`raise_reference`, `t_scalar_reference`, `ker_value_reference`,
+`ker_eval_reference`, `cochain_evaluate_reference`,
 `bfield_sharp_reference`, `lie_checks_reference`,
-`dissection_table_reference` and `jacobiator_reference` below are the
+`dissection_table_reference`, `action_lie_bracket_reference`,
+`bilinear_reference` and `jacobiator_reference` below are the
 earlier implementations, kept as oracles, and so are the section-level
 axiom checks
 `_anchor_defect`/`_symmetrization_defect`/`_axiom_iii_witness` and
@@ -401,7 +403,8 @@ def test_every_bracket_family_counts(kind, family):
     # from `t_scalar_reference` on consecutive triples of those sections
     for name in BUILTINS:
         p = build_context(load(name)).algebroid
-        families = getattr(algebroid, f"{kind}_families")(p)
+        families = (algebroid.bracket_families(p.bundle, p.table) if kind == "bracket"
+                    else algebroid.t_families(p))
         q = PreCourantAlgebroid(p.bundle, p.table)
         setattr(q, f"{kind}_operator", BilinearOperator(
             p.chart, [e for t, fam in enumerate(families) if t != family for e in fam]
@@ -1032,6 +1035,100 @@ def test_dissection_table_matches_reference(monkeypatch):
         p = construct.from_dissection(dd)
         assert [list(row) for row in p.table] == dissection_table_reference(dd)
         assert len(calls) == 1
+
+
+def bilinear_reference(table, e1, e2):
+    """Function-bilinear extension of a frame table of sections."""
+    out = e1.bundle.zero_section()
+    for i, fi in e1.terms.items():
+        for j, fj in e2.terms.items():
+            if table[i][j].terms:
+                out = out + table[i][j].scale(fi * fj)
+    return out
+
+
+def action_lie_bracket_reference(ta, e1, e2):
+    """The action algebroid bracket L_{rho(e1)} e2 - L_{rho(e2)} e1 + [e1,e2]_g
+    with the componentwise derivative as Lie action on trivial sections."""
+    x1, x2 = anchor_apply(e1), anchor_apply(e2)
+    lie = e2.map(lambda c: vf_apply(x1, c)) - e1.map(lambda c: vf_apply(x2, c))
+    return lie + bilinear_reference(ta.bracket_table, e1, e2)
+
+
+ACTIONS = ["action_abelian", "double_nonabelian", "twisted_action_synthetic"]
+
+
+def _fractional_action():
+    """so(3) with the pairing 2 I acting on a plane through a fractional
+    polynomial anchor, with a fractional defect; not validated."""
+    chart = Chart(["x1", "x2"])
+    x1, x2 = Poly.var(chart, 0), Poly.var(chart, 1)
+    zero = Poly.zero(chart)
+    so3 = quadratic_lie_algebra(
+        3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]},
+        [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    )
+    rho = [[x1 * Fraction(1, 2), Poly.const(chart, Fraction(2, 3))],
+           [zero, x1 * x2 * Fraction(-3, 4)], [x2, zero]]
+    k = {(0, 1): [zero, Poly.const(chart, Fraction(1, 5)), x1 * Fraction(1, 3)]}
+    return construct.make_twisted_action(so3, chart, rho, k, [])
+
+
+def _actions():
+    return [build_context(load(name)).action for name in ACTIONS] + [_fractional_action()]
+
+
+def _action_pairs(ta):
+    """Every basis pair, then 16 pairs of seeded function multiples of basis
+    frames."""
+    b = ta.bundle
+    u = b.frames()
+    rng = random.Random(3)
+    pairs = list(product(u, repeat=2))
+    for _ in range(16):
+        f, g = random_poly(rng, b.chart, 2), random_poly(rng, b.chart, 2)
+        pairs.append((rng.choice(u).scale(f), rng.choice(u).scale(g)))
+    return pairs
+
+
+def _defect_differs(ta, op):
+    """Whether op(e1, e2) differs from the reference action bracket plus the
+    reference defect extension on some pair of `_action_pairs`."""
+    return any(
+        construct._bilinear(op, e1, e2)
+        != action_lie_bracket_reference(ta, e1, e2) + bilinear_reference(ta.k_table, e1, e2)
+        for e1, e2 in _action_pairs(ta)
+    )
+
+
+def test_defect_operator_matches_reference():
+    actions = _actions()
+    assert actions[-1].defect_operator.den > 1
+    for ta in actions:
+        assert not _defect_differs(ta, ta.defect_operator)
+
+
+@pytest.mark.parametrize("family", range(3))
+def test_every_defect_family_counts(family):
+    # the table family and both anchor families reach the oracle
+    for ta in _actions()[:-1]:
+        table = [[s + k for s, k in zip(*rows)] for rows in zip(ta.bracket_table, ta.k_table)]
+        families = algebroid.bracket_families(ta.bundle, table)[:-1]
+        op = BilinearOperator(
+            ta.bundle.chart, [e for t, fam in enumerate(families) if t != family for e in fam]
+        )
+        if _defect_differs(ta, op):
+            return
+    pytest.fail(f"dropping defect family {family} changes no value")
+
+
+def test_fiber_operator_matches_reference():
+    for dd in _test_dissections():
+        sections = reference_sections(dd.bundle) + list(dd.aux_frames)
+        for e1, e2 in product(sections, repeat=2):
+            assert construct._bilinear(dd.fiber_operator, e1, e2) == bilinear_reference(
+                dd.bracket_table, e1, e2
+            )
 
 
 BROKEN_TABLES = sorted(

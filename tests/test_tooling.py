@@ -420,6 +420,27 @@ def test_builders_differentiate_in_one_connection_derivative():
     assert callers == {"_covariant"}, callers
 
 
+def test_builder_brackets_are_compiled_from_the_bracket_families():
+    # the Leibniz expansion of a frame table is declared once, in
+    # `algebroid.bracket_families`: the builders apply no vector field to a
+    # coefficient and map no section, and each operator they compile takes
+    # its entries from those families
+    source = (ROOT / "src" / "precourant" / "construct.py").read_text()
+    assert "vf_apply" not in source and ".map(" not in source
+    calls = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "BilinearOperator"
+    ]
+    assert len(calls) == 2
+    assert [
+        ast.unparse(call) for call in calls
+        if not any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) == "bracket_families"
+            for arg in call.args for n in ast.walk(arg)
+        )
+    ] == []
+
+
 def test_kept_results_are_cached_properties():
     # a result derived from one fixed object is kept on it as a
     # functools.cached_property; a hand-rolled fill is `if x.a is None:`

@@ -1,7 +1,8 @@
 """Failure witnesses of the builder and axiom checks, pinned as strings.
 
 The goldens only hold passing runs, so these tests fix what the closed-form
-Jacobiator check, the twisted-action validation, the quadratic Lie
+Jacobiator check, the four dissection flatness conditions, the
+twisted-action validation, the quadratic Lie
 validation, the pre-Courant axioms, the degree guards of the deformation
 and vanishing checks and the seeded batteries (two-term conditions, among
 them an ungated `lie2` run on a broken table, derived identities,
@@ -26,6 +27,7 @@ from precourant.cli import resolve_manifest
 from precourant.cochain import Cochain, KerCochain, jacobiator_flat, verify_jacobiator_theorem
 from precourant.construct import (
     DissectionData,
+    dissection_flatness_conditions,
     dissection_jacobiator_check,
     double,
     from_dissection,
@@ -54,6 +56,7 @@ from precourant.twoterm import (
     verify_lie2,
     verify_morphism,
 )
+from test_construct import _so3_dissection
 
 F = Fraction
 
@@ -159,6 +162,65 @@ def test_dissection_jacobiator_first_witness(blocks):
     assert [(c.name, c.ok, c.witness) for c in report.checks] == [
         ("components-match", False, expected)
     ]
+
+
+def _identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _non_jacobi_fiber():
+    """Rank 3 with [b1,b2] = b1, [b2,b3] = b2, [b1,b3] = b3, which fails
+    Jacobi; no connection and no curvature."""
+    c = Chart(["x1"])
+    z, o = Poly.zero(c), Poly.const(c, 1)
+    return DissectionData(
+        c, 3, _identity(3), [[[z] * 3 for _ in range(3)]], {}, KForm.zero(c, 3),
+        {(0, 1): [o, z, z], (1, 2): [z, o, z], (0, 2): [z, z, o]},
+    )
+
+
+def _non_derivation_connection():
+    """The so(3) fiber with the connection x1 E_11 along x1, which does not
+    act as a derivation of the bracket."""
+    c = Chart(["x1"])
+    z, o, x1 = Poly.zero(c), Poly.const(c, 1), Poly.var(c, 0)
+    return DissectionData(
+        c, 3, _identity(3), [[[x1, z, z], [z, z, z], [z, z, z]]], {}, KForm.zero(c, 3),
+        {(0, 1): [z, z, o], (1, 2): [o, z, z], (0, 2): [z, -o, z]},
+    )
+
+
+# data, and its whole flatness report; each check reads the fiber bracket
+# or the connection's covariant derivative
+FLATNESS_CASES = {
+    "fiber-jacobi": (_non_jacobi_fiber, [
+        "[FAIL] dissection flatness conditions",
+        "  FAIL fiber-jacobi",
+        "  ok   connection-derivation",
+        "  ok   curvature-bianchi",
+        "  ok   connection-curvature-matches",
+    ]),
+    "connection-derivation": (_non_derivation_connection, [
+        "[FAIL] dissection flatness conditions",
+        "  ok   fiber-jacobi",
+        "  FAIL connection-derivation",
+        "  ok   curvature-bianchi",
+        "  ok   connection-curvature-matches",
+    ]),
+    "curvature": (_so3_dissection, [
+        "[FAIL] dissection flatness conditions",
+        "  ok   fiber-jacobi",
+        "  ok   connection-derivation",
+        "  FAIL curvature-bianchi",
+        "  FAIL connection-curvature-matches",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(FLATNESS_CASES))
+def test_dissection_flatness_failure_report(case):
+    make, expected = FLATNESS_CASES[case]
+    assert dissection_flatness_conditions(make()).lines() == expected
 
 
 # --- twisted actions -------------------------------------------------------
