@@ -65,6 +65,8 @@ from .sampling import random_poly
 Matrix = linalg.Matrix
 # a vector of a Lie algebra as its {basis index: coefficient} entries
 AlgebraVector = Dict[int, linalg.Scalar]
+# a bracket of basis vectors as its nonzero (basis index, coefficient) pairs
+BasisBracket = Tuple[Tuple[int, linalg.Scalar], ...]
 
 
 # --- connection + corrector on a general bundle ---------------------------
@@ -72,21 +74,20 @@ AlgebraVector = Dict[int, linalg.Scalar]
 
 def from_connection_beta(
     b: CourantBundle,
-    gamma: Sequence[Sequence[Sequence[Poly]]],
+    nabla: Sequence[Sequence[Section]],
     beta: Sequence[Sequence[Section]],
 ) -> PreCourantAlgebroid:
     """Structure from a metric connection and a skew corrector.
 
-    `gamma[m]` is the r x r matrix of the covariant derivative along the
-    m-th coordinate: nabla_m u_a = sum_b gamma[m][b][a] u_b.  `beta` is the
-    frame table of the corrector.  Preconditions (each checked, witness on
-    failure): the connection is metric, the corrector pairing is totally
-    skew, and the corrector supplies the anchor defect.
+    `nabla[m][a]` is the section nabla_m u_a, the covariant derivative of
+    the a-th frame along the m-th coordinate, as `_covariant` reads it.
+    `beta` is the frame table of the corrector.  Preconditions (each
+    checked, witness on failure): the connection is metric, the corrector
+    pairing is totally skew, and the corrector supplies the anchor defect.
     """
     r = b.rank
     rho_frames = b.rho_frames
     zero = Poly.zero(b.chart)
-    nabla = _connection_frames(b, gamma)
 
     # conn[m][a][c] = <nabla_m u_a, u_c>, the connection 1-forms
     conn = [[lower(e) for e in row] for row in nabla]
@@ -136,18 +137,6 @@ def from_connection_beta(
     return PreCourantAlgebroid(b, table)
 
 
-def _connection_frames(
-    b: CourantBundle, gamma: Sequence[Sequence[Sequence[Poly]]]
-) -> Tuple[Tuple[Section, ...], ...]:
-    """nabla_m u_a = sum_c gamma[m][c][a] u_c for every coordinate m and
-    frame a."""
-    r = b.rank
-    return tuple(
-        tuple(Section.from_terms(b, {c: g_m[c][a] for c in range(r)}) for a in range(r))
-        for g_m in gamma
-    )
-
-
 def _covariant(nabla: Sequence[Sequence[Section]], m: int, e: Section) -> Section:
     """nabla_m e for the connection with frame derivatives nabla[m][a]: the
     componentwise derivative plus the coefficients times those."""
@@ -164,23 +153,22 @@ def _covariant(nabla: Sequence[Sequence[Section]], m: int, e: Section) -> Sectio
 class QuadraticLieAlgebra:
     """Structure constants, with an invariant pairing on a rational basis.
 
-    bracket_table[i][j] is the coefficient vector of [b_i, b_j].  Its
-    nonzero entries are listed once, as (k, c) pairs, in `structure[i][j]`,
-    and those of the pairing rows in `pairing_rows`.  A pairing must be a
+    structure[i][j] lists the nonzero coefficients of [b_i, b_j] as (k, c)
+    pairs in increasing k, each integral c held as an int, and
+    `pairing_rows` lists those of the pairing rows.  A pairing must be a
     nondegenerate symmetric form: any other raises ConstructionError (see
     `linalg.symmetric_inverse`).  A plain Lie algebra (the admissible input
     of the double, which needs no pairing of its own) carries pairing None.
     """
 
     def __init__(
-        self, dim: int, bracket_table: List[Matrix], pairing: Optional[Matrix]
+        self, dim: int, structure: Sequence[Sequence[BasisBracket]], pairing: Optional[Matrix]
     ):
         if pairing is not None:
             linalg.symmetric_inverse(pairing, "pairing")
         self.dim = dim
-        self.bracket_table = bracket_table
+        self.structure = structure
         self.pairing = pairing
-        self.structure = tuple(linalg.nonzero_rows(row) for row in bracket_table)
         self.pairing_rows = None if pairing is None else linalg.nonzero_rows(pairing)
 
     @cached_property
@@ -193,17 +181,18 @@ def quadratic_lie_algebra(
     brackets: Dict[Tuple[int, int], Sequence],
     pairing: Optional[Sequence[Sequence]],
 ) -> QuadraticLieAlgebra:
-    """Build from a sparse list of basis brackets [b_i, b_j] with i < j;
-    pass pairing None for a plain Lie algebra (a double input)."""
-    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    """Build from a sparse list of basis brackets [b_i, b_j] with i < j,
+    each a coefficient vector; [b_j, b_i] is its negative.  Pass pairing
+    None for a plain Lie algebra (a double input)."""
+    pairs: Dict[Tuple[int, int], BasisBracket] = {}
     for (i, j), vec in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ConstructionError("bracket-index-range", f"({i + 1},{j + 1})")
-        for k, c in enumerate(vec):
-            table[i][j][k] = linalg.rational(c)
-            table[j][i][k] = -table[i][j][k]
+        pairs[i, j] = linalg.nonzero_rows([vec])[0]
+        pairs[j, i] = tuple((k, -c) for k, c in pairs[i, j])
+    structure = tuple(tuple(pairs.get((i, j), ()) for j in range(dim)) for i in range(dim))
     return QuadraticLieAlgebra(
-        dim, table, None if pairing is None else linalg.to_matrix(pairing)
+        dim, structure, None if pairing is None else linalg.to_matrix(pairing)
     )
 
 
@@ -279,25 +268,16 @@ def double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
         raise ConstructionError("invalid-lie-algebra", fail.name if fail else "")
     m = g.dim
     n2 = 2 * m
-    table = [[[0] * n2 for _ in range(n2)] for _ in range(n2)]
-    c = g.bracket_table
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                table[i][j][k] = c[i][j][k]
-    # coadjoint action: [b_i, b*_j] = - sum_k c[i][k][j] b*_k
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                coeff = -c[i][k][j]
-                if coeff != 0:
-                    table[i][m + j][m + k] = coeff
-                    table[m + j][i][m + k] = -coeff
-    pair = [[0] * n2 for _ in range(n2)]
-    for i in range(m):
-        pair[i][m + i] = 1
-        pair[m + i][i] = 1
-    return QuadraticLieAlgebra(n2, table, pair)
+    brackets: Dict[Tuple[int, int], List[linalg.Scalar]] = {}
+    for i, row in enumerate(g.structure):
+        for j, pairs in enumerate(row):
+            for k, c in pairs:
+                if i < j:
+                    brackets.setdefault((i, j), [0] * n2)[k] = c
+                # the coadjoint action: [b_i, b*_k] = - sum_j c_ij^k b*_j
+                brackets.setdefault((i, m + k), [0] * n2)[m + j] -= c
+    pair = [[int(j == (i + m) % n2) for j in range(n2)] for i in range(n2)]
+    return quadratic_lie_algebra(n2, brackets, pair)
 
 
 # --- twisted actions -------------------------------------------------------
@@ -488,16 +468,17 @@ class DissectionData:
 
     Built once from these, as sections of the standard bundle `bundle`:
     the auxiliary frames `aux_frames`; the connection extended by zero to
-    every frame, as matrices in `connection` and as nabla[m][t] = nabla_m u_t
-    in `nabla`; R(x_i, x_j) in `curvature_table[i][j]`; and the fiber
-    bracket on frame pairs in `bracket_table`, its table family of
-    `bracket_families` compiled in `fiber_operator`.  The bundle refuses an
-    auxiliary pairing that is not a nondegenerate symmetric form.
+    every frame, as the frame derivatives nabla[m][t] = nabla_m u_t that
+    `from_connection_beta` takes, in `nabla`; R(x_i, x_j) in
+    `curvature_table[i][j]`; and the fiber bracket on frame pairs in
+    `bracket_table`, its table family of `bracket_families` compiled in
+    `fiber_operator`.  The bundle refuses an auxiliary pairing that is not
+    a nondegenerate symmetric form.
     """
 
     __slots__ = (
         "chart", "aux_rank", "aux_pairing", "gamma", "curvature", "psi", "fiber_table",
-        "bundle", "aux_frames", "connection", "nabla", "curvature_table", "bracket_table",
+        "bundle", "aux_frames", "nabla", "curvature_table", "bracket_table",
         "fiber_operator",
     )
 
@@ -519,15 +500,18 @@ class DissectionData:
         self.psi = psi
         self.fiber_table = fiber_table
         self.bundle = b = standard_bundle(chart, aux_pairing)
-        n, g, r = chart.dim, aux_rank, b.rank
+        n, g = chart.dim, aux_rank
         self.aux_frames = tuple(b.frame(n + a) for a in range(g))
-        zero = Poly.zero(chart)
-        self.connection = [[[zero] * r for _ in range(r)] for _ in range(n)]
-        for full, aux in zip(self.connection, gamma):
-            for c, row in enumerate(aux):
-                full[n + c][n : n + g] = row
-        self.nabla = _connection_frames(b, self.connection)
-        self.curvature_table = [[b.zero_section()] * n for _ in range(n)]
+        zero = b.zero_section()
+        # nabla_m u_{n+a} = sum_c gamma[m][c][a] u_{n+c}; every other frame is parallel
+        self.nabla = tuple(
+            (zero,) * n
+            + tuple(Section.from_terms(b, {n + c: row[a] for c, row in enumerate(g_m)})
+                    for a in range(g))
+            + (zero,) * n
+            for g_m in gamma
+        )
+        self.curvature_table = [[zero] * n for _ in range(n)]
         self.bracket_table = zero_table(b)
         for table, entries, offset in (
             (self.curvature_table, curvature, 0), (self.bracket_table, fiber_table, n)
@@ -567,7 +551,7 @@ def from_dissection(dd: DissectionData) -> PreCourantAlgebroid:
         for a, u in enumerate(aux):
             beta[i][n + a] = _cotangent(b, [-pairing(u, r_ik) for r_ik in r_i])
             beta[n + a][i] = -beta[i][n + a]
-    return from_connection_beta(b, dd.connection, beta)
+    return from_connection_beta(b, dd.nabla, beta)
 
 
 def _cotangent(b: CourantBundle, values: Sequence[Poly]) -> Section:
@@ -689,34 +673,36 @@ def dissection_flatness_conditions(dd: DissectionData) -> VerifyReport:
     """The four equalities under which the Jacobiator lands in the kernel's
     orthogonal: fiber Jacobi, the connection acting as a derivation of the
     fiber bracket, the curvature Bianchi sum, and the connection curvature
-    matching the fiber adjoint of R."""
+    matching the fiber adjoint of R.  A failing check names its first
+    tuple, 1-based, and the defect section; a check with no tuple to scan
+    says so in a note."""
     report = VerifyReport("dissection flatness conditions")
     n, g = dd.chart.dim, dd.aux_rank
-    basis = dd.aux_frames
-
-    def vanish(defects) -> Iterator[Optional[str]]:
-        """An empty witness for each section that is not zero."""
-        return (None if v.is_zero() else "" for v in defects)
-
-    report.first(
-        "fiber-jacobi",
-        vanish(_fiber_jacobi_defect(dd, basis[a], basis[c], basis[e])
-               for a, c, e in product(range(g), repeat=3)),
-    )
-    report.first(
-        "connection-derivation",
-        vanish(_derivation_defect(dd, m, basis[a], basis[c])
-               for m, a, c in product(range(n), range(g), range(g))),
-    )
-    report.first(
-        "curvature-bianchi",
-        vanish(_bianchi_term(dd, i, j, k) for i, j, k in combinations(range(n), 3)),
-    )
-    report.first(
-        "connection-curvature-matches",
-        vanish(_connection_curvature_defect(dd, i, j, basis[a])
-               for i, j, a in product(range(n), range(n), range(g))),
-    )
+    u = dd.aux_frames
+    # name, the tuples scanned, what a tuple is, how one prints, its defect
+    for name, cases, what, label, defect in (
+        ("fiber-jacobi", product(range(g), repeat=3), "auxiliary basis triple",
+         "aux basis triple ({},{},{})",
+         lambda a, c, e: _fiber_jacobi_defect(dd, u[a], u[c], u[e])),
+        ("connection-derivation", product(range(n), range(g), range(g)),
+         "direction and auxiliary basis pair", "direction {}, aux basis pair ({},{})",
+         lambda m, a, c: _derivation_defect(dd, m, u[a], u[c])),
+        ("curvature-bianchi", combinations(range(n), 3), "coordinate triple",
+         "coordinate triple ({},{},{})", partial(_bianchi_term, dd)),
+        ("connection-curvature-matches", product(range(n), range(n), range(g)),
+         "coordinate pair and auxiliary basis index", "coordinate pair ({},{}), aux basis {}",
+         lambda i, j, a: _connection_curvature_defect(dd, i, j, u[a])),
+    ):
+        cases = list(cases)
+        if not cases:
+            report.notes.append(
+                f"{name} scanned no {what} (chart dimension {n}, auxiliary rank {g})"
+            )
+        report.first(
+            name,
+            (f"{label.format(*(t + 1 for t in idx))}: {format_section(v)}"
+             for idx in cases if not (v := defect(*idx)).is_zero()),
+        )
     return report
 
 

@@ -365,38 +365,36 @@ def _build_bracket(m: Manifest) -> BuildContext:
     table = zero_table(bundle)
     for (i, j), coeffs in s["brackets"].items():
         table[i][j] = bundle.section(coeffs)
-    return BuildContext(m, bundle, PreCourantAlgebroid(bundle, table))
+    return BuildContext(m, PreCourantAlgebroid(bundle, table))
 
 
 def _build_standard(m: Manifest) -> BuildContext:
     bundle = standard_bundle(m.chart)
-    return BuildContext(m, bundle, PreCourantAlgebroid(bundle, zero_table(bundle)))
+    return BuildContext(m, PreCourantAlgebroid(bundle, zero_table(bundle)))
 
 
 def _build_twisted_exact(m: Manifest) -> BuildContext:
     bundle = standard_bundle(m.chart)
     base = PreCourantAlgebroid(bundle, zero_table(bundle))
     omega = twist_deformation(bundle, m.spec["h"])
-    return BuildContext(m, bundle, apply_deformation(base, omega))
+    return BuildContext(m, apply_deformation(base, omega))
 
 
 def _build_connection_beta(m: Manifest) -> BuildContext:
     s = m.spec
     r = s["rank"]
     bundle = CourantBundle(m.chart, r, s["metric"], s["anchor"])
-    zero = Poly.zero(m.chart)
-    # gamma.M.A lists the frame coefficients of nabla_M u_A: column A of gamma[M]
-    gamma = [[[zero] * r for _ in range(r)] for _ in range(m.chart.dim)]
-    for (mm, a), coeffs in s["gamma"].items():
-        for bb in range(r):
-            gamma[mm][bb][a] = coeffs[bb]
     zsec = bundle.zero_section()
+    # gamma.M.A lists the frame coefficients of the section nabla_M u_A
+    nabla = [[zsec] * r for _ in range(m.chart.dim)]
+    for (mm, a), coeffs in s["gamma"].items():
+        nabla[mm][a] = bundle.section(coeffs)
     beta = [[zsec for _ in range(r)] for _ in range(r)]
     for (i, j), coeffs in s["beta"].items():
         beta[i][j] = bundle.section(coeffs)
         if (j, i) not in s["beta"]:
             beta[j][i] = -beta[i][j]
-    return BuildContext(m, bundle, from_connection_beta(bundle, gamma, beta))
+    return BuildContext(m, from_connection_beta(bundle, nabla, beta))
 
 
 def _check_algebra(s: Spec, where: Dict[str, _Entry]) -> None:
@@ -420,7 +418,7 @@ def _build_twisted_action(m: Manifest) -> BuildContext:
     points = m.blocks.get("points", [(0,) * m.chart.dim])
     action = make_twisted_action(algebra, m.chart, s["rho"], s["k"], points)
     algebroid = from_twisted_action(action)
-    return BuildContext(m, algebroid.bundle, algebroid, algebra, base, action)
+    return BuildContext(m, algebroid, algebra, base, action)
 
 
 def _build_dissection(m: Manifest) -> BuildContext:
@@ -435,7 +433,7 @@ def _build_dissection(m: Manifest) -> BuildContext:
         chart, g, s["aux_pairing"], gamma, s["curvature"], s["psi"], s["fiber_table"]
     )
     algebroid = from_dissection(dissection)
-    return BuildContext(m, algebroid.bundle, algebroid, dissection=dissection)
+    return BuildContext(m, algebroid, dissection=dissection)
 
 
 class Builder(NamedTuple):

@@ -54,17 +54,14 @@ if TYPE_CHECKING:
 
 
 class BuildContext:
-    """The structure a manifest describes, built once and shared by its tasks."""
+    """The structure a manifest describes, built once and shared by its
+    tasks; its bundle is the algebroid's."""
 
-    __slots__ = (
-        "manifest", "bundle", "algebroid", "algebra", "base_algebra", "action",
-        "dissection",
-    )
+    __slots__ = ("manifest", "algebroid", "algebra", "base_algebra", "action", "dissection")
 
     def __init__(
         self,
         manifest: Manifest,
-        bundle: CourantBundle,
         algebroid: PreCourantAlgebroid,
         algebra: Optional[QuadraticLieAlgebra] = None,
         base_algebra: Optional[QuadraticLieAlgebra] = None,
@@ -72,12 +69,15 @@ class BuildContext:
         dissection: Optional[DissectionData] = None,
     ):
         self.manifest = manifest
-        self.bundle = bundle
         self.algebroid = algebroid
         self.algebra = algebra
         self.base_algebra = base_algebra
         self.action = action
         self.dissection = dissection
+
+    @property
+    def bundle(self) -> CourantBundle:
+        return self.algebroid.bundle
 
 
 class Task:

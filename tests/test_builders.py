@@ -22,6 +22,7 @@ from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly, format_poly
 from precourant.runner import build_context
+from test_construct import frame_derivatives
 
 
 def _chart(n):
@@ -77,7 +78,7 @@ def _connection_beta_twist():
     zero = Poly.zero(chart)
     gamma = [[[zero] * b.rank for _ in range(b.rank)] for _ in range(chart.dim)]
     text = _bundle_block(b) + "\n[builder]\nkind = connection_beta\n" + "\n".join(entries) + "\n"
-    return text, from_connection_beta(b, gamma, beta), {}
+    return text, from_connection_beta(b, frame_derivatives(b, gamma), beta), {}
 
 
 def _connection_beta_connection():
@@ -94,7 +95,7 @@ def _connection_beta_connection():
         _bundle_block(b)
         + "\n[builder]\nkind = connection_beta\ngamma.1.1 = 0, x2, 0, 0\ngamma.1.4 = 0, 0, -x2, 0\n"
     )
-    return text, from_connection_beta(b, gamma, beta), {}
+    return text, from_connection_beta(b, frame_derivatives(b, gamma), beta), {}
 
 
 def _twisted_action_paired():
@@ -168,7 +169,7 @@ CASES = {
 
 def _same_algebra(a, b):
     return (a is None and b is None) or (
-        a.dim == b.dim and a.bracket_table == b.bracket_table and a.pairing == b.pairing
+        a.dim == b.dim and a.structure == b.structure and a.pairing == b.pairing
     )
 
 

@@ -35,12 +35,19 @@ from precourant.poly import Chart, Poly
 # --- connection + corrector ------------------------------------------------
 
 
+def frame_derivatives(b, gamma):
+    """The sections nabla_m u_a = sum_c gamma[m][c][a] u_c of the connection
+    matrices gamma[m], the form `from_connection_beta` takes."""
+    return [[b.section([g_m[c][a] for c in range(b.rank)]) for a in range(b.rank)]
+            for g_m in gamma]
+
+
 def test_connection_beta_standard_reduction(std3, chart3, courant3):
     r, n = std3.rank, chart3.dim
     zero = Poly.zero(chart3)
     gamma = [[[zero] * r for _ in range(r)] for _ in range(n)]
     beta = [[std3.zero_section() for _ in range(r)] for _ in range(r)]
-    p = from_connection_beta(std3, gamma, beta)
+    p = from_connection_beta(std3, frame_derivatives(std3, gamma), beta)
     assert p == courant3
 
 
@@ -53,7 +60,7 @@ def test_connection_beta_twist_matches_twisted(std4, chart4, twisted4, twist_h4)
         [omega.value_at((i, j)) for j in range(r)]
         for i in range(r)
     ]
-    p = from_connection_beta(std4, gamma, beta)
+    p = from_connection_beta(std4, frame_derivatives(std4, gamma), beta)
     assert p == twisted4
 
 
@@ -64,7 +71,7 @@ def test_connection_beta_rejects_non_skew(std3, chart3):
     beta = [[std3.zero_section() for _ in range(r)] for _ in range(r)]
     beta[0][1] = std3.frame(3)  # not balanced by beta[1][0]
     with pytest.raises(ConstructionError) as err:
-        from_connection_beta(std3, gamma, beta)
+        from_connection_beta(std3, frame_derivatives(std3, gamma), beta)
     assert "skew" in err.value.code
 
 
@@ -75,7 +82,7 @@ def test_connection_beta_rejects_non_metric_connection(std3, chart3):
     gamma[0][0][0] = one  # pairs tangent frame 0 against cotangent frame 3
     beta = [[std3.zero_section() for _ in range(r)] for _ in range(r)]
     with pytest.raises(ConstructionError) as err:
-        from_connection_beta(std3, gamma, beta)
+        from_connection_beta(std3, frame_derivatives(std3, gamma), beta)
     assert err.value.code == "connection-not-metric"
 
 
@@ -92,7 +99,7 @@ def test_connection_beta_nonflat_metric_connection(chart3):
         [[zero, zero], [zero, zero]],
     ]
     beta = [[b.zero_section()] * 2 for _ in range(2)]
-    p = from_connection_beta(b, gamma, beta)
+    p = from_connection_beta(b, frame_derivatives(b, gamma), beta)
     assert verify_axioms(p, trials=4, seed=0).ok
     assert verify_jacobiator_theorem(p, trials=3, seed=0, max_degree=1).ok
 
@@ -134,8 +141,8 @@ def test_double_of_nonabelian():
     report = validate_quadratic_lie(d)
     assert report.ok
     # the coadjoint action: [a, b*] = -b*, [b, b*] = a*
-    assert d.bracket_table[0][3] == [0, 0, 0, -1]
-    assert d.bracket_table[1][3] == [0, 0, 1, 0]
+    assert d.structure[0][3] == ((3, -1),)
+    assert d.structure[1][3] == ((2, 1),)
 
 
 def test_double_rejects_non_lie():

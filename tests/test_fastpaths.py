@@ -4,12 +4,14 @@ by contraction, the B-field map, the frame Jacobiator table and its
 ordered-triple memo, the two-term l3 read from the Jacobiator flat, T read
 through its compiled kernel, the frame axioms read from the bracket table,
 the cached frame-axiom and bundle verdicts, the structure-constant Lie
-checks, the dissection built through the connection recipe and the
-builders' compiled twisted-action and fiber brackets, against the code
-they replaced: `dee_reference`, `bracket_reference`, `pairing_reference`,
+checks, the sparse quadratic Lie algebra and double builders, the
+dissection built through the connection recipe and the builders' compiled
+twisted-action and fiber brackets, against the code they replaced:
+`dee_reference`, `bracket_reference`, `pairing_reference`,
 `raise_reference`, `t_scalar_reference`, `ker_value_reference`,
 `ker_eval_reference`, `cochain_evaluate_reference`,
 `bfield_sharp_reference`, `lie_checks_reference`,
+`quadratic_lie_table_reference`, `double_reference`,
 `dissection_table_reference`, `action_lie_bracket_reference`,
 `bilinear_reference` and `jacobiator_reference` below are the
 earlier implementations, kept as oracles, and so are the section-level
@@ -836,18 +838,72 @@ def test_each_action_is_validated_once_per_run(monkeypatch, name):
     assert second.lines() == real(ta).lines()
 
 
+def quadratic_lie_table_reference(dim, brackets):
+    """The dense dim x dim x dim bracket table of the sparse brackets
+    [b_i, b_j], as `construct.quadratic_lie_algebra` built and kept it
+    before the algebra held only its structure constants."""
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), vec in brackets.items():
+        for k, c in enumerate(vec):
+            table[i][j][k] = linalg.rational(c)
+            table[j][i][k] = -table[i][j][k]
+    return table
+
+
+def double_reference(c):
+    """The dense bracket table and the pairing of the hyperbolic double of
+    the Lie algebra with dense bracket table c, by the two triple loops
+    that `construct.double` ran."""
+    m = len(c)
+    n2 = 2 * m
+    table = [[[0] * n2 for _ in range(n2)] for _ in range(n2)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                table[i][j][k] = c[i][j][k]
+    # coadjoint action: [b_i, b*_j] = - sum_k c[i][k][j] b*_k
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                coeff = -c[i][k][j]
+                if coeff != 0:
+                    table[i][m + j][m + k] = coeff
+                    table[m + j][i][m + k] = -coeff
+    pair = [[0] * n2 for _ in range(n2)]
+    for i in range(m):
+        pair[i][m + i] = 1
+        pair[m + i][i] = 1
+    return table, pair
+
+
+def structure_of(table):
+    """The nonzero (k, c) pairs of each bracket of a dense table."""
+    return tuple(linalg.nonzero_rows(row) for row in table)
+
+
+def dense_table(g):
+    """The dense m x m x m bracket table of g's structure constants."""
+    m = g.dim
+    table = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for i, j in product(range(m), repeat=2):
+        for k, c in g.structure[i][j]:
+            table[i][j][k] = c
+    return table
+
+
 def lie_checks_reference(g):
     """The antisymmetry, Jacobi and pairing-invariance loops over basis
     vectors and the dense tables, as they ran before the structure-constant
     form: each check's name -> (ok, witness)."""
     m = g.dim
+    table = dense_table(g)
     basis = [{i: Fraction(1)} for i in range(m)]
 
     def br(u, v):
         out = {}
         for i, ui in u.items():
             for j, vj in v.items():
-                for k, c in enumerate(g.bracket_table[i][j]):
+                for k, c in enumerate(table[i][j]):
                     out[k] = out.get(k, 0) + ui * vj * c
         return out
 
@@ -856,7 +912,7 @@ def lie_checks_reference(g):
 
     out = {"antisymmetric": (True, ""), "jacobi": (True, "")}
     for i, j in product(range(m), repeat=2):
-        s = [a + b for a, b in zip(g.bracket_table[i][j], g.bracket_table[j][i])]
+        s = [a + b for a, b in zip(table[i][j], table[j][i])]
         if any(x != 0 for x in s):
             out["antisymmetric"] = (False, f"basis ({i + 1},{j + 1})")
             break
@@ -878,10 +934,11 @@ def lie_checks_reference(g):
     return out
 
 
+SO3 = {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]}
+
+
 def _so3(bracket_02, pairing):
-    return quadratic_lie_algebra(
-        3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): bracket_02}, pairing
-    )
+    return quadratic_lie_algebra(3, {**SO3, (0, 2): bracket_02}, pairing)
 
 
 def _builtin_algebras():
@@ -894,6 +951,33 @@ def _builtin_algebras():
 
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 SL2 = {(0, 1): [-2, 0, 0], (0, 2): [0, 1, 0], (1, 2): [0, 0, -2]}  # e, h, f
+HEISENBERG3 = {(0, 1): [0, 0, 1]}  # [x, y] = z
+
+
+def test_sparse_builders_match_dense_reference():
+    # the base algebra of every builtin, and its double where it has one
+    built = 0
+    for name in BUILTINS:
+        m = load(name)
+        if m.builder_kind != "twisted_action":
+            continue
+        ctx = build_context(m)
+        s = m.spec
+        table = quadratic_lie_table_reference(s["dim"], s["brackets"])
+        if s["double"]:
+            assert ctx.base_algebra.structure == structure_of(table)
+            table, pair = double_reference(table)
+            assert ctx.algebra.pairing == pair
+        assert ctx.algebra.structure == structure_of(table)
+        built += 1
+    assert built
+    for dim, brackets in ((3, SO3), (3, SL2), (3, HEISENBERG3)):
+        g = quadratic_lie_algebra(dim, brackets, None)
+        table = quadratic_lie_table_reference(dim, brackets)
+        assert g.structure == structure_of(table)
+        d = construct.double(g)
+        table, pair = double_reference(table)
+        assert (d.dim, d.structure, d.pairing) == (2 * dim, structure_of(table), pair)
 
 
 @pytest.mark.parametrize(
@@ -904,7 +988,7 @@ SL2 = {(0, 1): [-2, 0, 0], (0, 2): [0, 1, 0], (1, 2): [0, 0, -2]}  # e, h, f
         # [b1, b2] = b1 but [b2, b1] = b2
         (
             lambda: [QuadraticLieAlgebra(
-                2, [[[0, 0], [1, 0]], [[0, 1], [0, 0]]], [[0, 1], [1, 0]]
+                2, structure_of([[[0, 0], [1, 0]], [[0, 1], [0, 0]]]), [[0, 1], [1, 0]]
             )],
             {"antisymmetric", "jacobi", "pairing-invariant"},
         ),

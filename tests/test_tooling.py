@@ -7,7 +7,8 @@ through the manifest schema, whose keys the README lists, every check is
 recorded through `VerifyReport`, every module-level function and class has
 a caller in the package, the two-term l3 has one code path and reaches
 no bracket, neither the bracket nor T reaches an anchor map or D, the
-builders have one connection derivative, J on frame triples is enumerated
+builders have one connection derivative and hold each input in one form,
+J on frame triples is enumerated
 in one place, symmetric forms are checked in one place, results kept on an
 object are cached properties, `tools/bench_record.py --compare` reads two
 records, and importing the CLI stays cheap."""
@@ -439,6 +440,28 @@ def test_builder_brackets_are_compiled_from_the_bracket_families():
             for arg in call.args for n in ast.walk(arg)
         )
     ] == []
+
+
+def test_builders_hold_each_input_once():
+    # a quadratic Lie algebra is its structure constants alone, the double
+    # writes sparse brackets for `quadratic_lie_algebra` to read, and a
+    # connection reaches `from_connection_beta` as its frame derivatives
+    tree = ast.parse((ROOT / "src" / "precourant" / "construct.py").read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    algebra = next(
+        c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "QuadraticLieAlgebra"
+    )
+    init = next(f for f in algebra.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    stored = {
+        target.attr for node in ast.walk(init) if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Attribute)
+    }
+    assert "structure" in stored and "bracket_table" not in stored
+    called = {
+        ast.unparse(node.func) for node in ast.walk(funcs["double"]) if isinstance(node, ast.Call)
+    }
+    assert "quadratic_lie_algebra" in called and "QuadraticLieAlgebra" not in called
+    assert "_connection_frames" not in funcs
 
 
 def test_kept_results_are_cached_properties():

@@ -1,10 +1,12 @@
 """Failure witnesses of the builder and axiom checks, pinned as strings.
 
 The goldens only hold passing runs, so these tests fix what the closed-form
-Jacobiator check, the four dissection flatness conditions, the
+Jacobiator check, the four dissection flatness conditions (and the notes
+of those that scan nothing), the
 twisted-action validation, the quadratic Lie
 validation, the pre-Courant axioms, the degree guards of the deformation
-and vanishing checks and the seeded batteries (two-term conditions, among
+and vanishing checks, the B-field transformation on an anchor that is not
+isotropic and the seeded batteries (two-term conditions, among
 them an ungated `lie2` run on a broken table, derived identities,
 Jacobiator theorem, the morphism equations) report on broken input,
 a kept Jacobiator flat that is not J's among it: which case fails first and
@@ -22,13 +24,14 @@ from precourant.algebroid import (
     verify_derived_identities,
     zero_table,
 )
-from precourant.bundle import standard_bundle
+from precourant.bundle import CourantBundle, standard_bundle, validate_bundle
 from precourant.cli import resolve_manifest
 from precourant.cochain import Cochain, KerCochain, jacobiator_flat, verify_jacobiator_theorem
 from precourant.construct import (
     DissectionData,
     dissection_flatness_conditions,
     dissection_jacobiator_check,
+    dissection_pontryagin,
     double,
     from_dissection,
     make_twisted_action,
@@ -38,6 +41,7 @@ from precourant.construct import (
 )
 from precourant.deform import (
     apply_deformation,
+    bfield_verify,
     pontryagin_representative,
     pontryagin_vanishing_check,
     twist_deformation,
@@ -195,24 +199,31 @@ def _non_derivation_connection():
 FLATNESS_CASES = {
     "fiber-jacobi": (_non_jacobi_fiber, [
         "[FAIL] dissection flatness conditions",
-        "  FAIL fiber-jacobi",
+        "  FAIL fiber-jacobi  witness: aux basis triple (1,2,3): 0, -1, 1, 1, 0",
         "  ok   connection-derivation",
         "  ok   curvature-bianchi",
         "  ok   connection-curvature-matches",
+        "  note: curvature-bianchi scanned no coordinate triple "
+        "(chart dimension 1, auxiliary rank 3)",
     ]),
     "connection-derivation": (_non_derivation_connection, [
         "[FAIL] dissection flatness conditions",
         "  ok   fiber-jacobi",
-        "  FAIL connection-derivation",
+        "  FAIL connection-derivation  witness: direction 1, aux basis pair (1,2): "
+        "0, 0, 0, -x1, 0",
         "  ok   curvature-bianchi",
         "  ok   connection-curvature-matches",
+        "  note: curvature-bianchi scanned no coordinate triple "
+        "(chart dimension 1, auxiliary rank 3)",
     ]),
     "curvature": (_so3_dissection, [
         "[FAIL] dissection flatness conditions",
         "  ok   fiber-jacobi",
         "  ok   connection-derivation",
-        "  FAIL curvature-bianchi",
-        "  FAIL connection-curvature-matches",
+        "  FAIL curvature-bianchi  witness: coordinate triple (1,2,3): "
+        "0, 0, 0, 1, 0, 1, 0, 0, 0",
+        "  FAIL connection-curvature-matches  witness: coordinate pair (1,2), aux basis 1: "
+        "0, 0, 0, 0, 1, -1, 0, 0, 0",
     ]),
 }
 
@@ -221,6 +232,29 @@ FLATNESS_CASES = {
 def test_dissection_flatness_failure_report(case):
     make, expected = FLATNESS_CASES[case]
     assert dissection_flatness_conditions(make()).lines() == expected
+
+
+def test_dissection_flatness_notes_each_empty_scan():
+    # no auxiliary block: three checks scan nothing; the notes reach the
+    # pontryagin report, and the form compares against J-flat as before
+    c = Chart(["x1", "x2", "x3"])
+    dd = DissectionData(c, 0, [], [[] for _ in range(3)], {}, KForm.zero(c, 3), {})
+    report = dissection_flatness_conditions(dd)
+    assert report.lines() == [
+        "[pass] dissection flatness conditions",
+        "  ok   fiber-jacobi",
+        "  ok   connection-derivation",
+        "  ok   curvature-bianchi",
+        "  ok   connection-curvature-matches",
+        "  note: fiber-jacobi scanned no auxiliary basis triple "
+        "(chart dimension 3, auxiliary rank 0)",
+        "  note: connection-derivation scanned no direction and auxiliary basis pair "
+        "(chart dimension 3, auxiliary rank 0)",
+        "  note: connection-curvature-matches scanned no coordinate pair and auxiliary "
+        "basis index (chart dimension 3, auxiliary rank 0)",
+    ]
+    _, pontryagin = dissection_pontryagin(from_dissection(dd), dd)
+    assert pontryagin.ok and pontryagin.notes == report.notes
 
 
 # --- twisted actions -------------------------------------------------------
@@ -761,6 +795,29 @@ DEGREE_CASES = {
 def test_wrong_degree_report(check, courant3):
     check_of, expected = DEGREE_CASES[check]
     assert check_of(courant3).lines() == expected
+
+
+def test_bfield_report_on_a_non_isotropic_anchor():
+    # rho rho* = 1 on the identity metric: B# moves the pairing and the
+    # anchor, so metric-preserved and anchor-preserved fail on frame u1
+    c = Chart(["x1", "x2"])
+    one, zero = Poly.const(c, 1), Poly.zero(c)
+    b = CourantBundle(c, 2, _identity(2), [[one, zero], [zero, one]])
+    assert validate_bundle(b).lines() == [
+        "[FAIL] bundle",
+        "  FAIL anchor-not-isotropic: (A^T g^-1 A)[1][1] = 1",
+        "  FAIL anchor-not-isotropic: (A^T g^-1 A)[2][2] = 1",
+    ]
+    p = PreCourantAlgebroid(b, zero_table(b))
+    assert bfield_verify(p, parse_form(c, "dx(1,2)"), trials=2, seed=0).lines() == [
+        "[FAIL] b-field transformation",
+        "  FAIL conjugation  witness: (1, 0) | (3*x2^2 - x2, -2*x1*x2)",
+        "  FAIL metric-preserved  witness: (1, 0) | (1, 0)",
+        "  FAIL anchor-preserved  witness: (1, 0)",
+        "  ok   jacobiator-invariant",
+        "  ok   closed-beta-identity",
+        "  note: d beta = 0: transformation is an automorphism",
+    ]
 
 
 def _twisted_r4_with_mutant_flat():
