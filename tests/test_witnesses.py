@@ -9,8 +9,9 @@ and vanishing checks, the B-field transformation on an anchor that is not
 isotropic and the seeded batteries (two-term conditions, among
 them an ungated `lie2` run on a broken table, derived identities,
 Jacobiator theorem, the morphism equations) report on broken input,
-a kept Jacobiator flat that is not J's among it: which case fails first and
-how both sides print.
+a kept Jacobiator flat that is not J's among it, and the dissection
+Pontryagin comparison on a table moved off its form: which case fails
+first and how both sides print.
 """
 
 from fractions import Fraction
@@ -911,4 +912,54 @@ def test_jacobiator_theorem_without_precheck_report(case):
         "  ok   flat-alternating",
         "  ok   derivative-slot-vanishes",
         "  note: flat checks skipped: prerequisites failed",
+    ]
+
+
+def _dissection_rank2():
+    return build_context(
+        parse_manifest(resolve_manifest("dissection_rank2").read_text(), name="dissection_rank2")
+    )
+
+
+def test_jacobiator_theorem_reports_on_a_mutant_flat():
+    # dissection_rank2 with <J(u1, u2, u3), u5> kept as x4 instead of 0: the
+    # skew and kernel checks read J itself and pass, while partial J and
+    # D(J-flat) are taken from the kept flat and fail on its first tuple
+    p = _dissection_rank2().algebroid
+    flat = jacobiator_flat(p)
+    raised = flat.value_at((0, 1, 2, 4)) + Poly.var(p.bundle.chart, 3)
+    p.jflat = Cochain(p.bundle, 4, {**flat.terms, (0, 1, 2, 4): raised})
+    assert verify_jacobiator_theorem(p, trials=1, seed=0, max_degree=1).lines() == [
+        "[FAIL] jacobiator theorem suite",
+        "  ok   precondition-axioms",
+        "  ok   skew-symmetric",
+        "  ok   tensorial",
+        "  ok   kernel-valued",
+        "  ok   flat-alternating",
+        "  ok   derivative-slot-vanishes",
+        "  ok   flat-membership",
+        "  FAIL partial-j-zero  witness: frames (1, 2, 3, 4): "
+        "partial J = (0, 0, 0, 0, 0, -1, 0, 0, 0, 0)",
+        "  FAIL d-jflat-zero  witness: frames (1, 2, 3, 4, 5): D(J-flat) = -1",
+    ]
+
+
+def test_dissection_pontryagin_reports_a_table_off_the_form():
+    # dissection_rank2 with u1 o u2 moved by u3 (and u2 o u1 by -u3): the
+    # flatness conditions read the dissection data and still hold, while
+    # J-flat, taken from the table, leaves the pulled-back form
+    ctx = _dissection_rank2()
+    p, b = ctx.algebroid, ctx.bundle
+    table = [list(row) for row in p.table]
+    table[0][1], table[1][0] = table[0][1] + b.frame(2), table[1][0] - b.frame(2)
+    _, report = dissection_pontryagin(p.with_table(table), ctx.dissection)
+    assert report.lines() == [
+        "[FAIL] dissection pontryagin form",
+        "  ok   flatness/fiber-jacobi",
+        "  ok   flatness/connection-derivation",
+        "  ok   flatness/curvature-bianchi",
+        "  ok   flatness/connection-curvature-matches",
+        "  FAIL jflat-matches-sign-corrected-form  witness: frames (1, 2, 4, 5): "
+        "J-flat = -1 vs 0",
+        "  ok   d-h-zero",
     ]
