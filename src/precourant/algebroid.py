@@ -161,21 +161,24 @@ def jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) ->
     """Leibniz-identity defect e1o(e2oe3) - (e1oe2)oe3 - e2o(e1oe3); on three
     frames it is evaluated once per ordered triple, with the bundle's own
     frame objects, and kept in `p.jmemo`, and no value is read from another
-    order up to sign."""
+    order up to sign.  The bracket of two constant frames is their table
+    entry, so on frames (i, j, k) the inner brackets are table reads and J
+    takes three brackets: u_i o t[j][k] - t[i][j] o u_k - u_j o t[i][k]."""
     index = p.bundle.frame_index
     key = (index.get(e1), index.get(e2), index.get(e3))
     out = p.jmemo.get(key)
     if out is None:
-        if None not in key:
-            # a section equal to a frame would reach the bracket memo by value
-            e1, e2, e3 = map(p.bundle.frame, key)
-        out = (
-            bracket(p, e1, bracket(p, e2, e3))
-            - bracket(p, bracket(p, e1, e2), e3)
-            - bracket(p, e2, bracket(p, e1, e3))
-        )
-        if None not in key:
-            p.jmemo[key] = out
+        if None in key:
+            return (
+                bracket(p, e1, bracket(p, e2, e3))
+                - bracket(p, bracket(p, e1, e2), e3)
+                - bracket(p, e2, bracket(p, e1, e3))
+            )
+        # a section equal to a frame would reach the bracket memo by value
+        (i, j, k), t = key, p.table
+        e1, e2, e3 = map(p.bundle.frame, key)
+        out = bracket(p, e1, t[j][k]) - bracket(p, t[i][j], e3) - bracket(p, e2, t[i][k])
+        p.jmemo[key] = out
     return out
 
 

@@ -18,6 +18,7 @@ cross-check between independent code paths.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Dict, Iterator, Optional, Sequence, Tuple
@@ -150,12 +151,17 @@ class KerCochain:
 
 
 def pullback_form(bundle: CourantBundle, alpha: KForm) -> Cochain:
-    """The cochain alpha(rho(.), ..., rho(.)); always killed by every D f."""
-    k = alpha.degree
-    values = {}
-    for idx in combinations(range(bundle.rank), k):
-        values[idx] = evaluate(alpha, [bundle.rho_frames[i] for i in idx])
-    return Cochain(bundle, k, values)
+    """The cochain alpha(rho(.), ..., rho(.)); always killed by every D f.
+    A frame with zero anchor makes every value on it zero, so alpha is
+    evaluated only on tuples of anchored frames."""
+    rho = bundle.rho_frames
+    anchored = [i for i, v in enumerate(rho) if not v.is_zero()]
+    return Cochain(
+        bundle,
+        alpha.degree,
+        {idx: evaluate(alpha, [rho[i] for i in idx])
+         for idx in combinations(anchored, alpha.degree)},
+    )
 
 
 def is_in_ckd(psi: Cochain) -> Optional[str]:
@@ -203,77 +209,89 @@ def cochain_sharp(psi: Cochain) -> KerCochain:
     return KerCochain(psi)
 
 
+def _insert(key: FrameTuple, *xs: int) -> Tuple[FrameTuple, int]:
+    """The increasing tuple key with the increasing frames xs, none of them
+    in it, inserted, and the sum of their positions there."""
+    total = 0
+    for x in xs:
+        t = bisect_left(key, x)
+        key, total = key[:t] + (x,) + key[t:], total + t
+    return key, total
+
+
 def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
     """The coboundary extending D: anchor terms plus bracket insertions.
 
     D psi(e_1..e_{k+1}) = sum_i (-1)^{i+1} rho(e_i) psi(..no i..)
                         + sum_{i<j} (-1)^{i+j} psi(e_i o e_j, ..no i,j..)
+
+    On frames it is scattered from the nonzero data: each value psi(K)
+    reaches K with an anchored frame x added, and each nonzero entry R of
+    psi(u_i o u_j, .) reaches R with i and j added.  The 1-based signs are
+    (-1)^t and (-1)^{s+t} on the 0-based positions of the added frames.
     """
     _require_membership(psi)
     b = p.bundle
     k = psi.degree
-    rho_frames = b.rho_frames
-    # psi(e_i o e_j, rest) for every frame pair i < j
-    inserted = {
-        (i, j): contract(p.table[i][j], psi).terms
-        for i, j in combinations(range(b.rank), 2)
-    } if k else {}
+    anchored = [(x, v) for x, v in enumerate(b.rho_frames) if not v.is_zero()]
     values: Dict[FrameTuple, Poly] = {}
-    for big in combinations(range(b.rank), k + 1):
-        total = Poly.zero(b.chart)
-        for t in range(k + 1):
-            inner = psi.terms.get(big[:t] + big[t + 1 :])
-            if inner is not None:
-                term = vf_apply(rho_frames[big[t]], inner)
-                total = total + term if t % 2 == 0 else total - term
-        for s in range(k + 1):
-            for t in range(s + 1, k + 1):
-                rest = tuple(x for u, x in enumerate(big) if u != s and u != t)
-                term = inserted[big[s], big[t]].get(rest)
-                if term is not None:
-                    # 1-based sign (-1)^{i+j} is (-1)^{s+t} on 0-based positions
-                    total = total + term if (s + t) % 2 == 0 else total - term
-        values[big] = total
+    for key, inner in psi.terms.items():
+        for x, rho_x in anchored:
+            if x not in key:
+                big, t = _insert(key, x)
+                term = vf_apply(rho_x, inner)
+                add_into(values, big, -term if t % 2 else term)
+    for i, row in enumerate(p.table if k else ()):
+        for j in range(i + 1, b.rank):
+            if row[j].is_zero():
+                continue
+            for rest, term in contract(row[j], psi).terms.items():
+                if i not in rest and j not in rest:
+                    big, st = _insert(rest, i, j)
+                    add_into(values, big, -term if st % 2 else term)
     return Cochain(b, k + 1, values)
 
 
 def partial_section_values(
     p: PreCourantAlgebroid, phi: KerCochain
 ) -> Dict[FrameTuple, Section]:
-    """Covariant derivative values on increasing frame tuples.
+    """Covariant derivative values on every increasing frame tuple.
 
     partial phi(e_1..e_{k+1}) = sum_{i<=k} (-1)^{i+1} e_i o phi(..no i..)
                               + (-1)^{k+1} phi(e_1..e_k) o e_{k+1}
                               + sum_{i<j} (-1)^{i+j} phi(e_i o e_j, ..no i,j..)
+
+    It is scattered from `phi.frame_values`: each value phi(K) is bracketed
+    with every frame u_x, x not in K, from the left when x lands before the
+    last position and from the right when it lands last; the insertion
+    terms are formed only at rests that are a value's key less one frame.
+    A tuple that nothing reaches holds one shared zero section.
     """
     b = p.bundle
     k = phi.degree
-    out: Dict[FrameTuple, Section] = {}
-    for big in combinations(range(b.rank), k + 1):
-        total = b.zero_section()
-        # left actions on positions 0..k-1
-        for t in range(k):
-            rest = big[:t] + big[t + 1 :]
-            inner = phi.value_at(rest)
-            if not inner.is_zero():
-                term = bracket(p, b.frame(big[t]), inner)
-                total = total + (term if t % 2 == 0 else -term)
-        # single right action on the last position, sign (-1)^{k+1}
-        head = phi.value_at(big[:k])
-        if not head.is_zero():
-            term = bracket(p, head, b.frame(big[k]))
-            total = total + (term if k % 2 == 1 else -term)
-        # insertion terms
-        for s in range(k + 1):
-            for t in range(s + 1, k + 1):
-                rest = tuple(x for u, x in enumerate(big) if u != s and u != t)
-                entry = p.table[big[s]][big[t]]
-                if entry.is_zero():
+    out = dict.fromkeys(combinations(range(b.rank), k + 1), b.zero_section())
+    for key, value in phi.frame_values.items():
+        for x in range(b.rank):
+            if x in key:
+                continue
+            big, t = _insert(key, x)
+            if t < k:
+                term, sign = bracket(p, b.frame(x), value), t
+            else:
+                term, sign = bracket(p, value, b.frame(x)), k + 1
+            out[big] = out[big] + (-term if sign % 2 else term)
+    rests = dict.fromkeys(
+        key[:u] + key[u + 1 :] for key in phi.frame_values for u in range(k)
+    )
+    for rest in rests:
+        for i, row in enumerate(p.table):
+            for j in range(i + 1, b.rank):
+                if i in rest or j in rest or row[j].is_zero():
                     continue
-                term = phi.eval_section_first(entry, rest)
+                term = phi.eval_section_first(row[j], rest)
                 if not term.is_zero():
-                    total = total + (term if (s + t) % 2 == 0 else -term)
-        out[big] = total
+                    big, st = _insert(rest, i, j)
+                    out[big] = out[big] + (-term if st % 2 else term)
     return out
 
 

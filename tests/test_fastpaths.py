@@ -1,8 +1,10 @@
 """The frame data built once per bundle and algebroid, the bracket memo, the
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
-by contraction, the B-field map, the frame Jacobiator table and its
-ordered-triple memo, the two-term l3 read from the Jacobiator flat, T read
-through its compiled kernel, the frame axioms read from the bracket table,
+by contraction, the B-field map, the frame Jacobiator table, its
+ordered-triple memo and its three table-read brackets per frame triple,
+the pullback over anchored frames, D and the covariant derivative
+scattered from nonzero frame data, the two-term l3 read from the
+Jacobiator flat, T read through its compiled kernel, the frame axioms read from the bracket table,
 the cached frame-axiom and bundle verdicts, the structure-constant Lie
 checks, the sparse quadratic Lie algebra and double builders, the
 dissection built through the connection recipe and the builders' compiled
@@ -13,7 +15,8 @@ twisted-action and fiber brackets, against the code they replaced:
 `bfield_sharp_reference`, `lie_checks_reference`,
 `quadratic_lie_table_reference`, `double_reference`,
 `dissection_table_reference`, `action_lie_bracket_reference`,
-`bilinear_reference` and `jacobiator_reference` below are the
+`bilinear_reference`, `jacobiator_reference`, `pullback_form_reference`,
+`cobound_d_reference` and `partial_section_values_reference` below are the
 earlier implementations, kept as oracles, and so are the section-level
 axiom checks
 `_anchor_defect`/`_symmetrization_defect`/`_axiom_iii_witness` and
@@ -23,11 +26,12 @@ is the second, independent one."""
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from precourant import algebroid, bundle, construct, linalg, runner
+from precourant import algebroid, bundle, cochain, construct, linalg, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
     _anchor_defect,
@@ -51,7 +55,15 @@ from precourant.bundle import (
     standard_bundle,
 )
 from precourant.cli import resolve_manifest
-from precourant.cochain import KerCochain, jacobiator_flat, pullback_form
+from precourant.cochain import (
+    Cochain,
+    KerCochain,
+    cobound_d,
+    is_in_ckd,
+    jacobiator_flat,
+    partial_section_values,
+    pullback_form,
+)
 from precourant.construct import QuadraticLieAlgebra, from_twisted_action, quadratic_lie_algebra
 from precourant.deform import apply_deformation, bfield_verify, twist_deformation
 from precourant.exterior import KForm, contract, evaluate, vf_apply
@@ -436,8 +448,9 @@ def test_frame_triples_hit_the_memo(monkeypatch, std4, chart4):
     frames = std4.frames()
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2), (3, 4, 5), (0, 1, 3)]:
         jacobiator(p, frames[i], frames[j], frames[k])
-    # six brackets for each of the five triples; the repeated one is read from jmemo
-    assert len(p.bracket_memo) < len(calls) == 30
+    # three brackets for each of the five triples, the inner ones read from
+    # the table, all on distinct pairs; the repeated triple is read from jmemo
+    assert len(p.bracket_memo) == len(calls) == 15
     u = [frames[i] for i in (0, 1, 2)]
     assert jacobiator(p, *u) == (
         bracket_reference(p, u[0], bracket_reference(p, u[1], u[2]))
@@ -627,6 +640,157 @@ def test_bfield_sharp_matches_reference(name):
         b_sharp = KerCochain(pullback_form(b, beta))
         for e in sections:
             assert b_sharp.evaluate([e]) == bfield_sharp_reference(b, beta, e)
+
+
+def pullback_form_reference(b, alpha):
+    """alpha evaluated on the anchors of every increasing frame tuple."""
+    return Cochain(b, alpha.degree, {
+        idx: evaluate(alpha, [b.rho_frames[i] for i in idx])
+        for idx in combinations(range(b.rank), alpha.degree)
+    })
+
+
+def cobound_d_reference(p, psi):
+    """D psi gathered on every increasing frame tuple from its anchor and
+    insertion terms."""
+    b = p.bundle
+    k = psi.degree
+    inserted = {
+        (i, j): contract(p.table[i][j], psi).terms
+        for i, j in combinations(range(b.rank), 2)
+    } if k else {}
+    values = {}
+    for big in combinations(range(b.rank), k + 1):
+        total = Poly.zero(b.chart)
+        for t in range(k + 1):
+            inner = psi.terms.get(big[:t] + big[t + 1 :])
+            if inner is not None:
+                term = vf_apply(b.rho_frames[big[t]], inner)
+                total = total + term if t % 2 == 0 else total - term
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                rest = tuple(x for u, x in enumerate(big) if u != s and u != t)
+                term = inserted[big[s], big[t]].get(rest)
+                if term is not None:
+                    total = total + term if (s + t) % 2 == 0 else total - term
+        values[big] = total
+    return Cochain(b, k + 1, values)
+
+
+def partial_section_values_reference(p, phi):
+    """partial phi gathered on every increasing frame tuple from its left
+    and right actions and its insertion terms."""
+    b = p.bundle
+    k = phi.degree
+    out = {}
+    for big in combinations(range(b.rank), k + 1):
+        total = b.zero_section()
+        for t in range(k):
+            inner = phi.value_at(big[:t] + big[t + 1 :])
+            if not inner.is_zero():
+                term = bracket(p, b.frame(big[t]), inner)
+                total = total + (term if t % 2 == 0 else -term)
+        head = phi.value_at(big[:k])
+        if not head.is_zero():
+            term = bracket(p, head, b.frame(big[k]))
+            total = total + (term if k % 2 == 1 else -term)
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                rest = tuple(x for u, x in enumerate(big) if u != s and u != t)
+                entry = p.table[big[s]][big[t]]
+                if not entry.is_zero():
+                    total = total + phi.eval_section_first(entry, rest).scale((-1) ** (s + t))
+        out[big] = total
+    return out
+
+
+def _anchored_plane():
+    """A plane whose four frames all have a nonzero anchor, with rho g^-1
+    rho^T = 0 so that pulled-back forms are members."""
+    c = Chart(["x1", "x2"])
+    z, o, x1 = Poly.zero(c), Poly.const(c, 1), Poly.var(c, 0)
+    metric = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    b = CourantBundle(c, 4, metric, [[o, z], [z, o], [z, x1], [-x1, z]])
+    return PreCourantAlgebroid(b, zero_table(b))
+
+
+def _full_table(p, seed):
+    """p with a seeded section added to every table entry, redrawn until
+    the sum is nonzero."""
+    b, rng = p.bundle, random.Random(seed)
+
+    def moved(e):
+        while (out := e + random_section(rng, b, 1)).is_zero():
+            pass
+        return out
+
+    return p.with_table([[moved(e) for e in row] for row in p.table])
+
+
+# every builtin with its Jacobiator flat, the plane with no vanishing anchor
+# row, and twisted_r4 and that plane with a nonzero entry on every frame pair
+SCATTER_CASES = {
+    **{name: lambda name=name: build_context(load(name)).algebroid for name in BUILTINS},
+    "anchored-plane": _anchored_plane,
+    "full-table-twisted_r4": lambda: _full_table(build_context(load("twisted_r4")).algebroid, 31),
+    "full-table-anchored-plane": lambda: _full_table(_anchored_plane(), 31),
+}
+
+
+@pytest.mark.parametrize("case", list(SCATTER_CASES))
+def test_scatter_coboundaries_match_gather_reference(case):
+    # pullback, D and partial visit only nonzero frame data; the gathers
+    # over every increasing frame tuple are their oracles
+    p = SCATTER_CASES[case]()
+    b = p.bundle
+    rng = random.Random(32)
+    forms = [random_form(rng, b.chart, degree, 2, max_components=3)
+             for degree in range(min(b.chart.dim, 3) + 1) for _ in range(2)]
+    cochains = []
+    for alpha in forms:
+        psi = pullback_form(b, alpha)
+        assert psi == pullback_form_reference(b, alpha)
+        cochains.append(psi)
+    assert any(not psi.is_zero() for psi in cochains)
+    if case in BUILTINS:
+        cochains.append(jacobiator_flat(p))
+    q = p.with_table(p.table)  # the references get a bracket memo of their own
+    for psi in cochains:
+        assert is_in_ckd(psi) is None
+        assert cobound_d(p, psi) == cobound_d_reference(q, psi)
+        if psi.degree:
+            phi = KerCochain(psi)
+            values = partial_section_values(p, phi)
+            assert values == partial_section_values_reference(q, phi)
+            assert list(values) == list(combinations(range(b.rank), psi.degree))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_pullback_evaluates_only_anchored_frame_tuples(monkeypatch, k):
+    # standard_r3 anchors its three tangent frames and not its cotangent ones
+    b = build_context(load("standard_r3")).bundle
+    calls = []
+    monkeypatch.setattr(cochain, "evaluate", lambda a, vs: calls.append(vs) or evaluate(a, vs))
+    alpha = random_form(random.Random(33), b.chart, k, 2)
+    assert pullback_form(b, alpha) == pullback_form_reference(b, alpha)
+    assert len(calls) == comb(3, k)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_frame_jacobiator_matches_six_reference_brackets(name):
+    # J on frames brackets a frame with a table entry three times; the
+    # composition of six reference brackets is its oracle
+    p = build_context(load(name)).algebroid
+    p = p.with_table(p.table)
+    u = p.bundle.frames()
+    r = range(p.rank)
+    inner = {(i, j): bracket_reference(p, u[i], u[j]) for i, j in product(r, repeat=2)}
+    for i, j, k in product(r, repeat=3):
+        assert jacobiator(p, u[i], u[j], u[k]) == (
+            bracket_reference(p, u[i], inner[j, k])
+            - bracket_reference(p, inner[i, j], u[k])
+            - bracket_reference(p, u[j], inner[i, k])
+        ), (i, j, k)
 
 
 @pytest.mark.parametrize("name", BUILTINS)

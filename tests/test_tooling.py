@@ -10,8 +10,10 @@ no bracket, neither the bracket nor T reaches an anchor map or D, the
 builders have one connection derivative and hold each input in one form,
 J on frame triples is enumerated
 in one place, symmetric forms are checked in one place, results kept on an
-object are cached properties, `tools/bench_record.py --compare` reads two
-records, and importing the CLI stays cheap."""
+object are cached properties, D scatters from the nonzero values of its
+cochain, `tools/bench_record.py --compare` reads two records and its
+`--ab` pairing and sign test hold on fixed numbers, and importing the CLI
+stays cheap."""
 
 import ast
 import importlib
@@ -403,6 +405,17 @@ def test_frame_triples_enumerated_only_in_algebroid():
     assert calls == []
 
 
+def test_cobound_d_walks_no_frame_tuples():
+    # D psi is scattered from psi's nonzero values and the nonzero entries of
+    # its contractions, so `cobound_d` enumerates no frame tuples at all
+    tree = ast.parse((ROOT / "src" / "precourant" / "cochain.py").read_text())
+    func = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "cobound_d")
+    assert not [
+        node.lineno for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("combinations", "product")
+    ]
+
+
 def test_builders_differentiate_in_one_connection_derivative():
     # the connection-plus-corrector recipe and the dissection's closed forms
     # share one covariant derivative: nothing else in construct.py takes .diff
@@ -541,3 +554,21 @@ def test_bench_record_compares_two_records(tmp_path):
     assert compare(a, c)[1] == [
         "frame-suite", "task_s", "0.2500", "0.2400-0.2600", "0.2000", "0.1500-0.2500", "~0.800"
     ]
+
+
+def test_bench_record_pairs_runs_and_sign_tests():
+    # the --ab summary on fixed numbers; no benchmark is started
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    a = [float(x) for x in range(1, 11)]
+    b = [x / 2 for x in a]
+    b[3], b[6] = 5.0, 7.0  # one pair where B is higher, one tie
+    assert bench_record.pair_summary(a, b) == {
+        "a": [2.75, 5.5, 8.25], "b": [1.375, 3.5, 5.0], "pairs": 10,
+        "b_lower": 8, "b_higher": 1, "sign_p": 20 / 512,
+    }
+    # two-sided: 2 * P(at most min(lower, higher) of n fair coins), capped at 1
+    assert bench_record.sign_test(10, 0) == bench_record.sign_test(0, 10) == 2 / 1024
+    assert bench_record.sign_test(9, 1) == 22 / 1024
+    assert bench_record.sign_test(5, 5) == bench_record.sign_test(0, 0) == 1.0
