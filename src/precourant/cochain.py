@@ -21,7 +21,7 @@ import random
 from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, combinations, product
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebroid import (
     PreCourantAlgebroid,
@@ -219,6 +219,13 @@ def _insert(key: FrameTuple, *xs: int) -> Tuple[FrameTuple, int]:
     return key, total
 
 
+def _upper_entries(p: PreCourantAlgebroid) -> List[Tuple[int, int, Section]]:
+    """(i, j, u_i o u_j) for every frame pair i < j whose table entry is
+    not zero."""
+    return [(i, j, row[j]) for i, row in enumerate(p.table)
+            for j in range(i + 1, p.rank) if not row[j].is_zero()]
+
+
 def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
     """The coboundary extending D: anchor terms plus bracket insertions.
 
@@ -241,14 +248,11 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
                 big, t = _insert(key, x)
                 term = vf_apply(rho_x, inner)
                 add_into(values, big, -term if t % 2 else term)
-    for i, row in enumerate(p.table if k else ()):
-        for j in range(i + 1, b.rank):
-            if row[j].is_zero():
-                continue
-            for rest, term in contract(row[j], psi).terms.items():
-                if i not in rest and j not in rest:
-                    big, st = _insert(rest, i, j)
-                    add_into(values, big, -term if st % 2 else term)
+    for i, j, entry in _upper_entries(p) if k else ():
+        for rest, term in contract(entry, psi).terms.items():
+            if i not in rest and j not in rest:
+                big, st = _insert(rest, i, j)
+                add_into(values, big, -term if st % 2 else term)
     return Cochain(b, k + 1, values)
 
 
@@ -283,12 +287,11 @@ def partial_section_values(
     rests = dict.fromkeys(
         key[:u] + key[u + 1 :] for key in phi.frame_values for u in range(k)
     )
+    entries = _upper_entries(p)
     for rest in rests:
-        for i, row in enumerate(p.table):
-            for j in range(i + 1, b.rank):
-                if i in rest or j in rest or row[j].is_zero():
-                    continue
-                term = phi.eval_section_first(row[j], rest)
+        for i, j, entry in entries:
+            if i not in rest and j not in rest:
+                term = phi.eval_section_first(entry, rest)
                 if not term.is_zero():
                     big, st = _insert(rest, i, j)
                     out[big] = out[big] + (-term if st % 2 else term)
