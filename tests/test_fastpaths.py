@@ -698,8 +698,11 @@ def partial_section_values_reference(p, phi):
             for t in range(s + 1, k + 1):
                 rest = tuple(x for u, x in enumerate(big) if u != s and u != t)
                 entry = p.table[big[s]][big[t]]
-                if not entry.is_zero():
-                    total = total + phi.eval_section_first(entry, rest).scale((-1) ** (s + t))
+                if entry.is_zero():
+                    continue
+                term = phi.eval_section_first(entry, rest)
+                if not term.is_zero():
+                    total = total + (term if (s + t) % 2 == 0 else -term)
         out[big] = total
     return out
 

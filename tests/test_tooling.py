@@ -558,7 +558,8 @@ def test_bench_record_compares_two_records(tmp_path):
 
 def test_bench_record_pairs_runs_and_sign_tests():
     # the --ab summary on fixed numbers; no benchmark is started
-    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+    path = ROOT / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
     a = [float(x) for x in range(1, 11)]

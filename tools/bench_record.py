@@ -104,8 +104,9 @@ def record(label: str, rev: str | None) -> Path:
         doc["git_sha"] = git("rev-parse", rev)
         doc["working_tree_changed"] = False
         with tempfile.TemporaryDirectory() as tmp:
-            extract(doc["git_sha"], Path(tmp))
-            doc["workloads"] = {w: run_workload(Path(tmp), w, env) for w in workload_names(Path(tmp))}
+            checkout = Path(tmp)
+            extract(doc["git_sha"], checkout)
+            doc["workloads"] = {w: run_workload(checkout, w, env) for w in workload_names(checkout)}
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
@@ -135,6 +136,7 @@ def pair_summary(a: list, b: list) -> dict:
 
 
 def ab(rev_a: str, rev_b: str, rounds: int) -> Path:
+    """Run both revisions in alternating pairs and write the paired record."""
     env = dict(os.environ)
     shas = [git("rev-parse", rev) for rev in (rev_a, rev_b)]
     with tempfile.TemporaryDirectory() as tmp:
