@@ -9,9 +9,11 @@ and vanishing checks, the B-field transformation on an anchor that is not
 isotropic and the seeded batteries (two-term conditions, among
 them an ungated `lie2` run on a broken table, derived identities,
 Jacobiator theorem, the morphism equations) report on broken input,
-a kept Jacobiator flat that is not J's among it, and the dissection
-Pontryagin comparison on a table moved off its form: which case fails
-first and how both sides print.
+a kept Jacobiator flat that is not J's among it, the dissection
+Pontryagin comparison on a table moved off its form and the comparison of
+J-flat with the pullback of dh: which case fails first and how both sides
+print.  The deformation identity is pinned passing, since a valid omega
+cannot fail it.
 """
 
 from fractions import Fraction
@@ -962,4 +964,54 @@ def test_dissection_pontryagin_reports_a_table_off_the_form():
         "  FAIL jflat-matches-sign-corrected-form  witness: frames (1, 2, 4, 5): "
         "J-flat = -1 vs 0",
         "  ok   d-h-zero",
+    ]
+
+
+def _standard_r4():
+    c = Chart(["x1", "x2", "x3", "x4"])
+    b = standard_bundle(c)
+    return PreCourantAlgebroid(b, zero_table(b)), c
+
+
+def test_pontryagin_vanishing_reports_the_first_differing_quadruple():
+    # twisted_r4 has J-flat = -1 on (1, 2, 3, 4); a 3-form whose pullback
+    # differs there fails on it, whether both sides are nonzero or only one
+    p = build_context(
+        parse_manifest(resolve_manifest("twisted_r4").read_text(), name="twisted_r4")
+    ).algebroid
+    c = p.bundle.chart
+    assert pontryagin_vanishing_check(p, parse_form(c, "x3*dx(1,2,4)")).lines() == [
+        "[FAIL] pontryagin vanishing",
+        "  FAIL jflat-equals-pullback-dh  witness: frames (1, 2, 3, 4): "
+        "J-flat = -1 but rho*(dh) = 1",
+    ]
+    assert pontryagin_vanishing_check(p, KForm.zero(c, 3)).lines() == [
+        "[FAIL] pontryagin vanishing",
+        "  FAIL jflat-equals-pullback-dh  witness: frames (1, 2, 3, 4): "
+        "J-flat = -1 but rho*(dh) = 0",
+    ]
+    # the untwisted structure has J-flat = 0 where rho*(dh) is not
+    untwisted, c = _standard_r4()
+    assert pontryagin_vanishing_check(untwisted, parse_form(c, "x4*dx(1,2,3)")).lines() == [
+        "[FAIL] pontryagin vanishing",
+        "  FAIL jflat-equals-pullback-dh  witness: frames (1, 2, 3, 4): "
+        "J-flat = 0 but rho*(dh) = -1",
+    ]
+
+
+def test_deformation_identity_report_with_a_sparse_partial_omega():
+    # twisting the standard structure on four coordinates by x4 dx(1,2,3):
+    # partial omega is nonzero on 4 of the 56 frame triples.  Neither
+    # identity check can fail once precondition-valid-omega passes: on
+    # frames J' = J + partial omega + omega^2 / 2 is the expansion of the
+    # bracket plus omega, and on sections it extends C-infinity-linearly
+    # because omega is kernel-valued, killed by every D f and alternating
+    p, c = _standard_r4()
+    omega = twist_deformation(p.bundle, parse_form(c, "x4*dx(1,2,3)"))
+    assert verify_deformation_identity(p, omega, trials=2, seed=0, max_degree=1).lines() == [
+        "[pass] deformation identity",
+        "  ok   precondition-valid-omega",
+        "  ok   identity-on-frames",
+        "  ok   identity-on-sections",
+        "  note: omega-square vanishes on all frame triples",
     ]
