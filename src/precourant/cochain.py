@@ -2,11 +2,13 @@
 
 A degree-k cochain is an alternating form whose index set is the frame of
 the bundle (`exterior.KForm` over the bundle): its nonzero values sit on
-strictly increasing frame index tuples.  Members of the contraction-closed
-space (those killed by every D f) are tensorial, so frame storage is
-lossless; `exterior.contract` inserts a general section and
-`exterior.evaluate` expands on k sections.  Kernel-valued cochains are
-stored as their flat, one degree up.
+strictly increasing frame index tuples, and a missing tuple is zero.  The
+values derived here (D psi, the covariant derivative, a kernel cochain's
+flat) take that format too: each is scattered from nonzero frame data.
+Members of the contraction-closed space (those killed by every D f) are
+tensorial, so frame storage is lossless; `exterior.contract` inserts a
+general section and `exterior.evaluate` expands on k sections.
+Kernel-valued cochains are stored as their flat, one degree up.
 
 Two coboundaries act here: the extension of D (anchor terms plus bracket
 insertions) and the covariant derivative with left and right bracket
@@ -30,7 +32,7 @@ from .algebroid import (
     jacobiator,
     verify_axioms,
 )
-from .bundle import CourantBundle, Section, anchor_apply, format_section, pairing
+from .bundle import CourantBundle, Section, anchor_apply, format_section, lower, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, contract, evaluate, vf_apply
 from .poly import Chart, Poly, add_into, format_poly, sort_sign
@@ -90,12 +92,11 @@ class KerCochain:
     def from_values(
         bundle: CourantBundle, degree: int, values: Dict[FrameTuple, Section]
     ) -> "KerCochain":
-        """The cochain with these section values on the increasing frame
-        tuples: its flat pairs the value on K[:-1] with the frame K[-1]."""
-        flat = {
-            big: pairing(values[big[:-1]], bundle.frame(big[-1]))
-            for big in combinations(range(bundle.rank), degree + 1)
-        }
+        """The cochain with these section values on increasing frame tuples,
+        zero where a tuple is missing: each value v on K puts <v, u_x>, read
+        from `lower(v)`, at K + (x,) for every frame x after K[-1]."""
+        flat = {(*key, x): c for key, v in values.items()
+                for x, c in lower(v).items() if not key or x > key[-1]}
         return KerCochain(Cochain(bundle, degree + 1, flat))
 
     @cached_property
@@ -259,7 +260,8 @@ def cobound_d(p: PreCourantAlgebroid, psi: Cochain) -> Cochain:
 def partial_section_values(
     p: PreCourantAlgebroid, phi: KerCochain
 ) -> Dict[FrameTuple, Section]:
-    """Covariant derivative values on every increasing frame tuple.
+    """The nonzero covariant derivative values on increasing frame tuples,
+    in increasing order.
 
     partial phi(e_1..e_{k+1}) = sum_{i<=k} (-1)^{i+1} e_i o phi(..no i..)
                               + (-1)^{k+1} phi(e_1..e_k) o e_{k+1}
@@ -269,11 +271,10 @@ def partial_section_values(
     with every frame u_x, x not in K, from the left when x lands before the
     last position and from the right when it lands last; the insertion
     terms are formed only at rests that are a value's key less one frame.
-    A tuple that nothing reaches holds one shared zero section.
     """
     b = p.bundle
     k = phi.degree
-    out = dict.fromkeys(combinations(range(b.rank), k + 1), b.zero_section())
+    out: Dict[FrameTuple, Section] = {}
     for key, value in phi.frame_values.items():
         for x in range(b.rank):
             if x in key:
@@ -283,7 +284,7 @@ def partial_section_values(
                 term, sign = bracket(p, b.frame(x), value), t
             else:
                 term, sign = bracket(p, value, b.frame(x)), k + 1
-            out[big] = out[big] + (-term if sign % 2 else term)
+            add_into(out, big, -term if sign % 2 else term)
     rests = dict.fromkeys(
         key[:u] + key[u + 1 :] for key in phi.frame_values for u in range(k)
     )
@@ -294,8 +295,8 @@ def partial_section_values(
                 term = phi.eval_section_first(entry, rest)
                 if not term.is_zero():
                     big, st = _insert(rest, i, j)
-                    out[big] = out[big] + (-term if st % 2 else term)
-    return out
+                    add_into(out, big, -term if st % 2 else term)
+    return {key: out[key] for key in sorted(out) if not out[key].is_zero()}
 
 
 def cobound_partial(p: PreCourantAlgebroid, phi: KerCochain) -> KerCochain:
@@ -429,11 +430,10 @@ def verify_jacobiator_theorem(
     report.first("flat-membership", [is_in_ckd(jflat)])
 
     # (6) partial J = 0 on frame quadruples
-    values = partial_section_values(p, KerCochain(jflat))
     report.first(
         "partial-j-zero",
         (f"frames {tuple(i + 1 for i in idx)}: partial J = ({format_section(section)})"
-         for idx, section in sorted(values.items()) if not section.is_zero()),
+         for idx, section in partial_section_values(p, KerCochain(jflat)).items()),
     )
 
     # equivalent flat statement D(J-flat) = 0

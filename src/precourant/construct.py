@@ -729,9 +729,8 @@ def dissection_pontryagin(
             "jflat-matches-sign-corrected-form",
             (
                 f"frames {tuple(t + 1 for t in idx)}: J-flat = "
-                f"{format_poly(lhs)} vs {format_poly(rhs)}"
-                for idx in combinations(range(p.bundle.rank), 4)
-                if (lhs := jflat.value_at(idx)) != (rhs := target.value_at(idx))
+                f"{format_poly(jflat.value_at(idx))} vs {format_poly(target.value_at(idx))}"
+                for idx in sorted((jflat - target).terms)
             ),
         )
         closed = ext_d(h_form).is_zero()

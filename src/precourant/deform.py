@@ -57,7 +57,6 @@ def validate_deformation(p: PreCourantAlgebroid, omega: KerCochain) -> VerifyRep
     test.  Alternation needs no check: the flat stores increasing frame
     tuples, and `value_at` gives zero on a repeated frame."""
     report = VerifyReport("deformation validity")
-    b = p.bundle
     if omega.degree != 2:
         report.add("degree-2", False, f"degree is {omega.degree}")
         return report
@@ -65,8 +64,8 @@ def validate_deformation(p: PreCourantAlgebroid, omega: KerCochain) -> VerifyRep
     report.first(
         "kernel-valued",
         (f"omega(u{i + 1}, u{j + 1}) leaves the kernel"
-         for i, j in combinations(range(b.rank), 2)
-         if not anchor_apply(omega.value_at((i, j))).is_zero()),
+         for (i, j), v in sorted(omega.frame_values.items())
+         if not anchor_apply(v).is_zero()),
     )
     report.first("contraction-membership", [is_in_ckd(omega.flat)])
     return report
@@ -115,6 +114,7 @@ def verify_deformation_identity(
     deformed = apply_deformation(p, omega)
     b = p.bundle
     partial_omega = partial_section_values(p, omega)
+    zero = b.zero_section()
 
     half = Fraction(1, 2)
     table, deformed_table = frame_jacobiators(p), frame_jacobiators(deformed)
@@ -126,7 +126,7 @@ def verify_deformation_identity(
             f"({format_section(lhs)}) vs ({format_section(rhs)})"
             for idx, j in table.items()
             if (lhs := deformed_table[idx])
-            != (rhs := j + partial_omega[idx] + squares[idx].scale(half))
+            != (rhs := j + partial_omega.get(idx, zero) + squares[idx].scale(half))
         ),
     )
     report.notes.append(
@@ -276,14 +276,13 @@ def pontryagin_representative(
         return None, report
 
     kappas = kernel_generators_from_lift(p, lift)
-    witnesses = (
-        f"J(kappa_{a + 1}, u{i + 1}, u{j + 1}) != 0"
-        for a, kappa in enumerate(kappas)
-        if not kappa.is_zero()
-        for i, j in combinations(range(b.rank), 2)
-        if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero()
-    )
-    if not report.first("kernel-slots-vanish", witnesses):
+    if not report.first(
+        "kernel-slots-vanish",
+        (f"J(kappa_{a + 1}, u{i + 1}, u{j + 1}) != 0"
+         for a, kappa in enumerate(kappas) if not kappa.is_zero()
+         for i, j in combinations(range(b.rank), 2)
+         if not jacobiator(p, kappa, b.frame(i), b.frame(j)).is_zero()),
+    ):
         report.skipped = True
         return None, report
 
@@ -312,10 +311,9 @@ def pontryagin_vanishing_check(
     jflat = jacobiator_flat(p)
     target = pullback_form(b, ext_d(h))
     witnesses = (
-        f"frames {tuple(i + 1 for i in idx)}: J-flat = {format_poly(lhs)}"
-        f" but rho*(dh) = {format_poly(rhs)}"
-        for idx in combinations(range(b.rank), 4)
-        if (lhs := jflat.value_at(idx)) != (rhs := target.value_at(idx))
+        f"frames {tuple(i + 1 for i in idx)}: J-flat = {format_poly(jflat.value_at(idx))}"
+        f" but rho*(dh) = {format_poly(target.value_at(idx))}"
+        for idx in sorted((jflat - target).terms)
     )
     if not report.first("jflat-equals-pullback-dh", witnesses):
         return report

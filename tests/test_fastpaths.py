@@ -2,8 +2,8 @@
 closed-form bracket, the raised kernel-cochain values, cochain evaluation
 by contraction, the B-field map, the frame Jacobiator table, its
 ordered-triple memo and its three table-read brackets per frame triple,
-the pullback over anchored frames, D and the covariant derivative
-scattered from nonzero frame data, the two-term l3 read from the
+the pullback over anchored frames, D, the covariant derivative and the
+kernel-cochain flat scattered from nonzero frame data, the two-term l3 read from the
 Jacobiator flat, T read through its compiled kernel, the frame axioms read from the bracket table,
 the cached frame-axiom and bundle verdicts, the structure-constant Lie
 checks, the sparse quadratic Lie algebra and double builders, the
@@ -16,7 +16,8 @@ twisted-action and fiber brackets, against the code they replaced:
 `quadratic_lie_table_reference`, `double_reference`,
 `dissection_table_reference`, `action_lie_bracket_reference`,
 `bilinear_reference`, `jacobiator_reference`, `pullback_form_reference`,
-`cobound_d_reference` and `partial_section_values_reference` below are the
+`cobound_d_reference`, `partial_section_values_reference` and
+`from_values_reference` below are the
 earlier implementations, kept as oracles, and so are the section-level
 axiom checks
 `_anchor_defect`/`_symmetrization_defect`/`_axiom_iii_witness` and
@@ -59,6 +60,7 @@ from precourant.cochain import (
     Cochain,
     KerCochain,
     cobound_d,
+    cobound_partial,
     is_in_ckd,
     jacobiator_flat,
     partial_section_values,
@@ -707,6 +709,44 @@ def partial_section_values_reference(p, phi):
     return out
 
 
+def from_values_reference(b, degree, values):
+    """The kernel cochain whose flat is gathered on every increasing frame
+    tuple K: the value on K[:-1] paired with the frame K[-1].  Every
+    increasing degree-tuple needs a value."""
+    flat = {
+        big: pairing(values[big[:-1]], b.frame(big[-1]))
+        for big in combinations(range(b.rank), degree + 1)
+    }
+    return KerCochain(Cochain(b, degree + 1, flat))
+
+
+def _with_zeros(b, degree, values):
+    """values with the zero section on every increasing tuple it lacks."""
+    return {key: values.get(key, b.zero_section())
+            for key in combinations(range(b.rank), degree)}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_from_values_scatter_matches_gather_reference(name):
+    # the flat is scattered from the nonzero values, and a missing tuple
+    # holds zero; the gather over every increasing tuple is its oracle
+    p = build_context(load(name)).algebroid
+    b = p.bundle
+    table = frame_jacobiators(p)
+    assert jacobiator_flat(p) == from_values_reference(b, 3, table).flat
+    nonzero = {key: v for key, v in table.items() if not v.is_zero()}
+    assert KerCochain.from_values(b, 3, nonzero) == from_values_reference(b, 3, table)
+    rng = random.Random(34)
+    for degree in range(4):
+        keys = list(combinations(range(b.rank), degree))
+        for sparse in (True, False):
+            chosen = rng.sample(keys, min(3, len(keys))) if sparse else keys
+            values = {key: random_section(rng, b, 1) for key in chosen}
+            assert KerCochain.from_values(b, degree, values) == from_values_reference(
+                b, degree, _with_zeros(b, degree, values)
+            ), (degree, sparse)
+
+
 def _anchored_plane():
     """A plane whose four frames all have a nonzero anchor, with rho g^-1
     rho^T = 0 so that pulled-back forms are members."""
@@ -764,8 +804,11 @@ def test_scatter_coboundaries_match_gather_reference(case):
         if psi.degree:
             phi = KerCochain(psi)
             values = partial_section_values(p, phi)
-            assert values == partial_section_values_reference(q, phi)
-            assert list(values) == list(combinations(range(b.rank), psi.degree))
+            reference = partial_section_values_reference(q, phi)
+            assert all(a < c for key in values for a, c in zip(key, key[1:]))
+            assert not any(s.is_zero() for s in values.values())
+            assert values == {key: s for key, s in reference.items() if not s.is_zero()}
+            assert cobound_partial(p, phi) == from_values_reference(b, psi.degree, reference)
 
 
 @pytest.mark.parametrize("k", range(4))

@@ -10,10 +10,11 @@ no bracket, neither the bracket nor T reaches an anchor map or D, the
 builders have one connection derivative and hold each input in one form,
 J on frame triples is enumerated
 in one place, symmetric forms are checked in one place, results kept on an
-object are cached properties, D scatters from the nonzero values of its
-cochain, `tools/bench_record.py --compare` reads two records and its
-`--ab` pairing and sign test hold on fixed numbers, and importing the CLI
-stays cheap."""
+object are cached properties, D, the covariant derivative and a kernel
+cochain's flat scatter from nonzero frame data and only named checks scan
+every frame tuple, `tools/bench_record.py --compare` reads two sequential
+records, names them so and refuses a paired one, its `--ab` pairing and
+sign test hold on fixed numbers, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -405,15 +406,69 @@ def test_frame_triples_enumerated_only_in_algebroid():
     assert calls == []
 
 
+def _functions(tree):
+    """Each function of a module, methods included, by its qualified name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{f.name}", f) for f in node.body
+                       if isinstance(f, ast.FunctionDef))
+    return out
+
+
 def test_cobound_d_walks_no_frame_tuples():
-    # D psi is scattered from psi's nonzero values and the nonzero entries of
-    # its contractions, so `cobound_d` enumerates no frame tuples at all
-    tree = ast.parse((ROOT / "src" / "precourant" / "cochain.py").read_text())
-    func = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "cobound_d")
-    assert not [
-        node.lineno for node in ast.walk(func)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("combinations", "product")
-    ]
+    # D psi, partial phi and a kernel cochain's flat are scattered from
+    # nonzero frame data, so none of them enumerates frame tuples at all
+    functions = _functions(ast.parse((ROOT / "src" / "precourant" / "cochain.py").read_text()))
+    for name in ("cobound_d", "partial_section_values", "KerCochain.from_values"):
+        assert not [
+            node.lineno for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("combinations", "product")
+        ], name
+
+
+# the frame-tuple scans that visit every tuple, by module, function and the
+# check they serve: each compares or validates data that may be nonzero on
+# any tuple.  Every other frame-tuple loop walks only nonzero frame data.
+EXHAUSTIVE_FRAME_SCANS = [
+    ("cochain.py", "verify_jacobiator_theorem", "flat-alternating"),
+    ("cochain.py", "verify_jacobiator_theorem", "skew-symmetric"),
+    ("construct.py", "from_connection_beta", "corrector-anchor-defect"),
+    ("construct.py", "from_connection_beta", "corrector-not-skew"),
+    ("deform.py", "pontryagin_representative", "kernel-slots-vanish"),
+]
+
+
+def test_frame_tuple_scans_are_the_exhaustive_checks():
+    # every combinations/product over range(<bundle rank>) in the cochain,
+    # deformation and builder modules, named by the first check name of
+    # the statement it sits in
+    check_name = re.compile(r"[a-z0-9]+(-[a-z0-9]+)+")
+    found = []
+    for module in ("cochain.py", "construct.py", "deform.py"):
+        tree = ast.parse((ROOT / "src" / "precourant" / module).read_text())
+        for name, func in _functions(tree).items():
+            ranks = {t.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                     and ast.unparse(node.value).endswith(".rank")
+                     for t in node.targets if isinstance(t, ast.Name)}
+            over_rank = [f"range({r})" for r in ranks]
+            parent = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call)
+                        and ast.unparse(call.func) in ("combinations", "product")
+                        and any(re.fullmatch(r"range\(.*\.rank\)", text) or text in over_rank
+                                for text in map(ast.unparse, call.args))):
+                    continue
+                stmt = call
+                while not isinstance(stmt, ast.stmt):
+                    stmt = parent[stmt]
+                names = sorted((c.lineno, c.col_offset, c.value) for c in ast.walk(stmt)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                               and check_name.fullmatch(c.value))
+                found.append((module, name, names[0][2] if names else None))
+    assert sorted(found) == EXHAUSTIVE_FRAME_SCANS
 
 
 def test_builders_differentiate_in_one_connection_derivative():
@@ -542,18 +597,42 @@ def test_bench_record_compares_two_records(tmp_path):
         )
         return [line.split() for line in proc.stdout.splitlines()]
 
-    # a ratio whose q1-q3 ranges overlap reads `~`; a metric without
-    # quartiles shows `-` for its range
+    # each record is named as sequential; a ratio whose q1-q3 ranges
+    # overlap reads `~`; a metric without quartiles shows `-` for its range
     assert compare(a, b) == [
+        ["A", "=", "16:", "sequential", "LABEL", "record"],
+        ["B", "=", "17:", "sequential", "LABEL", "record"],
         ["workload", "metric", "16", "q1-q3", "17", "q1-q3", "B/A"],
         ["frame-suite", "task_s", "0.2500", "0.2400-0.2600", "0.2000", "0.1900-0.2100", "0.800"],
         ["frame-suite", "wall_s", "0.5000", "0.4500-0.5500", "0.5000", "0.4500-0.5500", "~1.000"],
         ["frame-suite", "setup_s", "0.1000", "-", "0.1000", "-", "1.000"],
         ["frame-suite", "B", "not", "correct:", "1", "failed"],
     ]
-    assert compare(a, c)[1] == [
+    assert compare(a, c)[3] == [
         "frame-suite", "task_s", "0.2500", "0.2400-0.2600", "0.2000", "0.1500-0.2500", "~0.800"
     ]
+    # a paired --ab record holds pairs of runs, not one pass: --compare
+    # refuses it on either side in one line, without a traceback
+    paired = tmp_path / "BENCH_aaaaaaa_vs_bbbbbbb.json"
+    runs = {"a": _bench_record("a", 0.25)["workloads"]["frame-suite"]["result"],
+            "b": _bench_record("b", 0.2)["workloads"]["frame-suite"]["result"]}
+    paired.write_text(json.dumps({
+        "label": "aaaaaaa_vs_bbbbbbb", "shas": {"a": "a" * 40, "b": "b" * 40}, "rounds": 2,
+        "correct": True, "pairs": {"frame-suite": [{"first": "a", **runs}, {"first": "b", **runs}]},
+        "summary": {"frame-suite": {"task_s": {
+            "a": [0.25, 0.25, 0.25], "b": [0.2, 0.2, 0.2], "pairs": 2,
+            "b_lower": 2, "b_higher": 0, "sign_p": 0.5}}},
+    }))
+    for x, y in ((a, paired), (paired, a)):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(x), str(y)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"bench_record.py: {paired} is a paired --ab record; "
+            "--compare reads two sequential LABEL records\n"
+        )
 
 
 def test_bench_record_pairs_runs_and_sign_tests():

@@ -28,10 +28,13 @@ workload and metric, each side's median and q1-q3 (perfbench's
 quartiles), the number of pairs in which B was lower and in which it was
 higher, and the two-sided sign-test p-value of those counts.
 
-``--compare A B`` takes two record files, or two labels of records at the
-root, and prints every metric both records hold, per workload: each
-side's median and q1-q3 range, and ``B / A``, marked ``~`` when the two
-ranges overlap.  Only the standard library is used.
+``--compare A B`` takes two sequential records (the first form), as files
+or as labels of records at the root, names each as such, and prints
+every metric both records hold, per workload: each side's median and
+q1-q3 range, and ``B / A``, marked ``~`` when the two ranges overlap.  A
+paired ``--ab`` record holds no single pass to compare; ``--compare``
+exits 2 on one, and its own summary is printed when it is written.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -197,6 +200,11 @@ def load(name: str) -> dict:
     return json.loads((path if path.is_file() else ROOT / f"BENCH_{name}.json").read_text())
 
 
+def kind(doc: dict) -> str:
+    """What a record holds: one sequential pass per side, or pairs of runs."""
+    return "paired --ab record" if "pairs" in doc else "sequential LABEL record"
+
+
 def spread(w: dict, metric: str):
     """The (q1, q3) of a metric's passes, or None when the record has none."""
     q = w.get("quartiles", {}).get(metric)
@@ -207,7 +215,8 @@ def compare(a: dict, b: dict) -> list:
     """One line per (workload, metric) present in both records: each
     median with its q1-q3 range, and B/A, marked ``~`` when the two ranges
     overlap, since drift between runs then covers the difference."""
-    lines = [f"{'workload':16s} {'metric':12s} {a['label']:>12s} {'q1-q3':>17s} "
+    lines = [f"{side} = {doc['label']}: {kind(doc)}" for side, doc in (("A", a), ("B", b))]
+    lines += [f"{'workload':16s} {'metric':12s} {a['label']:>12s} {'q1-q3':>17s} "
              f"{b['label']:>12s} {'q1-q3':>17s}   B/A"]
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
@@ -246,7 +255,13 @@ def main(argv=None) -> int:
         print(path)
         return 0
     if args.compare:
-        print("\n".join(compare(*map(load, args.compare))))
+        docs = [load(name) for name in args.compare]
+        for name, doc in zip(args.compare, docs):
+            if "pairs" in doc:
+                print(f"bench_record.py: {name} is a {kind(doc)}; --compare reads two "
+                      f"sequential LABEL records", file=sys.stderr)
+                return 2
+        print("\n".join(compare(*docs)))
         return 0
     if not args.label:
         parser.error("a label or --compare is required")
