@@ -720,12 +720,6 @@ def from_values_reference(b, degree, values):
     return KerCochain(Cochain(b, degree + 1, flat))
 
 
-def _with_zeros(b, degree, values):
-    """values with the zero section on every increasing tuple it lacks."""
-    return {key: values.get(key, b.zero_section())
-            for key in combinations(range(b.rank), degree)}
-
-
 @pytest.mark.parametrize("name", BUILTINS)
 def test_from_values_scatter_matches_gather_reference(name):
     # the flat is scattered from the nonzero values, and a missing tuple
@@ -742,8 +736,9 @@ def test_from_values_scatter_matches_gather_reference(name):
         for sparse in (True, False):
             chosen = rng.sample(keys, min(3, len(keys))) if sparse else keys
             values = {key: random_section(rng, b, 1) for key in chosen}
+            dense = {key: values.get(key, b.zero_section()) for key in keys}
             assert KerCochain.from_values(b, degree, values) == from_values_reference(
-                b, degree, _with_zeros(b, degree, values)
+                b, degree, dense
             ), (degree, sparse)
 
 
