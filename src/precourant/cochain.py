@@ -35,7 +35,7 @@ from .algebroid import (
 from .bundle import CourantBundle, Section, anchor_apply, format_section, lower, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, contract, evaluate, vf_apply
-from .poly import Chart, Poly, add_into, format_poly, sort_sign
+from .poly import Chart, Poly, add_into, alternating_covector, format_poly, sort_sign
 from .reports import VerifyReport
 from .sampling import random_poly, random_section
 
@@ -124,28 +124,13 @@ class KerCochain:
             return self.bundle.zero_section()
         return s if sign > 0 else -s
 
-    def eval_section_first(self, s: Section, rest: Sequence[int]) -> Section:
-        """sum_i s_i phi(u_i, rest), by C-infinity-linearity in the first slot."""
-        out: Dict[int, Poly] = {}
-        for i, si in s.terms.items():
-            key, sign = sort_sign((i, *rest))
-            v = self.frame_values.get(key)
-            if v is not None:
-                f = si if sign > 0 else -si
-                for m, c in v.terms.items():
-                    add_into(out, m, f * c)
-        return Section.from_terms(self.bundle, out)
-
     def evaluate(self, sections: Sequence[Section]) -> Section:
-        """The section value on k general sections: the flat contracted
-        with each in turn, then raised."""
+        """The value on k sections: the flat's covector on them, raised once."""
         if len(sections) != self.degree:
             raise DegreeError(f"need {self.degree} sections, got {len(sections)}")
-        last = self.flat
-        for s in sections:
-            last = contract(s, last)
         b = self.bundle
-        return b.raise_covector([last.value_at((j,)) for j in range(b.rank)])
+        return b.raise_covector(alternating_covector(
+            b.chart, self.flat.terms, [s.terms for s in sections], b.rank))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KerCochain) and self.flat == other.flat
@@ -292,7 +277,7 @@ def partial_section_values(
     for rest in rests:
         for i, j, entry in entries:
             if i not in rest and j not in rest:
-                term = phi.eval_section_first(entry, rest)
+                term = phi.evaluate([entry, *map(b.frame, rest)])
                 if not term.is_zero():
                     big, st = _insert(rest, i, j)
                     add_into(out, big, -term if st % 2 else term)

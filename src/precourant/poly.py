@@ -35,7 +35,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add as _add
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ChartMismatchError
 
@@ -434,6 +434,76 @@ class BilinearOperator:
             if num:
                 result[k] = Poly._reduce(self.chart, num, den)
         return result
+
+    def cyclic_pairing(self, f: Mapping, g: Mapping, h: Mapping) -> Poly:
+        """sum_k apply(x, y)_k * z_k over the rotations (x, y, z) of (f, g, h), with
+        partials once per component, out_k only where z_k != 0, one dict, one den."""
+        zero, total = (0,) * self.chart.dim, {}
+        dens = [lcm(*(p.den for p in s.values())) for s in (f, g, h)]
+        jf, jg, jh = ({i: _jet(p, d // p.den, zero) for i, p in s.items()}
+                      for s, d in zip((f, g, h), dens))
+        for x, y, z in ((jf, jg, jh), (jg, jh, jf), (jh, jf, jg)):
+            out: Dict[int, Dict] = defaultdict(dict)
+            for i, xi in x.items():
+                for a, cols in self.rows.get(i, ()):
+                    fa = xi.get(a)
+                    for j, es in cols if fa else ():
+                        yj = y.get(j)
+                        for b, k, c in es if yj else ():
+                            if b in yj and k in z:
+                                _accumulate(out[k], c, fa, yj[b])
+            for k, acc in out.items():
+                _accumulate(total, ((None, 1),), acc, z[k][None])
+        num = {zero if e is None else e: v for e, v in total.items() if v}
+        return Poly._reduce(self.chart, num, self.den * dens[0] * dens[1] * dens[2])
+
+
+def _jet(p: Poly, scale: int, zero: Exponent) -> Dict:
+    """{a: `_partial(p, a, scale, zero)`} for a None and every a it is nonzero."""
+    jet: Dict = {None: _partial(p, None, scale, zero)}
+    for e, c in p.num.items():
+        for a, n in enumerate(e):
+            if n:
+                d = e[:a] + (n - 1,) + e[a + 1:]
+                jet.setdefault(a, {})[None if d == zero else d] = c * n * scale
+    return jet
+
+
+def _accumulate(acc: Dict, c, fa: Dict, gb: Dict) -> None:
+    """acc += c * fa * gb on numerators, c held as in `BilinearOperator`."""
+    get = acc.get
+    for ec, cc in c:
+        for ef, cf in fa.items():
+            if ec is not None:
+                ef = ec if ef is None else tuple(map(_add, ef, ec))
+            cf *= cc
+            for eg, cg in gb.items():
+                e = eg if ef is None else ef if eg is None else tuple(map(_add, ef, eg))
+                acc[e] = get(e, 0) + cf * cg
+
+
+def alternating_covector(chart: Chart, values: Mapping, vectors: Sequence, rank: int) -> List[Poly]:
+    """[a(s_1, ..., s_k, u_j) for j < rank], a the alternating form with these values on
+    increasing keys: each vector s_t, an index -> Poly map, fills in turn every slot it
+    has a component at, with the slot's sign; numerators are summed by the slots left."""
+    zero = (0,) * chart.dim
+    den = lcm(*(p.den for p in values.values()))
+    level = {key: _partial(v, None, den // v.den, zero) for key, v in values.items()}
+    for s in vectors if level else ():
+        sden = lcm(*(p.den for p in s.values()))
+        den *= sden
+        nxt: Dict[Tuple, Dict] = defaultdict(dict)
+        for key, prod in level.items():
+            for t, i in enumerate(key):
+                if i in s:
+                    _accumulate(nxt[key[:t] + key[t + 1:]], ((None, -1 if t % 2 else 1),),
+                                prod, _partial(s[i], None, sden // s[i].den, zero))
+        level = nxt
+    covector = [Poly.zero(chart)] * rank
+    for (j,), acc in level.items():
+        covector[j] = Poly._reduce(
+            chart, {zero if e is None else e: c for e, c in acc.items() if c}, den)
+    return covector
 
 
 def add_into(acc: Dict, key, p: Poly) -> None:

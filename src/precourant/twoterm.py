@@ -10,9 +10,9 @@ every Lie-flavor report.
 
 The theorem makes J tensorial, so both correctors read it from its frame
 flat <J(u_a, u_b, u_c), u_d> (`cochain.jacobiator_flat`, built once per
-algebroid), contracted with each section and raised; T applies the kernel
-K = `PreCourantAlgebroid.t_operator` to each cyclic pair of sections.  So l3
-of neither flavor takes a bracket, and the defect checks cross-check it.
+algebroid), contracted with all three sections at once and raised; T is one
+cyclic sum over the kernel K = `PreCourantAlgebroid.t_operator`.  So l3 of
+neither flavor takes a bracket, and the defect checks cross-check it.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ def t_scalar(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> P
     that is of sum_k K(e_a, e_b)_k (e_c)_k for the kernel K = `p.t_operator`."""
     if any(e.bundle != p.bundle for e in (e1, e2, e3)):
         raise RankMismatchError("sections not on this algebroid's bundle")
-    total = Poly.zero(p.chart)
-    for x, y, z in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-        for k, c in p.t_operator.apply(x.terms, y.terms).items():
-            if k in z.terms:
-                total = total + c * z.terms[k]
-    return total * Fraction(1, 6)
+    return p.t_operator.cyclic_pairing(e1.terms, e2.terms, e3.terms) * Fraction(1, 6)
 
 
 def jacobiator_tensor(

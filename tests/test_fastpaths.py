@@ -4,14 +4,16 @@ by contraction, the B-field map, the frame Jacobiator table, its
 ordered-triple memo and its three table-read brackets per frame triple,
 the pullback over anchored frames, D, the covariant derivative and the
 kernel-cochain flat scattered from nonzero frame data, the two-term l3 read from the
-Jacobiator flat, T read through its compiled kernel, the frame axioms read from the bracket table,
+Jacobiator flat, a kernel cochain contracted with all its sections at once, T as one
+cyclic sum over its compiled kernel, the frame axioms read from the bracket table,
 the cached frame-axiom and bundle verdicts, the structure-constant Lie
 checks, the sparse quadratic Lie algebra and double builders, the
 dissection built through the connection recipe and the builders' compiled
 twisted-action and fiber brackets, against the code they replaced:
 `dee_reference`, `bracket_reference`, `pairing_reference`,
-`raise_reference`, `t_scalar_reference`, `ker_value_reference`,
-`ker_eval_reference`, `cochain_evaluate_reference`,
+`raise_reference`, `t_scalar_reference`, `t_scalar_apply_reference`,
+`ker_value_reference`, `ker_eval_reference`, `ker_evaluate_contract_reference`,
+`eval_section_first_reference`, `cochain_evaluate_reference`,
 `bfield_sharp_reference`, `lie_checks_reference`,
 `quadratic_lie_table_reference`, `double_reference`,
 `dissection_table_reference`, `action_lie_bracket_reference`,
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from precourant import algebroid, bundle, cochain, construct, linalg, runner
+from precourant import algebroid, bundle, cochain, construct, exterior, linalg, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
     _anchor_defect,
@@ -71,7 +73,7 @@ from precourant.deform import apply_deformation, bfield_verify, twist_deformatio
 from precourant.exterior import KForm, contract, evaluate, vf_apply
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
-from precourant.poly import BilinearOperator, Chart, Poly, sort_sign
+from precourant.poly import BilinearOperator, Chart, Poly, alternating_covector, sort_sign
 from precourant.runner import build_context, run_manifest
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
 from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct, t_scalar
@@ -193,6 +195,17 @@ def t_scalar_reference(p, e1, e2, e3):
     return total * Fraction(1, 6)
 
 
+def t_scalar_apply_reference(p, e1, e2, e3):
+    """T as three `apply` calls of its kernel K, one per cyclic pair, each
+    component of K(x, y) multiplied with z's and summed as polynomials."""
+    total = Poly.zero(p.chart)
+    for x, y, z in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+        for k, c in p.t_operator.apply(x.terms, y.terms).items():
+            if k in z.terms:
+                total = total + c * z.terms[k]
+    return total * Fraction(1, 6)
+
+
 def ker_value_reference(phi, indices):
     """The section value through the flat, one covector entry at a time."""
     b = phi.bundle
@@ -205,6 +218,29 @@ def ker_eval_reference(phi, s, rest):
     b = phi.bundle
     inserted = contract(s, phi.flat)
     return b.raise_covector([inserted.value_at((*rest, j)) for j in range(b.rank)])
+
+
+def ker_evaluate_contract_reference(phi, sections):
+    """The section value on k general sections: the flat contracted with
+    each in turn, one intermediate cochain per section, then raised."""
+    last = phi.flat
+    for s in sections:
+        last = contract(s, last)
+    b = phi.bundle
+    return b.raise_covector([last.value_at((j,)) for j in range(b.rank)])
+
+
+def eval_section_first_reference(phi, s, rest):
+    """sum_i s_i phi(u_i, rest), read from the raised frame values."""
+    out = {}
+    for i, si in s.terms.items():
+        key, sign = sort_sign((i, *rest))
+        v = phi.frame_values.get(key)
+        if v is not None:
+            f = si if sign > 0 else -si
+            for m, c in v.terms.items():
+                out[m] = out[m] + f * c if m in out else f * c
+    return Section.from_terms(phi.bundle, out)
 
 
 def cochain_evaluate_reference(psi, sections):
@@ -600,11 +636,27 @@ def test_ker_cochain_values_match_reference(name):
         rests += [tuple(rng.randrange(b.rank) for _ in range(k - 1)) for _ in range(4)]
         for s in sections:
             for rest in rests:
-                assert phi.eval_section_first(s, rest) == ker_eval_reference(phi, s, rest)
+                expected = ker_eval_reference(phi, s, rest)
+                assert eval_section_first_reference(phi, s, rest) == expected
+                assert phi.evaluate([s, *map(b.frame, rest)]) == expected
+
+
+def _seeded_flats(b, rng):
+    """Flats of degree 2-4 with rational values on up to six seeded keys,
+    and the zero flat of each degree."""
+    for degree in range(2, min(b.rank, 4) + 1):
+        keys = list(combinations(range(b.rank), degree))
+        values = {key: random_poly(rng, b.chart, 2) * Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                  for key in rng.sample(keys, min(6, len(keys)))}
+        yield Cochain(b, degree, values)
+        yield Cochain.zero(b, degree)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_cochain_evaluation_matches_reference(name):
+    # a kernel cochain meets all its sections at once: its covector against
+    # the full expansion, and its value against the chain of contractions
+    # it replaced, on the builtins' cochains and on seeded flats
     m = load(name)
     ctx = build_context(m)
     b = ctx.bundle
@@ -612,23 +664,28 @@ def test_cochain_evaluation_matches_reference(name):
     sections = [random_section(rng, b, degree) for degree in (1, 2, 3, 4)]
 
     def argument_lists(n):
-        """Seeded, reversed, repeated and zero arguments, n of each."""
+        """Seeded, rational, reversed, repeated and zero arguments, n of each."""
         yield sections[:n]
+        yield [s.scale(Fraction(t + 2, 3)) for t, s in enumerate(sections[:n])]
         yield sections[::-1][:n]
         if n:
             yield [sections[1]] * n
             yield [b.zero_section()] + sections[1:n]
             yield sections[: n - 1] + [b.frame(b.rank - 1)]
 
-    for phi in _ker_cochains(m, ctx):
+    flats = list(_seeded_flats(b, random.Random(28)))
+    assert any(v.den > 1 for flat in flats for v in flat.terms.values())
+    for phi in _ker_cochains(m, ctx) + [KerCochain(flat) for flat in flats]:
         flat = phi.flat
         for args in argument_lists(flat.degree):
             assert evaluate(flat, args) == cochain_evaluate_reference(flat, args)
         for args in argument_lists(phi.degree):
-            expected = b.raise_covector(
-                [cochain_evaluate_reference(flat, [*args, b.frame(j)]) for j in range(b.rank)]
-            )
-            assert phi.evaluate(args) == expected
+            covector = [cochain_evaluate_reference(flat, [*args, b.frame(j)])
+                        for j in range(b.rank)]
+            terms = [s.terms for s in args]
+            assert alternating_covector(b.chart, flat.terms, terms, b.rank) == covector
+            assert phi.evaluate(args) == b.raise_covector(covector)
+            assert ker_evaluate_contract_reference(phi, args) == phi.evaluate(args)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -702,7 +759,7 @@ def partial_section_values_reference(p, phi):
                 entry = p.table[big[s]][big[t]]
                 if entry.is_zero():
                     continue
-                term = phi.eval_section_first(entry, rest)
+                term = eval_section_first_reference(phi, entry, rest)
                 if not term.is_zero():
                     total = total + (term if (s + t) % 2 == 0 else -term)
         out[big] = total
@@ -882,8 +939,9 @@ T_SCALAR_CASES = {
 
 @pytest.mark.parametrize("case", list(T_SCALAR_CASES))
 def test_t_scalar_matches_bracket_reference(case):
-    # T through its compiled kernel K, the lowered frame table and the
-    # first-order terms, against the three brackets it replaced
+    # T as one cyclic sum over its compiled kernel K, the lowered frame
+    # table and the first-order terms, against the three brackets and the
+    # three `apply` calls it replaced; it is invariant under rotation
     p = T_SCALAR_CASES[case]()
     if case == "fractional":
         assert p.t_operator.den > 1  # K over a common denominator
@@ -891,13 +949,48 @@ def test_t_scalar_matches_bracket_reference(case):
     rng = random.Random(27)
     x, y, z, w = (random_section(rng, b, degree) for degree in (1, 2, 3, 4))
     lie = build_lie2(p)
+    # a coefficient with den > 1 in every component, and a single term
+    q = x.scale(Fraction(2, 3)) + b.frame(b.rank - 1).scale(Fraction(-1, 5))
+    one = b.frame(b.rank // 2).scale(Poly.var(p.chart, 0) * Fraction(3, 7))
+    assert all(c.den > 1 for c in q.terms.values()) and len(one.terms) == 1
     triples = [
         (x, y, z), (w, z, x), (z, w, y),
         (lie.l2(x, y), z, x), (x, lie.l2(y, z), lie.l2(z, w)),  # bracket outputs
         (y, y, z), (x, z, x), (b.zero_section(), x, y), (b.frame(0), b.frame(b.rank - 1), x),
+        (q, y, z), (y, q, z), (y, z, q), (q, q, w),  # den > 1 in each slot in turn
+        (one, x, y), (x, one, one), (one, one, one),  # a single-term section
     ]
     for es in triples:
-        assert t_scalar(p, *es) == t_scalar_reference(p, *es), es
+        t = t_scalar(p, *es)
+        assert t == t_scalar_reference(p, *es) == t_scalar_apply_reference(p, *es), es
+        x1, x2, x3 = es
+        assert t == t_scalar(p, x2, x3, x1) == t_scalar(p, x3, x1, x2), es
+
+
+def test_t_scalar_and_ker_evaluate_reach_no_apply_or_contract(monkeypatch):
+    # T is one cyclic sum and a kernel cochain is contracted with all its
+    # sections at once, so neither calls `apply` nor builds a contracted
+    # cochain; the J-flat is built, by brackets, before the patch
+    cases = []
+    for name in BUILTINS:
+        m = load(name)
+        ctx = build_context(m)
+        p = ctx.algebroid
+        rng = random.Random(29)
+        es = [random_section(rng, p.bundle, 2) for _ in range(3)]
+        phis = _ker_cochains(m, ctx)
+        cases.append((p, es, t_scalar_reference(p, *es), phis,
+                      [ker_evaluate_contract_reference(phi, es[:phi.degree]) for phi in phis]))
+
+    def refuse(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(BilinearOperator, "apply", refuse)
+    monkeypatch.setattr(cochain, "contract", refuse)
+    monkeypatch.setattr(exterior, "contract", refuse)
+    for p, es, t, phis, values in cases:
+        assert t_scalar(p, *es) == t
+        assert [phi.evaluate(es[:phi.degree]) for phi in phis] == values
 
 
 def test_bfield_transforms_each_section_once(monkeypatch):

@@ -13,8 +13,9 @@ in one place, symmetric forms are checked in one place, results kept on an
 object are cached properties, D, the covariant derivative and a kernel
 cochain's flat scatter from nonzero frame data and only named checks scan
 every frame tuple, `tools/bench_record.py --compare` reads two sequential
-records, names them so and refuses a paired one, its `--ab` pairing and
-sign test hold on fixed numbers, and importing the CLI stays cheap."""
+records, names them so and refuses a paired or a missing one in one line,
+its `--ab` pairing and sign test hold on fixed numbers, and importing the
+CLI stays cheap."""
 
 import ast
 import importlib
@@ -319,7 +320,7 @@ def test_bracket_reaches_no_anchor_or_derivative_section():
                 )
     roots = {
         "bracket": {"bracket_operator", "bracket_families", "apply"},
-        "t_scalar": {"t_operator", "t_families", "apply"},
+        "t_scalar": {"t_operator", "t_families", "cyclic_pairing"},
     }
     for root, compiled in roots.items():
         seen, todo, calls = {root}, list(defs[root]), []
@@ -632,6 +633,18 @@ def test_bench_record_compares_two_records(tmp_path):
         assert proc.stderr == (
             f"bench_record.py: {paired} is a paired --ab record; "
             "--compare reads two sequential LABEL records\n"
+        )
+    # a label with no record at the root, on either side, is one line too
+    assert not (ROOT / "BENCH_99.json").exists()
+    for x, y in (("99", a), (a, "99")):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(x), str(y)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "bench_record.py: no record 99: neither a file nor BENCH_99.json "
+            "at the repository root\n"
         )
 
 

@@ -33,8 +33,9 @@ or as labels of records at the root, names each as such, and prints
 every metric both records hold, per workload: each side's median and
 q1-q3 range, and ``B / A``, marked ``~`` when the two ranges overlap.  A
 paired ``--ab`` record holds no single pass to compare; ``--compare``
-exits 2 on one, and its own summary is printed when it is written.  Only
-the standard library is used.
+exits 2 on one, and its own summary is printed when it is written.  A
+record that is neither a file nor at the root also exits 2, with one
+line.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -196,8 +197,16 @@ def ab_lines(doc: dict) -> list:
 
 
 def load(name: str) -> dict:
+    """A record given as a file or as the label of a record at the root; a
+    missing one ends the run with one line and exit status 2."""
     path = Path(name)
-    return json.loads((path if path.is_file() else ROOT / f"BENCH_{name}.json").read_text())
+    if not path.is_file():
+        path = ROOT / f"BENCH_{name}.json"
+    if not path.is_file():
+        print(f"bench_record.py: no record {name}: neither a file nor {path.name} "
+              f"at the repository root", file=sys.stderr)
+        raise SystemExit(2)
+    return json.loads(path.read_text())
 
 
 def kind(doc: dict) -> str:
