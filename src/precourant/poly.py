@@ -15,13 +15,17 @@ builds its results through `Poly._make` and `Poly._reduce`, which trust
 that what they are given is clean.  A product with a constant factor is a
 scaling, and one with a single-term factor shifts the other factor's
 exponents, which stay distinct; only a product of two longer polynomials
-accumulates colliding terms.
+accumulates colliding terms, in `_accumulate`, the one loop in this module
+that sums products of numerators.
 
 `PolyMap` carries the same sparse convention one level up: sections,
 vector fields, forms and cochains map their index keys to nonzero
 polynomials and share its arithmetic, equality and hash.
 `BilinearOperator` evaluates a bilinear operator of order at most one in
-each slot, such as the algebroid bracket, on numerators alone.
+each slot on numerators alone, as `apply` (the algebroid bracket) and as
+the cyclic pairing T: `_jets` takes each map's values and first partials
+in one pass, and `_products` multiplies them through `_accumulate`.
+`alternating_covector` sums through `_accumulate` too.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent vector, largest first).  Every serialization
@@ -182,13 +186,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.num)
-
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports 0."""
-        return max((sum(e) for e in self.num), default=0)
-
     # --- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
@@ -246,11 +243,7 @@ class Poly:
         if len(b) != 1:
             if len(a) != 1:
                 out: Dict[Exponent, int] = {}
-                get = out.get
-                for ea, ca in a.items():
-                    for eb, cb in b.items():
-                        exp = tuple(map(_add, ea, eb))
-                        out[exp] = get(exp, 0) + ca * cb
+                _accumulate(out, ((None, 1),), a, b)
                 return Poly._reduce(
                     p.chart, {e: c for e, c in out.items() if c}, p.den * q.den
                 )
@@ -346,13 +339,44 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def _partial(p: Poly, a, scale: int, zero: Exponent) -> Dict:
-    """The numerators of d_a p (p itself when a is None) times scale, with
-    the exponent `zero` held as None."""
-    items = p.num.items()
-    if a is not None:
-        items = [(e[:a] + (e[a] - 1,) + e[a + 1:], c * e[a]) for e, c in items if e[a]]
-    return {(None if e == zero else e): c * scale for e, c in items}
+def _numerators(p: Poly, scale: int, zero: Exponent) -> Dict:
+    """The numerators of p times scale, with the exponent `zero` held as None."""
+    return {(None if e == zero else e): c * scale for e, c in p.num.items()}
+
+
+def _jets(f: Mapping[int, Poly], zero: Exponent) -> Tuple[Dict, int]:
+    """({i: {a: numerators of d_a f_i}}, lcm(f dens)): a is None for f_i itself
+    and every coordinate whose partial is nonzero, the numerators over the lcm."""
+    den = lcm(*(p.den for p in f.values()))
+    jets = {}
+    for i, p in f.items():
+        scale = den // p.den
+        jet = jets[i] = {None: _numerators(p, scale, zero)}
+        for e, c in p.num.items():
+            for a, n in enumerate(e):
+                if n:
+                    d = e[:a] + (n - 1,) + e[a + 1:]
+                    jet.setdefault(a, {})[None if d == zero else d] = c * n * scale
+    return jets, den
+
+
+def _accumulate(acc: Dict, c, fa: Dict, gb: Dict) -> None:
+    """acc += c * fa * gb on numerators, c held as in `BilinearOperator`; a
+    None exponent is zero, so its product keeps the other exponent."""
+    get = acc.get
+    for ec, cc in c:
+        for ef, cf in fa.items():
+            if ec is not None:
+                ef = ec if ef is None else tuple(map(_add, ef, ec))
+            cf *= cc
+            for eg, cg in gb.items():
+                e = eg if ef is None else ef if eg is None else tuple(map(_add, ef, eg))
+                acc[e] = get(e, 0) + cf * cg
+
+
+def _poly(chart: Chart, acc: Dict, den: int, zero: Exponent) -> Poly:
+    """The Poly of the numerators `acc` over den, None read as `zero`."""
+    return Poly._reduce(chart, {zero if e is None else e: v for e, v in acc.items() if v}, den)
 
 
 class BilinearOperator:
@@ -389,97 +413,38 @@ class BilinearOperator:
             for i, row in rows.items()
         }
 
-    def apply(self, f: Mapping[int, Poly], g: Mapping[int, Poly]) -> Dict[int, Poly]:
-        """{k: out_k} for the nonzero out_k.  Each d_a f_i and d_b g_j is
-        taken once, as numerators over lcm(f dens) and lcm(g dens); terms
-        multiply as ints into one dict per k, reduced once at the end."""
-        fden = lcm(*(p.den for p in f.values()))
-        gden = lcm(*(p.den for p in g.values()))
-        # a product with the exponent zero (None) keeps the other exponent
-        zero = (0,) * self.chart.dim
-        gd: Dict[Tuple, Dict] = {}
+    def _products(self, x: Dict, y: Dict, keep=None) -> Dict[int, Dict]:
+        """{k: numerators of out_k} on the jets x and y of f and g, over
+        `den` times their dens; out_k is formed only for k in keep, if given."""
         out: Dict[int, Dict] = defaultdict(dict)
-        for i, fi in f.items():
+        for i, xi in x.items():
             for a, cols in self.rows.get(i, ()):
-                fa = None
-                for j, es in cols:
-                    gj = g.get(j)
-                    if gj is None:
-                        continue
-                    if fa is None:
-                        fa = _partial(fi, a, fden // fi.den, zero)
-                        if not fa:
-                            break
-                    for b, k, c in es:
-                        gb = gd.get((j, b))
-                        if gb is None:
-                            gb = gd[j, b] = _partial(gj, b, gden // gj.den, zero)
-                        if not gb:
-                            continue
-                        acc = out[k]
-                        get = acc.get
-                        for ec, cc in c:
-                            for ef, cf in fa.items():
-                                if ec is not None:
-                                    ef = ec if ef is None else tuple(map(_add, ef, ec))
-                                cf *= cc
-                                for eg, cg in gb.items():
-                                    e = (eg if ef is None else ef if eg is None
-                                         else tuple(map(_add, ef, eg)))
-                                    acc[e] = get(e, 0) + cf * cg
+                fa = xi.get(a)
+                for j, es in cols if fa else ():
+                    yj = y.get(j)
+                    for b, k, c in es if yj else ():
+                        if b in yj and (keep is None or k in keep):
+                            _accumulate(out[k], c, fa, yj[b])
+        return out
+
+    def apply(self, f: Mapping[int, Poly], g: Mapping[int, Poly]) -> Dict[int, Poly]:
+        """{k: out_k} for the nonzero out_k, each reduced once from the
+        products of the jets of f and g."""
+        zero = (0,) * self.chart.dim
+        (x, fden), (y, gden) = _jets(f, zero), _jets(g, zero)
         den = fden * gden * self.den
-        result = {}
-        for k, acc in out.items():
-            num = {zero if e is None else e: v for e, v in acc.items() if v}
-            if num:
-                result[k] = Poly._reduce(self.chart, num, den)
-        return result
+        return {k: p for k, acc in self._products(x, y).items()
+                if (p := _poly(self.chart, acc, den, zero)).num}
 
     def cyclic_pairing(self, f: Mapping, g: Mapping, h: Mapping) -> Poly:
-        """sum_k apply(x, y)_k * z_k over the rotations (x, y, z) of (f, g, h), with
-        partials once per component, out_k only where z_k != 0, one dict, one den."""
+        """sum_k apply(x, y)_k * z_k over the rotations (x, y, z) of (f, g, h), on
+        one jet per map, out_k only where z_k != 0, one dict, one den."""
         zero, total = (0,) * self.chart.dim, {}
-        dens = [lcm(*(p.den for p in s.values())) for s in (f, g, h)]
-        jf, jg, jh = ({i: _jet(p, d // p.den, zero) for i, p in s.items()}
-                      for s, d in zip((f, g, h), dens))
+        (jf, df), (jg, dg), (jh, dh) = (_jets(s, zero) for s in (f, g, h))
         for x, y, z in ((jf, jg, jh), (jg, jh, jf), (jh, jf, jg)):
-            out: Dict[int, Dict] = defaultdict(dict)
-            for i, xi in x.items():
-                for a, cols in self.rows.get(i, ()):
-                    fa = xi.get(a)
-                    for j, es in cols if fa else ():
-                        yj = y.get(j)
-                        for b, k, c in es if yj else ():
-                            if b in yj and k in z:
-                                _accumulate(out[k], c, fa, yj[b])
-            for k, acc in out.items():
+            for k, acc in self._products(x, y, z).items():
                 _accumulate(total, ((None, 1),), acc, z[k][None])
-        num = {zero if e is None else e: v for e, v in total.items() if v}
-        return Poly._reduce(self.chart, num, self.den * dens[0] * dens[1] * dens[2])
-
-
-def _jet(p: Poly, scale: int, zero: Exponent) -> Dict:
-    """{a: `_partial(p, a, scale, zero)`} for a None and every a it is nonzero."""
-    jet: Dict = {None: _partial(p, None, scale, zero)}
-    for e, c in p.num.items():
-        for a, n in enumerate(e):
-            if n:
-                d = e[:a] + (n - 1,) + e[a + 1:]
-                jet.setdefault(a, {})[None if d == zero else d] = c * n * scale
-    return jet
-
-
-def _accumulate(acc: Dict, c, fa: Dict, gb: Dict) -> None:
-    """acc += c * fa * gb on numerators, c held as in `BilinearOperator`."""
-    get = acc.get
-    for ec, cc in c:
-        for ef, cf in fa.items():
-            if ec is not None:
-                ef = ec if ef is None else tuple(map(_add, ef, ec))
-            cf *= cc
-            for eg, cg in gb.items():
-                e = eg if ef is None else ef if eg is None else tuple(map(_add, ef, eg))
-                acc[e] = get(e, 0) + cf * cg
+        return _poly(self.chart, total, self.den * df * dg * dh, zero)
 
 
 def alternating_covector(chart: Chart, values: Mapping, vectors: Sequence, rank: int) -> List[Poly]:
@@ -488,7 +453,7 @@ def alternating_covector(chart: Chart, values: Mapping, vectors: Sequence, rank:
     has a component at, with the slot's sign; numerators are summed by the slots left."""
     zero = (0,) * chart.dim
     den = lcm(*(p.den for p in values.values()))
-    level = {key: _partial(v, None, den // v.den, zero) for key, v in values.items()}
+    level = {key: _numerators(v, den // v.den, zero) for key, v in values.items()}
     for s in vectors if level else ():
         sden = lcm(*(p.den for p in s.values()))
         den *= sden
@@ -497,12 +462,11 @@ def alternating_covector(chart: Chart, values: Mapping, vectors: Sequence, rank:
             for t, i in enumerate(key):
                 if i in s:
                     _accumulate(nxt[key[:t] + key[t + 1:]], ((None, -1 if t % 2 else 1),),
-                                prod, _partial(s[i], None, sden // s[i].den, zero))
+                                prod, _numerators(s[i], sden // s[i].den, zero))
         level = nxt
     covector = [Poly.zero(chart)] * rank
     for (j,), acc in level.items():
-        covector[j] = Poly._reduce(
-            chart, {zero if e is None else e: c for e, c in acc.items() if c}, den)
+        covector[j] = _poly(chart, acc, den, zero)
     return covector
 
 

@@ -152,7 +152,7 @@ def bracket_reference(p, e1, e2):
     frames = reference_frames(b)
     dees = {}
     for i, fi in enumerate(e1.coeffs):
-        if not fi.is_zero() and not fi.is_constant():
+        if any(any(e) for e in fi.terms):
             dees[i] = dee_reference(b, fi)
     for j, gj in enumerate(e2.coeffs):
         if not gj.is_zero():
@@ -424,7 +424,7 @@ def test_bracket_over_a_common_denominator_matches_reference():
 
 
 def test_bilinear_operator_on_empty_maps_and_cancelling_sums(chart3):
-    x1 = Poly.var(chart3, 0)
+    x1, x2 = Poly.var(chart3, 0), Poly.var(chart3, 1)
     half = Fraction(1, 2)
     op = BilinearOperator(chart3, [
         (0, 0, None, None, 0, 1), (0, 0, 0, None, 0, -x1),
@@ -442,6 +442,25 @@ def test_bilinear_operator_on_empty_maps_and_cancelling_sums(chart3):
     assert op.apply({0: Poly.const(chart3, 3)}, {0: x1 * x1}) == {
         0: x1 * x1 * 3, 1: x1 * x1 * Fraction(-3, 2)
     }
+    # component 2 has no row, and d_1 of 3 and of x2 are zero: only the
+    # order-(0, 0) entries are left
+    assert op.apply({0: Poly.const(chart3, 3), 2: x1}, {0: x2, 2: x1}) == {0: x2 * 3, 1: x2 * half * 3}
+    assert op.apply({2: x1 * x2}, f) == {}
+    # denominators above 1 on both sides, against the entries written out
+    f0 = x1 * x1 * half + Poly.const(chart3, Fraction(1, 3))
+    g0 = x2 * Fraction(2, 5) + x1 * Fraction(1, 7)
+    expected = {0: f0 * g0 - x1 * f0.diff(0) * g0, 1: (f0 * g0 - x1 * f0 * g0.diff(0)) * half}
+    assert all(p.den > 1 for p in (f0, g0, *expected.values()))
+    assert op.apply({0: f0}, {0: g0}) == expected
+    h = {0: x2 * Fraction(3, 4), 1: x1 * Fraction(1, 6)}
+    rotations = ((f, {0: g0}, h), ({0: g0}, h, f), (h, f, {0: g0}))
+    assert op.cyclic_pairing(f, {0: g0}, h) == sum(
+        (v * z[k] for x, y, z in rotations for k, v in op.apply(x, y).items() if k in z),
+        Poly.zero(chart3),
+    )
+    # the pairing of empty maps, or with one map empty, is the zero Poly
+    assert op.cyclic_pairing({}, {}, {}) == Poly.zero(chart3)
+    assert op.cyclic_pairing(f, {}, f) == Poly.zero(chart3)
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ def test_arithmetic_exact(c):
     assert p == x1 * x1 - x2 * x2
     third = Poly.const(c, Fraction(1, 3))
     assert third * 3 == Poly.const(c, 1)
-    assert (x1 ** 5).total_degree() == 5
+    assert (x1 ** 5).terms == {(5, 0, 0): 1}
 
 
 def test_diff_and_eval(c):

@@ -8,6 +8,7 @@ recorded through `VerifyReport`, every module-level function and class has
 a caller in the package, the two-term l3 has one code path and reaches
 no bracket, neither the bracket nor T reaches an anchor map or D, the
 builders have one connection derivative and hold each input in one form,
+poly.py sums numerator products in one loop that the bracket and T share,
 J on frame triples is enumerated
 in one place, symmetric forms are checked in one place, results kept on an
 object are cached properties, D, the covariant derivative and a kernel
@@ -417,6 +418,33 @@ def _functions(tree):
             out.update((f"{node.name}.{f.name}", f) for f in node.body
                        if isinstance(f, ast.FunctionDef))
     return out
+
+
+def test_numerator_products_are_summed_in_one_loop():
+    # poly.py adds products of numerators into a dict in `_accumulate` alone,
+    # and the bracket's `apply` and T's `cyclic_pairing` both reach it
+    # through the one walk over the operator's rows, `_products`
+    functions = _functions(ast.parse((ROOT / "src" / "precourant" / "poly.py").read_text()))
+
+    def adds_a_product(node):
+        # d[e] = ... + a * b, or d[e] += a * b
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AugAssign):
+            targets, value = [node.target], ast.BinOp(node.target, node.op, node.value)
+        else:
+            return False
+        return (any(isinstance(t, ast.Subscript) for t in targets)
+                and isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)
+                and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                        for n in ast.walk(value)))
+
+    summing = {name for name, func in functions.items() if any(map(adds_a_product, ast.walk(func)))}
+    assert summing == {"_accumulate"}
+    for name in ("BilinearOperator.apply", "BilinearOperator.cyclic_pairing", "BilinearOperator._products"):
+        callees = {ast.unparse(node.func).split(".")[-1]
+                   for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+        assert ("_accumulate" if name.endswith("_products") else "_products") in callees, name
 
 
 def test_cobound_d_walks_no_frame_tuples():
