@@ -444,7 +444,9 @@ def test_bilinear_operator_on_empty_maps_and_cancelling_sums(chart3):
     }
     # component 2 has no row, and d_1 of 3 and of x2 are zero: only the
     # order-(0, 0) entries are left
-    assert op.apply({0: Poly.const(chart3, 3), 2: x1}, {0: x2, 2: x1}) == {0: x2 * 3, 1: x2 * half * 3}
+    assert op.apply({0: Poly.const(chart3, 3), 2: x1}, {0: x2, 2: x1}) == {
+        0: x2 * 3, 1: x2 * half * 3
+    }
     assert op.apply({2: x1 * x2}, f) == {}
     # denominators above 1 on both sides, against the entries written out
     f0 = x1 * x1 * half + Poly.const(chart3, Fraction(1, 3))

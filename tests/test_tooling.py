@@ -441,10 +441,11 @@ def test_numerator_products_are_summed_in_one_loop():
 
     summing = {name for name, func in functions.items() if any(map(adds_a_product, ast.walk(func)))}
     assert summing == {"_accumulate"}
-    for name in ("BilinearOperator.apply", "BilinearOperator.cyclic_pairing", "BilinearOperator._products"):
+    for name in ("apply", "cyclic_pairing", "_products"):
         callees = {ast.unparse(node.func).split(".")[-1]
-                   for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
-        assert ("_accumulate" if name.endswith("_products") else "_products") in callees, name
+                   for node in ast.walk(functions[f"BilinearOperator.{name}"])
+                   if isinstance(node, ast.Call)}
+        assert ("_accumulate" if name == "_products" else "_products") in callees, name
 
 
 def test_cobound_d_walks_no_frame_tuples():
