@@ -50,7 +50,8 @@ class PreCourantAlgebroid:
     as numerators over one denominator (see `bracket_families`).  So is
     `t_operator`, the kernel K of the cyclic pairing scalar T (`t_families`).
     `bracket` memoises its results in `bracket_memo` by the value of its
-    arguments, `jacobiator` J on ordered frame triples in `jmemo` and
+    arguments, `jacobiator` J on ordered frame triples in `jmemo`,
+    `frame_jacobiators` J on the increasing ones in `jframes` and
     `cochain.jacobiator_flat` the flat of J in `jflat`; these and the
     cached properties live exactly as long as the algebroid.
     """
@@ -89,6 +90,13 @@ class PreCourantAlgebroid:
     def t_operator(self) -> BilinearOperator:
         """The kernel K of `twoterm.t_scalar`, entries from `t_families`."""
         return BilinearOperator(self.chart, chain(*t_families(self)))
+
+    @cached_property
+    def jframes(self) -> Dict[Tuple[int, int, int], Section]:
+        """J on every increasing frame triple, keyed in `combinations` order
+        and read through `jacobiator`; `frame_jacobiators` returns it."""
+        u = self.bundle.frames()
+        return {t: jacobiator(self, *(u[i] for i in t)) for t in combinations(range(self.rank), 3)}
 
     @property
     def chart(self):
@@ -146,13 +154,13 @@ def zero_table(bundle: CourantBundle) -> List[List[Section]]:
 def bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:
     """The unique Leibniz extension of the frame table, memoised in p."""
     b = p.bundle
-    if e1.bundle != b or e2.bundle != b:
+    if (e1.space is not b and e1.space != b) or (e2.space is not b and e2.space != b):
         raise RankMismatchError("sections not on this algebroid's bundle")
     key = (e1, e2)
     out = p.bracket_memo.get(key)
     if out is not None:
         return out
-    out = Section.from_terms(b, p.bracket_operator.apply(e1.terms, e2.terms))
+    out = Section.from_terms(b, p.bracket_operator.apply(e1, e2))
     p.bracket_memo[key] = out
     return out
 
@@ -183,11 +191,10 @@ def jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) ->
 
 
 def frame_jacobiators(p: PreCourantAlgebroid) -> Dict[Tuple[int, int, int], Section]:
-    """J on every increasing frame triple, keyed in `combinations` order and
-    read through `jacobiator`; J is C-infinity-multilinear, so these values
-    determine it."""
-    u = p.bundle.frames()
-    return {t: jacobiator(p, *(u[i] for i in t)) for t in combinations(range(p.rank), 3)}
+    """J on every increasing frame triple, the dict `p.jframes` built once per
+    algebroid, which no caller changes; J is C-infinity-multilinear, so
+    these values determine it."""
+    return p.jframes
 
 
 def skew_bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:

@@ -36,6 +36,7 @@ class Section(PolyMap):
         self.space = bundle
         self.terms = {i: c for i, c in enumerate(cs) if not c.is_zero()}
         self._hash = None
+        self._jet = None
 
     @property
     def bundle(self) -> "CourantBundle":

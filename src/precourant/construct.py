@@ -347,7 +347,7 @@ def make_twisted_action(
 
 def _bilinear(op: BilinearOperator, e1: Section, e2: Section) -> Section:
     """The section op(e1, e2) of a compiled frame-table operator."""
-    return Section.from_terms(e1.bundle, op.apply(e1.terms, e2.terms))
+    return Section.from_terms(e1.bundle, op.apply(e1, e2))
 
 
 def validate_twisted_action(ta: TwistedAction) -> VerifyReport:

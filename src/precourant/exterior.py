@@ -39,6 +39,7 @@ class VectorField(PolyMap):
         self.space = chart
         self.terms = {i: c for i, c in enumerate(cs) if not c.is_zero()}
         self._hash = None
+        self._jet = None
 
     @property
     def chart(self) -> Chart:
@@ -109,6 +110,7 @@ class KForm(PolyMap):
                 clean[idx] = p
         self.terms = clean
         self._hash = None
+        self._jet = None
 
     @property
     def base(self):

@@ -23,8 +23,9 @@ vector fields, forms and cochains map their index keys to nonzero
 polynomials and share its arithmetic, equality and hash.
 `BilinearOperator` evaluates a bilinear operator of order at most one in
 each slot on numerators alone, as `apply` (the algebroid bracket) and as
-the cyclic pairing T: `_jets` takes each map's values and first partials
-in one pass, and `_products` multiplies them through `_accumulate`.
+the cyclic pairing T, on `PolyMap`s: `_jets` takes a map's values and
+first partials in one pass, once per map, since the map keeps them (as
+it keeps its hash), and `_products` multiplies them through `_accumulate`.
 `alternating_covector` sums through `_accumulate` too.
 
 Monomials are ordered graded-lexicographically (total degree first, then
@@ -243,7 +244,7 @@ class Poly:
         if len(b) != 1:
             if len(a) != 1:
                 out: Dict[Exponent, int] = {}
-                _accumulate(out, ((None, 1),), a, b)
+                _accumulate(out, ((None, 1),), a.items(), b.items())
                 return Poly._reduce(
                     p.chart, {e: c for e, c in out.items() if c}, p.den * q.den
                 )
@@ -340,36 +341,44 @@ class Poly:
 
 
 def _numerators(p: Poly, scale: int, zero: Exponent) -> Dict:
-    """The numerators of p times scale, with the exponent `zero` held as None."""
+    """The numerators of p times scale, with the exponent `zero` held as None:
+    `p.num` itself, which no caller changes, when that leaves it as it is."""
+    if scale == 1 and zero not in p.num:
+        return p.num
     return {(None if e == zero else e): c * scale for e, c in p.num.items()}
 
 
-def _jets(f: Mapping[int, Poly], zero: Exponent) -> Tuple[Dict, int]:
-    """({i: {a: numerators of d_a f_i}}, lcm(f dens)): a is None for f_i itself
-    and every coordinate whose partial is nonzero, the numerators over the lcm."""
+def _jets(f: Mapping[int, Poly]) -> Tuple[Dict, int]:
+    """({i: jet of f_i}, lcm(f dens)).  The jet of f_i is indexed by slot, 0
+    for f_i itself and m + 1 for d f_i / dx_m, and each slot holds the
+    (exponent, numerator) pairs over the lcm, () for a zero partial.  Pairs,
+    not dicts, since most partials have a term or two and a map keeps its
+    jets.  `PolyMap.jets` alone calls it, and keeps what it returns."""
     den = lcm(*(p.den for p in f.values()))
     jets = {}
     for i, p in f.items():
-        scale = den // p.den
-        jet = jets[i] = {None: _numerators(p, scale, zero)}
+        scale, zero = den // p.den, (0,) * p.chart.dim
+        partials = [[] for _ in zero]
         for e, c in p.num.items():
             for a, n in enumerate(e):
                 if n:
                     d = e[:a] + (n - 1,) + e[a + 1:]
-                    jet.setdefault(a, {})[None if d == zero else d] = c * n * scale
+                    partials[a].append((None if d == zero else d, c * n * scale))
+        jets[i] = (_numerators(p, scale, zero).items(), *map(tuple, partials))
     return jets, den
 
 
-def _accumulate(acc: Dict, c, fa: Dict, gb: Dict) -> None:
-    """acc += c * fa * gb on numerators, c held as in `BilinearOperator`; a
-    None exponent is zero, so its product keeps the other exponent."""
+def _accumulate(acc: Dict, c, fa, gb) -> None:
+    """acc += c * fa * gb on numerators, each factor given by its (exponent,
+    numerator) pairs; a None exponent is zero, so its product keeps the
+    other exponent."""
     get = acc.get
     for ec, cc in c:
-        for ef, cf in fa.items():
+        for ef, cf in fa:
             if ec is not None:
                 ef = ec if ef is None else tuple(map(_add, ef, ec))
             cf *= cc
-            for eg, cg in gb.items():
+            for eg, cg in gb:
                 e = eg if ef is None else ef if eg is None else tuple(map(_add, ef, eg))
                 acc[e] = get(e, 0) + cf * cg
 
@@ -389,7 +398,8 @@ class BilinearOperator:
     for d/dx_m, and c is a Poly or a rational.  Each nonzero c is held as
     its (exponent, numerator) pairs over the one denominator `den`, with
     None for the constant exponent.  `rows[i]` groups the entries of row i
-    as (a, ((j, ((b, k, c), ...)), ...)) tuples.
+    as (a, ((j, ((b, k, c), ...)), ...)) tuples, with a and b as the jet
+    slots of `_jets`: 0 for None and m + 1 for m.
     """
 
     __slots__ = ("chart", "den", "rows")
@@ -407,6 +417,7 @@ class BilinearOperator:
         for i, j, a, b, k, c in held:
             s = self.den // c.den
             c = tuple((e if any(e) else None, v * s) for e, v in c.num.items())
+            a, b = 0 if a is None else a + 1, 0 if b is None else b + 1
             rows.setdefault(i, {}).setdefault(a, {}).setdefault(j, []).append((b, k, c))
         self.rows = {
             i: tuple((a, tuple((j, tuple(es)) for j, es in cols.items())) for a, cols in row.items())
@@ -419,31 +430,36 @@ class BilinearOperator:
         out: Dict[int, Dict] = defaultdict(dict)
         for i, xi in x.items():
             for a, cols in self.rows.get(i, ()):
-                fa = xi.get(a)
+                fa = xi[a]
                 for j, es in cols if fa else ():
                     yj = y.get(j)
                     for b, k, c in es if yj else ():
-                        if b in yj and (keep is None or k in keep):
-                            _accumulate(out[k], c, fa, yj[b])
+                        if (gb := yj[b]) and (keep is None or k in keep):
+                            _accumulate(out[k], c, fa, gb)
         return out
 
-    def apply(self, f: Mapping[int, Poly], g: Mapping[int, Poly]) -> Dict[int, Poly]:
+    def apply(self, f: "PolyMap", g: "PolyMap") -> Dict[int, Poly]:
         """{k: out_k} for the nonzero out_k, each reduced once from the
-        products of the jets of f and g."""
+        products of the held jets of f and g; {} at once if either is empty."""
+        if not (f.terms and g.terms):
+            return {}
         zero = (0,) * self.chart.dim
-        (x, fden), (y, gden) = _jets(f, zero), _jets(g, zero)
+        (x, fden), (y, gden) = f.jets(), g.jets()
         den = fden * gden * self.den
         return {k: p for k, acc in self._products(x, y).items()
                 if (p := _poly(self.chart, acc, den, zero)).num}
 
-    def cyclic_pairing(self, f: Mapping, g: Mapping, h: Mapping) -> Poly:
+    def cyclic_pairing(self, f: "PolyMap", g: "PolyMap", h: "PolyMap") -> Poly:
         """sum_k apply(x, y)_k * z_k over the rotations (x, y, z) of (f, g, h), on
-        one jet per map, out_k only where z_k != 0, one dict, one den."""
+        the held jets, out_k only where z_k != 0, one dict, one den; zero at
+        once if a map is empty, since every rotation multiplies all three."""
+        if not (f.terms and g.terms and h.terms):
+            return Poly.zero(self.chart)
         zero, total = (0,) * self.chart.dim, {}
-        (jf, df), (jg, dg), (jh, dh) = (_jets(s, zero) for s in (f, g, h))
+        (jf, df), (jg, dg), (jh, dh) = f.jets(), g.jets(), h.jets()
         for x, y, z in ((jf, jg, jh), (jg, jh, jf), (jh, jf, jg)):
             for k, acc in self._products(x, y, z).items():
-                _accumulate(total, ((None, 1),), acc, z[k][None])
+                _accumulate(total, ((None, 1),), acc.items(), z[k][0])
         return _poly(self.chart, total, self.den * df * dg * dh, zero)
 
 
@@ -462,7 +478,7 @@ def alternating_covector(chart: Chart, values: Mapping, vectors: Sequence, rank:
             for t, i in enumerate(key):
                 if i in s:
                     _accumulate(nxt[key[:t] + key[t + 1:]], ((None, -1 if t % 2 else 1),),
-                                prod, _numerators(s[i], sden // s[i].den, zero))
+                                prod.items(), _numerators(s[i], sden // s[i].den, zero).items())
         level = nxt
     covector = [Poly.zero(chart)] * rank
     for (j,), acc in level.items():
@@ -512,11 +528,12 @@ class PolyMap:
     with a degree) and `terms` maps each key to its nonzero Poly value;
     a key with value zero is absent.  Immutable.  Subclasses validate
     their public constructors and name their mismatch error in
-    `_mismatch`; the arithmetic, equality and the hash, computed on first
-    use and kept, are defined here once.
+    `_mismatch`; the arithmetic, equality and the hash are defined here
+    once.  The hash and the jets that `BilinearOperator` reads are computed
+    on first use and kept, so they live exactly as long as the map.
     """
 
-    __slots__ = ("space", "terms", "_hash")
+    __slots__ = ("space", "terms", "_hash", "_jet")
 
     @classmethod
     def from_terms(cls, space, terms: Mapping) -> "PolyMap":
@@ -526,6 +543,7 @@ class PolyMap:
         out.space = space
         out.terms = {k: p for k, p in terms.items() if p.num}
         out._hash = None
+        out._jet = None
         return out
 
     def is_zero(self) -> bool:
@@ -581,6 +599,13 @@ class PolyMap:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
+
+    def jets(self) -> Tuple[Dict, int]:
+        """The values and first partials of `terms` as numerators over one
+        den (see `_jets`), taken on first use and kept."""
+        if self._jet is None:
+            self._jet = _jets(self.terms)
+        return self._jet
 
 
 def format_scalar(c: Scalar) -> str:

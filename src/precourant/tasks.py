@@ -126,10 +126,15 @@ def _deform(c: BuildContext) -> VerifyReport:
     combined = VerifyReport("deform")
     combined.merge(valid, prefix="valid/")
     if valid.ok:
-        combined.merge(verify_deformation_identity(p, omega, *_sampling(c)), prefix="identity/")
-        target = build_leibniz2(apply_deformation(p, omega))
+        # omega is validated once, and the deformed structure built once
+        deformed = apply_deformation(p, omega)
         combined.merge(
-            verify_morphism(build_leibniz2(p), target, omega, *_sampling(c)), prefix="morphism/"
+            verify_deformation_identity(p, omega, *_sampling(c), deformed=deformed),
+            prefix="identity/",
+        )
+        combined.merge(
+            verify_morphism(build_leibniz2(p), build_leibniz2(deformed), omega, *_sampling(c)),
+            prefix="morphism/",
         )
     return combined
 

@@ -38,9 +38,10 @@ DEGREE1_DOMAIN_NOTE = (
 def t_scalar(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) -> Poly:
     """T = (1/6) sum over cyclic (a, b, c) of <skew_bracket(e_a, e_b), e_c>,
     that is of sum_k K(e_a, e_b)_k (e_c)_k for the kernel K = `p.t_operator`."""
-    if any(e.bundle != p.bundle for e in (e1, e2, e3)):
+    b = p.bundle
+    if any(e.space is not b and e.space != b for e in (e1, e2, e3)):
         raise RankMismatchError("sections not on this algebroid's bundle")
-    return p.t_operator.cyclic_pairing(e1.terms, e2.terms, e3.terms) * Fraction(1, 6)
+    return p.t_operator.cyclic_pairing(e1, e2, e3) * Fraction(1, 6)
 
 
 def jacobiator_tensor(

@@ -1,9 +1,11 @@
 """Deformations, B-fields, obstruction forms, naive cohomology, quotient."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from precourant import deform, tasks
 from precourant.bundle import pairing, rho_star
 from precourant.cochain import Cochain, KerCochain, pullback_form
 from precourant.construct import DissectionData, from_dissection
@@ -21,9 +23,12 @@ from precourant.deform import (
     validate_deformation,
     verify_deformation_identity,
 )
+from precourant.cli import resolve_manifest
 from precourant.exterior import KForm, ext_d, format_kform
+from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly
+from precourant.runner import run_manifest
 from precourant.sampling import random_form
 
 
@@ -78,6 +83,33 @@ def test_deformation_identity_standard_twist(courant3, std3, chart3):
     report = verify_deformation_identity(courant3, omega, trials=4, seed=0)
     assert report.ok
     assert any("vanishes" in n for n in report.notes)
+
+
+def test_deform_task_validates_and_deforms_once(monkeypatch, courant3, std3, chart3):
+    # the deform task validates omega once and builds the deformed structure
+    # once, for the identity and the morphism both; the identity given that
+    # structure reports as it does when it validates and builds its own
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("validate_deformation", "apply_deformation"):
+        wrapper = counted(name, getattr(deform, name))
+        for module in (deform, tasks):
+            monkeypatch.setattr(module, name, wrapper)
+    m = parse_manifest(resolve_manifest("standard_r3").read_text(), name="standard_r3")
+    m.trials = 2
+    assert run_manifest(m, tasks=["deform"]).ok
+    assert calls == {"validate_deformation": 1, "apply_deformation": 1}
+    omega = twist_deformation(std3, parse_form(chart3, "x1*dx(1,2,3)"))
+    shared = verify_deformation_identity(
+        courant3, omega, trials=2, seed=3, deformed=apply_deformation(courant3, omega)
+    )
+    assert shared.lines() == verify_deformation_identity(courant3, omega, trials=2, seed=3).lines()
 
 
 def _rank5_dissection():

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from precourant import algebroid, bundle, cochain, construct, exterior, linalg, runner
+from precourant import algebroid, bundle, cochain, construct, exterior, linalg, poly, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
     _anchor_defect,
@@ -73,7 +73,14 @@ from precourant.deform import apply_deformation, bfield_verify, twist_deformatio
 from precourant.exterior import KForm, contract, evaluate, vf_apply
 from precourant.manifest import parse_manifest
 from precourant.parsing import parse_form
-from precourant.poly import BilinearOperator, Chart, Poly, alternating_covector, sort_sign
+from precourant.poly import (
+    BilinearOperator,
+    Chart,
+    Poly,
+    PolyMap,
+    alternating_covector,
+    sort_sign,
+)
 from precourant.runner import build_context, run_manifest
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
 from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct, t_scalar
@@ -200,7 +207,7 @@ def t_scalar_apply_reference(p, e1, e2, e3):
     component of K(x, y) multiplied with z's and summed as polynomials."""
     total = Poly.zero(p.chart)
     for x, y, z in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-        for k, c in p.t_operator.apply(x.terms, y.terms).items():
+        for k, c in p.t_operator.apply(x, y).items():
             if k in z.terms:
                 total = total + c * z.terms[k]
     return total * Fraction(1, 6)
@@ -433,36 +440,40 @@ def test_bilinear_operator_on_empty_maps_and_cancelling_sums(chart3):
     ])
     assert op.den == 2
     assert op.rows.keys() == {0}  # zero coefficients are dropped
+
+    def pm(terms):
+        return PolyMap.from_terms(chart3, terms)
+
     f = {0: x1, 1: x1 * x1}
-    assert op.apply({}, {}) == {}
-    assert op.apply(f, {}) == {} and op.apply({}, f) == {}
+    assert op.apply(pm({}), pm({})) == {}
+    assert op.apply(pm(f), pm({})) == {} and op.apply(pm({}), pm(f)) == {}
     # x1 * x1 - x1 * d_1 x1 * x1 and x1^2 / 2 - x1 * x1 * d_1 x1 / 2 cancel
-    assert op.apply(f, f) == {}
+    assert op.apply(pm(f), pm(f)) == {}
     # 3 * x1^2, and 3 * x1^2 / 2 - 3 * d_1(x1^2) * x1 / 2
-    assert op.apply({0: Poly.const(chart3, 3)}, {0: x1 * x1}) == {
+    assert op.apply(pm({0: Poly.const(chart3, 3)}), pm({0: x1 * x1})) == {
         0: x1 * x1 * 3, 1: x1 * x1 * Fraction(-3, 2)
     }
     # component 2 has no row, and d_1 of 3 and of x2 are zero: only the
     # order-(0, 0) entries are left
-    assert op.apply({0: Poly.const(chart3, 3), 2: x1}, {0: x2, 2: x1}) == {
+    assert op.apply(pm({0: Poly.const(chart3, 3), 2: x1}), pm({0: x2, 2: x1})) == {
         0: x2 * 3, 1: x2 * half * 3
     }
-    assert op.apply({2: x1 * x2}, f) == {}
+    assert op.apply(pm({2: x1 * x2}), pm(f)) == {}
     # denominators above 1 on both sides, against the entries written out
     f0 = x1 * x1 * half + Poly.const(chart3, Fraction(1, 3))
     g0 = x2 * Fraction(2, 5) + x1 * Fraction(1, 7)
     expected = {0: f0 * g0 - x1 * f0.diff(0) * g0, 1: (f0 * g0 - x1 * f0 * g0.diff(0)) * half}
     assert all(p.den > 1 for p in (f0, g0, *expected.values()))
-    assert op.apply({0: f0}, {0: g0}) == expected
+    assert op.apply(pm({0: f0}), pm({0: g0})) == expected
     h = {0: x2 * Fraction(3, 4), 1: x1 * Fraction(1, 6)}
     rotations = ((f, {0: g0}, h), ({0: g0}, h, f), (h, f, {0: g0}))
-    assert op.cyclic_pairing(f, {0: g0}, h) == sum(
-        (v * z[k] for x, y, z in rotations for k, v in op.apply(x, y).items() if k in z),
+    assert op.cyclic_pairing(pm(f), pm({0: g0}), pm(h)) == sum(
+        (v * z[k] for x, y, z in rotations for k, v in op.apply(pm(x), pm(y)).items() if k in z),
         Poly.zero(chart3),
     )
     # the pairing of empty maps, or with one map empty, is the zero Poly
-    assert op.cyclic_pairing({}, {}, {}) == Poly.zero(chart3)
-    assert op.cyclic_pairing(f, {}, f) == Poly.zero(chart3)
+    assert op.cyclic_pairing(pm({}), pm({}), pm({})) == Poly.zero(chart3)
+    assert op.cyclic_pairing(pm(f), pm({}), pm(f)) == Poly.zero(chart3)
 
 
 @pytest.mark.parametrize(
@@ -988,6 +999,57 @@ def test_t_scalar_matches_bracket_reference(case):
         assert t == t_scalar(p, x2, x3, x1) == t_scalar(p, x3, x1, x2), es
 
 
+@pytest.mark.parametrize("case", list(T_SCALAR_CASES))
+def test_bracket_and_t_on_held_jets_match_the_oracles(case):
+    # a map takes its jets on first use and keeps them: the bracket operator
+    # and T read the held jets of the same objects again, and the jets of a
+    # value-equal but distinct object, and agree with the oracles both times
+    p = T_SCALAR_CASES[case]()
+    b, op = p.bundle, p.bracket_operator
+    rng = random.Random(36)
+    x, y = random_section(rng, b, 2), random_section(rng, b, 3)
+    q = x.scale(Fraction(2, 3)) + b.frame(0).scale(Fraction(-1, 5))
+    twin = Section(b, q.coeffs)
+    assert twin == q and twin is not q and any(c.den > 1 for c in q.terms.values())
+    sections = [x, y, q, twin, b.frame(b.rank - 1)]
+    for _ in range(2):  # the jets are taken on the first pass and read on the second
+        for e1, e2 in product(sections, repeat=2):
+            assert Section.from_terms(b, op.apply(e1, e2)) == bracket_reference(p, e1, e2)
+        for es in ((x, y, q), (twin, q, y), (q, twin, twin)):
+            assert t_scalar(p, *es) == t_scalar_reference(p, *es), es
+            assert t_scalar(p, *es) == t_scalar_apply_reference(p, *es), es
+    assert all(s.jets() is s.jets() for s in sections)
+    assert twin.jets() == q.jets() and twin.jets() is not q.jets()
+    # an empty map on either side returns at once, before the other map's
+    # jets are taken
+    zero, fresh = b.zero_section(), Section(b, y.coeffs)
+    assert op.apply(zero, fresh) == {} == op.apply(fresh, zero)
+    assert bracket(p, zero, fresh).is_zero() and bracket(p, fresh, zero).is_zero()
+    rotations = ((zero, fresh, fresh), (fresh, zero, fresh), (fresh, fresh, zero))
+    assert all(t_scalar(p, *es) == Poly.zero(p.chart) for es in rotations)
+    assert fresh._jet is None
+    assert all(t_scalar_reference(p, *es) == Poly.zero(p.chart) for es in rotations)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_each_map_takes_its_jets_once(monkeypatch, name):
+    # a full run of a builtin takes the jets of each map at most once: the
+    # terms dict of each map is its own, and every one passed is kept
+    # alive here, so no id is reused
+    taken, jets = [], poly._jets
+
+    def counted(f):
+        taken.append(f)
+        return jets(f)
+
+    monkeypatch.setattr(poly, "_jets", counted)
+    m = load(name)
+    m.trials = 2
+    run_manifest(m)
+    assert taken
+    assert len({id(f) for f in taken}) == len(taken)
+
+
 def test_t_scalar_and_ker_evaluate_reach_no_apply_or_contract(monkeypatch):
     # T is one cyclic sum and a kernel cochain is contracted with all its
     # sections at once, so neither calls `apply` nor builds a contracted
@@ -1086,8 +1148,8 @@ def test_frame_jacobiators_match_direct_evaluation(std4, chart4):
         # a fresh algebroid, so no memo is shared with the table
         q, u = p.with_table(p.table), p.bundle.frames()
         assert table == {idx: jacobiator(q, *(u[i] for i in idx)) for idx in table}
-        # a second call reads the same values and evaluates nothing again
-        assert all(a is b for a, b in zip(frame_jacobiators(p).values(), table.values()))
+        # a second call returns the dict held on the algebroid
+        assert frame_jacobiators(p) is table
         nonzero.append(any(not v.is_zero() for v in table.values()))
     assert nonzero[-2:] == [True, True]
 

@@ -9,7 +9,7 @@ a caller in the package, the two-term l3 has one code path and reaches
 no bracket, neither the bracket nor T reaches an anchor map or D, the
 builders have one connection derivative and hold each input in one form,
 poly.py sums numerator products in one loop that the bracket and T share,
-J on frame triples is enumerated
+on the jets each map takes once and keeps, J on frame triples is enumerated
 in one place, symmetric forms are checked in one place, results kept on an
 object are cached properties, D, the covariant derivative and a kernel
 cochain's flat scatter from nonzero frame data and only named checks scan
@@ -448,6 +448,44 @@ def test_numerator_products_are_summed_in_one_loop():
         assert ("_accumulate" if name == "_products" else "_products") in callees, name
 
 
+def test_jets_are_taken_once_per_map():
+    # `_jets` runs only in `PolyMap.jets`, which keeps what it returns in the
+    # map's `_jet` slot, so every PolyMap constructor that clears the kept
+    # hash clears the kept jets too
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "precourant").glob("*.py"))}
+    classes = {"PolyMap"}
+    grown = True
+    while grown:
+        found = {node.name for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)
+                 and any(ast.unparse(base) in classes for base in node.bases)}
+        grown = not found <= classes
+        classes |= found
+    callers, constructors, unset = set(), set(), []
+    for name, tree in trees.items():
+        for qualified, func in _functions(tree).items():
+            callers |= {f"{name}: {qualified}" for node in ast.walk(func)
+                        if isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1] == "_jets"}
+            if qualified.split(".")[0] not in classes:
+                continue
+            cleared = {(ast.unparse(t.value), t.attr) for node in ast.walk(func)
+                       if isinstance(node, ast.Assign) and ast.unparse(node.value) == "None"
+                       for t in node.targets if isinstance(t, ast.Attribute)}
+            for obj, attr in cleared:
+                if attr == "_hash":
+                    constructors.add(f"{name}: {qualified}")
+                    if (obj, "_jet") not in cleared:
+                        unset.append(f"{name}: {qualified}")
+    assert callers == {"poly.py: PolyMap.jets"}
+    assert constructors == {
+        "bundle.py: Section.__init__", "exterior.py: VectorField.__init__",
+        "exterior.py: KForm.__init__", "poly.py: PolyMap.from_terms",
+    }
+    assert unset == []
+
+
 def test_cobound_d_walks_no_frame_tuples():
     # D psi, partial phi and a kernel cochain's flat are scattered from
     # nonzero frame data, so none of them enumerates frame tuples at all
@@ -599,9 +637,11 @@ def test_kept_results_are_cached_properties():
         # `jacobiator_flat` is a benchmark tracer target, and algebroid.py,
         # which owns the algebroid, cannot import Cochain
         "cochain.py: jacobiator_flat: p.jflat",
-        # the hashes of the two hot value types, which are slotted
+        # the hashes of the two hot value types, which are slotted, and the
+        # jets a map keeps for the bilinear operators
         "poly.py: Poly.__hash__: self._hash",
         "poly.py: PolyMap.__hash__: self._hash",
+        "poly.py: PolyMap.jets: self._jet",
     ]
 
 
