@@ -6,7 +6,7 @@ coefficient is a Fraction and every result goes through the validating
 constructor.  They are the oracle for the current kernel, which stores int
 numerators over one common denominator, computes in ints only and builds
 arithmetic results through its trusted constructors; its `terms` view must
-equal the reference's terms.  sympy, when installed, is a second, optional
+equal the reference's terms.  sympy, a test dependency, is a second
 oracle.
 """
 
@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
 
 import pytest
+import sympy
 
 from precourant.algebroid import PreCourantAlgebroid, bracket, zero_table
 from precourant.bundle import Section, standard_bundle
@@ -348,8 +349,6 @@ def test_constructors_match_reference():
 
 
 def test_sympy_cross_check():
-    sympy = pytest.importorskip("sympy")
-
     def to_sympy(p, gens):
         terms = {e: sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
                  for e, c in p.terms.items()}

@@ -15,8 +15,9 @@ object are cached properties, D, the covariant derivative and a kernel
 cochain's flat scatter from nonzero frame data and only named checks scan
 every frame tuple, `tools/bench_record.py --compare` reads two sequential
 records, names them so and refuses a paired or a missing one in one line,
-its `--ab` pairing and sign test hold on fixed numbers, and importing the
-CLI stays cheap."""
+its `--ab` pairing and sign test hold on fixed numbers and its summary
+names the pairs that ran under outside load, the test model imports no
+precourant module, and importing the CLI stays cheap."""
 
 import ast
 import importlib
@@ -717,12 +718,26 @@ def test_bench_record_compares_two_records(tmp_path):
         )
 
 
+def test_model_imports_no_precourant_module():
+    # tests/model.py is an oracle only while it shares no code with what it
+    # checks: it imports sympy and neither the package nor a test module
+    tree = ast.parse((ROOT / "tests" / "model.py").read_text())
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module or "." for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert "sympy" in imported
+    assert [m for m in imported if m.startswith(("precourant", "test_", "conftest", "."))] == []
+
+
+def _bench_record_module():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_record_pairs_runs_and_sign_tests():
     # the --ab summary on fixed numbers; no benchmark is started
-    path = ROOT / "tools" / "bench_record.py"
-    spec = importlib.util.spec_from_file_location("bench_record", path)
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
+    bench_record = _bench_record_module()
     a = [float(x) for x in range(1, 11)]
     b = [x / 2 for x in a]
     b[3], b[6] = 5.0, 7.0  # one pair where B is higher, one tie
@@ -734,3 +749,24 @@ def test_bench_record_pairs_runs_and_sign_tests():
     assert bench_record.sign_test(10, 0) == bench_record.sign_test(0, 10) == 2 / 1024
     assert bench_record.sign_test(9, 1) == 22 / 1024
     assert bench_record.sign_test(5, 5) == bench_record.sign_test(0, 0) == 1.0
+
+
+def test_bench_record_names_loaded_pairs():
+    # a fabricated --ab record: the pairs whose load reading is at least 1
+    # above the median reading of the record are named, the rest are not,
+    # and a record from before the readings names none
+    bench_record = _bench_record_module()
+    summary = {"task_s": bench_record.pair_summary([0.25] * 3, [0.2] * 3)}
+
+    def lines(loads):
+        return bench_record.ab_lines({"summary": {w: summary for w in loads}, "pairs": {
+            w: [{"first": "a", **load} for load in runs] for w, runs in loads.items()}})
+
+    loads = {"frame-suite": [0.25, 1.75, 0.5, 0.5], "two-term": [0.75, 2.75, 1.625, 0.5]}
+    # the median of the eight readings is 0.625, so 1.625 is named and 0.75 is not
+    assert lines({w: [{"load": x} for x in runs] for w, runs in loads.items()})[3:] == [
+        "loaded pair: frame-suite 2, load 1.75 against a median of 0.62",
+        "loaded pair: two-term 2, load 2.75 against a median of 0.62",
+        "loaded pair: two-term 3, load 1.62 against a median of 0.62",
+    ]
+    assert len(lines({"frame-suite": [{}, {}]})) == 2

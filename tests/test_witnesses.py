@@ -9,7 +9,8 @@ and vanishing checks, the B-field transformation on an anchor that is not
 isotropic and the seeded batteries (two-term conditions, among
 them an ungated `lie2` run on a broken table, derived identities,
 Jacobiator theorem, the morphism equations) report on broken input,
-a kept Jacobiator flat that is not J's among it, the dissection
+a kept Jacobiator flat that is not J's among it, the quotient Jacobi
+identity with J in the kernel's orthogonal, a B-field that moves J, the dissection
 Pontryagin comparison on a table moved off its form and the comparison of
 J-flat with the pullback of dh: which case fails first and how both sides
 print.  The deformation identity is pinned passing, since a valid omega
@@ -47,6 +48,7 @@ from precourant.deform import (
     bfield_verify,
     pontryagin_representative,
     pontryagin_vanishing_check,
+    quotient_jacobi_check,
     twist_deformation,
     validate_deformation,
     verify_deformation_identity,
@@ -823,12 +825,56 @@ def test_bfield_report_on_a_non_isotropic_anchor():
     ]
 
 
+def _builtin(name):
+    return build_context(parse_manifest(resolve_manifest(name).read_text(), name=name))
+
+
+def _builtin_with_entry(name, i, j, k):
+    """The builtin's context, and its algebroid with x1 u_(k+1) added to the
+    table entry u_(i+1) o u_(j+1)."""
+    ctx = _builtin(name)
+    p, b = ctx.algebroid, ctx.bundle
+    table = [list(row) for row in p.table]
+    table[i][j] = table[i][j] + b.frame(k).scale(Poly.var(b.chart, 0))
+    return ctx, p.with_table(table)
+
+
+def test_quotient_jacobi_report_with_j_in_the_orthogonal():
+    # twisted_r4 with x1 u2 added to u2 o u2: J still pairs to zero with the
+    # kernel generators, so the precondition holds, but the skew bracket's
+    # cyclic defect on a seeded triple does not
+    ctx, p = _builtin_with_entry("twisted_r4", 1, 1, 1)
+    complement, lift = ([ctx.bundle.section(c) for c in ctx.manifest.blocks[k]]
+                        for k in ("complement", "lift"))
+    assert quotient_jacobi_check(p, complement, lift, trials=1, seed=0).lines() == [
+        "[FAIL] quotient jacobi identity",
+        "  ok   lift-is-right-inverse",
+        "  ok   jacobiator-in-orthogonal",
+        "  FAIL jacobi-mod-orthogonal  witness: defect pairs with a kernel generator: "
+        "2*x1*x3*x4 + 2*x1*x4",
+    ]
+
+
+def test_bfield_report_on_a_jacobiator_the_transform_moves():
+    # standard_r3 with x1 u2 added to u2 o u3, so that J(u1, u2, u3) = u2;
+    # beta = x1 x3 dx1^dx2 is not closed, and the deformed structure's J
+    # differs on that triple
+    ctx, p = _builtin_with_entry("standard_r3", 1, 2, 1)
+    beta = parse_form(ctx.bundle.chart, "x1*x3*dx(1,2)")
+    assert bfield_verify(p, beta, trials=2, seed=0, max_degree=1).lines() == [
+        "[FAIL] b-field transformation",
+        "  FAIL conjugation  witness: (0, 1, 0, 0, 0, 0) | (0, 0, 1, 0, 0, 0)",
+        "  ok   metric-preserved",
+        "  ok   anchor-preserved",
+        "  FAIL jacobiator-invariant  witness: frames (1, 2, 3)",
+        "  note: d beta != 0: bracket deformed by the pullback of d beta",
+    ]
+
+
 def _twisted_r4_with_mutant_flat():
     """twisted_r4 with one entry of its Jacobiator flat moved off J:
     <J(u1, u2, u3), u4> kept as 0 instead of -1."""
-    p = build_context(
-        parse_manifest(resolve_manifest("twisted_r4").read_text(), name="twisted_r4")
-    ).algebroid
+    p = _builtin("twisted_r4").algebroid
     flat = jacobiator_flat(p)
     zero = Poly.zero(p.bundle.chart)
     assert flat.value_at((0, 1, 2, 3)) == Poly.const(p.bundle.chart, -1)
@@ -857,9 +903,7 @@ def test_pontryagin_kernel_slot_mutant_report():
     # twisted_r4 with dx1 o d2 = x1 dx2 (and its negative transposed): the
     # lift stays a right inverse, but the cotangent frame kappa_5 = u5 no
     # longer kills J, so H is not well defined and d-h-zero never runs
-    ctx = build_context(
-        parse_manifest(resolve_manifest("twisted_r4").read_text(), name="twisted_r4")
-    )
+    ctx = _builtin("twisted_r4")
     p, b = ctx.algebroid, ctx.bundle
     table = [list(row) for row in p.table]
     x1 = Poly.var(b.chart, 0)
@@ -917,17 +961,11 @@ def test_jacobiator_theorem_without_precheck_report(case):
     ]
 
 
-def _dissection_rank2():
-    return build_context(
-        parse_manifest(resolve_manifest("dissection_rank2").read_text(), name="dissection_rank2")
-    )
-
-
 def test_jacobiator_theorem_reports_on_a_mutant_flat():
     # dissection_rank2 with <J(u1, u2, u3), u5> kept as x4 instead of 0: the
     # skew and kernel checks read J itself and pass, while partial J and
     # D(J-flat) are taken from the kept flat and fail on its first tuple
-    p = _dissection_rank2().algebroid
+    p = _builtin("dissection_rank2").algebroid
     flat = jacobiator_flat(p)
     raised = flat.value_at((0, 1, 2, 4)) + Poly.var(p.bundle.chart, 3)
     p.jflat = Cochain(p.bundle, 4, {**flat.terms, (0, 1, 2, 4): raised})
@@ -950,7 +988,7 @@ def test_dissection_pontryagin_reports_a_table_off_the_form():
     # dissection_rank2 with u1 o u2 moved by u3 (and u2 o u1 by -u3): the
     # flatness conditions read the dissection data and still hold, while
     # J-flat, taken from the table, leaves the pulled-back form
-    ctx = _dissection_rank2()
+    ctx = _builtin("dissection_rank2")
     p, b = ctx.algebroid, ctx.bundle
     table = [list(row) for row in p.table]
     table[0][1], table[1][0] = table[0][1] + b.frame(2), table[1][0] - b.frame(2)
@@ -976,9 +1014,7 @@ def _standard_r4():
 def test_pontryagin_vanishing_reports_the_first_differing_quadruple():
     # twisted_r4 has J-flat = -1 on (1, 2, 3, 4); a 3-form whose pullback
     # differs there fails on it, whether both sides are nonzero or only one
-    p = build_context(
-        parse_manifest(resolve_manifest("twisted_r4").read_text(), name="twisted_r4")
-    ).algebroid
+    p = _builtin("twisted_r4").algebroid
     c = p.bundle.chart
     assert pontryagin_vanishing_check(p, parse_form(c, "x3*dx(1,2,4)")).lines() == [
         "[FAIL] pontryagin vanishing",

@@ -23,10 +23,14 @@ directories whose names have equal length, since the setup time and peak
 memory move with the length of the path.  Then, for ``--rounds`` rounds
 (10 by default), it runs each workload once on each side, back to back,
 with A first and B first in turn.  ``BENCH_<a>_vs_<b>.json``, named by
-the short shas, holds both shas, every pair's result lines and, per
+the short shas, holds both shas, every pair's result lines and the
+one-minute load average of the host when the pair started, and, per
 workload and metric, each side's median and q1-q3 (perfbench's
 quartiles), the number of pairs in which B was lower and in which it was
-higher, and the two-sided sign-test p-value of those counts.
+higher, and the two-sided sign-test p-value of those counts.  Its
+summary names each pair whose load reading is at least 1 above the
+median reading of the record, since load from outside the pair distorts
+both of its runs.
 
 ``--compare A B`` takes two sequential records (the first form), as files
 or as labels of records at the root, names each as such, and prints
@@ -152,7 +156,7 @@ def ab(rev_a: str, rev_b: str, rounds: int) -> Path:
         for n in range(rounds):
             for index, w in enumerate(workloads):
                 order = (0, 1) if (n + index) % 2 == 0 else (1, 0)
-                pair = {}
+                pair = {"load": os.getloadavg()[0]}
                 for side in order:
                     pair["ab"[side]] = run_workload(sides[side], w, env)["result"]
                 pairs[w].append({"first": "ab"[order[0]], **pair})
@@ -183,7 +187,9 @@ def ab(rev_a: str, rev_b: str, rounds: int) -> Path:
 def ab_lines(doc: dict) -> list:
     """One line per (workload, metric) of an --ab record: each side's
     median and q1-q3, B/A of the medians, the pairs in which B was lower
-    and the sign-test p-value."""
+    and the sign-test p-value; then one line per pair, numbered from 1 in
+    its workload, whose load reading is at least 1 above the median
+    reading.  A record from before the readings has no such line."""
     lines = [f"{'workload':16s} {'metric':12s} {'A':>10s} {'q1-q3':>17s} "
              f"{'B':>10s} {'q1-q3':>17s}   B/A  B lower  sign p"]
     for workload, metrics in doc["summary"].items():
@@ -193,6 +199,13 @@ def ab_lines(doc: dict) -> list:
             lines.append(f"{workload:16s} {metric:12s} {a:10.4f} {f'{a1:.4f}-{a3:.4f}':>17s} "
                          f"{b:10.4f} {f'{b1:.4f}-{b3:.4f}':>17s}  {ratio:>5s}  "
                          f"{s['b_lower']:>3d}/{s['pairs']:<3d}  {s['sign_p']:.4f}")
+    loads = [p["load"] for runs in doc["pairs"].values() for p in runs if "load" in p]
+    median = statistics.median(loads) if loads else math.inf
+    for workload, runs in doc["pairs"].items():
+        for n, p in enumerate(runs, 1):
+            if p.get("load", -math.inf) >= median + 1:
+                lines.append(f"loaded pair: {workload} {n}, load {p['load']:.2f} "
+                             f"against a median of {median:.2f}")
     return lines
 
 
