@@ -239,8 +239,6 @@ def test_frame_triples_hit_the_memo(monkeypatch, std4, chart4):
     # three brackets for each of the five triples, the inner ones read from
     # the table, all on distinct pairs; the repeated triple is read from jmemo
     assert len(p.bracket_memo) == len(calls) == 15
-    m = Model(p)
-    assert m.section(jacobiator(p, *frames[:3])) == m.jacobiator(*m.frames[:3])
 
 
 def test_derived_algebroids_do_not_share_the_memo(std4, chart4):
@@ -418,7 +416,8 @@ def test_t_scalar_and_ker_evaluate_reach_no_apply_or_contract(monkeypatch):
     for name in BUILTINS:
         p = _case(name)[0]
         rng = random.Random(29)
-        cases.append((p, [random_section(rng, p.bundle, 2) for _ in range(3)], _ker_cochains(p, name)))
+        es = [random_section(rng, p.bundle, 2) for _ in range(3)]
+        cases.append((p, es, _ker_cochains(p, name)))
 
     def refuse(*args):
         raise AssertionError("reached")

@@ -118,7 +118,8 @@ def _case(case):
     """The structure, its model and a section converter, kept per case and
     shared by the tests that read them; none of them changes them."""
     p = CASES[case]()
-    return p, (m := Model(p)), cache(m.section)
+    m = Model(p)
+    return p, m, cache(m.section)
 
 
 def model_sections(b):
@@ -140,10 +141,10 @@ def model_sections(b):
     ]
 
 
-def _triples(b, p, outputs=True):
+def _triples(p, outputs=True):
     """Seeded, kernel, repeated, zero and den > 1 triples, and with
     `outputs` two that hold brackets, as the coherence checks feed them."""
-    x, y, f0, last, zero, const, one, df, k, sparse, q = model_sections(b)
+    x, y, f0, last, zero, const, one, df, k, sparse, q = model_sections(p.bundle)
     out = [(x, y, sparse), (k, x, y), (y, k, df), (y, y, sparse), (x, sparse, x), (k, k, k),
            (zero, x, y), (f0, last, x), (q, y, one), (y, q, sparse), (one, one, one), (x, one, one)]
     if outputs:
@@ -164,7 +165,7 @@ def _bracket(p, m, s, case):
 def _jacobiator(p, m, s, case):
     b = p.bundle
     u = b.frames()
-    for es in _triples(b, p, outputs=False):
+    for es in _triples(p, outputs=False):
         yield es, s(jacobiator(p, *es)), m.jacobiator(*map(s, es))
     # seeded ordered frame triples, repeated frames included, kept in jmemo
     rng = random.Random(35)
@@ -173,7 +174,7 @@ def _jacobiator(p, m, s, case):
 
 
 def _t_scalar(p, m, s, case):
-    for es in _triples(p.bundle, p):
+    for es in _triples(p):
         expected = m.t_scalar(*map(s, es))
         x1, x2, x3 = es
         for rotated in (es, (x2, x3, x1), (x3, x1, x2)):  # T is invariant under rotation
@@ -188,7 +189,7 @@ def _two_term(p, m, s, case):
     for alg in (build_leibniz2(p), build_lie2(p)):
         for e1, e2 in product(sections[:3], sections[8:]):
             yield (alg.flavor, e1, e2), s(alg.l2(e1, e2)), m.l2(alg.flavor, s(e1), s(e2))
-        for es in _triples(b, p):
+        for es in _triples(p):
             expected = m.l3(alg.flavor, *map(s, es))
             yield (alg.flavor, *es), s(alg.l3(*es)), expected
             if alg.flavor == "lie":
@@ -198,7 +199,8 @@ def _two_term(p, m, s, case):
 def _dee(p, m, s, case):
     c, rng = p.chart, random.Random(11)
     functions = [Poly.var(c, i) for i in range(c.dim)] + [Poly.zero(c), Poly.const(c, 5)]
-    functions += [Poly.var(c, 0) * Fraction(2, 3)] + [random_poly(rng, c, 4, 3) for _ in range(4)]
+    functions += [Poly.var(c, 0) * Fraction(2, 3)]
+    functions += [random_poly(rng, c, 4, max_terms=3) for _ in range(4)]
     for f in functions:
         yield f, s(dee(p.bundle, f)), m.dee(m.poly(f))
 
@@ -249,8 +251,9 @@ def _ker_cochains(p, case):
     out = [KerCochain(jacobiator_flat(p))] + [
         KerCochain(pullback_form(b, random_form(rng, b.chart, degree, 2, max_components=3)))
         for degree in range(1, min(b.chart.dim, 3) + 1)]
-    if "deform" in load(case).blocks:
-        out.append(twist_deformation(b, load(case).blocks["deform"]))
+    blocks = load(case).blocks
+    if "deform" in blocks:
+        out.append(twist_deformation(b, blocks["deform"]))
     rng = random.Random(28)
     for degree in range(2, min(b.rank, 4) + 1):
         keys = list(combinations(range(b.rank), degree))

@@ -728,16 +728,12 @@ def test_model_imports_no_precourant_module():
     assert [m for m in imported if m.startswith(("precourant", "test_", "conftest", "."))] == []
 
 
-def _bench_record_module():
-    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_record_pairs_runs_and_sign_tests():
     # the --ab summary on fixed numbers; no benchmark is started
-    bench_record = _bench_record_module()
+    path = ROOT / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
     a = [float(x) for x in range(1, 11)]
     b = [x / 2 for x in a]
     b[3], b[6] = 5.0, 7.0  # one pair where B is higher, one tie
@@ -749,14 +745,10 @@ def test_bench_record_pairs_runs_and_sign_tests():
     assert bench_record.sign_test(10, 0) == bench_record.sign_test(0, 10) == 2 / 1024
     assert bench_record.sign_test(9, 1) == 22 / 1024
     assert bench_record.sign_test(5, 5) == bench_record.sign_test(0, 0) == 1.0
-
-
-def test_bench_record_names_loaded_pairs():
     # a fabricated --ab record: the pairs whose load reading is at least 1
     # above the median reading of the record are named, the rest are not,
     # and a record from before the readings names none
-    bench_record = _bench_record_module()
-    summary = {"task_s": bench_record.pair_summary([0.25] * 3, [0.2] * 3)}
+    summary = {"task_s": bench_record.pair_summary(a, b)}
 
     def lines(loads):
         return bench_record.ab_lines({"summary": {w: summary for w in loads}, "pairs": {

@@ -200,12 +200,11 @@ def ab_lines(doc: dict) -> list:
                          f"{b:10.4f} {f'{b1:.4f}-{b3:.4f}':>17s}  {ratio:>5s}  "
                          f"{s['b_lower']:>3d}/{s['pairs']:<3d}  {s['sign_p']:.4f}")
     loads = [p["load"] for runs in doc["pairs"].values() for p in runs if "load" in p]
-    median = statistics.median(loads) if loads else math.inf
-    for workload, runs in doc["pairs"].items():
-        for n, p in enumerate(runs, 1):
-            if p.get("load", -math.inf) >= median + 1:
-                lines.append(f"loaded pair: {workload} {n}, load {p['load']:.2f} "
-                             f"against a median of {median:.2f}")
+    if loads:
+        median = statistics.median(loads)
+        lines += [f"loaded pair: {w} {n}, load {p['load']:.2f} against a median of {median:.2f}"
+                  for w, runs in doc["pairs"].items() for n, p in enumerate(runs, 1)
+                  if p.get("load", median) >= median + 1]
     return lines
 
 
