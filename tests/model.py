@@ -233,9 +233,9 @@ class Model:
         p_i - (1/6) c_abc xi^a xi^b xi^c, c_abc = <u_a o u_b, u_c>, with
         {xi^a, xi^b} = g^ab, and the xi^4 part of {Theta, Theta} is a fixed
         multiple of rho_[a c_bcd] - g^ef c_[ab|e| c_cd]f.  With c totally
-        skew, as axioms (ii) and (iii) on frames make it, that is A - B on an
-        increasing (a, b, c, d): A the alternating sum of rho_a c_bcd and
-        B = <t_ab, t_cd> - <t_ac, t_bd> + <t_ad, t_bc> on the table t: J-flat."""
+        skew, as axioms (ii) and (iii) on frames make it, J-flat is A - B on
+        an increasing (a, b, c, d): A the alternating sum of rho_a c_bcd and
+        B = <t_ab, t_cd> - <t_ac, t_bd> + <t_ad, t_bc> on the table t."""
         t, u = self.table, self.frames
 
         def c(a, b, d):
