@@ -20,8 +20,7 @@ also read from Roytenberg's structure function, without a bracket.
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, permutations, product
-from math import factorial, prod
+from itertools import combinations, permutations
 from operator import mul
 
 from sympy import QQ, Matrix
@@ -33,14 +32,11 @@ def _rational(c):
     return QQ(q.numerator, q.denominator)
 
 
-def _sign(indices):
-    """The sign of the permutation that sorts distinct indices."""
-    return -1 if sum(a > b for a, b in combinations(indices, 2)) % 2 else 1
-
-
 @cache
 def _signed_permutations(n):
-    return [(p, _sign(p)) for p in permutations(range(n))]
+    """Each permutation of range(n), with its sign from its inversions."""
+    return [(p, -1 if sum(a > b for a, b in combinations(p, 2)) % 2 else 1)
+            for p in permutations(range(n))]
 
 
 class Model:
@@ -149,24 +145,16 @@ class Model:
 
     def evaluate(self, values, vectors):
         """The alternating form with `values` on increasing index tuples, on
-        the vectors: the sum over the keys K of values[K] det(v_t[K_r]), or
-        over one nonzero component picked from each vector, whichever has
-        fewer terms."""
+        the vectors: the sum over the keys K of values[K] det(v_t[K_r])."""
         total = self.zero
-        supports = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
-        if prod(map(len, supports)) > len(values) * factorial(len(vectors)):
-            for key, value in values.items():
-                for perm, sign in _signed_permutations(len(key)):
-                    factors = [v[key[r]] for v, r in zip(vectors, perm)]
-                    if all(factors):
-                        total += reduce(mul, factors, value if sign > 0 else -value)
-            return total
-        for picks in product(*supports):
-            indices = [i for i, _ in picks]
-            key = tuple(sorted(indices))
-            if key in values:
-                term = reduce(mul, (c for _, c in picks), values[key])
-                total += term if _sign(indices) > 0 else -term
+        supports = [{i for i, c in enumerate(v) if c} for v in vectors]
+        for key, value in values.items():
+            if not all(map(set(key).intersection, supports)):
+                continue  # a vector is zero on K, so is the determinant
+            for perm, sign in _signed_permutations(len(key)):
+                factors = [v[key[r]] for v, r in zip(vectors, perm)]
+                if all(factors):
+                    total += reduce(mul, factors, value if sign > 0 else -value)
         return total
 
     def pullback(self, alpha, degree):

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from model import Model
 from precourant import algebroid, bundle, cochain, construct, exterior, linalg, poly, runner
 from precourant.algebroid import (
     PreCourantAlgebroid,
@@ -44,7 +43,7 @@ from precourant.twoterm import t_scalar
 from test_builders import _dissection as _builders_dissection
 from test_construct import _flat_dissection, _so3_dissection
 from test_deform import _rank5_dissection, _so3_curved_dissection
-from test_model import BRACKET_CASES, BUILTINS, CASES, _case, _ker_cochains, load, model_sections
+from test_model import BRACKET_CASES, BUILTINS, CASES, _ker_cochains, build, load, model_sections
 from test_witnesses import _dissection_line, _dissection_so3_plane, _dissection_x4
 
 
@@ -134,7 +133,7 @@ def _test_dissections():
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_frames_and_anchors_match_the_model(name):
-    p, m, s = _case(name)
+    p, m, s = build(name)
     b = p.bundle
     assert [s(f) for f in b.frames()] == [s(b.frame(i)) for i in range(b.rank)] == m.frames
     assert b.frames() is not b.frames()  # a fresh list each time
@@ -204,7 +203,7 @@ def test_every_bracket_family_counts(kind, family):
     # the model sees each family: without it the bracket differs from the
     # model on `model_sections`, or T on consecutive triples of them
     for name in BUILTINS:
-        p, m, s = _case(name)
+        p, m, s = build(name)
         families = (algebroid.bracket_families(p.bundle, p.table) if kind == "bracket"
                     else algebroid.t_families(p))
         q = PreCourantAlgebroid(p.bundle, p.table)
@@ -346,7 +345,7 @@ def test_validation_reports_are_copies():
 @pytest.mark.parametrize("k", range(4))
 def test_pullback_evaluates_only_anchored_frame_tuples(monkeypatch, k):
     # standard_r3 anchors its three tangent frames and not its cotangent ones
-    p, m, _ = _case("standard_r3")
+    p, m, _ = build("standard_r3")
     b = p.bundle
     calls = []
     monkeypatch.setattr(cochain, "evaluate", lambda a, vs: calls.append(vs) or evaluate(a, vs))
@@ -360,8 +359,8 @@ def test_bracket_and_t_on_held_jets_match_the_model(case):
     # a map takes its jets on first use and keeps them: the bracket operator
     # and T read the held jets of the same objects again, and the jets of a
     # value-equal but distinct object, and agree with the model both times
-    p = CASES[case]()
-    b, op, m = p.bundle, p.bracket_operator, Model(p)
+    p, m, _ = build(case)
+    b, op = p.bundle, p.bracket_operator
     if case == "fractional":  # both kernels over a common denominator
         assert op.den > 1 and p.t_operator.den > 1
     rng = random.Random(36)
@@ -414,7 +413,7 @@ def test_t_scalar_and_ker_evaluate_reach_no_apply_or_contract(monkeypatch):
     # by brackets, before the patch
     cases = []
     for name in BUILTINS:
-        p = _case(name)[0]
+        p = CASES[name]()
         rng = random.Random(29)
         es = [random_section(rng, p.bundle, 2) for _ in range(3)]
         cases.append((p, es, _ker_cochains(p, name)))
@@ -917,7 +916,8 @@ def test_every_defect_family_counts(family):
 
 def test_fiber_operator_matches_reference():
     for dd in _test_dissections():
-        sections = model_sections(dd.bundle) + list(dd.aux_frames)
+        quartic = [random_section(random.Random(k), dd.bundle, 4) for k in range(3)]
+        sections = quartic + model_sections(dd.bundle) + list(dd.aux_frames)
         for e1, e2 in product(sections, repeat=2):
             assert construct._bilinear(dd.fiber_operator, e1, e2) == bilinear_reference(
                 dd.bracket_table, e1, e2

@@ -113,19 +113,22 @@ CASES = {
 }
 
 
-@cache
-def _case(case):
-    """The structure, its model and a section converter, kept per case and
-    shared by the tests that read them; none of them changes them."""
+def build(case):
+    """The case's structure, built afresh, its model and a section converter."""
     p = CASES[case]()
     m = Model(p)
     return p, m, cache(m.section)
 
 
+# kept per case for this module's tests: they fill the structures' memos and
+# the models' bracket memos, which hold values only
+_case = cache(build)
+
+
 def model_sections(b):
-    """Seeded sections of degree at most 2 and a frame, zero, constant,
+    """Seeded sections of degree 2, 3 and 4 and a frame, zero, constant,
     single-term, derivative, kernel (where rho is isotropic, else seeded),
-    sparse and den > 1 section of b."""
+    sparse, den > 1 and seeded degree-0 section of b."""
     rng = random.Random(12)
     x, y = random_section(rng, b, 2), random_section(rng, b, 2)
     last = b.frame(b.rank - 1)
@@ -138,15 +141,18 @@ def model_sections(b):
         (random_kernel_section if validate_bundle(b).ok else random_section)(rng, b, 2),
         random_section(rng, b, 2, density=0.2),
         x.scale(Fraction(2, 3)) + last.scale(Fraction(-1, 5)),
+        random_section(rng, b, 3), random_section(rng, b, 4), random_section(rng, b, 0),
     ]
 
 
 def _triples(p, outputs=True):
-    """Seeded, kernel, repeated, zero and den > 1 triples, and with
-    `outputs` two that hold brackets, as the coherence checks feed them."""
-    x, y, f0, last, zero, const, one, df, k, sparse, q = model_sections(p.bundle)
+    """Seeded (of degree 2-4), kernel, repeated, zero and den > 1 triples,
+    and with `outputs` two that hold brackets, as the coherence checks feed
+    them."""
+    x, y, f0, last, zero, const, one, df, k, sparse, q, z, w, c = model_sections(p.bundle)
     out = [(x, y, sparse), (k, x, y), (y, k, df), (y, y, sparse), (x, sparse, x), (k, k, k),
-           (zero, x, y), (f0, last, x), (q, y, one), (y, q, sparse), (one, one, one), (x, one, one)]
+           (zero, x, y), (f0, last, x), (q, y, one), (y, q, sparse), (one, one, one), (x, one, one),
+           (w, z, x), (c, w, f0)]
     if outputs:
         out += [(bracket(p, x, y), const, x), (x, skew_bracket(p, y, k), y)]
     return out
@@ -154,22 +160,22 @@ def _triples(p, outputs=True):
 
 def _bracket(p, m, s, case):
     sections = model_sections(p.bundle)
+    q = p.with_table(p.table)  # an empty bracket memo, whatever ran before
     for e1, e2 in product(sections, repeat=2):
         expected = m.bracket(s(e1), s(e2))
-        yield (e1, e2), s(bracket(p, e1, e2)), expected  # computed
-        yield (e1, e2), s(bracket(p, e1, e2)), expected  # from the memo
+        yield (e1, e2), s(bracket(q, e1, e2)), expected  # computed
+        yield (e1, e2), s(bracket(q, e1, e2)), expected  # from the memo
     for e1, e2 in product(sections[:4], sections):
         yield ("skew", e1, e2), s(skew_bracket(p, e1, e2)), m.skew_bracket(s(e1), s(e2))
 
 
 def _jacobiator(p, m, s, case):
-    b = p.bundle
-    u = b.frames()
+    u = p.bundle.frames()
     for es in _triples(p, outputs=False):
         yield es, s(jacobiator(p, *es)), m.jacobiator(*map(s, es))
     # seeded ordered frame triples, repeated frames included, kept in jmemo
     rng = random.Random(35)
-    for t in (tuple(rng.randrange(b.rank) for _ in range(3)) for _ in range(12)):
+    for t in (tuple(rng.randrange(p.rank) for _ in range(3)) for _ in range(12)):
         yield t, s(jacobiator(p, *(u[i] for i in t))), m.jacobiator(*(m.frames[i] for i in t))
 
 
@@ -184,8 +190,7 @@ def _t_scalar(p, m, s, case):
 def _two_term(p, m, s, case):
     # l2 and l3 of both flavours, and the Lie l3 from the cyclic double skew
     # bracket too: the identity J - D T = that sum holds where the theorem does
-    b = p.bundle
-    sections = model_sections(b)
+    sections = model_sections(p.bundle)
     for alg in (build_leibniz2(p), build_lie2(p)):
         for e1, e2 in product(sections[:3], sections[8:]):
             yield (alg.flavor, e1, e2), s(alg.l2(e1, e2)), m.l2(alg.flavor, s(e1), s(e2))
@@ -269,7 +274,7 @@ def _ker_cochain_values(p, m, s, case):
     # the flat itself on sections, as exterior.evaluate reads it
     b = p.bundle
     rng = random.Random(24)
-    sections = [random_section(rng, b, degree) for degree in (1, 2, 2, 1)]
+    sections = [random_section(rng, b, degree) for degree in (1, 2, 3, 4)]
 
     def argument_lists(n):
         yield sections[:n]
@@ -285,6 +290,8 @@ def _ker_cochain_values(p, m, s, case):
         tuples = list(combinations(range(b.rank), k))
         tuples += [tuple(rng.randrange(b.rank) for _ in range(k)) for _ in range(6)]
         tuples += [tuple(reversed(t)) for t in tuples[:4]]
+        if k >= 2:
+            tuples += [(0,) * k, (b.rank - 1,) * 2 + tuple(range(k - 2))]
         for idx in tuples:
             yield idx, s(phi.value_at(idx)), m.ker_value(flat, [m.frames[i] for i in idx])
         for args in argument_lists(k):

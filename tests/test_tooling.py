@@ -728,7 +728,7 @@ def test_model_imports_no_precourant_module():
     assert [m for m in imported if m.startswith(("precourant", "test_", "conftest", "."))] == []
 
 
-def test_bench_record_pairs_runs_and_sign_tests():
+def test_bench_record_pairs_runs_and_sign_tests(monkeypatch, tmp_path):
     # the --ab summary on fixed numbers; no benchmark is started
     path = ROOT / "tools" / "bench_record.py"
     spec = importlib.util.spec_from_file_location("bench_record", path)
@@ -762,3 +762,13 @@ def test_bench_record_pairs_runs_and_sign_tests():
         "loaded pair: two-term 3, load 1.62 against a median of 0.62",
     ]
     assert len(lines({"frame-suite": [{}, {}]})) == 2
+    # --ab keeps, per pair, the larger of the readings before and after it
+    readings = iter([0.5, 2.0, 3.0, 1.0])
+    result = _bench_record("x", 0.25)["workloads"]["frame-suite"]
+    monkeypatch.setattr(bench_record.os, "getloadavg", lambda: (next(readings), 0.0, 0.0))
+    stubs = {"ROOT": tmp_path, "git": lambda *args: args[-1] * 40, "extract": lambda *args: None,
+             "workload_names": lambda _: ["frame-suite"], "run_workload": lambda *args: result}
+    for name, stub in stubs.items():
+        monkeypatch.setattr(bench_record, name, stub)
+    pairs = json.loads(bench_record.ab("a", "b", 2).read_text())["pairs"]["frame-suite"]
+    assert [(p["first"], p["load"]) for p in pairs] == [("a", 2.0), ("b", 3.0)]

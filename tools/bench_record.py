@@ -23,8 +23,10 @@ directories whose names have equal length, since the setup time and peak
 memory move with the length of the path.  Then, for ``--rounds`` rounds
 (10 by default), it runs each workload once on each side, back to back,
 with A first and B first in turn.  ``BENCH_<a>_vs_<b>.json``, named by
-the short shas, holds both shas, every pair's result lines and the
-one-minute load average of the host when the pair started, and, per
+the short shas, holds both shas, every pair's result lines and its load
+reading, the larger of the host's one-minute load average before and
+after the pair (the average trails the load by about a minute, so the
+reading after catches load that starts during the pair), and, per
 workload and metric, each side's median and q1-q3 (perfbench's
 quartiles), the number of pairs in which B was lower and in which it was
 higher, and the two-sided sign-test p-value of those counts.  Its
@@ -156,10 +158,10 @@ def ab(rev_a: str, rev_b: str, rounds: int) -> Path:
         for n in range(rounds):
             for index, w in enumerate(workloads):
                 order = (0, 1) if (n + index) % 2 == 0 else (1, 0)
-                pair = {"load": os.getloadavg()[0]}
+                pair, before = {"first": "ab"[order[0]]}, os.getloadavg()[0]
                 for side in order:
                     pair["ab"[side]] = run_workload(sides[side], w, env)["result"]
-                pairs[w].append({"first": "ab"[order[0]], **pair})
+                pairs[w].append({**pair, "load": max(before, os.getloadavg()[0])})
     summary = {
         w: {
             metric: pair_summary(*([p[side]["metrics"][metric]["value"] for p in runs]
