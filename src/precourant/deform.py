@@ -97,26 +97,16 @@ def omega_square(
 def verify_deformation_identity(
     p: PreCourantAlgebroid,
     omega: KerCochain,
+    deformed: PreCourantAlgebroid,
     trials: int = 16,
     seed: int = 0,
     max_degree: int = 2,
-    *,
-    deformed: Optional[PreCourantAlgebroid] = None,
 ) -> VerifyReport:
     """Exact equality of the deformed Jacobiator with
     J + partial(omega) + (1/2) omega^2, on frames and seeded sections.
-    A caller that has validated omega passes `apply_deformation(p, omega)`
-    as `deformed`; then neither is done again here."""
+    The caller validates omega and passes `apply_deformation(p, omega)`
+    as `deformed`."""
     report = VerifyReport("deformation identity")
-    if deformed is None:
-        validity = validate_deformation(p, omega)
-        if not validity.ok:
-            fail = validity.first_failure()
-            report.add("precondition-valid-omega", False, fail.name if fail else "")
-            report.skipped = True
-            return report
-        deformed = apply_deformation(p, omega)
-    report.add("precondition-valid-omega", True)
     b = p.bundle
     partial_omega = partial_section_values(p, omega)
     zero = b.zero_section()

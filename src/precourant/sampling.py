@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import List
 
 from .bundle import CourantBundle, Section, anchor_apply, rho_star
+from .errors import ConstructionError
 from .exterior import KForm
 from .poly import Chart, Poly
 
@@ -81,7 +82,8 @@ def random_kernel_section(
 
     Built from the two universally available sources: the image of rho*
     (isotropic, inside the kernel because rho rho* = 0) and polynomial
-    multiples of frames whose anchor row vanishes.  The result is checked.
+    multiples of frames whose anchor row vanishes.  The result is checked;
+    an anchor that is not isotropic raises ConstructionError.
     """
     kappa = rho_star(bundle, random_form(rng, bundle.chart, 1, max_degree))
     for i in zero_anchor_frames(bundle):
@@ -90,5 +92,7 @@ def random_kernel_section(
                 random_poly(rng, bundle.chart, max_degree)
             )
     if not anchor_apply(kappa).is_zero():
-        raise AssertionError("kernel sampler produced a non-kernel section")
+        raise ConstructionError(
+            "anchor-not-isotropic", "rho rho* != 0, so a sampled kernel section leaves Ker(rho)"
+        )
     return kappa

@@ -129,7 +129,7 @@ def _deform(c: BuildContext) -> VerifyReport:
         # omega is validated once, and the deformed structure built once
         deformed = apply_deformation(p, omega)
         combined.merge(
-            verify_deformation_identity(p, omega, *_sampling(c), deformed=deformed),
+            verify_deformation_identity(p, omega, deformed, *_sampling(c)),
             prefix="identity/",
         )
         combined.merge(

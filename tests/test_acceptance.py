@@ -155,11 +155,11 @@ def test_criterion_05_deformation_identity(ctx_std3):
     m = ctx_std3.manifest
     p, b = ctx_std3.algebroid, ctx_std3.bundle
     omega = twist_deformation(b, m.blocks["deform"])
-    report = verify_deformation_identity(p, omega, trials=16, seed=0, max_degree=2)
+    deformed = apply_deformation(p, omega)
+    report = verify_deformation_identity(p, omega, deformed, trials=16, seed=0, max_degree=2)
     assert report.ok, report.lines()
     for idx in combinations(range(b.rank), 3):
         assert omega_square(p, omega, *(b.frame(i) for i in idx)).is_zero()
-    deformed = apply_deformation(p, omega)
     morphism = verify_morphism(
         build_leibniz2(p), build_leibniz2(deformed), omega, trials=16, seed=0, max_degree=2
     )

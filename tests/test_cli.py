@@ -117,6 +117,39 @@ t.1.2 = 1, 0
     assert lines[-1] == "result = fail"
 
 
+def test_non_isotropic_anchor_fails_deform_and_the_two_algebras(tmp_path, capsys):
+    # rho rho* = 1 on the identity metric: omega leaves the kernel, so
+    # deform stops at its validity checks, and the kernel sampler that lie2
+    # and leibniz2 draw from fails them with a library error
+    path = tmp_path / "non_isotropic.pcm"
+    path.write_text(
+        "[meta]\ntasks = deform, lie2, leibniz2\n\n[chart]\nvars = x1 x2 x3\n\n"
+        "[bundle]\nrank = 3\nmetric.1 = 1, 0, 0\nmetric.2 = 0, 1, 0\nmetric.3 = 0, 0, 1\n"
+        "anchor.1 = 1, 0, 0\nanchor.2 = 0, 1, 0\nanchor.3 = 0, 0, 1\n\n[bracket]\n\n"
+        "[deform]\nh = x1*dx(1,2,3)\n"
+    )
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    sampler = "  fail anchor-not-isotropic: rho rho* != 0, so a sampled kernel section leaves Ker(rho)"
+    assert out.splitlines() == [
+        "precourant-report",
+        f"version = {precourant.__version__}",
+        "manifest = non_isotropic",
+        "seed = 0",
+        "trials = 16",
+        "max-degree = 2",
+        "task deform = fail",
+        "  fail valid/kernel-valued: omega(u1, u2) leaves the kernel",
+        "  fail valid/contraction-membership: i_Dx1 psi at frames (2, 3) = x1",
+        "task lie2 = fail",
+        sampler,
+        "task leibniz2 = fail",
+        sampler,
+        "result = fail",
+    ]
+    assert code == 1
+    assert "Traceback" not in err
+
+
 def test_report_excludes_timing_but_stderr_has_it(capsys):
     code, out, err = run_cli(
         capsys, "--manifest", "action_abelian", "--task", "verify-axioms"

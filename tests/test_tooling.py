@@ -13,9 +13,8 @@ on the jets each map takes once and keeps, J on frame triples is enumerated
 in one place, symmetric forms are checked in one place, results kept on an
 object are cached properties, D, the covariant derivative and a kernel
 cochain's flat scatter from nonzero frame data and only named checks scan
-every frame tuple, `tools/bench_record.py --compare` reads two sequential
-records, names them so and refuses a paired or a missing one in one line,
-its `--ab` pairing and sign test hold on fixed numbers and its summary
+every frame tuple, `tools/bench_record.py` has only its paired `--ab`
+mode, whose pairing and sign test hold on fixed numbers and whose summary
 names the pairs that ran under outside load, the test model imports no
 precourant module, and importing the CLI stays cheap."""
 
@@ -646,78 +645,6 @@ def test_kept_results_are_cached_properties():
     ]
 
 
-def _bench_record(label, task_s, failed=0, spread=0.01):
-    metrics = {"task_s": {"value": task_s, "unit": "s"}, "wall_s": {"value": 0.5, "unit": "s"},
-               "setup_s": {"value": 0.1, "unit": "s"}}
-    quartiles = {"task_s": [task_s - spread, task_s, task_s + spread], "wall_s": [0.45, 0.5, 0.55]}
-    result = {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
-    return {"label": label,
-            "workloads": {"frame-suite": {"result": result, "quartiles": quartiles}}}
-
-
-def test_bench_record_compares_two_records(tmp_path):
-    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
-    a.write_text(json.dumps(_bench_record("16", 0.25)))
-    b.write_text(json.dumps(_bench_record("17", 0.2, failed=1)))
-    c.write_text(json.dumps(_bench_record("18", 0.2, spread=0.05)))
-
-    def compare(x, y):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(x), str(y)],
-            capture_output=True, text=True, check=True,
-        )
-        return [line.split() for line in proc.stdout.splitlines()]
-
-    # each record is named as sequential; a ratio whose q1-q3 ranges
-    # overlap reads `~`; a metric without quartiles shows `-` for its range
-    assert compare(a, b) == [
-        ["A", "=", "16:", "sequential", "LABEL", "record"],
-        ["B", "=", "17:", "sequential", "LABEL", "record"],
-        ["workload", "metric", "16", "q1-q3", "17", "q1-q3", "B/A"],
-        ["frame-suite", "task_s", "0.2500", "0.2400-0.2600", "0.2000", "0.1900-0.2100", "0.800"],
-        ["frame-suite", "wall_s", "0.5000", "0.4500-0.5500", "0.5000", "0.4500-0.5500", "~1.000"],
-        ["frame-suite", "setup_s", "0.1000", "-", "0.1000", "-", "1.000"],
-        ["frame-suite", "B", "not", "correct:", "1", "failed"],
-    ]
-    assert compare(a, c)[3] == [
-        "frame-suite", "task_s", "0.2500", "0.2400-0.2600", "0.2000", "0.1500-0.2500", "~0.800"
-    ]
-    # a paired --ab record holds pairs of runs, not one pass: --compare
-    # refuses it on either side in one line, without a traceback
-    paired = tmp_path / "BENCH_aaaaaaa_vs_bbbbbbb.json"
-    runs = {"a": _bench_record("a", 0.25)["workloads"]["frame-suite"]["result"],
-            "b": _bench_record("b", 0.2)["workloads"]["frame-suite"]["result"]}
-    paired.write_text(json.dumps({
-        "label": "aaaaaaa_vs_bbbbbbb", "shas": {"a": "a" * 40, "b": "b" * 40}, "rounds": 2,
-        "correct": True, "pairs": {"frame-suite": [{"first": "a", **runs}, {"first": "b", **runs}]},
-        "summary": {"frame-suite": {"task_s": {
-            "a": [0.25, 0.25, 0.25], "b": [0.2, 0.2, 0.2], "pairs": 2,
-            "b_lower": 2, "b_higher": 0, "sign_p": 0.5}}},
-    }))
-    for x, y in ((a, paired), (paired, a)):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(x), str(y)],
-            capture_output=True, text=True,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (
-            f"bench_record.py: {paired} is a paired --ab record; "
-            "--compare reads two sequential LABEL records\n"
-        )
-    # a label with no record at the root, on either side, is one line too
-    assert not (ROOT / "BENCH_99.json").exists()
-    for x, y in (("99", a), (a, "99")):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--compare", str(x), str(y)],
-            capture_output=True, text=True,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (
-            "bench_record.py: no record 99: neither a file nor BENCH_99.json "
-            "at the repository root\n"
-        )
-
-
 def test_model_imports_no_precourant_module():
     # tests/model.py is an oracle only while it shares no code with what it
     # checks: it imports sympy and neither the package nor a test module
@@ -764,7 +691,8 @@ def test_bench_record_pairs_runs_and_sign_tests(monkeypatch, tmp_path):
     assert len(lines({"frame-suite": [{}, {}]})) == 2
     # --ab keeps, per pair, the larger of the readings before and after it
     readings = iter([0.5, 2.0, 3.0, 1.0])
-    result = _bench_record("x", 0.25)["workloads"]["frame-suite"]
+    result = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {"task_s": {"value": 0.25, "unit": "s"}}}
     monkeypatch.setattr(bench_record.os, "getloadavg", lambda: (next(readings), 0.0, 0.0))
     stubs = {"ROOT": tmp_path, "git": lambda *args: args[-1] * 40, "extract": lambda *args: None,
              "workload_names": lambda _: ["frame-suite"], "run_workload": lambda *args: result}
@@ -772,3 +700,9 @@ def test_bench_record_pairs_runs_and_sign_tests(monkeypatch, tmp_path):
         monkeypatch.setattr(bench_record, name, stub)
     pairs = json.loads(bench_record.ab("a", "b", 2).read_text())["pairs"]["frame-suite"]
     assert [(p["first"], p["load"]) for p in pairs] == [("a", 2.0), ("b", 3.0)]
+    assert pairs[0]["a"] == pairs[0]["b"] == result
+    # the sequential mode is gone: a label, --rev and --compare are usage errors
+    for argv in (["38"], ["--rev", "HEAD"], ["--compare", "a", "b"], ["38", "--ab", "a", "b"]):
+        with pytest.raises(SystemExit) as exit_:
+            bench_record.main(argv)
+        assert exit_.value.code == 2

@@ -776,8 +776,7 @@ DEGREE_CASES = {
         lambda p: pontryagin_vanishing_check(p, KForm.zero(p.bundle.chart, 2)),
         ["[FAIL] pontryagin vanishing", "  FAIL h-degree-3  witness: degree 2"],
     ),
-    # a 2-cochain of degree 2 outside the contraction image, and the
-    # deformation identity, which it stops before any bracket is taken
+    # a 2-cochain of degree 2 outside the contraction image
     "contraction-membership": (
         lambda p: validate_deformation(p, _non_member_omega(p.bundle, Poly.var(p.chart, 0))),
         [
@@ -786,12 +785,6 @@ DEGREE_CASES = {
             "  FAIL kernel-valued  witness: omega(u1, u2) leaves the kernel",
             "  FAIL contraction-membership  witness: i_Dx1 psi at frames (1, 2) = x1",
         ],
-    ),
-    "precondition-valid-omega": (
-        lambda p: verify_deformation_identity(
-            p, _non_member_omega(p.bundle, Poly.var(p.chart, 0))
-        ),
-        ["[FAIL] deformation identity", "  FAIL precondition-valid-omega  witness: kernel-valued"],
     ),
 }
 
@@ -1038,15 +1031,16 @@ def test_pontryagin_vanishing_reports_the_first_differing_quadruple():
 def test_deformation_identity_report_with_a_sparse_partial_omega():
     # twisting the standard structure on four coordinates by x4 dx(1,2,3):
     # partial omega is nonzero on 4 of the 56 frame triples.  Neither
-    # identity check can fail once precondition-valid-omega passes: on
-    # frames J' = J + partial omega + omega^2 / 2 is the expansion of the
+    # identity check can fail on a valid omega: on frames
+    # J' = J + partial omega + omega^2 / 2 is the expansion of the
     # bracket plus omega, and on sections it extends C-infinity-linearly
     # because omega is kernel-valued, killed by every D f and alternating
     p, c = _standard_r4()
     omega = twist_deformation(p.bundle, parse_form(c, "x4*dx(1,2,3)"))
-    assert verify_deformation_identity(p, omega, trials=2, seed=0, max_degree=1).lines() == [
+    deformed = apply_deformation(p, omega)
+    report = verify_deformation_identity(p, omega, deformed, trials=2, seed=0, max_degree=1)
+    assert report.lines() == [
         "[pass] deformation identity",
-        "  ok   precondition-valid-omega",
         "  ok   identity-on-frames",
         "  ok   identity-on-sections",
         "  note: omega-square vanishes on all frame triples",
