@@ -129,7 +129,9 @@ def test_non_isotropic_anchor_fails_deform_and_the_two_algebras(tmp_path, capsys
         "[deform]\nh = x1*dx(1,2,3)\n"
     )
     code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
-    sampler = "  fail anchor-not-isotropic: rho rho* != 0, so a sampled kernel section leaves Ker(rho)"
+    sampler = (
+        "  fail anchor-not-isotropic: rho rho* != 0, so a sampled kernel section leaves Ker(rho)"
+    )
     assert out.splitlines() == [
         "precourant-report",
         f"version = {precourant.__version__}",
