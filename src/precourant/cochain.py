@@ -333,16 +333,10 @@ def verify_jacobiator_theorem(
     report = VerifyReport("jacobiator theorem suite")
     if precheck:
         axioms = verify_axioms(p, trials=min(trials, 4), seed=seed, max_degree=1)
-        if not axioms.ok:
-            fail = axioms.first_failure()
-            report.add(
-                "precondition-axioms", False,
-                f"{fail.name}: {fail.witness}" if fail else "axioms failed",
-            )
+        if not report.first("precondition-axioms", [axioms.first_failure()]):
             report.skipped = True
             report.notes.append("theorem suite skipped: axioms do not hold")
             return report
-        report.add("precondition-axioms", True)
     b = p.bundle
     r = b.rank
     frames = b.frames()

@@ -262,10 +262,9 @@ def double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
     """The hyperbolic double on g + g*: semidirect bracket through the
     coadjoint action, pairing the two summands dually.  The input needs no
     pairing of its own."""
-    report = validate_lie(g)
-    if not report.ok:
-        fail = report.first_failure()
-        raise ConstructionError("invalid-lie-algebra", fail.name if fail else "")
+    fail = validate_lie(g).first_failure()
+    if fail is not None:
+        raise ConstructionError("invalid-lie-algebra", fail)
     m = g.dim
     n2 = 2 * m
     brackets: Dict[Tuple[int, int], List[linalg.Scalar]] = {}
@@ -359,12 +358,7 @@ def validate_twisted_action(ta: TwistedAction) -> VerifyReport:
 
 def _twisted_action_report(ta: TwistedAction) -> VerifyReport:
     report = VerifyReport("twisted action")
-    alg_report = validate_quadratic_lie(ta.algebra)
-    report.add(
-        "quadratic-algebra",
-        alg_report.ok,
-        (alg_report.first_failure().name if not alg_report.ok else ""),
-    )
+    report.first("quadratic-algebra", [validate_quadratic_lie(ta.algebra).first_failure()])
     bundle = ta.bundle
     m = ta.algebra.dim
 
@@ -412,9 +406,8 @@ def _twisted_action_report(ta: TwistedAction) -> VerifyReport:
          != vf_bracket(anchor_apply(e1), anchor_apply(e2))),
     )
 
-    coiso = kernel_coisotropy_check(bundle, ta.sample_points)
     report.first(
-        "kernel-coisotropic", (f"{c.name}: {c.witness}" for c in coiso.checks if not c.ok)
+        "kernel-coisotropic", [kernel_coisotropy_check(bundle, ta.sample_points).first_failure()]
     )
     return report
 
@@ -426,16 +419,13 @@ def from_twisted_action(ta: TwistedAction) -> PreCourantAlgebroid:
     drop, leaving the algebra bracket, the defect, and its two metric
     adjustments.
     """
-    report = validate_twisted_action(ta)
-    if not report.ok:
-        fail = report.first_failure()
-        raise ConstructionError("invalid-twisted-action", fail.name if fail else "")
+    fail = validate_twisted_action(ta).first_failure()
+    if fail is not None:
+        raise ConstructionError("invalid-twisted-action", fail)
     bundle = ta.bundle
-    bundle_report = validate_bundle(bundle)
-    if not bundle_report.ok:
-        raise ConstructionError(
-            "invalid-bundle", "; ".join(c.name for c in bundle_report.checks)
-        )
+    fail = validate_bundle(bundle).first_failure()
+    if fail is not None:
+        raise ConstructionError("invalid-bundle", fail)
     m = ta.algebra.dim
     zero = Poly.zero(bundle.chart)
     # k_flat[a][e] holds the nonzero <u_c, k(u_a, u_e)> by c

@@ -252,8 +252,7 @@ def check_lift(p: PreCourantAlgebroid, lift: Sequence[Section]) -> Optional[str]
 
 def _require_lift(report: VerifyReport, p: PreCourantAlgebroid, lift: Sequence[Section]) -> bool:
     """Record `lift-is-right-inverse`; a lift that fails it skips the report."""
-    problem = check_lift(p, lift)
-    report.skipped = not report.require("lift-is-right-inverse", problem is None, problem or "")
+    report.skipped = not report.first("lift-is-right-inverse", [check_lift(p, lift)])
     return not report.skipped
 
 
@@ -330,10 +329,10 @@ def pontryagin_vanishing_check(
 
 def check_image_condition(
     p: PreCourantAlgebroid, kernel_generators: Sequence[Section]
-) -> Tuple[bool, str]:
-    """Whether every Jacobiator value pairs to zero with the kernel,
-    i.e. lands in the kernel's orthogonal."""
-    witness = next(
+) -> Optional[str]:
+    """The first frame Jacobiator value that pairs to nonzero with a kernel
+    generator, i.e. leaves the kernel's orthogonal, or None."""
+    return next(
         (
             f"<J(u{i + 1}, u{j + 1}, u{k + 1}), kappa_{a + 1}> = {format_poly(v)}"
             for (i, j, k), jv in frame_jacobiators(p).items() if not jv.is_zero()
@@ -342,7 +341,6 @@ def check_image_condition(
         ),
         None,
     )
-    return witness is None, witness or ""
 
 
 def default_kernel_generators(
@@ -378,8 +376,9 @@ def naive_cohomology_check(
     report = VerifyReport("naive cohomology")
     if lift is not None and not _require_lift(report, p, lift):
         return report
-    cond, witness = check_image_condition(p, default_kernel_generators(p, lift))
-    report.add("jacobiator-in-orthogonal", cond, witness)
+    cond = report.first(
+        "jacobiator-in-orthogonal", [check_image_condition(p, default_kernel_generators(p, lift))]
+    )
     for n, psi in member_samples(report, samples):
         dd = cobound_d(p, cobound_d(p, psi))
         _check_zero(report, f"sample-{n}-d-squared", "D^2", dd)
@@ -407,8 +406,7 @@ def quotient_jacobi_check(
     if not _require_lift(report, p, lift):
         return report
     kappas = default_kernel_generators(p, lift)
-    cond, witness = check_image_condition(p, kappas)
-    if not report.require("jacobiator-in-orthogonal", cond, witness):
+    if not report.first("jacobiator-in-orthogonal", [check_image_condition(p, kappas)]):
         report.skipped = True
         report.notes.append("quotient bracket has no Lie algebroid structure")
         return report

@@ -9,13 +9,18 @@ Form literals extend the polynomial grammar with wedge-basis groups
 polynomial factors and at most one basis group per factor position, e.g.
 ``x4*dx(1,2,3) - 1/2*dx(2,4)``.  All terms of a literal must share one
 degree.  ``dx()`` denotes the degree-0 basis.
+
+Both grammars are one sum-of-products rule: signed terms joined by ``+``
+and ``-``, each a product of factors joined by ``*``, which multiplies
+polynomials and wedges forms.  A parenthesis always holds a polynomial.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .errors import ParseError
 from .poly import Chart, Poly
@@ -113,35 +118,47 @@ class _Parser:
         tok = self.peek()
         raise ParseError(self.line, tok.col, what, tok.text or "end of input")
 
-    # --- polynomial grammar -------------------------------------------
+    # --- the sum-of-products rule, shared by both grammars ----------
 
     def parse_poly(self) -> Poly:
-        value = self._sum()
+        return self._whole(self._sum(self._poly_term))
+
+    def parse_form(self) -> KForm:
+        return self._whole(self._sum(self._form_term))
+
+    def _whole(self, value):
         if self.peek().kind != "end":
             self.fail("end of expression or operator")
         return value
 
-    def _sum(self) -> Poly:
-        tok = self.peek()
-        negate = False
-        if tok.kind in "+-":
-            negate = tok.kind == "-"
-            self.advance()
-        value = self._product()
-        if negate:
+    def _sum(self, term: Callable):
+        sign = self.advance().kind if self.peek().kind in "+-" else "+"
+        value = term()
+        if sign == "-":
             value = -value
         while self.peek().kind in "+-":
-            op = self.advance().kind
-            rhs = self._product()
-            value = value + rhs if op == "+" else value - rhs
+            op = self.advance()
+            rhs = term()
+            if isinstance(rhs, KForm) and rhs.degree != value.degree:
+                raise ParseError(
+                    self.line, op.col,
+                    f"term of degree {value.degree}",
+                    f"degree {rhs.degree} term",
+                )
+            value = value + rhs if op.kind == "+" else value - rhs
         return value
 
-    def _product(self) -> Poly:
-        value = self._power()
+    def _product(self, factor: Callable, join: Callable):
+        value = factor()
         while self.peek().kind == "*":
             self.advance()
-            value = value * self._power()
+            value = join(value, factor())
         return value
+
+    # --- polynomial grammar -------------------------------------------
+
+    def _poly_term(self) -> Poly:
+        return self._product(self._power, operator.mul)
 
     def _power(self) -> Poly:
         base = self._atom()
@@ -165,7 +182,7 @@ class _Parser:
             return Poly.var(self.chart, self.chart.index(tok.text))
         if tok.kind == "(":
             self.advance()
-            value = self._sum()
+            value = self._sum(self._poly_term)
             self.expect(")", "closing parenthesis")
             return value
         if tok.kind == "-":
@@ -175,39 +192,8 @@ class _Parser:
 
     # --- form grammar ---------------------------------------------------
 
-    def parse_form(self) -> KForm:
-        value = self._form_sum()
-        if self.peek().kind != "end":
-            self.fail("end of expression or operator")
-        return value
-
-    def _form_sum(self) -> KForm:
-        tok = self.peek()
-        negate = False
-        if tok.kind in "+-":
-            negate = tok.kind == "-"
-            self.advance()
-        value = self._form_term()
-        if negate:
-            value = -value
-        while self.peek().kind in "+-":
-            op = self.advance()
-            rhs = self._form_term()
-            if rhs.degree != value.degree:
-                raise ParseError(
-                    self.line, op.col,
-                    f"term of degree {value.degree}",
-                    f"degree {rhs.degree} term",
-                )
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
-
     def _form_term(self) -> KForm:
-        value = self._form_factor()
-        while self.peek().kind == "*":
-            self.advance()
-            value = wedge(value, self._form_factor())
-        return value
+        return self._product(self._form_factor, wedge)
 
     def _form_factor(self) -> KForm:
         tok = self.peek()

@@ -2,7 +2,10 @@
 
 Each verification produces a VerifyReport made of named checks.  A failed
 check carries a witness string: the offending inputs plus both side values,
-serialized canonically so reports are reproducible.
+serialized canonically so reports are reproducible.  `str(check)` is its
+failure text, `name: witness`; a check or an error that summarises another
+report carries that report's `first_failure()`, the text of its first failed
+check.
 
 A check that scans many cases is recorded by `VerifyReport.first`, which
 reads its witnesses lazily in a fixed order: each case yields None when the
@@ -25,6 +28,10 @@ class Check:
         self.name = name
         self.ok = ok
         self.witness = witness
+
+    def __str__(self) -> str:
+        """The failure text: `name: witness`, or the name alone."""
+        return f"{self.name}: {self.witness}" if self.witness else self.name
 
 
 class VerifyReport:
@@ -53,12 +60,8 @@ class VerifyReport:
         """Record a check that fails with the first witness that is not None;
         nothing after it is evaluated.  Returns whether the check passed."""
         witness = next((w for w in witnesses if w is not None), None)
-        return self.require(name, witness is None, witness or "")
-
-    def require(self, name: str, ok: bool, witness: str = "") -> bool:
-        """Record a check; returns ok so callers can gate early."""
-        self.add(name, ok, witness)
-        return ok
+        self.add(name, witness is None, witness or "")
+        return witness is None
 
     def copy(self) -> "VerifyReport":
         """A copy that shares no check or note list with this report."""
@@ -69,8 +72,9 @@ class VerifyReport:
             self.skipped,
         )
 
-    def first_failure(self):
-        return next((c for c in self.checks if not c.ok), None)
+    def first_failure(self) -> Optional[str]:
+        """The failure text of the first failed check, or None."""
+        return next((str(c) for c in self.checks if not c.ok), None)
 
     def merge(self, other: "VerifyReport", prefix: str = "") -> None:
         for c in other.checks:

@@ -115,11 +115,7 @@ def _result_from_report(name: str, report: VerifyReport) -> TaskResult:
         status = "skipped-precondition"
     else:
         status = "pass" if report.ok else "fail"
-    failures = [
-        f"{c.name}" + (f": {c.witness}" if c.witness else "")
-        for c in report.checks
-        if not c.ok
-    ]
+    failures = [str(c) for c in report.checks if not c.ok]
     return TaskResult(name, status, failures, list(report.notes))
 
 

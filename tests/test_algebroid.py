@@ -136,12 +136,16 @@ def test_verify_axioms_reports_invalid_bundle(chart3, std3):
 
     anchor = [list(row) for row in std3.anchor]
     anchor[3][0] = Poly.const(chart3, 1)
+    anchor[4][1] = Poly.const(chart3, 1)
     bad_bundle = CourantBundle(chart3, 6, std3.metric, anchor)
     bad = PreCourantAlgebroid(bad_bundle, zero_table(bad_bundle))
     report = verify_axioms(bad, trials=2, seed=0)
     assert not report.ok
-    assert report.checks[0].name == "bundle-valid"
-    assert not report.checks[0].ok
+    # two entries of A^T g^-1 A are nonzero; the witness names the first
+    assert report.lines() == [
+        "[FAIL] pre-courant axioms",
+        "  FAIL bundle-valid  witness: anchor-not-isotropic: (A^T g^-1 A)[1][1] = 2",
+    ]
 
 
 def test_derived_identities(courant3, twisted4, std3, chart3):

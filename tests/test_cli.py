@@ -569,3 +569,31 @@ def test_dissection_build_failure_lines(tmp_path, capsys, body, line):
     assert line in lines
     assert lines[-2:] == ["task validate-bundle = skipped-precondition", "result = fail"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        # [b1, b3] = -b1 breaks the Jacobi identity of so(3), and the double says where
+        ("[algebra]\ndim = 3\ndouble = true\nbracket.1.2 = 0, 0, 1\nbracket.2.3 = 1, 0, 0\n"
+         "bracket.1.3 = -1, 0, 0\n\n[action]\n"
+         + "".join(f"rho.{i} = 0\n" for i in range(1, 7)),
+         "build = fail: invalid-lie-algebra: jacobi: basis triple (1,2,3)"),
+        # the defect k(b1, b2) = x1 b1 breaks the anchor-defect equation on the first pair
+        ("[algebra]\ndim = 2\npairing.1 = 0, 1\npairing.2 = 1, 0\n\n[action]\n"
+         "rho.1 = 1\nrho.2 = x1\nk.1.2 = x1, 0\n",
+         "build = fail: invalid-twisted-action: anchor-defect-equation: (1, 0) | (0, 1)"),
+    ],
+)
+def test_twisted_action_build_failure_names_the_witness(tmp_path, capsys, body, line):
+    path = tmp_path / "action.pcm"
+    path.write_text(
+        "[meta]\ntasks = validate-bundle\n\n[chart]\nvars = x1\n\n"
+        f"[builder]\nkind = twisted_action\n\n{body}"
+    )
+    code, out, err = run_cli(capsys, "--manifest", str(path), "--quiet")
+    assert code == 1
+    lines = out.splitlines()
+    assert line in lines
+    assert lines[-2:] == ["task validate-bundle = skipped-precondition", "result = fail"]
+    assert "Traceback" not in err

@@ -138,7 +138,7 @@ def test_comm_lemma_gates_on_membership(twisted4, std4, chart4):
     bad = Cochain(std4, 2, {(0, 4): Poly.const(chart4, 1)})
     report = verify_comm_lemma(twisted4, [bad])
     assert not report.ok
-    assert "membership" in report.first_failure().name
+    assert "membership" in report.first_failure()
 
 
 def test_jacobiator_theorem_standard_and_twisted(courant3, twisted4):

@@ -4,7 +4,7 @@ sparse store and off the stored form of a polynomial, builder kinds are
 named only in the builder table, blocks are read only through the block
 table, dotted manifest keys are read through one reader and every section
 through the manifest schema, whose keys the README lists, every check is
-recorded through `VerifyReport`, every module-level function and class has
+recorded through `VerifyReport`, which alone reads a check's witness, every module-level function and class has
 a caller in the package, the two-term l3 has one code path and reaches
 no bracket, neither the bracket nor T reaches an anchor map or D, the
 builders have one connection derivative and hold each input in one form,
@@ -124,6 +124,22 @@ def test_stored_polynomial_form_read_only_in_poly():
         )
     }
     assert readers <= {"poly.py"}, readers
+
+
+def test_check_witness_read_only_in_reports():
+    # a check's failure text is written once, by `str(check)`: elsewhere a
+    # failed report is summarised through `first_failure`, never by reading
+    # a witness (setting one, as ConstructionError does, is no read)
+    readers = {
+        path.name
+        for path in (ROOT / "src" / "precourant").glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "witness"
+            and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    }
+    assert readers <= {"reports.py"}, readers
 
 
 @pytest.mark.parametrize("module", ["dataclasses", "json"])

@@ -11,9 +11,9 @@ them an ungated `lie2` run on a broken table, derived identities,
 Jacobiator theorem, the morphism equations) report on broken input,
 a kept Jacobiator flat that is not J's among it, the quotient Jacobi
 identity with J in the kernel's orthogonal, a B-field that moves J, the dissection
-Pontryagin comparison on a table moved off its form and the comparison of
-J-flat with the pullback of dh: which case fails first and how both sides
-print.  The deformation identity is pinned passing, since a valid omega
+Pontryagin comparison on a table moved off its form, the comparison of
+J-flat with the pullback of dh and the Jacobiator left after untwisting:
+which case fails first and how both sides print.  The deformation identity is pinned passing, since a valid omega
 cannot fail it.
 """
 
@@ -339,7 +339,7 @@ ANCHOR_WITNESS = "(1, 0, 0, 0, 0, 0, 0, 0) | (0, 1, 0, 0, 0, 0, 0, 0)"
 TWISTED_ACTION_CASES = {
     "quadratic-algebra": (
         _broken_algebra_action,
-        _action_lines({"quadratic-algebra": "pairing-invariant"}),
+        _action_lines({"quadratic-algebra": "pairing-invariant: basis triple (1,2,3)"}),
     ),
     "defect-antisymmetric": (
         _diagonal_defect_action,
@@ -1025,6 +1025,22 @@ def test_pontryagin_vanishing_reports_the_first_differing_quadruple():
         "[FAIL] pontryagin vanishing",
         "  FAIL jflat-equals-pullback-dh  witness: frames (1, 2, 3, 4): "
         "J-flat = 0 but rho*(dh) = -1",
+    ]
+
+
+def test_pontryagin_vanishing_reports_a_jacobiator_the_flat_misses():
+    # standard_r3 with x3 u4 added to u1 o u2: J(u1, u2, u3) = u4 pairs only
+    # with u1, so J-flat, kept on increasing keys, drops it and matches
+    # rho*(dh) = 0, but the structure untwisted by h = 0 keeps that J
+    p = _builtin("standard_r3").algebroid
+    b = p.bundle
+    table = [list(row) for row in p.table]
+    table[0][1] = table[0][1] + b.frame(3).scale(Poly.var(b.chart, 2))
+    q = p.with_table(table)
+    assert pontryagin_vanishing_check(q, KForm.zero(b.chart, 3)).lines() == [
+        "[FAIL] pontryagin vanishing",
+        "  ok   jflat-equals-pullback-dh",
+        "  FAIL untwisted-jacobiator-zero  witness: frames (1, 2, 3): J = (0, 0, 0, 1, 0, 0)",
     ]
 
 
