@@ -50,10 +50,10 @@ class PreCourantAlgebroid:
     as numerators over one denominator (see `bracket_families`).  So is
     `t_operator`, the kernel K of the cyclic pairing scalar T (`t_families`).
     `bracket` memoises its results in `bracket_memo` by the value of its
-    arguments, `jacobiator` J on ordered frame triples in `jmemo`,
-    `frame_jacobiators` J on the increasing ones in `jframes` and
-    `cochain.jacobiator_flat` the flat of J in `jflat`; these and the
-    cached properties live exactly as long as the algebroid.
+    arguments, `jacobiator` J on ordered frame triples in `jmemo`, the
+    cached `jframes` J on the increasing ones and `cochain.jacobiator_flat`
+    the flat of J in `jflat`; these and the cached properties live exactly
+    as long as the algebroid.
     """
 
     def __init__(self, bundle: CourantBundle, table: Sequence[Sequence[Section]]):
@@ -94,7 +94,8 @@ class PreCourantAlgebroid:
     @cached_property
     def jframes(self) -> Dict[Tuple[int, int, int], Section]:
         """J on every increasing frame triple, keyed in `combinations` order
-        and read through `jacobiator`; `frame_jacobiators` returns it."""
+        and read through `jacobiator`, which no caller changes; J is
+        C-infinity-multilinear, so these values determine it."""
         u = self.bundle.frames()
         return {t: jacobiator(self, *(u[i] for i in t)) for t in combinations(range(self.rank), 3)}
 
@@ -188,13 +189,6 @@ def jacobiator(p: PreCourantAlgebroid, e1: Section, e2: Section, e3: Section) ->
         out = bracket(p, e1, t[j][k]) - bracket(p, t[i][j], e3) - bracket(p, e2, t[i][k])
         p.jmemo[key] = out
     return out
-
-
-def frame_jacobiators(p: PreCourantAlgebroid) -> Dict[Tuple[int, int, int], Section]:
-    """J on every increasing frame triple, the dict `p.jframes` built once per
-    algebroid, which no caller changes; J is C-infinity-multilinear, so
-    these values determine it."""
-    return p.jframes
 
 
 def skew_bracket(p: PreCourantAlgebroid, e1: Section, e2: Section) -> Section:

@@ -114,10 +114,6 @@ class CourantBundle:
         """The index of each frame section."""
         return {f: i for i, f in enumerate(self._frames)}
 
-    @cached_property
-    def _report(self) -> VerifyReport:
-        return _bundle_report(self)
-
     def raise_covector(self, covector: Sequence[Poly]) -> "Section":
         """The section s with <s, u_j> = covector[j] on every frame: g^-1 c."""
         out = {}
@@ -184,11 +180,8 @@ def standard_bundle(chart: Chart, aux_pairing: Sequence[Sequence] = ()) -> Coura
 def validate_bundle(b: CourantBundle) -> VerifyReport:
     """Check the one type invariant that the construction does not, since
     it is polynomial: A^T g^-1 A = 0.  Each nonzero entry is one failed
-    check, named by its witness entry.  Every call gets its own copy."""
-    return b._report.copy()
-
-
-def _bundle_report(b: CourantBundle) -> VerifyReport:
+    check, named by its witness entry.  Each call builds a new report from
+    the columns D x_m that the bundle keeps."""
     report = VerifyReport("bundle")
     # rho rho* = 0 in the frame: (A^T g^-1 A)_{mk} is the m-th component of
     # rho(D x_k), since D x_k is column k of g^-1 A

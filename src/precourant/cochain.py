@@ -25,13 +25,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebroid import (
-    PreCourantAlgebroid,
-    bracket,
-    frame_jacobiators,
-    jacobiator,
-    verify_axioms,
-)
+from .algebroid import PreCourantAlgebroid, bracket, jacobiator, verify_axioms
 from .bundle import CourantBundle, Section, anchor_apply, format_section, lower, pairing
 from .errors import DegreeError, MembershipError
 from .exterior import KForm, contract, evaluate, vf_apply
@@ -83,10 +77,6 @@ class KerCochain:
     @property
     def degree(self) -> int:
         return self.flat.degree - 1
-
-    @staticmethod
-    def zero(bundle: CourantBundle, degree: int) -> "KerCochain":
-        return KerCochain(Cochain.zero(bundle, degree + 1))
 
     @staticmethod
     def from_values(
@@ -311,13 +301,13 @@ def verify_comm_lemma(
 
 def jacobiator_flat(p: PreCourantAlgebroid) -> Cochain:
     """The 4-cochain <J(u_a, u_b, u_c), u_d> on increasing frame tuples:
-    the flat of the kernel cochain with the values `frame_jacobiators(p)`.
+    the flat of the kernel cochain with the values `p.jframes`.
 
     Only meaningful once total alternation has been verified.  It depends
     on the algebroid alone, so it is built once and kept in `p.jflat`.
     """
     if p.jflat is None:
-        p.jflat = KerCochain.from_values(p.bundle, 3, frame_jacobiators(p)).flat
+        p.jflat = KerCochain.from_values(p.bundle, 3, p.jframes).flat
     return p.jflat
 
 
@@ -340,7 +330,7 @@ def verify_jacobiator_theorem(
     b = p.bundle
     r = b.rank
     frames = b.frames()
-    table = frame_jacobiators(p)
+    table = p.jframes
 
     # (1) skew-symmetry on frame triples (adjacent swaps + repeated arguments)
     report.first(

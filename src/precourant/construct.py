@@ -38,9 +38,7 @@ from itertools import chain, combinations, product, starmap
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebroid import (
-    PreCourantAlgebroid, bracket_families, frame_jacobiators, skew_defects, zero_table
-)
+from .algebroid import PreCourantAlgebroid, bracket_families, skew_defects, zero_table
 from .bundle import (
     CourantBundle,
     Section,
@@ -655,7 +653,7 @@ def dissection_jacobiator_check(
             f"({format_section(actual)}) vs closed form ({format_section(expected)})"
         )
 
-    report.first("components-match", starmap(witness, frame_jacobiators(p).items()))
+    report.first("components-match", starmap(witness, p.jframes.items()))
     return report
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator
+from .algebroid import PreCourantAlgebroid, bracket, jacobiator
 from .bundle import (
     CourantBundle,
     Section,
@@ -112,7 +112,7 @@ def verify_deformation_identity(
     zero = b.zero_section()
 
     half = Fraction(1, 2)
-    table, deformed_table = frame_jacobiators(p), frame_jacobiators(deformed)
+    table, deformed_table = p.jframes, deformed.jframes
     squares = {idx: omega_square(p, omega, *(b.frame(i) for i in idx)) for idx in table}
     report.first(
         "identity-on-frames",
@@ -195,11 +195,10 @@ def bfield_verify(
         (f"({format_section(e)})" for e, te in moved if anchor_apply(te) != anchor_apply(e)),
     )
     # (4) Jacobiator invariant on frame triples
-    deformed_table = frame_jacobiators(deformed)
     report.first(
         "jacobiator-invariant",
-        (f"frames {tuple(i + 1 for i in idx)}" for idx, j in frame_jacobiators(p).items()
-         if deformed_table[idx] != j),
+        (f"frames {tuple(i + 1 for i in idx)}" for idx, j in p.jframes.items()
+         if deformed.jframes[idx] != j),
     )
 
     # (5) closed 2-form leaves the bracket table unchanged
@@ -318,7 +317,7 @@ def pontryagin_vanishing_check(
         "untwisted-jacobiator-zero",
         (
             f"frames {tuple(i + 1 for i in idx)}: J = ({format_section(j)})"
-            for idx, j in frame_jacobiators(deformed).items() if not j.is_zero()
+            for idx, j in deformed.jframes.items() if not j.is_zero()
         ),
     )
     return report
@@ -335,7 +334,7 @@ def check_image_condition(
     return next(
         (
             f"<J(u{i + 1}, u{j + 1}, u{k + 1}), kappa_{a + 1}> = {format_poly(v)}"
-            for (i, j, k), jv in frame_jacobiators(p).items() if not jv.is_zero()
+            for (i, j, k), jv in p.jframes.items() if not jv.is_zero()
             for a, kappa in enumerate(kernel_generators)
             if not (v := pairing(jv, kappa)).is_zero()
         ),

@@ -17,10 +17,6 @@ class DegreeError(PrecourantError):
     """A form or cochain has an inadmissible degree for the operation."""
 
 
-class SingularMetricError(PrecourantError):
-    """The bundle metric is not invertible."""
-
-
 class MembershipError(PrecourantError):
     """A cochain fails the contraction-membership test required here."""
 

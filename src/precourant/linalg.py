@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
-from .errors import ConstructionError, SingularMetricError
+from .errors import ConstructionError
 
 Scalar = Union[int, Fraction]
 Matrix = List[List[Scalar]]
@@ -87,30 +87,19 @@ def rref(a: Matrix):
     return m, pivots
 
 
-def invert(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse through the rref of [a | I]; raises
-    SingularMetricError when singular."""
-    n = len(a)
-    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = rref(augmented)
-    for col in range(n):
-        if col not in pivots:
-            raise SingularMetricError(f"matrix is singular at column {col}")
-    return [row[n:] for row in reduced]
-
-
 def symmetric_inverse(a: Matrix, name: str) -> Matrix:
-    """The inverse of a, which must be a nondegenerate symmetric form.
-    Otherwise raises ConstructionError `{name}-not-symmetric`, witnessed by
-    the first entry (i,j), in row order, that differs from entry (j,i), or
-    `{name}-singular`."""
+    """The inverse of a, which must be a nondegenerate symmetric form, read
+    off the rref of [a | I].  Otherwise raises ConstructionError
+    `{name}-not-symmetric`, witnessed by the first entry (i,j), in row
+    order, that differs from entry (j,i), or `{name}-singular`."""
     if not is_symmetric(a):
         i, j = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x != a[j][i])
         raise ConstructionError(f"{name}-not-symmetric", f"({i + 1},{j + 1})")
-    try:
-        return invert(a)
-    except SingularMetricError:
-        raise ConstructionError(f"{name}-singular") from None
+    n = len(a)
+    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ConstructionError(f"{name}-singular")
+    return [row[n:] for row in reduced]
 
 
 def kernel_basis(a: Matrix, n_cols: int) -> List[Vector]:

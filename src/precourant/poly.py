@@ -608,10 +608,6 @@ class PolyMap:
         return self._jet
 
 
-def format_scalar(c: Scalar) -> str:
-    return str(c)
-
-
 def format_poly(p: Poly) -> str:
     """Canonical string in graded-lex order, e.g. ``3/2*x1^2*x4 - x2``."""
     if p.is_zero():
@@ -628,11 +624,11 @@ def format_poly(p: Poly) -> str:
                 factors.append(f"{name}^{e}")
         mono = "*".join(factors)
         if not mono:
-            body = format_scalar(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{format_scalar(abs(c))}*{mono}"
+            body = f"{abs(c)}*{mono}"
         sign = "-" if c < 0 else "+"
         parts.append((sign, body))
     first_sign, first_body = parts[0]

@@ -12,11 +12,12 @@ A task reads its blocks from ``c.manifest.blocks``.
 from __future__ import annotations
 
 import random
+from itertools import cycle, islice
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .algebroid import PreCourantAlgebroid, verify_axioms, verify_derived_identities
 from .bundle import CourantBundle, Section, kernel_coisotropy_check, validate_bundle
-from .cochain import pullback_form, verify_comm_lemma, verify_jacobiator_theorem
+from .cochain import Cochain, pullback_form, verify_comm_lemma, verify_jacobiator_theorem
 from .construct import (
     DissectionData,
     QuadraticLieAlgebra,
@@ -109,14 +110,15 @@ def _sampling(c: BuildContext) -> Tuple[int, int, int]:
     return m.trials, m.seed, m.max_degree
 
 
-def _comm_lemma(c: BuildContext) -> VerifyReport:
-    trials, seed, _ = _sampling(c)
-    rng = random.Random(seed)
-    samples = [
-        pullback_form(c.bundle, random_form(rng, c.bundle.chart, 2))
-        for _ in range(min(trials, 8))
+def _forms(c: BuildContext, degrees: Tuple[int, ...]) -> List[Cochain]:
+    """min(trials, 8) seeded random forms pulled back to cochains, their
+    degrees cycling through `degrees`."""
+    m = c.manifest
+    rng = random.Random(m.seed)
+    return [
+        pullback_form(c.bundle, random_form(rng, c.bundle.chart, degree))
+        for degree in islice(cycle(degrees), min(m.trials, 8))
     ]
-    return verify_comm_lemma(c.algebroid, samples)
 
 
 def _deform(c: BuildContext) -> VerifyReport:
@@ -146,16 +148,6 @@ def _pontryagin(c: BuildContext) -> VerifyReport:
     return report
 
 
-def _naive_cohomology(c: BuildContext) -> VerifyReport:
-    trials, seed, _ = _sampling(c)
-    rng = random.Random(seed)
-    samples = [
-        pullback_form(c.bundle, random_form(rng, c.bundle.chart, 2 if i % 2 == 0 else 1))
-        for i in range(min(trials, 8))
-    ]
-    return naive_cohomology_check(c.algebroid, samples, _sections(c, "lift"))
-
-
 def _validate_algebra(c: BuildContext) -> VerifyReport:
     if c.base_algebra is None:
         return validate_quadratic_lie(c.algebra)
@@ -183,7 +175,7 @@ TASKS: Dict[str, Task] = {
     ),
     "verify-identities": Task(lambda c: verify_derived_identities(c.algebroid, *_sampling(c))),
     "jacobiator-theorem": Task(lambda c: verify_jacobiator_theorem(c.algebroid, *_sampling(c))),
-    "comm-lemma": Task(_comm_lemma),
+    "comm-lemma": Task(lambda c: verify_comm_lemma(c.algebroid, _forms(c, (2,)))),
     "leibniz2": Task(lambda c: verify_leibniz2(build_leibniz2(c.algebroid), *_sampling(c))),
     "lie2": Task(lambda c: verify_lie2(build_lie2(c.algebroid), *_sampling(c))),
     "deform": Task(_deform, needs=("deform",)),
@@ -196,7 +188,9 @@ TASKS: Dict[str, Task] = {
         lambda c: pontryagin_vanishing_check(c.algebroid, c.manifest.blocks["pontryagin"]),
         needs=("pontryagin",),
     ),
-    "naive-cohomology": Task(_naive_cohomology),
+    "naive-cohomology": Task(
+        lambda c: naive_cohomology_check(c.algebroid, _forms(c, (2, 1)), _sections(c, "lift"))
+    ),
     "quotient-jacobi": Task(
         lambda c: quotient_jacobi_check(
             c.algebroid, _sections(c, "complement"), _sections(c, "lift"), *_sampling(c)

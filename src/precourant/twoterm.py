@@ -346,8 +346,9 @@ def verify_morphism(
         (
             f"difference ({format_section(lhs - rhs)}) at {format_sections(x, y)}"
             for x, y, z, k in draws
-            if (lhs := target.l2(x, y) - source.l2(x, y))
-            != (rhs := target.differential(f2(x, y)))
+            # the inclusion is the identity on sections, so f2 needs no
+            # kernel check here: `f2-kernel-valued` reports one that leaves it
+            if (lhs := target.l2(x, y) - source.l2(x, y)) != (rhs := f2(x, y))
         ),
     )
     report.first(

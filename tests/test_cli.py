@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,10 +11,14 @@ from pathlib import Path
 import pytest
 
 import precourant
+from precourant import tasks
 from precourant.cli import main, resolve_manifest
+from precourant.cochain import pullback_form
 from precourant.errors import ConstructionError, TaskError
 from precourant.manifest import META_MINIMUM, parse_manifest
+from precourant.reports import VerifyReport
 from precourant.runner import run_manifest
+from precourant.sampling import random_form
 from precourant.tasks import TASKS, Task
 
 
@@ -597,3 +602,29 @@ def test_twisted_action_build_failure_names_the_witness(tmp_path, capsys, body, 
     assert line in lines
     assert lines[-2:] == ["task validate-bundle = skipped-precondition", "result = fail"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", [3, 11])
+def test_form_tasks_hand_their_verifier_the_seeded_pulled_back_forms(monkeypatch, trials):
+    # each task draws min(trials, 8) forms from one stream seeded by the
+    # manifest and pulls them back: comm-lemma of degree 2, naive-cohomology
+    # of degree 2, 1, 2, ...; a passing report prints nothing about them
+    seen = {}
+
+    def recorder(task):
+        def verifier(p, samples, *lift):
+            seen[task] = (p.bundle, samples)
+            return VerifyReport(task)
+        return verifier
+
+    monkeypatch.setattr(tasks, "verify_comm_lemma", recorder("comm-lemma"))
+    monkeypatch.setattr(tasks, "naive_cohomology_check", recorder("naive-cohomology"))
+    m = parse_manifest(resolve_manifest("twisted_r4").read_text())
+    m.trials = trials
+    assert run_manifest(m, tasks=["comm-lemma", "naive-cohomology"]).ok
+    n = min(trials, 8)
+    for task, degrees in (("comm-lemma", [2] * n), ("naive-cohomology", [2, 1] * 4)):
+        b, samples = seen[task]
+        rng = random.Random(m.seed)
+        assert [s.degree for s in samples] == degrees[:n]
+        assert samples == [pullback_form(b, random_form(rng, b.chart, d)) for d in degrees[:n]]

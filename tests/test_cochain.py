@@ -118,7 +118,7 @@ def test_partial_of_twist_equals_twisted_jacobiator(std4, chart4, twist_h4, twis
 
 
 def test_partial_of_zero(courant3, std3):
-    zero = KerCochain.zero(std3, 2)
+    zero = KerCochain(Cochain.zero(std3, 3))
     out = cobound_partial(courant3, zero)
     assert out.flat.is_zero()
 

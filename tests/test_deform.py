@@ -46,7 +46,7 @@ def test_validate_twist_deformation(courant3, std3, chart3):
     h = parse_form(chart3, "x1*dx(1,2,3)")
     omega = twist_deformation(std3, h)
     assert validate_deformation(courant3, omega).ok
-    assert validate_deformation(courant3, KerCochain.zero(std3, 2)).ok
+    assert validate_deformation(courant3, KerCochain(Cochain.zero(std3, 3))).ok
 
 
 def test_validate_rejects_nonkernel_image(courant3, std3, chart3):
@@ -63,7 +63,7 @@ def test_apply_extract_roundtrip(courant3, std3, chart3):
     deformed = apply_deformation(courant3, omega)
     assert extract_deformation(courant3, deformed) == omega
     # zero deformation returns an identical table
-    same = apply_deformation(courant3, KerCochain.zero(std3, 2))
+    same = apply_deformation(courant3, KerCochain(Cochain.zero(std3, 3)))
     assert same == courant3
     # deform then undo
     minus = KerCochain(-omega.flat)

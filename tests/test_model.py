@@ -12,8 +12,8 @@ from itertools import combinations, product
 import pytest
 
 from model import Model
-from precourant.algebroid import (PreCourantAlgebroid, bracket, frame_jacobiators, jacobiator,
-                                  skew_bracket, zero_table)
+from precourant.algebroid import (PreCourantAlgebroid, bracket, jacobiator, skew_bracket,
+                                  zero_table)
 from precourant.bundle import CourantBundle, Section, dee, validate_bundle
 from precourant.cli import resolve_manifest
 from precourant.cochain import (Cochain, KerCochain, cobound_d, cobound_partial, is_in_ckd,
@@ -316,8 +316,8 @@ def _from_values(p, m, s, case):
 def _jacobiator_flat(p, m, s, case):
     # J on the increasing frame triples, in `combinations` order and held on
     # the algebroid; its flat, and Theta's, which needs the axioms on frames
-    table = frame_jacobiators(p)
-    assert list(table) == list(combinations(range(p.rank), 3)) and frame_jacobiators(p) is table
+    table = p.jframes
+    assert list(table) == list(combinations(range(p.rank), 3)) and p.jframes is table
     for key, v in table.items():
         yield key, s(v), m.jacobiator(*(m.frames[i] for i in key))
     flat = m.cochain(jacobiator_flat(p))

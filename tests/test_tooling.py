@@ -409,7 +409,7 @@ def test_jacobiator_is_the_one_evaluator_of_j():
 
 
 def test_frame_triples_enumerated_only_in_algebroid():
-    # J on the increasing frame triples is read from `frame_jacobiators`
+    # J on the increasing frame triples is read from `p.jframes`
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted((ROOT / "src" / "precourant").glob("*.py"))

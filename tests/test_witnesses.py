@@ -765,10 +765,46 @@ def test_morphism_non_member_homotopy_report(build, courant3, std3, chart3):
     assert report.lines() == MORPHISM_NON_MEMBER_HOMOTOPY[src.flavor]
 
 
+_SEED4_PAIR = (
+    "(-2*x2, -x3, 0, 0, 3*x1 - 1, -2*x2) | (3*x1, 0, -2*x3 - 1, -2*x2 - 1, -3, -x3 + 2)"
+)
+_SEED4_AT = f" at {_SEED4_PAIR} | (-2*x2 + 2, 2, x3, 0, -3*x2, 2*x3)"
+_SEED4_HEAD = [
+    "[FAIL] two-term morphism equations",
+    "  FAIL deg0-equation  witness: difference (-3*x1*x3, 0, 0, -2*x2*x3 - x3, 4*x2^2 + 2*x2, 0)"
+    f" at {_SEED4_PAIR}",
+    "  FAIL mixed-equation-1  witness: (-2*x2, -x3, 0, 0, 3*x1 - 1, -2*x2)"
+    " | (0, 0, 0, -2*x3, -5*x3, 3*x1 + x2 + 2*x3 - 1)",
+    "  FAIL mixed-equation-2  witness: (0, 0, 0, -2*x3, -5*x3, 3*x1 + x2 + 2*x3 - 1)"
+    " | (-2*x2, -x3, 0, 0, 3*x1 - 1, -2*x2)",
+    f"  FAIL f2-kernel-valued  witness: {_SEED4_PAIR}",
+]
+MORPHISM_LEAVING_KERNEL = {
+    "leibniz": _SEED4_HEAD + [
+        "  FAIL coherence  witness: defect (-6*x2*x3 - 12*x2 + 6*x3, 0, 0, 0, 0, 0)" + _SEED4_AT,
+    ],
+    "lie": _SEED4_HEAD + [
+        "  FAIL coherence  witness: defect (-6*x2*x3 - 12*x2 + 6*x3, 0, 0, 0,"
+        " 4*x2*x3 - 9*x1 + 8*x2 - x3 + 2, 2*x2^2 - x2 - 1)" + _SEED4_AT,
+    ],
+}
+
+
+@pytest.mark.parametrize("build", [build_leibniz2, build_lie2])
+def test_morphism_homotopy_leaving_the_kernel_report(build, courant3, std3, chart3):
+    # at seed 4 omega(x, y) leaves the anchor kernel on the first draw: the
+    # degree-0 equation compares with omega(x, y) itself and reports the
+    # pair, which f2-kernel-valued names too, instead of raising
+    omega = _non_member_omega(std3, Poly.const(chart3, 1))
+    src, tgt = build(courant3), build(courant3)
+    report = verify_morphism(src, tgt, omega, trials=3, seed=4, max_degree=1)
+    assert report.lines() == MORPHISM_LEAVING_KERNEL[src.flavor]
+
+
 DEGREE_CASES = {
     # a 2-cochain, kernel-valued, is what deforms a bracket
     "degree-2": (
-        lambda p: validate_deformation(p, KerCochain.zero(p.bundle, 3)),
+        lambda p: validate_deformation(p, KerCochain(Cochain.zero(p.bundle, 4))),
         ["[FAIL] deformation validity", "  FAIL degree-2  witness: degree is 3"],
     ),
     # the 3-form whose differential untwists J
