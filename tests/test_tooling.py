@@ -688,35 +688,20 @@ def test_bench_record_pairs_runs_and_sign_tests(monkeypatch, tmp_path):
     assert bench_record.sign_test(10, 0) == bench_record.sign_test(0, 10) == 2 / 1024
     assert bench_record.sign_test(9, 1) == 22 / 1024
     assert bench_record.sign_test(5, 5) == bench_record.sign_test(0, 0) == 1.0
-    # a fabricated --ab record: the pairs whose load reading is at least 1
-    # above the median reading of the record are named, the rest are not,
-    # and a record from before the readings names none
+    # a fabricated --ab record: one summary line per (workload, metric)
     summary = {"task_s": bench_record.pair_summary(a, b)}
-
-    def lines(loads):
-        return bench_record.ab_lines({"summary": {w: summary for w in loads}, "pairs": {
-            w: [{"first": "a", **load} for load in runs] for w, runs in loads.items()}})
-
-    loads = {"frame-suite": [0.25, 1.75, 0.5, 0.5], "two-term": [0.75, 2.75, 1.625, 0.5]}
-    # the median of the eight readings is 0.625, so 1.625 is named and 0.75 is not
-    assert lines({w: [{"load": x} for x in runs] for w, runs in loads.items()})[3:] == [
-        "loaded pair: frame-suite 2, load 1.75 against a median of 0.62",
-        "loaded pair: two-term 2, load 2.75 against a median of 0.62",
-        "loaded pair: two-term 3, load 1.62 against a median of 0.62",
-    ]
-    assert len(lines({"frame-suite": [{}, {}]})) == 2
-    # --ab keeps, per pair, the larger of the readings before and after it
-    readings = iter([0.5, 2.0, 3.0, 1.0])
+    assert bench_record.ab_lines({"summary": {"frame-suite": summary}})[1].split() == [
+        "frame-suite", "task_s", "5.5000", "2.7500-8.2500", "3.5000", "1.3750-5.0000",
+        "0.636", "8/10", "0.0391"]
+    # --ab runs each workload once per side per round, the first side alternating
     result = {"correct": True, "attempted": 10, "failed": 0,
               "metrics": {"task_s": {"value": 0.25, "unit": "s"}}}
-    monkeypatch.setattr(bench_record.os, "getloadavg", lambda: (next(readings), 0.0, 0.0))
     stubs = {"ROOT": tmp_path, "git": lambda *args: args[-1] * 40, "extract": lambda *args: None,
              "workload_names": lambda _: ["frame-suite"], "run_workload": lambda *args: result}
     for name, stub in stubs.items():
         monkeypatch.setattr(bench_record, name, stub)
     pairs = json.loads(bench_record.ab("a", "b", 2).read_text())["pairs"]["frame-suite"]
-    assert [(p["first"], p["load"]) for p in pairs] == [("a", 2.0), ("b", 3.0)]
-    assert pairs[0]["a"] == pairs[0]["b"] == result
+    assert pairs == [{"first": first, "a": result, "b": result} for first in "ab"]
     # the sequential mode is gone: a label, --rev and --compare are usage errors
     for argv in (["38"], ["--rev", "HEAD"], ["--compare", "a", "b"], ["38", "--ab", "a", "b"]):
         with pytest.raises(SystemExit) as exit_:

@@ -12,17 +12,12 @@ untraced, for the declared ``run_seconds`` and at perfbench's default
 seed.  ``BENCH_<a>_vs_<b>.json``, named by the short shas, holds both
 shas, whether ``PYTHONDONTWRITEBYTECODE`` is set in the environment that
 every perfbench process gets (each run then recompiles the sources), the
-command, every pair's result lines and its load reading, the larger of
-the host's one-minute load average before and after the pair (the
-average trails the load by about a minute, so the reading after catches
-load that starts during the pair), and, per workload and metric, each
+command, every pair's result lines, and, per workload and metric, each
 side's median and q1-q3 (perfbench's quartiles), the number of pairs in
 which B was lower and in which it was higher, and the two-sided
-sign-test p-value of those counts.  Its summary names each pair whose
-load reading is at least 1 above the median reading of the record, since
-load from outside the pair distorts both of its runs.  Only committed
-revisions are compared; time uncommitted work with ``perfbench/run.py``
-directly.  Only the standard library is used.
+sign-test p-value of those counts.  Only committed revisions are
+compared; time uncommitted work with ``perfbench/run.py`` directly.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -107,10 +102,10 @@ def ab(rev_a: str, rev_b: str, rounds: int) -> Path:
         for n in range(rounds):
             for index, w in enumerate(workloads):
                 order = (0, 1) if (n + index) % 2 == 0 else (1, 0)
-                pair, before = {"first": "ab"[order[0]]}, os.getloadavg()[0]
+                pair = {"first": "ab"[order[0]]}
                 for side in order:
                     pair["ab"[side]] = run_workload(sides[side], w, env)
-                pairs[w].append({**pair, "load": max(before, os.getloadavg()[0])})
+                pairs[w].append(pair)
     summary = {
         w: {
             metric: pair_summary(*([p[side]["metrics"][metric]["value"] for p in runs]
@@ -138,9 +133,7 @@ def ab(rev_a: str, rev_b: str, rounds: int) -> Path:
 def ab_lines(doc: dict) -> list:
     """One line per (workload, metric) of an --ab record: each side's
     median and q1-q3, B/A of the medians, the pairs in which B was lower
-    and the sign-test p-value; then one line per pair, numbered from 1 in
-    its workload, whose load reading is at least 1 above the median
-    reading.  A record from before the readings has no such line."""
+    and the sign-test p-value."""
     lines = [f"{'workload':16s} {'metric':12s} {'A':>10s} {'q1-q3':>17s} "
              f"{'B':>10s} {'q1-q3':>17s}   B/A  B lower  sign p"]
     for workload, metrics in doc["summary"].items():
@@ -150,12 +143,6 @@ def ab_lines(doc: dict) -> list:
             lines.append(f"{workload:16s} {metric:12s} {a:10.4f} {f'{a1:.4f}-{a3:.4f}':>17s} "
                          f"{b:10.4f} {f'{b1:.4f}-{b3:.4f}':>17s}  {ratio:>5s}  "
                          f"{s['b_lower']:>3d}/{s['pairs']:<3d}  {s['sign_p']:.4f}")
-    loads = [p["load"] for runs in doc["pairs"].values() for p in runs if "load" in p]
-    if loads:
-        median = statistics.median(loads)
-        lines += [f"loaded pair: {w} {n}, load {p['load']:.2f} against a median of {median:.2f}"
-                  for w, runs in doc["pairs"].items() for n, p in enumerate(runs, 1)
-                  if p.get("load", median) >= median + 1]
     return lines
 
 
