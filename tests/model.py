@@ -14,8 +14,9 @@ rules, J as three brackets, the skew bracket, T = (1/6) sum over the cyclic
 sections by its alternating multilinear extension, the pullback, D psi and
 partial phi by their formulas on every increasing frame tuple, a kernel
 cochain through its flat <phi(e_1..e_k), e_(k+1)>, and l2 and l3 of the
-two-term algebras from brackets: J (Leibniz) or J - D T (Lie).  J-flat is
-also read from Roytenberg's structure function, without a bracket.
+two-term algebras from brackets: J (Leibniz) or J - D T (Lie), with the
+homotopy Jacobi identity as their alternating sum.  J-flat is also read
+from Roytenberg's structure function, without a bracket.
 """
 
 from fractions import Fraction
@@ -142,6 +143,19 @@ class Model:
         if flavor == "leibniz":
             return j
         return self.combine((1, j), (-1, self.dee(self.t_scalar(e1, e2, e3))))
+
+    def homotopy_jacobi(self, flavor, es, l3=None):
+        """The homotopy Jacobi identity of Baez & Crans on four sections, of
+        l2 and l3, or of l2 and the given trilinear map: the alternating sum
+        sum_i (-1)^i l2(e_i, l3(..no i..))
+        + sum_(i<j) (-1)^(i+j) l3(l2(e_i, e_j), ..no i, j..)."""
+        l3 = l3 or (lambda *e: self.l3(flavor, *e))
+        terms = [((-1) ** i, self.l2(flavor, es[i], l3(*es[:i], *es[i + 1:])))
+                 for i in range(4)]
+        for i, j in combinations(range(4), 2):
+            rest = [e for t, e in enumerate(es) if t not in (i, j)]
+            terms.append(((-1) ** (i + j), l3(self.l2(flavor, es[i], es[j]), *rest)))
+        return self.combine(*terms)
 
     def evaluate(self, values, vectors):
         """The alternating form with `values` on increasing index tuples, on

@@ -14,7 +14,7 @@ import pytest
 from model import Model
 from precourant.algebroid import (PreCourantAlgebroid, bracket, jacobiator, skew_bracket,
                                   zero_table)
-from precourant.bundle import CourantBundle, Section, dee, validate_bundle
+from precourant.bundle import CourantBundle, Section, dee, pairing, validate_bundle
 from precourant.cli import resolve_manifest
 from precourant.cochain import (Cochain, KerCochain, cobound_d, cobound_partial, is_in_ckd,
                                 jacobiator_flat, partial_section_values, pullback_form)
@@ -25,7 +25,8 @@ from precourant.parsing import parse_form
 from precourant.poly import Chart, Poly
 from precourant.runner import build_context
 from precourant.sampling import random_form, random_kernel_section, random_poly, random_section
-from precourant.twoterm import build_leibniz2, build_lie2, skew_jacobiator_direct, t_scalar
+from precourant.twoterm import (_coherence_defect, build_leibniz2, build_lie2,
+                                skew_jacobiator_direct, t_scalar)
 from test_witnesses import BROKEN_TABLE_MANIFEST
 
 BUILTINS = ["standard_r3", "twisted_r4", "twisted_action_synthetic", "dissection_rank2",
@@ -201,6 +202,39 @@ def _two_term(p, m, s, case):
                 yield ("direct", *es), s(skew_jacobiator_direct(p, *es)), expected
 
 
+# the six orders of three arguments, with their signs
+_ORDERS = [((0, 1, 2), 1), ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 2, 0), 1),
+           ((2, 0, 1), 1)]
+
+
+def _homotopy_jacobi(p, m, s, case):
+    # the ten-term coherence that the Lie battery checks is the homotopy
+    # Jacobi identity: for the corrector, and for an alternating l3 that is
+    # not one, where it is nonzero; on seeded quadruples, some of whose
+    # arguments are brackets
+    b, alg = p.bundle, build_lie2(p)
+    rng = random.Random(5)
+    s1, s2 = random_section(rng, b, 1), random_section(rng, b, 1)
+    m1, m2 = s(s1), s(s2)
+
+    def l3(*e):
+        return sum((e[k].scale(pairing(e[i], s1) * pairing(e[j], s2) * sign)
+                    for (i, j, k), sign in _ORDERS), b.zero_section())
+
+    def model_l3(*e):
+        return m.combine(*((m.pairing(e[i], m1) * m.pairing(e[j], m2) * sign, e[k])
+                           for (i, j, k), sign in _ORDERS))
+
+    x, y, z, w = (random_section(rng, b, 1) for _ in range(4))
+    quadruples = [(x, y, z, w), (skew_bracket(p, x, y), z, w, x),
+                  (w, bracket(p, z, x), y, skew_bracket(p, y, w))]
+    for es in quadruples:
+        yield es, s(_coherence_defect(alg.l2, alg.l3, *es)), m.homotopy_jacobi("lie", [*map(s, es)])
+        expected = m.homotopy_jacobi("lie", [*map(s, es)], l3=model_l3)
+        assert any(expected)
+        yield ("alternating", *es), s(_coherence_defect(alg.l2, l3, *es)), expected
+
+
 def _dee(p, m, s, case):
     c, rng = p.chart, random.Random(11)
     functions = [Poly.var(c, i) for i in range(c.dim)] + [Poly.zero(c), Poly.const(c, 5)]
@@ -337,6 +371,9 @@ EVALUATORS = {
     "dee": (_dee, BRACKET_CASES),
     # l3 reads J from its flat, which is J only where the theorem holds
     "l2-l3": (_two_term, BUILTINS),
+    # the builtins of rank 8 and 10, where the alternating l3 breaks it
+    "homotopy-jacobi": (_homotopy_jacobi, ["twisted_r4", "twisted_action_synthetic",
+                                           "dissection_rank2"]),
     "jacobiator_flat": (_jacobiator_flat, [*BRACKET_CASES, "twisted-dissection"]),
     "ker_cochain_values": (_ker_cochain_values, BUILTINS),
     "from_values": (_from_values, BUILTINS),

@@ -1,6 +1,7 @@
 """Two-term algebra construction, verification batteries, the components of
 the skew Jacobiator, and morphisms.  The skew Jacobiator identity
-J - D T = the cyclic double skew bracket is checked in test_model.py."""
+J - D T = the cyclic double skew bracket, and the ten-term coherence as the
+homotopy Jacobi identity, are checked in test_model.py."""
 
 import random
 from fractions import Fraction
@@ -29,7 +30,6 @@ from precourant.twoterm import (
     verify_lie2,
     verify_morphism,
 )
-
 
 def test_leibniz2_standard_strict(courant3):
     alg = build_leibniz2(courant3)
@@ -128,15 +128,38 @@ def test_lie2_suites(courant3, twisted4):
     assert DEGREE1_DOMAIN_NOTE in report.notes
 
 
-@pytest.mark.parametrize("trials, quadruples", [(3, 3), (10, 8)])
-def test_lie2_draws_at_most_eight_quadruples(courant3, monkeypatch, trials, quadruples):
+@pytest.mark.parametrize(
+    "build, verify, name",
+    [(build_leibniz2, verify_leibniz2, "coherence"), (build_lie2, verify_lie2, "homotopy-jacobi")],
+    ids=["leibniz", "lie"],
+)
+@pytest.mark.parametrize("trials", [3, 10])
+def test_one_four_slot_identity_per_draw(courant3, monkeypatch, build, verify, name, trials):
+    # both flavours evaluate the ten-term coherence once on each battery
+    # draw, and the Lie flavour reports it as the homotopy Jacobi identity
     seen = []
-    real = twoterm._homotopy_jacobi_defect
-    monkeypatch.setattr(
-        twoterm, "_homotopy_jacobi_defect", lambda alg, es: seen.append(es) or real(alg, es)
-    )
-    assert verify_lie2(build_lie2(courant3), trials=trials, seed=0, max_degree=0).ok
-    assert len(seen) == quadruples
+    real = twoterm._coherence_defect
+    monkeypatch.setattr(twoterm, "_coherence_defect", lambda *a: seen.append(a) or real(*a))
+    report = verify(build(courant3), trials=trials, seed=0, max_degree=1)
+    assert report.ok
+    assert len(seen) == trials
+    assert report.checks[-1].name == name
+
+
+@pytest.mark.parametrize("battery", ["leibniz2", "lie2", "morphism"])
+def test_battery_refuses_fewer_than_one_trial(battery, courant3):
+    # with no draw every check would pass having scanned nothing
+    leibniz = build_leibniz2(courant3)
+    zero = KerCochain(Cochain.zero(courant3.bundle, 3))
+    run = {
+        "leibniz2": lambda trials: verify_leibniz2(leibniz, trials=trials),
+        "lie2": lambda trials: verify_lie2(build_lie2(courant3), trials=trials),
+        "morphism": lambda trials: verify_morphism(leibniz, leibniz, zero, trials=trials),
+    }[battery]
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            run(trials)
+    assert run(1).ok
 
 
 def test_lie2_uncorrected_l3_fails(twisted4):
@@ -188,27 +211,3 @@ def test_morphism_flavor_mismatch(courant3):
     tgt = build_lie2(courant3)
     with pytest.raises(ValueError):
         verify_morphism(src, tgt, KerCochain(Cochain.zero(src.bundle, 3)))
-
-
-def test_lie_four_slot_defects_are_one_identity_on_skew_maps():
-    # with l2 skew and l3 alternating, the homotopy Jacobi identity of
-    # verify_lie2 and the ten-term coherence of the (a)/(b) battery are the
-    # same composition, also for an l3 that is not the corrector
-    p = build_context(parse_manifest(resolve_manifest("twisted_r4").read_text())).algebroid
-    b = p.bundle
-    rng = random.Random(5)
-    s1, s2 = random_section(rng, b, 1), random_section(rng, b, 1)
-
-    def m(x, y, z):
-        return z.scale(pairing(x, s1) * pairing(y, s2))
-
-    def l3(x, y, z):
-        return m(x, y, z) - m(y, x, z) - m(x, z, y) - m(z, y, x) + m(y, z, x) + m(z, x, y)
-
-    alg = build_lie2(p)
-    alg.l3 = l3
-    for _ in range(2):
-        es = [random_section(rng, b, 1) for _ in range(4)]
-        defect = twoterm._homotopy_jacobi_defect(alg, es)
-        assert defect == twoterm._coherence_defect(alg.l2, l3, *es)
-        assert not defect.is_zero()
